@@ -1,9 +1,11 @@
 """End-to-end splits of three small actions, with the exact projector tables.
 
-Each projector B_m lies in the centralizer algebra, B_m = sum_r b_r A_r; the
-library finds the complete orthogonal family by scanning candidate dimensions
-d (the trace pins b_1 = d/N exactly) and solving the quadratic idempotency
-systems with Groebner bases over the radical tower.
+Each projector B_m lies in the centralizer algebra, B_m = sum_r b_r A_r.  The
+centre of the algebra hints at the irreducible dimensions d, and the library
+solves the quadratic idempotency systems only at those d (the trace pins
+b_1 = d/N exactly), with Groebner bases over the radical tower.  The family
+is kept when it is complete and every projector is primitive, so none splits
+further; otherwise the library falls back to scanning every d = 1, 2, ...
 """
 
 from permsplit import GeneratorSet, Permutation, parse_generator_text, split

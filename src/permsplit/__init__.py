@@ -50,7 +50,6 @@ from .exactfield import (
     sqrt_if_nice,
 )
 from .polynomial import (
-    Ideal,
     Poly,
     Ring,
     groebner_basis,

@@ -12,8 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as _sp
-import scipy.sparse.csgraph as _csgraph
 
 from .errors import IntransitiveAction, InvariantViolation, ResourceLimit
 from .perms import (
@@ -99,7 +97,6 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     """
     n = gens.degree
     labels = np.arange(n, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
     words = {}
     for p0 in range(n):
         for g in gens.generators:
@@ -107,14 +104,33 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
             lab_img = labels[arr]
             if np.array_equal(lab_img, labels):
                 continue
-            ncells = int(labels.max()) + 1
-            graph = _sp.coo_matrix(
-                (np.ones(n, dtype=np.int8), (labels, lab_img)),
-                shape=(ncells, ncells),
-            )
-            _, roots = _csgraph.connected_components(graph, directed=False)
-            labels = roots[labels]
+            labels = _merge_cells(labels, lab_img)
     return labels
+
+
+def _merge_cells(labels, linked):
+    """Relabel cells so that labels[i] and linked[i] share a cell.
+
+    A label union on the cells: every linked pair hooks its two roots onto
+    the smaller one, then pointer jumping flattens the forest, until every
+    pair agrees.  Each root is its component's minimal cell, so the new
+    labels 0, 1, ... number the components in order of their minimal cell.
+    """
+    parent = np.arange(int(labels.max()) + 1, dtype=np.int64)
+    while True:
+        ra, rb = parent[labels], parent[linked]
+        if np.array_equal(ra, rb):
+            break
+        low = np.minimum(ra, rb)
+        np.minimum.at(parent, ra, low)
+        np.minimum.at(parent, rb, low)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    _, compact = np.unique(parent, return_inverse=True)
+    return compact[labels]
 
 
 def order_basis(cells, tree: SchreierTree, degree: int):

@@ -8,7 +8,7 @@ and a lex basis eliminates down to a univariate polynomial in x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +18,6 @@ from .exactfield import FieldElement, render_field_element
 __all__ = [
     "Ring",
     "Poly",
-    "Ideal",
     "normal_form",
     "s_polynomial",
     "groebner_basis",
@@ -323,28 +322,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
-
-
-@dataclass
-class Ideal:
-    """Generators plus a cached reduced Groebner basis."""
-
-    generators: tuple
-    _groebner: list = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
-
-    @property
-    def ring(self):
-        return self.generators[0].ring
-
-    def groebner(self, max_pairs=DEFAULT_MAX_PAIRS, max_basis=DEFAULT_MAX_BASIS):
-        if self._groebner is None:
-            self._groebner = groebner_basis(
-                self.generators, max_pairs=max_pairs, max_basis=max_basis
-            )
-        return self._groebner
 
 
 def _reducers(G):

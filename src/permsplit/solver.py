@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exactfield import ComplexBall, FieldElement, sqrt_if_nice, factorize
 from .polynomial import (
-    Ideal,
     Poly,
     groebner_basis,
     hilbert_dimension,
@@ -90,17 +89,6 @@ class SolutionPoint:
             b = self.coordinate_ball(i, 64)
             key.append((mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)))
         return key
-
-    def conjugate_exact(self):
-        """Coordinate-wise complex conjugate; exact points only."""
-        if not self.is_exact():
-            raise ValueError("conjugate of a numeric point is not tracked")
-        return SolutionPoint(
-            tuple(v.conjugate() for v in self.values),
-            self.exact,
-            self.numeric_values,
-            self.precision,
-        )
 
 
 # -- univariate helpers ---------------------------------------------------------
@@ -341,7 +329,7 @@ def solve_zero_dimensional(
 ):
     """All solutions over the complex numbers of a zero-dimensional system.
 
-    ``system`` is an Ideal or a list of Poly sharing one ring.  Returns
+    ``system`` is a list of Poly sharing one ring.  Returns
     SolutionPoints in deterministic order (lexicographic over the numeric
     embeddings of the coordinates).
     """
@@ -349,7 +337,7 @@ def solve_zero_dimensional(
 
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_basis = max_basis or DEFAULT_MAX_BASIS
-    gens = list(system.generators) if isinstance(system, Ideal) else list(system)
+    gens = list(system)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise NotZeroDimensional("empty system is not zero-dimensional")
@@ -573,7 +561,7 @@ def particular_solution_on_slice(
 
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_basis = max_basis or DEFAULT_MAX_BASIS
-    gens = list(system.generators) if isinstance(system, Ideal) else list(system)
+    gens = list(system)
     ring = gens[0].ring
     basis = groebner_basis(gens, max_pairs=max_pairs, max_basis=max_basis)
     if is_trivial_basis(basis):

@@ -1,14 +1,22 @@
-"""The main splitting loop: idempotency systems, the dimension scan, and the
+"""The main splitting loop: idempotency systems, the dimension loop, and the
 assembly of the complete orthogonal family of irreducible projectors.
 
-For each candidate dimension d the generic invariant form is constrained by
-x_1 = d/N (the trace pins the coefficient of the identity basis matrix), the
-accumulated orthogonality forms are joined in, and the Groebner basis decides:
-inconsistent (advance d), zero-dimensional (enumerate and accept every
-solution), or positive-dimensional (a multiplicity-k isotypic block, peeled
-off by slicing for particular solutions).  A dimension is re-run until its
-system turns inconsistent, because freshly added orthogonality constraints
-can expose further components of equal dimension.
+The candidate dimensions come from the centre of the algebra: a floating-point
+oracle (``dimension_hint``) reads each irreducible's dimension d and
+multiplicity k off the central idempotents.  For each hinted d, in ascending
+order, the generic invariant form is constrained by x_1 = d/N (the trace pins
+the coefficient of the identity basis matrix), the accumulated orthogonality
+forms are joined in, and the Groebner basis decides: inconsistent (advance
+d), zero-dimensional (enumerate and accept every solution), or
+positive-dimensional (a multiplicity-k isotypic block, peeled off by slicing
+for particular solutions).  A dimension is re-run until its system turns
+inconsistent, because freshly added orthogonality constraints can expose
+further components of equal dimension.
+
+The floats are never trusted: the hinted family is kept only when it is
+complete, matches the hinted multiset and every projector is primitive
+(``primitivity_traces``, exact over the tower).  Otherwise the full scan
+d = 1, 2, ... runs from scratch.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .centralizer import (
     OrbitalBasis,
@@ -31,6 +40,7 @@ from .errors import (
     InvariantViolation,
     MultiplicityMismatch,
     OrthogonalityViolation,
+    PermsplitError,
     SliceExhausted,
 )
 from .exactfield import ComplexBall, FieldElement
@@ -52,6 +62,9 @@ __all__ = [
     "build_orthogonality_system",
     "build_orthogonality_system_right",
     "algebra_product",
+    "dimension_hint",
+    "primitivity_traces",
+    "is_unit_trace",
     "process_single_solution",
     "split",
 ]
@@ -141,7 +154,7 @@ class SplitEvent:
     """One step of the dimension loop, for reports and diagnostics."""
 
     d: int
-    kind: str            # "inconsistent" | "solutions" | "slice" | "filtered"
+    kind: str    # "inconsistent" | "solutions" | "slice" | "filtered" | "hint-fallback"
     hilbert: int = None
     extracted: int = 0
     multiplicity: int = None
@@ -290,6 +303,99 @@ def _vanishes(vec, reference=None, precision=128):
         return True
 
 
+# -- the dimension oracle and the primitivity certificate ------------------------
+
+
+def dimension_hint(consts: StructureConstants, degree):
+    """The irreducible dimensions, each d_j repeated k_j times, read off the
+    centre of the algebra in floating point; None when the floats are unclear.
+
+    The centre Z is the null space of x -> (x y - y x)_y.  Multiplication by
+    a random central z acts on Z with generically distinct eigenvalues; the
+    identity splits over its eigenvectors into the central idempotents E_j.
+    E_j spans a block M_{k_j}, so k_j^2 = tr(L_{E_j}), and its trace in the
+    permutation module is N (E_j)_1 = k_j d_j.  The values are only a hint:
+    the splitter certifies whatever it builds from them.
+    """
+    c = consts.table[1:, 1:, 1:].astype(float)
+    rank = consts.rank
+    commutator = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
+    _, sing, vh = np.linalg.svd(commutator, full_matrices=False)
+    centre = vh[sing <= 1e-9 * max(1.0, sing[0])].T
+    rng = np.random.default_rng(0)
+    weights = rng.normal(size=centre.shape[1]) + 1j * rng.normal(size=centre.shape[1])
+    left = np.einsum("p,pqr->rq", centre @ weights, c)
+    _, vecs = np.linalg.eig(centre.T @ left @ centre)
+    split_identity = np.linalg.solve(vecs, centre[0])
+    idempotents = centre @ (vecs * split_identity)
+    k_squared = np.einsum("prr->p", c) @ idempotents
+    traces = degree * idempotents[0]
+    if not _near_integers(k_squared):
+        return None
+    k_squared = np.rint(k_squared.real)
+    k = np.rint(np.sqrt(np.maximum(k_squared, 0)))
+    if k.min() < 1 or not np.array_equal(k * k, k_squared):
+        return None
+    d = traces / k
+    if not _near_integers(d) or np.rint(d.real).min() < 1:
+        return None
+    d = np.rint(d.real)
+    if int(k @ d) != degree:
+        return None
+    return sorted(int(dj) for dj, kj in zip(d, k) for _ in range(int(kj)))
+
+
+def _near_integers(values, tol=1e-6):
+    return bool(np.all(np.abs(values - np.rint(values.real)) <= tol))
+
+
+def primitivity_traces(consts: StructureConstants, vectors, precision=128):
+    """dim eAe = tr(x -> e x e) for each coefficient vector e.
+
+    The map is L_e R_e, and its trace is the quadratic form e^T T e with the
+    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q.  For an idempotent e the
+    map is idempotent, so the trace is its rank, and e is primitive exactly
+    when the trace is 1.  Exact over the tower for exact vectors, a
+    ComplexBall otherwise.
+    """
+    c = consts.table[1:, 1:, 1:]
+    form = np.einsum("pqr,rsq->ps", c, c)
+    pairs = [
+        [(s, int(form[p, s])) for s in np.nonzero(form[p])[0]]
+        for p in range(consts.rank)
+    ]
+    out = []
+    for e in vectors:
+        if all(isinstance(x, FieldElement) for x in e):
+            total = FieldElement.zero()
+            for p, row in enumerate(pairs):
+                if row and not e[p].is_zero():
+                    inner = FieldElement.zero()
+                    for s, t in row:
+                        inner = inner + e[s].scaled(t)
+                    total = total + e[p] * inner
+            out.append(total)
+            continue
+        with mpmath.workprec(precision + 40):
+            balls = [_as_ball(x, precision) for x in e]
+            total = ComplexBall(0)
+            for p, row in enumerate(pairs):
+                inner = ComplexBall(0)
+                for s, t in row:
+                    inner = inner + balls[s] * t
+                total = total + balls[p] * inner
+            out.append(total)
+    return out
+
+
+def is_unit_trace(trace):
+    """The trace certifies primitivity: exactly 1, or a ball of width below 1
+    around 1 (the true value is an integer)."""
+    if isinstance(trace, FieldElement):
+        return trace == FieldElement.one()
+    return (trace - 1).contains_zero() and trace.width() < 1
+
+
 # -- the splitting state ---------------------------------------------------------
 
 
@@ -429,21 +535,29 @@ def split(gens: GeneratorSet, config: SplitConfig = None):
 
 
 def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config=None):
-    """The dimension loop, starting from precomputed structure constants."""
+    """The dimension loop, starting from precomputed structure constants.
+
+    Only the dimensions of ``dimension_hint`` are solved; the full scan
+    d = 1, 2, ... runs, after a "hint-fallback" event, when there is no hint
+    or what the hinted dimensions yield is not certified.
+    """
     config = config or SplitConfig()
     n = basis.degree
-    state = _SplitState(basis, consts, config)
     max_d = config.max_dimension or (n - 1 if n > 1 else 1)
-
-    d = 0
-    while state.found < n:
-        d += 1
-        # a dimension with found + d > N can never fit, nor can any larger one
-        if state.found + d > n or d > max_d:
-            raise IncompleteDecomposition(
-                f"dimensions exhausted at d={d} with {state.found}/{n} found"
-            )
-        _run_dimension(state, d)
+    hint = dimension_hint(consts, n)
+    state = _split_at_hint(basis, consts, config, hint, max_d) if hint else None
+    if state is None:
+        state = _SplitState(basis, consts, config)
+        state.events.append(SplitEvent(0, "hint-fallback"))
+        d = 0
+        while state.found < n:
+            d += 1
+            # a dimension with found + d > N can never fit, nor can any larger one
+            if state.found + d > n or d > max_d:
+                raise IncompleteDecomposition(
+                    f"dimensions exhausted at d={d} with {state.found}/{n} found"
+                )
+            _run_dimension(state, d)
     deco = Decomposition(
         degree=n,
         rank=basis.rank,
@@ -455,6 +569,36 @@ def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config
     )
     _finalize(state, deco)
     return deco
+
+
+def _split_at_hint(basis, consts, config, hint, max_d):
+    """Run the hinted dimensions in ascending order; the state when certified.
+
+    With a right hint the full scan finds nothing between the hinted
+    dimensions, so the accepted projectors, their order and the slicing RNG
+    stream match it.  (Projectors with numeric coordinates are the
+    exception: their orthogonality is not in the polynomial system, so the
+    scan may meet sums of them at an unhinted d and filter them out, which
+    the hinted run skips.)  The certificate is exact and does not trust the
+    floats: the family is complete, its dimensions are the hinted multiset,
+    and every projector is primitive.  Returns None when any of that fails.
+    """
+    state = _SplitState(basis, consts, config)
+    try:
+        for d in sorted(set(hint)):
+            if state.found >= basis.degree:
+                break
+            if state.found + d > basis.degree or d > max_d:
+                return None
+            _run_dimension(state, d)
+    except PermsplitError:
+        return None
+    if state.found != basis.degree or sorted(p.dimension for p in state.projectors) != hint:
+        return None
+    traces = primitivity_traces(
+        consts, [p.coefficients for p in state.projectors], config.precision
+    )
+    return state if all(is_unit_trace(t) for t in traces) else None
 
 
 def _run_dimension(state: _SplitState, d):

@@ -17,9 +17,17 @@ import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
-from .exactfield import ComplexBall, FieldElement
+from .exactfield import ComplexBall, FieldElement, render_field_element
 from .perms import GeneratorSet
-from .splitter import Decomposition, Projector, algebra_product, _as_ball, _vanishes
+from .splitter import (
+    Decomposition,
+    Projector,
+    algebra_product,
+    is_unit_trace,
+    primitivity_traces,
+    _as_ball,
+    _vanishes,
+)
 
 __all__ = [
     "CheckResult",
@@ -69,8 +77,6 @@ def _witness(vec, reference=None):
         if isinstance(v, FieldElement) and (want is None or isinstance(want, FieldElement)):
             diff = v if want is None else v - want
             if not diff.is_zero():
-                from .exactfield import render_field_element
-
                 return f"r={r}: {render_field_element(diff)}"
         else:
             b = v if isinstance(v, ComplexBall) else _as_ball(v, 128)
@@ -83,7 +89,8 @@ def _witness(vec, reference=None):
 
 
 def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, precision=128):
-    """Idempotency, pairwise orthogonality, completeness, trace integrality.
+    """Idempotency, pairwise orthogonality, completeness, trace integrality
+    and primitivity (dim B A B = 1, so no projector splits further).
 
     All checks run exactly over the tower for exact projectors; coordinates
     flagged numeric are checked through their certified enclosures.
@@ -138,7 +145,19 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
             and p.dimension > 0
         )
         report.add(f"trace integrality B[{m}]: N*b1 = d", ok)
+    traces = primitivity_traces(
+        consts, [p.coefficients for p in deco.projectors], precision
+    )
+    for m, t in enumerate(traces, start=1):
+        ok = is_unit_trace(t)
+        report.add(f"primitivity B[{m}]", ok, "" if ok else f"dim B A B = {_render_trace(t)}")
     return report
+
+
+def _render_trace(t):
+    if isinstance(t, FieldElement):
+        return render_field_element(t)
+    return f"~{complex(t.mid)}"
 
 
 def _add_mixed(a, b, precision):

@@ -17,15 +17,18 @@ from permsplit import (
     compute_structure_constants,
     split,
 )
+from permsplit import splitter
+from permsplit.cli import render_decomposition_text
 from permsplit.splitter import (
     Projector,
     _SplitState,
     algebra_product,
     build_orthogonality_system_right,
+    dimension_hint,
     process_single_solution,
 )
 
-from conftest import cyclic, petersen, regular_action, symmetric
+from conftest import cyclic, pair_action, petersen, regular_action, symmetric
 from oracles import (
     dimension_multiset,
     petersen_eigenprojectors,
@@ -293,6 +296,68 @@ class TestCorpusProperties:
             conj = tuple(c.conjugate() for c in p.coefficients)
             key = tuple(sorted((r, c) for r, c in enumerate(conj)))
             assert key in keys
+
+
+_HINTED_REPORTS = {}
+
+
+def _hinted_report(name, gens):
+    """The text report of a split that used the hint, computed once."""
+    if name not in _HINTED_REPORTS:
+        deco = split(gens)
+        assert not any(e.kind == "hint-fallback" for e in deco.events)
+        _HINTED_REPORTS[name] = render_decomposition_text(deco)
+    return _HINTED_REPORTS[name]
+
+
+class TestDimensionOracle:
+    def test_hint_matches_oracle(self, corpus_member):
+        name, gens = corpus_member
+        _, consts = constants_for(gens)
+        assert dimension_hint(consts, gens.degree) == dimension_multiset(gens)
+
+    def test_report_identical_without_hint(self, corpus_member, monkeypatch):
+        name, gens = corpus_member
+        expected = _hinted_report(name, gens)
+        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
+        scanned = split(gens)
+        assert [e.kind for e in scanned.events][:1] == ["hint-fallback"]
+        assert render_decomposition_text(scanned) == expected
+
+    def test_wrong_hint_falls_back(self, corpus_member, monkeypatch):
+        """Merging the two largest hinted dimensions keeps the sum at N but
+        names a dimension that no irreducible has."""
+        name, gens = corpus_member
+        expected = _hinted_report(name, gens)
+        _, consts = constants_for(gens)
+        true_hint = dimension_hint(consts, gens.degree)
+        wrong = sorted(true_hint[:-2] + [true_hint[-2] + true_hint[-1]])
+        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: wrong)
+        deco = split(gens)
+        assert [e for e in deco.events if e.kind == "hint-fallback"] == [
+            splitter.SplitEvent(0, "hint-fallback")
+        ]
+        assert render_decomposition_text(deco) == expected
+
+    def test_sum_of_irreducibles_rejected_by_primitivity(self, monkeypatch):
+        """S5 on pairs is 1 + 4 + 5; the hint [1, 9] is met by e_4 + e_5,
+        which only the primitivity certificate tells apart."""
+        gens = pair_action(symmetric(5), 5)
+        expected = render_decomposition_text(split(gens))
+        verdicts = []
+        real = splitter.is_unit_trace
+
+        def spy(trace):
+            verdicts.append(real(trace))
+            return verdicts[-1]
+
+        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: [1, 9])
+        monkeypatch.setattr(splitter, "is_unit_trace", spy)
+        deco = split(gens)
+        assert verdicts == [True, False]
+        assert [e.kind for e in deco.events][:1] == ["hint-fallback"]
+        assert deco.dimension_multiset == [1, 4, 5]
+        assert render_decomposition_text(deco) == expected
 
 
 def _matrix_to_basis_coeffs(mat, basis):

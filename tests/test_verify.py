@@ -32,6 +32,24 @@ def split_with_constants(gens):
     return basis, consts, split(gens)
 
 
+def _family(consts, degree, vectors, dims):
+    return Decomposition(
+        degree=degree,
+        rank=consts.rank,
+        projectors=[
+            Projector(
+                coefficients=tuple(v),
+                dimension=d,
+                exact=True,
+                provenance="uniqueSolution",
+            )
+            for v, d in zip(vectors, dims)
+        ],
+        complete=True,
+        suborbit_lengths=[],
+    )
+
+
 def _tweak(deco, m, r, delta=Fraction(1, 7), flip=False):
     out = copy.deepcopy(deco)
     p = out.projectors[m]
@@ -64,25 +82,56 @@ class TestAlgebraic:
         assert failures
         assert any("idempotency B[2]" in c.name and "r=2" in c.witness for c in failures)
 
-    def test_identity_vector_passes_trivially(self):
+    def test_identity_vector_fails_only_primitivity(self):
+        """{A1} is idempotent and complete, but dim A1 A A1 = R."""
         gens = petersen()
         basis = compute_orbitals(gens)
         consts = compute_structure_constants(gens, basis)
-        identity = Decomposition(
-            degree=10,
-            rank=3,
-            projectors=[
-                Projector(
-                    coefficients=(fe(1), fe(0), fe(0)),
-                    dimension=10,
-                    exact=True,
-                    provenance="uniqueSolution",
-                )
-            ],
-            complete=True,
-            suborbit_lengths=[1, 3, 6],
+        identity = _family(consts, 10, [(fe(1), fe(0), fe(0))], [10])
+        failures = verify_family_algebraic(consts, identity).failures()
+        assert [(c.name, c.witness) for c in failures] == [
+            ("primitivity B[1]", "dim B A B = 3")
+        ]
+
+    def test_s3_identity_family_fails(self):
+        gens = symmetric(3)
+        basis = compute_orbitals(gens)
+        consts = compute_structure_constants(gens, basis)
+        identity = _family(consts, 3, [(fe(1), fe(0))], [3])
+        failures = verify_family_algebraic(consts, identity).failures()
+        assert [c.name for c in failures] == ["primitivity B[1]"]
+
+    def test_sum_of_two_projectors_fails(self):
+        _, consts, deco = split_with_constants(petersen())
+        b1, b2, b3 = deco.projectors
+        merged = tuple(x + y for x, y in zip(b2.coefficients, b3.coefficients))
+        family = _family(
+            consts, 10, [b1.coefficients, merged], [b1.dimension, b2.dimension + b3.dimension]
         )
-        assert verify_family_algebraic(consts, identity).passed
+        failures = verify_family_algebraic(consts, family).failures()
+        assert [(c.name, c.witness) for c in failures] == [
+            ("primitivity B[2]", "dim B A B = 2")
+        ]
+
+    def test_primitivity_of_numeric_projectors(self):
+        """C5 keeps the quartic coordinates numeric; the trace is then an
+        enclosure of 1 narrower than 1."""
+        _, consts, deco = split_with_constants(cyclic(5))
+        assert not deco.exact_only()
+        report = verify_family_algebraic(consts, deco)
+        lines = [c for c in report.checks if c.name.startswith("primitivity")]
+        assert report.passed and len(lines) == len(deco.projectors) == 5
+
+    @pytest.mark.parametrize(
+        "builder", [symmetric(3), petersen(), cyclic(4), regular_action(symmetric(3))],
+        ids=["S3", "petersen", "C4", "S3_regular"],
+    )
+    def test_acceptance_decompositions_are_primitive(self, builder):
+        _, consts, deco = split_with_constants(builder)
+        report = verify_family_algebraic(consts, deco)
+        names = [c.name for c in report.checks if c.name.startswith("primitivity")]
+        assert report.passed
+        assert names == [f"primitivity B[{m}]" for m in range(1, len(deco.projectors) + 1)]
 
     def test_every_single_coefficient_perturbation_fails(self, corpus_member):
         name, gens = corpus_member
