@@ -68,6 +68,19 @@ class OrbitalBasis:
         y0 = self.tree.transport_to_base0(x - 1, y - 1)
         return int(self.sidx0[y0])
 
+    def orbital_row(self, x):
+        """Orbital indices of the pairs (x, y) over all points y (0-based y).
+
+        The vectorised twin of ``orbital_of_pair``: ``sidx0`` composed with
+        the inverse of the tree word base -> x, one array pass per edge.
+        """
+        gens = self.tree.gens.generators
+        arr = np.arange(self.degree, dtype=np.int64)
+        for gi, d in reversed(self.tree.word_to(x)):
+            g = gens[gi]
+            arr = g.inv_images0[arr] if d > 0 else g.images0[arr]
+        return self.sidx0[arr]
+
     def lengths_in_order(self):
         return [int(self.suborbit_lengths[r]) for r in range(1, self.rank + 1)]
 
@@ -242,24 +255,10 @@ def _check_basis(basis: OrbitalBasis):
             raise InvariantViolation("transpose-paired suborbits differ in length")
 
 
-def _inverse_transversal_array(basis: OrbitalBasis, j):
-    """Array of y^(u_j^{-1}) over all points y (0-based), via the tree word."""
-    tree = basis.tree
-    word = tree.word_to(j)
-    gens = tree.gens.generators
-    arr = np.arange(basis.degree, dtype=np.int64)
-    for gi, d in reversed(word):
-        g = gens[gi]
-        arr = g.inv_images0[arr] if d > 0 else g.images0[arr]
-    return arr
-
-
 def _constants_slab(basis: OrbitalBasis, q_vec, r):
     """C[:, :, r] counted from the representative pair (j_r, 1)."""
     rank = basis.rank
-    j = int(basis.suborbit_representative[r])
-    trans = _inverse_transversal_array(basis, j)
-    p_vec = basis.sidx0[trans]
+    p_vec = basis.orbital_row(int(basis.suborbit_representative[r]))
     flat = np.bincount(p_vec * (rank + 1) + q_vec, minlength=(rank + 1) ** 2)
     return flat.reshape(rank + 1, rank + 1)
 

@@ -421,9 +421,7 @@ def cmd_split(args):
     t_split = time.perf_counter() - t0 - t_analyze
     if args.verify == "matrix":
         mreport = verify_matrix_level(
-            gens, basis, deco,
-            mode="exact" if deco.exact_only() else "numeric",
-            matrix_cap=args.matrix_cap, precision=config.precision,
+            gens, basis, deco, matrix_cap=args.matrix_cap, precision=config.precision
         )
         for line in mreport.lines():
             print(line, file=sys.stderr)

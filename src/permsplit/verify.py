@@ -1,10 +1,14 @@
 """Independent verification of decompositions.
 
-Two routes: algebraic (structure constants only, exact over the tower, any
-degree) and matrix-level (materializes each projector as sparse rows and
-checks commutation with the generators, idempotency, and traces).  The
-algebraic route is the primary certificate; the matrix route is the
-independent cross-check against the actual group action.
+Two routes.  The algebraic route works on the structure constants alone:
+idempotency, orthogonality, completeness, trace integrality and
+primitivity, exact over the tower (enclosures for numeric coordinates), at
+any degree.  The matrix route certifies the same family against the actual
+generators: it checks the orbital basis itself on the N x N orbital label
+matrix (invariance under every generator, A_1 = I, and closure of the
+products with a tensor it reads off the matrix, independent of the
+splitter's), after which commutation, trace, idempotency and completeness of
+every projector follow from its coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
 from .exactfield import ComplexBall, FieldElement, render_field_element
-from .perms import GeneratorSet
+from .perms import GeneratorSet, orbit_with_tree
 from .splitter import (
     Decomposition,
     Projector,
@@ -120,14 +124,8 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
                 "" if ok else _witness(prod),
             )
     # completeness: sum of projectors equals the identity vector
-    identity = [FieldElement.one()] + [FieldElement.zero()] * (rank - 1)
-    total = []
-    for r in range(rank):
-        acc = None
-        for p in deco.projectors:
-            c = p.coefficients[r]
-            acc = c if acc is None else _add_mixed(acc, c, precision)
-        total.append(acc)
+    identity = _unit_vector(rank)
+    total = _coefficient_sum(deco.projectors, rank, precision)
     ok = _vanishes(total, reference=identity, precision=precision)
     report.add("completeness sum(B) = A1", ok, "" if ok else _witness(total, identity))
     dims_ok = sum(p.dimension for p in deco.projectors) == n
@@ -160,6 +158,19 @@ def _render_trace(t):
     return f"~{complex(t.mid)}"
 
 
+def _unit_vector(rank):
+    """Coefficients of the identity matrix A_1."""
+    return [FieldElement.one()] + [FieldElement.zero()] * (rank - 1)
+
+
+def _coefficient_sum(projectors, rank, precision):
+    """Coefficients of sum_m B[m]; exact where every summand is exact."""
+    total = [FieldElement.zero()] * rank
+    for p in projectors:
+        total = [_add_mixed(a, c, precision) for a, c in zip(total, p.coefficients)]
+    return total
+
+
 def _add_mixed(a, b, precision):
     if isinstance(a, FieldElement) and isinstance(b, FieldElement):
         return a + b
@@ -169,35 +180,37 @@ def _add_mixed(a, b, precision):
 # -- matrix-level checks -----------------------------------------------------------
 
 
-def _projector_rows_exact(basis: OrbitalBasis, projector: Projector):
-    """Sparse rows {i: {j: coeff}} of P = sum_r b_r A_r, 0-based points.
-
-    Row i of A_r is the suborbit paired with the base, translated by the tree
-    word of i; nothing dense in N is allocated beyond the rows themselves.
-    """
+def orbital_label_matrix(basis: OrbitalBasis):
+    """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r."""
     n = basis.degree
-    tree = basis.tree
-    members = {
-        r: [p - 1 for p in basis.suborbit_members(r)]
-        for r in range(1, basis.rank + 1)
-        if not _coeff_is_zero(projector.coefficients[r - 1])
-    }
-    rows = []
-    for i0 in range(n):
-        word = tree.word_to(i0 + 1)
-        row = {}
-        for r, pts in members.items():
-            c = projector.coefficients[r - 1]
-            for y0 in pts:
-                row[tree.apply_word0(word, y0)] = c
-        rows.append(row)
-    return rows
+    labels = np.empty((n, n), dtype=np.int64)
+    for x in range(1, n + 1):
+        labels[x - 1] = basis.orbital_row(x)
+    return labels
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, FieldElement):
-        return c.is_zero()
-    return False
+def tensor_from_label_matrix(labels, base, rank):
+    """T[p, q, r] = #{k : L[b, k] = p, L[k, j] = q} read off the base row b.
+
+    The count is taken at the first j of row b with L[b, j] = r.  Also
+    returns whether every j with L[b, j] = r gives the same counts, i.e.
+    whether row b of A_p A_q equals row b of sum_r T_pq^r A_r.  Labels must
+    lie in 1..rank.  One p at a time, so the extra memory stays O(N^2).
+    """
+    n = labels.shape[0]
+    row = labels[base - 1]
+    present, first = np.unique(row, return_index=True)
+    table = np.zeros((rank + 1,) * 3, dtype=np.int64)
+    consistent = True
+    for p in range(1, rank + 1):
+        keys = labels[row == p]
+        keys *= n
+        keys += np.arange(n)
+        counts = np.bincount(keys.ravel(), minlength=(rank + 1) * n).reshape(rank + 1, n)
+        table[p][:, present] = counts[:, first]
+        consistent = consistent and np.array_equal(counts, table[p][:, row])
+    table.setflags(write=False)
+    return table, consistent
 
 
 def verify_matrix_level(
@@ -208,109 +221,74 @@ def verify_matrix_level(
     matrix_cap=2000,
     precision=128,
 ):
-    """Materialized checks: P p(s) = p(s) P entrywise, P^2 = P, tr P = d.
+    """Certify the family as N x N matrices acting with the real generators.
 
-    Commutation is verified as an index-permutation identity (P[i^s][j^s] ==
-    P[i][j]), never by a full product.  ``exact`` mode needs every projector
-    exact and N within the cap; ``numeric`` mode evaluates coefficients to
-    complex and compares with relative tolerance 1e-10.
+    Every B = sum_r b_r A_r, so only the basis is checked against ``gens``,
+    on the orbital label matrix L (L[i, j] = r for (i, j) in Delta_r):
+
+    * invariance: ``gens`` acts transitively and L[s(i), s(j)] = L[i, j] for
+      every generator s, so every A_r, hence every B, commutes with the group;
+    * diagonal: L = 1 exactly on the diagonal, so A_1 = I and tr A_r = 0 for
+      r > 1;
+    * closure: T[p, q, r] read off the base row is the same for every pair of
+      Delta_r in that row.  With invariance and transitivity a G-invariant
+      matrix is fixed by its base row, so A_p A_q = sum_r T_pq^r A_r.
+
+    Each projector then gets commutation, trace (N b_1 = d) and idempotency
+    (B^2 = B through T, not the splitter's tensor), and the family gets
+    completeness (sum b = e_1, so sum B = I).  These are exact over the
+    tower for exact coefficients and certified enclosures for numeric ones.
+    Known limit: the check does not prove that the A_r span the whole
+    commutant, so a G-invariant fusion of orbitals would pass.
+
+    ``mode`` is accepted for compatibility only; it selects nothing.  Raises
+    MatrixCapExceeded above ``matrix_cap`` points, since L holds N^2 labels.
     """
-    report = VerificationReport()
     n = basis.degree
     if n > matrix_cap:
         raise MatrixCapExceeded(f"degree {n} exceeds matrix cap {matrix_cap}")
     if mode not in ("exact", "numeric"):
         raise ValueError("mode must be 'exact' or 'numeric'")
-    if mode == "exact" and not deco.exact_only():
-        mode = "numeric"
-        report.add("mode downgrade to numeric (numeric projectors present)", True)
-
-    if mode == "exact":
-        for m, p in enumerate(deco.projectors, start=1):
-            rows = _projector_rows_exact(basis, p)
-            ok = True
-            for s in gens.generators:
-                img = s.images0
-                for i0 in range(n):
-                    row = rows[i0]
-                    target = rows[int(img[i0])]
-                    if len(row) != len(target):
-                        ok = False
-                        break
-                    for j0, c in row.items():
-                        if target.get(int(img[j0])) != c:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.add(f"commutation B[{m}] with all generators", ok)
-            trace = FieldElement.zero()
-            for i0 in range(n):
-                trace = trace + rows[i0].get(i0, FieldElement.zero())
-            ok = trace == Fraction(p.dimension)
-            report.add(f"trace B[{m}] = {p.dimension}", ok)
-            ok = True
-            for i0 in range(n):
-                acc = {}
-                for k0, c in rows[i0].items():
-                    for j0, c2 in rows[k0].items():
-                        prev = acc.get(j0)
-                        v = c * c2 if prev is None else prev + c * c2
-                        if v.is_zero():
-                            acc.pop(j0, None)
-                        else:
-                            acc[j0] = v
-                if acc != {j: c for j, c in rows[i0].items() if not c.is_zero()}:
-                    ok = False
-                    break
-            report.add(f"idempotency B[{m}]^2 = B[{m}] (matrix)", ok)
-        return report
-
-    # numeric mode
-    mats = []
-    with mpmath.workprec(precision + 20):
-        for p in deco.projectors:
-            mat = np.zeros((n, n), dtype=np.complex128)
-            coeffs = []
-            for c in p.coefficients:
-                b = c if isinstance(c, ComplexBall) else c.to_complex(precision)
-                coeffs.append(complex(b.mid))
-            tree = basis.tree
-            for i0 in range(n):
-                word = tree.word_to(i0 + 1)
-                for r in range(1, basis.rank + 1):
-                    if coeffs[r - 1] == 0:
-                        continue
-                    for y in basis.suborbit_members(r):
-                        mat[i0, tree.apply_word0(word, y - 1)] = coeffs[r - 1]
-            mats.append(mat)
-    for m, (p, mat) in enumerate(zip(deco.projectors, mats), start=1):
-        scale = max(np.abs(mat).max(), 1.0)
-        ok = True
-        for s in gens.generators:
-            img = s.images0
-            if np.abs(mat[np.ix_(img, img)] - mat).max() > NUMERIC_TOLERANCE * scale:
-                ok = False
-                break
-        report.add(f"commutation B[{m}] with all generators", ok)
-        tr = np.trace(mat)
-        ok = abs(tr - p.dimension) <= NUMERIC_TOLERANCE * max(p.dimension, 1)
-        report.add(f"trace B[{m}] = {p.dimension}", ok, f"trace ~ {tr:.3e}")
-        resid = np.abs(mat @ mat - mat).max()
-        report.add(
-            f"idempotency B[{m}]^2 = B[{m}] (matrix)",
-            resid <= NUMERIC_TOLERANCE * scale * max(1.0, np.abs(mat).max() * n**0.5),
-            f"residual {resid:.3e}",
-        )
-    total = sum(mats)
-    resid = np.abs(total - np.eye(n)).max()
-    report.add(
-        "completeness sum(B) = I (matrix)",
-        resid <= NUMERIC_TOLERANCE * max(1.0, len(mats)),
-        f"residual {resid:.3e}",
+    rank = basis.rank
+    report = VerificationReport()
+    labels = orbital_label_matrix(basis)
+    invariant = len(orbit_with_tree(gens, basis.base)[0]) == n and all(
+        np.array_equal(labels[np.ix_(s.images0, s.images0)], labels)
+        for s in gens.generators
     )
+    report.add("invariance L[s(i), s(j)] = L[i, j] for all generators", invariant)
+    diagonal = bool(
+        labels.min() >= 1
+        and labels.max() <= rank
+        and (np.diagonal(labels) == 1).all()
+        and np.count_nonzero(labels == 1) == n
+    )
+    report.add("diagonal L[i, j] = 1 exactly when i = j", diagonal)
+    table, consistent = (
+        tensor_from_label_matrix(labels, basis.base, rank)
+        if diagonal
+        else (np.zeros((rank + 1,) * 3, dtype=np.int64), False)
+    )
+    closed = invariant and consistent
+    report.add("closure A_p A_q = sum_r T_pq^r A_r", closed)
+    tensor = StructureConstants(rank=rank, table=table)
+
+    for m, p in enumerate(deco.projectors, start=1):
+        report.add(f"commutation B[{m}] with all generators", invariant)
+        b1 = p.coefficients[:1]
+        d_over_n = [FieldElement.from_rational(Fraction(p.dimension, n))]
+        ok = diagonal and _vanishes(b1, reference=d_over_n, precision=precision)
+        report.add(f"trace B[{m}] = {p.dimension}", ok, "" if ok else _witness(b1, d_over_n))
+        sq = algebra_product(tensor, p.coefficients, p.coefficients, precision)
+        coeffs = list(p.coefficients)
+        ok = closed and _vanishes(sq, reference=coeffs, precision=precision)
+        report.add(
+            f"idempotency B[{m}]^2 = B[{m}] (matrix)", ok, "" if ok else _witness(sq, coeffs)
+        )
+    total = _coefficient_sum(deco.projectors, rank, precision)
+    identity = _unit_vector(rank)
+    ok = diagonal and _vanishes(total, reference=identity, precision=precision)
+    report.add("completeness sum(B) = I (matrix)", ok, "" if ok else _witness(total, identity))
     return report
 
 

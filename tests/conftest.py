@@ -1,11 +1,13 @@
 """Shared group constructions and the acceptance-corpus fixture."""
 
+import copy
+import functools
 import os
 from itertools import combinations
 
 import pytest
 
-from permsplit import GeneratorSet, Permutation
+from permsplit import GeneratorSet, Permutation, split
 
 
 def perm(imgs):
@@ -178,6 +180,19 @@ CORPUS = corpus_actions()
 @pytest.fixture(params=CORPUS, ids=[name for name, _ in CORPUS])
 def corpus_member(request):
     return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_corpus_split(name):
+    return split(dict(CORPUS)[name])
+
+
+def corpus_split(name):
+    """``split`` of the named corpus action with the default configuration,
+    computed once per session; each call returns a deep copy, so a test may
+    mutate it.  Tests that patch the splitter or pass a SplitConfig call
+    ``split`` themselves."""
+    return copy.deepcopy(_cached_corpus_split(name))
 
 
 def m22_path():

@@ -131,6 +131,15 @@ class TestSplitCommand:
         assert code == 0
         assert "commutation" in err
 
+    def test_matrix_verify_numeric_coordinates(self, tmp_path):
+        """C5 keeps its quartic coordinates numeric; the matrix route
+        certifies them through enclosures."""
+        path = tmp_path / "c5.gens"
+        path.write_text("degree 5\ngen (1,2,3,4,5)\n")
+        code, out, err = run_cli(["split", str(path), "--verify", "matrix"])
+        assert code == 0
+        assert "PASS  completeness sum(B) = I (matrix)" in err.splitlines()
+
     def test_resource_limit_exit_3(self, tmp_path):
         gens = regular_action(symmetric(3))
         lines = ["degree 6"] + [

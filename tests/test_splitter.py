@@ -28,7 +28,7 @@ from permsplit.splitter import (
     process_single_solution,
 )
 
-from conftest import cyclic, pair_action, petersen, regular_action, symmetric
+from conftest import corpus_split, cyclic, pair_action, petersen, regular_action, symmetric
 from oracles import (
     dimension_multiset,
     petersen_eigenprojectors,
@@ -268,12 +268,12 @@ class TestSplit:
 class TestCorpusProperties:
     def test_dimension_multiset_matches_oracle(self, corpus_member):
         name, gens = corpus_member
-        deco = split(gens)
+        deco = corpus_split(name)
         assert deco.dimension_multiset == dimension_multiset(gens)
 
     def test_completeness_and_trace(self, corpus_member):
         name, gens = corpus_member
-        deco = split(gens)
+        deco = corpus_split(name)
         n = gens.degree
         assert sum(p.dimension for p in deco.projectors) == n
         for p in deco.projectors:
@@ -285,7 +285,7 @@ class TestCorpusProperties:
         closed under complex conjugation; members of multiplicity blocks need
         not be (the slice choices are not conjugation-symmetric)."""
         name, gens = corpus_member
-        deco = split(gens)
+        deco = corpus_split(name)
         unique_exact = [
             p for p in deco.projectors
             if p.exact and p.provenance == "uniqueSolution" and p.block is None
@@ -298,16 +298,11 @@ class TestCorpusProperties:
             assert key in keys
 
 
-_HINTED_REPORTS = {}
-
-
-def _hinted_report(name, gens):
-    """The text report of a split that used the hint, computed once."""
-    if name not in _HINTED_REPORTS:
-        deco = split(gens)
-        assert not any(e.kind == "hint-fallback" for e in deco.events)
-        _HINTED_REPORTS[name] = render_decomposition_text(deco)
-    return _HINTED_REPORTS[name]
+def _hinted_report(name):
+    """The text report of the default split, which must have used the hint."""
+    deco = corpus_split(name)
+    assert not any(e.kind == "hint-fallback" for e in deco.events)
+    return render_decomposition_text(deco)
 
 
 class TestDimensionOracle:
@@ -318,7 +313,7 @@ class TestDimensionOracle:
 
     def test_report_identical_without_hint(self, corpus_member, monkeypatch):
         name, gens = corpus_member
-        expected = _hinted_report(name, gens)
+        expected = _hinted_report(name)
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
         scanned = split(gens)
         assert [e.kind for e in scanned.events][:1] == ["hint-fallback"]
@@ -328,7 +323,7 @@ class TestDimensionOracle:
         """Merging the two largest hinted dimensions keeps the sum at N but
         names a dimension that no irreducible has."""
         name, gens = corpus_member
-        expected = _hinted_report(name, gens)
+        expected = _hinted_report(name)
         _, consts = constants_for(gens)
         true_hint = dimension_hint(consts, gens.degree)
         wrong = sorted(true_hint[:-2] + [true_hint[-2] + true_hint[-1]])

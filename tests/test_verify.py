@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permsplit import (
@@ -15,9 +17,11 @@ from permsplit import (
     verify_matrix_level,
     compare_to_reference,
 )
-from permsplit.splitter import Decomposition, Projector
+from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
+from permsplit.verify import orbital_label_matrix, tensor_from_label_matrix
 
-from conftest import cyclic, petersen, regular_action, symmetric
+from conftest import corpus_split, cyclic, petersen, regular_action, symmetric
+from test_acceptance import _agl_generators
 
 FE = FieldElement
 
@@ -30,6 +34,13 @@ def split_with_constants(gens):
     basis = compute_orbitals(gens)
     consts = compute_structure_constants(gens, basis)
     return basis, consts, split(gens)
+
+
+def corpus_with_constants(name, gens):
+    """Like split_with_constants, with the session-cached corpus split."""
+    basis = compute_orbitals(gens)
+    consts = compute_structure_constants(gens, basis)
+    return basis, consts, corpus_split(name)
 
 
 def _family(consts, degree, vectors, dims):
@@ -137,7 +148,7 @@ class TestAlgebraic:
         name, gens = corpus_member
         if gens.degree > 8:
             pytest.skip("keep the negative-control sweep small")
-        basis, consts, deco = split_with_constants(gens)
+        basis, consts, deco = corpus_with_constants(name, gens)
         if not deco.exact_only():
             pytest.skip("perturbation sweep is for exact decompositions")
         for m in range(len(deco.projectors)):
@@ -169,13 +180,12 @@ class TestMatrixLevel:
             verify_matrix_level(gens, basis, deco, matrix_cap=5)
 
     def test_agreement_with_algebraic(self, corpus_member):
-        """Algebraic pass and exact matrix-level pass agree on the corpus."""
+        """Algebraic pass and matrix-level pass agree on the corpus, numeric
+        decompositions included."""
         name, gens = corpus_member
-        basis, consts, deco = split_with_constants(gens)
-        if not deco.exact_only():
-            pytest.skip("exact matrix mode needs exact projectors")
+        basis, consts, deco = corpus_with_constants(name, gens)
         algebraic = verify_family_algebraic(consts, deco).passed
-        matrix = verify_matrix_level(gens, basis, deco, mode="exact").passed
+        matrix = verify_matrix_level(gens, basis, deco).passed
         assert algebraic and matrix
 
     def test_tampered_fails_at_matrix_level(self):
@@ -183,7 +193,94 @@ class TestMatrixLevel:
         basis, consts, deco = split_with_constants(gens)
         bad = _tweak(deco, 1, 1, flip=True)
         report = verify_matrix_level(gens, basis, bad, mode="exact")
+        assert [c.name for c in report.failures()] == [
+            "idempotency B[2]^2 = B[2] (matrix)",
+            "completeness sum(B) = I (matrix)",
+        ]
+
+    def test_swapped_labels_fail_invariance(self):
+        """Two points of different suborbits trade orbital labels: the
+        label matrix is no longer G-invariant."""
+        gens = petersen()
+        basis, consts, deco = split_with_constants(gens)
+        sidx0 = basis.sidx0.copy()
+        a = basis.suborbit_members(2)[0] - 1
+        b = basis.suborbit_members(3)[0] - 1
+        sidx0[a], sidx0[b] = sidx0[b], sidx0[a]
+        bad = dataclasses.replace(basis, sidx0=sidx0)
+        report = verify_matrix_level(gens, bad, deco)
+        invariance = [c for c in report.checks if c.name.startswith("invariance")]
+        assert [c.passed for c in invariance] == [False]
         assert not report.passed
+
+    def test_intransitive_generators_fail_invariance(self):
+        """Invariance under a group fixing every point says nothing about
+        the rows away from the base."""
+        gens = petersen()
+        basis, consts, deco = split_with_constants(gens)
+        trivial = GeneratorSet(10, (Permutation.identity(10),))
+        report = verify_matrix_level(trivial, basis, deco)
+        invariance = [c for c in report.checks if c.name.startswith("invariance")]
+        assert [c.passed for c in invariance] == [False]
+
+    @pytest.mark.parametrize(
+        "sidx0,failures",
+        [
+            # the known limit: differences {1, 4} and {2, 3} form the D5
+            # scheme, a closed G-invariant fusion, indistinguishable here
+            # from the full commutant
+            ([1, 2, 3, 3, 2], []),
+            # differences {1, 2} and {3, 4}: A^2 = C^2 + 2C^3 + C^4 is not
+            # in the span, so the counts differ along the orbital
+            ([1, 2, 2, 3, 3], ["closure", "idempotency"]),
+            # the diagonal fused with differences {1, 4}
+            ([1, 1, 3, 3, 1], ["diagonal", "closure", "trace", "idempotency", "completeness"]),
+        ],
+        ids=["closed", "unclosed", "diagonal"],
+    )
+    def test_c5_fusions(self, sidx0, failures):
+        """G-invariant fusions of the C5 orbitals into three labels, checked
+        with the family {I}."""
+        gens = cyclic(5)
+        fused = dataclasses.replace(compute_orbitals(gens), sidx0=np.array(sidx0), rank=3)
+        identity = Decomposition(
+            degree=5,
+            rank=3,
+            projectors=[Projector((fe(1), fe(0), fe(0)), 5, True, "uniqueSolution")],
+            complete=True,
+            suborbit_lengths=[],
+        )
+        report = verify_matrix_level(gens, fused, identity)
+        assert [c.name.split()[0] for c in report.failures()] == failures
+
+    def test_wrong_dimension_fails_trace(self):
+        gens = petersen()
+        basis, consts, deco = split_with_constants(gens)
+        p = deco.projectors[1]
+        deco.projectors[1] = dataclasses.replace(p, dimension=p.dimension + 1)
+        failures = verify_matrix_level(gens, basis, deco).failures()
+        assert [c.name for c in failures] == [f"trace B[2] = {p.dimension + 1}"]
+
+    def test_label_tensor_matches_structure_constants(self, corpus_member):
+        name, gens = corpus_member
+        basis = compute_orbitals(gens)
+        consts = compute_structure_constants(gens, basis)
+        labels = orbital_label_matrix(basis)
+        table, consistent = tensor_from_label_matrix(labels, basis.base, basis.rank)
+        assert consistent
+        assert np.array_equal(table, consts.table)
+
+    def test_affine_group_at_cap_scale(self):
+        """AGL(1, 1999) on 1999 points, just under the default cap."""
+        p = 1999
+        g = next(x for x in range(2, p) if all(pow(x, (p - 1) // f, p) != 1 for f in (2, 3, 37)))
+        gens = _agl_generators(p, g)
+        basis = compute_orbitals(gens)
+        consts = compute_structure_constants(gens, basis)
+        deco = split_from_constants(basis, consts, SplitConfig())
+        report = verify_matrix_level(gens, basis, deco)
+        assert report.passed
+        assert [c.name for c in report.checks][-1] == "completeness sum(B) = I (matrix)"
 
 
 class TestCompare:
@@ -191,7 +288,7 @@ class TestCompare:
         name, gens = corpus_member
         if gens.degree > 8:
             pytest.skip("representative subset")
-        _, consts, deco = split_with_constants(gens)
+        deco = corpus_split(name)
         assert compare_to_reference(deco, deco).passed
 
     def test_conjugated_family_matches(self):
