@@ -3,9 +3,11 @@
 Each projector B_m lies in the centralizer algebra, B_m = sum_r b_r A_r.  The
 centre of the algebra hints at the irreducible dimensions d, and the library
 solves the quadratic idempotency systems only at those d (the trace pins
-b_1 = d/N exactly), with Groebner bases over the radical tower.  The family
-is kept when it is complete and every projector is primitive, so none splits
-further; otherwise the library falls back to scanning every d = 1, 2, ...
+b_1 = d/N exactly), with Groebner bases over the radical tower.  One
+certificate checks the finished family on every route: idempotent, mutually
+orthogonal, complete, and every projector primitive, so none splits further.
+A hinted family that fails it sends the library back to scanning every
+d = 1, 2, ..., and a scanned family that fails it is an error.
 """
 
 from permsplit import GeneratorSet, Permutation, parse_generator_text, split

@@ -14,7 +14,6 @@ from .errors import (
     MatrixCapExceeded,
     MultiplicityMismatch,
     NotZeroDimensional,
-    OrthogonalityViolation,
     ParseError,
     PermsplitError,
     ResourceLimit,

@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     MatrixCapExceeded,
     MultiplicityMismatch,
-    OrthogonalityViolation,
     ParseError,
     ResourceLimit,
     SliceExhausted,
@@ -412,12 +411,6 @@ def cmd_split(args):
     t_analyze = time.perf_counter() - t0
     config = _config_from_args(args)
     deco = split_from_constants(basis, consts, config)
-    report = verify_family_algebraic(consts, deco, precision=config.precision)
-    if not report.passed:
-        for line in report.lines():
-            print(line, file=sys.stderr)
-        print("refusing to print an unverified decomposition", file=sys.stderr)
-        raise InvariantViolation("algebraic verification failed after split")
     t_split = time.perf_counter() - t0 - t_analyze
     if args.verify == "matrix":
         mreport = verify_matrix_level(
@@ -522,7 +515,6 @@ def main(argv=None):
     except (
         InvariantViolation,
         MultiplicityMismatch,
-        OrthogonalityViolation,
         IncompleteDecomposition,
     ) as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)

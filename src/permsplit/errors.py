@@ -50,10 +50,6 @@ class MultiplicityMismatch(PermsplitError):
     of the detected multiplicity."""
 
 
-class OrthogonalityViolation(PermsplitError):
-    """A candidate projector is not orthogonal to an already accepted one."""
-
-
 class IncompleteDecomposition(PermsplitError):
     """The dimension loop ran out of candidates before the dimensions summed
     to the degree.  Must never happen on valid input; fatal diagnostic."""

@@ -211,12 +211,6 @@ class FieldElement:
             raise ValueError(f"{self} is not rational")
         return self.terms.get(1, Fraction(0))
 
-    def rational_part(self):
-        return self.terms.get(1, Fraction(0))
-
-    def is_real(self):
-        return all(r > 0 for r in self.terms)
-
     def support_primes(self):
         """Primes under the radicals, plus -1 when i is involved."""
         out = set()
@@ -433,9 +427,6 @@ def _coerce(x):
     return NotImplemented
 
 
-FE = FieldElement
-
-
 # -- restricted square roots ---------------------------------------------------
 
 
@@ -583,10 +574,6 @@ class ComplexBall:
         self.mid = mpmath.mpc(mid)
         self.rad = mpmath.mpf(rad)
 
-    @classmethod
-    def exact(cls, value):
-        return cls(value, 0)
-
     @staticmethod
     def _eps():
         return mpmath.mpf(2) ** (6 - mpmath.mp.prec)
@@ -625,18 +612,18 @@ class ComplexBall:
     def contains_zero(self):
         return abs(self.mid) <= self.rad
 
-    def mag_upper(self):
-        return abs(self.mid) + self.rad
-
-    def mag_lower(self):
-        lo = abs(self.mid) - self.rad
-        return lo if lo > 0 else mpmath.mpf(0)
-
     def width(self):
         return 2 * self.rad
 
     def __repr__(self):
         return f"ComplexBall({self.mid}, rad={mpmath.nstr(self.rad, 3)})"
+
+
+def as_ball(x, precision):
+    """A ComplexBall as is, or the enclosure of a FieldElement at ``precision``."""
+    if isinstance(x, ComplexBall):
+        return x
+    return x.to_complex(precision)
 
 
 def _ball(x):

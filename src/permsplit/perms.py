@@ -190,9 +190,6 @@ class SchreierTree:
     depth: np.ndarray             # -1 outside the orbit
     gens: GeneratorSet = field(repr=False)
 
-    def in_orbit0(self, p0):
-        return self.depth[p0] >= 0
-
     def word_to(self, point):
         """Edge list (gen_index, direction) whose application maps base to point."""
         p0 = point - 1

@@ -28,7 +28,7 @@ from .errors import (
     SliceExhausted,
     UNREPRESENTABLE,
 )
-from .exactfield import ComplexBall, FieldElement, sqrt_if_nice, factorize
+from .exactfield import ComplexBall, FieldElement, as_ball, sqrt_if_nice, factorize
 from .polynomial import (
     Poly,
     groebner_basis,
@@ -92,18 +92,6 @@ class SolutionPoint:
 
 
 # -- univariate helpers ---------------------------------------------------------
-
-
-def _univariate_coeffs(poly, var):
-    """Coefficient list (ascending) of a poly involving only ``var``."""
-    coeffs = {}
-    for mono, c in poly.terms.items():
-        for i, e in enumerate(mono):
-            if e and i != var:
-                raise ValueError("poly is not univariate in the given variable")
-        coeffs[mono[var]] = c
-    deg = max(coeffs, default=0)
-    return [coeffs.get(e, FieldElement.zero()) for e in range(deg + 1)]
 
 
 def _deflate(coeffs, root):
@@ -196,16 +184,10 @@ def _quadratic_roots(coeffs):
 # -- ball evaluation -------------------------------------------------------------
 
 
-def _coeff_ball(c, prec):
-    if isinstance(c, ComplexBall):
-        return c
-    return c.to_complex(prec)
-
-
 def _eval_ball_poly(coeffs, x_ball, prec):
     acc = ComplexBall(mpmath.mpc(0), 0)
     for c in reversed(coeffs):
-        acc = acc * x_ball + _coeff_ball(c, prec)
+        acc = acc * x_ball + as_ball(c, prec)
     return acc
 
 
@@ -213,7 +195,7 @@ def _eval_poly_at_balls(poly, balls, prec):
     """Interval evaluation of a multivariate poly at per-variable balls."""
     total = ComplexBall(mpmath.mpc(0), 0)
     for mono, c in poly.terms.items():
-        term = _coeff_ball(c, prec)
+        term = as_ball(c, prec)
         for i, e in enumerate(mono):
             for _ in range(e):
                 term = term * balls[i]
@@ -228,7 +210,7 @@ def _numeric_roots(coeffs, prec):
     first-order bound for the coefficient uncertainty, sum(rad_k |x|^k)/|f'|.
     """
     with mpmath.workprec(prec + 40):
-        balls = [_coeff_ball(c, prec + 40) for c in coeffs]
+        balls = [as_ball(c, prec + 40) for c in coeffs]
         mids = [b.mid for b in balls]
         deg = len(mids) - 1
         roots = mpmath.polyroots(
@@ -453,7 +435,7 @@ def _collect_univariate_balls(poly, var, balls_env, prec):
         buckets = {}
         for mono, c in poly.terms.items():
             e = mono[var]
-            term = _coeff_ball(c, prec)
+            term = as_ball(c, prec)
             for i, exp in enumerate(mono):
                 if i == var or not exp:
                     continue
@@ -469,19 +451,6 @@ def _collect_univariate_balls(poly, var, balls_env, prec):
         deg = max(buckets, default=0)
         zero = ComplexBall(mpmath.mpc(0), 0)
         return [buckets.get(e, zero) for e in range(deg + 1)]
-
-
-def _point_satisfies(point, polys, prec):
-    """True when every poly vanishes at the point (exactly, or certifiably
-    within the numeric enclosures)."""
-    if point.is_exact():
-        return all(p.evaluate(list(point.values)).is_zero() for p in polys)
-    with mpmath.workprec(prec + 40):
-        balls = [point.coordinate_ball(i, prec) for i in range(len(point))]
-        for p in polys:
-            if not _eval_poly_at_balls(p, balls, prec).contains_zero():
-                return False
-    return True
 
 
 def _classify_point(point, polys, prec):
@@ -615,7 +584,7 @@ def _try_slice(augmented, original_gens, precision, max_pairs, max_basis, accept
         gb, precision=precision, max_pairs=max_pairs, max_basis=max_basis
     )
     for pt in points:
-        if not _point_satisfies(pt, original_gens, precision):
+        if _classify_point(pt, original_gens, precision) != "ok":
             continue
         if accept is not None and not accept(pt):
             continue

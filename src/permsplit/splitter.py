@@ -13,10 +13,16 @@ for particular solutions).  A dimension is re-run until its system turns
 inconsistent, because freshly added orthogonality constraints can expose
 further components of equal dimension.
 
-The floats are never trusted: the hinted family is kept only when it is
-complete, matches the hinted multiset and every projector is primitive
-(``primitivity_traces``, exact over the tower).  Otherwise the full scan
-d = 1, 2, ... runs from scratch.
+The floats are never trusted.  Each solution the solver returns already
+satisfies the d-system, so it is idempotent and orthogonal to every exact
+projector accepted before it (candidates are filtered against numeric ones);
+the projectors are accepted without being multiplied out again.  The one
+certificate is ``verify.verify_family_algebraic`` on the whole family:
+idempotency, orthogonality, completeness, trace and primitivity, exact over
+the tower.  A hinted family is kept only when its dimensions are the hinted
+multiset and it passes; otherwise the full scan d = 1, 2, ... runs from
+scratch, and a scanned family that fails raises InvariantViolation naming
+the failed checks.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .centralizer import (
@@ -36,20 +41,25 @@ from .centralizer import (
 )
 from .errors import (
     IncompleteDecomposition,
-    IntransitiveAction,
     InvariantViolation,
     MultiplicityMismatch,
-    OrthogonalityViolation,
     PermsplitError,
     SliceExhausted,
 )
-from .exactfield import ComplexBall, FieldElement
-from .perms import GeneratorSet, is_transitive
+from .exactfield import FieldElement
+from .perms import GeneratorSet
 from .polynomial import Poly, Ring, groebner_basis, hilbert_dimension, is_trivial_basis
 from .solver import (
     SolutionPoint,
     particular_solution_on_slice,
     solve_zero_dimensional,
+)
+from .verify import (
+    _vanishes,
+    algebra_product,
+    is_unit_trace,
+    primitivity_traces,
+    verify_family_algebraic,
 )
 
 __all__ = [
@@ -116,12 +126,6 @@ class Projector:
     @property
     def rank(self):
         return len(self.coefficients)
-
-    def coefficient_balls(self, prec):
-        return [
-            c if isinstance(c, ComplexBall) else c.to_complex(prec)
-            for c in self.coefficients
-        ]
 
     def conjugate_coefficients(self):
         if not self.exact:
@@ -228,82 +232,7 @@ def build_orthogonality_system_right(consts: StructureConstants, projector: Proj
     return _orthogonality_forms(consts, projector.coefficients, "right")
 
 
-# -- products in the centralizer algebra ---------------------------------------
-
-
-def algebra_product(consts: StructureConstants, a, b, precision=128):
-    """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
-
-    Exact when both vectors are exact; otherwise interval arithmetic.
-    """
-    rank = consts.rank
-    exact = all(isinstance(x, FieldElement) for x in a) and all(
-        isinstance(x, FieldElement) for x in b
-    )
-    if exact:
-        out = [FieldElement.zero() for _ in range(rank)]
-        for p in range(1, rank + 1):
-            if a[p - 1].is_zero():
-                continue
-            for q in range(1, rank + 1):
-                if b[q - 1].is_zero():
-                    continue
-                ab = a[p - 1] * b[q - 1]
-                col = consts.table[p, q]
-                for r in range(1, rank + 1):
-                    c = int(col[r])
-                    if c:
-                        out[r - 1] = out[r - 1] + ab.scaled(c)
-        return out
-    with mpmath.workprec(precision + 40):
-        ab_balls = [_as_ball(x, precision) for x in a]
-        bb_balls = [_as_ball(x, precision) for x in b]
-        out = [ComplexBall(mpmath.mpc(0), 0) for _ in range(rank)]
-        for p in range(1, rank + 1):
-            for q in range(1, rank + 1):
-                prod = ab_balls[p - 1] * bb_balls[q - 1]
-                col = consts.table[p, q]
-                for r in range(1, rank + 1):
-                    c = int(col[r])
-                    if c:
-                        out[r - 1] = out[r - 1] + prod * ComplexBall(mpmath.mpc(c), 0)
-        return out
-
-
-def _as_ball(x, precision):
-    if isinstance(x, ComplexBall):
-        return x
-    return x.to_complex(precision)
-
-
-def _vanishes(vec, reference=None, precision=128):
-    """Componentwise zero test: exact for FieldElements, enclosure for balls.
-
-    ``reference`` supplies the expected values to subtract first.
-    """
-    with mpmath.workprec(precision + 40):
-        for i, v in enumerate(vec):
-            want = None if reference is None else reference[i]
-            if isinstance(v, FieldElement) and (
-                want is None or isinstance(want, FieldElement)
-            ):
-                diff = v if want is None else v - want
-                if not diff.is_zero():
-                    return False
-            else:
-                b = v if isinstance(v, ComplexBall) else _as_ball(v, precision)
-                if want is not None:
-                    b = b - (
-                        want
-                        if isinstance(want, ComplexBall)
-                        else _as_ball(want, precision)
-                    )
-                if not b.contains_zero():
-                    return False
-        return True
-
-
-# -- the dimension oracle and the primitivity certificate ------------------------
+# -- the dimension oracle ---------------------------------------------------------
 
 
 def dimension_hint(consts: StructureConstants, degree):
@@ -347,53 +276,6 @@ def dimension_hint(consts: StructureConstants, degree):
 
 def _near_integers(values, tol=1e-6):
     return bool(np.all(np.abs(values - np.rint(values.real)) <= tol))
-
-
-def primitivity_traces(consts: StructureConstants, vectors, precision=128):
-    """dim eAe = tr(x -> e x e) for each coefficient vector e.
-
-    The map is L_e R_e, and its trace is the quadratic form e^T T e with the
-    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q.  For an idempotent e the
-    map is idempotent, so the trace is its rank, and e is primitive exactly
-    when the trace is 1.  Exact over the tower for exact vectors, a
-    ComplexBall otherwise.
-    """
-    c = consts.table[1:, 1:, 1:]
-    form = np.einsum("pqr,rsq->ps", c, c)
-    pairs = [
-        [(s, int(form[p, s])) for s in np.nonzero(form[p])[0]]
-        for p in range(consts.rank)
-    ]
-    out = []
-    for e in vectors:
-        if all(isinstance(x, FieldElement) for x in e):
-            total = FieldElement.zero()
-            for p, row in enumerate(pairs):
-                if row and not e[p].is_zero():
-                    inner = FieldElement.zero()
-                    for s, t in row:
-                        inner = inner + e[s].scaled(t)
-                    total = total + e[p] * inner
-            out.append(total)
-            continue
-        with mpmath.workprec(precision + 40):
-            balls = [_as_ball(x, precision) for x in e]
-            total = ComplexBall(0)
-            for p, row in enumerate(pairs):
-                inner = ComplexBall(0)
-                for s, t in row:
-                    inner = inner + balls[s] * t
-                total = total + balls[p] * inner
-            out.append(total)
-    return out
-
-
-def is_unit_trace(trace):
-    """The trace certifies primitivity: exactly 1, or a ball of width below 1
-    around 1 (the true value is an integer)."""
-    if isinstance(trace, FieldElement):
-        return trace == FieldElement.one()
-    return (trace - 1).contains_zero() and trace.width() < 1
 
 
 # -- the splitting state ---------------------------------------------------------
@@ -474,30 +356,21 @@ class _SplitState:
 
 
 def process_single_solution(state: _SplitState, projector: Projector):
-    """Accept one projector: verify, accumulate its orthogonality, record it.
+    """Accept one projector: accumulate its orthogonality, record it.
 
-    Verifies idempotency in the algebra and two-sided orthogonality against
-    every previously accepted projector, then joins the new orthogonality
-    forms to the polynomial set so later systems exclude the subspace.
+    Nothing is multiplied out here.  The projector is a solution of the
+    d-system, which holds E_r and the two-sided forms of every exact
+    projector accepted before it; the solver certified it against that
+    system (exactly, or through enclosures for numeric coordinates), and
+    ``accept_candidate`` filtered it against the numeric projectors.  Its
+    own two-sided forms join the polynomial set so later systems exclude
+    the subspace, or, when it has numeric coordinates, it joins that
+    filter.  The finished family is certified as a whole by
+    ``verify_family_algebraic``.
     """
-    consts = state.consts
-    prec = max(state.config.precision, projector.precision or 0)
-    square = algebra_product(consts, projector.coefficients, projector.coefficients, prec)
-    if not _vanishes(square, reference=list(projector.coefficients), precision=prec):
-        raise InvariantViolation(
-            f"candidate at dimension {projector.dimension} is not idempotent"
-        )
-    for prev in state.projectors:
-        left = algebra_product(consts, prev.coefficients, projector.coefficients, prec)
-        right = algebra_product(consts, projector.coefficients, prev.coefficients, prec)
-        if not _vanishes(left, precision=prec) or not _vanishes(right, precision=prec):
-            raise OrthogonalityViolation(
-                f"candidate at dimension {projector.dimension} is not orthogonal "
-                f"to accepted projector of dimension {prev.dimension}"
-            )
     if projector.exact:
-        forms = build_orthogonality_system(consts, projector)
-        forms += build_orthogonality_system_right(consts, projector)
+        forms = build_orthogonality_system(state.consts, projector)
+        forms += build_orthogonality_system_right(state.consts, projector)
         seen = {hash(f) for f in state.idem.orthogonality}
         for f in forms:
             if hash(f) not in seen:
@@ -522,13 +395,12 @@ def _multiplicity_from_hilbert(h):
 
 
 def split(gens: GeneratorSet, config: SplitConfig = None):
-    """Decompose a transitive permutation action into irreducible projectors."""
-    config = config or SplitConfig()
-    if not is_transitive(gens):
-        from .perms import orbit_with_tree
+    """Decompose a transitive permutation action into irreducible projectors.
 
-        orbit, _ = orbit_with_tree(gens, 1)
-        raise IntransitiveAction(orbit)
+    Raises IntransitiveAction (from ``compute_orbitals``) when the action is
+    not transitive.
+    """
+    config = config or SplitConfig()
     basis = compute_orbitals(gens, rank_cap=config.rank_cap)
     consts = compute_structure_constants(gens, basis, threads=config.threads)
     return split_from_constants(basis, consts, config)
@@ -539,14 +411,17 @@ def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config
 
     Only the dimensions of ``dimension_hint`` are solved; the full scan
     d = 1, 2, ... runs, after a "hint-fallback" event, when there is no hint
-    or what the hinted dimensions yield is not certified.
+    or what the hinted dimensions yield is not certified.  Either way the
+    family is returned only when ``verify_family_algebraic`` passes on it;
+    a scanned family that fails raises InvariantViolation naming the failed
+    checks.
     """
     config = config or SplitConfig()
     n = basis.degree
     max_d = config.max_dimension or (n - 1 if n > 1 else 1)
     hint = dimension_hint(consts, n)
-    state = _split_at_hint(basis, consts, config, hint, max_d) if hint else None
-    if state is None:
+    deco = _split_at_hint(basis, consts, config, hint, max_d) if hint else None
+    if deco is None:
         state = _SplitState(basis, consts, config)
         state.events.append(SplitEvent(0, "hint-fallback"))
         d = 0
@@ -558,30 +433,25 @@ def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config
                     f"dimensions exhausted at d={d} with {state.found}/{n} found"
                 )
             _run_dimension(state, d)
-    deco = Decomposition(
-        degree=n,
-        rank=basis.rank,
-        projectors=state.projectors,
-        complete=True,
-        suborbit_lengths=basis.lengths_in_order(),
-        events=state.events,
-        notes=state.notes,
-    )
-    _finalize(state, deco)
+        deco, report = _certified(state)
+        if not report.passed:
+            failed = "; ".join(c.name for c in report.failures())
+            raise InvariantViolation(f"split family fails its certificate: {failed}")
+    _pair_conjugates(deco)
     return deco
 
 
 def _split_at_hint(basis, consts, config, hint, max_d):
-    """Run the hinted dimensions in ascending order; the state when certified.
+    """Run the hinted dimensions in ascending order; the family when certified.
 
     With a right hint the full scan finds nothing between the hinted
     dimensions, so the accepted projectors, their order and the slicing RNG
     stream match it.  (Projectors with numeric coordinates are the
     exception: their orthogonality is not in the polynomial system, so the
     scan may meet sums of them at an unhinted d and filter them out, which
-    the hinted run skips.)  The certificate is exact and does not trust the
-    floats: the family is complete, its dimensions are the hinted multiset,
-    and every projector is primitive.  Returns None when any of that fails.
+    the hinted run skips.)  The floats are not trusted: the family's
+    dimensions must be the hinted multiset and it must pass the certificate.
+    Returns None when either fails.
     """
     state = _SplitState(basis, consts, config)
     try:
@@ -593,12 +463,24 @@ def _split_at_hint(basis, consts, config, hint, max_d):
             _run_dimension(state, d)
     except PermsplitError:
         return None
-    if state.found != basis.degree or sorted(p.dimension for p in state.projectors) != hint:
+    if sorted(p.dimension for p in state.projectors) != hint:
         return None
-    traces = primitivity_traces(
-        consts, [p.coefficients for p in state.projectors], config.precision
+    deco, report = _certified(state)
+    return deco if report.passed else None
+
+
+def _certified(state: _SplitState):
+    """The state's family as a Decomposition, with its certificate."""
+    deco = Decomposition(
+        degree=state.basis.degree,
+        rank=state.basis.rank,
+        projectors=state.projectors,
+        complete=True,
+        suborbit_lengths=state.basis.lengths_in_order(),
+        events=state.events,
+        notes=state.notes,
     )
-    return state if all(is_unit_trace(t) for t in traces) else None
+    return deco, verify_family_algebraic(state.consts, deco, state.config.precision)
 
 
 def _run_dimension(state: _SplitState, d):
@@ -699,43 +581,6 @@ def _run_dimension(state: _SplitState, d):
                     f"extracted {extracted} projectors at d={d}, "
                     f"not a multiple of k={multiplicity}"
                 )
-
-
-def _finalize(state: _SplitState, deco: Decomposition):
-    """Completeness certificate plus conjugate pairing."""
-    n = deco.degree
-    rank = deco.rank
-    if sum(p.dimension for p in deco.projectors) != n:
-        raise IncompleteDecomposition("dimension sum mismatch at finalize")
-    for p in deco.projectors:
-        b1 = p.coefficients[0]
-        if not isinstance(b1, FieldElement) or b1 != Fraction(p.dimension, n):
-            raise InvariantViolation("b_1 is not d/N on an accepted projector")
-    # sum of projectors must be the identity vector (1, 0, ..., 0)
-    total = [FieldElement.zero()] * rank
-    numeric = [ComplexBall(mpmath.mpc(0), 0)] * rank
-    any_numeric = False
-    for p in deco.projectors:
-        for r in range(rank):
-            c = p.coefficients[r]
-            if isinstance(c, FieldElement):
-                total[r] = total[r] + c
-            else:
-                any_numeric = True
-                numeric[r] = numeric[r] + c
-    identity = [FieldElement.one()] + [FieldElement.zero()] * (rank - 1)
-    if not any_numeric:
-        for r in range(rank):
-            if total[r] != identity[r]:
-                raise InvariantViolation("projector sum is not the identity")
-    else:
-        with mpmath.workprec(state.config.precision + 40):
-            for r in range(rank):
-                combined = numeric[r] + total[r].to_complex(state.config.precision)
-                combined = combined - identity[r].to_complex(state.config.precision)
-                if not combined.contains_zero():
-                    raise InvariantViolation("projector sum is not the identity")
-    _pair_conjugates(deco)
 
 
 def _pair_conjugates(deco: Decomposition):

@@ -1,39 +1,43 @@
-"""Independent verification of decompositions.
+"""Verification of decompositions, and the arithmetic of coefficient vectors
+in the centralizer algebra that it rests on.
+
+``algebra_product``, ``primitivity_traces`` and the zero test ``_vanishes``
+work on coefficient vectors in the ordered orbital basis, exactly over the
+tower, or through certified enclosures where a coordinate is numeric.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
-primitivity, exact over the tower (enclosures for numeric coordinates), at
-any degree.  The matrix route certifies the same family against the actual
-generators: it checks the orbital basis itself on the N x N orbital label
-matrix (invariance under every generator, A_1 = I, and closure of the
-products with a tensor it reads off the matrix, independent of the
-splitter's), after which commutation, trace, idempotency and completeness of
-every projector follow from its coefficients.
+primitivity, at any degree.  It is also the splitter's certificate: a split
+returns a family only when this route passes on it.  The matrix route
+certifies the same family against the actual generators: it checks the
+orbital basis itself on the N x N orbital label matrix (invariance under
+every generator, A_1 = I, and closure of the products with a tensor it reads
+off the matrix, independent of the splitter's), after which commutation,
+trace, idempotency and completeness of every projector follow from its
+coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import mpmath
 import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
-from .exactfield import ComplexBall, FieldElement, render_field_element
+from .exactfield import ComplexBall, FieldElement, as_ball, render_field_element
 from .perms import GeneratorSet, orbit_with_tree
-from .splitter import (
-    Decomposition,
-    Projector,
-    algebra_product,
-    is_unit_trace,
-    primitivity_traces,
-    _as_ball,
-    _vanishes,
-)
+
+if TYPE_CHECKING:
+    from .splitter import Decomposition, Projector
 
 __all__ = [
+    "algebra_product",
+    "primitivity_traces",
+    "is_unit_trace",
     "CheckResult",
     "VerificationReport",
     "verify_family_algebraic",
@@ -42,6 +46,124 @@ __all__ = [
 ]
 
 NUMERIC_TOLERANCE = 1e-10
+
+
+# -- products in the centralizer algebra ---------------------------------------
+
+
+def algebra_product(consts: StructureConstants, a, b, precision=128):
+    """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
+
+    Exact when both vectors are exact; otherwise interval arithmetic.
+    """
+    rank = consts.rank
+    exact = all(isinstance(x, FieldElement) for x in a) and all(
+        isinstance(x, FieldElement) for x in b
+    )
+    if exact:
+        out = [FieldElement.zero() for _ in range(rank)]
+        for p in range(1, rank + 1):
+            if a[p - 1].is_zero():
+                continue
+            for q in range(1, rank + 1):
+                if b[q - 1].is_zero():
+                    continue
+                ab = a[p - 1] * b[q - 1]
+                col = consts.table[p, q]
+                for r in range(1, rank + 1):
+                    c = int(col[r])
+                    if c:
+                        out[r - 1] = out[r - 1] + ab.scaled(c)
+        return out
+    with mpmath.workprec(precision + 40):
+        ab_balls = [as_ball(x, precision) for x in a]
+        bb_balls = [as_ball(x, precision) for x in b]
+        out = [ComplexBall(mpmath.mpc(0), 0) for _ in range(rank)]
+        for p in range(1, rank + 1):
+            for q in range(1, rank + 1):
+                prod = ab_balls[p - 1] * bb_balls[q - 1]
+                col = consts.table[p, q]
+                for r in range(1, rank + 1):
+                    c = int(col[r])
+                    if c:
+                        out[r - 1] = out[r - 1] + prod * ComplexBall(mpmath.mpc(c), 0)
+        return out
+
+
+def _vanishes(vec, reference=None, precision=128):
+    """Componentwise zero test: exact for FieldElements, enclosure for balls.
+
+    ``reference`` supplies the expected values to subtract first.
+    """
+    with mpmath.workprec(precision + 40):
+        for i, v in enumerate(vec):
+            want = None if reference is None else reference[i]
+            if isinstance(v, FieldElement) and (
+                want is None or isinstance(want, FieldElement)
+            ):
+                diff = v if want is None else v - want
+                if not diff.is_zero():
+                    return False
+            else:
+                b = as_ball(v, precision)
+                if want is not None:
+                    b = b - as_ball(want, precision)
+                if not b.contains_zero():
+                    return False
+        return True
+
+
+# -- the primitivity certificate ----------------------------------------------------
+
+
+def primitivity_traces(consts: StructureConstants, vectors, precision=128):
+    """dim eAe = tr(x -> e x e) for each coefficient vector e.
+
+    The map is L_e R_e, and its trace is the quadratic form e^T T e with the
+    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q.  For an idempotent e the
+    map is idempotent, so the trace is its rank, and e is primitive exactly
+    when the trace is 1.  Exact over the tower for exact vectors, a
+    ComplexBall otherwise.
+    """
+    c = consts.table[1:, 1:, 1:]
+    form = np.einsum("pqr,rsq->ps", c, c)
+    pairs = [
+        [(s, int(form[p, s])) for s in np.nonzero(form[p])[0]]
+        for p in range(consts.rank)
+    ]
+    out = []
+    for e in vectors:
+        if all(isinstance(x, FieldElement) for x in e):
+            total = FieldElement.zero()
+            for p, row in enumerate(pairs):
+                if row and not e[p].is_zero():
+                    inner = FieldElement.zero()
+                    for s, t in row:
+                        inner = inner + e[s].scaled(t)
+                    total = total + e[p] * inner
+            out.append(total)
+            continue
+        with mpmath.workprec(precision + 40):
+            balls = [as_ball(x, precision) for x in e]
+            total = ComplexBall(0)
+            for p, row in enumerate(pairs):
+                inner = ComplexBall(0)
+                for s, t in row:
+                    inner = inner + balls[s] * t
+                total = total + balls[p] * inner
+            out.append(total)
+    return out
+
+
+def is_unit_trace(trace):
+    """The trace certifies primitivity: exactly 1, or a ball of width below 1
+    around 1 (the true value is an integer)."""
+    if isinstance(trace, FieldElement):
+        return trace == FieldElement.one()
+    return (trace - 1).contains_zero() and trace.width() < 1
+
+
+# -- reports and the algebraic route ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -83,10 +205,9 @@ def _witness(vec, reference=None):
             if not diff.is_zero():
                 return f"r={r}: {render_field_element(diff)}"
         else:
-            b = v if isinstance(v, ComplexBall) else _as_ball(v, 128)
+            b = as_ball(v, 128)
             if want is not None:
-                w = want if isinstance(want, ComplexBall) else _as_ball(want, 128)
-                b = b - w
+                b = b - as_ball(want, 128)
             if not b.contains_zero():
                 return f"r={r}: ~{complex(b.mid)}"
     return ""
@@ -174,7 +295,7 @@ def _coefficient_sum(projectors, rank, precision):
 def _add_mixed(a, b, precision):
     if isinstance(a, FieldElement) and isinstance(b, FieldElement):
         return a + b
-    return _as_ball(a, precision) + _as_ball(b, precision)
+    return as_ball(a, precision) + as_ball(b, precision)
 
 
 # -- matrix-level checks -----------------------------------------------------------
@@ -298,8 +419,8 @@ def verify_matrix_level(
 def _coeffs_equal(a, b, precision=128):
     if isinstance(a, FieldElement) and isinstance(b, FieldElement):
         return a == b
-    ba = a if isinstance(a, ComplexBall) else _as_ball(a, precision)
-    bb = b if isinstance(b, ComplexBall) else _as_ball(b, precision)
+    ba = as_ball(a, precision)
+    bb = as_ball(b, precision)
     diff = ba - bb
     tol = mpmath.mpf(NUMERIC_TOLERANCE) * (1 + abs(bb.mid))
     return bool(abs(diff.mid) <= max(diff.rad, tol))
@@ -314,6 +435,25 @@ def _projector_matches(a: Projector, b: Projector, conjugate):
             return False
         coeffs = a.conjugate_coefficients()
     return all(_coeffs_equal(x, y) for x, y in zip(coeffs, b.coefficients))
+
+
+def _greedy_match(deco: Decomposition, ref: Decomposition, conjugate):
+    """Whether each computed projector, in order, matches a reference one not
+    taken by an earlier projector (first fit)."""
+    used = set()
+    matched = []
+    for p in deco.projectors:
+        j = next(
+            (
+                j for j, q in enumerate(ref.projectors)
+                if j not in used and _projector_matches(p, q, conjugate)
+            ),
+            None,
+        )
+        if j is not None:
+            used.add(j)
+        matched.append(j is not None)
+    return matched
 
 
 def compare_to_reference(deco: Decomposition, ref: Decomposition):
@@ -336,46 +476,13 @@ def compare_to_reference(deco: Decomposition, ref: Decomposition):
         return report
     report.add("suborbit lengths agreement", True)
 
-    def attempt(conjugate):
-        used = set()
-        assignment = {}
-        for i, p in enumerate(deco.projectors):
-            found = None
-            for j, q in enumerate(ref.projectors):
-                if j in used:
-                    continue
-                if _projector_matches(p, q, conjugate):
-                    found = j
-                    break
-            if found is None:
-                return None
-            used.add(found)
-            assignment[i] = found
-        return assignment
-
-    assignment = attempt(conjugate=False)
-    conj_used = False
-    if assignment is None and deco.exact_only():
-        assignment = attempt(conjugate=True)
-        conj_used = assignment is not None
-    if assignment is None:
-        # give per-projector diagnostics under the direct orientation
-        used = set()
-        for i, p in enumerate(deco.projectors):
-            found = None
-            for j, q in enumerate(ref.projectors):
-                if j in used:
-                    continue
-                if _projector_matches(p, q, False):
-                    found = j
-                    break
-            if found is None:
-                report.add(f"projector {i + 1} (d={p.dimension}) match", False)
-            else:
-                used.add(found)
-                report.add(f"projector {i + 1} (d={p.dimension}) match", True)
-        return report
-    for i, p in enumerate(deco.projectors):
-        note = " (conjugated)" if conj_used else ""
-        report.add(f"projector {i + 1} (d={p.dimension}) match{note}", True)
+    matched = _greedy_match(deco, ref, conjugate=False)
+    note = ""
+    if not all(matched) and deco.exact_only():
+        conjugated = _greedy_match(deco, ref, conjugate=True)
+        if all(conjugated):
+            matched, note = conjugated, " (conjugated)"
+    # on failure the lines are the per-projector results of the direct orientation
+    for i, (p, ok) in enumerate(zip(deco.projectors, matched), start=1):
+        report.add(f"projector {i} (d={p.dimension}) match{note}", ok)
     return report

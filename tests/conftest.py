@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from permsplit import GeneratorSet, Permutation, split
+from permsplit import GeneratorSet, Permutation, split, splitter
 
 
 def perm(imgs):
@@ -193,6 +193,20 @@ def corpus_split(name):
     mutate it.  Tests that patch the splitter or pass a SplitConfig call
     ``split`` themselves."""
     return copy.deepcopy(_cached_corpus_split(name))
+
+
+def duplicate_first_projector(monkeypatch):
+    """Send ``split`` down the fallback route and make it record its first
+    projector twice, so the finished family holds a duplicate."""
+    real = splitter.process_single_solution
+
+    def doubled(state, projector):
+        real(state, projector)
+        if len(state.projectors) == 1:
+            state.projectors.append(projector)
+
+    monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
+    monkeypatch.setattr(splitter, "process_single_solution", doubled)
 
 
 def m22_path():

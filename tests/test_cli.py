@@ -12,7 +12,7 @@ from permsplit.cli import (
     render_decomposition_text,
 )
 from permsplit import split
-from conftest import cyclic, petersen, regular_action, symmetric
+from conftest import cyclic, duplicate_first_projector, petersen, regular_action, symmetric
 
 S3_TEXT = "degree 3\ngen (1,2,3)\ngen (1,2)\n"
 PETERSEN_TEXT = None
@@ -149,6 +149,15 @@ class TestSplitCommand:
         path.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(["split", str(path), "--max-groebner-pairs", "1"])
         assert code == 3
+
+    def test_uncertified_family_exit_4(self, tmp_path, monkeypatch, capsys):
+        duplicate_first_projector(monkeypatch)
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        assert main(["split", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "orthogonality B[1]*B[2]" in captured.err
 
 
 class TestRoundTrips:

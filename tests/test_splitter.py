@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from permsplit import (
     FieldElement,
     GeneratorSet,
     IntransitiveAction,
-    OrthogonalityViolation,
+    InvariantViolation,
     Permutation,
     Poly,
     SplitConfig,
@@ -17,7 +18,7 @@ from permsplit import (
     compute_structure_constants,
     split,
 )
-from permsplit import splitter
+from permsplit import splitter, verify
 from permsplit.cli import render_decomposition_text
 from permsplit.splitter import (
     Projector,
@@ -28,7 +29,15 @@ from permsplit.splitter import (
     process_single_solution,
 )
 
-from conftest import corpus_split, cyclic, pair_action, petersen, regular_action, symmetric
+from conftest import (
+    corpus_split,
+    cyclic,
+    duplicate_first_projector,
+    pair_action,
+    petersen,
+    regular_action,
+    symmetric,
+)
 from oracles import (
     dimension_multiset,
     petersen_eigenprojectors,
@@ -131,12 +140,12 @@ class TestProcessSingleSolution:
         assert len(state.projectors) == 1
         assert state.idem.orthogonality
 
-    def test_duplicate_rejected(self):
-        state = self._state(symmetric(3))
-        b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, True, "uniqueSolution")
-        process_single_solution(state, b1)
-        with pytest.raises(OrthogonalityViolation):
-            process_single_solution(state, b1)
+    def test_duplicate_rejected(self, monkeypatch):
+        """Acceptance does not multiply a candidate out, so a duplicate is
+        recorded; the fallback route's certificate rejects the family."""
+        duplicate_first_projector(monkeypatch)
+        with pytest.raises(InvariantViolation, match=re.escape("orthogonality B[1]*B[2]")):
+            split(symmetric(3))
 
     def test_s3_d2_forced_linearly(self):
         from permsplit.polynomial import groebner_basis
@@ -336,20 +345,21 @@ class TestDimensionOracle:
 
     def test_sum_of_irreducibles_rejected_by_primitivity(self, monkeypatch):
         """S5 on pairs is 1 + 4 + 5; the hint [1, 9] is met by e_4 + e_5,
-        which only the primitivity certificate tells apart."""
+        which only the primitivity certificate tells apart.  The fallback
+        family is certified too."""
         gens = pair_action(symmetric(5), 5)
         expected = render_decomposition_text(split(gens))
         verdicts = []
-        real = splitter.is_unit_trace
+        real = verify.is_unit_trace
 
         def spy(trace):
             verdicts.append(real(trace))
             return verdicts[-1]
 
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: [1, 9])
-        monkeypatch.setattr(splitter, "is_unit_trace", spy)
+        monkeypatch.setattr(verify, "is_unit_trace", spy)
         deco = split(gens)
-        assert verdicts == [True, False]
+        assert verdicts == [True, False, True, True, True]
         assert [e.kind for e in deco.events][:1] == ["hint-fallback"]
         assert deco.dimension_multiset == [1, 4, 5]
         assert render_decomposition_text(deco) == expected
