@@ -2,11 +2,13 @@
 appears twice.
 
 At d = 2 the idempotency system is consistent but not zero-dimensional: its
-solution set is a 2-parameter family (Hilbert dimension 2 = floor(k^2/2) for
-multiplicity k = 2, matching the k x k idempotent manifold).  The splitter
-then slices: it pins free coordinates to small rationals, takes one
+solution set is a 2-parameter family (Hilbert dimension 2, the rank-one
+idempotents of the 2 x 2 block).  A positive dimension only tells the
+splitter to slice: it pins free coordinates to small rationals, takes one
 particular solution, joins its orthogonality relations, and re-derives the
-system until the dimension is exhausted.
+system until the dimension is exhausted.  How many projectors the block
+holds is never computed from the Hilbert dimension; the certificate on the
+finished family settles the counts.
 """
 
 from permsplit import split, verify_family_algebraic
@@ -47,8 +49,7 @@ def main():
     print("dimension-loop events:")
     for e in deco.events:
         extra = f" Hd={e.hilbert}" if e.hilbert is not None else ""
-        mult = f" k={e.multiplicity}" if e.multiplicity else ""
-        print(f"  d={e.d}: {e.kind}{extra}{mult} extracted={e.extracted}")
+        print(f"  d={e.d}: {e.kind}{extra} extracted={e.extracted}")
 
     sliced = [p for p in deco.projectors if p.provenance == "slicedSolution"]
     print(f"\n{len(sliced)} projector(s) came from slicing; "

@@ -12,7 +12,6 @@ from .errors import (
     IntransitiveAction,
     InvariantViolation,
     MatrixCapExceeded,
-    MultiplicityMismatch,
     NotZeroDimensional,
     ParseError,
     PermsplitError,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .errors import (
     IntransitiveAction,
     InvariantViolation,
     MatrixCapExceeded,
-    MultiplicityMismatch,
     ParseError,
     ResourceLimit,
     SliceExhausted,
@@ -162,6 +160,12 @@ def _ball_to_strings(ball, precision):
     return re, im, rad
 
 
+def _ball_from_strings(re, im, rad, precision):
+    """The inverse of ``_ball_to_strings``."""
+    with mpmath.workprec(precision + 24):
+        return ComplexBall(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)), mpmath.mpf(rad))
+
+
 def render_decomposition_text(deco):
     out = []
     out.append(f"Degree: {deco.degree}")
@@ -260,11 +264,7 @@ def _projector_from_record(rec, rank, lineno):
         if txt.startswith("numeric "):
             _, re, im, rad, prec = txt.split()
             precision = int(prec)
-            with mpmath.workprec(precision + 24):
-                ball = ComplexBall(
-                    mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)), mpmath.mpf(rad)
-                )
-            coeffs.append(ball)
+            coeffs.append(_ball_from_strings(re, im, rad, precision))
         else:
             coeffs.append(parse_field_element(txt))
     return Projector(
@@ -321,13 +321,7 @@ def decomposition_from_json(obj):
             if "numeric" in c:
                 nv = c["numeric"]
                 precision = int(nv.get("precision", 128))
-                with mpmath.workprec(precision + 24):
-                    coeffs.append(
-                        ComplexBall(
-                            mpmath.mpc(mpmath.mpf(nv["re"]), mpmath.mpf(nv["im"])),
-                            mpmath.mpf(nv["rad"]),
-                        )
-                    )
+                coeffs.append(_ball_from_strings(nv["re"], nv["im"], nv["rad"], precision))
             else:
                 coeffs.append(field_element_from_json(c))
         projectors.append(
@@ -363,16 +357,8 @@ def load_decomposition(path):
 # -- command implementations ----------------------------------------------------------
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("PERMSPLIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _config_from_args(args):
     return SplitConfig(
-        max_dimension=getattr(args, "max_dimension", None),
         max_groebner_pairs=getattr(args, "max_groebner_pairs", 40000),
         slice_seed=getattr(args, "seed", 0),
         precision=getattr(args, "precision", 128),
@@ -460,7 +446,7 @@ def _build_parser():
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--json", action="store_true", help="shorthand for --format json")
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--rank-cap", type=int, default=64, dest="rank_cap")
 
     pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
@@ -477,7 +463,6 @@ def _build_parser():
         p.add_argument("--max-groebner-pairs", type=int, default=40000,
                        dest="max_groebner_pairs")
         p.add_argument("--precision", type=int, default=128)
-        p.add_argument("--max-dimension", type=int, default=None, dest="max_dimension")
         p.add_argument("--matrix-cap", type=int, default=2000, dest="matrix_cap")
 
     ps = sub.add_parser("split", help="compute the full projector decomposition")
@@ -512,11 +497,7 @@ def main(argv=None):
     except (ResourceLimit, MatrixCapExceeded, SliceExhausted) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
-    except (
-        InvariantViolation,
-        MultiplicityMismatch,
-        IncompleteDecomposition,
-    ) as e:
+    except (InvariantViolation, IncompleteDecomposition) as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 4
 

@@ -41,18 +41,13 @@ class NotZeroDimensional(PermsplitError):
 
 
 class SliceExhausted(PermsplitError):
-    """No particular solution was found within the configured slice attempts."""
-
-
-class MultiplicityMismatch(PermsplitError):
-    """The Hilbert dimension does not match floor(k^2/2) for any integer k,
-    or the number of projectors extracted at one dimension is not a multiple
-    of the detected multiplicity."""
+    """No particular solution was found within the slice attempts."""
 
 
 class IncompleteDecomposition(PermsplitError):
     """The dimension loop ran out of candidates before the dimensions summed
-    to the degree.  Must never happen on valid input; fatal diagnostic."""
+    to the degree.  On the hinted dimensions it sends the split to the full
+    scan; from the full scan it must never happen on valid input."""
 
 
 class MatrixCapExceeded(PermsplitError):

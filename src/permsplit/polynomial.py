@@ -128,9 +128,6 @@ class Poly:
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.ring.nvars}
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
     def leading_monomial(self):
         if self._lm is None and self.terms:
             self._lm = max(self.terms, key=self.ring.key)
@@ -270,14 +267,6 @@ class Poly:
                 raise ValueError("variable still occurs; substitute first")
             out[mono[:var] + mono[var + 1 :]] = c
         return Poly(new_ring, out, _canonical=True)
-
-    def variables_used(self):
-        used = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
-        return used
 
     # comparisons, rendering
     def __eq__(self, other):

@@ -184,13 +184,6 @@ def _quadratic_roots(coeffs):
 # -- ball evaluation -------------------------------------------------------------
 
 
-def _eval_ball_poly(coeffs, x_ball, prec):
-    acc = ComplexBall(mpmath.mpc(0), 0)
-    for c in reversed(coeffs):
-        acc = acc * x_ball + as_ball(c, prec)
-    return acc
-
-
 def _eval_poly_at_balls(poly, balls, prec):
     """Interval evaluation of a multivariate poly at per-variable balls."""
     total = ComplexBall(mpmath.mpc(0), 0)

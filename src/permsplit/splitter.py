@@ -8,10 +8,11 @@ order, the generic invariant form is constrained by x_1 = d/N (the trace pins
 the coefficient of the identity basis matrix), the accumulated orthogonality
 forms are joined in, and the Groebner basis decides: inconsistent (advance
 d), zero-dimensional (enumerate and accept every solution), or
-positive-dimensional (a multiplicity-k isotypic block, peeled off by slicing
-for particular solutions).  A dimension is re-run until its system turns
-inconsistent, because freshly added orthogonality constraints can expose
-further components of equal dimension.
+positive-dimensional (an irreducible that occurs more than once; one
+particular solution is sliced off).  A dimension is re-run until its system
+turns inconsistent, because freshly added orthogonality constraints can
+expose further components of equal dimension.  The loop never counts the
+projectors of a block; the certificate settles the counts.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
@@ -19,10 +20,11 @@ projector accepted before it (candidates are filtered against numeric ones);
 the projectors are accepted without being multiplied out again.  The one
 certificate is ``verify.verify_family_algebraic`` on the whole family:
 idempotency, orthogonality, completeness, trace and primitivity, exact over
-the tower.  A hinted family is kept only when its dimensions are the hinted
-multiset and it passes; otherwise the full scan d = 1, 2, ... runs from
-scratch, and a scanned family that fails raises InvariantViolation naming
-the failed checks.
+the tower.  A complete, orthogonal family of primitive idempotents holds
+exactly k projectors of each dimension d.  A hinted family is kept only when
+its dimensions are the hinted multiset and it passes; otherwise the full
+scan d = 1, 2, ... runs from scratch, and a scanned family that fails raises
+InvariantViolation naming the failed checks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .centralizer import (
 from .errors import (
     IncompleteDecomposition,
     InvariantViolation,
-    MultiplicityMismatch,
     PermsplitError,
     SliceExhausted,
 )
@@ -84,13 +85,9 @@ __all__ = [
 class SplitConfig:
     """Knobs for the splitting pipeline; defaults suit desk-scale inputs."""
 
-    max_dimension: int = None
     max_groebner_pairs: int = 40000
-    max_groebner_basis: int = 800
     slice_seed: int = 0
-    slice_attempts: int = 64
     precision: int = 128
-    max_precision: int = 2048
     rank_cap: int = 64
     matrix_cap: int = 2000
     threads: int = 1
@@ -161,7 +158,6 @@ class SplitEvent:
     kind: str    # "inconsistent" | "solutions" | "slice" | "filtered" | "hint-fallback"
     hilbert: int = None
     extracted: int = 0
-    multiplicity: int = None
 
 
 def build_idempotency_system(consts: StructureConstants):
@@ -344,14 +340,13 @@ class _SplitState:
                 coeffs.append(point.numeric_values[i])
         return tuple(coeffs)
 
-    def make_projector(self, point, d, provenance, block=None):
+    def make_projector(self, point, d, provenance):
         return Projector(
             coefficients=self._point_to_coeffs(point, d),
             dimension=d,
             exact=point.is_exact(),
             provenance=provenance,
             precision=point.precision,
-            block=block,
         )
 
 
@@ -383,17 +378,6 @@ def process_single_solution(state: _SplitState, projector: Projector):
     return state
 
 
-def _multiplicity_from_hilbert(h):
-    k = 1
-    while k * k // 2 < h:
-        k += 1
-    if k * k // 2 != h:
-        raise MultiplicityMismatch(
-            f"no integer k satisfies floor(k^2/2) = {h}"
-        )
-    return k
-
-
 def split(gens: GeneratorSet, config: SplitConfig = None):
     """Decompose a transitive permutation action into irreducible projectors.
 
@@ -409,64 +393,59 @@ def split(gens: GeneratorSet, config: SplitConfig = None):
 def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config=None):
     """The dimension loop, starting from precomputed structure constants.
 
-    Only the dimensions of ``dimension_hint`` are solved; the full scan
-    d = 1, 2, ... runs, after a "hint-fallback" event, when there is no hint
-    or what the hinted dimensions yield is not certified.  Either way the
-    family is returned only when ``verify_family_algebraic`` passes on it;
-    a scanned family that fails raises InvariantViolation naming the failed
-    checks.
+    Only the dimensions of ``dimension_hint`` are solved.  When there is no
+    hint, or the hinted run raises or yields a family whose dimensions are
+    not the hinted multiset, the full scan d = 1, 2, ... runs from scratch
+    after a "hint-fallback" event.  Either way the family is returned only
+    when ``verify_family_algebraic`` passes on it; a scanned family that
+    fails raises InvariantViolation naming the failed checks.
     """
     config = config or SplitConfig()
-    n = basis.degree
-    max_d = config.max_dimension or (n - 1 if n > 1 else 1)
-    hint = dimension_hint(consts, n)
-    deco = _split_at_hint(basis, consts, config, hint, max_d) if hint else None
-    if deco is None:
-        state = _SplitState(basis, consts, config)
-        state.events.append(SplitEvent(0, "hint-fallback"))
-        d = 0
-        while state.found < n:
-            d += 1
-            # a dimension with found + d > N can never fit, nor can any larger one
-            if state.found + d > n or d > max_d:
-                raise IncompleteDecomposition(
-                    f"dimensions exhausted at d={d} with {state.found}/{n} found"
-                )
-            _run_dimension(state, d)
-        deco, report = _certified(state)
-        if not report.passed:
-            failed = "; ".join(c.name for c in report.failures())
-            raise InvariantViolation(f"split family fails its certificate: {failed}")
+    hint = dimension_hint(consts, basis.degree)
+    deco = None
+    if hint:
+        try:
+            deco = _split_over(basis, consts, config, hint)
+        except PermsplitError:
+            pass
+    if deco is None or deco.dimension_multiset != hint:
+        deco = _split_over(basis, consts, config, None)
     _pair_conjugates(deco)
     return deco
 
 
-def _split_at_hint(basis, consts, config, hint, max_d):
-    """Run the hinted dimensions in ascending order; the family when certified.
+def _split_over(basis, consts, config, hint):
+    """Run the dimensions in ascending order, the hinted ones or (hint None)
+    every d = 1, 2, ..., until the family is complete; the certified family.
 
     With a right hint the full scan finds nothing between the hinted
     dimensions, so the accepted projectors, their order and the slicing RNG
     stream match it.  (Projectors with numeric coordinates are the
     exception: their orthogonality is not in the polynomial system, so the
     scan may meet sums of them at an unhinted d and filter them out, which
-    the hinted run skips.)  The floats are not trusted: the family's
-    dimensions must be the hinted multiset and it must pass the certificate.
-    Returns None when either fails.
+    the hinted run skips.)  Raises IncompleteDecomposition when the
+    dimensions run out first, and InvariantViolation when the family fails
+    its certificate.
     """
     state = _SplitState(basis, consts, config)
-    try:
-        for d in sorted(set(hint)):
-            if state.found >= basis.degree:
-                break
-            if state.found + d > basis.degree or d > max_d:
-                return None
-            _run_dimension(state, d)
-    except PermsplitError:
-        return None
-    if sorted(p.dimension for p in state.projectors) != hint:
-        return None
+    n = basis.degree
+    if hint:
+        dims = sorted(set(hint))
+    else:
+        dims = range(1, n + 1)
+        state.events.append(SplitEvent(0, "hint-fallback"))
+    for d in dims:
+        # a dimension with found + d > N can never fit, nor can any larger one
+        if state.found >= n or state.found + d > n:
+            break
+        _run_dimension(state, d)
+    if state.found < n:
+        raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
     deco, report = _certified(state)
-    return deco if report.passed else None
+    if not report.passed:
+        failed = "; ".join(c.name for c in report.failures())
+        raise InvariantViolation(f"split family fails its certificate: {failed}")
+    return deco
 
 
 def _certified(state: _SplitState):
@@ -484,13 +463,17 @@ def _certified(state: _SplitState):
 
 
 def _run_dimension(state: _SplitState, d):
-    """Process one candidate dimension until its system turns inconsistent."""
+    """Process one candidate dimension until its system turns inconsistent.
+
+    The Hilbert dimension only chooses between enumerating the solutions
+    (zero) and slicing off a particular one (positive); how many projectors
+    a dimension yields is left to the certificate.  When a slice happened at
+    d, every projector extracted at d is tagged as the block d.
+    """
     cfg = state.config
     state._current_d = d
-    extracted = 0
-    multiplicity = None
-    saw_unique = False
-    saw_slice = False
+    first = len(state.projectors)
+    sliced = False
     guard = 0
     while True:
         guard += 1
@@ -503,52 +486,37 @@ def _run_dimension(state: _SplitState, d):
         if not polys:
             # rank 1 action: the empty system has the single empty solution
             point = SolutionPoint((), (), (), cfg.precision)
-            proj = state.make_projector(point, d, "uniqueSolution")
-            process_single_solution(state, proj)
-            extracted += 1
+            process_single_solution(state, state.make_projector(point, d, "uniqueSolution"))
             state.events.append(SplitEvent(d, "solutions", 0, 1))
             break
-        gb = groebner_basis(
-            polys, max_pairs=cfg.max_groebner_pairs, max_basis=cfg.max_groebner_basis
-        )
+        gb = groebner_basis(polys, max_pairs=cfg.max_groebner_pairs)
         if is_trivial_basis(gb):
             state.events.append(SplitEvent(d, "inconsistent"))
             break
         h = hilbert_dimension(gb, nvars=state.sub_ring.nvars)
         if h == 0:
             points = solve_zero_dimensional(
-                gb,
-                precision=cfg.precision,
-                max_precision=cfg.max_precision,
-                max_pairs=cfg.max_groebner_pairs,
-                max_basis=cfg.max_groebner_basis,
+                gb, precision=cfg.precision, max_pairs=cfg.max_groebner_pairs
             )
             points = [p for p in points if state.accept_candidate(p)]
             if not points:
                 state.events.append(SplitEvent(d, "filtered", h, 0))
                 break
-            block = d if multiplicity else None
             for point in points:
-                proj = state.make_projector(point, d, "uniqueSolution", block=block)
-                process_single_solution(state, proj)
-                extracted += 1
-            saw_unique = True
+                process_single_solution(
+                    state, state.make_projector(point, d, "uniqueSolution")
+                )
             state.events.append(SplitEvent(d, "solutions", h, len(points)))
             if state.found >= state.basis.degree:
                 break  # the family is complete; no re-run needed
             continue
-        # positive dimension: a multiplicity block
-        if multiplicity is None:
-            multiplicity = _multiplicity_from_hilbert(h)
-        saw_slice = True
+        sliced = True
         try:
             point = particular_solution_on_slice(
                 polys,
                 state.rng,
-                attempts=cfg.slice_attempts,
                 precision=cfg.precision,
                 max_pairs=cfg.max_groebner_pairs,
-                max_basis=cfg.max_groebner_basis,
                 accept=state.accept_candidate,
             )
         except SliceExhausted:
@@ -559,28 +527,13 @@ def _run_dimension(state: _SplitState, d):
                 state.events.append(SplitEvent(d, "filtered", h, 0))
                 break
             raise
-        proj = state.make_projector(point, d, "slicedSolution", block=d)
-        process_single_solution(state, proj)
-        extracted += 1
-        state.events.append(SplitEvent(d, "slice", h, 1, multiplicity))
+        process_single_solution(state, state.make_projector(point, d, "slicedSolution"))
+        state.events.append(SplitEvent(d, "slice", h, 1))
         if state.found >= state.basis.degree:
             break
-    if multiplicity:
-        if saw_unique and saw_slice and extracted:
-            # retag everything extracted at this d as one block
-            for proj in state.projectors[-extracted:]:
-                proj.block = d
-        if extracted % multiplicity != 0:
-            if saw_unique and saw_slice:
-                state.notes.append(
-                    f"d={d}: mixed unique/sliced extraction, count {extracted} "
-                    f"not a multiple of k={multiplicity}"
-                )
-            else:
-                raise MultiplicityMismatch(
-                    f"extracted {extracted} projectors at d={d}, "
-                    f"not a multiple of k={multiplicity}"
-                )
+    if sliced:
+        for proj in state.projectors[first:]:
+            proj.block = d
 
 
 def _pair_conjugates(deco: Decomposition):

@@ -90,27 +90,34 @@ def algebra_product(consts: StructureConstants, a, b, precision=128):
         return out
 
 
-def _vanishes(vec, reference=None, precision=128):
-    """Componentwise zero test: exact for FieldElements, enclosure for balls.
+def _first_nonzero(vec, reference=None, precision=128):
+    """The first component r of vec - reference that is not zero, as (r, value);
+    None when every component vanishes.
 
-    ``reference`` supplies the expected values to subtract first.
+    Exact for FieldElements, by enclosure for balls (a ball is zero when it
+    contains zero).  ``reference`` supplies the expected values to subtract.
     """
     with mpmath.workprec(precision + 40):
-        for i, v in enumerate(vec):
-            want = None if reference is None else reference[i]
+        for r, v in enumerate(vec, start=1):
+            want = None if reference is None else reference[r - 1]
             if isinstance(v, FieldElement) and (
                 want is None or isinstance(want, FieldElement)
             ):
                 diff = v if want is None else v - want
                 if not diff.is_zero():
-                    return False
+                    return r, diff
             else:
                 b = as_ball(v, precision)
                 if want is not None:
                     b = b - as_ball(want, precision)
                 if not b.contains_zero():
-                    return False
-        return True
+                    return r, b
+    return None
+
+
+def _vanishes(vec, reference=None, precision=128):
+    """Componentwise zero test of vec - reference."""
+    return _first_nonzero(vec, reference, precision) is None
 
 
 # -- the primitivity certificate ----------------------------------------------------
@@ -196,21 +203,15 @@ class VerificationReport:
         return out
 
 
-def _witness(vec, reference=None):
-    """First nonvanishing component as a printable witness."""
-    for r, v in enumerate(vec, start=1):
-        want = None if reference is None else reference[r - 1]
-        if isinstance(v, FieldElement) and (want is None or isinstance(want, FieldElement)):
-            diff = v if want is None else v - want
-            if not diff.is_zero():
-                return f"r={r}: {render_field_element(diff)}"
-        else:
-            b = as_ball(v, 128)
-            if want is not None:
-                b = b - as_ball(want, 128)
-            if not b.contains_zero():
-                return f"r={r}: ~{complex(b.mid)}"
-    return ""
+def _witness(vec, reference=None, precision=128):
+    """The first nonvanishing component of vec - reference, printable."""
+    hit = _first_nonzero(vec, reference, precision)
+    if hit is None:
+        return ""
+    r, diff = hit
+    if isinstance(diff, FieldElement):
+        return f"r={r}: {render_field_element(diff)}"
+    return f"r={r}: ~{complex(diff.mid)}"
 
 
 def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, precision=128):
@@ -225,12 +226,8 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
     n = deco.degree
     for m, p in enumerate(deco.projectors, start=1):
         sq = algebra_product(consts, p.coefficients, p.coefficients, precision)
-        ok = _vanishes(sq, reference=list(p.coefficients), precision=precision)
-        report.add(
-            f"idempotency B[{m}] (d={p.dimension})",
-            ok,
-            "" if ok else _witness(sq, list(p.coefficients)),
-        )
+        witness = _witness(sq, list(p.coefficients), precision)
+        report.add(f"idempotency B[{m}] (d={p.dimension})", not witness, witness)
     for m1 in range(len(deco.projectors)):
         for m2 in range(len(deco.projectors)):
             if m1 == m2:
@@ -238,17 +235,13 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
             a = deco.projectors[m1]
             b = deco.projectors[m2]
             prod = algebra_product(consts, a.coefficients, b.coefficients, precision)
-            ok = _vanishes(prod, precision=precision)
-            report.add(
-                f"orthogonality B[{m1 + 1}]*B[{m2 + 1}]",
-                ok,
-                "" if ok else _witness(prod),
-            )
+            witness = _witness(prod, precision=precision)
+            report.add(f"orthogonality B[{m1 + 1}]*B[{m2 + 1}]", not witness, witness)
     # completeness: sum of projectors equals the identity vector
     identity = _unit_vector(rank)
     total = _coefficient_sum(deco.projectors, rank, precision)
-    ok = _vanishes(total, reference=identity, precision=precision)
-    report.add("completeness sum(B) = A1", ok, "" if ok else _witness(total, identity))
+    witness = _witness(total, identity, precision)
+    report.add("completeness sum(B) = A1", not witness, witness)
     dims_ok = sum(p.dimension for p in deco.projectors) == n
     report.add(
         "completeness sum(d) = N",
@@ -398,18 +391,16 @@ def verify_matrix_level(
         report.add(f"commutation B[{m}] with all generators", invariant)
         b1 = p.coefficients[:1]
         d_over_n = [FieldElement.from_rational(Fraction(p.dimension, n))]
-        ok = diagonal and _vanishes(b1, reference=d_over_n, precision=precision)
-        report.add(f"trace B[{m}] = {p.dimension}", ok, "" if ok else _witness(b1, d_over_n))
+        witness = _witness(b1, d_over_n, precision)
+        report.add(f"trace B[{m}] = {p.dimension}", diagonal and not witness, witness)
         sq = algebra_product(tensor, p.coefficients, p.coefficients, precision)
         coeffs = list(p.coefficients)
-        ok = closed and _vanishes(sq, reference=coeffs, precision=precision)
-        report.add(
-            f"idempotency B[{m}]^2 = B[{m}] (matrix)", ok, "" if ok else _witness(sq, coeffs)
-        )
+        witness = _witness(sq, coeffs, precision)
+        report.add(f"idempotency B[{m}]^2 = B[{m}] (matrix)", closed and not witness, witness)
     total = _coefficient_sum(deco.projectors, rank, precision)
     identity = _unit_vector(rank)
-    ok = diagonal and _vanishes(total, reference=identity, precision=precision)
-    report.add("completeness sum(B) = I (matrix)", ok, "" if ok else _witness(total, identity))
+    witness = _witness(total, identity, precision)
+    report.add("completeness sum(B) = I (matrix)", diagonal and not witness, witness)
     return report
 
 

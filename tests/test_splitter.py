@@ -249,10 +249,27 @@ class TestSplit:
         slice_events = [e for e in deco.events if e.kind == "slice"]
         assert slice_events and slice_events[0].d == 2
         assert slice_events[0].hilbert == 2
-        assert slice_events[0].multiplicity == 2
         two_dims = [p for p in deco.projectors if p.dimension == 2]
         assert len(two_dims) == 2
         assert all(p.block == 2 for p in two_dims)
+
+    def test_hilbert_dimension_does_not_set_the_count(self, monkeypatch):
+        """The solutions at a first-met d are the rank-one idempotents of an
+        M_k block, a variety of dimension 2(k - 1); no formula in k is
+        applied to it.  With every positive-dimensional system reported at
+        h = 6, the Hilbert dimension of a multiplicity-4 block, the split
+        still slices and its certified report is unchanged."""
+        real = splitter.hilbert_dimension
+
+        def as_if_k4(gb, nvars=None):
+            return 6 if real(gb, nvars=nvars) else 0
+
+        monkeypatch.setattr(splitter, "hilbert_dimension", as_if_k4)
+        deco = split(regular_action(symmetric(3)))
+        assert [e.hilbert for e in deco.events if e.kind == "slice"] == [6]
+        assert render_decomposition_text(deco) == render_decomposition_text(
+            corpus_split("S3_regular")
+        )
 
     def test_intransitive_raises(self):
         g = GeneratorSet(3, (Permutation.from_images([2, 1, 3]),))

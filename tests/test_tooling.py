@@ -35,3 +35,24 @@ def test_package_imports_are_acyclic():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for m in leaves:
             del remaining[m]
+
+
+def test_every_error_class_is_raised():
+    """Each PermsplitError subclass in errors.py is raised somewhere in the
+    package, so an error class that nothing raises any more cannot linger."""
+    package = SRC / "permsplit"
+    defined = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "PermsplitError" for b in node.bases)
+    }
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "InvariantViolation" in defined
+    assert defined <= raised, f"never raised: {sorted(defined - raised)}"
