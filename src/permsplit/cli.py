@@ -1,8 +1,9 @@
 """Command-line front end and the report formats it owns.
 
 Exit codes: 0 success, 1 parse error, 2 intransitive action, 3 resource
-limit, 4 internal invariant violation, 5 verification failure.  Reports are
-byte-identical for identical inputs and seed; timing lines go to stderr.
+limit, 4 internal invariant violation (any other error of the package), 5
+verification failure.  Reports are byte-identical for identical inputs;
+timing lines go to stderr.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import mpmath
 
 from .centralizer import compute_orbitals, compute_structure_constants
 from .errors import (
-    IncompleteDecomposition,
     IntransitiveAction,
     InvariantViolation,
     MatrixCapExceeded,
     ParseError,
+    PermsplitError,
     ResourceLimit,
     SliceExhausted,
 )
@@ -199,50 +200,54 @@ def render_decomposition_text(deco):
 
 
 def parse_decomposition_text(text):
-    degree = rank = None
+    """The inverse of ``render_decomposition_text``; ParseError, with the
+    line number, on a malformed line."""
+    degree = rank = lineno = None
     lengths = []
     projectors = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("Degree:"):
-            degree = int(line.split(":", 1)[1])
-        elif line.startswith("Rank:"):
-            rank = int(line.split(":", 1)[1])
-        elif line.startswith("Suborbit lengths:"):
-            lengths = [int(t) for t in line.split(":", 1)[1].split(",")]
-        elif line.startswith("Decomposition:"):
-            continue
-        elif line.startswith("projector"):
-            current = {"coeffs": {}}
-        elif line == "end":
-            if current is None:
-                raise ParseError("end without projector", lineno)
-            projectors.append(_projector_from_record(current, rank, lineno))
-            current = None
-        elif current is not None:
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key == "dimension":
-                current["dimension"] = int(rest)
-            elif key == "exact":
-                current["exact"] = rest == "true"
-            elif key == "provenance":
-                current["provenance"] = rest
-            elif key == "block":
-                current["block"] = None if rest == "-" else int(rest)
-            elif key == "conjugate-of":
-                current["conjugate_of"] = None if rest == "-" else int(rest) - 1
-            elif key == "coeff":
-                parts = rest.split(None, 1)
-                r = int(parts[0])
-                current["coeffs"][r] = parts[1].strip()
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("Degree:"):
+                degree = int(line.split(":", 1)[1])
+            elif line.startswith("Rank:"):
+                rank = int(line.split(":", 1)[1])
+            elif line.startswith("Suborbit lengths:"):
+                lengths = [int(t) for t in line.split(":", 1)[1].split(",")]
+            elif line.startswith("Decomposition:"):
+                continue
+            elif line.startswith("projector"):
+                current = {"coeffs": {}}
+            elif line == "end":
+                if current is None:
+                    raise ParseError("end without projector", lineno)
+                projectors.append(_projector_from_record(current, rank, lineno))
+                current = None
+            elif current is not None:
+                key, _, rest = line.partition(" ")
+                rest = rest.strip()
+                if key == "dimension":
+                    current["dimension"] = int(rest)
+                elif key == "exact":
+                    current["exact"] = rest == "true"
+                elif key == "provenance":
+                    current["provenance"] = rest
+                elif key == "block":
+                    current["block"] = None if rest == "-" else int(rest)
+                elif key == "conjugate-of":
+                    current["conjugate_of"] = None if rest == "-" else int(rest) - 1
+                elif key == "coeff":
+                    r, _, txt = rest.partition(" ")
+                    current["coeffs"][int(r)] = _parse_coefficient(txt.strip())
+                else:
+                    raise ParseError(f"unknown projector field {key!r}", lineno)
             else:
-                raise ParseError(f"unknown projector field {key!r}", lineno)
-        else:
-            raise ParseError(f"unexpected line {line!r}", lineno)
+                raise ParseError(f"unexpected line {line!r}", lineno)
+    except (ArithmeticError, ValueError) as e:
+        raise ParseError(f"malformed line: {e}", lineno) from e
     if degree is None or rank is None:
         raise ParseError("missing Degree/Rank headers")
     return Decomposition(
@@ -254,19 +259,25 @@ def parse_decomposition_text(text):
     )
 
 
+def _parse_coefficient(txt):
+    """(value, precision) of a ``coeff`` field; precision None when exact."""
+    if txt.startswith("numeric "):
+        _, re, im, rad, prec = txt.split()
+        return _ball_from_strings(re, im, rad, int(prec)), int(prec)
+    return parse_field_element(txt), None
+
+
 def _projector_from_record(rec, rank, lineno):
     coeffs = []
     precision = 128
     for r in range(1, (rank or len(rec["coeffs"])) + 1):
-        txt = rec["coeffs"].get(r)
-        if txt is None:
+        if r not in rec["coeffs"]:
             raise ParseError(f"missing coeff {r}", lineno)
-        if txt.startswith("numeric "):
-            _, re, im, rad, prec = txt.split()
-            precision = int(prec)
-            coeffs.append(_ball_from_strings(re, im, rad, precision))
-        else:
-            coeffs.append(parse_field_element(txt))
+        value, prec = rec["coeffs"][r]
+        precision = prec or precision
+        coeffs.append(value)
+    if "dimension" not in rec:
+        raise ParseError("missing dimension", lineno)
     return Projector(
         coefficients=tuple(coeffs),
         dimension=rec["dimension"],
@@ -313,36 +324,41 @@ def decomposition_to_json(deco):
 
 
 def decomposition_from_json(obj):
-    projectors = []
-    for rec in obj["projectors"]:
-        coeffs = []
-        precision = 128
-        for c in rec["coefficients"]:
-            if "numeric" in c:
-                nv = c["numeric"]
-                precision = int(nv.get("precision", 128))
-                coeffs.append(_ball_from_strings(nv["re"], nv["im"], nv["rad"], precision))
-            else:
-                coeffs.append(field_element_from_json(c))
-        projectors.append(
-            Projector(
-                coefficients=tuple(coeffs),
-                dimension=rec["dimension"],
-                exact=rec["exact"],
-                provenance=rec.get("provenance", "uniqueSolution"),
-                precision=precision,
-                block=rec.get("block"),
-                conjugate_of=rec.get("conjugate_of"),
+    """The inverse of ``decomposition_to_json``; ParseError on a missing or
+    malformed field."""
+    try:
+        projectors = []
+        for rec in obj["projectors"]:
+            coeffs = []
+            precision = 128
+            for c in rec["coefficients"]:
+                if "numeric" in c:
+                    nv = c["numeric"]
+                    precision = int(nv.get("precision", 128))
+                    coeffs.append(_ball_from_strings(nv["re"], nv["im"], nv["rad"], precision))
+                else:
+                    coeffs.append(field_element_from_json(c))
+            projectors.append(
+                Projector(
+                    coefficients=tuple(coeffs),
+                    dimension=rec["dimension"],
+                    exact=rec["exact"],
+                    provenance=rec.get("provenance", "uniqueSolution"),
+                    precision=precision,
+                    block=rec.get("block"),
+                    conjugate_of=rec.get("conjugate_of"),
+                )
             )
+        return Decomposition(
+            degree=obj["degree"],
+            rank=obj["rank"],
+            projectors=projectors,
+            complete=True,
+            suborbit_lengths=list(obj["suborbit_lengths"]),
+            notes=list(obj.get("notes", [])),
         )
-    return Decomposition(
-        degree=obj["degree"],
-        rank=obj["rank"],
-        projectors=projectors,
-        complete=True,
-        suborbit_lengths=list(obj["suborbit_lengths"]),
-        notes=list(obj.get("notes", [])),
-    )
+    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed decomposition JSON: {e!r}") from e
 
 
 def load_decomposition(path):
@@ -350,7 +366,11 @@ def load_decomposition(path):
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return decomposition_from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(e.msg, e.lineno) from e
+        return decomposition_from_json(obj)
     return parse_decomposition_text(text)
 
 
@@ -359,11 +379,10 @@ def load_decomposition(path):
 
 def _config_from_args(args):
     return SplitConfig(
-        max_groebner_pairs=getattr(args, "max_groebner_pairs", 40000),
-        slice_seed=getattr(args, "seed", 0),
-        precision=getattr(args, "precision", 128),
-        rank_cap=getattr(args, "rank_cap", 64),
-        matrix_cap=getattr(args, "matrix_cap", 2000),
+        max_groebner_pairs=args.max_groebner_pairs,
+        precision=args.precision,
+        rank_cap=args.rank_cap,
+        matrix_cap=args.matrix_cap,
         threads=args.threads,
     )
 
@@ -417,11 +436,11 @@ def cmd_split(args):
 
 def cmd_verify(args):
     gens = parse_generators(args.file)
+    ref = load_decomposition(args.decomposition)
     basis = compute_orbitals(gens, rank_cap=args.rank_cap)
     consts = compute_structure_constants(gens, basis, threads=args.threads)
     config = _config_from_args(args)
     deco = split_from_constants(basis, consts, config)
-    ref = load_decomposition(args.decomposition)
     report = compare_to_reference(deco, ref)
     algebraic = verify_family_algebraic(consts, ref, precision=config.precision)
     for line in report.lines() + algebraic.lines():
@@ -442,12 +461,13 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SplitConfig()
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--json", action="store_true", help="shorthand for --format json")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--rank-cap", type=int, default=64, dest="rank_cap")
+        p.add_argument("--threads", type=int, default=defaults.threads)
+        p.add_argument("--rank-cap", type=int, default=defaults.rank_cap, dest="rank_cap")
 
     pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
     pa.add_argument("file")
@@ -459,11 +479,11 @@ def _build_parser():
     pa.set_defaults(func=cmd_analyze)
 
     def split_opts(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-groebner-pairs", type=int, default=40000,
-                       dest="max_groebner_pairs")
-        p.add_argument("--precision", type=int, default=128)
-        p.add_argument("--matrix-cap", type=int, default=2000, dest="matrix_cap")
+        p.add_argument("--max-groebner-pairs", type=int,
+                       default=defaults.max_groebner_pairs, dest="max_groebner_pairs")
+        p.add_argument("--precision", type=int, default=defaults.precision)
+        p.add_argument("--matrix-cap", type=int, default=defaults.matrix_cap,
+                       dest="matrix_cap")
 
     ps = sub.add_parser("split", help="compute the full projector decomposition")
     ps.add_argument("file")
@@ -497,7 +517,7 @@ def main(argv=None):
     except (ResourceLimit, MatrixCapExceeded, SliceExhausted) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
-    except (InvariantViolation, IncompleteDecomposition) as e:
+    except PermsplitError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 4
 

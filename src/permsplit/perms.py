@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,6 +173,12 @@ class GeneratorSet:
         return iter(self.generators)
 
 
+@lru_cache(maxsize=None)
+def _edge(gen_index, direction):
+    """One shared tuple per edge label, so cached tree words hold pointers."""
+    return gen_index, direction
+
+
 @dataclass(frozen=True)
 class SchreierTree:
     """BFS tree over one orbit.
@@ -197,7 +204,7 @@ class SchreierTree:
             raise ValueError(f"point {point} not in orbit of {self.base}")
         rev = []
         while p0 != self.base - 1:
-            rev.append((int(self.gen_index[p0]), int(self.direction[p0])))
+            rev.append(_edge(int(self.gen_index[p0]), int(self.direction[p0])))
             p0 = int(self.parent0[p0])
         rev.reverse()
         return rev

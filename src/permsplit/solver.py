@@ -12,6 +12,11 @@ Newton polishing, with enclosure verification by ball arithmetic and
 precision doubling) and flagged ``numeric``.  Exact coordinates substitute to
 exactly zero in every generator; numeric ones carry certified enclosures for
 which every generator's interval evaluation contains zero.
+
+A positive-dimensional system is sliced from the caller's Groebner basis:
+coordinate pins over the free variables its leading terms leave, tried in a
+fixed order, turn it zero-dimensional, and the caller re-runs its system once
+the sliced solution is taken.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
 )
 from .exactfield import ComplexBall, FieldElement, as_ball, sqrt_if_nice, factorize
 from .polynomial import (
+    DEFAULT_MAX_PAIRS,
     Poly,
     groebner_basis,
     hilbert_dimension,
@@ -45,6 +51,7 @@ __all__ = [
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 2048
+SLICE_ATTEMPTS = 64
 
 _PIN_VALUES = [
     Fraction(0),
@@ -284,7 +291,7 @@ def _triangular_chain(G, ring):
     return chain
 
 
-def _to_lex(polys, max_pairs, max_basis):
+def _to_lex(polys, max_pairs):
     ring = polys[0].ring
     if ring.order == "lex":
         lex_ring = ring
@@ -292,31 +299,21 @@ def _to_lex(polys, max_pairs, max_basis):
     else:
         lex_ring = ring.with_order("lex")
         lex_gens = [Poly(lex_ring, p.terms) for p in polys]
-    return groebner_basis(lex_gens, max_pairs=max_pairs, max_basis=max_basis), lex_ring
+    return groebner_basis(lex_gens, max_pairs=max_pairs), lex_ring
 
 
-def solve_zero_dimensional(
-    system,
-    precision=DEFAULT_PRECISION,
-    max_precision=MAX_PRECISION,
-    max_pairs=None,
-    max_basis=None,
-):
+def solve_zero_dimensional(system, precision=DEFAULT_PRECISION, max_pairs=DEFAULT_MAX_PAIRS):
     """All solutions over the complex numbers of a zero-dimensional system.
 
     ``system`` is a list of Poly sharing one ring.  Returns
     SolutionPoints in deterministic order (lexicographic over the numeric
-    embeddings of the coordinates).
+    embeddings of the coordinates).  Raises ResourceLimit when some candidate
+    root is neither verified nor rejected at MAX_PRECISION.
     """
-    from .polynomial import DEFAULT_MAX_PAIRS, DEFAULT_MAX_BASIS
-
-    max_pairs = max_pairs or DEFAULT_MAX_PAIRS
-    max_basis = max_basis or DEFAULT_MAX_BASIS
-    gens = list(system)
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g for g in system if not g.is_zero()]
     if not gens:
         raise NotZeroDimensional("empty system is not zero-dimensional")
-    lex_basis, lex_ring = _to_lex(gens, max_pairs, max_basis)
+    lex_basis, lex_ring = _to_lex(gens, max_pairs)
     if is_trivial_basis(lex_basis):
         return []
     chain = _triangular_chain(lex_basis, lex_ring)
@@ -337,7 +334,7 @@ def solve_zero_dimensional(
             verified.sort(key=SolutionPoint.sort_key)
             _assert_exact_roots(verified, gens)
             return verified
-        if prec >= max_precision:
+        if prec >= MAX_PRECISION:
             raise ResourceLimit(
                 f"{ambiguous} candidate roots neither verified nor rejected "
                 f"up to precision {prec}"
@@ -489,95 +486,61 @@ def _sum_tuples(h, total, maxidx):
             yield (first,) + rest
 
 
-def _pin_assignments(h, attempts):
-    """Graded deterministic sequence of pin-value tuples (all zeros first)."""
+def _pin_assignments(h):
+    """Graded deterministic sequence of pin-value tuples (all zeros first),
+    at most SLICE_ATTEMPTS of them."""
     count = 0
     maxidx = len(_PIN_VALUES) - 1
     for total in range(h * maxidx + 1):
         for combo in _sum_tuples(h, total, maxidx):
             yield tuple(_PIN_VALUES[i] for i in combo)
             count += 1
-            if count >= attempts:
+            if count >= SLICE_ATTEMPTS:
                 return
 
 
 def particular_solution_on_slice(
-    system,
-    rng,
-    attempts=64,
-    precision=DEFAULT_PRECISION,
-    max_pairs=None,
-    max_basis=None,
-    accept=None,
+    basis, precision=DEFAULT_PRECISION, max_pairs=DEFAULT_MAX_PAIRS, accept=None
 ):
     """One verified solution of a positive-dimensional system.
 
-    Augments the system with h affine constraints (h = Hilbert dimension):
-    first coordinate pins over a maximal independent set of the leading-term
-    ideal (zero first, then small rationals), then random rational affine
-    forms drawn from ``rng``.  The first solution of the augmented
-    zero-dimensional system that also satisfies the original one (and the
-    optional ``accept`` predicate) is returned.
+    ``basis`` is the system's reduced Groebner basis.  Its leading terms give
+    a maximal independent set of h free variables (h = Hilbert dimension),
+    and the basis is augmented with h coordinate pins over them: zero first,
+    then small rationals, graded by pin index (8^h tuples, at most
+    SLICE_ATTEMPTS).  The first solution of an augmented zero-dimensional
+    system that also satisfies the basis (and the optional ``accept``
+    predicate) is returned.
     """
-    from .polynomial import DEFAULT_MAX_PAIRS, DEFAULT_MAX_BASIS
-
-    max_pairs = max_pairs or DEFAULT_MAX_PAIRS
-    max_basis = max_basis or DEFAULT_MAX_BASIS
-    gens = list(system)
-    ring = gens[0].ring
-    basis = groebner_basis(gens, max_pairs=max_pairs, max_basis=max_basis)
     if is_trivial_basis(basis):
         raise ValueError("inconsistent system cannot be sliced")
-    h = hilbert_dimension(basis, nvars=ring.nvars)
-    if h <= 0:
+    ring = basis[0].ring
+    free = sorted(max_independent_set(basis, ring.nvars))
+    if not free:
         raise ValueError("slice requested for a zero-dimensional system")
-    free = sorted(max_independent_set(basis, ring.nvars))[:h]
-
-    tried = 0
-    for pins in _pin_assignments(h, attempts):
-        tried += 1
+    for tried, pins in enumerate(_pin_assignments(len(free)), start=1):
         extra = [
             Poly.variable(ring, v) - Poly.const(ring, val)
             for v, val in zip(free, pins)
         ]
-        pt = _try_slice(basis + extra, gens, precision, max_pairs, max_basis, accept)
+        pt = _try_slice(basis + extra, basis, precision, max_pairs, accept)
         if pt is not None:
             return pt
-        if tried >= attempts:
-            break
-    while tried < attempts:
-        tried += 1
-        extra = []
-        for _ in range(h):
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(ring.nvars)]
-            if all(c == 0 for c in coeffs):
-                coeffs[rng.randrange(ring.nvars)] = Fraction(1)
-            rhs = Fraction(rng.randint(-2, 2))
-            form = Poly.const(ring, -rhs)
-            for i, cf in enumerate(coeffs):
-                if cf:
-                    form = form + Poly.variable(ring, i) * cf
-            extra.append(form)
-        pt = _try_slice(basis + extra, gens, precision, max_pairs, max_basis, accept)
-        if pt is not None:
-            return pt
-    raise SliceExhausted(f"no particular solution within {attempts} slice attempts")
+    raise SliceExhausted(f"no particular solution within {tried} slice attempts")
 
 
-def _try_slice(augmented, original_gens, precision, max_pairs, max_basis, accept):
+def _try_slice(augmented, basis, precision, max_pairs, accept):
     try:
-        gb = groebner_basis(augmented, max_pairs=max_pairs, max_basis=max_basis)
+        gb = groebner_basis(augmented, max_pairs=max_pairs)
     except ResourceLimit:
         return None
     if is_trivial_basis(gb):
         return None
     if hilbert_dimension(gb, nvars=augmented[0].ring.nvars) != 0:
         return None
-    points = solve_zero_dimensional(
-        gb, precision=precision, max_pairs=max_pairs, max_basis=max_basis
-    )
+    points = solve_zero_dimensional(gb, precision=precision, max_pairs=max_pairs)
     for pt in points:
-        if _classify_point(pt, original_gens, precision) != "ok":
+        if _classify_point(pt, basis, precision) != "ok":
             continue
         if accept is not None and not accept(pt):
             continue

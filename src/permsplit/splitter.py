@@ -7,12 +7,12 @@ multiplicity k off the central idempotents.  For each hinted d, in ascending
 order, the generic invariant form is constrained by x_1 = d/N (the trace pins
 the coefficient of the identity basis matrix), the accumulated orthogonality
 forms are joined in, and the Groebner basis decides: inconsistent (advance
-d), zero-dimensional (enumerate and accept every solution), or
+d), zero-dimensional (enumerate and accept every solution; the dimension is
+done, as more constraints could only shrink that finite variety), or
 positive-dimensional (an irreducible that occurs more than once; one
-particular solution is sliced off).  A dimension is re-run until its system
-turns inconsistent, because freshly added orthogonality constraints can
-expose further components of equal dimension.  The loop never counts the
-projectors of a block; the certificate settles the counts.
+particular solution is sliced off that same basis, and the dimension re-runs
+with the new projector's orthogonality forms joined in).  The loop never
+counts the projectors of a block; the certificate settles the counts.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
@@ -29,13 +29,13 @@ InvariantViolation naming the failed checks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .centralizer import (
+    DEFAULT_RANK_CAP,
     OrbitalBasis,
     StructureConstants,
     compute_orbitals,
@@ -49,8 +49,16 @@ from .errors import (
 )
 from .exactfield import FieldElement
 from .perms import GeneratorSet
-from .polynomial import Poly, Ring, groebner_basis, hilbert_dimension, is_trivial_basis
+from .polynomial import (
+    DEFAULT_MAX_PAIRS,
+    Poly,
+    Ring,
+    groebner_basis,
+    hilbert_dimension,
+    is_trivial_basis,
+)
 from .solver import (
+    DEFAULT_PRECISION,
     SolutionPoint,
     particular_solution_on_slice,
     solve_zero_dimensional,
@@ -85,10 +93,9 @@ __all__ = [
 class SplitConfig:
     """Knobs for the splitting pipeline; defaults suit desk-scale inputs."""
 
-    max_groebner_pairs: int = 40000
-    slice_seed: int = 0
-    precision: int = 128
-    rank_cap: int = 64
+    max_groebner_pairs: int = DEFAULT_MAX_PAIRS
+    precision: int = DEFAULT_PRECISION
+    rank_cap: int = DEFAULT_RANK_CAP
     matrix_cap: int = 2000
     threads: int = 1
 
@@ -289,7 +296,6 @@ class _SplitState:
         self.found = 0
         self.events = []
         self.notes = []
-        self.rng = random.Random(config.slice_seed)
         self._current_d = None
 
     def d_system(self, d):
@@ -419,8 +425,7 @@ def _split_over(basis, consts, config, hint):
     every d = 1, 2, ..., until the family is complete; the certified family.
 
     With a right hint the full scan finds nothing between the hinted
-    dimensions, so the accepted projectors, their order and the slicing RNG
-    stream match it.  (Projectors with numeric coordinates are the
+    dimensions, so the accepted projectors and their order match it.  (Projectors with numeric coordinates are the
     exception: their orthogonality is not in the polynomial system, so the
     scan may meet sums of them at an unhinted d and filter them out, which
     the hinted run skips.)  Raises IncompleteDecomposition when the
@@ -463,12 +468,13 @@ def _certified(state: _SplitState):
 
 
 def _run_dimension(state: _SplitState, d):
-    """Process one candidate dimension until its system turns inconsistent.
+    """Process one candidate dimension: slice and re-run while the system is
+    positive-dimensional, then enumerate its solutions or meet inconsistency.
 
-    The Hilbert dimension only chooses between enumerating the solutions
-    (zero) and slicing off a particular one (positive); how many projectors
-    a dimension yields is left to the certificate.  When a slice happened at
-    d, every projector extracted at d is tagged as the block d.
+    The Hilbert dimension only chooses between enumerating and slicing; how
+    many projectors a dimension yields is left to the certificate.  When a
+    slice happened at d, every projector extracted at d is tagged as the
+    block d.
     """
     cfg = state.config
     state._current_d = d
@@ -499,22 +505,17 @@ def _run_dimension(state: _SplitState, d):
                 gb, precision=cfg.precision, max_pairs=cfg.max_groebner_pairs
             )
             points = [p for p in points if state.accept_candidate(p)]
-            if not points:
-                state.events.append(SplitEvent(d, "filtered", h, 0))
-                break
             for point in points:
                 process_single_solution(
                     state, state.make_projector(point, d, "uniqueSolution")
                 )
-            state.events.append(SplitEvent(d, "solutions", h, len(points)))
-            if state.found >= state.basis.degree:
-                break  # the family is complete; no re-run needed
-            continue
+            kind = "solutions" if points else "filtered"
+            state.events.append(SplitEvent(d, kind, h, len(points)))
+            break
         sliced = True
         try:
             point = particular_solution_on_slice(
-                polys,
-                state.rng,
+                gb,
                 precision=cfg.precision,
                 max_pairs=cfg.max_groebner_pairs,
                 accept=state.accept_candidate,

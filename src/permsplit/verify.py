@@ -228,14 +228,19 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
         sq = algebra_product(consts, p.coefficients, p.coefficients, precision)
         witness = _witness(sq, list(p.coefficients), precision)
         report.add(f"idempotency B[{m}] (d={p.dimension})", not witness, witness)
+    # in a commutative algebra B_j*B_i = B_i*B_j: one product per unordered pair
+    commutative = consts.is_commutative()
+    witnesses = {}
     for m1 in range(len(deco.projectors)):
         for m2 in range(len(deco.projectors)):
             if m1 == m2:
                 continue
-            a = deco.projectors[m1]
-            b = deco.projectors[m2]
-            prod = algebra_product(consts, a.coefficients, b.coefficients, precision)
-            witness = _witness(prod, precision=precision)
+            pair = (min(m1, m2), max(m1, m2)) if commutative else (m1, m2)
+            if pair not in witnesses:
+                a, b = (deco.projectors[m] for m in pair)
+                prod = algebra_product(consts, a.coefficients, b.coefficients, precision)
+                witnesses[pair] = _witness(prod, precision=precision)
+            witness = witnesses[pair]
             report.add(f"orthogonality B[{m1 + 1}]*B[{m2 + 1}]", not witness, witness)
     # completeness: sum of projectors equals the identity vector
     identity = _unit_vector(rank)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from permsplit import NotZeroDimensional, SplitConfig, cli
 from permsplit.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -120,9 +121,25 @@ class TestSplitCommand:
 
     def test_byte_identical_reports(self, tmp_path):
         path = petersen_file(tmp_path)
-        _, out1, _ = run_cli(["split", str(path), "--seed", "3"])
-        _, out2, _ = run_cli(["split", str(path), "--seed", "3"])
+        code1, out1, _ = run_cli(["split", str(path)])
+        code2, out2, _ = run_cli(["split", str(path)])
+        assert code1 == code2 == 0
+        assert out1
         assert out1 == out2
+
+    def test_defaults_are_split_config(self):
+        args = cli._build_parser().parse_args(["split", "FILE"])
+        assert cli._config_from_args(args) == SplitConfig()
+
+    def test_other_permsplit_error_exit_4(self, tmp_path, monkeypatch, capsys):
+        def raise_not_zero_dimensional(*args, **kwargs):
+            raise NotZeroDimensional("positive-dimensional system")
+
+        monkeypatch.setattr(cli, "split_from_constants", raise_not_zero_dimensional)
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        assert main(["split", str(path)]) == 4
+        assert "positive-dimensional system" in capsys.readouterr().err
 
     def test_matrix_verify_flag(self, tmp_path):
         path = tmp_path / "s3.gens"
@@ -239,6 +256,38 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", str(path), str(deco_path)])
         assert code == 5
         assert "FAIL" in out
+
+
+class TestMalformedDecompositionFile:
+    """``verify`` reports a malformed reference as a parse error, exit 1."""
+
+    def verify_against(self, tmp_path, capsys, reference):
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        ref = tmp_path / "s3.deco"
+        ref.write_text(reference)
+        code = main(["verify", str(path), str(ref)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, malformed", [
+        ("coeff 2 ", "coeff 2 1/2*sqrt("),
+        ("dimension 2", "dimension two"),
+    ], ids=["coefficient", "dimension"])
+    def test_malformed_text_line(self, tmp_path, capsys, field, malformed):
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(field))
+        lines[lineno - 1] = malformed
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err.startswith(f"parse error: line {lineno}: ")
+
+    def test_json_without_degree(self, tmp_path, capsys):
+        obj = decomposition_to_json(split(symmetric(3)))
+        del obj["degree"]
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err.startswith("parse error: ")
+        assert "degree" in err
 
 
 def test_main_callable_directly(tmp_path):

@@ -127,6 +127,13 @@ class TestOrbits:
                 # inverse word transports the point back to the base
                 assert tree.transport_to_base0(p - 1, p - 1) == 0
 
+    def test_tree_words_share_their_edges(self):
+        """Equal edge labels are one object, so the per-point word cache of
+        the orbital computation holds pointers, not a tuple per step."""
+        _, tree = orbit_with_tree(cyclic(9), 1)
+        edges = [edge for p in range(2, 10) for edge in tree.word_to(p)]
+        assert len({id(edge) for edge in edges}) == len(set(edges))
+
     def test_random_words_tree_vs_composition(self):
         rng = random.Random(11)
         gens = symmetric(4)

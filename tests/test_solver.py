@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +9,7 @@ from permsplit import (
     Poly,
     Ring,
     SliceExhausted,
+    groebner_basis,
     particular_solution_on_slice,
     solve_zero_dimensional,
 )
@@ -195,16 +195,14 @@ class TestSlicing:
         # x^2 - x in two variables: y free, pin y = 0, keep x = 0 by ordering
         r = Ring(("x", "y"), "degrevlex")
         x, y = Poly.variable(r, 0), Poly.variable(r, 1)
-        rng = random.Random(0)
-        pt = particular_solution_on_slice([x * x - x], rng)
+        pt = particular_solution_on_slice(groebner_basis([x * x - x]))
         assert pt.is_exact()
         assert [v.rational_value() for v in pt.values] == [0, 0]
 
     def test_zero_dimensional_rejected(self):
         r, x = one_var()
-        rng = random.Random(0)
         with pytest.raises(ValueError):
-            particular_solution_on_slice([x * x - 1], rng)
+            particular_solution_on_slice(groebner_basis([x * x - 1]))
 
     def test_inconsistent_pin_retries(self):
         # variety x = 1 with y free but constrained y*(y-1)*(y-2)... no:
@@ -213,24 +211,23 @@ class TestSlicing:
         r = Ring(("x", "y"), "degrevlex")
         x, y = Poly.variable(r, 0), Poly.variable(r, 1)
         gens = [x * (x - 1), x * y - y]
-        rng = random.Random(0)
-        pt = particular_solution_on_slice(gens, rng)
+        pt = particular_solution_on_slice(groebner_basis(gens))
         for g in gens:
             assert g.evaluate(list(pt.values)).is_zero()
 
     def test_accept_filter_and_exhaustion(self):
+        # h = 1: the eight pin values are all the attempts there are
         r = Ring(("x", "y"), "degrevlex")
         x, y = Poly.variable(r, 0), Poly.variable(r, 1)
-        rng = random.Random(0)
-        with pytest.raises(SliceExhausted):
+        with pytest.raises(SliceExhausted, match="within 8 slice attempts"):
             particular_solution_on_slice(
-                [x * x - x], rng, attempts=8, accept=lambda pt: False
+                groebner_basis([x * x - x]), accept=lambda pt: False
             )
 
-    def test_seed_determinism(self):
+    def test_determinism(self):
         r = Ring(("x", "y"), "degrevlex")
         x, y = Poly.variable(r, 0), Poly.variable(r, 1)
-        gens = [x * x - x]
-        a = particular_solution_on_slice(gens, random.Random(42))
-        b = particular_solution_on_slice(gens, random.Random(42))
+        basis = groebner_basis([x * x - x])
+        a = particular_solution_on_slice(basis)
+        b = particular_solution_on_slice(basis)
         assert a.values == b.values

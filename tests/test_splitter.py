@@ -276,10 +276,10 @@ class TestSplit:
         with pytest.raises(IntransitiveAction):
             split(g)
 
-    def test_seed_determinism(self):
+    def test_determinism(self):
         gens = regular_action(symmetric(3))
-        a = split(gens, SplitConfig(slice_seed=5))
-        b = split(gens, SplitConfig(slice_seed=5))
+        a = split(gens)
+        b = split(gens)
         assert [p.coefficients for p in a.projectors] == [
             p.coefficients for p in b.projectors
         ]
@@ -324,6 +324,21 @@ class TestCorpusProperties:
             assert key in keys
 
 
+    def test_slices_at_even_hilbert_and_enumerated_dimensions_end(self, corpus_member):
+        """The rank-r idempotents of an M_k block form a variety of dimension
+        2r(k-r), so every slice is at an even Hilbert dimension; and once a
+        dimension's solutions are enumerated, it is not solved again."""
+        name, _ = corpus_member
+        _assert_slicing_events(corpus_split(name).events)
+
+
+def _assert_slicing_events(events):
+    assert all(e.hilbert % 2 == 0 for e in events if e.kind == "slice")
+    for i, e in enumerate(events):
+        if e.kind == "solutions":
+            assert all(later.d != e.d for later in events[i + 1:]), events
+
+
 def _hinted_report(name):
     """The text report of the default split, which must have used the hint."""
     deco = corpus_split(name)
@@ -343,6 +358,7 @@ class TestDimensionOracle:
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
         scanned = split(gens)
         assert [e.kind for e in scanned.events][:1] == ["hint-fallback"]
+        _assert_slicing_events(scanned.events)
         assert render_decomposition_text(scanned) == expected
 
     def test_wrong_hint_falls_back(self, corpus_member, monkeypatch):

@@ -20,7 +20,7 @@ from permsplit import (
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
 from permsplit.verify import orbital_label_matrix, tensor_from_label_matrix
 
-from conftest import corpus_split, cyclic, petersen, regular_action, symmetric
+from conftest import CORPUS, corpus_split, cyclic, petersen, regular_action, symmetric
 from test_acceptance import _agl_generators
 
 FE = FieldElement
@@ -155,6 +155,31 @@ class TestAlgebraic:
             for r in range(basis.rank):
                 bad = _tweak(deco, m, r)
                 assert not verify_family_algebraic(consts, bad).passed, (m, r)
+
+
+    @pytest.mark.parametrize("name", ["A5_petersen", "C9_natural"])
+    def test_commutative_algebra_halves_orthogonality_products(self, name, monkeypatch):
+        """B_i*B_j = B_j*B_i when the algebra is commutative, so each
+        unordered pair is multiplied once; the report lines do not change."""
+        import permsplit.verify as verify_module
+
+        _, consts, deco = corpus_with_constants(name, dict(CORPUS)[name])
+        assert consts.is_commutative()
+        calls = []
+        real = verify_module.algebra_product
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "algebra_product", counted)
+        lines = verify_family_algebraic(consts, deco).lines()
+        commutative_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(type(consts), "is_commutative", lambda self: False)
+        assert verify_family_algebraic(consts, deco).lines() == lines
+        m = len(deco.projectors)
+        assert len(calls) - commutative_calls == m * (m - 1) // 2
 
 
 class TestMatrixLevel:
