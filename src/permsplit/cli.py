@@ -201,7 +201,7 @@ def render_decomposition_text(deco):
 
 def parse_decomposition_text(text):
     """The inverse of ``render_decomposition_text``; ParseError, with the
-    line number, on a malformed line."""
+    line number, on a malformed line or projector block."""
     degree = rank = lineno = None
     lengths = []
     projectors = []
@@ -220,6 +220,10 @@ def parse_decomposition_text(text):
             elif line.startswith("Decomposition:"):
                 continue
             elif line.startswith("projector"):
+                if current is not None:
+                    raise ParseError("projector before the open block's end", lineno)
+                if rank is None:
+                    raise ParseError("projector before the Rank header", lineno)
                 current = {"coeffs": {}}
             elif line == "end":
                 if current is None:
@@ -232,6 +236,8 @@ def parse_decomposition_text(text):
                 if key == "dimension":
                     current["dimension"] = int(rest)
                 elif key == "exact":
+                    if rest not in ("true", "false"):
+                        raise ParseError(f"exact must be true or false, not {rest!r}", lineno)
                     current["exact"] = rest == "true"
                 elif key == "provenance":
                     current["provenance"] = rest
@@ -241,20 +247,26 @@ def parse_decomposition_text(text):
                     current["conjugate_of"] = None if rest == "-" else int(rest) - 1
                 elif key == "coeff":
                     r, _, txt = rest.partition(" ")
-                    current["coeffs"][int(r)] = _parse_coefficient(txt.strip())
+                    r = int(r)
+                    if not 1 <= r <= rank:
+                        raise ParseError(f"coeff {r} outside 1..{rank}", lineno)
+                    if r in current["coeffs"]:
+                        raise ParseError(f"repeated coeff {r}", lineno)
+                    current["coeffs"][r] = _parse_coefficient(txt.strip())
                 else:
                     raise ParseError(f"unknown projector field {key!r}", lineno)
             else:
                 raise ParseError(f"unexpected line {line!r}", lineno)
     except (ArithmeticError, ValueError) as e:
         raise ParseError(f"malformed line: {e}", lineno) from e
+    if current is not None:
+        raise ParseError("projector without end", lineno)
     if degree is None or rank is None:
         raise ParseError("missing Degree/Rank headers")
     return Decomposition(
         degree=degree,
         rank=rank,
         projectors=projectors,
-        complete=True,
         suborbit_lengths=lengths,
     )
 
@@ -267,10 +279,12 @@ def _parse_coefficient(txt):
     return parse_field_element(txt), None
 
 
-def _projector_from_record(rec, rank, lineno):
+def _projector_from_record(rec, rank, lineno=None):
+    """One projector block's fields as a Projector; ParseError when a
+    coefficient is missing or the exact flag disagrees with their types."""
     coeffs = []
     precision = 128
-    for r in range(1, (rank or len(rec["coeffs"])) + 1):
+    for r in range(1, rank + 1):
         if r not in rec["coeffs"]:
             raise ParseError(f"missing coeff {r}", lineno)
         value, prec = rec["coeffs"][r]
@@ -278,10 +292,13 @@ def _projector_from_record(rec, rank, lineno):
         coeffs.append(value)
     if "dimension" not in rec:
         raise ParseError("missing dimension", lineno)
+    exact = all(isinstance(c, FieldElement) for c in coeffs)
+    if rec.get("exact", True) != exact:
+        raise ParseError(f"exact {str(not exact).lower()} disagrees with the coefficients", lineno)
     return Projector(
         coefficients=tuple(coeffs),
         dimension=rec["dimension"],
-        exact=rec.get("exact", True),
+        exact=exact,
         provenance=rec.get("provenance", "uniqueSolution"),
         precision=precision,
         block=rec.get("block"),
@@ -327,33 +344,26 @@ def decomposition_from_json(obj):
     """The inverse of ``decomposition_to_json``; ParseError on a missing or
     malformed field."""
     try:
+        rank = obj["rank"]
         projectors = []
         for rec in obj["projectors"]:
-            coeffs = []
-            precision = 128
-            for c in rec["coefficients"]:
+            if len(rec["coefficients"]) != rank:
+                raise ParseError(f"{len(rec['coefficients'])} coefficients for rank {rank}")
+            coeffs = {}
+            for r, c in enumerate(rec["coefficients"], start=1):
                 if "numeric" in c:
                     nv = c["numeric"]
-                    precision = int(nv.get("precision", 128))
-                    coeffs.append(_ball_from_strings(nv["re"], nv["im"], nv["rad"], precision))
+                    prec = int(nv.get("precision", 128))
+                    coeffs[r] = _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
                 else:
-                    coeffs.append(field_element_from_json(c))
+                    coeffs[r] = field_element_from_json(c), None
             projectors.append(
-                Projector(
-                    coefficients=tuple(coeffs),
-                    dimension=rec["dimension"],
-                    exact=rec["exact"],
-                    provenance=rec.get("provenance", "uniqueSolution"),
-                    precision=precision,
-                    block=rec.get("block"),
-                    conjugate_of=rec.get("conjugate_of"),
-                )
+                _projector_from_record(dict(rec, coeffs=coeffs, exact=rec["exact"]), rank)
             )
         return Decomposition(
             degree=obj["degree"],
-            rank=obj["rank"],
+            rank=rank,
             projectors=projectors,
-            complete=True,
             suborbit_lengths=list(obj["suborbit_lengths"]),
             notes=list(obj.get("notes", [])),
         )

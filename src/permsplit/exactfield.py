@@ -579,7 +579,7 @@ class ComplexBall:
         return mpmath.mpf(2) ** (6 - mpmath.mp.prec)
 
     def __add__(self, other):
-        other = _ball(other)
+        other = as_ball(other)
         mid = self.mid + other.mid
         spread = abs(self.mid) + abs(other.mid) + self.rad + other.rad
         # rounding error of the midpoint op scales with the operands, not the
@@ -593,14 +593,13 @@ class ComplexBall:
         return ComplexBall(-self.mid, self.rad)
 
     def __sub__(self, other):
-        other = _ball(other)
-        return self + (-other)
+        return self + (-as_ball(other))
 
     def __rsub__(self, other):
-        return _ball(other) + (-self)
+        return as_ball(other) + (-self)
 
     def __mul__(self, other):
-        other = _ball(other)
+        other = as_ball(other)
         mid = self.mid * other.mid
         am, bm = abs(self.mid), abs(other.mid)
         rad = am * other.rad + bm * self.rad + self.rad * other.rad
@@ -619,18 +618,14 @@ class ComplexBall:
         return f"ComplexBall({self.mid}, rad={mpmath.nstr(self.rad, 3)})"
 
 
-def as_ball(x, precision):
-    """A ComplexBall as is, or the enclosure of a FieldElement at ``precision``."""
-    if isinstance(x, ComplexBall):
-        return x
-    return x.to_complex(precision)
-
-
-def _ball(x):
+def as_ball(x, precision=None):
+    """``x`` as a ComplexBall: a ball as is, a FieldElement as its enclosure at
+    ``precision`` bits (None: the current working precision), a rational or
+    complex number as an exact midpoint."""
     if isinstance(x, ComplexBall):
         return x
     if isinstance(x, FieldElement):
-        return x.to_complex(mpmath.mp.prec)
+        return x.to_complex(mpmath.mp.prec if precision is None else precision)
     if isinstance(x, Fraction):
         return ComplexBall(mpmath.mpf(x.numerator) / x.denominator, 0)
     return ComplexBall(x, 0)

@@ -249,7 +249,8 @@ class Poly:
         return Poly(self.ring, out, _canonical=True)
 
     def evaluate(self, values):
-        """Full evaluation; ``values`` lists one FieldElement per variable."""
+        """Full evaluation; ``values`` lists one FieldElement per variable, or
+        one ComplexBall per variable for an enclosure of the value."""
         total = FieldElement.zero()
         for mono, c in self.terms.items():
             term = c

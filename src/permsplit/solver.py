@@ -6,12 +6,16 @@ under lex (weakest variable first) that element involves x_2..x_j only.
 Enumeration walks this chain: factor the univariate in the least variable,
 back-substitute, recurse.
 
-Exact root extraction covers degrees 1 and 2 over the tower plus rational
-roots of any degree; deeper factors are solved numerically (root finding plus
-Newton polishing, with enclosure verification by ball arithmetic and
-precision doubling) and flagged ``numeric``.  Exact coordinates substitute to
-exactly zero in every generator; numeric ones carry certified enclosures for
-which every generator's interval evaluation contains zero.
+A coordinate is one value: an exact FieldElement of the tower, or a
+ComplexBall enclosure, and its type is its flag.  Exact root extraction covers
+degrees 1 and 2 over the tower plus rational roots of any degree; deeper
+factors are solved numerically (root finding plus Newton polishing, with
+enclosure verification by ball arithmetic and precision doubling).  Each level
+of the enumeration substitutes the exact coordinates exactly and lifts its
+coefficients to balls only when a numeric coordinate is left.  Exact
+coordinates substitute to exactly zero in every generator; numeric ones are
+certified enclosures for which every generator's interval evaluation contains
+zero.
 
 A positive-dimensional system is sliced from the caller's Groebner basis:
 coordinate pins over the free variables its leading terms leave, tried in a
@@ -69,25 +73,26 @@ _PIN_VALUES = [
 class SolutionPoint:
     """One solution of a polynomial system over the ambient variables.
 
-    ``values[i]`` is the exact coordinate (FieldElement) where available,
-    else None with a certified enclosure in ``numeric_values[i]``.
+    ``values[i]`` is the coordinate: an exact FieldElement of the tower, or a
+    certified ComplexBall enclosure where the root lies outside it.  Its type
+    is the coordinate's flag, read per coordinate from ``exact``.
     """
 
     values: tuple
-    exact: tuple
-    numeric_values: tuple
     precision: int = DEFAULT_PRECISION
 
     def __len__(self):
         return len(self.values)
 
+    @property
+    def exact(self):
+        return tuple(isinstance(v, FieldElement) for v in self.values)
+
     def is_exact(self):
         return all(self.exact)
 
     def coordinate_ball(self, i, precision=None):
-        if self.exact[i]:
-            return self.values[i].to_complex(precision or self.precision)
-        return self.numeric_values[i]
+        return as_ball(self.values[i], precision or self.precision)
 
     def sort_key(self):
         """Lexicographic on (Re, Im) of the coordinate embeddings."""
@@ -188,19 +193,23 @@ def _quadratic_roots(coeffs):
     return [(-c1 + s) * inv, (-c1 - s) * inv]
 
 
-# -- ball evaluation -------------------------------------------------------------
+def _exact_roots(coeffs):
+    """The distinct roots of an exact univariate that lie in the tower, and the
+    residual factor left for the numeric solver (a constant when none is)."""
+    roots, residual = _rational_roots(coeffs)
+    if len(residual) == 2:
+        roots.append((-residual[0]) / residual[1])
+        residual = residual[:1]
+    elif len(residual) == 3:
+        qr = _quadratic_roots(residual)
+        if qr is not None:
+            roots.extend(qr)
+            residual = residual[:1]
+    # multiplicity is ignored: repeated roots collapse to one branch
+    return list(dict.fromkeys(roots)), residual
 
 
-def _eval_poly_at_balls(poly, balls, prec):
-    """Interval evaluation of a multivariate poly at per-variable balls."""
-    total = ComplexBall(mpmath.mpc(0), 0)
-    for mono, c in poly.terms.items():
-        term = as_ball(c, prec)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = term * balls[i]
-        total = total + term
-    return total
+# -- numeric roots ----------------------------------------------------------------
 
 
 def _numeric_roots(coeffs, prec):
@@ -321,7 +330,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION, max_pairs=DEFAUL
     prec = precision
     while True:
         points = []
-        _enumerate(chain, lex_ring, [], points, prec)
+        _enumerate(chain, [], points, prec)
         verified = []
         ambiguous = 0
         for pt in points:
@@ -342,119 +351,68 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION, max_pairs=DEFAUL
         prec *= 2
 
 
-def _enumerate(chain, ring, partial, sink, prec):
+def _enumerate(chain, partial, sink, prec):
     """Depth-first root enumeration along the triangular chain.
 
-    ``partial`` holds (value, ball) pairs for assigned variables.  Returns
-    False to request a global precision escalation.
+    ``partial`` holds the coordinates assigned so far, exact or enclosed.
+    While every coefficient is exact the tower roots come first; whatever
+    residual is left, and every level below a numeric coordinate, is solved
+    numerically.
     """
     j = len(partial)
     if j == len(chain):
-        values = tuple(v for v, _ in partial)
-        exact = tuple(v is not None for v, _ in partial)
-        balls = tuple(
-            None if v is not None else b for v, b in partial
-        )
-        sink.append(SolutionPoint(values, exact, balls, prec))
-        return True
-    g = chain[j]
-    # substitute exact coordinates exactly
-    sub = g
-    numeric_positions = []
-    for i, (v, b) in enumerate(partial):
-        if v is not None:
-            sub = sub.substitute(i, v)
-        else:
-            numeric_positions.append(i)
-    if not numeric_positions:
-        coeffs = _collect_univariate(sub, j)
-        roots_exact, residual = _rational_roots(coeffs)
-        if len(residual) == 2:
-            roots_exact.append((-residual[0]) / residual[1])
-            residual = residual[:1]
-        elif len(residual) == 3:
-            qr = _quadratic_roots(residual)
-            if qr is not None:
-                roots_exact.extend(qr)
-                residual = residual[:1]
-        # multiplicity is ignored: repeated roots collapse to one branch
-        seen_roots = set()
-        branches = []
-        for root in roots_exact:
-            if root not in seen_roots:
-                seen_roots.add(root)
-                branches.append((root, None))
-        if len(residual) > 1:
-            for b in _dedupe_balls(_numeric_roots(residual, prec), prec):
-                branches.append((None, b))
-    else:
-        # some earlier coordinate is numeric: the whole level goes numeric
-        balls_env = [
-            (b if v is None else None) for v, b in partial
-        ]
-        coeffs = _collect_univariate_balls(sub, j, balls_env, prec)
-        branches = [
-            (None, b) for b in _dedupe_balls(_numeric_roots(coeffs, prec), prec)
-        ]
-    for value, ball in branches:
-        if value is not None:
-            entry = (value, None)
-        else:
-            entry = (None, ball)
-        if not _enumerate(chain, ring, partial + [entry], sink, prec):
-            return False
-    return True
+        sink.append(SolutionPoint(tuple(partial), prec))
+        return
+    coeffs = _collect_univariate(chain[j], j, partial, prec)
+    roots = []
+    if all(isinstance(c, FieldElement) for c in coeffs):
+        roots, coeffs = _exact_roots(coeffs)
+    if len(coeffs) > 1:
+        roots += _dedupe_balls(_numeric_roots(coeffs, prec), prec)
+    for root in roots:
+        _enumerate(chain, partial + [root], sink, prec)
 
 
-def _collect_univariate(poly, var):
-    coeffs = {}
-    for mono, c in poly.terms.items():
-        e = mono[var]
-        rest = sum(mono) - e
-        if rest:
-            raise InvariantViolation("chain element not triangular after substitution")
-        prev = coeffs.get(e)
-        coeffs[e] = c if prev is None else prev + c
-    deg = max(coeffs, default=0)
-    return [coeffs.get(e, FieldElement.zero()) for e in range(deg + 1)]
+def _collect_univariate(poly, var, partial, prec):
+    """Coefficients of x_var in ``poly`` at the assigned coordinates.
 
-
-def _collect_univariate_balls(poly, var, balls_env, prec):
-    """Coefficients of x_var as balls, with earlier numeric vars evaluated."""
+    Exact coordinates are substituted exactly.  When a numeric one is left,
+    the coefficients are lifted to balls and it is evaluated by enclosure.
+    """
+    for i, v in enumerate(partial):
+        if isinstance(v, FieldElement):
+            poly = poly.substitute(i, v)
+    lift = not all(isinstance(v, FieldElement) for v in partial)
     with mpmath.workprec(prec + 40):
         buckets = {}
         for mono, c in poly.terms.items():
-            e = mono[var]
-            term = as_ball(c, prec)
+            term = as_ball(c, prec) if lift else c
             for i, exp in enumerate(mono):
                 if i == var or not exp:
                     continue
-                b = balls_env[i]
-                if b is None:
-                    raise InvariantViolation(
-                        "unexpected free variable in chain element"
-                    )
+                if i > var:
+                    raise InvariantViolation("chain element not triangular after substitution")
                 for _ in range(exp):
-                    term = term * b
+                    term = term * partial[i]
+            e = mono[var]
             prev = buckets.get(e)
             buckets[e] = term if prev is None else prev + term
-        deg = max(buckets, default=0)
-        zero = ComplexBall(mpmath.mpc(0), 0)
-        return [buckets.get(e, zero) for e in range(deg + 1)]
+        zero = FieldElement.zero()
+        return [buckets.get(e, zero) for e in range(max(buckets, default=0) + 1)]
 
 
 def _classify_point(point, polys, prec):
     """'ok' when every residual encloses zero, 'reject' when some residual is
     confidently nonzero, 'ambiguous' otherwise (requesting more precision)."""
     if point.is_exact():
-        good = all(p.evaluate(list(point.values)).is_zero() for p in polys)
+        good = all(p.evaluate(point.values).is_zero() for p in polys)
         return "ok" if good else "reject"
     margin = mpmath.mpf(2) ** 24
     status = "ok"
     with mpmath.workprec(prec + 40):
         balls = [point.coordinate_ball(i, prec) for i in range(len(point))]
         for p in polys:
-            res = _eval_poly_at_balls(p, balls, prec)
+            res = p.evaluate(balls)
             if res.contains_zero():
                 continue
             if abs(res.mid) > res.rad * margin:
@@ -467,7 +425,7 @@ def _assert_exact_roots(points, original_gens):
     for pt in points:
         if pt.is_exact():
             for g in original_gens:
-                if not g.evaluate(list(pt.values)).is_zero():
+                if not g.evaluate(pt.values).is_zero():
                     raise InvariantViolation(
                         "exact solution does not annihilate a generator"
                     )

@@ -144,7 +144,6 @@ class Decomposition:
     degree: int
     rank: int
     projectors: list
-    complete: bool
     suborbit_lengths: list
     events: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -338,13 +337,7 @@ class _SplitState:
 
     def _point_to_coeffs(self, point, d):
         b1 = FieldElement.from_rational(Fraction(d, self.basis.degree))
-        coeffs = [b1]
-        for i in range(len(point)):
-            if point.exact[i]:
-                coeffs.append(point.values[i])
-            else:
-                coeffs.append(point.numeric_values[i])
-        return tuple(coeffs)
+        return (b1,) + point.values
 
     def make_projector(self, point, d, provenance):
         return Projector(
@@ -459,7 +452,6 @@ def _certified(state: _SplitState):
         degree=state.basis.degree,
         rank=state.basis.rank,
         projectors=state.projectors,
-        complete=True,
         suborbit_lengths=state.basis.lengths_in_order(),
         events=state.events,
         notes=state.notes,
@@ -491,7 +483,7 @@ def _run_dimension(state: _SplitState, d):
             break
         if not polys:
             # rank 1 action: the empty system has the single empty solution
-            point = SolutionPoint((), (), (), cfg.precision)
+            point = SolutionPoint((), cfg.precision)
             process_single_solution(state, state.make_projector(point, d, "uniqueSolution"))
             state.events.append(SplitEvent(d, "solutions", 0, 1))
             break

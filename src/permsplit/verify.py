@@ -2,8 +2,10 @@
 in the centralizer algebra that it rests on.
 
 ``algebra_product``, ``primitivity_traces`` and the zero test ``_vanishes``
-work on coefficient vectors in the ordered orbital basis, exactly over the
-tower, or through certified enclosures where a coordinate is numeric.
+work on coefficient vectors in the ordered orbital basis, whose entries are
+exact FieldElements or ComplexBall enclosures.  Each runs one loop: exact over
+the tower when every entry is exact, and otherwise on every entry lifted to a
+ball, so a numeric coordinate yields a certified enclosure.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
@@ -51,42 +53,39 @@ NUMERIC_TOLERANCE = 1e-10
 # -- products in the centralizer algebra ---------------------------------------
 
 
+def _lifted(values, precision):
+    """``values`` as they are when every one is exact; else every one as a ball
+    at ``precision``, so that exact and enclosed entries meet in one loop."""
+    if all(isinstance(x, FieldElement) for x in values):
+        return list(values)
+    return [as_ball(x, precision) for x in values]
+
+
+def _support(vec):
+    """Indices of the entries of vec that are not exact zeros."""
+    return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
+
+
 def algebra_product(consts: StructureConstants, a, b, precision=128):
     """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
 
-    Exact when both vectors are exact; otherwise interval arithmetic.
+    Exact when both vectors are exact; otherwise every entry is lifted to a
+    ball and the product is an enclosure.
     """
     rank = consts.rank
-    exact = all(isinstance(x, FieldElement) for x in a) and all(
-        isinstance(x, FieldElement) for x in b
-    )
-    if exact:
-        out = [FieldElement.zero() for _ in range(rank)]
-        for p in range(1, rank + 1):
-            if a[p - 1].is_zero():
-                continue
-            for q in range(1, rank + 1):
-                if b[q - 1].is_zero():
-                    continue
-                ab = a[p - 1] * b[q - 1]
-                col = consts.table[p, q]
-                for r in range(1, rank + 1):
-                    c = int(col[r])
-                    if c:
-                        out[r - 1] = out[r - 1] + ab.scaled(c)
-        return out
     with mpmath.workprec(precision + 40):
-        ab_balls = [as_ball(x, precision) for x in a]
-        bb_balls = [as_ball(x, precision) for x in b]
-        out = [ComplexBall(mpmath.mpc(0), 0) for _ in range(rank)]
-        for p in range(1, rank + 1):
-            for q in range(1, rank + 1):
-                prod = ab_balls[p - 1] * bb_balls[q - 1]
-                col = consts.table[p, q]
-                for r in range(1, rank + 1):
-                    c = int(col[r])
+        lifted = _lifted((*a, *b), precision)
+        la, lb = lifted[: len(a)], lifted[len(a) :]
+        out = [FieldElement.zero()] * rank
+        support_b = _support(b)
+        for p in _support(a):
+            for q in support_b:
+                ab = la[p] * lb[q]
+                col = consts.table[p + 1, q + 1]
+                for r in range(rank):
+                    c = int(col[r + 1])
                     if c:
-                        out[r - 1] = out[r - 1] + prod * ComplexBall(mpmath.mpc(c), 0)
+                        out[r] = out[r] + ab * c
         return out
 
 
@@ -99,19 +98,11 @@ def _first_nonzero(vec, reference=None, precision=128):
     """
     with mpmath.workprec(precision + 40):
         for r, v in enumerate(vec, start=1):
-            want = None if reference is None else reference[r - 1]
-            if isinstance(v, FieldElement) and (
-                want is None or isinstance(want, FieldElement)
-            ):
-                diff = v if want is None else v - want
-                if not diff.is_zero():
-                    return r, diff
-            else:
-                b = as_ball(v, precision)
-                if want is not None:
-                    b = b - as_ball(want, precision)
-                if not b.contains_zero():
-                    return r, b
+            if reference is not None:
+                v, want = _lifted((v, reference[r - 1]), precision)
+                v = v - want
+            if not (v.contains_zero() if isinstance(v, ComplexBall) else v.is_zero()):
+                return r, v
     return None
 
 
@@ -139,25 +130,16 @@ def primitivity_traces(consts: StructureConstants, vectors, precision=128):
         for p in range(consts.rank)
     ]
     out = []
-    for e in vectors:
-        if all(isinstance(x, FieldElement) for x in e):
+    with mpmath.workprec(precision + 40):
+        for e in vectors:
+            lifted = _lifted(e, precision)
             total = FieldElement.zero()
-            for p, row in enumerate(pairs):
-                if row and not e[p].is_zero():
+            for p in _support(e):
+                if pairs[p]:
                     inner = FieldElement.zero()
-                    for s, t in row:
-                        inner = inner + e[s].scaled(t)
-                    total = total + e[p] * inner
-            out.append(total)
-            continue
-        with mpmath.workprec(precision + 40):
-            balls = [as_ball(x, precision) for x in e]
-            total = ComplexBall(0)
-            for p, row in enumerate(pairs):
-                inner = ComplexBall(0)
-                for s, t in row:
-                    inner = inner + balls[s] * t
-                total = total + balls[p] * inner
+                    for s, t in pairs[p]:
+                        inner = inner + lifted[s] * t
+                    total = total + lifted[p] * inner
             out.append(total)
     return out
 
@@ -209,9 +191,7 @@ def _witness(vec, reference=None, precision=128):
     if hit is None:
         return ""
     r, diff = hit
-    if isinstance(diff, FieldElement):
-        return f"r={r}: {render_field_element(diff)}"
-    return f"r={r}: ~{complex(diff.mid)}"
+    return f"r={r}: {_render(diff)}"
 
 
 def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, precision=128):
@@ -267,14 +247,15 @@ def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, pre
     )
     for m, t in enumerate(traces, start=1):
         ok = is_unit_trace(t)
-        report.add(f"primitivity B[{m}]", ok, "" if ok else f"dim B A B = {_render_trace(t)}")
+        report.add(f"primitivity B[{m}]", ok, "" if ok else f"dim B A B = {_render(t)}")
     return report
 
 
-def _render_trace(t):
-    if isinstance(t, FieldElement):
-        return render_field_element(t)
-    return f"~{complex(t.mid)}"
+def _render(x):
+    """An exact value in tower notation, a ball by its midpoint."""
+    if isinstance(x, FieldElement):
+        return render_field_element(x)
+    return f"~{complex(x.mid)}"
 
 
 def _unit_vector(rank):
@@ -283,17 +264,12 @@ def _unit_vector(rank):
 
 
 def _coefficient_sum(projectors, rank, precision):
-    """Coefficients of sum_m B[m]; exact where every summand is exact."""
+    """Coefficients of sum_m B[m]; exact when every coefficient is exact."""
+    lifted = _lifted([c for p in projectors for c in p.coefficients], precision)
     total = [FieldElement.zero()] * rank
-    for p in projectors:
-        total = [_add_mixed(a, c, precision) for a, c in zip(total, p.coefficients)]
+    for m in range(0, len(lifted), rank):
+        total = [a + c for a, c in zip(total, lifted[m : m + rank])]
     return total
-
-
-def _add_mixed(a, b, precision):
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-        return a + b
-    return as_ball(a, precision) + as_ball(b, precision)
 
 
 # -- matrix-level checks -----------------------------------------------------------
@@ -413,12 +389,11 @@ def verify_matrix_level(
 
 
 def _coeffs_equal(a, b, precision=128):
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement):
+    a, b = _lifted((a, b), precision)
+    if isinstance(a, FieldElement):
         return a == b
-    ba = as_ball(a, precision)
-    bb = as_ball(b, precision)
-    diff = ba - bb
-    tol = mpmath.mpf(NUMERIC_TOLERANCE) * (1 + abs(bb.mid))
+    diff = a - b
+    tol = mpmath.mpf(NUMERIC_TOLERANCE) * (1 + abs(b.mid))
     return bool(abs(diff.mid) <= max(diff.rad, tol))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,7 +14,15 @@ from permsplit.cli import (
     render_decomposition_text,
 )
 from permsplit import split
-from conftest import cyclic, duplicate_first_projector, petersen, regular_action, symmetric
+from conftest import (
+    CORPUS,
+    corpus_split,
+    cyclic,
+    duplicate_first_projector,
+    petersen,
+    regular_action,
+    symmetric,
+)
 
 S3_TEXT = "degree 3\ngen (1,2,3)\ngen (1,2)\n"
 PETERSEN_TEXT = None
@@ -258,6 +267,93 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+# sha256 of the text report of every corpus action.  Reports are
+# byte-identical for the same input, so a change that moves any of these
+# changes what permsplit prints for that action.
+CORPUS_REPORT_SHA256 = {
+    "C4_regular": "ea3222c0901a664413f53cbc11b0d17382af38b9e1681b6df1090501a78d186d",
+    "C5_natural": "fc89d9516df325323d56f20dc37eaaf72a0a543d7aa2ed2218d2e14e9b593c45",
+    "C6_natural": "d7ebe46c2a174c52b3c8e98a298692f36b79682ebbb052c16d414f9c48388e11",
+    "C7_natural": "c6b5b26bff9bcf31f3b29349277d1fc5fe369ebed035a547f0a1ecdd74b59103",
+    "C8_natural": "2801a0bcb4d350e8ee81918d3536dec4f20f313990986cde05501c7074ab34e5",
+    "C9_natural": "fc1de7057dea00880868cf224f5dd04836c09fc736225f3e67a36b819a2d62fb",
+    "D4_natural": "1a08fbd511ed3f9708c555ecdc3f85f0627f8dbab11197dc7cbd13beb9a4e546",
+    "D5_natural": "6180994932cbdc719b1abcdf1d7f5232043d6fbbeb65611b0ab73e40e6cb4d29",
+    "D6_natural": "f1d655f4d1098cda193fd835c7fc63e737e2b607a3ea7beac472ee9c59d2beb5",
+    "D7_natural": "72f376e880f1fb5cb466fc991ce2c3f69f56dffca7e92103da79ce80670f3c05",
+    "S3_natural": "aa867a9a0abc68e9231c80e3c01bf23a77d0ee1101758fa2539a89e75f870bad",
+    "S4_natural": "74d49b7b0af230578fab1c474a98589f940e619db5aac4d28474073c20e18a50",
+    "A4_natural": "74d49b7b0af230578fab1c474a98589f940e619db5aac4d28474073c20e18a50",
+    "A5_natural": "41258f1f04c93acca1587f2c20b41e9cc9fb3db34c3ed2b6ae5563c354d3147e",
+    "S4_pairs": "b8db04993570ae825826a90fb15eb82232ed1fb2ff99dd100e07146c3d13a1f4",
+    "A4_pairs": "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
+    "A5_petersen": "0f66525366421969eb31354b30074e0df51fe47819950203c2dd68747605be5e",
+    "S3_regular": "3b98b4d5b336b76201834388e7a5be39cc4a675ebedf1a39cd9cb36c519ef31e",
+    "D4_regular": "dadeaf3c03df604ad8648c0b78900b0a6d3dcc8fa9004081b32c2ea15df6e5fb",
+    "Q8_regular": "0522c07ebef636874411e1e06a6753684fbdb126263764d69a01ee7198faccff",
+    "V4_regular": "033a72be94ad578afee7e30e85891b4fea849080b1b79a9fb69fa6f9c35b3974",
+    "F21_natural": "1e32139c64e010ebd63b26f45394d4b3d05e5f534acd4c97bde2f8b1b410379c",
+    "C2wrC3": "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
+    "S3wrC2": "8393d5c29bfbb6ec34cf682e01cb6f7c776a258c67c21818c05d2bcbd5fd370a",
+    "C3wrC2": "4a2f5c8499fff7013f2e3b621aae2c7ed7cd8bab1ad9c8f4b2f93218fd3c3541",
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_corpus_report_is_pinned(name):
+    text = render_decomposition_text(corpus_split(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_REPORT_SHA256[name]
+
+
+# Edits of the S3 reference text that leave one projector block malformed;
+# each returns the line number the parse error must name.
+
+
+def _projector_before_end(lines):
+    del lines[lines.index("end")]
+    return lines.index("projector 2") + 1
+
+
+def _coeff_out_of_range(lines):
+    at = lines.index("coeff 2 1/3") + 1
+    lines.insert(at, "coeff 7 5")
+    return at + 1
+
+
+def _coeff_zero(lines):
+    at = lines.index("coeff 2 1/3") + 1
+    lines.insert(at, "coeff 0 5")
+    return at + 1
+
+
+def _repeated_coeff(lines):
+    at = lines.index("coeff 2 1/3") + 1
+    lines.insert(at, "coeff 2 1/3")
+    return at + 1
+
+
+def _exact_flag_false(lines):
+    lines[lines.index("exact true")] = "exact false"
+    return lines.index("end") + 1
+
+
+def _exact_flag_true_on_numeric(lines):
+    lines[lines.index("coeff 2 1/3")] = "coeff 2 numeric 0.333333333333333333333333 0.0 1e-30 128"
+    return lines.index("end") + 1
+
+
+def _exact_flag_not_boolean(lines):
+    at = lines.index("exact true")
+    lines[at] = "exact maybe"
+    return at + 1
+
+
+def _projector_without_end(lines):
+    at = len(lines) - 1 - lines[::-1].index("end")
+    del lines[at]
+    return len(lines)
+
+
 class TestMalformedDecompositionFile:
     """``verify`` reports a malformed reference as a parse error, exit 1."""
 
@@ -267,7 +363,9 @@ class TestMalformedDecompositionFile:
         ref = tmp_path / "s3.deco"
         ref.write_text(reference)
         code = main(["verify", str(path), str(ref)])
-        return code, capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
 
     @pytest.mark.parametrize("field, malformed", [
         ("coeff 2 ", "coeff 2 1/2*sqrt("),
@@ -288,6 +386,35 @@ class TestMalformedDecompositionFile:
         assert code == 1
         assert err.startswith("parse error: ")
         assert "degree" in err
+
+    @pytest.mark.parametrize("edit", [
+        _projector_before_end,
+        _coeff_out_of_range,
+        _coeff_zero,
+        _repeated_coeff,
+        _exact_flag_false,
+        _exact_flag_true_on_numeric,
+        _exact_flag_not_boolean,
+        _projector_without_end,
+    ], ids=lambda edit: edit.__name__.strip("_"))
+    def test_malformed_projector_block(self, tmp_path, capsys, edit):
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lineno = edit(lines)
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err.startswith(f"parse error: line {lineno}: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["coefficients"].pop(),
+        lambda p: p["coefficients"].append(p["coefficients"][0]),
+        lambda p: p.update(exact=False),
+    ], ids=["fewer-coefficients", "more-coefficients", "exact-flag"])
+    def test_malformed_json_projector(self, tmp_path, capsys, edit):
+        obj = decomposition_to_json(split(symmetric(3)))
+        edit(obj["projectors"][0])
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err.startswith("parse error: ")
 
 
 def test_main_callable_directly(tmp_path):

@@ -1,9 +1,11 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_import_does_not_load_scipy():
@@ -56,3 +58,20 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert "InvariantViolation" in defined
     assert defined <= raised, f"never raised: {sorted(defined - raised)}"
+
+
+def test_benchmark_smoke_workload_runs():
+    """The benchmark reads library attributes that tier-1 does not otherwise
+    touch through it (per-coordinate ``SolutionPoint.exact``,
+    ``Projector.exact``, ``verify_matrix_level(mode=)``,
+    ``SplitConfig.threads`` and the functions it wraps); its smoke workload
+    must still run and pass its own gate."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "smoke",
+         "--seed", "5", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

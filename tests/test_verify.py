@@ -56,7 +56,6 @@ def _family(consts, degree, vectors, dims):
             )
             for v, d in zip(vectors, dims)
         ],
-        complete=True,
         suborbit_lengths=[],
     )
 
@@ -272,7 +271,6 @@ class TestMatrixLevel:
             degree=5,
             rank=3,
             projectors=[Projector((fe(1), fe(0), fe(0)), 5, True, "uniqueSolution")],
-            complete=True,
             suborbit_lengths=[],
         )
         report = verify_matrix_level(gens, fused, identity)
