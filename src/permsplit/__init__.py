@@ -28,7 +28,6 @@ from .perms import (
     orbit_with_tree,
     parse_generators,
     parse_generator_text,
-    stabilizer_generators,
 )
 from .centralizer import (
     OrbitalBasis,

@@ -2,24 +2,19 @@
 
 The basis matrices A_1..A_R are 0/1 matrices supported on the orbitals of the
 group acting diagonally on ordered pairs; they are never materialized here.
-Everything is driven by the suborbit partition of the point-1 stabilizer plus
-Schreier-word translation, so no N x N storage is ever allocated.
+Everything is driven by the suborbit partition of the point-1 stabilizer and
+by transport along the Schreier tree's parent links, so no N x N storage is
+ever allocated.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IntransitiveAction, InvariantViolation, ResourceLimit
-from .perms import (
-    GeneratorSet,
-    SchreierTree,
-    orbit_with_tree,
-    schreier_generator_array,
-)
+from .perms import GeneratorSet, SchreierTree, orbit_with_tree
 
 __all__ = [
     "OrbitalBasis",
@@ -62,8 +57,8 @@ class OrbitalBasis:
     def orbital_of_pair(self, x, y):
         """Orbital index of an arbitrary ordered pair (1-based points).
 
-        Translates x to the base point along its Schreier word and reads the
-        suborbit index of the transported y; costs O(tree depth).
+        Transports x to the base point along the tree's parent links and
+        reads the suborbit index of the transported y; costs O(tree depth).
         """
         y0 = self.tree.transport_to_base0(x - 1, y - 1)
         return int(self.sidx0[y0])
@@ -71,15 +66,11 @@ class OrbitalBasis:
     def orbital_row(self, x):
         """Orbital indices of the pairs (x, y) over all points y (0-based y).
 
-        The vectorised twin of ``orbital_of_pair``: ``sidx0`` composed with
-        the inverse of the tree word base -> x, one array pass per edge.
+        The vectorised twin of ``orbital_of_pair``: one array pass per tree
+        edge between x and the base.
         """
-        gens = self.tree.gens.generators
-        arr = np.arange(self.degree, dtype=np.int64)
-        for gi, d in reversed(self.tree.word_to(x)):
-            g = gens[gi]
-            arr = g.inv_images0[arr] if d > 0 else g.images0[arr]
-        return self.sidx0[arr]
+        points = np.arange(self.degree, dtype=np.int64)
+        return self.sidx0[self.tree.transport_to_base0(x - 1, points)]
 
     def lengths_in_order(self):
         return [int(self.suborbit_lengths[r]) for r in range(1, self.rank + 1)]
@@ -104,25 +95,33 @@ class StructureConstants:
 def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     """Partition of points into orbits of the point-base stabilizer.
 
-    Processes every Schreier generator u_p s u_{p^s}^{-1}; a generator whose
-    action respects the current partition is skipped after one O(N) check, so
+    With t_x the transport x -> base and q = p^s, the Schreier generator
+    u_p·s·u_q^{-1} keeps the partition exactly when labels[t_p(y)] equals
+    labels[t_q(y^s)] for every y.  t_p is built once per point, one
+    generator that respects the partition costs one O(N) check, and the
+    N−1 tree edges, whose generators are the identity, cost nothing; so
     coarse partitions (low rank) converge quickly even for large N.
     """
     n = gens.degree
-    labels = np.arange(n, dtype=np.int64)
-    words = {}
+    points = np.arange(n, dtype=np.int64)
+    labels = points
     for p0 in range(n):
-        for g in gens.generators:
-            arr = schreier_generator_array(tree, p0, g, words)
-            lab_img = labels[arr]
-            if np.array_equal(lab_img, labels):
+        row_p = None
+        for gi, s in enumerate(gens.generators):
+            if tree.is_edge0(p0, gi):
                 continue
-            labels = _merge_cells(labels, lab_img)
+            if row_p is None:
+                row_p = tree.transport_to_base0(p0, points)
+            q0 = int(s.images0[p0])
+            here = labels[row_p]
+            there = labels[tree.transport_to_base0(q0, s.images0)]
+            if not np.array_equal(here, there):
+                labels = _merge_cells(labels, here, there)
     return labels
 
 
-def _merge_cells(labels, linked):
-    """Relabel cells so that labels[i] and linked[i] share a cell.
+def _merge_cells(labels, here, there):
+    """Relabel cells so that the cells here[i] and there[i] are one cell.
 
     A label union on the cells: every linked pair hooks its two roots onto
     the smaller one, then pointer jumping flattens the forest, until every
@@ -131,7 +130,7 @@ def _merge_cells(labels, linked):
     """
     parent = np.arange(int(labels.max()) + 1, dtype=np.int64)
     while True:
-        ra, rb = parent[labels], parent[linked]
+        ra, rb = parent[here], parent[there]
         if np.array_equal(ra, rb):
             break
         low = np.minimum(ra, rb)
@@ -156,7 +155,6 @@ def order_basis(cells, tree: SchreierTree, degree: int):
     minimal point of the transpose suborbit; within a pair the member with
     the smaller i_X leads.
     """
-    cell_ids = {}
     members = {}
     for p0 in range(degree):
         c = int(cells[p0])
@@ -269,23 +267,16 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
     For each r the count runs over all N points k of the pair
     (j_r, k) in Delta_p, (k, 1) in Delta_q with (j_r, 1) a fixed
     representative of Delta_r; orbital membership of arbitrary pairs is read
-    off via Schreier-word translation.  Slabs for distinct r are independent
-    and may be computed concurrently; the merge is by index, hence
-    deterministic.
+    off by transport along the Schreier tree.  ``threads`` is accepted for
+    the benchmark's calls only and selects nothing: the slabs are computed
+    in one loop.
     """
     rank = basis.rank
     # orbital of (k, 1) is the transpose of the orbital of (1, k): constant in r
     q_vec = basis.transpose_of[basis.sidx0]
     table = np.zeros((rank + 1, rank + 1, rank + 1), dtype=np.int64)
-    rs = range(1, rank + 1)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            slabs = list(ex.map(lambda r: _constants_slab(basis, q_vec, r), rs))
-        for r, slab in zip(rs, slabs):
-            table[:, :, r] = slab
-    else:
-        for r in rs:
-            table[:, :, r] = _constants_slab(basis, q_vec, r)
+    for r in range(1, rank + 1):
+        table[:, :, r] = _constants_slab(basis, q_vec, r)
     table.setflags(write=False)
     consts = StructureConstants(rank=rank, table=table)
     _check_constants(basis, consts)

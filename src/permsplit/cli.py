@@ -393,7 +393,6 @@ def _config_from_args(args):
         precision=args.precision,
         rank_cap=args.rank_cap,
         matrix_cap=args.matrix_cap,
-        threads=args.threads,
     )
 
 
@@ -407,7 +406,7 @@ def cmd_analyze(args):
     basis = compute_orbitals(gens, rank_cap=args.rank_cap)
     consts = None
     if args.tensor or args.constants:
-        consts = compute_structure_constants(gens, basis, threads=args.threads)
+        consts = compute_structure_constants(gens, basis)
     elapsed = time.perf_counter() - t0
     if _wants_json(args):
         obj = analyze_to_json(basis, consts, include_tensor=args.tensor)
@@ -422,7 +421,7 @@ def cmd_split(args):
     t0 = time.perf_counter()
     gens = parse_generators(args.file)
     basis = compute_orbitals(gens, rank_cap=args.rank_cap)
-    consts = compute_structure_constants(gens, basis, threads=args.threads)
+    consts = compute_structure_constants(gens, basis)
     t_analyze = time.perf_counter() - t0
     config = _config_from_args(args)
     deco = split_from_constants(basis, consts, config)
@@ -448,7 +447,7 @@ def cmd_verify(args):
     gens = parse_generators(args.file)
     ref = load_decomposition(args.decomposition)
     basis = compute_orbitals(gens, rank_cap=args.rank_cap)
-    consts = compute_structure_constants(gens, basis, threads=args.threads)
+    consts = compute_structure_constants(gens, basis)
     config = _config_from_args(args)
     deco = split_from_constants(basis, consts, config)
     report = compare_to_reference(deco, ref)
@@ -476,7 +475,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--json", action="store_true", help="shorthand for --format json")
-        p.add_argument("--threads", type=int, default=defaults.threads)
         p.add_argument("--rank-cap", type=int, default=defaults.rank_cap, dest="rank_cap")
 
     pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
@@ -488,10 +486,17 @@ def _build_parser():
                     help="compute structure constants for the commutativity line")
     pa.set_defaults(func=cmd_analyze)
 
+    def bits(text):
+        # enclosures start from double precision, so fewer bits cannot hold one
+        value = int(text)
+        if value < 53:
+            raise argparse.ArgumentTypeError(f"must be at least 53 bits, got {value}")
+        return value
+
     def split_opts(p):
         p.add_argument("--max-groebner-pairs", type=int,
                        default=defaults.max_groebner_pairs, dest="max_groebner_pairs")
-        p.add_argument("--precision", type=int, default=defaults.precision)
+        p.add_argument("--precision", type=bits, default=defaults.precision)
         p.add_argument("--matrix-cap", type=int, default=defaults.matrix_cap,
                        dest="matrix_cap")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "parse_generator_text",
     "orbit_with_tree",
     "is_transitive",
-    "stabilizer_generators",
 ]
 
 
@@ -173,12 +171,6 @@ class GeneratorSet:
         return iter(self.generators)
 
 
-@lru_cache(maxsize=None)
-def _edge(gen_index, direction):
-    """One shared tuple per edge label, so cached tree words hold pointers."""
-    return gen_index, direction
-
-
 @dataclass(frozen=True)
 class SchreierTree:
     """BFS tree over one orbit.
@@ -197,46 +189,39 @@ class SchreierTree:
     depth: np.ndarray             # -1 outside the orbit
     gens: GeneratorSet = field(repr=False)
 
-    def word_to(self, point):
-        """Edge list (gen_index, direction) whose application maps base to point."""
-        p0 = point - 1
-        if self.depth[p0] < 0:
-            raise ValueError(f"point {point} not in orbit of {self.base}")
-        rev = []
-        while p0 != self.base - 1:
-            rev.append(_edge(int(self.gen_index[p0]), int(self.direction[p0])))
-            p0 = int(self.parent0[p0])
-        rev.reverse()
-        return rev
-
-    def apply_word0(self, word, p0, inverse=False):
-        """Apply an edge list (or its inverse) to a 0-based point, O(depth)."""
-        gens = self.gens.generators
-        steps = reversed(word) if inverse else word
-        for gi, d in steps:
-            g = gens[gi]
-            arr = g.images0 if (d > 0) != inverse else g.inv_images0
-            p0 = int(arr[p0])
-        return p0
-
     def transport_to_base0(self, x0, y0):
         """Image of y under the inverse of the tree word base -> x (0-based).
 
-        Walks x up to the base, undoing one edge at a time; O(depth), no
-        transversal permutations are ever stored.
+        ``y0`` is one point or an index array, and so is the result.  Walks
+        x up to the base along ``parent0``, undoing one edge at a time:
+        O(depth) lookups or array passes, and no words or transversal
+        permutations are ever stored.
         """
+        if self.depth[x0] < 0:
+            raise ValueError(f"point {x0 + 1} not in orbit of {self.base}")
         gens = self.gens.generators
         b0 = self.base - 1
         while x0 != b0:
-            gi = int(self.gen_index[x0])
-            arr = (
-                gens[gi].inv_images0
-                if self.direction[x0] > 0
-                else gens[gi].images0
-            )
-            y0 = int(arr[y0])
+            g = gens[self.gen_index[x0]]
+            y0 = (g.inv_images0 if self.direction[x0] > 0 else g.images0)[y0]
             x0 = int(self.parent0[x0])
         return y0
+
+    def is_edge0(self, p0, gen_index):
+        """True when p -> p^s (0-based p, s the generator ``gen_index``) is
+        the tree edge of p^s, or the reverse of the tree edge of p.
+
+        Its Schreier generator u_p·s·u_{p^s}^{-1} is then the identity by
+        construction.  An orbit of N points has exactly N−1 such pairs.
+        """
+        q0 = int(self.gens.generators[gen_index].images0[p0])
+        if self.parent0[q0] == p0 and self.direction[q0] > 0:
+            return bool(self.gen_index[q0] == gen_index)
+        return bool(
+            self.parent0[p0] == q0
+            and self.direction[p0] < 0
+            and self.gen_index[p0] == gen_index
+        )
 
 
 # -- generator file parsing ---------------------------------------------------
@@ -372,59 +357,3 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
 def is_transitive(gens: GeneratorSet):
     orbit, _ = orbit_with_tree(gens, 1)
     return len(orbit) == gens.degree
-
-
-def schreier_generator_array(tree: SchreierTree, p0, g: Permutation, words=None):
-    """Full image array of u_p · g · u_{p^g}^{-1} (0-based).
-
-    ``words`` may cache tree words keyed by 0-based point.
-    """
-    q0 = int(g.images0[p0])
-    if words is not None:
-        wp = words.get(p0)
-        if wp is None:
-            wp = words[p0] = tree.word_to(p0 + 1)
-        wq = words.get(q0)
-        if wq is None:
-            wq = words[q0] = tree.word_to(q0 + 1)
-    else:
-        wp = tree.word_to(p0 + 1)
-        wq = tree.word_to(q0 + 1)
-    gens = tree.gens.generators
-    arr = np.arange(tree.gens.degree, dtype=np.int64)
-    for gi, d in wp:
-        arr = gens[gi].images0[arr] if d > 0 else gens[gi].inv_images0[arr]
-    arr = g.images0[arr]
-    for gi, d in reversed(wq):
-        arr = gens[gi].inv_images0[arr] if d > 0 else gens[gi].images0[arr]
-    return arr
-
-
-def stabilizer_generators(gens: GeneratorSet, base: int):
-    """Schreier generators of the stabilizer of ``base``.
-
-    Returns one permutation u_p·s·u_{p^s}^{-1} per orbit point p and generator
-    s, identities and duplicates pruned.  The result generates the full point
-    stabilizer of ``base`` on its orbit (Schreier's lemma) but is deliberately
-    not reduced to a strong generating set.
-    """
-    orbit, tree = orbit_with_tree(gens, base)
-    n = gens.degree
-    words = {}
-    seen = set()
-    out = []
-    ident = np.arange(n, dtype=np.int64)
-    for p in sorted(orbit):
-        p0 = p - 1
-        for g in gens.generators:
-            arr = schreier_generator_array(tree, p0, g, words)
-            if np.array_equal(arr, ident):
-                continue
-            key = arr.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Permutation(arr))
-    if not out:
-        out = [Permutation.identity(n)]
-    return GeneratorSet(n, tuple(out))

@@ -97,7 +97,7 @@ class SplitConfig:
     precision: int = DEFAULT_PRECISION
     rank_cap: int = DEFAULT_RANK_CAP
     matrix_cap: int = 2000
-    threads: int = 1
+    threads: int = 1  # read by the benchmark only; selects nothing
 
 
 @dataclass
@@ -385,7 +385,7 @@ def split(gens: GeneratorSet, config: SplitConfig = None):
     """
     config = config or SplitConfig()
     basis = compute_orbitals(gens, rank_cap=config.rank_cap)
-    consts = compute_structure_constants(gens, basis, threads=config.threads)
+    consts = compute_structure_constants(gens, basis)
     return split_from_constants(basis, consts, config)
 
 

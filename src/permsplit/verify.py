@@ -265,10 +265,11 @@ def _unit_vector(rank):
 
 def _coefficient_sum(projectors, rank, precision):
     """Coefficients of sum_m B[m]; exact when every coefficient is exact."""
-    lifted = _lifted([c for p in projectors for c in p.coefficients], precision)
     total = [FieldElement.zero()] * rank
-    for m in range(0, len(lifted), rank):
-        total = [a + c for a, c in zip(total, lifted[m : m + rank])]
+    with mpmath.workprec(precision + 40):
+        lifted = _lifted([c for p in projectors for c in p.coefficients], precision)
+        for m in range(0, len(lifted), rank):
+            total = [a + c for a, c in zip(total, lifted[m : m + rank])]
     return total
 
 

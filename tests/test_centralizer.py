@@ -158,13 +158,6 @@ class TestStructureConstants:
         consts = compute_structure_constants(gens, basis)
         assert consts.is_commutative() == dense_algebra_commutes(gens)
 
-    def test_threads_deterministic(self):
-        gens = petersen()
-        basis = compute_orbitals(gens)
-        a = compute_structure_constants(gens, basis, threads=1)
-        b = compute_structure_constants(gens, basis, threads=4)
-        assert np.array_equal(a.table, b.table)
-
 
 @requires_m22
 def test_m22_770_suborbit_lengths():

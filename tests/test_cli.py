@@ -166,6 +166,19 @@ class TestSplitCommand:
         assert code == 0
         assert "PASS  completeness sum(B) = I (matrix)" in err.splitlines()
 
+    @pytest.mark.parametrize("value", ["10", "52", "abc"])
+    def test_precision_below_double_is_a_usage_error(self, tmp_path, value):
+        """Enclosures start from double precision; fewer bits are refused
+        by argparse (exit 2, usage on stderr) instead of ending in a
+        traceback."""
+        path = tmp_path / "c9.gens"
+        path.write_text("degree 9\ngen (1,2,3,4,5,6,7,8,9)\n")
+        code, out, err = run_cli(["split", str(path), "--precision", value])
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "argument --precision" in err
+        assert "Traceback" not in err
+
     def test_resource_limit_exit_3(self, tmp_path):
         gens = regular_action(symmetric(3))
         lines = ["degree 6"] + [

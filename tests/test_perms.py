@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,10 @@ from permsplit import (
     GeneratorSet,
     ParseError,
     Permutation,
+    compute_orbitals,
     is_transitive,
     orbit_with_tree,
     parse_generator_text,
-    stabilizer_generators,
 )
 
 from conftest import alternating, cyclic, pair_action, petersen, symmetric
@@ -83,6 +81,11 @@ class TestPermutation:
         assert Permutation.from_cycles(5, [list(c) for c in p.cycles()]) == p
 
 
+tree_actions = pytest.mark.parametrize(
+    "gens", [symmetric(4), petersen(), cyclic(9)], ids=["S4", "petersen", "C9"]
+)
+
+
 class TestOrbits:
     def test_s3_orbit_of_1(self):
         orbit, _ = orbit_with_tree(symmetric(3), 1)
@@ -90,8 +93,10 @@ class TestOrbits:
 
     def test_identity_only_orbit(self):
         g = GeneratorSet(3, (Permutation.identity(3),))
-        orbit, _ = orbit_with_tree(g, 2)
+        orbit, tree = orbit_with_tree(g, 2)
         assert orbit == {2}
+        with pytest.raises(ValueError, match="not in orbit"):
+            tree.transport_to_base0(0, 0)
 
     def test_c4_tree_depths(self):
         orbit, tree = orbit_with_tree(cyclic(4), 1)
@@ -118,36 +123,38 @@ class TestOrbits:
         assert total == 5
         assert not is_transitive(g)
 
-    def test_tree_words_reach_their_points(self):
-        for gens in (symmetric(4), petersen(), cyclic(9)):
-            orbit, tree = orbit_with_tree(gens, 1)
-            for p in orbit:
-                word = tree.word_to(p)
-                assert tree.apply_word0(word, 0) == p - 1
-                # inverse word transports the point back to the base
-                assert tree.transport_to_base0(p - 1, p - 1) == 0
+    @tree_actions
+    def test_transport_rows_match_scalar_walks(self, gens):
+        n = gens.degree
+        _, tree = orbit_with_tree(gens, 1)
+        points = np.arange(n)
+        for p in range(1, n + 1):
+            row = tree.transport_to_base0(p - 1, points)
+            assert sorted(row.tolist()) == list(range(n))
+            assert row[p - 1] == 0
+            assert row.tolist() == [tree.transport_to_base0(p - 1, y) for y in range(n)]
 
-    def test_tree_words_share_their_edges(self):
-        """Equal edge labels are one object, so the per-point word cache of
-        the orbital computation holds pointers, not a tuple per step."""
-        _, tree = orbit_with_tree(cyclic(9), 1)
-        edges = [edge for p in range(2, 10) for edge in tree.word_to(p)]
-        assert len({id(edge) for edge in edges}) == len(set(edges))
-
-    def test_random_words_tree_vs_composition(self):
-        rng = random.Random(11)
-        gens = symmetric(4)
-        orbit, tree = orbit_with_tree(gens, 1)
-        for _ in range(50):
-            word = [
-                (rng.randrange(len(gens)), rng.choice((1, -1))) for _ in range(6)
-            ]
-            composed = Permutation.identity(4)
-            for gi, d in word:
-                g = gens.generators[gi]
-                composed = composed.compose(g if d > 0 else g.inverse())
-            for p0 in range(4):
-                assert tree.apply_word0(word, p0) == int(composed.images0[p0])
+    @tree_actions
+    def test_tree_edges_are_identity_schreier_generators(self, gens):
+        """Exactly N−1 (point, generator) pairs are tree edges, and for each
+        of them t_p and t_q·s agree, so u_p·s·u_q^{-1} is the identity."""
+        n = gens.degree
+        _, tree = orbit_with_tree(gens, 1)
+        points = np.arange(n)
+        edges = [
+            (p0, gi)
+            for p0 in range(n)
+            for gi in range(len(gens))
+            if tree.is_edge0(p0, gi)
+        ]
+        assert len(edges) == n - 1
+        for p0, gi in edges:
+            s = gens.generators[gi]
+            q0 = int(s.images0[p0])
+            assert np.array_equal(
+                tree.transport_to_base0(p0, points),
+                tree.transport_to_base0(q0, s.images0),
+            )
 
 
 def brute_force_stabilizer_orbits(gens, base):
@@ -173,48 +180,34 @@ def brute_force_stabilizer_orbits(gens, base):
     return sorted(frozenset(p) for p in parts.values())
 
 
+def _suborbits(gens):
+    basis = compute_orbitals(gens)
+    return {frozenset(basis.suborbit_members(r)) for r in range(1, basis.rank + 1)}
+
+
 class TestStabilizer:
     def test_s3_stabilizer(self):
-        stab = stabilizer_generators(symmetric(3), 1)
-        for g in stab.generators:
-            assert g.apply(1) == 1
         parts = brute_force_stabilizer_orbits(symmetric(3), 1)
         assert parts == sorted([frozenset({1}), frozenset({2, 3})])
 
     def test_c4_trivial_stabilizer(self):
-        stab = stabilizer_generators(cyclic(4), 1)
-        assert all(g.is_identity() for g in stab.generators)
+        assert _suborbits(cyclic(4)) == {frozenset({p}) for p in range(1, 5)}
 
     def test_a5_pairs_orbit_sizes(self):
-        gens = pair_action(alternating(5), 5)
-        stab = stabilizer_generators(gens, 1)
-        sizes = _orbit_sizes(stab)
+        sizes = [len(part) for part in _suborbits(pair_action(alternating(5), 5))]
         assert sorted(sizes) == [1, 3, 6]
 
     @pytest.mark.parametrize(
         "gens",
-        [symmetric(3), symmetric(4), alternating(4), cyclic(6), petersen()],
-        ids=["S3", "S4", "A4", "C6", "petersen"],
+        [
+            symmetric(3),
+            symmetric(4),
+            alternating(4),
+            cyclic(6),
+            petersen(),
+            pair_action(alternating(5), 5),
+        ],
+        ids=["S3", "S4", "A4", "C6", "petersen", "A5_pairs"],
     )
     def test_partition_matches_brute_force(self, gens):
-        stab = stabilizer_generators(gens, 1)
-        parts = _orbit_partition(stab)
-        assert parts == brute_force_stabilizer_orbits(gens, 1)
-        for g in stab.generators:
-            assert g.apply(1) == 1
-
-
-def _orbit_partition(gens):
-    seen = set()
-    parts = []
-    for base in range(1, gens.degree + 1):
-        if base in seen:
-            continue
-        orbit, _ = orbit_with_tree(gens, base)
-        seen |= orbit
-        parts.append(frozenset(orbit))
-    return sorted(parts)
-
-
-def _orbit_sizes(gens):
-    return [len(p) for p in _orbit_partition(gens)]
+        assert _suborbits(gens) == set(brute_force_stabilizer_orbits(gens, 1))

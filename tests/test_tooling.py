@@ -64,8 +64,9 @@ def test_benchmark_smoke_workload_runs():
     """The benchmark reads library attributes that tier-1 does not otherwise
     touch through it (per-coordinate ``SolutionPoint.exact``,
     ``Projector.exact``, ``verify_matrix_level(mode=)``,
-    ``SplitConfig.threads`` and the functions it wraps); its smoke workload
-    must still run and pass its own gate."""
+    ``SplitConfig.threads`` and ``compute_structure_constants(threads=)``,
+    both inert, and the functions it wraps); its smoke workload must still
+    run and pass its own gate."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "smoke",
          "--seed", "5", "--seconds", "0", "--trace", "1"],

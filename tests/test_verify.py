@@ -2,10 +2,12 @@ import copy
 import dataclasses
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from permsplit import (
+    ComplexBall,
     FieldElement,
     GeneratorSet,
     MatrixCapExceeded,
@@ -18,7 +20,11 @@ from permsplit import (
     compare_to_reference,
 )
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
-from permsplit.verify import orbital_label_matrix, tensor_from_label_matrix
+from permsplit.verify import (
+    _coefficient_sum,
+    orbital_label_matrix,
+    tensor_from_label_matrix,
+)
 
 from conftest import CORPUS, corpus_split, cyclic, petersen, regular_action, symmetric
 from test_acceptance import _agl_generators
@@ -131,6 +137,22 @@ class TestAlgebraic:
         report = verify_family_algebraic(consts, deco)
         lines = [c for c in report.checks if c.name.startswith("primitivity")]
         assert report.passed and len(lines) == len(deco.projectors) == 5
+
+    def test_completeness_sum_keeps_the_coefficient_precision(self):
+        """C9 keeps 8 of 9 projectors numeric, with coefficient radii near
+        1e-42; their sum is taken at the checks' working precision, not at
+        mpmath's default 53 bits, so no entry is wider than 2^-128."""
+        gens = dict(CORPUS)["C9_natural"]
+        basis, consts, deco = corpus_with_constants("C9_natural", gens)
+        total = _coefficient_sum(deco.projectors, basis.rank, 128)
+        assert all(isinstance(x, ComplexBall) for x in total)
+        assert max(x.rad for x in total) < mpmath.mpf(2) ** -128
+        algebraic = verify_family_algebraic(consts, deco).checks
+        matrix = verify_matrix_level(gens, basis, deco).checks
+        assert [c.passed for c in algebraic if c.name == "completeness sum(B) = A1"] == [True]
+        assert [
+            c.passed for c in matrix if c.name == "completeness sum(B) = I (matrix)"
+        ] == [True]
 
     @pytest.mark.parametrize(
         "builder", [symmetric(3), petersen(), cyclic(4), regular_action(symmetric(3))],
