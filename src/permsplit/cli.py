@@ -298,7 +298,6 @@ def _projector_from_record(rec, rank, lineno=None):
     return Projector(
         coefficients=tuple(coeffs),
         dimension=rec["dimension"],
-        exact=exact,
         provenance=rec.get("provenance", "uniqueSolution"),
         precision=precision,
         block=rec.get("block"),

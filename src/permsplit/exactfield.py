@@ -25,13 +25,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import UNREPRESENTABLE, Unrepresentable
+from .errors import UNREPRESENTABLE
 
 __all__ = [
     "Rational",
     "FieldElement",
     "ComplexBall",
-    "Unrepresentable",
     "UNREPRESENTABLE",
     "sqrt_if_nice",
     "render_field_element",
@@ -451,110 +450,37 @@ def _rational_sqrt_or_none(q):
     return None
 
 
-def _split_square_times_squarefree(w):
-    """w = u^2 * d with u rational > 0, d square-free positive; w > 0."""
-    w = Fraction(w)
-    _, d = squarefree_decompose(w.numerator * w.denominator)
-    u2 = w / d
-    u = _rational_sqrt_or_none(u2)
-    return u, d
-
-
-def _coprime_splittings(m):
-    """Ordered pairs (a, b) of coprime positive integers with a*b = m."""
-    primes = list(factorize(m))
-    out = []
-    for mask in range(1 << len(primes)):
-        a = 1
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                a *= p
-        out.append((a, m // a))
-    return out
-
-
 def sqrt_if_nice(a):
-    """Square root inside the tower when one exists in the searchable shape.
+    """Square root inside the tower by denesting, or ``UNREPRESENTABLE``.
 
-    Succeeds when a = q * s^2 for rational q and a tower element s with at
-    most two terms; detection is a bounded search over the coprime splittings
-    of the radicand support.  Returns ``UNREPRESENTABLE`` otherwise; numeric
-    fallback is the caller's job.  Every returned value x satisfies x*x == a
-    exactly (verified before returning).
+    With a = c1 + c2*sqrt(r) (c1 the rational part, r the one other
+    radicand) and t = sqrt(c1^2 - r*c2^2) rational,
+
+        sqrt(a) = sqrt((c1 + t)/2) +- sqrt((c1 - t)/2),
+
+    and each term is the square root of a rational, so it lies in the tower
+    (Borodin, Fagin, Hopcroft and Tompa, 1985).  Of u + v and u - v the
+    first whose square is a is returned.  Rationals (c2 = 0) and i*c
+    (r = -1) are special cases of the same identity.  When t is irrational
+    no multi-quadratic tower holds the root; that and an a with two
+    irrational terms give ``UNREPRESENTABLE``, and numeric fallback is the
+    caller's job.
     """
     a = _coerce(a)
-    if a.is_zero():
-        return FieldElement.zero()
-    items = a.sorted_terms()
-    if len(items) == 1:
-        rad, c = items[0]
-        if rad == 1:
-            return _sqrt_fraction(c)
-        if rad == -1:
-            return _sqrt_pure_imaginary(c)
+    c1 = a.terms.get(1, Fraction(0))
+    rest = [(r, c) for r, c in a.terms.items() if r != 1]
+    if len(rest) > 1:
         return UNREPRESENTABLE
-    if len(items) == 2 and items[0][0] == 1:
-        c1 = items[0][1]
-        r, c2 = items[1]
-        x = _sqrt_two_term(c1, c2, r)
-        if x is not None and x * x == a:
-            return x
-        return UNREPRESENTABLE
-    return UNREPRESENTABLE
-
-
-def _sqrt_pure_imaginary(c):
-    """sqrt(c*i): c*i = (u*sqrt(d)*(1 ± i))^2 with 2*u^2*d = |c|."""
-    w = abs(Fraction(c)) / 2
-    u, d = _split_square_times_squarefree(w)
-    if u is None:
-        return UNREPRESENTABLE
-    sign = 1 if c > 0 else -1
-    return FieldElement({d: u, -d: sign * u})
-
-
-def _sqrt_two_term(c1, c2, r):
-    """Search x = u*sqrt(k1) + v*sqrt(k2) with x^2 = c1 + c2*sqrt(r).
-
-    The two rational-part contributions are the roots of
-    S^2 - c1*S + r*c2^2/4, independent of how the radicand support is split.
-    """
-    disc = c1 * c1 - Fraction(r) * c2 * c2
-    t = _rational_sqrt_or_none(disc)
+    r, c2 = rest[0] if rest else (1, Fraction(0))
+    t = _rational_sqrt_or_none(c1 * c1 - r * c2 * c2)
     if t is None:
-        return None
-    roots = [(c1 + t) / 2, (c1 - t) / 2]
-    if r > 0:
-        sign_patterns = [(1, 1), (-1, -1)]
-    else:
-        sign_patterns = [(1, -1)]
-    for s_first, s_second in ((0, 1), (1, 0)):
-        s1v, s2v = roots[s_first], roots[s_second]
-        for a1, b1 in _coprime_splittings(abs(r)):
-            for sg1, sg2 in sign_patterns:
-                w1 = Fraction(sg1) * s1v / a1
-                w2 = Fraction(sg2) * s2v / b1
-                if w1 <= 0 or w2 <= 0:
-                    continue
-                u, d = _split_square_times_squarefree(w1)
-                if u is None or math.gcd(d, a1 * b1) != 1:
-                    continue
-                v2 = w2 / d
-                v = _rational_sqrt_or_none(v2)
-                if v is None:
-                    continue
-                # fix the sign of v from the cross term 2*u*v*G = c2, |G| = d
-                g = -d if (sg1, sg2) == (-1, -1) else d
-                if 2 * u * v * g != c2:
-                    v = -v
-                    if 2 * u * v * g != c2:
-                        continue
-                k1 = sg1 * d * a1
-                k2 = sg2 * d * b1
-                if k1 == k2:
-                    continue
-                return FieldElement({k1: u, k2: v})
-    return None
+        return UNREPRESENTABLE
+    u = _sqrt_fraction((c1 + t) / 2)
+    v = _sqrt_fraction((c1 - t) / 2)
+    for x in (u + v, u - v):
+        if x * x == a:
+            return x
+    return UNREPRESENTABLE
 
 
 # -- complex enclosures ----------------------------------------------------------

@@ -107,9 +107,6 @@ class Permutation:
 
     __mul__ = compose
 
-    def is_identity(self):
-        return bool(np.all(self.images0 == np.arange(len(self.images0))))
-
     def cycles(self):
         """Nontrivial cycles, 1-based, each starting at its minimal point."""
         n = self.degree

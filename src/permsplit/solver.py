@@ -42,7 +42,6 @@ from .polynomial import (
     DEFAULT_MAX_PAIRS,
     Poly,
     groebner_basis,
-    hilbert_dimension,
     is_trivial_basis,
     max_independent_set,
 )
@@ -466,9 +465,11 @@ def particular_solution_on_slice(
     a maximal independent set of h free variables (h = Hilbert dimension),
     and the basis is augmented with h coordinate pins over them: zero first,
     then small rationals, graded by pin index (8^h tuples, at most
-    SLICE_ATTEMPTS).  The first solution of an augmented zero-dimensional
-    system that also satisfies the basis (and the optional ``accept``
-    predicate) is returned.
+    SLICE_ATTEMPTS).  Each augmented system gets one Groebner basis, the lex
+    basis of ``solve_zero_dimensional``; pins that make it inconsistent,
+    leave it positive-dimensional or hit a resource cap move on to the next
+    tuple.  The first solution that also satisfies the basis (and the
+    optional ``accept`` predicate) is returned.
     """
     if is_trivial_basis(basis):
         raise ValueError("inconsistent system cannot be sliced")
@@ -488,15 +489,13 @@ def particular_solution_on_slice(
 
 
 def _try_slice(augmented, basis, precision, max_pairs, accept):
+    """The first accepted solution of one pinned system, or None when the
+    pins are inconsistent, leave it positive-dimensional, or run into a
+    resource cap (the caller then tries the next pins)."""
     try:
-        gb = groebner_basis(augmented, max_pairs=max_pairs)
-    except ResourceLimit:
+        points = solve_zero_dimensional(augmented, precision=precision, max_pairs=max_pairs)
+    except (NotZeroDimensional, ResourceLimit):
         return None
-    if is_trivial_basis(gb):
-        return None
-    if hilbert_dimension(gb, nvars=augmented[0].ring.nvars) != 0:
-        return None
-    points = solve_zero_dimensional(gb, precision=precision, max_pairs=max_pairs)
     for pt in points:
         if _classify_point(pt, basis, precision) != "ok":
             continue

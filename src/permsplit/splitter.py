@@ -5,26 +5,28 @@ The candidate dimensions come from the centre of the algebra: a floating-point
 oracle (``dimension_hint``) reads each irreducible's dimension d and
 multiplicity k off the central idempotents.  For each hinted d, in ascending
 order, the generic invariant form is constrained by x_1 = d/N (the trace pins
-the coefficient of the identity basis matrix), the accumulated orthogonality
-forms are joined in, and the Groebner basis decides: inconsistent (advance
-d), zero-dimensional (enumerate and accept every solution; the dimension is
-done, as more constraints could only shrink that finite variety), or
-positive-dimensional (an irreducible that occurs more than once; one
-particular solution is sliced off that same basis, and the dimension re-runs
-with the new projector's orthogonality forms joined in).  The loop never
-counts the projectors of a block; the certificate settles the counts.
+the coefficient of the identity basis matrix), the orthogonality forms of
+the running sum S of the exact projectors accepted so far are joined in, and
+the Groebner basis decides: inconsistent (advance d), zero-dimensional
+(enumerate and accept every solution; the dimension is done, as more
+constraints could only shrink that finite variety), or positive-dimensional
+(an irreducible that occurs more than once; one particular solution is sliced
+off that same basis, and the dimension re-runs with the forms of the new
+sum; see ``process_single_solution`` for why S stands for every projector).
+The loop never counts the projectors of a block; the certificate settles the
+counts.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
-projector accepted before it (candidates are filtered against numeric ones);
-the projectors are accepted without being multiplied out again.  The one
-certificate is ``verify.verify_family_algebraic`` on the whole family:
-idempotency, orthogonality, completeness, trace and primitivity, exact over
-the tower.  A complete, orthogonal family of primitive idempotents holds
-exactly k projectors of each dimension d.  A hinted family is kept only when
-its dimensions are the hinted multiset and it passes; otherwise the full
-scan d = 1, 2, ... runs from scratch, and a scanned family that fails raises
-InvariantViolation naming the failed checks.
+projector accepted before it (candidates are filtered against the sum of the
+numeric ones); the projectors are accepted without being multiplied out
+again.  The one certificate is ``verify.verify_family_algebraic`` on the
+whole family: idempotency, orthogonality, completeness, trace and
+primitivity, exact over the tower.  A complete, orthogonal family of
+primitive idempotents holds exactly k projectors of each dimension d.  A
+hinted family is kept only when its dimensions are the hinted multiset and it
+passes; otherwise the full scan d = 1, 2, ... runs from scratch, and a
+scanned family that fails raises InvariantViolation naming the failed checks.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ from .solver import (
     solve_zero_dimensional,
 )
 from .verify import (
+    _coefficient_sum,
     _vanishes,
     algebra_product,
-    is_unit_trace,
-    primitivity_traces,
     verify_family_algebraic,
 )
 
@@ -82,8 +83,6 @@ __all__ = [
     "build_orthogonality_system_right",
     "algebra_product",
     "dimension_hint",
-    "primitivity_traces",
-    "is_unit_trace",
     "process_single_solution",
     "split",
 ]
@@ -121,7 +120,6 @@ class Projector:
 
     coefficients: tuple
     dimension: int
-    exact: bool
     provenance: str            # "uniqueSolution" | "slicedSolution"
     precision: int = 0
     block: int = None          # shared id for one multiplicity block
@@ -130,6 +128,10 @@ class Projector:
     @property
     def rank(self):
         return len(self.coefficients)
+
+    @property
+    def exact(self):
+        return all(isinstance(c, FieldElement) for c in self.coefficients)
 
     def conjugate_coefficients(self):
         if not self.exact:
@@ -191,6 +193,8 @@ def build_idempotency_system(consts: StructureConstants):
 
 def _orthogonality_forms(consts, coeffs, side):
     """Linear forms of B·X = 0 (side="left") or X·B = 0 (side="right")."""
+    if not all(isinstance(c, FieldElement) for c in coeffs):
+        raise ValueError("orthogonality forms need exact coefficients")
     rank = consts.rank
     ring = Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
     forms = []
@@ -214,14 +218,13 @@ def _orthogonality_forms(consts, coeffs, side):
     return forms
 
 
-def build_orthogonality_system(consts: StructureConstants, projector: Projector):
-    """The R linear forms L_r(x) = sum_q (sum_p b_p C_pq^r) x_q of B·X = 0."""
-    if not projector.exact:
-        raise ValueError("orthogonality forms need an exact projector")
-    return _orthogonality_forms(consts, projector.coefficients, "left")
+def build_orthogonality_system(consts: StructureConstants, coeffs):
+    """The R linear forms L_r(x) = sum_q (sum_p b_p C_pq^r) x_q of B·X = 0,
+    for the exact coefficient vector b of B."""
+    return _orthogonality_forms(consts, coeffs, "left")
 
 
-def build_orthogonality_system_right(consts: StructureConstants, projector: Projector):
+def build_orthogonality_system_right(consts: StructureConstants, coeffs):
     """The mirrored forms of X·B = 0.
 
     Inside a multiplicity block one-sided annihilation still leaves a
@@ -229,9 +232,7 @@ def build_orthogonality_system_right(consts: StructureConstants, projector: Proj
     block), so the complement is pinned down only with both sides; mutual
     orthogonality of the family is the two-sided condition.
     """
-    if not projector.exact:
-        raise ValueError("orthogonality forms need an exact projector")
-    return _orthogonality_forms(consts, projector.coefficients, "right")
+    return _orthogonality_forms(consts, coeffs, "right")
 
 
 # -- the dimension oracle ---------------------------------------------------------
@@ -291,7 +292,7 @@ class _SplitState:
         self.idem = build_idempotency_system(consts)
         self.sub_ring = Ring(self.idem.ring.names[1:], "degrevlex")
         self.projectors = []
-        self.numeric_projectors = []
+        self.numeric_sum = None  # coefficients of the numeric projectors' sum
         self.found = 0
         self.events = []
         self.notes = []
@@ -319,21 +320,17 @@ class _SplitState:
         Constraints from exact projectors already live in the polynomial
         system; projectors with numeric coordinates cannot be injected there
         without poisoning the exact Groebner kernel, so their orthogonality
-        is enforced here on every candidate solution instead.
+        is enforced here on every candidate solution instead, through their
+        sum S: for mutually orthogonal idempotents B with sum S, b is
+        orthogonal to every B exactly when S·b = b·S = 0.
         """
-        if not self.numeric_projectors:
+        if self.numeric_sum is None:
             return True
-        d = self._current_d
-        b = self._point_to_coeffs(point, d)
+        b = self._point_to_coeffs(point, self._current_d)
         prec = max(self.config.precision, point.precision)
-        for other in self.numeric_projectors:
-            left = algebra_product(self.consts, other.coefficients, b, prec)
-            right = algebra_product(self.consts, b, other.coefficients, prec)
-            if not _vanishes(left, precision=prec) or not _vanishes(
-                right, precision=prec
-            ):
-                return False
-        return True
+        left = algebra_product(self.consts, self.numeric_sum, b, prec)
+        right = algebra_product(self.consts, b, self.numeric_sum, prec)
+        return _vanishes(left, precision=prec) and _vanishes(right, precision=prec)
 
     def _point_to_coeffs(self, point, d):
         b1 = FieldElement.from_rational(Fraction(d, self.basis.degree))
@@ -343,36 +340,39 @@ class _SplitState:
         return Projector(
             coefficients=self._point_to_coeffs(point, d),
             dimension=d,
-            exact=point.is_exact(),
             provenance=provenance,
             precision=point.precision,
         )
 
 
 def process_single_solution(state: _SplitState, projector: Projector):
-    """Accept one projector: accumulate its orthogonality, record it.
+    """Accept one projector: record it and renew the running sum it joins.
 
     Nothing is multiplied out here.  The projector is a solution of the
-    d-system, which holds E_r and the two-sided forms of every exact
-    projector accepted before it; the solver certified it against that
+    d-system, which holds E_r and the orthogonality forms of the exact
+    projectors accepted before it; the solver certified it against that
     system (exactly, or through enclosures for numeric coordinates), and
-    ``accept_candidate`` filtered it against the numeric projectors.  Its
-    own two-sided forms join the polynomial set so later systems exclude
-    the subspace, or, when it has numeric coordinates, it joins that
-    filter.  The finished family is certified as a whole by
+    ``accept_candidate`` filtered it against the numeric projectors.
+
+    The accepted projectors are mutually orthogonal idempotents, so with S
+    their sum B·S = S·B = B, and X·S = S·X = 0 exactly when X·B = B·X = 0
+    for every B: the two-sided forms of S span the same constraints as the
+    forms of all of them.  An exact projector therefore replaces the
+    orthogonality forms by those of the exact sum; one with numeric
+    coordinates renews the numeric sum that ``accept_candidate`` checks.
+    The finished family is certified as a whole by
     ``verify_family_algebraic``.
     """
-    if projector.exact:
-        forms = build_orthogonality_system(state.consts, projector)
-        forms += build_orthogonality_system_right(state.consts, projector)
-        seen = {hash(f) for f in state.idem.orthogonality}
-        for f in forms:
-            if hash(f) not in seen:
-                state.idem.orthogonality.append(f)
-                seen.add(hash(f))
-    else:
-        state.numeric_projectors.append(projector)
     state.projectors.append(projector)
+    exact = projector.exact
+    same_kind = [p for p in state.projectors if p.exact == exact]
+    total = _coefficient_sum(same_kind, state.consts.rank, state.config.precision)
+    if exact:
+        forms = build_orthogonality_system(state.consts, total)
+        forms += build_orthogonality_system_right(state.consts, total)
+        state.idem.orthogonality = list(dict.fromkeys(forms))
+    else:
+        state.numeric_sum = total
     state.found += projector.dimension
     return state
 
@@ -513,7 +513,7 @@ def _run_dimension(state: _SplitState, d):
                 accept=state.accept_candidate,
             )
         except SliceExhausted:
-            if state.numeric_projectors:
+            if state.numeric_sum is not None:
                 state.notes.append(
                     f"d={d}: slice attempts exhausted against numeric projectors"
                 )

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -134,10 +135,26 @@ def test_inverse_roundtrip(a):
 @given(field_elements(max_terms=2))
 @settings(max_examples=60, deadline=None)
 def test_sqrt_of_square_roundtrip(x):
-    # squares of <= 2-term elements are exactly the searchable shape
+    # squares of <= 2-term elements have the denestable shape c1 + c2*sqrt(r)
     r = sqrt_if_nice(x * x)
     assert r is not UNREPRESENTABLE
     assert r in (x, -x)
+
+
+def _is_rational_square(q):
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+@given(_coeff, _coeff, st.sampled_from([-1, -2, -3, -7, -15, 2, 3, 5, 6, 7, 10, 11]))
+@settings(max_examples=100, deadline=None)
+def test_sqrt_exists_exactly_when_the_norm_is_a_square(c1, c2, r):
+    """sqrt(c1 + c2*sqrt(r)) for square-free r lies in the tower exactly when
+    c1^2 - r*c2^2 is the square of a rational."""
+    a = fe(c1) + FE.term(c2, r)
+    root = sqrt_if_nice(a)
+    assert (root is not UNREPRESENTABLE) == _is_rational_square(c1 * c1 - r * c2 * c2)
+    if root is not UNREPRESENTABLE:
+        assert root * root == a
 
 
 @given(field_elements(), field_elements())

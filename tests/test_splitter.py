@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from permsplit import (
@@ -20,6 +21,8 @@ from permsplit import (
 )
 from permsplit import splitter, verify
 from permsplit.cli import render_decomposition_text
+from permsplit.exactfield import ComplexBall
+from permsplit.polynomial import groebner_basis
 from permsplit.splitter import (
     Projector,
     _SplitState,
@@ -30,6 +33,7 @@ from permsplit.splitter import (
 )
 
 from conftest import (
+    CORPUS,
     corpus_split,
     cyclic,
     duplicate_first_projector,
@@ -84,13 +88,7 @@ class TestIdempotencySystem:
 class TestOrthogonalitySystem:
     def test_s3_proportional_forms(self):
         _, consts = constants_for(symmetric(3))
-        b1 = Projector(
-            coefficients=(fe(Fraction(1, 3)), fe(Fraction(1, 3))),
-            dimension=1,
-            exact=True,
-            provenance="uniqueSolution",
-        )
-        forms = build_orthogonality_system(consts, b1)
+        forms = build_orthogonality_system(consts, (fe(Fraction(1, 3)), fe(Fraction(1, 3))))
         r = forms[0].ring
         x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
         target = (x1 + x2 * 2) * Fraction(1, 3)
@@ -99,20 +97,13 @@ class TestOrthogonalitySystem:
     def test_trivial_rank_one(self):
         g = GeneratorSet(1, (Permutation.identity(1),))
         _, consts = constants_for(g)
-        b = Projector((fe(1),), 1, True, "uniqueSolution")
-        forms = build_orthogonality_system(consts, b)
+        forms = build_orthogonality_system(consts, (fe(1),))
         r = forms[0].ring
         assert forms == [Poly.variable(r, 0)]
 
     def test_petersen_row_sum_pattern(self):
         _, consts = constants_for(petersen())
-        b1 = Projector(
-            coefficients=(fe(Fraction(1, 10)),) * 3,
-            dimension=1,
-            exact=True,
-            provenance="uniqueSolution",
-        )
-        forms = build_orthogonality_system(consts, b1)
+        forms = build_orthogonality_system(consts, (fe(Fraction(1, 10)),) * 3)
         r = forms[0].ring
         x1, x2, x3 = (Poly.variable(r, i) for i in range(3))
         target = (x1 + x2 * 3 + x3 * 6) * Fraction(1, 10)
@@ -123,9 +114,34 @@ class TestOrthogonalitySystem:
         _, consts = constants_for(gens)
         deco = split(gens)
         sliced = [p for p in deco.projectors if p.provenance == "slicedSolution"][0]
-        left = build_orthogonality_system(consts, sliced)
-        right = build_orthogonality_system_right(consts, sliced)
+        left = build_orthogonality_system(consts, sliced.coefficients)
+        right = build_orthogonality_system_right(consts, sliced.coefficients)
         assert set(left) != set(right)
+
+    def test_numeric_coefficients_rejected(self):
+        _, consts = constants_for(symmetric(3))
+        with pytest.raises(ValueError, match="exact coefficients"):
+            build_orthogonality_system(consts, (fe(Fraction(1, 3)), ComplexBall(0.5)))
+        with pytest.raises(ValueError, match="exact coefficients"):
+            build_orthogonality_system_right(consts, (fe(Fraction(1, 3)), ComplexBall(0.5)))
+
+    @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+    def test_forms_of_the_sum_give_the_same_basis(self, name):
+        """For mutually orthogonal idempotents B with sum S, X·S = S·X = 0
+        exactly when X·B = B·X = 0 for every B, so the forms of each running
+        sum of exact projectors and the forms of its terms give one reduced
+        Groebner basis."""
+        _, consts = constants_for(dict(CORPUS)[name])
+        exact = [p.coefficients for p in corpus_split(name).projectors if p.exact]
+        for k in range(1, len(exact) + 1):
+            each = []
+            for b in exact[:k]:
+                each += build_orthogonality_system(consts, b)
+                each += build_orthogonality_system_right(consts, b)
+            total = [sum(col, fe(0)) for col in zip(*exact[:k])]
+            whole = build_orthogonality_system(consts, total)
+            whole += build_orthogonality_system_right(consts, total)
+            assert groebner_basis(each) == groebner_basis(whole)
 
 
 class TestProcessSingleSolution:
@@ -135,7 +151,7 @@ class TestProcessSingleSolution:
 
     def test_accepts_valid_projector(self):
         state = self._state(symmetric(3))
-        b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, True, "uniqueSolution")
+        b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, "uniqueSolution")
         process_single_solution(state, b1)
         assert len(state.projectors) == 1
         assert state.idem.orthogonality
@@ -147,11 +163,37 @@ class TestProcessSingleSolution:
         with pytest.raises(InvariantViolation, match=re.escape("orthogonality B[1]*B[2]")):
             split(symmetric(3))
 
-    def test_s3_d2_forced_linearly(self):
-        from permsplit.polynomial import groebner_basis
+    def test_distinct_forms_with_equal_hashes_are_kept(self, monkeypatch):
+        """hash(-1) == hash(-2) in CPython, so x2 - x3 and x2 - 2*x3 hash
+        alike; both forms must reach the system."""
+        state = self._state(petersen())
+        ring = state.idem.ring
+        x2, x3 = Poly.variable(ring, 1), Poly.variable(ring, 2)
+        one, two = x2 - x3, x2 - x3 * 2
+        assert hash(one) == hash(two)
+        monkeypatch.setattr(splitter, "build_orthogonality_system", lambda c, b: [one])
+        monkeypatch.setattr(splitter, "build_orthogonality_system_right", lambda c, b: [two])
+        b1 = Projector(
+            coefficients=(fe(Fraction(1, 10)),) * 3, dimension=1, provenance="uniqueSolution"
+        )
+        process_single_solution(state, b1)
+        assert one in state.idem.orthogonality
+        assert two in state.idem.orthogonality
 
+    def test_numeric_sum_is_a_tight_enclosure(self):
+        """C9 natural keeps 8 projectors numeric; the running sum that
+        ``accept_candidate`` checks candidates against stays tight."""
+        state = self._state(cyclic(9))
+        deco = corpus_split("C9_natural")
+        assert sum(not p.exact for p in deco.projectors) == 8
+        for p in deco.projectors:
+            process_single_solution(state, p)
+        assert all(isinstance(c, ComplexBall) for c in state.numeric_sum)
+        assert max(c.rad for c in state.numeric_sum) < mpmath.mpf(2) ** -128
+
+    def test_s3_d2_forced_linearly(self):
         state = self._state(symmetric(3))
-        b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, True, "uniqueSolution")
+        b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, "uniqueSolution")
         process_single_solution(state, b1)
         polys = state.d_system(2)
         basis = groebner_basis(polys)

@@ -39,6 +39,33 @@ def test_package_imports_are_acyclic():
             del remaining[m]
 
 
+def test_every_exported_name_is_defined_or_used():
+    """Each name in a module's ``__all__`` is defined in that module or used
+    by it, so a module does not pass on a name it only imports.  The package
+    root, whose job is to re-export, is exempt."""
+    stray = {}
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported, known = set(), set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id == "__all__":
+                        exported = set(ast.literal_eval(node.value))
+                    elif isinstance(target, ast.Name):
+                        known.add(target.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                known.add(node.id)
+        if exported - known:
+            stray[path.name] = sorted(exported - known)
+    assert not stray, f"exported but neither defined nor used: {stray}"
+
+
 def test_every_error_class_is_raised():
     """Each PermsplitError subclass in errors.py is raised somewhere in the
     package, so an error class that nothing raises any more cannot linger."""

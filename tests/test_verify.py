@@ -57,7 +57,6 @@ def _family(consts, degree, vectors, dims):
             Projector(
                 coefficients=tuple(v),
                 dimension=d,
-                exact=True,
                 provenance="uniqueSolution",
             )
             for v, d in zip(vectors, dims)
@@ -74,7 +73,6 @@ def _tweak(deco, m, r, delta=Fraction(1, 7), flip=False):
     out.projectors[m] = Projector(
         coefficients=tuple(coeffs),
         dimension=p.dimension,
-        exact=p.exact,
         provenance=p.provenance,
         precision=p.precision,
         block=p.block,
@@ -292,7 +290,7 @@ class TestMatrixLevel:
         identity = Decomposition(
             degree=5,
             rank=3,
-            projectors=[Projector((fe(1), fe(0), fe(0)), 5, True, "uniqueSolution")],
+            projectors=[Projector((fe(1), fe(0), fe(0)), 5, "uniqueSolution")],
             suborbit_lengths=[],
         )
         report = verify_matrix_level(gens, fused, identity)
@@ -343,7 +341,6 @@ class TestCompare:
             conj.projectors[i] = Projector(
                 coefficients=tuple(c.conjugate() for c in p.coefficients),
                 dimension=p.dimension,
-                exact=p.exact,
                 provenance=p.provenance,
             )
         assert compare_to_reference(deco, conj).passed
@@ -377,7 +374,6 @@ class TestCompare:
             swapped.projectors[i] = Projector(
                 coefficients=tuple(coeffs),
                 dimension=p.dimension,
-                exact=p.exact,
                 provenance=p.provenance,
             )
         assert not compare_to_reference(deco, swapped).passed
