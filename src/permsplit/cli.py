@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 import mpmath
 
@@ -35,6 +34,7 @@ from .exactfield import (
     render_field_element,
 )
 from .perms import parse_generators
+from .solver import DEFAULT_PRECISION
 from .splitter import Decomposition, Projector, SplitConfig, split_from_constants
 from .verify import compare_to_reference, verify_family_algebraic, verify_matrix_level
 
@@ -190,8 +190,8 @@ def render_decomposition_text(deco):
             if isinstance(c, FieldElement):
                 out.append(f"coeff {r} {render_field_element(c)}")
             else:
-                re, im, rad = _ball_to_strings(c, p.precision or 128)
-                out.append(f"coeff {r} numeric {re} {im} {rad} {p.precision or 128}")
+                re, im, rad = _ball_to_strings(c, p.precision)
+                out.append(f"coeff {r} numeric {re} {im} {rad} {p.precision}")
         out.append("end")
         out.append("")
     for note in deco.notes:
@@ -281,9 +281,10 @@ def _parse_coefficient(txt):
 
 def _projector_from_record(rec, rank, lineno=None):
     """One projector block's fields as a Projector; ParseError when a
-    coefficient is missing or the exact flag disagrees with their types."""
+    coefficient is missing, the exact flag disagrees with their types, or a
+    field has the wrong type."""
     coeffs = []
-    precision = 128
+    precision = DEFAULT_PRECISION
     for r in range(1, rank + 1):
         if r not in rec["coeffs"]:
             raise ParseError(f"missing coeff {r}", lineno)
@@ -292,6 +293,12 @@ def _projector_from_record(rec, rank, lineno=None):
         coeffs.append(value)
     if "dimension" not in rec:
         raise ParseError("missing dimension", lineno)
+    # type(x) is int, because a bool is an int to isinstance
+    if type(rec["dimension"]) is not int or rec["dimension"] < 1:
+        raise ParseError(f"dimension {rec['dimension']!r} is not a positive integer", lineno)
+    for key in ("block", "conjugate_of"):
+        if rec.get(key) is not None and type(rec[key]) is not int:
+            raise ParseError(f"{key} {rec[key]!r} is not an integer", lineno)
     exact = all(isinstance(c, FieldElement) for c in coeffs)
     if rec.get("exact", True) != exact:
         raise ParseError(f"exact {str(not exact).lower()} disagrees with the coefficients", lineno)
@@ -313,10 +320,9 @@ def decomposition_to_json(deco):
             if isinstance(c, FieldElement):
                 coeffs.append(field_element_to_json(c))
             else:
-                re, im, rad = _ball_to_strings(c, p.precision or 128)
+                re, im, rad = _ball_to_strings(c, p.precision)
                 coeffs.append(
-                    {"numeric": {"re": re, "im": im, "rad": rad,
-                                 "precision": p.precision or 128}}
+                    {"numeric": {"re": re, "im": im, "rad": rad, "precision": p.precision}}
                 )
         projs.append(
             {
@@ -344,6 +350,8 @@ def decomposition_from_json(obj):
     malformed field."""
     try:
         rank = obj["rank"]
+        if not all(type(x) is int for x in (obj["degree"], rank, *obj["suborbit_lengths"])):
+            raise ParseError("degree, rank and suborbit lengths must be integers")
         projectors = []
         for rec in obj["projectors"]:
             if len(rec["coefficients"]) != rank:
@@ -352,7 +360,7 @@ def decomposition_from_json(obj):
             for r, c in enumerate(rec["coefficients"], start=1):
                 if "numeric" in c:
                     nv = c["numeric"]
-                    prec = int(nv.get("precision", 128))
+                    prec = int(nv.get("precision", DEFAULT_PRECISION))
                     coeffs[r] = _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
                 else:
                     coeffs[r] = field_element_from_json(c), None
@@ -387,12 +395,8 @@ def load_decomposition(path):
 
 
 def _config_from_args(args):
-    return SplitConfig(
-        max_groebner_pairs=args.max_groebner_pairs,
-        precision=args.precision,
-        rank_cap=args.rank_cap,
-        matrix_cap=args.matrix_cap,
-    )
+    """The SplitConfig of the options ``split_from_constants`` reads."""
+    return SplitConfig(precision=args.precision)
 
 
 def _wants_json(args):
@@ -471,19 +475,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SplitConfig()
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--json", action="store_true", help="shorthand for --format json")
+    def inputs(p, *names):
+        for name in names:
+            p.add_argument(name)
         p.add_argument("--rank-cap", type=int, default=defaults.rank_cap, dest="rank_cap")
 
-    pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
-    pa.add_argument("file")
-    common(pa)
-    pa.add_argument("--tensor", action="store_true",
-                    help="include the full structure-constant tensor (json)")
-    pa.add_argument("--constants", action="store_true",
-                    help="compute structure constants for the commutativity line")
-    pa.set_defaults(func=cmd_analyze)
+    def output(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--json", action="store_true", help="shorthand for --format json")
 
     def bits(text):
         # enclosures start from double precision, so fewer bits cannot hold one
@@ -492,25 +491,26 @@ def _build_parser():
             raise argparse.ArgumentTypeError(f"must be at least 53 bits, got {value}")
         return value
 
-    def split_opts(p):
-        p.add_argument("--max-groebner-pairs", type=int,
-                       default=defaults.max_groebner_pairs, dest="max_groebner_pairs")
-        p.add_argument("--precision", type=bits, default=defaults.precision)
-        p.add_argument("--matrix-cap", type=int, default=defaults.matrix_cap,
-                       dest="matrix_cap")
+    pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
+    inputs(pa, "file")
+    output(pa)
+    pa.add_argument("--tensor", action="store_true",
+                    help="include the full structure-constant tensor (json)")
+    pa.add_argument("--constants", action="store_true",
+                    help="compute structure constants for the commutativity line")
+    pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("split", help="compute the full projector decomposition")
-    ps.add_argument("file")
-    common(ps)
-    split_opts(ps)
+    inputs(ps, "file")
+    output(ps)
+    ps.add_argument("--precision", type=bits, default=defaults.precision)
     ps.add_argument("--verify", choices=("none", "matrix"), default="none")
+    ps.add_argument("--matrix-cap", type=int, default=defaults.matrix_cap, dest="matrix_cap")
     ps.set_defaults(func=cmd_split)
 
     pv = sub.add_parser("verify", help="compare a decomposition file against a fresh run")
-    pv.add_argument("file")
-    pv.add_argument("decomposition")
-    common(pv)
-    split_opts(pv)
+    inputs(pv, "file", "decomposition")
+    pv.add_argument("--precision", type=bits, default=defaults.precision)
     pv.set_defaults(func=cmd_verify)
     return parser
 

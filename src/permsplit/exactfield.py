@@ -20,6 +20,7 @@ gcd-reduced, positive-denominator canonical form required here.
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
 
@@ -560,21 +561,17 @@ def as_ball(x, precision=None):
 # -- rendering and parsing ------------------------------------------------------
 
 
-def _atom(c, rad, lead=False):
-    """Render c*sqrt(rad); ``lead`` drops the sign handling to the caller."""
+def _atom(c, rad):
+    """Render c*sqrt(rad)."""
     c = Fraction(c)
-    parts = []
     if rad == 1:
         return str(c)
-    mag = abs(c)
-    sign = "-" if c < 0 else ""
-    if mag != 1:
-        parts.append(str(mag))
+    parts = [str(abs(c))] if abs(c) != 1 else []
     if rad < 0:
         parts.append("I")
     if abs(rad) != 1:
         parts.append(f"sqrt({abs(rad)})")
-    return sign + "*".join(parts)
+    return ("-" if c < 0 else "") + "*".join(parts)
 
 
 def render_field_element(fe, factored=True):
@@ -607,107 +604,58 @@ def render_field_element(fe, factored=True):
     return " ".join(out)
 
 
-class _Parser:
-    """Recursive-descent parser for the rendered grammar.
-
-    expr   := term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := rational | 'I' | 'sqrt' '(' integer ')' | '(' expr ')'
-    """
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self):
-        value = self.expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ValueError(
-                f"trailing input at {self.pos}: {self.text[self.pos:]!r}"
-            )
-        return value
-
-    def expr(self):
-        value = self.term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while self._peek() == "*":
-            self.pos += 1
-            value = value * self.factor()
-        return value
-
-    def factor(self):
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self._peek() != ")":
-                raise ValueError("unbalanced parenthesis")
-            self.pos += 1
-            return value
-        if ch == "-":
-            self.pos += 1
-            return -self.factor()
-        if ch == "+":
-            self.pos += 1
-            return self.factor()
-        if self.text.startswith("I", self.pos):
-            self.pos += 1
-            return FieldElement.i()
-        if self.text.startswith("sqrt", self.pos):
-            self.pos += 4
-            if self._peek() != "(":
-                raise ValueError("sqrt needs parentheses")
-            self.pos += 1
-            n = self._integer()
-            if self._peek() != ")":
-                raise ValueError("unbalanced sqrt parenthesis")
-            self.pos += 1
-            return FieldElement.sqrt_int(n)
-        return FieldElement.from_rational(self._rational())
-
-    def _integer(self):
-        self._skip()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ValueError(f"expected integer at {start}")
-        return int(self.text[start : self.pos])
-
-    def _rational(self):
-        num = self._integer()
-        if self._peek() == "/":
-            self.pos += 1
-            den = self._integer()
-            return Fraction(num, den)
-        return Fraction(num)
-
-
 def parse_field_element(text):
-    return _Parser(text).parse()
+    """The inverse of ``render_field_element``; ValueError on any other text.
+
+    ``ast.parse`` reads the text, and only these forms are evaluated:
+    decimal integers, ``I``, ``sqrt(n)``, unary ``+``/``-``, binary ``+``,
+    ``-``, ``*``, and ``/`` by an integer; a divisor or radicand may be
+    negated (``1/-2``, ``sqrt(-7)``).  Anything else is a ValueError:
+    ``0x10``, ``1_0``, ``True``, ``2**3``, other names and calls,
+    ``1/sqrt(2)``, ``1/2.5``, a syntax error, nesting too deep to evaluate.
+    Unlike a grammar of ``int/int`` rationals, a division may follow any
+    factor (``sqrt(2)/2``, ``3/4/5``); and a sum of about 1,000 terms or more
+    is refused as too deep (a rendered element has at most 2^(t+1) terms).
+    """
+    text = text.strip()
+    lines = text.encode().splitlines()
+
+    def integer(node):
+        match node:
+            case ast.UnaryOp(ast.USub(), operand):
+                return -integer(operand)
+            case ast.Constant(int(n)):
+                # the tree keeps 0x10, 1_0 and True as ints; only the spelling tells
+                if lines[node.lineno - 1][node.col_offset : node.end_col_offset].isdigit():
+                    return n
+        raise ValueError(f"column {node.col_offset + 1}: not in the coefficient grammar")
+
+    def value(node):
+        match node:
+            case ast.BinOp(left, ast.Add(), right):
+                return value(left) + value(right)
+            case ast.BinOp(left, ast.Sub(), right):
+                return value(left) - value(right)
+            case ast.BinOp(left, ast.Mult(), right):
+                return value(left) * value(right)
+            case ast.BinOp(left, ast.Div(), right):
+                return value(left) / integer(right)
+            case ast.UnaryOp(ast.USub(), operand):
+                return -value(operand)
+            case ast.UnaryOp(ast.UAdd(), operand):
+                return value(operand)
+            case ast.Name("I"):
+                return FieldElement.i()
+            case ast.Call(ast.Name("sqrt"), [radicand], []):
+                return FieldElement.sqrt_int(integer(radicand))
+        return FieldElement.from_rational(integer(node))
+
+    try:
+        return value(ast.parse(text, mode="eval").body)
+    except SyntaxError as e:
+        raise ValueError(f"not a coefficient: {e.msg}") from None
+    except RecursionError:
+        raise ValueError("not a coefficient: nested too deeply") from None
 
 
 def field_element_to_json(fe):

@@ -147,7 +147,6 @@ class GeneratorSet:
 
     degree: int
     generators: tuple
-    labels: tuple = None
 
     def __post_init__(self):
         if not self.generators:
@@ -156,10 +155,6 @@ class GeneratorSet:
             if g.degree != self.degree:
                 raise ValueError("generators of mixed degree")
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.labels is None:
-            object.__setattr__(
-                self, "labels", tuple(f"g{i+1}" for i in range(len(self.generators)))
-            )
 
     def __len__(self):
         return len(self.generators)
@@ -301,15 +296,10 @@ def _parse_gen_spec(spec, degree, lineno):
         raise ParseError(str(e), lineno) from None
 
 
-def parse_generators(source):
-    """Parse a generator file given as text, an open file, or a path."""
-    if hasattr(source, "read"):
-        return parse_generator_text(source.read())
-    text = str(source)
-    if "\n" not in text and not text.lstrip().lower().startswith("degree"):
-        with open(text, "r", encoding="utf-8") as fh:
-            return parse_generator_text(fh.read())
-    return parse_generator_text(text)
+def parse_generators(path):
+    """Parse the generator file at ``path``; ``parse_generator_text`` reads text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_generator_text(fh.read())
 
 
 # -- orbits and Schreier trees ------------------------------------------------

@@ -27,8 +27,8 @@ __all__ = [
     "standard_monomials",
 ]
 
-DEFAULT_MAX_PAIRS = 40000
-DEFAULT_MAX_BASIS = 800
+MAX_PAIRS = 40000
+MAX_BASIS = 800
 
 
 @dataclass(frozen=True)
@@ -418,14 +418,14 @@ def reduce_basis(G, assume_groebner=False):
     return G
 
 
-def groebner_basis(generators, max_pairs=DEFAULT_MAX_PAIRS, max_basis=DEFAULT_MAX_BASIS):
+def groebner_basis(generators):
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair selection follows the normal strategy (minimal lcm in the active
     order, ties by input index) via a heap keyed at pair-creation time; the
     coprime and chain criteria prune pairs.  Returns ``[1]`` exactly when the
-    ideal is the whole ring.  Raises ResourceLimit when the configured pair
-    or basis caps are exceeded.
+    ideal is the whole ring.  Raises ResourceLimit when more than MAX_PAIRS
+    pairs are processed or the basis grows past MAX_BASIS.
     """
     import heapq
 
@@ -463,8 +463,8 @@ def groebner_basis(generators, max_pairs=DEFAULT_MAX_PAIRS, max_basis=DEFAULT_MA
         if _chain_criterion(G, pair, lcm, done):
             continue
         processed += 1
-        if processed > max_pairs:
-            raise ResourceLimit(f"Groebner pair cap {max_pairs} exceeded")
+        if processed > MAX_PAIRS:
+            raise ResourceLimit(f"Groebner pair cap {MAX_PAIRS} exceeded")
         r = _head_reduce(s_polynomial(G[i], G[j]), reducers)
         if r.is_zero():
             continue
@@ -473,8 +473,8 @@ def groebner_basis(generators, max_pairs=DEFAULT_MAX_PAIRS, max_basis=DEFAULT_MA
         r = r.monic()
         G.append(r)
         reducers.append((r.leading_monomial(), FieldElement.one(), r))
-        if len(G) > max_basis:
-            raise ResourceLimit(f"Groebner basis cap {max_basis} exceeded")
+        if len(G) > MAX_BASIS:
+            raise ResourceLimit(f"Groebner basis cap {MAX_BASIS} exceeded")
         k = len(G) - 1
         for t in range(k):
             push_pair(t, k)

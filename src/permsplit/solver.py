@@ -39,7 +39,6 @@ from .errors import (
 )
 from .exactfield import ComplexBall, FieldElement, as_ball, sqrt_if_nice, factorize
 from .polynomial import (
-    DEFAULT_MAX_PAIRS,
     Poly,
     groebner_basis,
     is_trivial_basis,
@@ -299,7 +298,7 @@ def _triangular_chain(G, ring):
     return chain
 
 
-def _to_lex(polys, max_pairs):
+def _to_lex(polys):
     ring = polys[0].ring
     if ring.order == "lex":
         lex_ring = ring
@@ -307,10 +306,10 @@ def _to_lex(polys, max_pairs):
     else:
         lex_ring = ring.with_order("lex")
         lex_gens = [Poly(lex_ring, p.terms) for p in polys]
-    return groebner_basis(lex_gens, max_pairs=max_pairs), lex_ring
+    return groebner_basis(lex_gens), lex_ring
 
 
-def solve_zero_dimensional(system, precision=DEFAULT_PRECISION, max_pairs=DEFAULT_MAX_PAIRS):
+def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
     """All solutions over the complex numbers of a zero-dimensional system.
 
     ``system`` is a list of Poly sharing one ring.  Returns
@@ -321,7 +320,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION, max_pairs=DEFAUL
     gens = [g for g in system if not g.is_zero()]
     if not gens:
         raise NotZeroDimensional("empty system is not zero-dimensional")
-    lex_basis, lex_ring = _to_lex(gens, max_pairs)
+    lex_basis, lex_ring = _to_lex(gens)
     if is_trivial_basis(lex_basis):
         return []
     chain = _triangular_chain(lex_basis, lex_ring)
@@ -456,9 +455,7 @@ def _pin_assignments(h):
                 return
 
 
-def particular_solution_on_slice(
-    basis, precision=DEFAULT_PRECISION, max_pairs=DEFAULT_MAX_PAIRS, accept=None
-):
+def particular_solution_on_slice(basis, precision=DEFAULT_PRECISION, accept=None):
     """One verified solution of a positive-dimensional system.
 
     ``basis`` is the system's reduced Groebner basis.  Its leading terms give
@@ -482,18 +479,18 @@ def particular_solution_on_slice(
             Poly.variable(ring, v) - Poly.const(ring, val)
             for v, val in zip(free, pins)
         ]
-        pt = _try_slice(basis + extra, basis, precision, max_pairs, accept)
+        pt = _try_slice(basis + extra, basis, precision, accept)
         if pt is not None:
             return pt
     raise SliceExhausted(f"no particular solution within {tried} slice attempts")
 
 
-def _try_slice(augmented, basis, precision, max_pairs, accept):
+def _try_slice(augmented, basis, precision, accept):
     """The first accepted solution of one pinned system, or None when the
     pins are inconsistent, leave it positive-dimensional, or run into a
     resource cap (the caller then tries the next pins)."""
     try:
-        points = solve_zero_dimensional(augmented, precision=precision, max_pairs=max_pairs)
+        points = solve_zero_dimensional(augmented, precision=precision)
     except (NotZeroDimensional, ResourceLimit):
         return None
     for pt in points:

@@ -52,7 +52,6 @@ from .errors import (
 from .exactfield import FieldElement
 from .perms import GeneratorSet
 from .polynomial import (
-    DEFAULT_MAX_PAIRS,
     Poly,
     Ring,
     groebner_basis,
@@ -66,6 +65,7 @@ from .solver import (
     solve_zero_dimensional,
 )
 from .verify import (
+    DEFAULT_MATRIX_CAP,
     _coefficient_sum,
     _vanishes,
     algebra_product,
@@ -92,10 +92,9 @@ __all__ = [
 class SplitConfig:
     """Knobs for the splitting pipeline; defaults suit desk-scale inputs."""
 
-    max_groebner_pairs: int = DEFAULT_MAX_PAIRS
     precision: int = DEFAULT_PRECISION
     rank_cap: int = DEFAULT_RANK_CAP
-    matrix_cap: int = 2000
+    matrix_cap: int = DEFAULT_MATRIX_CAP
     threads: int = 1  # read by the benchmark only; selects nothing
 
 
@@ -121,7 +120,7 @@ class Projector:
     coefficients: tuple
     dimension: int
     provenance: str            # "uniqueSolution" | "slicedSolution"
-    precision: int = 0
+    precision: int = DEFAULT_PRECISION
     block: int = None          # shared id for one multiplicity block
     conjugate_of: int = None   # index in the decomposition, when paired
 
@@ -487,15 +486,13 @@ def _run_dimension(state: _SplitState, d):
             process_single_solution(state, state.make_projector(point, d, "uniqueSolution"))
             state.events.append(SplitEvent(d, "solutions", 0, 1))
             break
-        gb = groebner_basis(polys, max_pairs=cfg.max_groebner_pairs)
+        gb = groebner_basis(polys)
         if is_trivial_basis(gb):
             state.events.append(SplitEvent(d, "inconsistent"))
             break
         h = hilbert_dimension(gb, nvars=state.sub_ring.nvars)
         if h == 0:
-            points = solve_zero_dimensional(
-                gb, precision=cfg.precision, max_pairs=cfg.max_groebner_pairs
-            )
+            points = solve_zero_dimensional(gb, precision=cfg.precision)
             points = [p for p in points if state.accept_candidate(p)]
             for point in points:
                 process_single_solution(
@@ -507,10 +504,7 @@ def _run_dimension(state: _SplitState, d):
         sliced = True
         try:
             point = particular_solution_on_slice(
-                gb,
-                precision=cfg.precision,
-                max_pairs=cfg.max_groebner_pairs,
-                accept=state.accept_candidate,
+                gb, precision=cfg.precision, accept=state.accept_candidate
             )
         except SliceExhausted:
             if state.numeric_sum is not None:

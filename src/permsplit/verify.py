@@ -32,6 +32,7 @@ from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
 from .exactfield import ComplexBall, FieldElement, as_ball, render_field_element
 from .perms import GeneratorSet, orbit_with_tree
+from .solver import DEFAULT_PRECISION
 
 if TYPE_CHECKING:
     from .splitter import Decomposition, Projector
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 NUMERIC_TOLERANCE = 1e-10
+DEFAULT_MATRIX_CAP = 2000  # the orbital label matrix holds N^2 labels
 
 
 # -- products in the centralizer algebra ---------------------------------------
@@ -66,7 +68,7 @@ def _support(vec):
     return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
 
 
-def algebra_product(consts: StructureConstants, a, b, precision=128):
+def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
     """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
 
     Exact when both vectors are exact; otherwise every entry is lifted to a
@@ -89,7 +91,7 @@ def algebra_product(consts: StructureConstants, a, b, precision=128):
         return out
 
 
-def _first_nonzero(vec, reference=None, precision=128):
+def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
     """The first component r of vec - reference that is not zero, as (r, value);
     None when every component vanishes.
 
@@ -106,7 +108,7 @@ def _first_nonzero(vec, reference=None, precision=128):
     return None
 
 
-def _vanishes(vec, reference=None, precision=128):
+def _vanishes(vec, reference=None, precision=DEFAULT_PRECISION):
     """Componentwise zero test of vec - reference."""
     return _first_nonzero(vec, reference, precision) is None
 
@@ -114,7 +116,7 @@ def _vanishes(vec, reference=None, precision=128):
 # -- the primitivity certificate ----------------------------------------------------
 
 
-def primitivity_traces(consts: StructureConstants, vectors, precision=128):
+def primitivity_traces(consts: StructureConstants, vectors, precision=DEFAULT_PRECISION):
     """dim eAe = tr(x -> e x e) for each coefficient vector e.
 
     The map is L_e R_e, and its trace is the quadratic form e^T T e with the
@@ -185,7 +187,7 @@ class VerificationReport:
         return out
 
 
-def _witness(vec, reference=None, precision=128):
+def _witness(vec, reference=None, precision=DEFAULT_PRECISION):
     """The first nonvanishing component of vec - reference, printable."""
     hit = _first_nonzero(vec, reference, precision)
     if hit is None:
@@ -194,7 +196,9 @@ def _witness(vec, reference=None, precision=128):
     return f"r={r}: {_render(diff)}"
 
 
-def verify_family_algebraic(consts: StructureConstants, deco: Decomposition, precision=128):
+def verify_family_algebraic(
+    consts: StructureConstants, deco: Decomposition, precision=DEFAULT_PRECISION
+):
     """Idempotency, pairwise orthogonality, completeness, trace integrality
     and primitivity (dim B A B = 1, so no projector splits further).
 
@@ -314,8 +318,8 @@ def verify_matrix_level(
     basis: OrbitalBasis,
     deco: Decomposition,
     mode="exact",
-    matrix_cap=2000,
-    precision=128,
+    matrix_cap=DEFAULT_MATRIX_CAP,
+    precision=DEFAULT_PRECISION,
 ):
     """Certify the family as N x N matrices acting with the real generators.
 
@@ -389,7 +393,7 @@ def verify_matrix_level(
 # -- reference comparison ------------------------------------------------------------
 
 
-def _coeffs_equal(a, b, precision=128):
+def _coeffs_equal(a, b, precision=DEFAULT_PRECISION):
     a, b = _lifted((a, b), precision)
     if isinstance(a, FieldElement):
         return a == b

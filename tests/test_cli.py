@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from permsplit import NotZeroDimensional, SplitConfig, cli
+from permsplit import NotZeroDimensional, SplitConfig, cli, polynomial
 from permsplit.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -179,15 +179,42 @@ class TestSplitCommand:
         assert "usage:" in err and "argument --precision" in err
         assert "Traceback" not in err
 
-    def test_resource_limit_exit_3(self, tmp_path):
+    def test_resource_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        """The Groebner pair cap is a module constant; one pair is too few
+        for the regular action of S3."""
         gens = regular_action(symmetric(3))
         lines = ["degree 6"] + [
             "gen " + " ".join(str(x) for x in g.images()) for g in gens.generators
         ]
         path = tmp_path / "s3reg.gens"
         path.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(["split", str(path), "--max-groebner-pairs", "1"])
-        assert code == 3
+        monkeypatch.setattr(polynomial, "MAX_PAIRS", 1)
+        assert main(["split", str(path)]) == 3
+        assert "Groebner pair cap 1 exceeded" in capsys.readouterr().err
+
+    def test_generator_file_named_like_a_keyword(self, tmp_path, monkeypatch, capsys):
+        """The file argument is always a path, even one that starts with
+        "degree"."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "degree3.gens").write_text(S3_TEXT)
+        assert main(["split", "degree3.gens"]) == 0
+        assert "Decomposition: 3 ≅ 1 ⊕ 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", [
+        ["--format", "json"], ["--json"], ["--matrix-cap", "10"],
+    ], ids=["format", "json", "matrix-cap"])
+    def test_report_options_belong_to_split(self, tmp_path, capsys, option):
+        """split prints a report and may verify matrices; verify does
+        neither, so the options are a usage error there (exit 2)."""
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        assert main(["split", str(path), *option]) == 0
+        ref = tmp_path / "s3.deco"
+        ref.write_text(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", str(path), str(ref), *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_uncertified_family_exit_4(self, tmp_path, monkeypatch, capsys):
         duplicate_first_projector(monkeypatch)
@@ -391,6 +418,33 @@ class TestMalformedDecompositionFile:
         code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
         assert code == 1
         assert err.startswith(f"parse error: line {lineno}: ")
+
+    def test_deeply_nested_coefficient(self, tmp_path, capsys):
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lineno = lines.index("coeff 2 1/3") + 1
+        lines[lineno - 1] = "coeff 2 " + "(" * 5000 + "1/3" + ")" * 5000
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err.startswith(f"parse error: line {lineno}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["projectors"][0].update(dimension="1"),
+        lambda obj: obj["projectors"][0].update(dimension=0),
+        lambda obj: obj["projectors"][0].update(dimension=True),
+        lambda obj: obj.update(degree=3.0),
+        lambda obj: obj.update(rank="2"),
+        lambda obj: obj["suborbit_lengths"].__setitem__(1, "2"),
+        lambda obj: obj["projectors"][0].update(block="1"),
+        lambda obj: obj["projectors"][0].update(conjugate_of=False),
+    ], ids=["dimension-string", "dimension-zero", "dimension-bool", "degree-float",
+            "rank-string", "suborbit-length-string", "block-string", "conjugate-of-bool"])
+    def test_json_field_of_the_wrong_type(self, tmp_path, capsys, edit):
+        obj = decomposition_to_json(split(symmetric(3)))
+        edit(obj)
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err.startswith("parse error: ")
 
     def test_json_without_degree(self, tmp_path, capsys):
         obj = decomposition_to_json(split(symmetric(3)))

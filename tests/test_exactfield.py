@@ -225,11 +225,44 @@ class TestRendering:
         assert parse_field_element(render_field_element(a)) == a
         assert parse_field_element(render_field_element(a, factored=False)) == a
 
+    @pytest.mark.parametrize("text, value", [
+        ("1/-2", fe(Fraction(-1, 2))),
+        ("sqrt(-7)", FE.term(1, -7)),
+        ("--1", fe(1)),
+        ("2*3/4", fe(Fraction(3, 2))),
+        ("+2 - I", fe(2) - FE.i()),
+        ("sqrt(12)", FE.term(2, 3)),
+        ("sqrt(2)/2", FE.term(Fraction(1, 2), 2)),
+        ("3/4/5", fe(Fraction(3, 20))),
+    ])
+    def test_parse_accepts(self, text, value):
+        assert parse_field_element(text) == value
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_field_element("1 + ")
         with pytest.raises(ValueError):
             parse_field_element("sqrt 7")
+
+    @pytest.mark.parametrize("text", [
+        "0x10", "1_0", "True", "2**3", "x", "sqrt(2, 3)", "1/sqrt(2)", "1/2.5",
+    ])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_field_element(text)
+
+    def test_parse_long_sum(self):
+        """A 512-term sum, beyond what any rendered element needs."""
+        assert parse_field_element(" + ".join(["1"] * 512)) == fe(512)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 5000 + "1" + ")" * 5000,
+        "-" * 5000 + "1",
+        " + ".join(["1"] * 5000),
+    ], ids=["parentheses", "negations", "sum"])
+    def test_parse_too_deep_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="not a coefficient"):
+            parse_field_element(text)
 
 
 class TestJson:
