@@ -1,13 +1,14 @@
 """End-to-end splits of three small actions, with the exact projector tables.
 
-Each projector B_m lies in the centralizer algebra, B_m = sum_r b_r A_r.  The
-centre of the algebra hints at the irreducible dimensions d, and the library
-solves the quadratic idempotency systems only at those d (the trace pins
-b_1 = d/N exactly), with Groebner bases over the radical tower.  One
-certificate checks the finished family on every route: idempotent, mutually
-orthogonal, complete, and every projector primitive, so none splits further.
-A hinted family that fails it sends the library back to scanning every
-d = 1, 2, ..., and a scanned family that fails it is an error.
+Each projector B_m lies in the centralizer algebra, B_m = sum_r b_r A_r.
+All three algebras are commutative and their centres split over the radical
+tower, so the library reads the projectors off the central idempotents by
+exact linear algebra: the minimal polynomial of a central element, its roots
+in the tower, and the Lagrange idempotents.  (Where the tower cannot split
+the centre, it solves quadratic idempotency systems with Groebner bases
+instead.)  One certificate checks the finished family on every route:
+idempotent, mutually orthogonal, complete, and every projector primitive, so
+none splits further.
 """
 
 from permsplit import GeneratorSet, Permutation, parse_generator_text, split

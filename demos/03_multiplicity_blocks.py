@@ -1,19 +1,27 @@
-"""The multiplicity branch: regular S3, where the 2-dimensional irreducible
+"""Multiplicity blocks: regular S3, where the 2-dimensional irreducible
 appears twice.
 
-At d = 2 the idempotency system is consistent but not zero-dimensional: its
-solution set is a 2-parameter family (Hilbert dimension 2, the rank-one
-idempotents of the 2 x 2 block).  A positive dimension only tells the
-splitter to slice: it pins free coordinates to small rationals, takes one
-particular solution, joins its orthogonality relations, and re-derives the
-system until the dimension is exhausted.  How many projectors the block
-holds is never computed from the Hilbert dimension; the certificate on the
-finished family settles the counts.
+The centre of the algebra has three primitive idempotents; for the one of
+the 2-dimensional irreducible tr(L_E) = 4, so its block is M_2 (k = 2).
+``split`` takes the linear route on this input: the block is refined inside
+E A with the elements e A_r e until it holds two primitive idempotents,
+which the report tags "blockRefinement" and block 2.  Which two is a choice
+(u e u^-1 is as good as e for any unit u of the block); their sum, the
+central idempotent, is not.
+
+The Groebner route runs only for actions whose centre the tower cannot
+split, and the demo runs it here as well (``splitter._split_by_groebner``).
+It meets the block as a d = 2 idempotency system that is consistent but not
+zero-dimensional: Hilbert dimension 2, the rank-one idempotents of the
+2 x 2 block.  It slices one particular solution, joins its orthogonality
+relations, and re-derives the system until the dimension is exhausted.
+How many projectors the block holds is never computed from the Hilbert
+dimension; the certificate on the finished family settles the counts.
 """
 
 from permsplit import split, verify_family_algebraic
 from permsplit import compute_orbitals, compute_structure_constants
-from permsplit import GeneratorSet, Permutation
+from permsplit import FieldElement, GeneratorSet, Permutation, SplitConfig, splitter
 from permsplit.cli import render_decomposition_text
 
 
@@ -46,20 +54,22 @@ def main():
     deco = split(gens)
     print(render_decomposition_text(deco))
 
-    print("dimension-loop events:")
-    for e in deco.events:
-        extra = f" Hd={e.hilbert}" if e.hilbert is not None else ""
-        print(f"  d={e.d}: {e.kind}{extra} extracted={e.extracted}")
-
-    sliced = [p for p in deco.projectors if p.provenance == "slicedSolution"]
-    print(f"\n{len(sliced)} projector(s) came from slicing; "
-          "the complement of a sliced projector inside its block is unique, "
-          "so the second one falls out of a zero-dimensional re-run.")
-
     basis = compute_orbitals(gens)
     consts = compute_structure_constants(gens, basis)
     report = verify_family_algebraic(consts, deco)
     print("algebraic verification:", "all passed" if report.passed else "FAILED")
+
+    groebner = splitter._split_by_groebner(basis, consts, SplitConfig())
+    print("\nthe Groebner route's dimension-loop events:")
+    for e in groebner.events:
+        extra = f" Hd={e.hilbert}" if e.hilbert is not None else ""
+        print(f"  d={e.d}: {e.kind}{extra} extracted={e.extracted}")
+
+    def block_sum(family):
+        members = [p.coefficients for p in family.projectors if p.block == 2]
+        return [sum(col, FieldElement.zero()) for col in zip(*members)]
+
+    print("same block sum on both routes:", block_sum(deco) == block_sum(groebner))
 
 
 if __name__ == "__main__":

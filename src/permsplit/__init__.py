@@ -1,10 +1,11 @@
 """Split transitive permutation representations into irreducible projectors.
 
 The pipeline: parse generators -> orbitals and the ordered centralizer-algebra
-basis -> integer structure constants -> quadratic idempotency systems ->
-Groebner bases and exact solution points -> the complete orthogonal family of
-irreducible projectors, verified algebraically and (optionally) at matrix
-level.
+basis -> integer structure constants -> central and block idempotents by
+exact linear algebra over the tower (quadratic idempotency systems, Groebner
+bases and solution points where the tower cannot split the centre) -> the
+complete orthogonal family of irreducible projectors, verified algebraically
+and (optionally) at matrix level.
 """
 
 from .errors import (

@@ -35,7 +35,13 @@ from .exactfield import (
 )
 from .perms import parse_generators
 from .solver import DEFAULT_PRECISION
-from .splitter import Decomposition, Projector, SplitConfig, split_from_constants
+from .splitter import (
+    PROVENANCES,
+    Decomposition,
+    Projector,
+    SplitConfig,
+    split_from_constants,
+)
 from .verify import compare_to_reference, verify_family_algebraic, verify_matrix_level
 
 __all__ = [
@@ -205,6 +211,7 @@ def parse_decomposition_text(text):
     degree = rank = lineno = None
     lengths = []
     projectors = []
+    conjugate_lines = []
     current = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,6 +236,7 @@ def parse_decomposition_text(text):
                 if current is None:
                     raise ParseError("end without projector", lineno)
                 projectors.append(_projector_from_record(current, rank, lineno))
+                conjugate_lines.append(current.get("conjugate_line"))
                 current = None
             elif current is not None:
                 key, _, rest = line.partition(" ")
@@ -245,6 +253,7 @@ def parse_decomposition_text(text):
                     current["block"] = None if rest == "-" else int(rest)
                 elif key == "conjugate-of":
                     current["conjugate_of"] = None if rest == "-" else int(rest) - 1
+                    current["conjugate_line"] = lineno
                 elif key == "coeff":
                     r, _, txt = rest.partition(" ")
                     r = int(r)
@@ -263,6 +272,7 @@ def parse_decomposition_text(text):
         raise ParseError("projector without end", lineno)
     if degree is None or rank is None:
         raise ParseError("missing Degree/Rank headers")
+    _check_conjugates(projectors, conjugate_lines)
     return Decomposition(
         degree=degree,
         rank=rank,
@@ -279,10 +289,28 @@ def _parse_coefficient(txt):
     return parse_field_element(txt), None
 
 
+def _check_conjugates(projectors, lines):
+    """ParseError, naming the line when ``lines`` holds it, unless every
+    conjugate of a projector is a projector of the family that names it back."""
+    for i, p in enumerate(projectors):
+        j = p.conjugate_of
+        if j is None:
+            continue
+        if not 0 <= j < len(projectors):
+            raise ParseError(
+                f"projector {i + 1}: conjugate {j + 1} outside 1..{len(projectors)}", lines[i]
+            )
+        if projectors[j].conjugate_of != i:
+            raise ParseError(
+                f"projector {i + 1}: conjugate {j + 1} does not name {i + 1} back", lines[i]
+            )
+
+
 def _projector_from_record(rec, rank, lineno=None):
     """One projector block's fields as a Projector; ParseError when a
-    coefficient is missing, the exact flag disagrees with their types, or a
-    field has the wrong type."""
+    coefficient is missing, the exact flag disagrees with their types, the
+    provenance is not a word of ``PROVENANCES``, or a field has the wrong
+    type."""
     coeffs = []
     precision = DEFAULT_PRECISION
     for r in range(1, rank + 1):
@@ -299,13 +327,16 @@ def _projector_from_record(rec, rank, lineno=None):
     for key in ("block", "conjugate_of"):
         if rec.get(key) is not None and type(rec[key]) is not int:
             raise ParseError(f"{key} {rec[key]!r} is not an integer", lineno)
+    provenance = rec.get("provenance", "uniqueSolution")
+    if provenance not in PROVENANCES:
+        raise ParseError(f"provenance {provenance!r} is not one of {', '.join(PROVENANCES)}", lineno)
     exact = all(isinstance(c, FieldElement) for c in coeffs)
     if rec.get("exact", True) != exact:
         raise ParseError(f"exact {str(not exact).lower()} disagrees with the coefficients", lineno)
     return Projector(
         coefficients=tuple(coeffs),
         dimension=rec["dimension"],
-        provenance=rec.get("provenance", "uniqueSolution"),
+        provenance=provenance,
         precision=precision,
         block=rec.get("block"),
         conjugate_of=rec.get("conjugate_of"),
@@ -367,6 +398,7 @@ def decomposition_from_json(obj):
             projectors.append(
                 _projector_from_record(dict(rec, coeffs=coeffs, exact=rec["exact"]), rank)
             )
+        _check_conjugates(projectors, [None] * len(projectors))
         return Decomposition(
             degree=obj["degree"],
             rank=rank,

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import UNREPRESENTABLE
+from .errors import UNREPRESENTABLE, ParseError, ResourceLimit
 
 __all__ = [
     "Rational",
@@ -47,6 +47,9 @@ Rational = Fraction
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Pollard rho steps allowed per composite; rho meets a prime factor p in about
+# sqrt(p) steps, so factors below about 2^28 are found
+RHO_STEPS = 1 << 15
 
 
 def _is_probable_prime(n):
@@ -74,12 +77,21 @@ def _is_probable_prime(n):
 
 
 def _pollard_rho(n):
+    """A proper factor of the odd composite n, in at most RHO_STEPS steps
+    over all the polynomials x^2 + c tried; ResourceLimit past them."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 50):
         x = y = 2
         d = 1
         while d == 1:
+            steps += 1
+            if steps > RHO_STEPS:
+                raise ResourceLimit(
+                    f"factoring a {len(str(n))}-digit integer takes more than "
+                    f"{RHO_STEPS} Pollard rho steps"
+                )
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -90,7 +102,8 @@ def _pollard_rho(n):
 
 
 def factorize(n):
-    """Prime factorization of n >= 1 as an exponent dict."""
+    """Prime factorization of n >= 1 as an exponent dict; ResourceLimit when
+    a composite part does not split within RHO_STEPS steps."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = {}
@@ -669,6 +682,22 @@ def field_element_to_json(fe):
 
 
 def field_element_from_json(obj):
-    return FieldElement(
-        {int(t["rad"]): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
-    )
+    """The inverse of ``field_element_to_json``.  ParseError unless every
+    ``rad`` is an int and every ``num`` and ``den`` an int or the decimal
+    string the writer emits; a bool is neither."""
+    terms = {}
+    for t in obj["terms"]:
+        rad = t["rad"]
+        # type(x) is int, because a bool is an int to isinstance
+        if type(rad) is not int:
+            raise ParseError(f"radicand {rad!r} is not an integer")
+        terms[rad] = Fraction(_json_integer(t["num"]), _json_integer(t["den"]))
+    return FieldElement(terms)
+
+
+def _json_integer(x):
+    if type(x) is str and str(int(x)) == x:
+        return int(x)
+    if type(x) is not int:
+        raise ParseError(f"{x!r} is not an integer")
+    return x

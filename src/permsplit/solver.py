@@ -124,11 +124,17 @@ def _poly_eval(coeffs, x):
 
 
 def _divisors(n, cap=4096):
+    """The positive divisors of n; None for 0, past ``cap`` divisors, or when
+    factorizing n hits its step cap."""
     n = abs(n)
     if n == 0:
         return None
+    try:
+        factors = factorize(n)
+    except ResourceLimit:
+        return None
     divs = [1]
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
         if len(divs) > cap:
             return None

@@ -1,36 +1,58 @@
-"""The main splitting loop: idempotency systems, the dimension loop, and the
-assembly of the complete orthogonal family of irreducible projectors.
+"""The two splitting routes, and the assembly of the complete orthogonal
+family of irreducible projectors.
 
-The candidate dimensions come from the centre of the algebra: a floating-point
-oracle (``dimension_hint``) reads each irreducible's dimension d and
-multiplicity k off the central idempotents.  For each hinted d, in ascending
-order, the generic invariant form is constrained by x_1 = d/N (the trace pins
-the coefficient of the identity basis matrix), the orthogonality forms of
-the running sum S of the exact projectors accepted so far are joined in, and
-the Groebner basis decides: inconsistent (advance d), zero-dimensional
-(enumerate and accept every solution; the dimension is done, as more
-constraints could only shrink that finite variety), or positive-dimensional
-(an irreducible that occurs more than once; one particular solution is sliced
-off that same basis, and the dimension re-runs with the forms of the new
-sum; see ``process_single_solution`` for why S stands for every projector).
-The loop never counts the projectors of a block; the certificate settles the
-counts.
+The linear route runs first and needs no Groebner basis, slice or float.
+The centre Z of the algebra is the rational null space of
+x -> (x A_r - A_r x)_r.  Refinement splits the identity into the central
+primitive idempotents E_j: for each current idempotent e and each basis
+element z of Z, the minimal polynomial of y = e z in eZ is read off the
+linear dependence of its powers, its roots are found in the tower
+(``solver._exact_roots``), and e splits into the Lagrange idempotents
+L_lambda(y), with L_lambda(t) = prod_{mu != lambda} (t - mu)/(lambda - mu).
+E_j spans a block M_{k_j} of the algebra, so k_j^2 = tr(L_{E_j}), and its
+trace in the permutation module is N (E_j)_1 = k_j d_j; both are exact.  An
+E_j with k_j = 1 is a projector (provenance "uniqueSolution").  One with
+k_j >= 2 is refined the same way inside E_j A, with the elements e A_r e,
+until it holds k_j primitive idempotents (provenance "blockRefinement",
+block d_j); there an element whose minimal polynomial has a repeated root
+or a root outside the tower is passed over.
+
+The Groebner route runs from scratch when the linear route gives up: when
+a minimal polynomial in the centre keeps a factor with no root in the tower
+(C5, C7, C8 and C9, and D7 of order 14, on their natural points), when a
+block's elements split it into fewer than k_j idempotents, or when the
+linear family fails its certificate.  Its candidate dimensions come from a floating-point
+oracle (``dimension_hint``) that reads each irreducible's dimension d and
+multiplicity k off the same central idempotents.  For each hinted d, in
+ascending order, the generic invariant form is constrained by x_1 = d/N
+(the trace pins the coefficient of the identity basis matrix), the
+orthogonality forms of the running sum S of the exact projectors accepted
+so far are joined in, and the Groebner basis decides: inconsistent (advance
+d), zero-dimensional (enumerate and accept every solution; the dimension is
+done, as more constraints could only shrink that finite variety), or
+positive-dimensional (an irreducible that occurs more than once; one
+particular solution is sliced off that same basis, and the dimension re-runs
+with the forms of the new sum; see ``process_single_solution`` for why S
+stands for every projector).  The loop never counts the projectors of a
+block; the certificate settles the counts.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
 projector accepted before it (candidates are filtered against the sum of the
 numeric ones); the projectors are accepted without being multiplied out
-again.  The one certificate is ``verify.verify_family_algebraic`` on the
-whole family: idempotency, orthogonality, completeness, trace and
-primitivity, exact over the tower.  A complete, orthogonal family of
-primitive idempotents holds exactly k projectors of each dimension d.  A
-hinted family is kept only when its dimensions are the hinted multiset and it
-passes; otherwise the full scan d = 1, 2, ... runs from scratch, and a
-scanned family that fails raises InvariantViolation naming the failed checks.
+again.  The one certificate, on both routes, is
+``verify.verify_family_algebraic`` on the whole family: idempotency,
+orthogonality, completeness, trace and primitivity, exact over the tower.
+A complete, orthogonal family of primitive idempotents holds exactly k
+projectors of each dimension d.  A hinted family is kept only when its
+dimensions are the hinted multiset and it passes; otherwise the full scan
+d = 1, 2, ... runs from scratch, and a scanned family that fails raises
+InvariantViolation naming the failed checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,6 +69,7 @@ from .errors import (
     IncompleteDecomposition,
     InvariantViolation,
     PermsplitError,
+    ResourceLimit,
     SliceExhausted,
 )
 from .exactfield import FieldElement
@@ -61,6 +84,9 @@ from .polynomial import (
 from .solver import (
     DEFAULT_PRECISION,
     SolutionPoint,
+    _deflate,
+    _exact_roots,
+    _poly_eval,
     particular_solution_on_slice,
     solve_zero_dimensional,
 )
@@ -83,9 +109,14 @@ __all__ = [
     "build_orthogonality_system_right",
     "algebra_product",
     "dimension_hint",
+    "PROVENANCES",
     "process_single_solution",
     "split",
 ]
+
+
+# how a projector was found; see ``Projector.provenance``
+PROVENANCES = ("uniqueSolution", "slicedSolution", "blockRefinement")
 
 
 @dataclass
@@ -119,7 +150,11 @@ class Projector:
 
     coefficients: tuple
     dimension: int
-    provenance: str            # "uniqueSolution" | "slicedSolution"
+    # "uniqueSolution": solved from a zero-dimensional system, or a central
+    # idempotent with k = 1; "slicedSolution": sliced off a positive-dimensional
+    # system; "blockRefinement": a primitive idempotent that the linear route
+    # split off a block with k >= 2
+    provenance: str
     precision: int = DEFAULT_PRECISION
     block: int = None          # shared id for one multiplicity block
     conjugate_of: int = None   # index in the decomposition, when paired
@@ -162,7 +197,10 @@ class SplitEvent:
     """One step of the dimension loop, for reports and diagnostics."""
 
     d: int
-    kind: str    # "inconsistent" | "solutions" | "slice" | "filtered" | "hint-fallback"
+    # "inconsistent" | "solutions" | "slice" | "filtered" | "hint-fallback",
+    # or "blockRefinement": the linear route's projectors of dimension d, of
+    # which some come from refining a block (only "solutions" when none do)
+    kind: str
     hilbert: int = None
     extracted: int = 0
 
@@ -389,16 +427,29 @@ def split(gens: GeneratorSet, config: SplitConfig = None):
 
 
 def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config=None):
-    """The dimension loop, starting from precomputed structure constants.
+    """The certified family, from precomputed structure constants.
+
+    The linear route (``_split_linear``) runs first; when it gives up, the
+    Groebner route (``_split_by_groebner``) runs from scratch.  Either way
+    the family is returned only when ``verify_family_algebraic`` passes on
+    it.
+    """
+    config = config or SplitConfig()
+    deco = _split_linear(basis, consts, config)
+    if deco is None:
+        deco = _split_by_groebner(basis, consts, config)
+    return deco
+
+
+def _split_by_groebner(basis, consts, config):
+    """The Groebner route: the dimension loop over the hinted dimensions.
 
     Only the dimensions of ``dimension_hint`` are solved.  When there is no
     hint, or the hinted run raises or yields a family whose dimensions are
     not the hinted multiset, the full scan d = 1, 2, ... runs from scratch
-    after a "hint-fallback" event.  Either way the family is returned only
-    when ``verify_family_algebraic`` passes on it; a scanned family that
-    fails raises InvariantViolation naming the failed checks.
+    after a "hint-fallback" event.  A scanned family that fails its
+    certificate raises InvariantViolation naming the failed checks.
     """
-    config = config or SplitConfig()
     hint = dimension_hint(consts, basis.degree)
     deco = None
     if hint:
@@ -410,6 +461,203 @@ def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config
         deco = _split_over(basis, consts, config, None)
     _pair_conjugates(deco)
     return deco
+
+
+# -- the linear route: central and block idempotents ------------------------------
+
+
+def _split_linear(basis, consts, config):
+    """The family read off the central and block idempotents, or None when
+    the route gives up (see the module docstring).
+
+    The family is ordered by ascending d, the k = 1 projectors of a d before
+    the block members of the same d, then by ``SolutionPoint.sort_key``:
+    the order in which the Groebner route enumerates a multiplicity-free
+    family.
+    """
+    rank, n = consts.rank, basis.degree
+    centre = _centre_basis(consts)
+    central = _refine(
+        consts, [_basis_vector(rank, 0)],
+        [lambda e, z=z: algebra_product(consts, e, z) for z in centre],
+        len(centre), strict=True,
+    )
+    if central is None:
+        return None
+    table = consts.table[1:, 1:, 1:]
+    left_traces = [int(t) for t in np.einsum("pqq->p", table)]
+    compressions = [
+        lambda e, a=_basis_vector(rank, r): algebra_product(
+            consts, algebra_product(consts, e, a), e
+        )
+        for r in range(1, rank)
+    ]
+    projectors = []
+    for idem in central:
+        k, d = _block_size(idem, left_traces, n)
+        if k is None:
+            return None
+        if k == 1:
+            projectors.append(Projector(tuple(idem), d, "uniqueSolution", config.precision))
+            continue
+        parts = _refine(consts, [idem], compressions, k, strict=False)
+        if parts is None:
+            return None
+        projectors += [
+            Projector(tuple(f), d, "blockRefinement", config.precision, block=d)
+            for f in parts
+        ]
+    projectors.sort(
+        key=lambda p: (p.dimension, p.block is not None,
+                       SolutionPoint(p.coefficients[1:]).sort_key())
+    )
+    events = []
+    for d in sorted({p.dimension for p in projectors}):
+        at_d = [p for p in projectors if p.dimension == d]
+        kind = "solutions" if all(p.block is None for p in at_d) else "blockRefinement"
+        events.append(SplitEvent(d, kind, None, len(at_d)))
+    deco, report = _certified(basis, consts, config, projectors, events, [])
+    if not report.passed:
+        return None
+    _pair_conjugates(deco)
+    return deco
+
+
+def _basis_vector(rank, r):
+    """Coefficients of the basis matrix A_{r+1}."""
+    return [FieldElement.one() if i == r else FieldElement.zero() for i in range(rank)]
+
+
+def _centre_basis(consts):
+    """A basis of the centre: the rational null space of x -> (x A_r - A_r x)_r,
+    read off the reduced row echelon form of that map's integer matrix."""
+    rank = consts.rank
+    if consts.is_commutative():
+        return [_basis_vector(rank, r) for r in range(rank)]
+    c = consts.table[1:, 1:, 1:]
+    # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
+    matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
+    pivots = {}  # pivot column -> row, 1 there and 0 in every other pivot column
+    for row in dict.fromkeys(tuple(int(v) for v in row) for row in matrix if row.any()):
+        v = [Fraction(x) for x in row]
+        for col, prow in pivots.items():
+            if v[col]:
+                v = [a - v[col] * b for a, b in zip(v, prow)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            continue
+        v = [a / v[lead] for a in v]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = [a - prow[lead] * b for a, b in zip(prow, v)]
+        pivots[lead] = v
+        if len(pivots) == rank - 1:
+            break  # the identity is central, so no more pivots can come
+    basis = []
+    for free in (j for j in range(rank) if j not in pivots):
+        z = [Fraction(j == free) for j in range(rank)]
+        for col, prow in pivots.items():
+            z[col] = -prow[free]
+        basis.append([FieldElement.from_rational(x) for x in z])
+    return basis
+
+
+def _refine(consts, parts, elements, target, strict):
+    """Split the idempotents ``parts`` until there are ``target`` of them.
+
+    Each element maps an idempotent e to an element y of eAe, and e splits
+    into the Lagrange idempotents of y (``_split_idempotent``).  The elements
+    are tried in order, in passes.  An element that cannot split a part in
+    the tower is passed over, or with ``strict`` gives None at once.  None
+    also when a pass splits nothing.  (In the centre one pass splits every
+    part as far as the elements go.)
+    """
+    while len(parts) < target:
+        before = len(parts)
+        for element in elements:
+            split_parts = []
+            for e in parts:
+                pieces = _split_idempotent(consts, e, element(e))
+                if pieces is None:
+                    if strict:
+                        return None
+                    pieces = [e]
+                split_parts += pieces
+            parts = split_parts
+            if len(parts) == target:
+                return parts
+        if len(parts) == before:
+            return None
+    return parts
+
+
+def _split_idempotent(consts, e, y):
+    """The Lagrange idempotents of y in eAe, which sum to e; [e] when y is a
+    multiple of e, and None when y's minimal polynomial has a repeated root
+    or a root outside the tower, or when factorizing for its roots hits the
+    step cap of ``exactfield.factorize``."""
+    poly, powers = _minimal_polynomial(consts, e, y)
+    try:
+        roots, residual = _exact_roots(poly)
+    except ResourceLimit:
+        return None
+    if len(residual) > 1 or len(roots) < len(poly) - 1:
+        return None
+    if len(roots) == 1:
+        return [e]
+    parts = []
+    for root in roots:
+        # L(t) = m(t) / ((t - root) m'(root)), a combination of e, y, ..., y^(m-1)
+        quotient = _deflate(poly, root)
+        scale = _poly_eval(quotient, root).invert()
+        part = [FieldElement.zero()] * len(e)
+        for c, power in zip(quotient, powers):
+            c = c * scale
+            part = [a + c * b for a, b in zip(part, power)]
+        parts.append(part)
+    return parts
+
+
+def _minimal_polynomial(consts, e, y):
+    """The monic minimal polynomial of y in the algebra with unit e, as its
+    ascending coefficients, and the powers e, y, ..., y^(m-1) of y.
+
+    The powers are reduced against each other in turn; the first that
+    reduces to zero gives the polynomial through the recorded combinations.
+    """
+    zero = FieldElement.zero()
+    powers, rows = [], []  # rows: (pivot, reduced power, its combination of powers)
+    power = e
+    while True:
+        vec = list(power)
+        combo = [zero] * len(powers) + [FieldElement.one()]
+        for pivot, row, row_combo in rows:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                pad = [zero] * (len(combo) - len(row_combo))
+                combo = [a - c * b for a, b in zip(combo, row_combo + pad)]
+        lead = next((i for i, a in enumerate(vec) if a), None)
+        if lead is None:
+            return combo, powers
+        inv = vec[lead].invert()
+        rows.append((lead, [a * inv for a in vec], [a * inv for a in combo]))
+        powers.append(power)
+        power = y if len(powers) == 1 else algebra_product(consts, power, y)
+
+
+def _block_size(idem, left_traces, degree):
+    """(k, d) of a central primitive idempotent E: k^2 = tr(L_E) and
+    N E_1 = k d; (None, None) unless both are positive integers."""
+    k_squared = sum((c * t for c, t in zip(idem, left_traces) if t), FieldElement.zero())
+    trace = idem[0] * degree
+    if not (k_squared.is_rational() and trace.is_rational()):
+        return None, None
+    k_squared, trace = k_squared.rational_value(), trace.rational_value()
+    k = math.isqrt(max(int(k_squared), 0))
+    if k < 1 or k * k != k_squared or trace <= 0 or trace.denominator != 1 or trace.numerator % k:
+        return None, None
+    return k, trace.numerator // k
 
 
 def _split_over(basis, consts, config, hint):
@@ -438,24 +686,24 @@ def _split_over(basis, consts, config, hint):
         _run_dimension(state, d)
     if state.found < n:
         raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
-    deco, report = _certified(state)
+    deco, report = _certified(basis, consts, config, state.projectors, state.events, state.notes)
     if not report.passed:
         failed = "; ".join(c.name for c in report.failures())
         raise InvariantViolation(f"split family fails its certificate: {failed}")
     return deco
 
 
-def _certified(state: _SplitState):
-    """The state's family as a Decomposition, with its certificate."""
+def _certified(basis, consts, config, projectors, events, notes):
+    """The family as a Decomposition, with its certificate."""
     deco = Decomposition(
-        degree=state.basis.degree,
-        rank=state.basis.rank,
-        projectors=state.projectors,
-        suborbit_lengths=state.basis.lengths_in_order(),
-        events=state.events,
-        notes=state.notes,
+        degree=basis.degree,
+        rank=basis.rank,
+        projectors=projectors,
+        suborbit_lengths=basis.lengths_in_order(),
+        events=events,
+        notes=notes,
     )
-    return deco, verify_family_algebraic(state.consts, deco, state.config.precision)
+    return deco, verify_family_algebraic(consts, deco, config.precision)
 
 
 def _run_dimension(state: _SplitState, d):

@@ -7,7 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from permsplit import GeneratorSet, Permutation, split, splitter
+from permsplit import (
+    GeneratorSet,
+    Permutation,
+    SplitConfig,
+    compute_orbitals,
+    compute_structure_constants,
+    split,
+    splitter,
+)
 
 
 def perm(imgs):
@@ -128,6 +136,13 @@ def frobenius21():
     return GeneratorSet(7, (add, mul2))
 
 
+def frobenius20():
+    """C5 : C4 on 5 points: x -> x+1 and x -> 2x over GF(5)."""
+    add = perm([i % 5 + 1 for i in range(1, 6)])
+    mul2 = perm([((2 * (i - 1)) % 5) + 1 for i in range(1, 6)])
+    return GeneratorSet(5, (add, mul2))
+
+
 def wreath_c2_c3():
     return GeneratorSet(6, (perm([2, 1, 3, 4, 5, 6]), perm([3, 4, 5, 6, 1, 2])))
 
@@ -195,9 +210,37 @@ def corpus_split(name):
     return copy.deepcopy(_cached_corpus_split(name))
 
 
+def groebner_route(gens):
+    """The Groebner route alone on ``gens``, as ``split`` runs it when the
+    linear route gives up."""
+    basis = compute_orbitals(gens)
+    consts = compute_structure_constants(gens, basis)
+    return splitter._split_by_groebner(basis, consts, SplitConfig())
+
+
+# Corpus actions whose centre the linear route cannot split: a minimal
+# polynomial there keeps a factor with no root in the tower (C8: x^4 + 1 on
+# the part where the 8-cycle's fourth power is -1), so ``split`` runs the
+# Groebner route on them.
+GROEBNER_ONLY = {"C5_natural", "C7_natural", "C8_natural", "C9_natural", "D7_natural"}
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_groebner_split(name):
+    if name in GROEBNER_ONLY:
+        return _cached_corpus_split(name)
+    return groebner_route(dict(CORPUS)[name])
+
+
+def groebner_split(name):
+    """``groebner_route`` of the named corpus action, computed once per
+    session; each call returns a deep copy."""
+    return copy.deepcopy(_cached_groebner_split(name))
+
+
 def duplicate_first_projector(monkeypatch):
-    """Send ``split`` down the fallback route and make it record its first
-    projector twice, so the finished family holds a duplicate."""
+    """Send ``split`` down the Groebner route's full scan and make it record
+    its first projector twice, so the finished family holds a duplicate."""
     real = splitter.process_single_solution
 
     def doubled(state, projector):
@@ -205,6 +248,7 @@ def duplicate_first_projector(monkeypatch):
         if len(state.projectors) == 1:
             state.projectors.append(projector)
 
+    monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: None)
     monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
     monkeypatch.setattr(splitter, "process_single_solution", doubled)
 

@@ -22,8 +22,13 @@ from permsplit import (
     verify_family_algebraic,
     compare_to_reference,
 )
-from permsplit.polynomial import groebner_basis, normal_form, s_polynomial
-from permsplit.splitter import build_idempotency_system
+from permsplit.polynomial import groebner_basis, hilbert_dimension, normal_form, s_polynomial
+from permsplit.splitter import (
+    SplitConfig,
+    _SplitState,
+    build_idempotency_system,
+    process_single_solution,
+)
 
 from conftest import (
     CORPUS,
@@ -134,9 +139,9 @@ def test_criterion_3_c4_gaussian():
 
 def test_criterion_4_s3_regular_multiplicity():
     """S3 regular: the d=2 system has Hilbert dimension exactly 2 (the
-    rank-one idempotents of M_2 form a 2-dimensional variety); exactly two
-    mutually orthogonal 2-dim projectors come out of the slicing block; the
-    family verifies; < 5 s."""
+    rank-one idempotents of M_2 form a 2-dimensional variety); the linear
+    route splits that block into exactly two mutually orthogonal 2-dim
+    projectors; the family verifies; < 5 s."""
     t0 = time.perf_counter()
     gens = regular_action(symmetric(3))
     basis = compute_orbitals(gens)
@@ -145,15 +150,19 @@ def test_criterion_4_s3_regular_multiplicity():
     elapsed = time.perf_counter() - t0
     assert basis.rank == 6
     assert deco.dimension_multiset == [1, 1, 2, 2]
-    first_d2 = [e for e in deco.events if e.d == 2 and e.kind in ("slice", "solutions")]
-    assert first_d2[0].kind == "slice"
-    assert first_d2[0].hilbert == 2
     block = [p for p in deco.projectors if p.dimension == 2]
-    assert len(block) == 2 and all(p.block == 2 for p in block)
+    assert len(block) == 2
+    assert all(p.block == 2 and p.provenance == "blockRefinement" for p in block)
     report = verify_family_algebraic(consts, deco)
     assert report.passed
+    # the d=2 system the Groebner route meets after the two d=1 projectors
+    state = _SplitState(basis, consts, SplitConfig())
+    for p in deco.projectors[:2]:
+        process_single_solution(state, p)
+    gb = groebner_basis(state.d_system(2))
+    assert hilbert_dimension(gb, nvars=state.sub_ring.nvars) == 2
     assert elapsed < 5.0
-    _report(4, f"S3-regular multiplicity branch (Hd=2, block of two d=2) in {elapsed:.3f}s")
+    _report(4, f"S3-regular multiplicity block (Hd=2, block of two d=2) in {elapsed:.3f}s")
 
 
 @pytest.mark.parametrize("name,gens", CORPUS, ids=[n for n, _ in CORPUS])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -181,13 +182,9 @@ class TestSplitCommand:
 
     def test_resource_limit_exit_3(self, tmp_path, monkeypatch, capsys):
         """The Groebner pair cap is a module constant; one pair is too few
-        for the regular action of S3."""
-        gens = regular_action(symmetric(3))
-        lines = ["degree 6"] + [
-            "gen " + " ".join(str(x) for x in g.images()) for g in gens.generators
-        ]
-        path = tmp_path / "s3reg.gens"
-        path.write_text("\n".join(lines) + "\n")
+        for C5, whose centre the linear route leaves to the Groebner route."""
+        path = tmp_path / "c5.gens"
+        path.write_text("degree 5\ngen (1,2,3,4,5)\n")
         monkeypatch.setattr(polynomial, "MAX_PAIRS", 1)
         assert main(["split", str(path)]) == 3
         assert "Groebner pair cap 1 exceeded" in capsys.readouterr().err
@@ -328,9 +325,9 @@ CORPUS_REPORT_SHA256 = {
     "S4_pairs": "b8db04993570ae825826a90fb15eb82232ed1fb2ff99dd100e07146c3d13a1f4",
     "A4_pairs": "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
     "A5_petersen": "0f66525366421969eb31354b30074e0df51fe47819950203c2dd68747605be5e",
-    "S3_regular": "3b98b4d5b336b76201834388e7a5be39cc4a675ebedf1a39cd9cb36c519ef31e",
-    "D4_regular": "dadeaf3c03df604ad8648c0b78900b0a6d3dcc8fa9004081b32c2ea15df6e5fb",
-    "Q8_regular": "0522c07ebef636874411e1e06a6753684fbdb126263764d69a01ee7198faccff",
+    "S3_regular": "a69b384d2b3a6e2a05938634cd7c1d1eb75d5815ffb22fb40777eae69dc708a0",
+    "D4_regular": "5f396ba077e2ab08e810dd546facb8c8b4f42e28da33ccb6254ad66798f35b53",
+    "Q8_regular": "3d211a296a80e23ecf709b0938d83bb2f6a0f18e9b8886c95c03fed6770b6ab7",
     "V4_regular": "033a72be94ad578afee7e30e85891b4fea849080b1b79a9fb69fa6f9c35b3974",
     "F21_natural": "1e32139c64e010ebd63b26f45394d4b3d05e5f534acd4c97bde2f8b1b410379c",
     "C2wrC3": "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
@@ -385,6 +382,23 @@ def _exact_flag_true_on_numeric(lines):
 def _exact_flag_not_boolean(lines):
     at = lines.index("exact true")
     lines[at] = "exact maybe"
+    return at + 1
+
+
+def _unknown_provenance(lines):
+    lines[lines.index("provenance uniqueSolution")] = "provenance guessed"
+    return lines.index("end") + 1
+
+
+def _conjugate_outside(lines):
+    at = lines.index("conjugate-of -")
+    lines[at] = "conjugate-of 99"
+    return at + 1
+
+
+def _conjugate_one_way(lines):
+    at = lines.index("conjugate-of -")
+    lines[at] = "conjugate-of 2"
     return at + 1
 
 
@@ -462,6 +476,9 @@ class TestMalformedDecompositionFile:
         _exact_flag_false,
         _exact_flag_true_on_numeric,
         _exact_flag_not_boolean,
+        _unknown_provenance,
+        _conjugate_outside,
+        _conjugate_one_way,
         _projector_without_end,
     ], ids=lambda edit: edit.__name__.strip("_"))
     def test_malformed_projector_block(self, tmp_path, capsys, edit):
@@ -475,13 +492,36 @@ class TestMalformedDecompositionFile:
         lambda p: p["coefficients"].pop(),
         lambda p: p["coefficients"].append(p["coefficients"][0]),
         lambda p: p.update(exact=False),
-    ], ids=["fewer-coefficients", "more-coefficients", "exact-flag"])
+        lambda p: p.update(provenance="guessed"),
+        lambda p: p.update(conjugate_of=99),
+        lambda p: p.update(conjugate_of=1),
+        lambda p: p["coefficients"][0]["terms"][0].update(rad=True),
+        lambda p: p["coefficients"][0]["terms"][0].update(rad="1"),
+        lambda p: p["coefficients"][0]["terms"][0].update(num=True),
+        lambda p: p["coefficients"][0]["terms"][0].update(den=3.0),
+        lambda p: p["coefficients"][0]["terms"][0].update(den="03"),
+    ], ids=["fewer-coefficients", "more-coefficients", "exact-flag", "provenance",
+            "conjugate-outside", "conjugate-one-way", "rad-bool", "rad-string", "num-bool",
+            "den-float", "den-not-as-written"])
     def test_malformed_json_projector(self, tmp_path, capsys, edit):
         obj = decomposition_to_json(split(symmetric(3)))
         edit(obj["projectors"][0])
         code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
         assert code == 1
         assert err.startswith("parse error: ")
+
+
+    def test_factorization_cap_ends_in_a_typed_error(self, tmp_path, capsys):
+        """A radicand with large prime factors stops at the Pollard rho step
+        cap, a resource limit, instead of being factorized without bound."""
+        n = (2**127 - 1) * (2**89 - 1) * (10**40 + 121)
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lines[lines.index("coeff 2 1/3")] = f"coeff 2 sqrt({n})"
+        t0 = time.perf_counter()
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert err.startswith("resource limit: ") and "Pollard rho" in err
 
 
 def test_main_callable_directly(tmp_path):

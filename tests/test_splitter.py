@@ -34,9 +34,13 @@ from permsplit.splitter import (
 
 from conftest import (
     CORPUS,
+    GROEBNER_ONLY,
     corpus_split,
     cyclic,
     duplicate_first_projector,
+    frobenius20,
+    groebner_route,
+    groebner_split,
     pair_action,
     petersen,
     regular_action,
@@ -113,9 +117,9 @@ class TestOrthogonalitySystem:
         gens = regular_action(symmetric(3))
         _, consts = constants_for(gens)
         deco = split(gens)
-        sliced = [p for p in deco.projectors if p.provenance == "slicedSolution"][0]
-        left = build_orthogonality_system(consts, sliced.coefficients)
-        right = build_orthogonality_system_right(consts, sliced.coefficients)
+        member = [p for p in deco.projectors if p.block is not None][0]
+        left = build_orthogonality_system(consts, member.coefficients)
+        right = build_orthogonality_system_right(consts, member.coefficients)
         assert set(left) != set(right)
 
     def test_numeric_coefficients_rejected(self):
@@ -158,7 +162,7 @@ class TestProcessSingleSolution:
 
     def test_duplicate_rejected(self, monkeypatch):
         """Acceptance does not multiply a candidate out, so a duplicate is
-        recorded; the fallback route's certificate rejects the family."""
+        recorded; the Groebner route's certificate rejects the family."""
         duplicate_first_projector(monkeypatch)
         with pytest.raises(InvariantViolation, match=re.escape("orthogonality B[1]*B[2]")):
             split(symmetric(3))
@@ -286,7 +290,7 @@ class TestSplit:
             assert conj == deco.projectors[j].coefficients
 
     def test_s3_regular_multiplicity_branch(self):
-        deco = split(regular_action(symmetric(3)))
+        deco = groebner_route(regular_action(symmetric(3)))
         assert deco.dimension_multiset == [1, 1, 2, 2]
         slice_events = [e for e in deco.events if e.kind == "slice"]
         assert slice_events and slice_events[0].d == 2
@@ -307,10 +311,10 @@ class TestSplit:
             return 6 if real(gb, nvars=nvars) else 0
 
         monkeypatch.setattr(splitter, "hilbert_dimension", as_if_k4)
-        deco = split(regular_action(symmetric(3)))
+        deco = groebner_route(regular_action(symmetric(3)))
         assert [e.hilbert for e in deco.events if e.kind == "slice"] == [6]
         assert render_decomposition_text(deco) == render_decomposition_text(
-            corpus_split("S3_regular")
+            groebner_split("S3_regular")
         )
 
     def test_intransitive_raises(self):
@@ -382,8 +386,8 @@ def _assert_slicing_events(events):
 
 
 def _hinted_report(name):
-    """The text report of the default split, which must have used the hint."""
-    deco = corpus_split(name)
+    """The text report of the Groebner route, which must have used the hint."""
+    deco = groebner_split(name)
     assert not any(e.kind == "hint-fallback" for e in deco.events)
     return render_decomposition_text(deco)
 
@@ -398,7 +402,7 @@ class TestDimensionOracle:
         name, gens = corpus_member
         expected = _hinted_report(name)
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
-        scanned = split(gens)
+        scanned = groebner_route(gens)
         assert [e.kind for e in scanned.events][:1] == ["hint-fallback"]
         _assert_slicing_events(scanned.events)
         assert render_decomposition_text(scanned) == expected
@@ -412,7 +416,7 @@ class TestDimensionOracle:
         true_hint = dimension_hint(consts, gens.degree)
         wrong = sorted(true_hint[:-2] + [true_hint[-2] + true_hint[-1]])
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: wrong)
-        deco = split(gens)
+        deco = groebner_route(gens)
         assert [e for e in deco.events if e.kind == "hint-fallback"] == [
             splitter.SplitEvent(0, "hint-fallback")
         ]
@@ -433,11 +437,76 @@ class TestDimensionOracle:
 
         monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: [1, 9])
         monkeypatch.setattr(verify, "is_unit_trace", spy)
-        deco = split(gens)
+        deco = groebner_route(gens)
         assert verdicts == [True, False, True, True, True]
         assert [e.kind for e in deco.events][:1] == ["hint-fallback"]
         assert deco.dimension_multiset == [1, 4, 5]
         assert render_decomposition_text(deco) == expected
+
+
+class TestLinearRoute:
+    def test_f20_regular_block_of_four(self):
+        """Regular F20 = C5 : C4 holds its 4-dimensional irreducible four
+        times; the block splits into four primitive idempotents."""
+        gens = regular_action(frobenius20())
+        basis, consts = constants_for(gens)
+        deco = split(gens)
+        assert deco.dimension_multiset == [1, 1, 1, 1, 4, 4, 4, 4]
+        assert deco.exact_only()
+        assert verify.verify_family_algebraic(consts, deco).passed
+        fours = [p for p in deco.projectors if p.dimension == 4]
+        assert {(p.provenance, p.block) for p in fours} == {("blockRefinement", 4)}
+
+    def test_tower_centres_split_without_groebner(self, corpus_member, monkeypatch):
+        name, gens = corpus_member
+        basis, consts = constants_for(gens)
+        linear = splitter._split_linear(basis, consts, SplitConfig())
+        assert (linear is None) == (name in GROEBNER_ONLY)
+        if linear is None:
+            return
+
+        def no_groebner(polys):
+            raise AssertionError("the linear route took a Groebner basis")
+
+        monkeypatch.setattr(splitter, "groebner_basis", no_groebner)
+        deco = split(gens)
+        assert deco.dimension_multiset == dimension_multiset(gens)
+        assert deco.exact_only()
+        assert all(e.hilbert is None for e in deco.events)
+
+    @pytest.mark.parametrize("name", [
+        name for name, _ in CORPUS
+        if name not in GROEBNER_ONLY | {"S3_regular", "D4_regular", "Q8_regular"}
+    ])
+    def test_multiplicity_free_reports_match_groebner(self, name):
+        """Every k = 1 means a commutative algebra, whose primitive
+        idempotents are unique; both routes print the same report."""
+        _, consts = constants_for(dict(CORPUS)[name])
+        assert consts.is_commutative()
+        assert render_decomposition_text(corpus_split(name)) == render_decomposition_text(
+            groebner_split(name)
+        )
+
+    @pytest.mark.parametrize("name", ["S3_regular", "D4_regular", "Q8_regular"])
+    def test_block_sums_match_groebner(self, name):
+        """Inside a block the primitive idempotents are not unique, but their
+        sum, the central idempotent, is; so are the k = 1 projectors."""
+
+        def blocks(deco):
+            sums = {}
+            for p in deco.projectors:
+                key = p.block if p.block is not None else p.coefficients
+                sums[key] = [a + b for a, b in zip(sums.get(key, [fe(0)] * deco.rank),
+                                                   p.coefficients)]
+            return {k: tuple(v) for k, v in sums.items()}
+
+        linear, groebner = corpus_split(name), groebner_split(name)
+        assert linear.dimension_multiset == groebner.dimension_multiset
+        assert blocks(linear) == blocks(groebner)
+        assert any(p.block is not None for p in linear.projectors)
+        assert {p.provenance for p in linear.projectors if p.block is not None} == {
+            "blockRefinement"
+        }
 
 
 def _matrix_to_basis_coeffs(mat, basis):
