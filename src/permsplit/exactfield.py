@@ -47,8 +47,13 @@ Rational = Fraction
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Pollard rho steps allowed per composite; rho meets a prime factor p in about
-# sqrt(p) steps, so factors below about 2^28 are found
+# Pollard rho steps allowed per composite when factorizing an integer read
+# from a file (``_read_radicand``) or searched for rational roots
+# (``solver._divisors``).  Rho meets a prime factor p in about sqrt(p) steps,
+# so factors below about 2^28 are found; 2^15 steps on a 106-digit integer
+# take about 0.2 s (one Xeon core), so such a radicand in a reference is
+# refused well within a second.  The splitter's own radicands are factorized
+# without a cap.
 RHO_STEPS = 1 << 15
 
 
@@ -76,9 +81,10 @@ def _is_probable_prime(n):
     return True
 
 
-def _pollard_rho(n):
-    """A proper factor of the odd composite n, in at most RHO_STEPS steps
-    over all the polynomials x^2 + c tried; ResourceLimit past them."""
+def _pollard_rho(n, max_steps):
+    """A proper factor of the odd composite n; with ``max_steps``, in at most
+    that many steps over all the polynomials x^2 + c tried, and
+    ResourceLimit past them."""
     if n % 2 == 0:
         return 2
     steps = 0
@@ -87,10 +93,10 @@ def _pollard_rho(n):
         d = 1
         while d == 1:
             steps += 1
-            if steps > RHO_STEPS:
+            if max_steps is not None and steps > max_steps:
                 raise ResourceLimit(
                     f"factoring a {len(str(n))}-digit integer takes more than "
-                    f"{RHO_STEPS} Pollard rho steps"
+                    f"{max_steps} Pollard rho steps"
                 )
             x = (x * x + c) % n
             y = (y * y + c) % n
@@ -101,9 +107,10 @@ def _pollard_rho(n):
     raise ArithmeticError(f"factorization failed for {n}")
 
 
-def factorize(n):
-    """Prime factorization of n >= 1 as an exponent dict; ResourceLimit when
-    a composite part does not split within RHO_STEPS steps."""
+def factorize(n, max_steps=None):
+    """Prime factorization of n >= 1 as an exponent dict; with ``max_steps``,
+    ResourceLimit when a composite part does not split within that many
+    Pollard rho steps."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = {}
@@ -119,9 +126,18 @@ def factorize(n):
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d = _pollard_rho(m, max_steps)
         stack.extend((d, m // d))
     return out
+
+
+def _read_radicand(n):
+    """n, once |n| factorizes within RHO_STEPS steps; ResourceLimit otherwise,
+    so that a radicand read from a file cannot make the reader run without
+    bound."""
+    if n:
+        factorize(abs(n), RHO_STEPS)
+    return n
 
 
 def squarefree_decompose(n):
@@ -660,7 +676,7 @@ def parse_field_element(text):
             case ast.Name("I"):
                 return FieldElement.i()
             case ast.Call(ast.Name("sqrt"), [radicand], []):
-                return FieldElement.sqrt_int(integer(radicand))
+                return FieldElement.sqrt_int(_read_radicand(integer(radicand)))
         return FieldElement.from_rational(integer(node))
 
     try:
@@ -691,7 +707,8 @@ def field_element_from_json(obj):
         # type(x) is int, because a bool is an int to isinstance
         if type(rad) is not int:
             raise ParseError(f"radicand {rad!r} is not an integer")
-        terms[rad] = Fraction(_json_integer(t["num"]), _json_integer(t["den"]))
+        value = Fraction(_json_integer(t["num"]), _json_integer(t["den"]))
+        terms[_read_radicand(rad)] = value
     return FieldElement(terms)
 
 

@@ -37,7 +37,7 @@ from .errors import (
     SliceExhausted,
     UNREPRESENTABLE,
 )
-from .exactfield import ComplexBall, FieldElement, as_ball, sqrt_if_nice, factorize
+from .exactfield import RHO_STEPS, ComplexBall, FieldElement, as_ball, factorize, sqrt_if_nice
 from .polynomial import (
     Poly,
     groebner_basis,
@@ -130,7 +130,7 @@ def _divisors(n, cap=4096):
     if n == 0:
         return None
     try:
-        factors = factorize(n)
+        factors = factorize(n, RHO_STEPS)
     except ResourceLimit:
         return None
     divs = [1]

@@ -14,14 +14,18 @@ trace in the permutation module is N (E_j)_1 = k_j d_j; both are exact.  An
 E_j with k_j = 1 is a projector (provenance "uniqueSolution").  One with
 k_j >= 2 is refined the same way inside E_j A, with the elements e A_r e,
 until it holds k_j primitive idempotents (provenance "blockRefinement",
-block d_j); there an element whose minimal polynomial has a repeated root
-or a root outside the tower is passed over.
+block d_j).  In the centre and in a block alike, an element whose minimal
+polynomial has a repeated root or a root outside the tower is passed over
+for that idempotent.
 
 The Groebner route runs from scratch when the linear route gives up: when
-a minimal polynomial in the centre keeps a factor with no root in the tower
-(C5, C7, C8 and C9, and D7 of order 14, on their natural points), when a
-block's elements split it into fewer than k_j idempotents, or when the
-linear family fails its certificate.  Its candidate dimensions come from a floating-point
+a pass over the elements splits nothing while the centre holds fewer than
+dim Z idempotents, or a block fewer than k_j (in the corpus: C5, C7 and C9,
+and D7 of order 14, on their natural points, where the roots of unity of
+order 5, 7 or 9 lie outside the tower).  A linear family that fails its
+certificate, or a central idempotent whose k_j or d_j is not a positive
+integer, cannot occur in exact arithmetic and raises InvariantViolation.
+The Groebner route's candidate dimensions come from a floating-point
 oracle (``dimension_hint``) that reads each irreducible's dimension d and
 multiplicity k off the same central idempotents.  For each hinted d, in
 ascending order, the generic invariant form is constrained by x_1 = d/N
@@ -69,7 +73,6 @@ from .errors import (
     IncompleteDecomposition,
     InvariantViolation,
     PermsplitError,
-    ResourceLimit,
     SliceExhausted,
 )
 from .exactfield import FieldElement
@@ -468,7 +471,7 @@ def _split_by_groebner(basis, consts, config):
 
 def _split_linear(basis, consts, config):
     """The family read off the central and block idempotents, or None when
-    the route gives up (see the module docstring).
+    the tower cannot split the centre or a block (see the module docstring).
 
     The family is ordered by ascending d, the k = 1 projectors of a d before
     the block members of the same d, then by ``SolutionPoint.sort_key``:
@@ -480,7 +483,7 @@ def _split_linear(basis, consts, config):
     central = _refine(
         consts, [_basis_vector(rank, 0)],
         [lambda e, z=z: algebra_product(consts, e, z) for z in centre],
-        len(centre), strict=True,
+        len(centre),
     )
     if central is None:
         return None
@@ -495,12 +498,10 @@ def _split_linear(basis, consts, config):
     projectors = []
     for idem in central:
         k, d = _block_size(idem, left_traces, n)
-        if k is None:
-            return None
         if k == 1:
             projectors.append(Projector(tuple(idem), d, "uniqueSolution", config.precision))
             continue
-        parts = _refine(consts, [idem], compressions, k, strict=False)
+        parts = _refine(consts, [idem], compressions, k)
         if parts is None:
             return None
         projectors += [
@@ -516,9 +517,7 @@ def _split_linear(basis, consts, config):
         at_d = [p for p in projectors if p.dimension == d]
         kind = "solutions" if all(p.block is None for p in at_d) else "blockRefinement"
         events.append(SplitEvent(d, kind, None, len(at_d)))
-    deco, report = _certified(basis, consts, config, projectors, events, [])
-    if not report.passed:
-        return None
+    deco = _certified(basis, consts, config, projectors, events, [])
     _pair_conjugates(deco)
     return deco
 
@@ -562,15 +561,14 @@ def _centre_basis(consts):
     return basis
 
 
-def _refine(consts, parts, elements, target, strict):
-    """Split the idempotents ``parts`` until there are ``target`` of them.
+def _refine(consts, parts, elements, target):
+    """Split the idempotents ``parts`` until there are ``target`` of them;
+    None when a pass over the elements splits nothing.
 
     Each element maps an idempotent e to an element y of eAe, and e splits
     into the Lagrange idempotents of y (``_split_idempotent``).  The elements
-    are tried in order, in passes.  An element that cannot split a part in
-    the tower is passed over, or with ``strict`` gives None at once.  None
-    also when a pass splits nothing.  (In the centre one pass splits every
-    part as far as the elements go.)
+    are tried in order, in passes; an element that cannot split a part in
+    the tower is passed over for that part.
     """
     while len(parts) < target:
         before = len(parts)
@@ -579,8 +577,6 @@ def _refine(consts, parts, elements, target, strict):
             for e in parts:
                 pieces = _split_idempotent(consts, e, element(e))
                 if pieces is None:
-                    if strict:
-                        return None
                     pieces = [e]
                 split_parts += pieces
             parts = split_parts
@@ -594,13 +590,9 @@ def _refine(consts, parts, elements, target, strict):
 def _split_idempotent(consts, e, y):
     """The Lagrange idempotents of y in eAe, which sum to e; [e] when y is a
     multiple of e, and None when y's minimal polynomial has a repeated root
-    or a root outside the tower, or when factorizing for its roots hits the
-    step cap of ``exactfield.factorize``."""
+    or a root outside the tower."""
     poly, powers = _minimal_polynomial(consts, e, y)
-    try:
-        roots, residual = _exact_roots(poly)
-    except ResourceLimit:
-        return None
+    roots, residual = _exact_roots(poly)
     if len(residual) > 1 or len(roots) < len(poly) - 1:
         return None
     if len(roots) == 1:
@@ -648,16 +640,19 @@ def _minimal_polynomial(consts, e, y):
 
 def _block_size(idem, left_traces, degree):
     """(k, d) of a central primitive idempotent E: k^2 = tr(L_E) and
-    N E_1 = k d; (None, None) unless both are positive integers."""
+    N E_1 = k d.  InvariantViolation unless both are positive integers,
+    which for a central primitive idempotent they always are."""
     k_squared = sum((c * t for c, t in zip(idem, left_traces) if t), FieldElement.zero())
     trace = idem[0] * degree
-    if not (k_squared.is_rational() and trace.is_rational()):
-        return None, None
-    k_squared, trace = k_squared.rational_value(), trace.rational_value()
-    k = math.isqrt(max(int(k_squared), 0))
-    if k < 1 or k * k != k_squared or trace <= 0 or trace.denominator != 1 or trace.numerator % k:
-        return None, None
-    return k, trace.numerator // k
+    if k_squared.is_rational() and trace.is_rational():
+        k_squared, trace = k_squared.rational_value(), trace.rational_value()
+        k = math.isqrt(max(int(k_squared), 0))
+        if k >= 1 and k * k == k_squared and trace > 0 and trace.denominator == 1:
+            if trace.numerator % k == 0:
+                return k, trace.numerator // k
+    raise InvariantViolation(
+        f"central idempotent with tr(L_E) = {k_squared} and N E_1 = {trace}"
+    )
 
 
 def _split_over(basis, consts, config, hint):
@@ -686,15 +681,12 @@ def _split_over(basis, consts, config, hint):
         _run_dimension(state, d)
     if state.found < n:
         raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
-    deco, report = _certified(basis, consts, config, state.projectors, state.events, state.notes)
-    if not report.passed:
-        failed = "; ".join(c.name for c in report.failures())
-        raise InvariantViolation(f"split family fails its certificate: {failed}")
-    return deco
+    return _certified(basis, consts, config, state.projectors, state.events, state.notes)
 
 
 def _certified(basis, consts, config, projectors, events, notes):
-    """The family as a Decomposition, with its certificate."""
+    """The family as a Decomposition, once ``verify_family_algebraic``
+    passes on it; InvariantViolation naming the failed checks otherwise."""
     deco = Decomposition(
         degree=basis.degree,
         rank=basis.rank,
@@ -703,7 +695,11 @@ def _certified(basis, consts, config, projectors, events, notes):
         events=events,
         notes=notes,
     )
-    return deco, verify_family_algebraic(consts, deco, config.precision)
+    report = verify_family_algebraic(consts, deco, config.precision)
+    if not report.passed:
+        failed = "; ".join(c.name for c in report.failures())
+        raise InvariantViolation(f"split family fails its certificate: {failed}")
+    return deco
 
 
 def _run_dimension(state: _SplitState, d):

@@ -402,41 +402,63 @@ def _coeffs_equal(a, b, precision=DEFAULT_PRECISION):
     return bool(abs(diff.mid) <= max(diff.rad, tol))
 
 
-def _projector_matches(a: Projector, b: Projector, conjugate):
-    if a.dimension != b.dimension:
-        return False
-    coeffs = a.coefficients
-    if conjugate:
-        if not a.exact:
-            return False
-        coeffs = a.conjugate_coefficients()
-    return all(_coeffs_equal(x, y) for x, y in zip(coeffs, b.coefficients))
+def _all_equal(coeffs, ref_coeffs):
+    return all(_coeffs_equal(x, y) for x, y in zip(coeffs, ref_coeffs))
 
 
-def _greedy_match(deco: Decomposition, ref: Decomposition, conjugate):
-    """Whether each computed projector, in order, matches a reference one not
-    taken by an earlier projector (first fit)."""
+def _match(deco: Decomposition, ref: Decomposition, conjugate):
+    """Whether each computed projector matches, in order (see
+    ``compare_to_reference``); with ``conjugate`` the computed family is
+    conjugated first."""
+    def coefficients(p):
+        return p.conjugate_coefficients() if conjugate else p.coefficients
+
     used = set()
-    matched = []
-    for p in deco.projectors:
+    matched = {}
+    for i, p in enumerate(deco.projectors):
+        if p.block is not None:
+            continue
         j = next(
             (
                 j for j, q in enumerate(ref.projectors)
-                if j not in used and _projector_matches(p, q, conjugate)
+                if j not in used and q.dimension == p.dimension
+                and _all_equal(coefficients(p), q.coefficients)
             ),
             None,
         )
         if j is not None:
             used.add(j)
-        matched.append(j is not None)
-    return matched
+        matched[i] = j is not None
+    for d in {p.block for p in deco.projectors} - {None}:
+        members = [i for i, p in enumerate(deco.projectors) if p.block == d]
+        theirs = [q for j, q in enumerate(ref.projectors) if j not in used and q.dimension == d]
+        ok = len(theirs) == len(members)
+        if ok:
+            mine = [deco.projectors[i] for i in members]
+            total = _coefficient_sum(mine, deco.rank, DEFAULT_PRECISION)
+            if conjugate:
+                total = [c.conjugate() for c in total]
+            ok = _all_equal(total, _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION))
+        matched.update((i, ok) for i in members)
+    return [matched[i] for i in range(len(deco.projectors))]
 
 
 def compare_to_reference(deco: Decomposition, ref: Decomposition):
-    """Match projectors by dimension, then by exact coefficient equality.
+    """Match the computed projectors with the reference's, by dimension and
+    exact coefficient equality (within the enclosures for numeric ones).
 
-    The matching tolerates reordering within equal-dimension groups and one
-    simultaneous complex conjugation of the whole computed family.
+    A projector outside a multiplicity block is the only primitive
+    idempotent of its isotypic component, so it must equal a reference
+    projector of its dimension.  Inside a block the primitive idempotents
+    are not unique, but the members of block d make up whole components, so
+    their sum is: it must equal the sum of the reference projectors of
+    dimension d that no projector outside a block took, and their count the
+    block's.  That those reference projectors are primitive orthogonal
+    idempotents is left to ``verify_family_algebraic`` on the reference,
+    which ``permsplit verify`` runs as well.  The matching tolerates
+    reordering within equal-dimension groups and one simultaneous complex
+    conjugation of the whole computed family.  There is one line per
+    projector outside a block and one per block.
     """
     report = VerificationReport()
     if deco.degree != ref.degree or deco.rank != ref.rank:
@@ -452,13 +474,20 @@ def compare_to_reference(deco: Decomposition, ref: Decomposition):
         return report
     report.add("suborbit lengths agreement", True)
 
-    matched = _greedy_match(deco, ref, conjugate=False)
+    matched = _match(deco, ref, conjugate=False)
     note = ""
     if not all(matched) and deco.exact_only():
-        conjugated = _greedy_match(deco, ref, conjugate=True)
+        conjugated = _match(deco, ref, conjugate=True)
         if all(conjugated):
             matched, note = conjugated, " (conjugated)"
-    # on failure the lines are the per-projector results of the direct orientation
+    # on failure the lines are the results of the direct orientation
+    seen = set()
     for i, (p, ok) in enumerate(zip(deco.projectors, matched), start=1):
-        report.add(f"projector {i} (d={p.dimension}) match{note}", ok)
+        if p.block is None:
+            report.add(f"projector {i} (d={p.dimension}) match{note}", ok)
+        elif p.block not in seen:
+            seen.add(p.block)
+            members = [m for m, q in enumerate(deco.projectors, start=1) if q.block == p.block]
+            listed = ", ".join(map(str, members))
+            report.add(f"block d={p.block} (projectors {listed}) sum match{note}", ok)
     return report

@@ -218,11 +218,10 @@ def groebner_route(gens):
     return splitter._split_by_groebner(basis, consts, SplitConfig())
 
 
-# Corpus actions whose centre the linear route cannot split: a minimal
-# polynomial there keeps a factor with no root in the tower (C8: x^4 + 1 on
-# the part where the 8-cycle's fourth power is -1), so ``split`` runs the
-# Groebner route on them.
-GROEBNER_ONLY = {"C5_natural", "C7_natural", "C8_natural", "C9_natural", "D7_natural"}
+# Corpus actions whose centre the linear route cannot split: the roots of
+# unity of order 5, 7 or 9 lie outside the tower, so no centre element splits
+# the parts that hold them, and ``split`` runs the Groebner route on them.
+GROEBNER_ONLY = {"C5_natural", "C7_natural", "C9_natural", "D7_natural"}
 
 
 @functools.lru_cache(maxsize=None)

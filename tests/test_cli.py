@@ -20,6 +20,7 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
+    groebner_split,
     petersen,
     regular_action,
     symmetric,
@@ -292,6 +293,30 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", str(path), str(deco_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["S3_regular", "D4_regular", "Q8_regular"])
+    def test_groebner_route_reference_accepted(self, tmp_path, capsys, name, fmt):
+        """The Groebner route picks other primitive idempotents inside the
+        k = 2 block than ``split`` does, as the reports of earlier releases
+        did; the block is compared by its sum, so such a reference verifies."""
+        gens = dict(CORPUS)[name]
+        path = tmp_path / "action.gens"
+        path.write_text(f"degree {gens.degree}\n" + "".join(
+            "gen " + " ".join(map(str, g.images())) + "\n" for g in gens.generators
+        ))
+        reference = groebner_split(name)
+        assert render_decomposition_text(reference) != render_decomposition_text(
+            corpus_split(name)
+        )
+        ref = tmp_path / "reference"
+        if fmt == "json":
+            ref.write_text(json.dumps(decomposition_to_json(reference)))
+        else:
+            ref.write_text(render_decomposition_text(reference))
+        assert main(["verify", str(path), str(ref)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  block d=2 (projectors " in out and "verification: OK" in out
+
     def test_corrupted_coefficient_exit_5(self, tmp_path):
         path = petersen_file(tmp_path)
         code, out, _ = run_cli(["split", str(path)])
@@ -312,7 +337,7 @@ CORPUS_REPORT_SHA256 = {
     "C5_natural": "fc89d9516df325323d56f20dc37eaaf72a0a543d7aa2ed2218d2e14e9b593c45",
     "C6_natural": "d7ebe46c2a174c52b3c8e98a298692f36b79682ebbb052c16d414f9c48388e11",
     "C7_natural": "c6b5b26bff9bcf31f3b29349277d1fc5fe369ebed035a547f0a1ecdd74b59103",
-    "C8_natural": "2801a0bcb4d350e8ee81918d3536dec4f20f313990986cde05501c7074ab34e5",
+    "C8_natural": "96a66d656f13b3e31f61e90544c2d5ab4b1f707d8750040048a13bf716aba2fb",
     "C9_natural": "fc1de7057dea00880868cf224f5dd04836c09fc736225f3e67a36b819a2d62fb",
     "D4_natural": "1a08fbd511ed3f9708c555ecdc3f85f0627f8dbab11197dc7cbd13beb9a4e546",
     "D5_natural": "6180994932cbdc719b1abcdf1d7f5232043d6fbbeb65611b0ab73e40e6cb4d29",

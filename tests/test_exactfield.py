@@ -6,8 +6,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permsplit import UNREPRESENTABLE, FieldElement, sqrt_if_nice
+from permsplit import UNREPRESENTABLE, FieldElement, ResourceLimit, sqrt_if_nice
 from permsplit.exactfield import (
+    RHO_STEPS,
+    factorize,
     field_element_from_json,
     field_element_to_json,
     parse_field_element,
@@ -295,3 +297,26 @@ class TestSquarefree:
         p, q = 1000003, 1000033
         s, m = squarefree_decompose(p * p * q)
         assert (s, m) == (p, q)
+
+
+class TestFactorizationCap:
+    """Two primes above 2^33, whose product Pollard rho splits in more than
+    RHO_STEPS steps (and in about 0.1 s)."""
+
+    P, Q = 2**33 + 29, 2**35 + 53
+
+    def test_arithmetic_is_not_capped(self):
+        assert factorize(self.P * self.Q) == {self.P: 1, self.Q: 1}
+        assert FE.sqrt_int(4 * self.P * self.Q) == FE.term(2, self.P * self.Q)
+
+    def test_cap_with_steps(self):
+        with pytest.raises(ResourceLimit, match=f"{RHO_STEPS} Pollard rho steps"):
+            factorize(self.P * self.Q, RHO_STEPS)
+
+    def test_readers_are_capped(self):
+        n = self.P * self.Q
+        with pytest.raises(ResourceLimit):
+            parse_field_element(f"1/2*sqrt({n})")
+        with pytest.raises(ResourceLimit):
+            field_element_from_json({"terms": [{"rad": n, "num": "1", "den": "2"}]})
+        assert parse_field_element(f"sqrt({self.Q})") == FE.term(1, self.Q)

@@ -26,7 +26,15 @@ from permsplit.verify import (
     tensor_from_label_matrix,
 )
 
-from conftest import CORPUS, corpus_split, cyclic, petersen, regular_action, symmetric
+from conftest import (
+    CORPUS,
+    corpus_split,
+    cyclic,
+    groebner_split,
+    petersen,
+    regular_action,
+    symmetric,
+)
 from test_acceptance import _agl_generators
 
 FE = FieldElement
@@ -379,6 +387,37 @@ class TestCompare:
         assert not compare_to_reference(deco, swapped).passed
         # while the original still passes matrix-level commutation
         assert verify_matrix_level(gens, basis, deco, mode="exact").passed
+
+    @pytest.mark.parametrize("name", ["S3_regular", "D4_regular", "Q8_regular"])
+    def test_block_compared_by_its_sum(self, name):
+        """The two routes split the k = 2 block into different primitive
+        idempotents; the block's sum and count agree, so the families match."""
+        linear, groebner = corpus_split(name), groebner_split(name)
+        members = [p for p in linear.projectors if p.block is not None]
+        theirs = [q for q in groebner.projectors if q.dimension == 2]
+        assert not any(p.coefficients == q.coefficients for p in members for q in theirs)
+        report = compare_to_reference(linear, groebner)
+        assert report.passed
+        assert sum(c.name.startswith("block d=2 ") for c in report.checks) == 1
+        assert compare_to_reference(groebner, linear).passed
+
+    def test_block_with_wrong_sum_or_count_fails(self):
+        deco = corpus_split("S3_regular")
+        first, second = [i for i, p in enumerate(deco.projectors) if p.block is not None]
+        doubled = copy.deepcopy(deco)
+        doubled.projectors[second] = doubled.projectors[first]
+        short = copy.deepcopy(deco)
+        del short.projectors[second]
+        for ref in (doubled, short):
+            report = compare_to_reference(deco, ref)
+            assert [c.name for c in report.failures()] == ["block d=2 (projectors 3, 4) sum match"]
+
+    def test_numeric_reference_matches_exact_family(self):
+        """The Groebner route leaves 24 of C8's 64 coordinates numeric; the
+        exact family lies inside their enclosures."""
+        exact, numeric = corpus_split("C8_natural"), groebner_split("C8_natural")
+        assert exact.exact_only() and not numeric.exact_only()
+        assert compare_to_reference(exact, numeric).passed
 
     def test_frame_mismatch(self):
         _, _, a = split_with_constants(symmetric(3))
