@@ -3,17 +3,17 @@ appears twice.
 
 The centre of the algebra has three primitive idempotents; for the one of
 the 2-dimensional irreducible tr(L_E) = 4, so its block is M_2 (k = 2).
-``split`` takes the linear route on this input: the block is refined inside
+``split`` needs no Groebner basis on this input: the block is refined inside
 E A with the elements e A_r e until it holds two primitive idempotents,
 which the report tags "blockRefinement" and block 2.  Which two is a choice
 (u e u^-1 is as good as e for any unit u of the block); their sum, the
 central idempotent, is not.
 
-The Groebner route runs only for actions whose centre the tower cannot
-split, and the demo runs it here as well (``splitter._split_by_groebner``).
-It meets the block as a d = 2 idempotency system that is consistent but not
-zero-dimensional: Hilbert dimension 2, the rank-one idempotents of the
-2 x 2 block.  It slices one particular solution, joins its orthogonality
+The dimension loop runs only on what the tower cannot split, and the demo
+runs it here alone, seeded with no exact idempotent
+(``splitter._split_over`` with an empty list).  It meets the block as a
+d = 2 idempotency system that is consistent but not zero-dimensional:
+Hilbert dimension 2, the rank-one idempotents of the 2 x 2 block.  It slices one particular solution, joins its orthogonality
 relations, and re-derives the system until the dimension is exhausted.
 How many projectors the block holds is never computed from the Hilbert
 dimension; the certificate on the finished family settles the counts.
@@ -59,8 +59,8 @@ def main():
     report = verify_family_algebraic(consts, deco)
     print("algebraic verification:", "all passed" if report.passed else "FAILED")
 
-    groebner = splitter._split_by_groebner(basis, consts, SplitConfig())
-    print("\nthe Groebner route's dimension-loop events:")
+    groebner = splitter._split_over(basis, consts, SplitConfig(), [])
+    print("\nthe dimension loop's events:")
     for e in groebner.events:
         extra = f" Hd={e.hilbert}" if e.hilbert is not None else ""
         print(f"  d={e.d}: {e.kind}{extra} extracted={e.extracted}")
@@ -69,7 +69,7 @@ def main():
         members = [p.coefficients for p in family.projectors if p.block == 2]
         return [sum(col, FieldElement.zero()) for col in zip(*members)]
 
-    print("same block sum on both routes:", block_sum(deco) == block_sum(groebner))
+    print("same block sum both ways:", block_sum(deco) == block_sum(groebner))
 
 
 if __name__ == "__main__":

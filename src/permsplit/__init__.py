@@ -3,7 +3,7 @@
 The pipeline: parse generators -> orbitals and the ordered centralizer-algebra
 basis -> integer structure constants -> central and block idempotents by
 exact linear algebra over the tower (quadratic idempotency systems, Groebner
-bases and solution points where the tower cannot split the centre) -> the
+bases and solution points for what the tower cannot split) -> the
 complete orthogonal family of irreducible projectors, verified algebraically
 and (optionally) at matrix level.
 """

@@ -34,7 +34,7 @@ from .exactfield import (
     render_field_element,
 )
 from .perms import parse_generators
-from .solver import DEFAULT_PRECISION
+from .solver import DEFAULT_PRECISION, MAX_PRECISION
 from .splitter import (
     PROVENANCES,
     Decomposition,
@@ -285,8 +285,20 @@ def _parse_coefficient(txt):
     """(value, precision) of a ``coeff`` field; precision None when exact."""
     if txt.startswith("numeric "):
         _, re, im, rad, prec = txt.split()
-        return _ball_from_strings(re, im, rad, int(prec)), int(prec)
+        prec = _checked_precision(int(prec))
+        return _ball_from_strings(re, im, rad, prec), prec
     return parse_field_element(txt), None
+
+
+def _checked_precision(prec):
+    """A precision in bits, of ``--precision`` or of a numeric coefficient;
+    ValueError unless it is an integer in 53..MAX_PRECISION.  Enclosures
+    start from double precision, so fewer bits cannot hold one, and the
+    solver escalates no further than MAX_PRECISION."""
+    # type(x) is int, because a bool is an int to isinstance
+    if type(prec) is not int or not 53 <= prec <= MAX_PRECISION:
+        raise ValueError(f"precision {prec!r} is not an integer in 53..{MAX_PRECISION}")
+    return prec
 
 
 def _check_conjugates(projectors, lines):
@@ -391,7 +403,7 @@ def decomposition_from_json(obj):
             for r, c in enumerate(rec["coefficients"], start=1):
                 if "numeric" in c:
                     nv = c["numeric"]
-                    prec = int(nv.get("precision", DEFAULT_PRECISION))
+                    prec = _checked_precision(nv.get("precision", DEFAULT_PRECISION))
                     coeffs[r] = _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
                 else:
                     coeffs[r] = field_element_from_json(c), None
@@ -517,11 +529,10 @@ def _build_parser():
         p.add_argument("--json", action="store_true", help="shorthand for --format json")
 
     def bits(text):
-        # enclosures start from double precision, so fewer bits cannot hold one
-        value = int(text)
-        if value < 53:
-            raise argparse.ArgumentTypeError(f"must be at least 53 bits, got {value}")
-        return value
+        try:
+            return _checked_precision(int(text))
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from e
 
     pa = sub.add_parser("analyze", help="rank, suborbit lengths, basis structure")
     inputs(pa, "file")

@@ -352,7 +352,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
                 f"{ambiguous} candidate roots neither verified nor rejected "
                 f"up to precision {prec}"
             )
-        prec *= 2
+        prec = min(2 * prec, MAX_PRECISION)
 
 
 def _enumerate(chain, partial, sink, prec):

@@ -1,57 +1,55 @@
-"""The two splitting routes, and the assembly of the complete orthogonal
-family of irreducible projectors.
+"""The split of the centralizer algebra into the complete orthogonal family
+of irreducible projectors: exact idempotents first, then the dimension loop
+for what they leave.
 
-The linear route runs first and needs no Groebner basis, slice or float.
-The centre Z of the algebra is the rational null space of
-x -> (x A_r - A_r x)_r.  Refinement splits the identity into the central
-primitive idempotents E_j: for each current idempotent e and each basis
-element z of Z, the minimal polynomial of y = e z in eZ is read off the
-linear dependence of its powers, its roots are found in the tower
-(``solver._exact_roots``), and e splits into the Lagrange idempotents
-L_lambda(y), with L_lambda(t) = prod_{mu != lambda} (t - mu)/(lambda - mu).
-E_j spans a block M_{k_j} of the algebra, so k_j^2 = tr(L_{E_j}), and its
-trace in the permutation module is N (E_j)_1 = k_j d_j; both are exact.  An
-E_j with k_j = 1 is a projector (provenance "uniqueSolution").  One with
-k_j >= 2 is refined the same way inside E_j A, with the elements e A_r e,
-until it holds k_j primitive idempotents (provenance "blockRefinement",
-block d_j).  In the centre and in a block alike, an element whose minimal
-polynomial has a repeated root or a root outside the tower is passed over
-for that idempotent.
+The exact idempotents need no Groebner basis, slice or float.  The centre Z
+of the algebra is the rational null space of x -> (x A_r - A_r x)_r.
+Refinement splits the identity into the central primitive idempotents E_j:
+for each current idempotent e and each basis element z of Z, the minimal
+polynomial of y = e z in eZ is read off the linear dependence of its powers,
+its roots are found in the tower (``solver._exact_roots``), and e splits into
+the Lagrange idempotents L_lambda(y) of its simple tower roots, with
+L_lambda(t) = prod_{mu != lambda} (t - mu)/(lambda - mu).  When the
+polynomial keeps a residual factor g with no root in the tower, e minus
+their sum is one more part: by the Chinese remainder theorem it is the
+idempotent of g's roots.  An element with a repeated tower root is passed
+over for that idempotent.  E_j spans a block M_{k_j} of the algebra, so
+k_j^2 = tr(L_{E_j}), and its trace in the permutation module is
+N (E_j)_1 = k_j d_j; both are exact.  An E_j with k_j = 1 is a projector
+(provenance "uniqueSolution").  One with k_j >= 2 is refined the same way
+inside E_j A, with the elements e A_r e, until it holds k_j primitive
+idempotents (provenance "blockRefinement", block d_j).  When a pass over the
+elements splits nothing, the parts that every element maps to a multiple of
+themselves are kept: they are the primitive ones.  The others hold roots
+outside the tower (in the corpus: the roots of unity of order 5, 7 or 9 of
+C5, C7, C9 and D7 of order 14, on their natural points), and the dimension
+loop finds their projectors.
 
-The Groebner route runs from scratch when the linear route gives up: when
-a pass over the elements splits nothing while the centre holds fewer than
-dim Z idempotents, or a block fewer than k_j (in the corpus: C5, C7 and C9,
-and D7 of order 14, on their natural points, where the roots of unity of
-order 5, 7 or 9 lie outside the tower).  A linear family that fails its
-certificate, or a central idempotent whose k_j or d_j is not a positive
-integer, cannot occur in exact arithmetic and raises InvariantViolation.
-The Groebner route's candidate dimensions come from a floating-point
-oracle (``dimension_hint``) that reads each irreducible's dimension d and
-multiplicity k off the same central idempotents.  For each hinted d, in
-ascending order, the generic invariant form is constrained by x_1 = d/N
-(the trace pins the coefficient of the identity basis matrix), the
-orthogonality forms of the running sum S of the exact projectors accepted
-so far are joined in, and the Groebner basis decides: inconsistent (advance
-d), zero-dimensional (enumerate and accept every solution; the dimension is
-done, as more constraints could only shrink that finite variety), or
-positive-dimensional (an irreducible that occurs more than once; one
-particular solution is sliced off that same basis, and the dimension re-runs
-with the forms of the new sum; see ``process_single_solution`` for why S
-stands for every projector).  The loop never counts the projectors of a
-block; the certificate settles the counts.
+The dimension loop runs only when the exact projectors sum to less than N.
+It starts from the orthogonality forms of their sum S and tries
+d = 1, 2, ... in turn: the generic invariant form is constrained by
+x_1 = d/N (the trace pins the coefficient of the identity basis matrix), the
+forms of S are joined in, and the Groebner basis decides: inconsistent
+(advance d), zero-dimensional (enumerate and accept every solution; the
+dimension is done, as more constraints could only shrink that finite
+variety), or positive-dimensional (an irreducible that occurs more than
+once; one particular solution is sliced off that same basis, and the
+dimension re-runs with the forms of the new sum; see
+``process_single_solution`` for why S stands for every projector).  The
+loop never counts the projectors of a block; the certificate settles the
+counts.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
 projector accepted before it (candidates are filtered against the sum of the
 numeric ones); the projectors are accepted without being multiplied out
-again.  The one certificate, on both routes, is
-``verify.verify_family_algebraic`` on the whole family: idempotency,
-orthogonality, completeness, trace and primitivity, exact over the tower.
-A complete, orthogonal family of primitive idempotents holds exactly k
-projectors of each dimension d.  A hinted family is kept only when its
-dimensions are the hinted multiset and it passes; otherwise the full scan
-d = 1, 2, ... runs from scratch, and a scanned family that fails raises
-InvariantViolation naming the failed checks.
+again.  The one certificate is ``verify.verify_family_algebraic`` on the
+whole family: idempotency, orthogonality, completeness, trace and
+primitivity, exact over the tower.  A complete, orthogonal family of
+primitive idempotents holds exactly k projectors of each dimension d.  A
+family that fails, or a central idempotent whose k_j or d_j is not a
+positive integer, cannot occur in exact arithmetic and raises
+InvariantViolation.
 """
 
 from __future__ import annotations
@@ -69,12 +67,7 @@ from .centralizer import (
     compute_orbitals,
     compute_structure_constants,
 )
-from .errors import (
-    IncompleteDecomposition,
-    InvariantViolation,
-    PermsplitError,
-    SliceExhausted,
-)
+from .errors import IncompleteDecomposition, InvariantViolation, SliceExhausted
 from .exactfield import FieldElement
 from .perms import GeneratorSet
 from .polynomial import (
@@ -111,10 +104,10 @@ __all__ = [
     "build_orthogonality_system",
     "build_orthogonality_system_right",
     "algebra_product",
-    "dimension_hint",
     "PROVENANCES",
     "process_single_solution",
     "split",
+    "split_from_constants",
 ]
 
 
@@ -155,7 +148,7 @@ class Projector:
     dimension: int
     # "uniqueSolution": solved from a zero-dimensional system, or a central
     # idempotent with k = 1; "slicedSolution": sliced off a positive-dimensional
-    # system; "blockRefinement": a primitive idempotent that the linear route
+    # system; "blockRefinement": a primitive idempotent that block refinement
     # split off a block with k >= 2
     provenance: str
     precision: int = DEFAULT_PRECISION
@@ -197,12 +190,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    """One step of the dimension loop, for reports and diagnostics."""
+    """One step of the split, for reports and diagnostics."""
 
     d: int
-    # "inconsistent" | "solutions" | "slice" | "filtered" | "hint-fallback",
-    # or "blockRefinement": the linear route's projectors of dimension d, of
-    # which some come from refining a block (only "solutions" when none do)
+    # the dimension loop's "inconsistent" | "solutions" | "slice" | "filtered";
+    # the exact projectors of dimension d make one event with no Hilbert
+    # dimension, "blockRefinement" when some come from refining a block and
+    # "solutions" otherwise
     kind: str
     hilbert: int = None
     extracted: int = 0
@@ -275,68 +269,40 @@ def build_orthogonality_system_right(consts: StructureConstants, coeffs):
     return _orthogonality_forms(consts, coeffs, "right")
 
 
-# -- the dimension oracle ---------------------------------------------------------
-
-
-def dimension_hint(consts: StructureConstants, degree):
-    """The irreducible dimensions, each d_j repeated k_j times, read off the
-    centre of the algebra in floating point; None when the floats are unclear.
-
-    The centre Z is the null space of x -> (x y - y x)_y.  Multiplication by
-    a random central z acts on Z with generically distinct eigenvalues; the
-    identity splits over its eigenvectors into the central idempotents E_j.
-    E_j spans a block M_{k_j}, so k_j^2 = tr(L_{E_j}), and its trace in the
-    permutation module is N (E_j)_1 = k_j d_j.  The values are only a hint:
-    the splitter certifies whatever it builds from them.
-    """
-    c = consts.table[1:, 1:, 1:].astype(float)
-    rank = consts.rank
-    commutator = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
-    _, sing, vh = np.linalg.svd(commutator, full_matrices=False)
-    centre = vh[sing <= 1e-9 * max(1.0, sing[0])].T
-    rng = np.random.default_rng(0)
-    weights = rng.normal(size=centre.shape[1]) + 1j * rng.normal(size=centre.shape[1])
-    left = np.einsum("p,pqr->rq", centre @ weights, c)
-    _, vecs = np.linalg.eig(centre.T @ left @ centre)
-    split_identity = np.linalg.solve(vecs, centre[0])
-    idempotents = centre @ (vecs * split_identity)
-    k_squared = np.einsum("prr->p", c) @ idempotents
-    traces = degree * idempotents[0]
-    if not _near_integers(k_squared):
-        return None
-    k_squared = np.rint(k_squared.real)
-    k = np.rint(np.sqrt(np.maximum(k_squared, 0)))
-    if k.min() < 1 or not np.array_equal(k * k, k_squared):
-        return None
-    d = traces / k
-    if not _near_integers(d) or np.rint(d.real).min() < 1:
-        return None
-    d = np.rint(d.real)
-    if int(k @ d) != degree:
-        return None
-    return sorted(int(dj) for dj, kj in zip(d, k) for _ in range(int(kj)))
-
-
-def _near_integers(values, tol=1e-6):
-    return bool(np.all(np.abs(values - np.rint(values.real)) <= tol))
-
-
 # -- the splitting state ---------------------------------------------------------
 
 
 class _SplitState:
-    def __init__(self, basis, consts, config):
+    """The dimension loop's state, seeded with the exact projectors found
+    before it and the orthogonality forms of their sum."""
+
+    def __init__(self, basis, consts, config, projectors=()):
         self.basis = basis
         self.consts = consts
         self.config = config
         self.idem = build_idempotency_system(consts)
         self.sub_ring = Ring(self.idem.ring.names[1:], "degrevlex")
-        self.projectors = []
+        self.projectors = list(projectors)
         self.numeric_sum = None  # coefficients of the numeric projectors' sum
-        self.found = 0
+        self.found = sum(p.dimension for p in projectors)
         self.events = []
         self.notes = []
         self._current_d = None
+        if self.projectors:
+            self.renew_sum(exact=True)  # the seeds are exact idempotents
+
+    def renew_sum(self, exact):
+        """Renew the running sum of the exact (or the numeric) projectors:
+        the orthogonality forms of the exact sum join the system, and the
+        numeric sum is what ``accept_candidate`` checks."""
+        same_kind = [p for p in self.projectors if p.exact == exact]
+        total = _coefficient_sum(same_kind, self.consts.rank, self.config.precision)
+        if exact:
+            forms = build_orthogonality_system(self.consts, total)
+            forms += build_orthogonality_system_right(self.consts, total)
+            self.idem.orthogonality = list(dict.fromkeys(forms))
+        else:
+            self.numeric_sum = total
 
     def d_system(self, d):
         """Substitute x_1 = d/N into E and the accumulated forms; drop x_1."""
@@ -404,16 +370,8 @@ def process_single_solution(state: _SplitState, projector: Projector):
     ``verify_family_algebraic``.
     """
     state.projectors.append(projector)
-    exact = projector.exact
-    same_kind = [p for p in state.projectors if p.exact == exact]
-    total = _coefficient_sum(same_kind, state.consts.rank, state.config.precision)
-    if exact:
-        forms = build_orthogonality_system(state.consts, total)
-        forms += build_orthogonality_system_right(state.consts, total)
-        state.idem.orthogonality = list(dict.fromkeys(forms))
-    else:
-        state.numeric_sum = total
     state.found += projector.dimension
+    state.renew_sum(projector.exact)
     return state
 
 
@@ -430,54 +388,25 @@ def split(gens: GeneratorSet, config: SplitConfig = None):
 
 
 def split_from_constants(basis: OrbitalBasis, consts: StructureConstants, config=None):
-    """The certified family, from precomputed structure constants.
-
-    The linear route (``_split_linear``) runs first; when it gives up, the
-    Groebner route (``_split_by_groebner``) runs from scratch.  Either way
-    the family is returned only when ``verify_family_algebraic`` passes on
-    it.
+    """The certified family, from precomputed structure constants: the exact
+    idempotents of ``_split_linear``, completed by the dimension loop of
+    ``_split_over`` where they sum to less than N.  The family is returned
+    only when ``verify_family_algebraic`` passes on it.
     """
     config = config or SplitConfig()
-    deco = _split_linear(basis, consts, config)
-    if deco is None:
-        deco = _split_by_groebner(basis, consts, config)
-    return deco
-
-
-def _split_by_groebner(basis, consts, config):
-    """The Groebner route: the dimension loop over the hinted dimensions.
-
-    Only the dimensions of ``dimension_hint`` are solved.  When there is no
-    hint, or the hinted run raises or yields a family whose dimensions are
-    not the hinted multiset, the full scan d = 1, 2, ... runs from scratch
-    after a "hint-fallback" event.  A scanned family that fails its
-    certificate raises InvariantViolation naming the failed checks.
-    """
-    hint = dimension_hint(consts, basis.degree)
-    deco = None
-    if hint:
-        try:
-            deco = _split_over(basis, consts, config, hint)
-        except PermsplitError:
-            pass
-    if deco is None or deco.dimension_multiset != hint:
-        deco = _split_over(basis, consts, config, None)
+    deco = _split_over(basis, consts, config, _split_linear(basis, consts, config))
     _pair_conjugates(deco)
     return deco
 
 
-# -- the linear route: central and block idempotents ------------------------------
+# -- the exact idempotents: central and block refinement -------------------------
 
 
 def _split_linear(basis, consts, config):
-    """The family read off the central and block idempotents, or None when
-    the tower cannot split the centre or a block (see the module docstring).
-
-    The family is ordered by ascending d, the k = 1 projectors of a d before
-    the block members of the same d, then by ``SolutionPoint.sort_key``:
-    the order in which the Groebner route enumerates a multiplicity-free
-    family.
-    """
+    """The primitive idempotents that the central and block refinements reach
+    in the tower, as projectors; they sum to the identity unless some part of
+    the centre or of a block holds roots outside it (see the module
+    docstring)."""
     rank, n = consts.rank, basis.degree
     centre = _centre_basis(consts)
     central = _refine(
@@ -485,8 +414,6 @@ def _split_linear(basis, consts, config):
         [lambda e, z=z: algebra_product(consts, e, z) for z in centre],
         len(centre),
     )
-    if central is None:
-        return None
     table = consts.table[1:, 1:, 1:]
     left_traces = [int(t) for t in np.einsum("pqq->p", table)]
     compressions = [
@@ -501,25 +428,11 @@ def _split_linear(basis, consts, config):
         if k == 1:
             projectors.append(Projector(tuple(idem), d, "uniqueSolution", config.precision))
             continue
-        parts = _refine(consts, [idem], compressions, k)
-        if parts is None:
-            return None
         projectors += [
             Projector(tuple(f), d, "blockRefinement", config.precision, block=d)
-            for f in parts
+            for f in _refine(consts, [idem], compressions, k)
         ]
-    projectors.sort(
-        key=lambda p: (p.dimension, p.block is not None,
-                       SolutionPoint(p.coefficients[1:]).sort_key())
-    )
-    events = []
-    for d in sorted({p.dimension for p in projectors}):
-        at_d = [p for p in projectors if p.dimension == d]
-        kind = "solutions" if all(p.block is None for p in at_d) else "blockRefinement"
-        events.append(SplitEvent(d, kind, None, len(at_d)))
-    deco = _certified(basis, consts, config, projectors, events, [])
-    _pair_conjugates(deco)
-    return deco
+    return projectors
 
 
 def _basis_vector(rank, r):
@@ -562,40 +475,48 @@ def _centre_basis(consts):
 
 
 def _refine(consts, parts, elements, target):
-    """Split the idempotents ``parts`` until there are ``target`` of them;
-    None when a pass over the elements splits nothing.
+    """Split the idempotents ``parts`` toward ``target`` of them, and return
+    the primitive ones.
 
     Each element maps an idempotent e to an element y of eAe, and e splits
-    into the Lagrange idempotents of y (``_split_idempotent``).  The elements
-    are tried in order, in passes; an element that cannot split a part in
-    the tower is passed over for that part.
+    by y (``_split_idempotent``).  The elements are tried in order, in
+    passes.  When ``target`` parts are reached, each is primitive.  When a
+    pass splits nothing, the parts that every element maps to a multiple of
+    themselves are returned: those, and only those, are primitive.
     """
     while len(parts) < target:
         before = len(parts)
         for element in elements:
-            split_parts = []
-            for e in parts:
-                pieces = _split_idempotent(consts, e, element(e))
-                if pieces is None:
-                    pieces = [e]
-                split_parts += pieces
-            parts = split_parts
+            parts = [
+                piece
+                for e in parts
+                for piece in _split_idempotent(consts, e, element(e)) or [e]
+            ]
             if len(parts) == target:
                 return parts
         if len(parts) == before:
-            return None
+            return [e for e in parts if all(_is_multiple(f(e), e) for f in elements)]
     return parts
 
 
+def _is_multiple(y, e):
+    """Whether y = c e for a scalar c; e is nonzero."""
+    i = next(i for i, a in enumerate(e) if a)
+    c = y[i] / e[i]
+    return all(b == c * a for a, b in zip(e, y))
+
+
 def _split_idempotent(consts, e, y):
-    """The Lagrange idempotents of y in eAe, which sum to e; [e] when y is a
-    multiple of e, and None when y's minimal polynomial has a repeated root
-    or a root outside the tower."""
+    """The Lagrange idempotents of y's simple tower roots in eAe, and, when
+    y's minimal polynomial keeps a residual factor g, e minus their sum, the
+    idempotent of g's roots; the parts sum to e.  [e] when y is a multiple
+    of e or has no root in the tower, and None when a tower root is
+    repeated."""
     poly, powers = _minimal_polynomial(consts, e, y)
     roots, residual = _exact_roots(poly)
-    if len(residual) > 1 or len(roots) < len(poly) - 1:
+    if len(roots) + len(residual) < len(poly):
         return None
-    if len(roots) == 1:
+    if len(roots) + (len(residual) > 1) < 2:
         return [e]
     parts = []
     for root in roots:
@@ -607,6 +528,11 @@ def _split_idempotent(consts, e, y):
             c = c * scale
             part = [a + c * b for a, b in zip(part, power)]
         parts.append(part)
+    if len(residual) > 1:
+        rest = list(e)
+        for part in parts:
+            rest = [a - b for a, b in zip(rest, part)]
+        parts.append(rest)
     return parts
 
 
@@ -655,42 +581,43 @@ def _block_size(idem, left_traces, degree):
     )
 
 
-def _split_over(basis, consts, config, hint):
-    """Run the dimensions in ascending order, the hinted ones or (hint None)
-    every d = 1, 2, ..., until the family is complete; the certified family.
+def _split_over(basis, consts, config, projectors):
+    """The certified family: the exact ``projectors``, completed by the
+    dimension loop when they sum to less than N.
 
-    With a right hint the full scan finds nothing between the hinted
-    dimensions, so the accepted projectors and their order match it.  (Projectors with numeric coordinates are the
-    exception: their orthogonality is not in the polynomial system, so the
-    scan may meet sums of them at an unhinted d and filter them out, which
-    the hinted run skips.)  Raises IncompleteDecomposition when the
-    dimensions run out first, and InvariantViolation when the family fails
-    its certificate.
+    The loop is seeded with the running sums of ``projectors`` and runs
+    d = 1, 2, ... until the family is complete; it raises
+    IncompleteDecomposition when the dimensions run out first.  The family
+    is ordered by ascending d, the projectors outside a block before the
+    members of one, then by ``SolutionPoint.sort_key``.  It is returned once
+    ``verify_family_algebraic`` passes on it; InvariantViolation naming the
+    failed checks otherwise.
     """
-    state = _SplitState(basis, consts, config)
     n = basis.degree
-    if hint:
-        dims = sorted(set(hint))
-    else:
-        dims = range(1, n + 1)
-        state.events.append(SplitEvent(0, "hint-fallback"))
-    for d in dims:
-        # a dimension with found + d > N can never fit, nor can any larger one
-        if state.found >= n or state.found + d > n:
-            break
-        _run_dimension(state, d)
-    if state.found < n:
-        raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
-    return _certified(basis, consts, config, state.projectors, state.events, state.notes)
-
-
-def _certified(basis, consts, config, projectors, events, notes):
-    """The family as a Decomposition, once ``verify_family_algebraic``
-    passes on it; InvariantViolation naming the failed checks otherwise."""
+    events = []
+    for d in sorted({p.dimension for p in projectors}):
+        at_d = [p for p in projectors if p.dimension == d]
+        kind = "solutions" if all(p.block is None for p in at_d) else "blockRefinement"
+        events.append(SplitEvent(d, kind, None, len(at_d)))
+    notes = []
+    if sum(p.dimension for p in projectors) < n:
+        state = _SplitState(basis, consts, config, projectors)
+        for d in range(1, n + 1):
+            # a dimension with found + d > N can never fit, nor can any larger one
+            if state.found + d > n:
+                break
+            _run_dimension(state, d)
+        if state.found < n:
+            raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
+        projectors, events, notes = state.projectors, events + state.events, state.notes
     deco = Decomposition(
-        degree=basis.degree,
+        degree=n,
         rank=basis.rank,
-        projectors=projectors,
+        projectors=sorted(
+            projectors,
+            key=lambda p: (p.dimension, p.block is not None,
+                           SolutionPoint(p.coefficients[1:]).sort_key()),
+        ),
         suborbit_lengths=basis.lengths_in_order(),
         events=events,
         notes=notes,

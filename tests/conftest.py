@@ -211,23 +211,23 @@ def corpus_split(name):
 
 
 def groebner_route(gens):
-    """The Groebner route alone on ``gens``, as ``split`` runs it when the
-    linear route gives up."""
+    """The dimension loop alone on ``gens``, seeded with no exact
+    idempotent, as ``split`` runs it for what the tower cannot split."""
     basis = compute_orbitals(gens)
     consts = compute_structure_constants(gens, basis)
-    return splitter._split_by_groebner(basis, consts, SplitConfig())
+    deco = splitter._split_over(basis, consts, SplitConfig(), [])
+    splitter._pair_conjugates(deco)
+    return deco
 
 
-# Corpus actions whose centre the linear route cannot split: the roots of
-# unity of order 5, 7 or 9 lie outside the tower, so no centre element splits
-# the parts that hold them, and ``split`` runs the Groebner route on them.
+# Corpus actions whose exact idempotents do not cover the identity: the roots
+# of unity of order 5, 7 or 9 lie outside the tower, so no element splits the
+# parts that hold them, and ``split`` runs the dimension loop on the rest.
 GROEBNER_ONLY = {"C5_natural", "C7_natural", "C9_natural", "D7_natural"}
 
 
 @functools.lru_cache(maxsize=None)
 def _cached_groebner_split(name):
-    if name in GROEBNER_ONLY:
-        return _cached_corpus_split(name)
     return groebner_route(dict(CORPUS)[name])
 
 
@@ -238,8 +238,8 @@ def groebner_split(name):
 
 
 def duplicate_first_projector(monkeypatch):
-    """Send ``split`` down the Groebner route's full scan and make it record
-    its first projector twice, so the finished family holds a duplicate."""
+    """Send ``split`` down the dimension loop alone and make it record its
+    first projector twice, so the finished family holds a duplicate."""
     real = splitter.process_single_solution
 
     def doubled(state, projector):
@@ -247,8 +247,7 @@ def duplicate_first_projector(monkeypatch):
         if len(state.projectors) == 1:
             state.projectors.append(projector)
 
-    monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: None)
-    monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
+    monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
     monkeypatch.setattr(splitter, "process_single_solution", doubled)
 
 

@@ -155,7 +155,7 @@ def test_criterion_4_s3_regular_multiplicity():
     assert all(p.block == 2 and p.provenance == "blockRefinement" for p in block)
     report = verify_family_algebraic(consts, deco)
     assert report.passed
-    # the d=2 system the Groebner route meets after the two d=1 projectors
+    # the d=2 system the dimension loop meets after the two d=1 projectors
     state = _SplitState(basis, consts, SplitConfig())
     for p in deco.projectors[:2]:
         process_single_solution(state, p)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from permsplit import NotZeroDimensional, SplitConfig, cli, polynomial
+from permsplit import NotZeroDimensional, SplitConfig, cli, polynomial, solver
 from permsplit.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -27,6 +27,7 @@ from conftest import (
 )
 
 S3_TEXT = "degree 3\ngen (1,2,3)\ngen (1,2)\n"
+C5_TEXT = "degree 5\ngen (1,2,3,4,5)\n"
 PETERSEN_TEXT = None
 
 
@@ -181,9 +182,21 @@ class TestSplitCommand:
         assert "usage:" in err and "argument --precision" in err
         assert "Traceback" not in err
 
+    def test_precision_above_the_solver_cap_is_a_usage_error(self, tmp_path, capsys):
+        """The solver escalates no further than MAX_PRECISION bits, so more
+        cannot be asked for."""
+        path = tmp_path / "c5.gens"
+        path.write_text(C5_TEXT)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["split", str(path), "--precision", str(2 * solver.MAX_PRECISION)])
+        assert exit_info.value.code == 2
+        assert "argument --precision" in capsys.readouterr().err
+        assert main(["split", str(path), "--precision", str(solver.MAX_PRECISION)]) == 0
+
     def test_resource_limit_exit_3(self, tmp_path, monkeypatch, capsys):
         """The Groebner pair cap is a module constant; one pair is too few
-        for C5, whose centre the linear route leaves to the Groebner route."""
+        for C5, whose exact idempotents leave four dimensions to the
+        dimension loop."""
         path = tmp_path / "c5.gens"
         path.write_text("degree 5\ngen (1,2,3,4,5)\n")
         monkeypatch.setattr(polynomial, "MAX_PAIRS", 1)
@@ -296,8 +309,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["S3_regular", "D4_regular", "Q8_regular"])
     def test_groebner_route_reference_accepted(self, tmp_path, capsys, name, fmt):
-        """The Groebner route picks other primitive idempotents inside the
-        k = 2 block than ``split`` does, as the reports of earlier releases
+        """The dimension loop alone picks other primitive idempotents inside
+        the k = 2 block than ``split`` does, as the reports of earlier releases
         did; the block is compared by its sum, so such a reference verifies."""
         gens = dict(CORPUS)[name]
         path = tmp_path / "action.gens"
@@ -334,11 +347,11 @@ class TestVerifyCommand:
 # changes what permsplit prints for that action.
 CORPUS_REPORT_SHA256 = {
     "C4_regular": "ea3222c0901a664413f53cbc11b0d17382af38b9e1681b6df1090501a78d186d",
-    "C5_natural": "fc89d9516df325323d56f20dc37eaaf72a0a543d7aa2ed2218d2e14e9b593c45",
+    "C5_natural": "fb447e42bcb34ae338556d601403dbdd00b934abe271706ed2a1d87a1950cc85",
     "C6_natural": "d7ebe46c2a174c52b3c8e98a298692f36b79682ebbb052c16d414f9c48388e11",
-    "C7_natural": "c6b5b26bff9bcf31f3b29349277d1fc5fe369ebed035a547f0a1ecdd74b59103",
+    "C7_natural": "73ee222e6493904f04fc1c38bdad1d4584c9ba030cb2f5940ae4a81b9705a187",
     "C8_natural": "96a66d656f13b3e31f61e90544c2d5ab4b1f707d8750040048a13bf716aba2fb",
-    "C9_natural": "fc1de7057dea00880868cf224f5dd04836c09fc736225f3e67a36b819a2d62fb",
+    "C9_natural": "c485ff9577d06b744a9fcf9c89e9b92de22d6872e3d0efa462c0c9d6a7f603be",
     "D4_natural": "1a08fbd511ed3f9708c555ecdc3f85f0627f8dbab11197dc7cbd13beb9a4e546",
     "D5_natural": "6180994932cbdc719b1abcdf1d7f5232043d6fbbeb65611b0ab73e40e6cb4d29",
     "D6_natural": "f1d655f4d1098cda193fd835c7fc63e737e2b607a3ea7beac472ee9c59d2beb5",
@@ -535,6 +548,45 @@ class TestMalformedDecompositionFile:
         assert code == 1
         assert err.startswith("parse error: ")
 
+
+    def verify_c5_against(self, tmp_path, capsys, reference):
+        path = tmp_path / "c5.gens"
+        path.write_text(C5_TEXT)
+        ref = tmp_path / "c5.deco"
+        ref.write_text(reference)
+        t0 = time.perf_counter()
+        code = main(["verify", str(path), str(ref)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err, elapsed
+
+    @pytest.mark.parametrize("precision", ["10000000", "1", "52", "4096"])
+    def test_numeric_precision_outside_the_range(self, tmp_path, capsys, precision):
+        """A numeric coefficient's precision lies in the range of
+        ``--precision``; reading an enclosure at 10^7 bits would take
+        minutes, and one below 53 bits cannot hold it."""
+        lines = render_decomposition_text(corpus_split("C5_natural")).splitlines()
+        numeric = [i for i, line in enumerate(lines) if line.startswith("coeff ")
+                   and " numeric " in line]
+        for i in numeric:
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " " + precision
+        code, err, elapsed = self.verify_c5_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert elapsed < 1.0
+        assert code == 1
+        assert err.startswith(f"parse error: line {numeric[0] + 1}: ")
+
+    @pytest.mark.parametrize("precision", [True, 10**7, 1, "128", 128.0])
+    def test_json_numeric_precision_outside_the_range(self, tmp_path, capsys, precision):
+        obj = decomposition_to_json(corpus_split("C5_natural"))
+        for p in obj["projectors"]:
+            for c in p["coefficients"]:
+                if "numeric" in c:
+                    c["numeric"]["precision"] = precision
+        code, err, elapsed = self.verify_c5_against(tmp_path, capsys, json.dumps(obj))
+        assert elapsed < 1.0
+        assert code == 1
+        assert err.startswith("parse error: ") and "precision" in err
 
     def test_factorization_cap_ends_in_a_typed_error(self, tmp_path, capsys):
         """A radicand with large prime factors stops at the Pollard rho step

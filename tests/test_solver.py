@@ -7,12 +7,14 @@ from permsplit import (
     FieldElement,
     NotZeroDimensional,
     Poly,
+    ResourceLimit,
     Ring,
     SliceExhausted,
     groebner_basis,
     particular_solution_on_slice,
     solve_zero_dimensional,
 )
+from permsplit import solver
 from permsplit.solver import SolutionPoint
 
 FE = FieldElement
@@ -115,6 +117,21 @@ class TestNumericFallback:
                 val = ball.mid
                 resid = val * val - s2v * val + (s2v - 1) / 4
                 assert abs(resid) < mpmath.mpf(2) ** -90
+
+    def test_escalation_stops_at_max_precision(self, monkeypatch):
+        """Each escalation doubles the precision, clamped to MAX_PRECISION,
+        so no point carries more bits than that."""
+        tried = []
+
+        def undecided(point, polys, prec):
+            tried.append(prec)
+            return "ambiguous"
+
+        monkeypatch.setattr(solver, "_classify_point", undecided)
+        r, x = one_var()
+        with pytest.raises(ResourceLimit):
+            solve_zero_dimensional([x**3 - Poly.const(r, 2)], precision=1500)
+        assert sorted(set(tried)) == [1500, solver.MAX_PRECISION]
 
     def test_multiplicity_collapses_to_one_point(self):
         r = Ring(("x2", "x3"), "degrevlex")

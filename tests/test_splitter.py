@@ -29,7 +29,6 @@ from permsplit.splitter import (
     _SplitState,
     algebra_product,
     build_orthogonality_system_right,
-    dimension_hint,
     process_single_solution,
 )
 
@@ -42,7 +41,6 @@ from conftest import (
     frobenius20,
     groebner_route,
     groebner_split,
-    pair_action,
     petersen,
     regular_action,
     symmetric,
@@ -163,7 +161,7 @@ class TestProcessSingleSolution:
 
     def test_duplicate_rejected(self, monkeypatch):
         """Acceptance does not multiply a candidate out, so a duplicate is
-        recorded; the Groebner route's certificate rejects the family."""
+        recorded; the certificate rejects the family."""
         duplicate_first_projector(monkeypatch)
         with pytest.raises(InvariantViolation, match=re.escape("orthogonality B[1]*B[2]")):
             split(symmetric(3))
@@ -186,11 +184,11 @@ class TestProcessSingleSolution:
         assert two in state.idem.orthogonality
 
     def test_numeric_sum_is_a_tight_enclosure(self):
-        """C9 natural keeps 8 projectors numeric; the running sum that
+        """C9 natural keeps 6 projectors numeric; the running sum that
         ``accept_candidate`` checks candidates against stays tight."""
         state = self._state(cyclic(9))
         deco = corpus_split("C9_natural")
-        assert sum(not p.exact for p in deco.projectors) == 8
+        assert sum(not p.exact for p in deco.projectors) == 6
         for p in deco.projectors:
             process_single_solution(state, p)
         assert all(isinstance(c, ComplexBall) for c in state.numeric_sum)
@@ -379,69 +377,13 @@ class TestCorpusProperties:
 
 
 def _assert_slicing_events(events):
+    """Slices sit at even Hilbert dimensions, and a dimension the loop has
+    enumerated is not solved again.  The exact idempotents' events carry no
+    Hilbert dimension and come first; the loop may go on at their d."""
     assert all(e.hilbert % 2 == 0 for e in events if e.kind == "slice")
     for i, e in enumerate(events):
-        if e.kind == "solutions":
+        if e.kind == "solutions" and e.hilbert is not None:
             assert all(later.d != e.d for later in events[i + 1:]), events
-
-
-def _hinted_report(name):
-    """The text report of the Groebner route, which must have used the hint."""
-    deco = groebner_split(name)
-    assert not any(e.kind == "hint-fallback" for e in deco.events)
-    return render_decomposition_text(deco)
-
-
-class TestDimensionOracle:
-    def test_hint_matches_oracle(self, corpus_member):
-        name, gens = corpus_member
-        _, consts = constants_for(gens)
-        assert dimension_hint(consts, gens.degree) == dimension_multiset(gens)
-
-    def test_report_identical_without_hint(self, corpus_member, monkeypatch):
-        name, gens = corpus_member
-        expected = _hinted_report(name)
-        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: None)
-        scanned = groebner_route(gens)
-        assert [e.kind for e in scanned.events][:1] == ["hint-fallback"]
-        _assert_slicing_events(scanned.events)
-        assert render_decomposition_text(scanned) == expected
-
-    def test_wrong_hint_falls_back(self, corpus_member, monkeypatch):
-        """Merging the two largest hinted dimensions keeps the sum at N but
-        names a dimension that no irreducible has."""
-        name, gens = corpus_member
-        expected = _hinted_report(name)
-        _, consts = constants_for(gens)
-        true_hint = dimension_hint(consts, gens.degree)
-        wrong = sorted(true_hint[:-2] + [true_hint[-2] + true_hint[-1]])
-        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: wrong)
-        deco = groebner_route(gens)
-        assert [e for e in deco.events if e.kind == "hint-fallback"] == [
-            splitter.SplitEvent(0, "hint-fallback")
-        ]
-        assert render_decomposition_text(deco) == expected
-
-    def test_sum_of_irreducibles_rejected_by_primitivity(self, monkeypatch):
-        """S5 on pairs is 1 + 4 + 5; the hint [1, 9] is met by e_4 + e_5,
-        which only the primitivity certificate tells apart.  The fallback
-        family is certified too."""
-        gens = pair_action(symmetric(5), 5)
-        expected = render_decomposition_text(split(gens))
-        verdicts = []
-        real = verify.is_unit_trace
-
-        def spy(trace):
-            verdicts.append(real(trace))
-            return verdicts[-1]
-
-        monkeypatch.setattr(splitter, "dimension_hint", lambda consts, degree: [1, 9])
-        monkeypatch.setattr(verify, "is_unit_trace", spy)
-        deco = groebner_route(gens)
-        assert verdicts == [True, False, True, True, True]
-        assert [e.kind for e in deco.events][:1] == ["hint-fallback"]
-        assert deco.dimension_multiset == [1, 4, 5]
-        assert render_decomposition_text(deco) == expected
 
 
 class TestLinearRoute:
@@ -461,12 +403,13 @@ class TestLinearRoute:
         name, gens = corpus_member
         basis, consts = constants_for(gens)
         linear = splitter._split_linear(basis, consts, SplitConfig())
-        assert (linear is None) == (name in GROEBNER_ONLY)
-        if linear is None:
+        complete = sum(p.dimension for p in linear) == gens.degree
+        assert complete == (name not in GROEBNER_ONLY)
+        if not complete:
             return
 
         def no_groebner(polys):
-            raise AssertionError("the linear route took a Groebner basis")
+            raise AssertionError("an exact split took a Groebner basis")
 
         monkeypatch.setattr(splitter, "groebner_basis", no_groebner)
         deco = split(gens)
@@ -474,9 +417,68 @@ class TestLinearRoute:
         assert deco.exact_only()
         assert all(e.hilbert is None for e in deco.events)
 
+    # all coordinates of the exact projectors, and b_1 = d/N of each numeric
+    # one: C9 keeps 3 of its 9 projectors exact, the others 1
+    EXACT_COORDINATES_AT_LEAST = {
+        "C5_natural": 9, "C7_natural": 13, "C9_natural": 33, "D7_natural": 7,
+    }
+
+    @pytest.mark.parametrize("name", sorted(GROEBNER_ONLY))
+    def test_remainder_keeps_exact_coordinates(self, name):
+        deco = corpus_split(name)
+        exact = sum(isinstance(c, FE) for p in deco.projectors for c in p.coefficients)
+        assert exact >= self.EXACT_COORDINATES_AT_LEAST[name]
+        assert deco.dimension_multiset == dimension_multiset(dict(CORPUS)[name])
+
+    @pytest.mark.parametrize("name", sorted(GROEBNER_ONLY))
+    def test_exact_idempotents_reach_the_family_unchanged(self, name):
+        """The dimension loop completes the exact idempotents; it neither
+        drops nor changes one."""
+        basis, consts = constants_for(dict(CORPUS)[name])
+        linear = splitter._split_linear(basis, consts, SplitConfig())
+        assert linear and all(p.exact for p in linear)
+        family = {p.coefficients for p in corpus_split(name).projectors}
+        assert {p.coefficients for p in linear} <= family
+
+    def test_c9_exact_idempotents_factor_through_c3(self):
+        """On C9 the tower holds the cube roots of unity but not the primitive
+        ninth ones: the exact idempotents are the trivial projector and the
+        two whose characters factor through C3, sum_j w^(jk) A_(j+1)/9 with
+        w a primitive cube root of unity and k = 1, 2."""
+        basis, consts = constants_for(cyclic(9))
+        linear = splitter._split_linear(basis, consts, SplitConfig())
+        omega = (FE.from_rational(-1) + FE.sqrt_int(-3)) * fe(Fraction(1, 2))
+        expected = set()
+        for k in range(3):
+            coeffs = []
+            for r in range(9):
+                # A_(r+1) is the basis matrix of the shift by shift_of[r]
+                shift = basis.suborbit_representative[r + 1] - 1
+                power = FE.one()
+                for _ in range((k * shift) % 3):
+                    power = power * omega
+                coeffs.append(power * fe(Fraction(1, 9)))
+            expected.add(tuple(coeffs))
+        assert {p.coefficients for p in linear} == expected
+        assert [p.dimension for p in linear] == [1, 1, 1]
+
+    def test_split_idempotent_keeps_the_residual_part(self):
+        """On C5, A_2 has the minimal polynomial t^5 - 1 = (t - 1) Phi_5(t);
+        only the root 1 lies in the tower.  Its Lagrange idempotent is the
+        trivial projector, and the identity minus it is the idempotent of
+        Phi_5's roots."""
+        basis, consts = constants_for(cyclic(5))
+        one = [fe(1)] + [fe(0)] * 4
+        a2 = [fe(0), fe(1)] + [fe(0)] * 3
+        parts = splitter._split_idempotent(consts, one, a2)
+        assert parts == [
+            [fe(Fraction(1, 5))] * 5,
+            [fe(Fraction(4, 5))] + [fe(Fraction(-1, 5))] * 4,
+        ]
+
     def test_failed_certificate_raises_instead_of_falling_back(self, monkeypatch):
-        """A linear family that fails its certificate is a bug, not a reason
-        to take the Groebner route."""
+        """An exact family that fails its certificate is a bug, not a reason
+        to run the dimension loop."""
         real = splitter.verify_family_algebraic
 
         def one_check_fails(consts, deco, precision):
@@ -485,7 +487,7 @@ class TestLinearRoute:
             return report
 
         def no_groebner(polys):
-            raise AssertionError("the Groebner route ran")
+            raise AssertionError("the dimension loop ran")
 
         monkeypatch.setattr(splitter, "verify_family_algebraic", one_check_fails)
         monkeypatch.setattr(splitter, "groebner_basis", no_groebner)
@@ -508,9 +510,10 @@ class TestLinearRoute:
     ])
     def test_multiplicity_free_reports_match_groebner(self, name):
         """Every k = 1 means a commutative algebra, whose primitive
-        idempotents are unique; both routes print the same report.  (C8 is
-        left out: the Groebner route leaves some of its coordinates numeric,
-        and ``test_numeric_reference_matches_exact_family`` compares it.)"""
+        idempotents are unique; the dimension loop alone prints the same
+        report.  (C8 is left out: the loop alone leaves some of its
+        coordinates numeric, and ``test_numeric_reference_matches_exact_family``
+        compares it.)"""
         _, consts = constants_for(dict(CORPUS)[name])
         assert consts.is_commutative()
         assert render_decomposition_text(corpus_split(name)) == render_decomposition_text(

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -103,3 +104,30 @@ def test_benchmark_smoke_workload_runs():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def _load_benchmark_module(name):
+    """A module of ``perfbench/`` loaded by its path, without putting the
+    directory on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_boundaries_exist():
+    """The benchmark wraps library functions by (module, attribute) and runs
+    one operation through the pipeline; a library change that renames or
+    drops one of them breaks it, so tier-1 checks both."""
+    spans = _load_benchmark_module("spans")
+    for module, attr, _, _ in spans.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    pipeline = _load_benchmark_module("pipeline")
+    gens = pipeline.perms.parse_generator_text("degree 3\ngen (1,2,3)\ngen (1,2)\n")
+    outcome = pipeline.run_operation(gens, verify_matrix=True)
+    assert outcome.error is None
+    assert outcome.algebraic_passed and outcome.matrix_passed
+    assert outcome.deco.dimension_multiset == [1, 2]

@@ -31,6 +31,7 @@ from conftest import (
     corpus_split,
     cyclic,
     groebner_split,
+    pair_action,
     petersen,
     regular_action,
     symmetric,
@@ -135,6 +136,18 @@ class TestAlgebraic:
             ("primitivity B[2]", "dim B A B = 2")
         ]
 
+    def test_sum_of_irreducibles_fails_only_primitivity(self):
+        """S5 on pairs is 1 + 4 + 5.  The family {e_1, e_4 + e_5} is
+        complete, orthogonal and idempotent, with traces 1 and 9; only the
+        primitivity certificate tells e_4 + e_5 from an irreducible."""
+        _, consts, deco = split_with_constants(pair_action(symmetric(5), 5))
+        e1, e4, e5 = deco.projectors
+        assert [e1.dimension, e4.dimension, e5.dimension] == [1, 4, 5]
+        merged = tuple(x + y for x, y in zip(e4.coefficients, e5.coefficients))
+        family = _family(consts, 10, [e1.coefficients, merged], [1, 9])
+        failures = verify_family_algebraic(consts, family).failures()
+        assert [c.name for c in failures] == ["primitivity B[2]"]
+
     def test_primitivity_of_numeric_projectors(self):
         """C5 keeps the quartic coordinates numeric; the trace is then an
         enclosure of 1 narrower than 1."""
@@ -145,7 +158,7 @@ class TestAlgebraic:
         assert report.passed and len(lines) == len(deco.projectors) == 5
 
     def test_completeness_sum_keeps_the_coefficient_precision(self):
-        """C9 keeps 8 of 9 projectors numeric, with coefficient radii near
+        """C9 keeps 6 of 9 projectors numeric, with coefficient radii near
         1e-42; their sum is taken at the checks' working precision, not at
         mpmath's default 53 bits, so no entry is wider than 2^-128."""
         gens = dict(CORPUS)["C9_natural"]
@@ -390,8 +403,9 @@ class TestCompare:
 
     @pytest.mark.parametrize("name", ["S3_regular", "D4_regular", "Q8_regular"])
     def test_block_compared_by_its_sum(self, name):
-        """The two routes split the k = 2 block into different primitive
-        idempotents; the block's sum and count agree, so the families match."""
+        """Block refinement and the dimension loop alone split the k = 2 block
+        into different primitive idempotents; the block's sum and count
+        agree, so the families match."""
         linear, groebner = corpus_split(name), groebner_split(name)
         members = [p for p in linear.projectors if p.block is not None]
         theirs = [q for q in groebner.projectors if q.dimension == 2]
@@ -413,8 +427,8 @@ class TestCompare:
             assert [c.name for c in report.failures()] == ["block d=2 (projectors 3, 4) sum match"]
 
     def test_numeric_reference_matches_exact_family(self):
-        """The Groebner route leaves 24 of C8's 64 coordinates numeric; the
-        exact family lies inside their enclosures."""
+        """The dimension loop alone leaves 24 of C8's 64 coordinates numeric;
+        the exact family lies inside their enclosures."""
         exact, numeric = corpus_split("C8_natural"), groebner_split("C8_natural")
         assert exact.exact_only() and not numeric.exact_only()
         assert compare_to_reference(exact, numeric).passed
