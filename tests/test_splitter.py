@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -41,6 +42,7 @@ from conftest import (
     frobenius20,
     groebner_route,
     groebner_split,
+    pair_action,
     petersen,
     regular_action,
     symmetric,
@@ -540,6 +542,96 @@ class TestLinearRoute:
         assert {p.provenance for p in linear.projectors if p.block is not None} == {
             "blockRefinement"
         }
+
+
+def _assert_orthogonal_idempotents(consts, parts):
+    zero = [fe(0)] * consts.rank
+    for i, e in enumerate(parts):
+        assert algebra_product(consts, e, e) == list(e)
+        for f in parts[i + 1:]:
+            assert algebra_product(consts, e, f) == zero
+            assert algebra_product(consts, f, e) == zero
+
+
+class TestExactIdempotents:
+    def test_exact_idempotents_are_primitive_and_orthogonal(self, corpus_member):
+        """The exact idempotents are mutually orthogonal primitive
+        idempotents with N b_1 = d, and their dimensions are part of the
+        oracle's multiset."""
+        name, gens = corpus_member
+        basis, consts = constants_for(gens)
+        linear = splitter._split_linear(basis, consts, SplitConfig())
+        assert linear and all(p.exact for p in linear)
+        _assert_orthogonal_idempotents(consts, [p.coefficients for p in linear])
+        assert verify.primitivity_traces(consts, [p.coefficients for p in linear]) == [
+            FE.one()
+        ] * len(linear)
+        for p in linear:
+            assert p.coefficients[0].rational_value() * gens.degree == p.dimension
+        assert not Counter(p.dimension for p in linear) - Counter(dimension_multiset(gens))
+
+    def test_basis_elements_split_the_identity(self, corpus_member):
+        """For each A_r, ``_split_idempotent`` splits the identity into
+        polynomials in A_r that are mutually orthogonal idempotents summing
+        to it and commuting with A_r, or leaves it whole."""
+        name, gens = corpus_member
+        _, consts = constants_for(gens)
+        one = splitter._basis_vector(consts.rank, 0)
+        for r in range(1, consts.rank):
+            y = splitter._basis_vector(consts.rank, r)
+            parts = splitter._split_idempotent(consts, one, y)
+            assert parts is not None, f"A_{r + 1} has a repeated root"
+            assert [sum(col, fe(0)) for col in zip(*parts)] == one
+            _assert_orthogonal_idempotents(consts, parts)
+            for e in parts:
+                assert algebra_product(consts, e, y) == algebra_product(consts, y, e)
+
+
+class TestDimensionLoop:
+    def test_loop_alone_matches_the_split(self, corpus_member):
+        """Seeded with no exact idempotent, the dimension loop finds the
+        oracle's dimensions, slices only at even Hilbert dimensions, and
+        its family matches the split's."""
+        name, gens = corpus_member
+        alone = groebner_split(name)
+        assert alone.dimension_multiset == dimension_multiset(gens)
+        assert any(e.hilbert is not None for e in alone.events)
+        _assert_slicing_events(alone.events)
+        assert verify.compare_to_reference(corpus_split(name), alone).passed
+
+    def test_loop_completes_a_partial_seed(self, corpus_member):
+        """Seeded with every second exact idempotent, the loop keeps the
+        seeds unchanged and completes them to a certified family that
+        matches the split's."""
+        name, gens = corpus_member
+        basis, consts = constants_for(gens)
+        seeds = splitter._split_linear(basis, consts, SplitConfig())[::2]
+        deco = splitter._split_over(basis, consts, SplitConfig(), seeds)
+        splitter._pair_conjugates(deco)
+        assert deco.dimension_multiset == dimension_multiset(gens)
+        assert {p.coefficients for p in seeds} <= {p.coefficients for p in deco.projectors}
+        _assert_slicing_events(deco.events)
+        assert verify.compare_to_reference(corpus_split(name), deco).passed
+
+    def test_non_primitive_seed_fails_the_certificate(self, monkeypatch):
+        """S5 on pairs is 1 + 4 + 5.  Seeded with the trivial projector and
+        the sum of the other two, the seeds already sum to N, so the loop
+        does not run; only the primitivity certificate rejects the family."""
+        gens = pair_action(symmetric(5), 5)
+        basis, consts = constants_for(gens)
+        trivial, four, five = split(gens).projectors
+        merged = Projector(
+            tuple(a + b for a, b in zip(four.coefficients, five.coefficients)),
+            9, "uniqueSolution",
+        )
+
+        def no_groebner(polys):
+            raise AssertionError("the dimension loop ran")
+
+        monkeypatch.setattr(splitter, "groebner_basis", no_groebner)
+        with pytest.raises(InvariantViolation) as info:
+            splitter._split_over(basis, consts, SplitConfig(), [trivial, merged])
+        assert str(info.value) == "split family fails its certificate: primitivity B[2]"
 
 
 def _matrix_to_basis_coeffs(mat, basis):
