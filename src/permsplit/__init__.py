@@ -61,7 +61,6 @@ from .solver import (
 )
 from .splitter import (
     Decomposition,
-    IdempotencySystem,
     Projector,
     SplitConfig,
     build_idempotency_system,

@@ -45,9 +45,8 @@ class SliceExhausted(PermsplitError):
 
 
 class IncompleteDecomposition(PermsplitError):
-    """The dimension loop ran out of candidates before the dimensions summed
-    to the degree.  On the hinted dimensions it sends the split to the full
-    scan; from the full scan it must never happen on valid input."""
+    """The dimension loop ran out of candidate dimensions before the
+    dimensions summed to the degree; on valid input it never happens."""
 
 
 class MatrixCapExceeded(PermsplitError):

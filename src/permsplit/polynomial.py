@@ -2,8 +2,8 @@
 Krull dimension of leading-term ideals.
 
 Monomials are exponent tuples; variables are listed weakest first, so with
-names ``(x2, x3, ..., xR)`` both supported orders make x2 the least variable
-and a lex basis eliminates down to a univariate polynomial in x2.
+names ``(x1, x2, ..., xR)`` both supported orders make x1 the least variable
+and a lex basis eliminates down to a univariate polynomial in x1.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
 from .exactfield import FieldElement, render_field_element
@@ -50,27 +51,28 @@ class Ring:
     def key(self, mono):
         """Sort key: larger key = larger monomial in the active order."""
         if self.order == "degrevlex":
-            return (sum(mono), tuple(-e for e in mono))
+            return (sum(mono), tuple(map(neg, mono)))
         return tuple(reversed(mono))
 
     def with_order(self, order):
         return Ring(self.names, order)
 
 
+# elementwise over exponent tuples; map over the operator functions runs in C
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
@@ -259,15 +261,6 @@ class Poly:
                     term = term * values[i]
             total = total + term
         return total
-
-    def drop_variable(self, var, new_ring):
-        """Forget a variable that no longer occurs (after substitution)."""
-        out = {}
-        for mono, c in self.terms.items():
-            if mono[var] != 0:
-                raise ValueError("variable still occurs; substitute first")
-            out[mono[:var] + mono[var + 1 :]] = c
-        return Poly(new_ring, out, _canonical=True)
 
     # comparisons, rendering
     def __eq__(self, other):
@@ -502,22 +495,15 @@ def is_trivial_basis(G):
     return len(G) == 1 and G[0].is_constant() and not G[0].is_zero()
 
 
-def hilbert_dimension(G, nvars=None):
+def hilbert_dimension(G):
     """Krull dimension of the ideal with reduced Groebner basis G.
 
     Combinatorial form: the size of the largest set U of variables such that
     no leading monomial is supported entirely inside U.  G must not be [1].
-    For the zero ideal pass G = [] together with ``nvars``.
     """
     if is_trivial_basis(G):
         raise ValueError("the unit ideal has no Hilbert dimension")
-    if not G:
-        if nvars is None:
-            raise ValueError("empty basis needs an explicit variable count")
-        return nvars
-    if nvars is None:
-        nvars = G[0].ring.nvars
-    return len(max_independent_set(G, nvars))
+    return len(max_independent_set(G, G[0].ring.nvars))
 
 
 def max_independent_set(G, nvars):

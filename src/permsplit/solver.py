@@ -2,7 +2,7 @@
 
 A zero-dimensional lex basis is triangular in a usable sense: every variable
 x_j owns a basis element whose leading monomial is a pure power x_j^m, and
-under lex (weakest variable first) that element involves x_2..x_j only.
+under lex (weakest variable first) that element involves x_1..x_j only.
 Enumeration walks this chain: factor the univariate in the least variable,
 back-substitute, recurse.
 

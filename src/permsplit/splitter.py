@@ -27,9 +27,11 @@ loop finds their projectors.
 
 The dimension loop runs only when the exact projectors sum to less than N.
 It starts from the orthogonality forms of their sum S and tries
-d = 1, 2, ... in turn: the generic invariant form is constrained by
-x_1 = d/N (the trace pins the coefficient of the identity basis matrix), the
-forms of S are joined in, and the Groebner basis decides: inconsistent
+d = 1, 2, ... in turn.  The system of d lives in x_1..x_R, the coordinates
+of the rest of the split: the idempotency polynomials, the forms of S, and
+the linear generator x_1 - d/N (the trace pins the coefficient of the
+identity basis matrix), so every solution carries b_1 = d/N exactly as its
+first coordinate.  Its Groebner basis decides: inconsistent
 (advance d), zero-dimensional (enumerate and accept every solution; the
 dimension is done, as more constraints could only shrink that finite
 variety), or positive-dimensional (an irreducible that occurs more than
@@ -96,7 +98,6 @@ from .verify import (
 
 __all__ = [
     "SplitConfig",
-    "IdempotencySystem",
     "Projector",
     "Decomposition",
     "SplitEvent",
@@ -126,16 +127,6 @@ class SplitConfig:
 
 
 @dataclass
-class IdempotencySystem:
-    """E_r = Q_r - x_r over x_1..x_R, plus accumulated orthogonality forms."""
-
-    rank: int
-    ring: Ring
-    polys: list
-    orthogonality: list = field(default_factory=list)
-
-
-@dataclass
 class Projector:
     """Coefficient vector of one irreducible projector in the ordered basis.
 
@@ -154,10 +145,6 @@ class Projector:
     precision: int = DEFAULT_PRECISION
     block: int = None          # shared id for one multiplicity block
     conjugate_of: int = None   # index in the decomposition, when paired
-
-    @property
-    def rank(self):
-        return len(self.coefficients)
 
     @property
     def exact(self):
@@ -202,10 +189,14 @@ class SplitEvent:
     extracted: int = 0
 
 
+def _ring(rank):
+    return Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+
+
 def build_idempotency_system(consts: StructureConstants):
-    """E_r = sum_pq C_pq^r x_p x_q  -  x_r, for r = 1..R."""
+    """E_r = sum_pq C_pq^r x_p x_q  -  x_r over x_1..x_R, for r = 1..R."""
     rank = consts.rank
-    ring = Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+    ring = _ring(rank)
     polys = []
     for r in range(1, rank + 1):
         terms = {}
@@ -222,31 +213,28 @@ def build_idempotency_system(consts: StructureConstants):
         lin = tuple(1 if i == r - 1 else 0 for i in range(rank))
         terms[lin] = terms.get(lin, 0) - 1
         polys.append(Poly(ring, {m: Fraction(c) for m, c in terms.items() if c}))
-    return IdempotencySystem(rank=rank, ring=ring, polys=polys)
+    return polys
 
 
 def _orthogonality_forms(consts, coeffs, side):
-    """Linear forms of B·X = 0 (side="left") or X·B = 0 (side="right")."""
+    """Linear forms of B·X = 0 (side="left") or X·B = 0 (side="right"): the
+    coefficient of x_q in form r is (B A_q)_r, or (A_q B)_r."""
     if not all(isinstance(c, FieldElement) for c in coeffs):
         raise ValueError("orthogonality forms need exact coefficients")
     rank = consts.rank
-    ring = Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+    ring = _ring(rank)
+    columns = []
+    for q in range(rank):
+        a = _basis_vector(rank, q)
+        pair = (coeffs, a) if side == "left" else (a, coeffs)
+        columns.append(algebra_product(consts, *pair))
     forms = []
-    for r in range(1, rank + 1):
-        terms = {}
-        for var in range(1, rank + 1):
-            acc = FieldElement.zero()
-            for other in range(1, rank + 1):
-                c = (
-                    consts.c(other, var, r)
-                    if side == "left"
-                    else consts.c(var, other, r)
-                )
-                if c:
-                    acc = acc + coeffs[other - 1].scaled(c)
-            if not acc.is_zero():
-                mono = tuple(1 if i == var - 1 else 0 for i in range(rank))
-                terms[mono] = acc
+    for r in range(rank):
+        terms = {
+            tuple(int(i == q) for i in range(rank)): column[r]
+            for q, column in enumerate(columns)
+            if not column[r].is_zero()
+        }
         if terms:
             forms.append(Poly(ring, terms, _canonical=True))
     return forms
@@ -280,14 +268,13 @@ class _SplitState:
         self.basis = basis
         self.consts = consts
         self.config = config
-        self.idem = build_idempotency_system(consts)
-        self.sub_ring = Ring(self.idem.ring.names[1:], "degrevlex")
+        self.polys = build_idempotency_system(consts)
+        self.forms = []  # orthogonality forms of the exact projectors' sum
         self.projectors = list(projectors)
         self.numeric_sum = None  # coefficients of the numeric projectors' sum
         self.found = sum(p.dimension for p in projectors)
         self.events = []
         self.notes = []
-        self._current_d = None
         if self.projectors:
             self.renew_sum(exact=True)  # the seeds are exact idempotents
 
@@ -300,25 +287,16 @@ class _SplitState:
         if exact:
             forms = build_orthogonality_system(self.consts, total)
             forms += build_orthogonality_system_right(self.consts, total)
-            self.idem.orthogonality = list(dict.fromkeys(forms))
+            self.forms = list(dict.fromkeys(forms))
         else:
             self.numeric_sum = total
 
     def d_system(self, d):
-        """Substitute x_1 = d/N into E and the accumulated forms; drop x_1."""
-        x1 = FieldElement.from_rational(Fraction(d, self.basis.degree))
-        out = []
-        inconsistent = False
-        for poly in self.idem.polys + self.idem.orthogonality:
-            s = poly.substitute(0, x1)
-            dropped = s.drop_variable(0, self.sub_ring)
-            if dropped.is_zero():
-                continue
-            if dropped.is_constant():
-                inconsistent = True
-                break
-            out.append(dropped)
-        return None if inconsistent else out
+        """The system of dimension d over x_1..x_R: E_r, the orthogonality
+        forms of the exact sum, and x_1 - d/N, since the trace pins the
+        coefficient of the identity basis matrix."""
+        x1 = Poly.variable(self.polys[0].ring, 0)
+        return self.polys + self.forms + [x1 - Fraction(d, self.basis.degree)]
 
     def accept_candidate(self, point):
         """Numeric-side orthogonality filter for solver output.
@@ -332,19 +310,15 @@ class _SplitState:
         """
         if self.numeric_sum is None:
             return True
-        b = self._point_to_coeffs(point, self._current_d)
+        b = point.values
         prec = max(self.config.precision, point.precision)
         left = algebra_product(self.consts, self.numeric_sum, b, prec)
         right = algebra_product(self.consts, b, self.numeric_sum, prec)
         return _vanishes(left, precision=prec) and _vanishes(right, precision=prec)
 
-    def _point_to_coeffs(self, point, d):
-        b1 = FieldElement.from_rational(Fraction(d, self.basis.degree))
-        return (b1,) + point.values
-
     def make_projector(self, point, d, provenance):
         return Projector(
-            coefficients=self._point_to_coeffs(point, d),
+            coefficients=point.values,
             dimension=d,
             provenance=provenance,
             precision=point.precision,
@@ -639,7 +613,6 @@ def _run_dimension(state: _SplitState, d):
     block d.
     """
     cfg = state.config
-    state._current_d = d
     first = len(state.projectors)
     sliced = False
     guard = 0
@@ -647,21 +620,11 @@ def _run_dimension(state: _SplitState, d):
         guard += 1
         if guard > state.basis.degree + state.basis.rank + 8:
             raise InvariantViolation(f"dimension {d} failed to stabilize")
-        polys = state.d_system(d)
-        if polys is None:
-            state.events.append(SplitEvent(d, "inconsistent"))
-            break
-        if not polys:
-            # rank 1 action: the empty system has the single empty solution
-            point = SolutionPoint((), cfg.precision)
-            process_single_solution(state, state.make_projector(point, d, "uniqueSolution"))
-            state.events.append(SplitEvent(d, "solutions", 0, 1))
-            break
-        gb = groebner_basis(polys)
+        gb = groebner_basis(state.d_system(d))
         if is_trivial_basis(gb):
             state.events.append(SplitEvent(d, "inconsistent"))
             break
-        h = hilbert_dimension(gb, nvars=state.sub_ring.nvars)
+        h = hilbert_dimension(gb)
         if h == 0:
             points = solve_zero_dimensional(gb, precision=cfg.precision)
             points = [p for p in points if state.accept_candidate(p)]
@@ -695,19 +658,11 @@ def _run_dimension(state: _SplitState, d):
 
 
 def _pair_conjugates(deco: Decomposition):
-    exact_index = {}
-    for i, p in enumerate(deco.projectors):
-        if p.exact:
-            exact_index[_coeff_key(p.coefficients)] = i
+    exact_index = {p.coefficients: i for i, p in enumerate(deco.projectors) if p.exact}
     for i, p in enumerate(deco.projectors):
         if not p.exact or p.conjugate_of is not None:
             continue
-        conj = tuple(c.conjugate() for c in p.coefficients)
-        j = exact_index.get(_coeff_key(conj))
+        j = exact_index.get(p.conjugate_coefficients())
         if j is not None and j != i:
             deco.projectors[i].conjugate_of = j
             deco.projectors[j].conjugate_of = i
-
-
-def _coeff_key(coeffs):
-    return tuple(tuple(sorted(c.terms.items())) for c in coeffs)

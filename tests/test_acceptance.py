@@ -22,11 +22,16 @@ from permsplit import (
     verify_family_algebraic,
     compare_to_reference,
 )
-from permsplit.polynomial import groebner_basis, hilbert_dimension, normal_form, s_polynomial
+from permsplit.polynomial import (
+    groebner_basis,
+    hilbert_dimension,
+    is_trivial_basis,
+    normal_form,
+    s_polynomial,
+)
 from permsplit.splitter import (
     SplitConfig,
     _SplitState,
-    build_idempotency_system,
     process_single_solution,
 )
 
@@ -160,7 +165,7 @@ def test_criterion_4_s3_regular_multiplicity():
     for p in deco.projectors[:2]:
         process_single_solution(state, p)
     gb = groebner_basis(state.d_system(2))
-    assert hilbert_dimension(gb, nvars=state.sub_ring.nvars) == 2
+    assert hilbert_dimension(gb) == 2
     assert elapsed < 5.0
     _report(4, f"S3-regular multiplicity block (Hd=2, block of two d=2) in {elapsed:.3f}s")
 
@@ -189,27 +194,12 @@ def test_criterion_5_property_suite(name, gens):
         assert consts.is_commutative() == dense_algebra_commutes(gens)
 
     # Groebner idempotence + Buchberger criterion on the d=1 system
-    system = build_idempotency_system(consts)
-    state_polys = [
-        p.substitute(0, Fraction(1, gens.degree)) for p in system.polys
-    ]
-    sub_ring_polys = []
-    from permsplit.polynomial import Ring
-
-    sub_ring = Ring(system.ring.names[1:], "degrevlex")
-    for p in state_polys:
-        dropped = p.drop_variable(0, sub_ring)
-        if not dropped.is_zero():
-            sub_ring_polys.append(dropped)
-    if sub_ring_polys:
-        gb = groebner_basis(sub_ring_polys)
-        assert groebner_basis(gb) == gb
-        from permsplit.polynomial import is_trivial_basis
-
-        if not is_trivial_basis(gb):
-            for i in range(len(gb)):
-                for j in range(i):
-                    assert normal_form(s_polynomial(gb[i], gb[j]), gb).is_zero()
+    gb = groebner_basis(_SplitState(basis, consts, SplitConfig()).d_system(1))
+    assert groebner_basis(gb) == gb
+    if not is_trivial_basis(gb):
+        for i in range(len(gb)):
+            for j in range(i):
+                assert normal_form(s_polynomial(gb[i], gb[j]), gb).is_zero()
 
     # full split: verification + dimension oracle
     deco = split(gens)

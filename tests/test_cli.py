@@ -330,6 +330,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS  block d=2 (projectors " in out and "verification: OK" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("action, other", [
+        (S3_TEXT, cyclic(4)), ("degree 4\ngen (1,2,3,4)\n", symmetric(3)),
+    ], ids=["larger-rank-reference", "smaller-rank-reference"])
+    def test_reference_of_another_rank_fails_on_its_frame(
+        self, tmp_path, capsys, action, other, fmt
+    ):
+        """A reference of another degree and rank does not live in this
+        action's algebra, so it is not certified there: the frame line is
+        the only check, with exit 5 and no traceback."""
+        path = tmp_path / "action.gens"
+        path.write_text(action)
+        reference = split(other)
+        ref = tmp_path / "reference"
+        if fmt == "json":
+            ref.write_text(json.dumps(decomposition_to_json(reference)))
+        else:
+            ref.write_text(render_decomposition_text(reference))
+        assert main(["verify", str(path), str(ref)]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("FAIL  frame (degree, rank) agreement  [computed (")
+        assert lines[1] == "verification: FAILED"
+
     def test_corrupted_coefficient_exit_5(self, tmp_path):
         path = petersen_file(tmp_path)
         code, out, _ = run_cli(["split", str(path)])

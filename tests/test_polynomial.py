@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from permsplit import (
@@ -119,9 +118,6 @@ class TestGroebner:
 
 
 class TestHilbertDimension:
-    def test_zero_ideal(self):
-        assert hilbert_dimension([], nvars=3) == 3
-
     def test_zero_dimensional(self):
         r = ring_xy_lex()
         y, x = variables(r)
@@ -143,7 +139,7 @@ class TestHilbertDimension:
                 r = Ring(("y", "x"), order)
                 y, x = variables(r)
                 basis = groebner_basis(gens_builder(y, x))
-                dims.append(hilbert_dimension(basis, nvars=2))
+                dims.append(hilbert_dimension(basis))
             assert dims[0] == dims[1]
 
     def test_zero_dim_iff_finite_standard_monomials(self):
@@ -178,16 +174,6 @@ class TestSubstitute:
         e2 = x1 * x2 * 2 + x2 * x2 - x2
         out = e2.substitute(0, Fraction(1, 3))
         assert out == x2 * x2 - x2 * Fraction(1, 3)
-
-    def test_drop_variable(self):
-        r = Ring(("x1", "x2"), "degrevlex")
-        x1, x2 = variables(r)
-        small = Ring(("x2",), "degrevlex")
-        dropped = (x2 * x2 - x2).drop_variable(0, small)
-        (z,) = variables(small)
-        assert dropped == z * z - z
-        with pytest.raises(ValueError):
-            (x1 * x2).drop_variable(0, small)
 
 
 class TestRendering:
@@ -230,7 +216,7 @@ def test_random_system_invariants(sys):
             for j in range(i):
                 s = s_polynomial(basis[i], basis[j])
                 assert normal_form(s, basis).is_zero()
-        d = hilbert_dimension(basis, nvars=2)
+        d = hilbert_dimension(basis)
         monos = standard_monomials(basis, limit=2000)
         if d == 0:
             assert monos is not None

@@ -68,26 +68,25 @@ def constants_for(gens):
 class TestIdempotencySystem:
     def test_s3(self):
         _, consts = constants_for(symmetric(3))
-        system = build_idempotency_system(consts)
-        r = system.ring
+        polys = build_idempotency_system(consts)
+        r = polys[0].ring
         x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
-        assert system.polys[0] == x1 * x1 + x2 * x2 * 2 - x1
-        assert system.polys[1] == x1 * x2 * 2 + x2 * x2 - x2
+        assert polys[0] == x1 * x1 + x2 * x2 * 2 - x1
+        assert polys[1] == x1 * x2 * 2 + x2 * x2 - x2
 
     def test_petersen_e1(self):
         _, consts = constants_for(petersen())
-        system = build_idempotency_system(consts)
-        r = system.ring
+        polys = build_idempotency_system(consts)
+        r = polys[0].ring
         x1, x2, x3 = (Poly.variable(r, i) for i in range(3))
-        assert system.polys[0] == x1 * x1 + x2 * x2 * 3 + x3 * x3 * 6 - x1
+        assert polys[0] == x1 * x1 + x2 * x2 * 3 + x3 * x3 * 6 - x1
 
     def test_trivial_rank_one(self):
         g = GeneratorSet(1, (Permutation.identity(1),))
         _, consts = constants_for(g)
-        system = build_idempotency_system(consts)
-        r = system.ring
-        x1 = Poly.variable(r, 0)
-        assert system.polys == [x1 * x1 - x1]
+        polys = build_idempotency_system(consts)
+        x1 = Poly.variable(polys[0].ring, 0)
+        assert polys == [x1 * x1 - x1]
 
 
 class TestOrthogonalitySystem:
@@ -159,7 +158,7 @@ class TestProcessSingleSolution:
         b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, "uniqueSolution")
         process_single_solution(state, b1)
         assert len(state.projectors) == 1
-        assert state.idem.orthogonality
+        assert state.forms
 
     def test_duplicate_rejected(self, monkeypatch):
         """Acceptance does not multiply a candidate out, so a duplicate is
@@ -172,7 +171,7 @@ class TestProcessSingleSolution:
         """hash(-1) == hash(-2) in CPython, so x2 - x3 and x2 - 2*x3 hash
         alike; both forms must reach the system."""
         state = self._state(petersen())
-        ring = state.idem.ring
+        ring = state.polys[0].ring
         x2, x3 = Poly.variable(ring, 1), Poly.variable(ring, 2)
         one, two = x2 - x3, x2 - x3 * 2
         assert hash(one) == hash(two)
@@ -182,8 +181,8 @@ class TestProcessSingleSolution:
             coefficients=(fe(Fraction(1, 10)),) * 3, dimension=1, provenance="uniqueSolution"
         )
         process_single_solution(state, b1)
-        assert one in state.idem.orthogonality
-        assert two in state.idem.orthogonality
+        assert one in state.forms
+        assert two in state.forms
 
     def test_numeric_sum_is_a_tight_enclosure(self):
         """C9 natural keeps 6 projectors numeric; the running sum that
@@ -200,11 +199,10 @@ class TestProcessSingleSolution:
         state = self._state(symmetric(3))
         b1 = Projector((fe(Fraction(1, 3)), fe(Fraction(1, 3))), 1, "uniqueSolution")
         process_single_solution(state, b1)
-        polys = state.d_system(2)
-        basis = groebner_basis(polys)
+        basis = groebner_basis(state.d_system(2))
         r = basis[0].ring
-        x2 = Poly.variable(r, 0)
-        assert basis == [x2 + Poly.const(r, Fraction(1, 3))]
+        x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
+        assert basis == [x1 - Fraction(2, 3), x2 + Fraction(1, 3)]
 
 
 class TestAlgebraProduct:
@@ -307,8 +305,8 @@ class TestSplit:
         still slices and its certified report is unchanged."""
         real = splitter.hilbert_dimension
 
-        def as_if_k4(gb, nvars=None):
-            return 6 if real(gb, nvars=nvars) else 0
+        def as_if_k4(gb):
+            return 6 if real(gb) else 0
 
         monkeypatch.setattr(splitter, "hilbert_dimension", as_if_k4)
         deco = groebner_route(regular_action(symmetric(3)))
@@ -612,6 +610,42 @@ class TestDimensionLoop:
         assert {p.coefficients for p in seeds} <= {p.coefficients for p in deco.projectors}
         _assert_slicing_events(deco.events)
         assert verify.compare_to_reference(corpus_split(name), deco).passed
+
+    # (d, kind, hilbert, extracted) of every event, for ``split`` on the
+    # actions whose exact idempotents fall short, and for the loop alone
+    LOOP_EVENTS = {
+        "C5_natural": [(1, "solutions", None, 1), (1, "solutions", 0, 4)],
+        "C7_natural": [(1, "solutions", None, 1), (1, "solutions", 0, 6)],
+        "C9_natural": [(1, "solutions", None, 3), (1, "solutions", 0, 6)],
+        "D7_natural": [
+            (1, "solutions", None, 1), (1, "inconsistent", None, 0), (2, "solutions", 0, 3),
+        ],
+        "S3_regular/loop": [(1, "solutions", 0, 2), (2, "slice", 2, 1), (2, "solutions", 0, 1)],
+        "D4_regular/loop": [(1, "solutions", 0, 4), (2, "slice", 2, 1), (2, "solutions", 0, 1)],
+        "Q8_regular/loop": [(1, "solutions", 0, 4), (2, "slice", 2, 1), (2, "solutions", 0, 1)],
+        "C2wrC3/loop": [
+            (1, "solutions", 0, 3), (2, "inconsistent", None, 0), (3, "solutions", 0, 1),
+        ],
+    }
+
+    @pytest.mark.parametrize("key", sorted(LOOP_EVENTS))
+    def test_event_logs_are_pinned(self, key):
+        """The report hashes do not cover the split's events; these pin the
+        dimensions the loop tried, what each system gave, and its Hilbert
+        dimension."""
+        name, _, alone = key.partition("/")
+        deco = groebner_split(name) if alone else corpus_split(name)
+        got = [(e.d, e.kind, e.hilbert, e.extracted) for e in deco.events]
+        assert got == self.LOOP_EVENTS[key]
+
+    def test_one_point_action(self):
+        """Rank 1: after x_1 = 1 the idempotency system has nothing left,
+        and the single solution is the identity."""
+        deco = groebner_route(GeneratorSet(1, (Permutation.identity(1),)))
+        assert [(e.d, e.kind, e.hilbert, e.extracted) for e in deco.events] == [
+            (1, "solutions", 0, 1)
+        ]
+        assert [p.coefficients for p in deco.projectors] == [(fe(1),)]
 
     def test_non_primitive_seed_fails_the_certificate(self, monkeypatch):
         """S5 on pairs is 1 + 4 + 5.  Seeded with the trivial projector and

@@ -131,3 +131,24 @@ def test_benchmark_boundaries_exist():
     assert outcome.error is None
     assert outcome.algebraic_passed and outcome.matrix_passed
     assert outcome.deco.dimension_multiset == [1, 2]
+
+
+def test_benchmark_boundaries_are_live():
+    """Each function the benchmark wraps is defined in its module or called
+    by name there; an import that nothing in the module uses would keep a
+    deleted layer's boundary alive only for the benchmark's sake."""
+    spans = _load_benchmark_module("spans")
+    dead = []
+    for module, attr, _, _ in spans.WRAPPED:
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        defined = any(
+            isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == attr
+            for node in tree.body
+        )
+        loaded = any(
+            isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == attr
+            for node in ast.walk(tree)
+        )
+        if not (defined or loaded):
+            dead.append(f"{module.__name__}.{attr}")
+    assert not dead, f"wrapped but only imported: {dead}"
