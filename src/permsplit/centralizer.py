@@ -99,8 +99,13 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     u_p·s·u_q^{-1} keeps the partition exactly when labels[t_p(y)] equals
     labels[t_q(y^s)] for every y.  t_p is built once per point, one
     generator that respects the partition costs one O(N) check, and the
-    N−1 tree edges, whose generators are the identity, cost nothing; so
-    coarse partitions (low rank) converge quickly even for large N.
+    N−1 tree edges, whose generators are the identity, cost nothing.
+
+    The scan stops as soon as the partition has two cells: the stabilizer
+    fixes the base, so {base} is always a cell, and every merge is forced
+    by a stabilizer element, so {base} and the rest is already the final
+    partition (a 2-transitive action).  An action of rank 3 or more checks
+    every Schreier generator.
     """
     n = gens.degree
     points = np.arange(n, dtype=np.int64)
@@ -117,6 +122,8 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
             there = labels[tree.transport_to_base0(q0, s.images0)]
             if not np.array_equal(here, there):
                 labels = _merge_cells(labels, here, there)
+                if labels.max() == 1:
+                    return labels
     return labels
 
 
@@ -148,67 +155,50 @@ def _merge_cells(labels, here, there):
 def order_basis(cells, tree: SchreierTree, degree: int):
     """Apply the basis ordering rule to raw suborbit cells.
 
-    ``cells`` maps each 1-based point to an arbitrary cell id.  Ordering:
+    ``cells[p0]`` is an arbitrary cell id of the 0-based point p0.  Ordering:
     the diagonal orbital first; then all symmetric orbitals; then asymmetric
     orbitals in adjacent transpose pairs.  Both the symmetric block and the
     pair leaders are sorted by i_X = min{ i : (A)_{i,1} = 1 }, which is the
     minimal point of the transpose suborbit; within a pair the member with
-    the smaller i_X leads.
+    the smaller i_X leads.  Cells are compacted with one ``np.unique``, whose
+    first occurrences are their minimal points; the only loop is one tree
+    walk per cell.
     """
-    members = {}
-    for p0 in range(degree):
-        c = int(cells[p0])
-        members.setdefault(c, []).append(p0 + 1)
-    base_cell = int(cells[tree.base - 1])
+    _, first, compact = np.unique(np.asarray(cells), return_index=True, return_inverse=True)
+    b0 = tree.base - 1
+    base_cell = int(compact[b0])
 
-    # transpose pairing on raw cells: (j, 1) lies in the orbital of (1, j*)
+    # transpose pairing on cells: (j, 1) lies in the orbital of (1, j*)
     # where j* is the image of the base under the inverse word base -> j.
-    transpose_cell = {}
-    for c, pts in members.items():
-        j = min(pts)
-        jstar0 = tree.transport_to_base0(j - 1, tree.base - 1)
-        transpose_cell[c] = int(cells[jstar0])
-    for c, cstar in transpose_cell.items():
-        if transpose_cell[cstar] != c:
-            raise InvariantViolation("transpose pairing is not an involution")
+    transpose_cell = compact[[tree.transport_to_base0(int(j0), b0) for j0 in first]]
+    if not np.array_equal(transpose_cell[transpose_cell], np.arange(len(first))):
+        raise InvariantViolation("transpose pairing is not an involution")
+    # i_X of each cell, 0-based: the minimal point of its transpose cell
+    i_x = first[transpose_cell]
 
-    def i_x(c):
-        # minimal point whose pair (point, base) lies in the orbital of cell c
-        return min(members[transpose_cell[c]])
-
+    cell_range = range(len(first))
     symmetric_cells = sorted(
-        (c for c in members if transpose_cell[c] == c and c != base_cell),
-        key=i_x,
+        (c for c in cell_range if transpose_cell[c] == c and c != base_cell),
+        key=lambda c: i_x[c],
     )
-    pairs = []
-    done = set()
-    for c in members:
-        cstar = transpose_cell[c]
-        if c == cstar or c in done or c == base_cell:
-            continue
-        done.update((c, cstar))
-        leader = c if i_x(c) < i_x(cstar) else cstar
-        pairs.append((leader, transpose_cell[leader]))
-    pairs.sort(key=lambda pr: i_x(pr[0]))
-
+    leaders = sorted(
+        (c for c in cell_range if i_x[c] < i_x[transpose_cell[c]]),
+        key=lambda c: i_x[c],
+    )
     ordered = [base_cell] + symmetric_cells
-    for a, b in pairs:
-        ordered.extend((a, b))
+    for c in leaders:
+        ordered.extend((c, int(transpose_cell[c])))
+    ordered = np.array(ordered, dtype=np.int64)
     rank = len(ordered)
-    cell_ids = {c: r for r, c in enumerate(ordered, start=1)}
+    rank_of = np.empty(rank, dtype=np.int64)
+    rank_of[ordered] = np.arange(1, rank + 1)
 
-    sidx0 = np.zeros(degree, dtype=np.int64)
-    for p0 in range(degree):
-        sidx0[p0] = cell_ids[int(cells[p0])]
-    lengths = np.zeros(rank + 1, dtype=np.int64)
-    reps = np.zeros(rank + 1, dtype=np.int64)
-    transpose_of = np.zeros(rank + 1, dtype=np.int64)
-    symmetric = np.zeros(rank + 1, dtype=bool)
-    for r, c in enumerate(ordered, start=1):
-        lengths[r] = len(members[c])
-        reps[r] = i_x(c)
-        transpose_of[r] = cell_ids[transpose_cell[c]]
-        symmetric[r] = transpose_cell[c] == c
+    # slot 0 of the per-orbital arrays is unused
+    sidx0 = rank_of[compact]
+    lengths = np.concatenate(([0], np.bincount(compact)[ordered]))
+    reps = np.concatenate(([0], i_x[ordered] + 1))
+    transpose_of = np.concatenate(([0], rank_of[transpose_cell[ordered]]))
+    symmetric = np.concatenate(([False], transpose_cell[ordered] == ordered))
     for a in (sidx0, lengths, reps, transpose_of, symmetric):
         a.setflags(write=False)
     return OrbitalBasis(

@@ -308,8 +308,11 @@ def parse_generators(path):
 def orbit_with_tree(gens: GeneratorSet, base: int):
     """Orbit of ``base`` with a deterministic BFS Schreier tree.
 
-    Level-synchronised BFS: within each level points are expanded in
-    ascending value, generators in list order, forward image before inverse.
+    Level-synchronised BFS, one array pass per level: the level's images
+    form a (points x 2K) table, points ascending, generators in list order,
+    forward image before inverse.  A point new to the tree hangs off its
+    first occurrence in that table, exactly as a point-by-point BFS in the
+    same order would attach it.
     """
     n = gens.degree
     if not 1 <= base <= n:
@@ -318,22 +321,23 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
     gen_index = np.full(n, -1, dtype=np.int64)
     direction = np.zeros(n, dtype=np.int64)
     depth = np.full(n, -1, dtype=np.int64)
-    b0 = base - 1
-    depth[b0] = 0
-    level = [b0]
-    while level:
-        nxt = []
-        for p0 in sorted(level):
-            for gi, g in enumerate(gens.generators):
-                for d, arr in ((1, g.images0), (-1, g.inv_images0)):
-                    q0 = int(arr[p0])
-                    if depth[q0] < 0:
-                        depth[q0] = depth[p0] + 1
-                        parent[q0] = p0
-                        gen_index[q0] = gi
-                        direction[q0] = d
-                        nxt.append(q0)
-        level = nxt
+    # row p: p's image under each generator, forward image before inverse
+    table = np.stack([a for g in gens.generators for a in (g.images0, g.inv_images0)], axis=1)
+    width = table.shape[1]
+    level = np.array([base - 1], dtype=np.int64)
+    depth[level] = 0
+    d = 0
+    while level.size:
+        d += 1
+        images = table[level].ravel()
+        unseen = np.flatnonzero(depth[images] < 0)
+        new, first = np.unique(images[unseen], return_index=True)
+        at = unseen[first]
+        depth[new] = d
+        parent[new] = level[at // width]
+        gen_index[new] = at % width // 2
+        direction[new] = 1 - 2 * (at % 2)
+        level = new
     orbit = {int(i) + 1 for i in np.nonzero(depth >= 0)[0]}
     for a in (parent, gen_index, direction, depth):
         a.setflags(write=False)

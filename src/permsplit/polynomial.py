@@ -323,8 +323,12 @@ def normal_form(f, G):
     first list element whose leading term divides, so the result is
     deterministic for a fixed list order.
     """
+    return _normal_form(f, _reducers(G))
+
+
+def _normal_form(f, reducers):
+    """``normal_form`` under prebuilt ``_reducers``."""
     ring = f.ring
-    reducers = _reducers(G)
     p = f
     out = {}
     while p.terms:
@@ -386,24 +390,28 @@ def reduce_basis(G, assume_groebner=False):
             if any(_mono_divides(h.leading_monomial(), lm) for h in minimal):
                 continue
             minimal.append(g)
+        reducers = _reducers(minimal)
         out = []
         for i, g in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1 :]
-            out.append((normal_form(g, rest) if rest else g).monic())
+            rest = reducers[:i] + reducers[i + 1 :]
+            out.append((_normal_form(g, rest) if rest else g).monic())
         out.sort(key=lambda g: g.ring.key(g.leading_monomial()))
         return out
+    # reducers[i] is G[i]'s, kept in step with G: built once per generator
+    reducers = _reducers(G)
     changed = True
     while changed:
         changed = False
         for i in range(len(G)):
             rest = G[:i] + G[i + 1 :]
-            r = normal_form(G[i], rest) if rest else G[i]
+            rest_reducers = reducers[:i] + reducers[i + 1 :]
+            r = _normal_form(G[i], rest_reducers) if rest else G[i]
             if r.is_zero():
-                G = rest
+                G, reducers = rest, rest_reducers
                 changed = True
                 break
             if r != G[i]:
-                G = rest + [r]
+                G, reducers = rest + [r], rest_reducers + _reducers([r])
                 changed = True
                 break
     G = [g.monic() for g in G]

@@ -331,6 +331,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
         return []
     chain = _triangular_chain(lex_basis, lex_ring)
 
+    residuals = _Residuals(lex_basis)
     prec = precision
     while True:
         points = []
@@ -338,7 +339,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
         verified = []
         ambiguous = 0
         for pt in points:
-            status = _classify_point(pt, lex_basis, prec)
+            status = _classify_point(pt, residuals, prec)
             if status == "ok":
                 verified.append(pt)
             elif status == "ambiguous":
@@ -405,18 +406,51 @@ def _collect_univariate(poly, var, partial, prec):
         return [buckets.get(e, zero) for e in range(max(buckets, default=0) + 1)]
 
 
-def _classify_point(point, polys, prec):
+class _Residuals:
+    """The polynomials a candidate point must annihilate.
+
+    Their exact coefficients are lifted to balls once per precision, at the
+    working precision of the residual checks, and shared by every point.
+    """
+
+    def __init__(self, polys):
+        self.polys = polys
+        self._lifted = {}
+
+    def lifted(self, prec):
+        """Each polynomial's (monomial, ball) terms at ``prec``."""
+        terms = self._lifted.get(prec)
+        if terms is None:
+            with mpmath.workprec(prec + 40):
+                terms = [[(m, as_ball(c)) for m, c in p.terms.items()] for p in self.polys]
+            self._lifted[prec] = terms
+        return terms
+
+
+def _ball_value(terms, balls):
+    """Enclosure of a polynomial's value from its lifted terms."""
+    total = ComplexBall(0)
+    for mono, c in terms:
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                c = c * balls[i]
+        total = total + c
+    return total
+
+
+def _classify_point(point, residuals, prec):
     """'ok' when every residual encloses zero, 'reject' when some residual is
     confidently nonzero, 'ambiguous' otherwise (requesting more precision)."""
     if point.is_exact():
-        good = all(p.evaluate(point.values).is_zero() for p in polys)
+        good = all(p.evaluate(point.values).is_zero() for p in residuals.polys)
         return "ok" if good else "reject"
     margin = mpmath.mpf(2) ** 24
     status = "ok"
+    lifted = residuals.lifted(prec)
     with mpmath.workprec(prec + 40):
         balls = [point.coordinate_ball(i, prec) for i in range(len(point))]
-        for p in polys:
-            res = p.evaluate(balls)
+        for terms in lifted:
+            res = _ball_value(terms, balls)
             if res.contains_zero():
                 continue
             if abs(res.mid) > res.rad * margin:
@@ -499,8 +533,9 @@ def _try_slice(augmented, basis, precision, accept):
         points = solve_zero_dimensional(augmented, precision=precision)
     except (NotZeroDimensional, ResourceLimit):
         return None
+    residuals = _Residuals(basis)
     for pt in points:
-        if _classify_point(pt, basis, precision) != "ok":
+        if _classify_point(pt, residuals, precision) != "ok":
             continue
         if accept is not None and not accept(pt):
             continue

@@ -143,6 +143,20 @@ def frobenius20():
     return GeneratorSet(5, (add, mul2))
 
 
+def affine(p, mult):
+    """x -> x+1 and x -> mult*x over GF(p), on the points x+1.  With ``mult``
+    a primitive root this generates AGL(1,p)."""
+    add = perm([(i % p) + 1 for i in range(1, p + 1)])
+    scale = perm([((mult * (i - 1)) % p) + 1 for i in range(1, p + 1)])
+    return GeneratorSet(p, (add, scale))
+
+
+def primitive_root(p):
+    """The least primitive root modulo the prime p."""
+    primes = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % r for r in range(2, q))]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
 def wreath_c2_c3():
     return GeneratorSet(6, (perm([2, 1, 3, 4, 5, 6]), perm([3, 4, 5, 6, 1, 2])))
 

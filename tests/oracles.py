@@ -1,10 +1,10 @@
 """Independent brute-force oracles.
 
-Everything here deliberately avoids the library's Schreier-word machinery:
-orbitals come from a BFS over ordered pairs, structure constants from dense
-0/1 matrix products, irreducible dimensions from numerically diagonalizing a
-random group-averaged matrix.  Scales only to toy degrees, which is the
-point.
+Everything here deliberately avoids the library's Schreier-tree machinery:
+Schreier trees come from a point-by-point BFS, orbitals from a BFS over
+ordered pairs, structure constants from dense 0/1 matrix products,
+irreducible dimensions from numerically diagonalizing a random
+group-averaged matrix.  Most scale only to toy degrees, which is the point.
 """
 
 from fractions import Fraction
@@ -34,6 +34,40 @@ def enumerate_group(gens, cap=5000):
                     nxt.append(h)
         frontier = nxt
     return sorted(elems)
+
+
+def scalar_orbit_with_tree(gens, base):
+    """Orbit of ``base`` and its BFS Schreier tree, one point at a time.
+
+    The reference for ``orbit_with_tree``: each level's points are expanded
+    in ascending order, generators in list order, forward image before
+    inverse, and a point joins the tree at the first edge that reaches it.
+    Returns the orbit (1-based) and the 0-based parent, generator index,
+    direction and depth arrays.
+    """
+    n = gens.degree
+    parent = np.full(n, -1, dtype=np.int64)
+    gen_index = np.full(n, -1, dtype=np.int64)
+    direction = np.zeros(n, dtype=np.int64)
+    depth = np.full(n, -1, dtype=np.int64)
+    b0 = base - 1
+    depth[b0] = 0
+    level = [b0]
+    while level:
+        nxt = []
+        for p0 in sorted(level):
+            for gi, g in enumerate(gens.generators):
+                for d, arr in ((1, g.images0), (-1, g.inv_images0)):
+                    q0 = int(arr[p0])
+                    if depth[q0] < 0:
+                        depth[q0] = depth[p0] + 1
+                        parent[q0] = p0
+                        gen_index[q0] = gi
+                        direction[q0] = d
+                        nxt.append(q0)
+        level = nxt
+    orbit = {int(i) + 1 for i in np.nonzero(depth >= 0)[0]}
+    return orbit, parent, gen_index, direction, depth
 
 
 def pair_orbit_labels(gens):

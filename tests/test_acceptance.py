@@ -13,8 +13,6 @@ import pytest
 
 from permsplit import (
     FieldElement,
-    GeneratorSet,
-    Permutation,
     compute_orbitals,
     compute_structure_constants,
     parse_generators,
@@ -37,9 +35,11 @@ from permsplit.splitter import (
 
 from conftest import (
     CORPUS,
+    affine,
     cyclic,
     m22_path,
     petersen,
+    primitive_root,
     regular_action,
     requires_m22,
     symmetric,
@@ -246,23 +246,13 @@ def test_criterion_6_m22_770():
     _report(6, f"M22-770 reproduction in {elapsed:.1f}s")
 
 
-def _agl_generators(p, g):
-    add = Permutation.from_images([(i % p) + 1 for i in range(1, p + 1)])
-    mul = Permutation.from_images([((g * (i - 1)) % p) + 1 for i in range(1, p + 1)])
-    return GeneratorSet(p, (add, mul))
-
-
 def test_criterion_6_performance_smoke():
     """The analyze stage completes on a degree >= 10000 synthetic input
     within 10 minutes: the 1-dimensional affine group on GF(10007)."""
     p = 10007
-    g = next(
-        x
-        for x in range(2, p)
-        if pow(x, (p - 1) // 2, p) != 1 and pow(x, (p - 1) // 5003, p) != 1
-    )
+    g = primitive_root(p)
     t0 = time.perf_counter()
-    gens = _agl_generators(p, g)
+    gens = affine(p, g)
     basis = compute_orbitals(gens)
     consts = compute_structure_constants(gens, basis)
     elapsed = time.perf_counter() - t0

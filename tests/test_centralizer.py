@@ -6,12 +6,23 @@ from permsplit import (
     IntransitiveAction,
     Permutation,
     ResourceLimit,
+    SchreierTree,
     compute_orbitals,
     compute_structure_constants,
+    orbit_with_tree,
     parse_generators,
 )
+from permsplit.centralizer import _merge_cells, _stabilizer_cell_labels, order_basis
 
-from conftest import cyclic, petersen, requires_m22, m22_path, symmetric
+from conftest import (
+    affine,
+    cyclic,
+    m22_path,
+    petersen,
+    primitive_root,
+    requires_m22,
+    symmetric,
+)
 from oracles import (
     dense_algebra_commutes,
     pair_orbit_labels,
@@ -75,6 +86,77 @@ class TestOrbitals:
         r, rs = 3, int(basis.transpose_of[3])
         assert rs == 4
         assert basis.suborbit_representative[r] < basis.suborbit_representative[rs]
+
+
+def _cells_of_the_full_scan(gens, tree):
+    """The stabilizer's cells with every Schreier generator checked."""
+    points = np.arange(gens.degree, dtype=np.int64)
+    labels = points
+    for p0 in range(gens.degree):
+        for gi, s in enumerate(gens.generators):
+            if tree.is_edge0(p0, gi):
+                continue
+            here = labels[tree.transport_to_base0(p0, points)]
+            there = labels[tree.transport_to_base0(int(s.images0[p0]), s.images0)]
+            if not np.array_equal(here, there):
+                labels = _merge_cells(labels, here, there)
+    return labels
+
+
+BASIS_ARRAYS = (
+    "sidx0",
+    "suborbit_lengths",
+    "suborbit_representative",
+    "transpose_of",
+    "symmetric",
+)
+
+
+class TestTwoCellStop:
+    @pytest.mark.parametrize(
+        "gens",
+        [affine(1009, primitive_root(1009)), symmetric(40)],
+        ids=["AGL1_1009", "S40"],
+    )
+    def test_two_transitive_scan_stops_at_two_cells(self, gens, monkeypatch):
+        """A 2-transitive action is done once {base} and the rest are the
+        cells; the scan makes a handful of transports, not thousands, and
+        gives the basis of the full scan."""
+        _, tree = orbit_with_tree(gens, 1)
+        calls = []
+        real = SchreierTree.transport_to_base0
+
+        def counted(self, x0, y0):
+            calls.append(x0)
+            return real(self, x0, y0)
+
+        with monkeypatch.context() as m:
+            m.setattr(SchreierTree, "transport_to_base0", counted)
+            cells = _stabilizer_cell_labels(gens, tree)
+        assert len(calls) <= 8
+        full_cells = _cells_of_the_full_scan(gens, tree)
+        assert np.array_equal(cells, full_cells)
+        basis = compute_orbitals(gens)
+        full = order_basis(full_cells, tree, gens.degree)
+        assert basis.rank == full.rank == 2
+        for name in BASIS_ARRAYS:
+            a, b = getattr(basis, name), getattr(full, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_rank_three_affine_subgroup_scans_in_full(self):
+        """x -> x+1 and x -> g²x generate the index-2 subgroup of AGL(1,1999):
+        the stabilizer of 0 multiplies by the nonzero squares, so it has the
+        squares and the non-squares as suborbits, and −1 is a non-square, so
+        transposition swaps them.  The scan never reaches two cells."""
+        p = 1999
+        g = primitive_root(p)
+        basis = compute_orbitals(affine(p, g * g % p))
+        assert basis.rank == 3
+        assert basis.lengths_in_order() == [1, 999, 999]
+        assert basis.transpose_of.tolist() == [0, 1, 3, 2]
+        squares = sorted({x * x % p for x in range(1, p)})
+        assert basis.suborbit_members(3) == [x + 1 for x in squares]
 
 
 class TestStructureConstants:

@@ -11,8 +11,16 @@ from permsplit import (
     parse_generator_text,
 )
 
-from conftest import alternating, cyclic, pair_action, petersen, symmetric
-from oracles import enumerate_group
+from conftest import (
+    affine,
+    alternating,
+    cyclic,
+    pair_action,
+    petersen,
+    primitive_root,
+    symmetric,
+)
+from oracles import enumerate_group, scalar_orbit_with_tree
 
 
 class TestParsing:
@@ -155,6 +163,42 @@ class TestOrbits:
                 tree.transport_to_base0(p0, points),
                 tree.transport_to_base0(q0, s.images0),
             )
+
+
+def _assert_tree_matches_scalar_bfs(gens, base):
+    orbit, tree = orbit_with_tree(gens, base)
+    want_orbit, *want = scalar_orbit_with_tree(gens, base)
+    assert orbit == want_orbit
+    got = (tree.parent0, tree.gen_index, tree.direction, tree.depth)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestTreeMatchesScalarBfs:
+    """The level-at-a-time tree is the point-at-a-time BFS tree, array for
+    array."""
+
+    def test_every_base_of_the_corpus(self, corpus_member):
+        _, gens = corpus_member
+        for base in range(1, gens.degree + 1):
+            _assert_tree_matches_scalar_bfs(gens, base)
+
+    @pytest.mark.parametrize("base", [1, 2, 500, 1009])
+    def test_affine_1009(self, base):
+        _assert_tree_matches_scalar_bfs(affine(1009, primitive_root(1009)), base)
+
+    def test_intransitive_orbits(self):
+        gens = GeneratorSet(
+            9,
+            (
+                Permutation.from_cycles(9, [[1, 2, 3, 4], [5, 6]]),
+                Permutation.from_cycles(9, [[2, 4], [7, 8, 9]]),
+            ),
+        )
+        for base in range(1, 10):
+            _assert_tree_matches_scalar_bfs(gens, base)
+        assert orbit_with_tree(gens, 2)[0] == {1, 2, 3, 4}
 
 
 def brute_force_stabilizer_orbits(gens, base):

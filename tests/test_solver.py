@@ -102,6 +102,31 @@ class TestNumericFallback:
                 ball = p.coordinate_ball(0)
                 assert abs(abs(ball.mid) - mpmath.mpf(1) / 5) < mpmath.mpf(2) ** -100
 
+    def test_lifted_residuals_match_poly_evaluate(self):
+        """The residual check lifts each basis coefficient to a ball once per
+        precision; its enclosures are those of ``Poly.evaluate`` on the
+        point's balls, which lifts a coefficient per term, up to the last
+        bits of the working precision."""
+        r = Ring(("x2", "x3"), "degrevlex")
+        x2, x3 = Poly.variable(r, 0), Poly.variable(r, 1)
+        gens = [x2**3 - 2, x3 * x3 - x2 * Poly.const(r, FE.sqrt_int(2)) - 1]
+        lex_basis, _ = solver._to_lex(gens)
+        residuals = solver._Residuals(lex_basis)
+        prec = solver.DEFAULT_PRECISION
+        points = [p for p in solve_zero_dimensional(gens) if not p.is_exact()]
+        assert len(points) == 6
+        with mpmath.workprec(prec + 40):
+            slack = mpmath.mpf(2) ** (-prec)
+            for pt in points:
+                balls = [pt.coordinate_ball(i, prec) for i in range(len(pt))]
+                for poly, terms in zip(lex_basis, residuals.lifted(prec)):
+                    want = poly.evaluate(balls)
+                    got = solver._ball_value(terms, balls)
+                    assert got.contains_zero() and want.contains_zero()
+                    assert abs(got.mid - want.mid) <= slack
+                    assert abs(got.rad - want.rad) <= slack * want.rad
+                assert solver._classify_point(pt, residuals, prec) == "ok"
+
     def test_unrepresentable_quadratic_goes_numeric(self):
         # discriminant 1 + sqrt(2) has no tower square root
         r, x = one_var()

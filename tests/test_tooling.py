@@ -1,12 +1,16 @@
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_import_does_not_load_scipy():
@@ -86,6 +90,17 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert "InvariantViolation" in defined
     assert defined <= raised, f"never raised: {sorted(defined - raised)}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demos_run(demo):
+    """Each demo runs to the end against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_smoke_workload_runs():

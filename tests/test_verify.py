@@ -28,15 +28,16 @@ from permsplit.verify import (
 
 from conftest import (
     CORPUS,
+    affine,
     corpus_split,
     cyclic,
     groebner_split,
     pair_action,
     petersen,
+    primitive_root,
     regular_action,
     symmetric,
 )
-from test_acceptance import _agl_generators
 
 FE = FieldElement
 
@@ -337,8 +338,7 @@ class TestMatrixLevel:
     def test_affine_group_at_cap_scale(self):
         """AGL(1, 1999) on 1999 points, just under the default cap."""
         p = 1999
-        g = next(x for x in range(2, p) if all(pow(x, (p - 1) // f, p) != 1 for f in (2, 3, 37)))
-        gens = _agl_generators(p, g)
+        gens = affine(p, primitive_root(p))
         basis = compute_orbitals(gens)
         consts = compute_structure_constants(gens, basis)
         deco = split_from_constants(basis, consts, SplitConfig())
