@@ -220,11 +220,12 @@ def compute_orbitals(gens: GeneratorSet, rank_cap=DEFAULT_RANK_CAP):
     if len(orbit) != gens.degree:
         raise IntransitiveAction(orbit)
     cells = _stabilizer_cell_labels(gens, tree)
+    # checked before ordering, which walks the tree once per cell; the cell
+    # labels are 0, 1, ... (see ``_merge_cells``)
+    rank = int(cells.max()) + 1
+    if rank_cap is not None and rank > rank_cap:
+        raise ResourceLimit(f"rank {rank} exceeds configured cap {rank_cap}")
     basis = order_basis(cells, tree, gens.degree)
-    if rank_cap is not None and basis.rank > rank_cap:
-        raise ResourceLimit(
-            f"rank {basis.rank} exceeds configured cap {rank_cap}"
-        )
     _check_basis(basis)
     return basis
 
@@ -285,23 +286,17 @@ def _check_constants(basis: OrbitalBasis, consts: StructureConstants):
     if not np.array_equal(sums, expected):
         raise InvariantViolation("row-sum identity failed")
     # C_pq^1 = n_p when q = p*, else 0
-    for p in range(1, rank + 1):
-        for q in range(1, rank + 1):
-            want = int(n[p]) if q == int(basis.transpose_of[p]) else 0
-            if int(c[p, q, 1]) != want:
-                raise InvariantViolation(
-                    f"diagonal rule failed at C[{p},{q},1]"
-                )
-    # identity element: A_1 A_q = A_q
-    for q in range(1, rank + 1):
-        col = np.zeros(rank + 1, dtype=np.int64)
-        col[q] = 1
-        if not np.array_equal(c[1, q, :], col) or not np.array_equal(c[q, 1, :], col):
-            raise InvariantViolation("A_1 is not the multiplicative identity")
-    # transpose consistency: C_pq^r = C_{q* p*}^{r*}
     t = basis.transpose_of
-    for p in range(1, rank + 1):
-        for q in range(1, rank + 1):
-            for r in range(1, rank + 1):
-                if c[p, q, r] != c[t[q], t[p], t[r]]:
-                    raise InvariantViolation("transpose consistency failed")
+    want = np.zeros((rank + 1, rank + 1), dtype=c.dtype)
+    want[np.arange(1, rank + 1), t[1:]] = n[1:]
+    bad = np.argwhere(c[1:, 1:, 1] != want[1:, 1:])
+    if len(bad):
+        p, q = bad[0] + 1
+        raise InvariantViolation(f"diagonal rule failed at C[{p},{q},1]")
+    # identity element: A_1 A_q = A_q = A_q A_1
+    eye = np.eye(rank + 1, dtype=c.dtype)[1:]
+    if not (np.array_equal(c[1, 1:], eye) and np.array_equal(c[1:, 1], eye)):
+        raise InvariantViolation("A_1 is not the multiplicative identity")
+    # transpose consistency: C_pq^r = C_{q* p*}^{r*}
+    if not np.array_equal(c, c[np.ix_(t, t, t)].transpose(1, 0, 2)):
+        raise InvariantViolation("transpose consistency failed")

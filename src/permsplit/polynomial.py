@@ -9,7 +9,6 @@ and a lex basis eliminates down to a univariate polynomial in x1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, neg, sub
 
@@ -327,20 +326,16 @@ def normal_form(f, G):
 
 
 def _normal_form(f, reducers):
-    """``normal_form`` under prebuilt ``_reducers``."""
+    """``normal_form`` under prebuilt ``_reducers``: head-reduce, move the
+    irreducible leading term to the result, repeat on the rest."""
     ring = f.ring
-    p = f
     out = {}
+    p = _head_reduce(f, reducers)
     while p.terms:
         lm = p.leading_monomial()
-        lc = p.terms[lm]
-        for glm, glc_inv, g in reducers:
-            if _mono_divides(glm, lm):
-                p = p - g.term_mul(lc * glc_inv, _mono_div(lm, glm))
-                break
-        else:
-            out[lm] = lc
-            p = Poly(ring, {m: c for m, c in p.terms.items() if m != lm}, _canonical=True)
+        out[lm] = p.terms[lm]
+        rest = Poly(ring, {m: c for m, c in p.terms.items() if m != lm}, _canonical=True)
+        p = _head_reduce(rest, reducers)
     return Poly(ring, out, _canonical=True)
 
 

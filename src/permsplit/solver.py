@@ -12,10 +12,11 @@ degrees 1 and 2 over the tower plus rational roots of any degree; deeper
 factors are solved numerically (root finding plus Newton polishing, with
 enclosure verification by ball arithmetic and precision doubling).  Each level
 of the enumeration substitutes the exact coordinates exactly and lifts its
-coefficients to balls only when a numeric coordinate is left.  Exact
-coordinates substitute to exactly zero in every generator; numeric ones are
-certified enclosures for which every generator's interval evaluation contains
-zero.
+coefficients to balls only when a numeric coordinate is left.  Each
+candidate point is checked against the lex basis by ``Poly.evaluate``: an
+exact point must give exactly zero in every element, and a point with a
+numeric coordinate is evaluated on the balls of its coordinates, each of
+which must contain zero.
 
 A positive-dimensional system is sliced from the caller's Groebner basis:
 coordinate pins over the free variables its leading terms leave, tried in a
@@ -117,8 +118,10 @@ def _deflate(coeffs, root):
 
 
 def _poly_eval(coeffs, x):
-    acc = FieldElement.zero()
-    for c in reversed(coeffs):
+    """sum c_k x^k by Horner's rule, for FieldElements and mpmath numbers
+    alike; ``coeffs`` is not empty."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
@@ -236,8 +239,8 @@ def _numeric_roots(coeffs, prec):
             x = mpmath.mpc(r)
             last = mpmath.mpf(1)
             for _ in range(80):
-                fx = _horner(mids, x)
-                dfx = _horner(dpoly, x)
+                fx = _poly_eval(mids, x)
+                dfx = _poly_eval(dpoly, x)
                 if dfx == 0:
                     break
                 step = fx / dfx
@@ -251,7 +254,7 @@ def _numeric_roots(coeffs, prec):
             for b in balls:
                 coeff_rad += b.rad * scale
                 scale *= xm
-            dfx_abs = max(abs(_horner(dpoly, x)), mpmath.mpf(2) ** (-prec))
+            dfx_abs = max(abs(_poly_eval(dpoly, x)), mpmath.mpf(2) ** (-prec))
             rad = (
                 32 * last
                 + (1 + abs(x)) * mpmath.mpf(2) ** (-(prec + 10))
@@ -259,13 +262,6 @@ def _numeric_roots(coeffs, prec):
             )
             out.append(ComplexBall(+x, +rad))
         return out
-
-
-def _horner(coeffs, x):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _dedupe_balls(balls, prec):
@@ -331,7 +327,6 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
         return []
     chain = _triangular_chain(lex_basis, lex_ring)
 
-    residuals = _Residuals(lex_basis)
     prec = precision
     while True:
         points = []
@@ -339,7 +334,7 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
         verified = []
         ambiguous = 0
         for pt in points:
-            status = _classify_point(pt, residuals, prec)
+            status = _classify_point(pt, lex_basis, prec)
             if status == "ok":
                 verified.append(pt)
             elif status == "ambiguous":
@@ -406,51 +401,19 @@ def _collect_univariate(poly, var, partial, prec):
         return [buckets.get(e, zero) for e in range(max(buckets, default=0) + 1)]
 
 
-class _Residuals:
-    """The polynomials a candidate point must annihilate.
-
-    Their exact coefficients are lifted to balls once per precision, at the
-    working precision of the residual checks, and shared by every point.
-    """
-
-    def __init__(self, polys):
-        self.polys = polys
-        self._lifted = {}
-
-    def lifted(self, prec):
-        """Each polynomial's (monomial, ball) terms at ``prec``."""
-        terms = self._lifted.get(prec)
-        if terms is None:
-            with mpmath.workprec(prec + 40):
-                terms = [[(m, as_ball(c)) for m, c in p.terms.items()] for p in self.polys]
-            self._lifted[prec] = terms
-        return terms
-
-
-def _ball_value(terms, balls):
-    """Enclosure of a polynomial's value from its lifted terms."""
-    total = ComplexBall(0)
-    for mono, c in terms:
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                c = c * balls[i]
-        total = total + c
-    return total
-
-
 def _classify_point(point, residuals, prec):
-    """'ok' when every residual encloses zero, 'reject' when some residual is
-    confidently nonzero, 'ambiguous' otherwise (requesting more precision)."""
+    """'ok' when every residual polynomial vanishes at the point (encloses
+    zero, for a numeric one), 'reject' when some residual is confidently
+    nonzero, 'ambiguous' otherwise (requesting more precision)."""
     if point.is_exact():
-        good = all(p.evaluate(point.values).is_zero() for p in residuals.polys)
+        good = all(p.evaluate(point.values).is_zero() for p in residuals)
         return "ok" if good else "reject"
     margin = mpmath.mpf(2) ** 24
     status = "ok"
-    lifted = residuals.lifted(prec)
     with mpmath.workprec(prec + 40):
         balls = [point.coordinate_ball(i, prec) for i in range(len(point))]
-        for terms in lifted:
-            res = _ball_value(terms, balls)
+        for poly in residuals:
+            res = poly.evaluate(balls)
             if res.contains_zero():
                 continue
             if abs(res.mid) > res.rad * margin:
@@ -533,9 +496,8 @@ def _try_slice(augmented, basis, precision, accept):
         points = solve_zero_dimensional(augmented, precision=precision)
     except (NotZeroDimensional, ResourceLimit):
         return None
-    residuals = _Residuals(basis)
     for pt in points:
-        if _classify_point(pt, residuals, precision) != "ok":
+        if _classify_point(pt, basis, precision) != "ok":
             continue
         if accept is not None and not accept(pt):
             continue

@@ -28,10 +28,13 @@ loop finds their projectors.
 The dimension loop runs only when the exact projectors sum to less than N.
 It starts from the orthogonality forms of their sum S and tries
 d = 1, 2, ... in turn.  The system of d lives in x_1..x_R, the coordinates
-of the rest of the split: the idempotency polynomials, the forms of S, and
-the linear generator x_1 - d/N (the trace pins the coefficient of the
-identity basis matrix), so every solution carries b_1 = d/N exactly as its
-first coordinate.  Its Groebner basis decides: inconsistent
+of the rest of the split X = sum x_r A_r, and is read off products in the
+algebra: ``algebra_product`` on the variables as polynomials gives the
+coordinates of X·X - X (the idempotency polynomials) and the nonzero
+coordinates of S·X and X·S (the forms of S).  The linear generator
+x_1 - d/N joins them (the trace pins the coefficient of the identity basis
+matrix), so every solution carries b_1 = d/N exactly as its first
+coordinate.  Its Groebner basis decides: inconsistent
 (advance d), zero-dimensional (enumerate and accept every solution; the
 dimension is done, as more constraints could only shrink that finite
 variety), or positive-dimensional (an irreducible that occurs more than
@@ -189,60 +192,31 @@ class SplitEvent:
     extracted: int = 0
 
 
-def _ring(rank):
-    return Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+def _variables(rank):
+    """The coordinates x_1..x_R of an unknown X, as polynomials."""
+    ring = Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+    return [Poly.variable(ring, i) for i in range(rank)]
 
 
 def build_idempotency_system(consts: StructureConstants):
-    """E_r = sum_pq C_pq^r x_p x_q  -  x_r over x_1..x_R, for r = 1..R."""
-    rank = consts.rank
-    ring = _ring(rank)
-    polys = []
-    for r in range(1, rank + 1):
-        terms = {}
-        for p in range(1, rank + 1):
-            for q in range(1, rank + 1):
-                cpq = consts.c(p, q, r)
-                if not cpq:
-                    continue
-                mono = [0] * rank
-                mono[p - 1] += 1
-                mono[q - 1] += 1
-                mono = tuple(mono)
-                terms[mono] = terms.get(mono, 0) + cpq
-        lin = tuple(1 if i == r - 1 else 0 for i in range(rank))
-        terms[lin] = terms.get(lin, 0) - 1
-        polys.append(Poly(ring, {m: Fraction(c) for m, c in terms.items() if c}))
-    return polys
+    """The coordinates of X·X - X over x_1..x_R: E_r = sum_pq C_pq^r x_p x_q - x_r."""
+    x = _variables(consts.rank)
+    return [s - v for s, v in zip(algebra_product(consts, x, x), x)]
 
 
 def _orthogonality_forms(consts, coeffs, side):
-    """Linear forms of B·X = 0 (side="left") or X·B = 0 (side="right"): the
-    coefficient of x_q in form r is (B A_q)_r, or (A_q B)_r."""
+    """The nonzero coordinates of B·X (side="left") or X·B (side="right"),
+    linear forms in x_1..x_R."""
     if not all(isinstance(c, FieldElement) for c in coeffs):
         raise ValueError("orthogonality forms need exact coefficients")
-    rank = consts.rank
-    ring = _ring(rank)
-    columns = []
-    for q in range(rank):
-        a = _basis_vector(rank, q)
-        pair = (coeffs, a) if side == "left" else (a, coeffs)
-        columns.append(algebra_product(consts, *pair))
-    forms = []
-    for r in range(rank):
-        terms = {
-            tuple(int(i == q) for i in range(rank)): column[r]
-            for q, column in enumerate(columns)
-            if not column[r].is_zero()
-        }
-        if terms:
-            forms.append(Poly(ring, terms, _canonical=True))
-    return forms
+    x = _variables(consts.rank)
+    pair = (coeffs, x) if side == "left" else (x, coeffs)
+    return [form for form in algebra_product(consts, *pair) if not form.is_zero()]
 
 
 def build_orthogonality_system(consts: StructureConstants, coeffs):
-    """The R linear forms L_r(x) = sum_q (sum_p b_p C_pq^r) x_q of B·X = 0,
-    for the exact coefficient vector b of B."""
+    """The nonzero linear forms L_r(x) = sum_q (sum_p b_p C_pq^r) x_q of
+    B·X = 0, for the exact coefficient vector b of B."""
     return _orthogonality_forms(consts, coeffs, "left")
 
 
@@ -315,14 +289,6 @@ class _SplitState:
         left = algebra_product(self.consts, self.numeric_sum, b, prec)
         right = algebra_product(self.consts, b, self.numeric_sum, prec)
         return _vanishes(left, precision=prec) and _vanishes(right, precision=prec)
-
-    def make_projector(self, point, d, provenance):
-        return Projector(
-            coefficients=point.values,
-            dimension=d,
-            provenance=provenance,
-            precision=point.precision,
-        )
 
 
 def process_single_solution(state: _SplitState, projector: Projector):
@@ -630,7 +596,7 @@ def _run_dimension(state: _SplitState, d):
             points = [p for p in points if state.accept_candidate(p)]
             for point in points:
                 process_single_solution(
-                    state, state.make_projector(point, d, "uniqueSolution")
+                    state, Projector(point.values, d, "uniqueSolution", point.precision)
                 )
             kind = "solutions" if points else "filtered"
             state.events.append(SplitEvent(d, kind, h, len(points)))
@@ -648,7 +614,9 @@ def _run_dimension(state: _SplitState, d):
                 state.events.append(SplitEvent(d, "filtered", h, 0))
                 break
             raise
-        process_single_solution(state, state.make_projector(point, d, "slicedSolution"))
+        process_single_solution(
+            state, Projector(point.values, d, "slicedSolution", point.precision)
+        )
         state.events.append(SplitEvent(d, "slice", h, 1))
         if state.found >= state.basis.degree:
             break

@@ -56,9 +56,11 @@ DEFAULT_MATRIX_CAP = 2000  # the orbital label matrix holds N^2 labels
 
 
 def _lifted(values, precision):
-    """``values`` as they are when every one is exact; else every one as a ball
-    at ``precision``, so that exact and enclosed entries meet in one loop."""
-    if all(isinstance(x, FieldElement) for x in values):
+    """``values`` as they are unless one is a ComplexBall; else every one as a
+    ball at ``precision``, so that exact and enclosed entries meet in one
+    loop.  Entries that are not balls (FieldElements, or the polynomials of
+    the splitter's systems) pass through together."""
+    if not any(isinstance(x, ComplexBall) for x in values):
         return list(values)
     return [as_ball(x, precision) for x in values]
 
@@ -71,8 +73,10 @@ def _support(vec):
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
     """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
 
-    Exact when both vectors are exact; otherwise every entry is lifted to a
-    ball and the product is an enclosure.
+    Exact when both vectors are exact.  Entries may also be polynomials, so
+    the coordinates of a product with unknowns are polynomials (the
+    splitter's systems).  When an entry is a ComplexBall every entry is
+    lifted to a ball and the product is an enclosure.
     """
     rank = consts.rank
     with mpmath.workprec(precision + 40):

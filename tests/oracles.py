@@ -269,3 +269,60 @@ def petersen_eigenprojectors(adjacency):
         trace = sum(p[i][i] for i in range(n))
         out.append((int(trace), p))
     return out
+
+
+def _loop_ring(rank):
+    from permsplit.polynomial import Ring
+
+    return Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
+
+
+def idempotency_system_by_definition(consts):
+    """E_r = sum_pq C_pq^r x_p x_q - x_r over x_1..x_R, for r = 1..R, read
+    entry by entry off the tensor."""
+    from permsplit.polynomial import Poly
+
+    rank = consts.rank
+    ring = _loop_ring(rank)
+    polys = []
+    for r in range(1, rank + 1):
+        terms = {}
+        for p in range(1, rank + 1):
+            for q in range(1, rank + 1):
+                cpq = consts.c(p, q, r)
+                if not cpq:
+                    continue
+                mono = [0] * rank
+                mono[p - 1] += 1
+                mono[q - 1] += 1
+                mono = tuple(mono)
+                terms[mono] = terms.get(mono, 0) + cpq
+        lin = tuple(1 if i == r - 1 else 0 for i in range(rank))
+        terms[lin] = terms.get(lin, 0) - 1
+        polys.append(Poly(ring, {m: Fraction(c) for m, c in terms.items() if c}))
+    return polys
+
+
+def orthogonality_forms_by_definition(consts, coeffs, side):
+    """The nonzero linear forms of B·X = 0 (side="left") or X·B = 0
+    (side="right") for the exact coefficient vector b of B: the coefficient
+    of x_q in form r is sum_p b_p C_pq^r, or sum_p b_p C_qp^r."""
+    from permsplit.exactfield import FieldElement
+    from permsplit.polynomial import Poly
+
+    rank = consts.rank
+    ring = _loop_ring(rank)
+    forms = []
+    for r in range(1, rank + 1):
+        terms = {}
+        for q in range(1, rank + 1):
+            total = FieldElement.zero()
+            for p in range(1, rank + 1):
+                c = consts.c(p, q, r) if side == "left" else consts.c(q, p, r)
+                if c:
+                    total = total + coeffs[p - 1] * c
+            if not total.is_zero():
+                terms[tuple(int(i == q - 1) for i in range(rank))] = total
+        if terms:
+            forms.append(Poly(ring, terms))
+    return forms

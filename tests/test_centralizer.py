@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from permsplit import (
     GeneratorSet,
     IntransitiveAction,
+    InvariantViolation,
     Permutation,
     ResourceLimit,
     SchreierTree,
@@ -12,7 +15,14 @@ from permsplit import (
     orbit_with_tree,
     parse_generators,
 )
-from permsplit.centralizer import _merge_cells, _stabilizer_cell_labels, order_basis
+from permsplit import centralizer
+from permsplit.centralizer import (
+    StructureConstants,
+    _check_constants,
+    _merge_cells,
+    _stabilizer_cell_labels,
+    order_basis,
+)
 
 from conftest import (
     affine,
@@ -20,6 +30,7 @@ from conftest import (
     m22_path,
     petersen,
     primitive_root,
+    regular_action,
     requires_m22,
     symmetric,
 )
@@ -65,6 +76,20 @@ class TestOrbitals:
     def test_rank_cap(self):
         with pytest.raises(ResourceLimit):
             compute_orbitals(cyclic(9), rank_cap=4)
+
+    def test_rank_cap_checked_before_ordering(self, monkeypatch):
+        """The cells already give the rank, so a high-rank action is refused
+        without ordering its basis, which walks the tree once per cell."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return order_basis(*args)
+
+        monkeypatch.setattr(centralizer, "order_basis", spy)
+        with pytest.raises(ResourceLimit, match="^rank 2000 exceeds configured cap 64$"):
+            compute_orbitals(cyclic(2000))
+        assert calls == []
 
     def test_orbital_sizes(self):
         basis = compute_orbitals(petersen())
@@ -239,6 +264,68 @@ class TestStructureConstants:
         basis = compute_orbitals(gens)
         consts = compute_structure_constants(gens, basis)
         assert consts.is_commutative() == dense_algebra_commutes(gens)
+
+
+class TestCheckConstants:
+    """Each check of ``_check_constants`` refuses a copy of the S3-regular
+    table tampered so that the checks before it still pass.  Every suborbit
+    of a regular action has length 1, so moving one unit from C[p,q,r] to
+    C[p,q,s] keeps the row sums."""
+
+    @pytest.fixture(scope="class")
+    def s3_regular(self):
+        gens = regular_action(symmetric(3))
+        basis = compute_orbitals(gens)
+        return basis, compute_structure_constants(gens, basis)
+
+    def refuse(self, basis, table, message):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            _check_constants(basis, StructureConstants(basis.rank, table))
+
+    def moved(self, table, p, q, r, s):
+        table = table.copy()
+        assert table[p, q, r] == 1 and table[p, q, s] == 0
+        table[p, q, r], table[p, q, s] = 0, 1
+        return table
+
+    def test_untampered_table_passes(self, s3_regular):
+        basis, consts = s3_regular
+        assert basis.lengths_in_order() == [1] * 6
+        _check_constants(basis, consts)
+
+    def test_negative(self, s3_regular):
+        basis, consts = s3_regular
+        table = consts.table.copy()
+        table[2, 3, 4] = -1
+        self.refuse(basis, table, "negative structure constant")
+
+    def test_row_sum(self, s3_regular):
+        basis, consts = s3_regular
+        table = consts.table.copy()
+        table[2, 3, 4] += 1
+        self.refuse(basis, table, "row-sum identity failed")
+
+    def test_diagonal_rule_names_the_first_failing_entry(self, s3_regular):
+        basis, consts = s3_regular
+        table = consts.table
+        for p in (5, 3):
+            q = int(basis.transpose_of[p])
+            s = next(s for s in range(2, 7) if table[p, q, s] == 0)
+            table = self.moved(table, p, q, 1, s)
+        q = int(basis.transpose_of[3])
+        self.refuse(basis, table, f"diagonal rule failed at C[3,{q},1]")
+
+    def test_identity(self, s3_regular):
+        basis, consts = s3_regular
+        self.refuse(
+            basis, self.moved(consts.table, 1, 2, 2, 3), "A_1 is not the multiplicative identity"
+        )
+
+    def test_transpose_consistency(self, s3_regular):
+        basis, consts = s3_regular
+        r = next(r for r in range(2, 7) if consts.c(2, 3, r) == 1)
+        s = next(s for s in range(2, 7) if consts.c(2, 3, s) == 0)
+        self.refuse(basis, self.moved(consts.table, 2, 3, r, s), "transpose consistency failed")
 
 
 @requires_m22
