@@ -50,11 +50,16 @@ projector accepted before it (candidates are filtered against the sum of the
 numeric ones); the projectors are accepted without being multiplied out
 again.  The one certificate is ``verify.verify_family_algebraic`` on the
 whole family: idempotency, orthogonality, completeness, trace and
-primitivity, exact over the tower.  A complete, orthogonal family of
-primitive idempotents holds exactly k projectors of each dimension d.  A
-family that fails, or a central idempotent whose k_j or d_j is not a
-positive integer, cannot occur in exact arithmetic and raises
-InvariantViolation.
+primitivity, exact over the tower.  Orthogonality is a theorem there for
+an exact family: idempotents B_i with sum B_i = I and sum tr B_i = N (each
+tr B_i = N b_1 = d) are pairwise orthogonal, since rank = trace makes V the
+direct sum of their images.  So once idempotency, completeness and trace
+integrality pass exactly, no pair is multiplied; a family with a numeric
+coordinate, or one that fails any of those checks, has every pair
+multiplied.  A complete, orthogonal family of primitive idempotents holds
+exactly k projectors of each dimension d.  A family that fails, or a
+central idempotent whose k_j or d_j is not a positive integer, cannot
+occur in exact arithmetic and raises InvariantViolation.
 """
 
 from __future__ import annotations

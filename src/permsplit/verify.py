@@ -10,13 +10,17 @@ ball, so a numeric coordinate yields a certified enclosure.
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
 primitivity, at any degree.  It is also the splitter's certificate: a split
-returns a family only when this route passes on it.  The matrix route
-certifies the same family against the actual generators: it checks the
-orbital basis itself on the N x N orbital label matrix (invariance under
-every generator, A_1 = I, and closure of the products with a tensor it reads
-off the matrix, independent of the splitter's), after which commutation,
-trace, idempotency and completeness of every projector follow from its
-coefficients.
+returns a family only when this route passes on it.  Orthogonality of an
+exact family is derived, not multiplied: idempotents that sum to the
+identity and whose traces sum to N are pairwise orthogonal, and the other
+checks establish exactly those hypotheses.  The pairs are multiplied only
+for a family with a numeric coordinate or a failed hypothesis.  The matrix
+route certifies the same family against the actual generators: it checks
+the orbital basis itself on the N x N orbital label matrix (invariance
+under every generator, A_1 = I, and closure of the products with a tensor
+it reads off the matrix, independent of the splitter's), after which
+commutation, trace, idempotency and completeness of every projector follow
+from its coefficients.
 """
 
 from __future__ import annotations
@@ -166,6 +170,8 @@ class CheckResult:
     name: str
     passed: bool
     witness: str = ""
+    # settled by a theorem from the other checks, not computed itself
+    derived: bool = False
 
 
 @dataclass
@@ -200,6 +206,10 @@ def _witness(vec, reference=None, precision=DEFAULT_PRECISION):
     return f"r={r}: {_render(diff)}"
 
 
+def _checked(name, witness):
+    return CheckResult(name, not witness, witness)
+
+
 def verify_family_algebraic(
     consts: StructureConstants, deco: Decomposition, precision=DEFAULT_PRECISION
 ):
@@ -208,40 +218,38 @@ def verify_family_algebraic(
 
     All checks run exactly over the tower for exact projectors; coordinates
     flagged numeric are checked through their certified enclosures.
+
+    Orthogonality of an exact family follows from the other checks.  Let
+    B_1..B_m be idempotents with sum B_i = I and sum tr B_i = N.  For an
+    idempotent rank = trace, so the images span V with dimensions summing
+    to N and V is their direct sum; for v in im B_j, v = sum_i B_i v with
+    B_i v in im B_i, so B_i v = 0 for every i != j.  On the orbital basis
+    tr(sum x_r A_r) = N x_1, and the algebra acts faithfully on the
+    permutation module, so the checks of idempotency, completeness
+    (sum B = A_1, sum d = N) and trace integrality (N b_1 = d) are those
+    hypotheses.  When the family is exact and all of them pass, every
+    orthogonality line is passed as ``derived``; otherwise every ordered
+    pair is multiplied (each unordered pair once when the algebra is
+    commutative), so a family that fails keeps its pair witnesses and an
+    enclosure, which proves no equality, never stands in for a hypothesis.
     """
-    report = VerificationReport()
     rank = consts.rank
     n = deco.degree
-    for m, p in enumerate(deco.projectors, start=1):
+    projectors = deco.projectors
+    idempotency = []
+    for m, p in enumerate(projectors, start=1):
         sq = algebra_product(consts, p.coefficients, p.coefficients, precision)
         witness = _witness(sq, list(p.coefficients), precision)
-        report.add(f"idempotency B[{m}] (d={p.dimension})", not witness, witness)
-    # in a commutative algebra B_j*B_i = B_i*B_j: one product per unordered pair
-    commutative = consts.is_commutative()
-    witnesses = {}
-    for m1 in range(len(deco.projectors)):
-        for m2 in range(len(deco.projectors)):
-            if m1 == m2:
-                continue
-            pair = (min(m1, m2), max(m1, m2)) if commutative else (m1, m2)
-            if pair not in witnesses:
-                a, b = (deco.projectors[m] for m in pair)
-                prod = algebra_product(consts, a.coefficients, b.coefficients, precision)
-                witnesses[pair] = _witness(prod, precision=precision)
-            witness = witnesses[pair]
-            report.add(f"orthogonality B[{m1 + 1}]*B[{m2 + 1}]", not witness, witness)
+        idempotency.append(_checked(f"idempotency B[{m}] (d={p.dimension})", witness))
     # completeness: sum of projectors equals the identity vector
-    identity = _unit_vector(rank)
-    total = _coefficient_sum(deco.projectors, rank, precision)
-    witness = _witness(total, identity, precision)
-    report.add("completeness sum(B) = A1", not witness, witness)
-    dims_ok = sum(p.dimension for p in deco.projectors) == n
-    report.add(
-        "completeness sum(d) = N",
-        dims_ok,
-        "" if dims_ok else f"{sum(p.dimension for p in deco.projectors)} != {n}",
-    )
-    for m, p in enumerate(deco.projectors, start=1):
+    total = _coefficient_sum(projectors, rank, precision)
+    dims = sum(p.dimension for p in projectors)
+    completeness = [
+        _checked("completeness sum(B) = A1", _witness(total, _unit_vector(rank), precision)),
+        _checked("completeness sum(d) = N", "" if dims == n else f"{dims} != {n}"),
+    ]
+    integrality = []
+    for m, p in enumerate(projectors, start=1):
         b1 = p.coefficients[0]
         ok = (
             isinstance(b1, FieldElement)
@@ -249,14 +257,38 @@ def verify_family_algebraic(
             and b1.rational_value() * n == p.dimension
             and p.dimension > 0
         )
-        report.add(f"trace integrality B[{m}]: N*b1 = d", ok)
-    traces = primitivity_traces(
-        consts, [p.coefficients for p in deco.projectors], precision
-    )
+        integrality.append(CheckResult(f"trace integrality B[{m}]: N*b1 = d", ok))
+    pairs = [(i, j) for i in range(len(projectors)) for j in range(len(projectors)) if i != j]
+    hypotheses = idempotency + completeness + integrality
+    derive = deco.exact_only() and all(c.passed for c in hypotheses)
+    witnesses = {} if derive else _pair_witnesses(consts, projectors, pairs, precision)
+    orthogonality = []
+    for i, j in pairs:
+        name = f"orthogonality B[{i + 1}]*B[{j + 1}]"
+        orthogonality.append(
+            CheckResult(name, True, derived=True) if derive else _checked(name, witnesses[i, j])
+        )
+    report = VerificationReport(idempotency + orthogonality + completeness + integrality)
+    traces = primitivity_traces(consts, [p.coefficients for p in projectors], precision)
     for m, t in enumerate(traces, start=1):
         ok = is_unit_trace(t)
         report.add(f"primitivity B[{m}]", ok, "" if ok else f"dim B A B = {_render(t)}")
     return report
+
+
+def _pair_witnesses(consts, projectors, pairs, precision):
+    """The witness of B[i]*B[j] = 0 for each ordered pair (i, j), by
+    multiplying; in a commutative algebra B_j*B_i = B_i*B_j, so each
+    unordered pair is multiplied once."""
+    commutative = consts.is_commutative()
+    witnesses = {}
+    for i, j in pairs:
+        key = (min(i, j), max(i, j)) if commutative else (i, j)
+        if key not in witnesses:
+            a, b = (projectors[m].coefficients for m in key)
+            witnesses[key] = _witness(algebra_product(consts, a, b, precision), precision=precision)
+        witnesses[i, j] = witnesses[key]
+    return witnesses
 
 
 def _render(x):

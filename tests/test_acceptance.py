@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Criterion 6's full reproduction needs user-supplied generators for
-M22 on 770 points and is skipped without them; its synthetic performance
-smoke test always runs.
+lines.  Criterion 6, the paper's M22 on 770 points, always runs on
+generators built from the Golay code (``golay.m22_770``), stated by
+suborbit length; the same check by basis position runs on user-supplied
+generators and is skipped without them.  Its synthetic performance smoke
+test always runs.
 """
 
 import time
@@ -44,6 +46,7 @@ from conftest import (
     requires_m22,
     symmetric,
 )
+import golay
 from oracles import (
     dense_algebra_commutes,
     dimension_multiset,
@@ -244,6 +247,38 @@ def test_criterion_6_m22_770():
     assert verify_family_algebraic(consts, deco).passed
     assert elapsed < 300.0
     _report(6, f"M22-770 reproduction in {elapsed:.1f}s")
+
+
+def test_criterion_6_m22_770_from_the_golay_code():
+    """The paper's example on generators built from the Golay code, stated
+    by suborbit length: rank 9, 770 = 1 + 21 + (55 + 55) + 99 + 154 + 385
+    with the 55s one multiplicity block, every projector exact, and the
+    coefficients of B_1 and B_21."""
+    t0 = time.perf_counter()
+    gens = golay.m22_770()
+    basis = compute_orbitals(gens)
+    deco = split(gens)
+    elapsed = time.perf_counter() - t0
+    lengths = basis.lengths_in_order()
+    assert basis.rank == 9
+    assert sorted(lengths) == [1, 9, 16, 72, 96, 144, 144, 144, 144]
+    assert deco.dimension_multiset == [1, 21, 55, 55, 99, 154, 385]
+    assert all(p.exact for p in deco.projectors)
+    fives = [p for p in deco.projectors if p.dimension == 55]
+    assert fives[0].block == fives[1].block == 55
+    assert all(p.block is None for p in deco.projectors if p.dimension != 55)
+    got = {p.dimension: p.coefficients for p in deco.projectors if p.dimension in (1, 21)}
+    assert got[1] == tuple(fe(Fraction(1, 770)) for _ in range(9))
+    b21 = dict(zip(lengths, got[21]))  # the lengths 1, 9, 16, 72 and 96 occur once
+    b1 = Fraction(3, 110)  # = 21/770
+    assert b21[1] == b21[9] == fe(b1)
+    assert b21[96] == fe(b1 / 12)
+    on_144 = sorted(c.rational_value() for c, n in zip(got[21], lengths) if n == 144)
+    assert on_144 == sorted([b1 * Fraction(-3, 8)] + [b1 / 12] * 3)
+    consts = compute_structure_constants(gens, basis)
+    assert verify_family_algebraic(consts, deco).passed
+    assert elapsed < 300.0
+    _report(6, f"M22-770 from the Golay code in {elapsed:.1f}s")
 
 
 def test_criterion_6_performance_smoke():

@@ -34,6 +34,7 @@ from conftest import (
     requires_m22,
     symmetric,
 )
+import golay
 from oracles import (
     dense_algebra_commutes,
     pair_orbit_labels,
@@ -334,3 +335,40 @@ def test_m22_770_suborbit_lengths():
     basis = compute_orbitals(gens)
     assert basis.rank == 9
     assert basis.lengths_in_order() == [1, 96, 144, 72, 144, 9, 16, 144, 144]
+
+
+def test_m22_770_suborbit_lengths_from_the_golay_code():
+    basis = compute_orbitals(golay.m22_770())
+    assert basis.rank == 9
+    assert sorted(basis.lengths_in_order()) == [1, 9, 16, 72, 96, 144, 144, 144, 144]
+
+
+class TestGolayConstruction:
+    """The generators that ``golay.m22_770`` induces generate all of M22, so
+    the action has M22's orbitals and its centralizer algebra."""
+
+    def test_code(self):
+        words = golay.golay_code()
+        weights = sorted({bin(w).count("1") for w in words})
+        assert len(words) == 4096 and weights == [0, 8, 12, 16, 24]
+        assert len(golay.hexads(words)) == 77
+
+    def test_m24_generators_preserve_the_code(self):
+        words = golay.golay_code()
+        for g in golay.m24_generators():
+            assert sorted(g) == list(range(24))
+            assert {sum(1 << g[x] for x in range(24) if w >> x & 1) for w in words} == words
+
+    def test_selected_generators_generate_the_two_point_stabilizer(self):
+        """|<gens>| = |M24| and <gens> is 2-transitive, so the stabilizer of
+        infinity and 0 has order |M24| / (24 * 23) = |M22|; the selected
+        generators lie in it and generate a group of that order."""
+        m24 = golay.m24_generators()
+        assert golay.group_order(m24) == golay.M24_ORDER
+        m23, orbit = golay.schreier_generators(m24, golay.INFINITY)
+        assert orbit == 24
+        assert golay.schreier_generators(m23, 0)[1] == 23
+        assert golay.M24_ORDER // (24 * 23) == golay.M22_ORDER
+        selected = golay.m22_generators()
+        assert all(g[golay.INFINITY] == golay.INFINITY and g[0] == 0 for g in selected)
+        assert golay.group_order(selected) == golay.M22_ORDER

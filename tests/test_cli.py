@@ -15,8 +15,8 @@ from permsplit.cli import (
     render_decomposition_text,
 )
 from permsplit import split
-from permsplit.centralizer import compute_orbitals
-from permsplit.verify import verify_matrix_level
+from permsplit.centralizer import compute_orbitals, compute_structure_constants
+from permsplit.verify import verify_family_algebraic, verify_matrix_level
 from conftest import (
     CORPUS,
     corpus_split,
@@ -552,6 +552,47 @@ def test_corpus_outputs_are_pinned(name):
     loop = render_decomposition_text(groebner_split(name))
     got = (_sha256(report), _sha256(matrix), _sha256(loop))
     assert got == CORPUS_OUTPUT_SHA256[name]
+
+
+# sha256 of the ``verify_family_algebraic`` lines of every corpus split, taken
+# when every orthogonality line still came from multiplying its pair: the
+# lines that the orthogonality theorem derives for an exact family are
+# byte-identical to the multiplied ones.
+CORPUS_CERTIFICATE_SHA256 = {
+    "C4_regular": "20a1b9bfda9e394dda92a0bdf7e8782f689e8cdb2953c55d7d9b28abfe727cff",
+    "C5_natural": "fa4b2f3298c384b52c7626a712accea44c74b4d9833bec406b0064ac0e736599",
+    "C6_natural": "1a3f983458533accc9f5e7730cd2b4cc67889879a94f02ef7881c3e1cac33c2f",
+    "C7_natural": "03aac1e88087eab0f594a339c527e638e24d48f81ebb9e91ceb7d95ecd65bc43",
+    "C8_natural": "48cd5d0543411353a90f10d38826321c225684780fc345783c3a5cb3b5db5f92",
+    "C9_natural": "5d4c92d146a6093de26ef73c53b8283d4077979f226af04539c02274602e3c32",
+    "D4_natural": "f919774c202b286e6cd3d486005ed25b9a566699d9d2158b09d495eb84eafaac",
+    "D5_natural": "873f92986c7548ff7a75110e274f031be43199c74e0f78666457e932f1b5c257",
+    "D6_natural": "d0f70551b6119bfaa8f64b183f880b879f588ca8d29904e4e24f4d9a40bf0119",
+    "D7_natural": "eb8871a72f9a6402df3d54da0e1237e09f6323ae8fce47dec2adee4cc82213fe",
+    "S3_natural": "9a779c47ac0071af9da752a69b7e2b65e285a839456b0c4b8033d7f602934bd7",
+    "S4_natural": "1e823a7db568eeaad02e3ade571f1c40f37cbcc7308f72f102b1bdcf6cf9dd78",
+    "A4_natural": "1e823a7db568eeaad02e3ade571f1c40f37cbcc7308f72f102b1bdcf6cf9dd78",
+    "A5_natural": "aff89f984c2bf5d38fc668a3e2444196bd38279c47017046c2b6e0446f0e76d6",
+    "S4_pairs": "474b79f071514e86c06886305e4b8024887206995fa04b9cac5ab996b528d2a4",
+    "A4_pairs": "394556a794d51ff8f6402a75c98c38493585f75a4b24b1a578c416cf97ed9752",
+    "A5_petersen": "7b656099f0066d66a14ba746ab20e727c1bdadc6207059cbd6f863048e1492b2",
+    "S3_regular": "d0f70551b6119bfaa8f64b183f880b879f588ca8d29904e4e24f4d9a40bf0119",
+    "D4_regular": "9d206df127627fbb2f82c3c5276a05db563c48a970f478f2e27c2301d804624b",
+    "Q8_regular": "9d206df127627fbb2f82c3c5276a05db563c48a970f478f2e27c2301d804624b",
+    "V4_regular": "20a1b9bfda9e394dda92a0bdf7e8782f689e8cdb2953c55d7d9b28abfe727cff",
+    "F21_natural": "c116c8cf75ff735d30cd24f5550bbba2e46228879c867b0203f6970b8ea8bd52",
+    "C2wrC3": "394556a794d51ff8f6402a75c98c38493585f75a4b24b1a578c416cf97ed9752",
+    "S3wrC2": "8b1a1ea3747ac63367e7a90c7e2c1e944646940da836ace4d4884fe95bb22306",
+    "C3wrC2": "d0f70551b6119bfaa8f64b183f880b879f588ca8d29904e4e24f4d9a40bf0119",
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_corpus_certificate_lines_are_pinned(name):
+    gens = dict(CORPUS)[name]
+    consts = compute_structure_constants(gens, compute_orbitals(gens))
+    lines = verify_family_algebraic(consts, corpus_split(name)).lines()
+    assert _sha256("\n".join(lines)) == CORPUS_CERTIFICATE_SHA256[name]
 
 
 # Edits of the S3 reference text that leave one projector block malformed;

@@ -22,6 +22,8 @@ from permsplit import (
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
 from permsplit.verify import (
     _coefficient_sum,
+    _vanishes,
+    algebra_product,
     orbital_label_matrix,
     tensor_from_label_matrix,
 )
@@ -89,6 +91,22 @@ def _tweak(deco, m, r, delta=Fraction(1, 7), flip=False):
         conjugate_of=p.conjugate_of,
     )
     return out
+
+
+def _count_products(monkeypatch):
+    """A list that gains one entry per ``algebra_product`` call the
+    verifier makes."""
+    import permsplit.verify as verify_module
+
+    calls = []
+    real = verify_module.algebra_product
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "algebra_product", counted)
+    return calls
 
 
 class TestAlgebraic:
@@ -186,6 +204,10 @@ class TestAlgebraic:
         assert names == [f"primitivity B[{m}]" for m in range(1, len(deco.projectors) + 1)]
 
     def test_every_single_coefficient_perturbation_fails(self, corpus_member):
+        """Each perturbed family fails a hypothesis of the orthogonality
+        theorem, so its pairs are multiplied: no line is derived, and since
+        sum_{j != m} B'_m B_j = B'_m (I - B_m) = delta A_r (I - B_m) is never
+        zero, some pair keeps a witness."""
         name, gens = corpus_member
         if gens.degree > 8:
             pytest.skip("keep the negative-control sweep small")
@@ -194,26 +216,19 @@ class TestAlgebraic:
             pytest.skip("perturbation sweep is for exact decompositions")
         for m in range(len(deco.projectors)):
             for r in range(basis.rank):
-                bad = _tweak(deco, m, r)
-                assert not verify_family_algebraic(consts, bad).passed, (m, r)
+                report = verify_family_algebraic(consts, _tweak(deco, m, r))
+                assert not report.passed, (m, r)
+                assert not any(c.derived for c in report.checks), (m, r)
+                pairs = [c for c in report.failures() if c.name.startswith("orthogonality")]
+                assert pairs and all(c.witness.startswith("r=") for c in pairs), (m, r)
 
-
-    @pytest.mark.parametrize("name", ["A5_petersen", "C9_natural"])
+    @pytest.mark.parametrize("name", ["C9_natural"])
     def test_commutative_algebra_halves_orthogonality_products(self, name, monkeypatch):
         """B_i*B_j = B_j*B_i when the algebra is commutative, so each
         unordered pair is multiplied once; the report lines do not change."""
-        import permsplit.verify as verify_module
-
         _, consts, deco = corpus_with_constants(name, dict(CORPUS)[name])
         assert consts.is_commutative()
-        calls = []
-        real = verify_module.algebra_product
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "algebra_product", counted)
+        calls = _count_products(monkeypatch)
         lines = verify_family_algebraic(consts, deco).lines()
         commutative_calls = len(calls)
         calls.clear()
@@ -221,6 +236,63 @@ class TestAlgebraic:
         assert verify_family_algebraic(consts, deco).lines() == lines
         m = len(deco.projectors)
         assert len(calls) - commutative_calls == m * (m - 1) // 2
+
+    @pytest.mark.parametrize("name", ["A5_petersen", "S3_regular"])
+    def test_exact_family_multiplies_no_pair(self, name, monkeypatch):
+        """An exact certified family makes one product per idempotency check
+        and none for its pairs; its lines are those of the multiplied pairs."""
+        _, consts, deco = corpus_with_constants(name, dict(CORPUS)[name])
+        assert deco.exact_only()
+        calls = _count_products(monkeypatch)
+        lines = verify_family_algebraic(consts, deco).lines()
+        m = len(deco.projectors)
+        assert len(calls) == m
+        monkeypatch.setattr(Decomposition, "exact_only", lambda self: False)
+        multiplied = verify_family_algebraic(consts, deco)
+        assert multiplied.lines() == lines
+        assert not any(c.derived for c in multiplied.checks)
+        assert len(calls) > 2 * m
+
+
+class TestOrthogonalityTheorem:
+    """The products that the theorem replaces, as an oracle for it."""
+
+    def test_every_pair_multiplies_to_zero(self, corpus_member):
+        name, gens = corpus_member
+        _, consts, deco = corpus_with_constants(name, gens)
+        family = [p.coefficients for p in deco.projectors]
+        for i, a in enumerate(family):
+            for j, b in enumerate(family):
+                if i != j:
+                    assert _vanishes(algebra_product(consts, a, b)), (i, j)
+        checks = verify_family_algebraic(consts, deco).checks
+        pairs = [c for c in checks if c.name.startswith("orthogonality")]
+        m = len(family)
+        assert len(pairs) == m * (m - 1) and all(c.passed for c in pairs)
+
+    def test_derived_checks_are_the_pairs_of_an_exact_family(self, corpus_member):
+        """m(m-1) derived lines for an exact family, none for a numeric one
+        (C5, C7, C9 and D7 natural), and only orthogonality is derived."""
+        name, gens = corpus_member
+        _, consts, deco = corpus_with_constants(name, gens)
+        derived = [c for c in verify_family_algebraic(consts, deco).checks if c.derived]
+        m = len(deco.projectors)
+        assert len(derived) == (m * (m - 1) if deco.exact_only() else 0)
+        assert all(c.name.startswith("orthogonality") and c.passed for c in derived)
+
+    def test_failed_hypothesis_derives_nothing(self):
+        """S5 on pairs with e_4 doubled in dimension fails only trace
+        integrality and completeness sum(d) = N, and its pairs, which do
+        vanish, are multiplied."""
+        _, consts, deco = split_with_constants(pair_action(symmetric(5), 5))
+        bad = copy.deepcopy(deco)
+        bad.projectors[1] = dataclasses.replace(bad.projectors[1], dimension=8)
+        report = verify_family_algebraic(consts, bad)
+        assert [c.name for c in report.failures()] == [
+            "completeness sum(d) = N",
+            "trace integrality B[2]: N*b1 = d",
+        ]
+        assert not any(c.derived for c in report.checks)
 
 
 class TestMatrixLevel:
