@@ -12,8 +12,11 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .centralizer import compute_orbitals, compute_structure_constants
 from .errors import (
@@ -93,12 +96,7 @@ def analyze_to_json(basis, consts=None, include_tensor=False):
     if consts is not None:
         obj["commutative"] = consts.is_commutative()
         if include_tensor:
-            rank = consts.rank
-            obj["structure_constants"] = [
-                [[consts.c(p, q, r) for r in range(1, rank + 1)]
-                 for q in range(1, rank + 1)]
-                for p in range(1, rank + 1)
-            ]
+            obj["structure_constants"] = consts.table[1:, 1:, 1:].tolist()
     return obj
 
 
@@ -158,19 +156,49 @@ def _appendix_line(p, index):
     return f"# B[{index}] = {render_field_element(b1)}*({' '.join(chunks)})"
 
 
+RADIUS_DIGITS = 8
+NOTE_PREFIX = "# note: "
+
+
+def _midpoint_digits(precision):
+    """Significant digits of each printed midpoint component at ``precision``
+    bits."""
+    return max(int(precision * 0.302) + 8, 24)
+
+
 def _ball_to_strings(ball, precision):
-    digits = max(int(precision * 0.302) + 8, 24)
+    digits = _midpoint_digits(precision)
     with mpmath.workprec(precision + 24):
         re = mpmath.nstr(ball.mid.real, digits, strip_zeros=False)
         im = mpmath.nstr(ball.mid.imag, digits, strip_zeros=False)
-        rad = mpmath.nstr(ball.rad, 8)
+        rad = mpmath.nstr(ball.rad, RADIUS_DIGITS)
     return re, im, rad
 
 
+def _last_digit(text, digits):
+    """One unit in the last of ``digits`` significant digits of the printed
+    number ``text``; rounded to nearest, it lies within half of it of the
+    value printed."""
+    value = Decimal(text)
+    return Fraction(0) if value.is_zero() else Fraction(10) ** (value.adjusted() - digits + 1)
+
+
 def _ball_from_strings(re, im, rad, precision):
-    """The inverse of ``_ball_to_strings``."""
+    """The inverse of ``_ball_to_strings``: a ball that contains the ball
+    written.  Each printed number is rounded to nearest and the midpoint is
+    read into binary, so the radius grows by the last printed digit of the
+    radius and of each midpoint component, and by the midpoint's binary
+    rounding; the sum is exact and rounded up once."""
+    digits = _midpoint_digits(precision)
     with mpmath.workprec(precision + 24):
-        return ComplexBall(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)), mpmath.mpf(rad))
+        mid = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+        bound = Fraction(rad) + _last_digit(rad, RADIUS_DIGITS)
+        for text, part in ((re, mid.real), (im, mid.imag)):
+            man, exp = part.man_exp
+            read = Fraction(man) * Fraction(2) ** exp
+            bound += _last_digit(text, digits) + abs(read - Fraction(text))
+        up = libmp.from_rational(bound.numerator, bound.denominator, precision + 24, "u")
+        return ComplexBall(mid, mpmath.mp.make_mpf(up))
 
 
 def render_decomposition_text(deco):
@@ -201,7 +229,7 @@ def render_decomposition_text(deco):
         out.append("end")
         out.append("")
     for note in deco.notes:
-        out.append(f"# note: {note}")
+        out.append(NOTE_PREFIX + note)
     return "\n".join(out).rstrip() + "\n"
 
 
@@ -212,10 +240,14 @@ def parse_decomposition_text(text):
     lengths = []
     projectors = []
     conjugate_lines = []
+    notes = []
     current = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
+            if line.startswith(NOTE_PREFIX):
+                notes.append(line[len(NOTE_PREFIX):])
+                continue
             if not line or line.startswith("#"):
                 continue
             if line.startswith("Degree:"):
@@ -278,6 +310,7 @@ def parse_decomposition_text(text):
         rank=rank,
         projectors=projectors,
         suborbit_lengths=lengths,
+        notes=notes,
     )
 
 
@@ -424,7 +457,10 @@ def decomposition_from_json(obj):
 
 def load_decomposition(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e}") from e
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -567,10 +603,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ParseError, OSError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
     except IntransitiveAction as e:

@@ -299,7 +299,11 @@ def _parse_gen_spec(spec, degree, lineno):
 def parse_generators(path):
     """Parse the generator file at ``path``; ``parse_generator_text`` reads text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_generator_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e}") from e
+    return parse_generator_text(text)
 
 
 # -- orbits and Schreier trees ------------------------------------------------

@@ -98,6 +98,7 @@ from .solver import (
 )
 from .verify import (
     DEFAULT_MATRIX_CAP,
+    _basis_vector,
     _coefficient_sum,
     _vanishes,
     algebra_product,
@@ -378,11 +379,6 @@ def _split_linear(basis, consts, config):
             for f in _refine(consts, [idem], compressions, k)
         ]
     return projectors
-
-
-def _basis_vector(rank, r):
-    """Coefficients of the basis matrix A_{r+1}."""
-    return [FieldElement.one() if i == r else FieldElement.zero() for i in range(rank)]
 
 
 def _centre_basis(consts):

@@ -1,11 +1,17 @@
 """Verification of decompositions, and the arithmetic of coefficient vectors
 in the centralizer algebra that it rests on.
 
-``algebra_product``, ``primitivity_traces`` and the zero test ``_vanishes``
-work on coefficient vectors in the ordered orbital basis, whose entries are
-exact FieldElements or ComplexBall enclosures.  Each runs one loop: exact over
-the tower when every entry is exact, and otherwise on every entry lifted to a
-ball, so a numeric coordinate yields a certified enclosure.
+Every product of coefficient vectors in the ordered orbital basis is one
+contraction, ``_contract``: out[k] = sum_pq a_p b_q T[p, q, k] for an
+integer tensor T, visiting only the nonzero entries of T on the exact
+supports of a and b.  ``algebra_product`` contracts with the structure
+constants (in the matrix route, with the tensor read off the label matrix),
+and ``primitivity_traces`` with the form T[p, s] = sum_qr C_pq^r C_rs^q.
+``_contract`` owns every kind of entry: exact FieldElements over the tower;
+Polys, whose products are the splitter's systems; and ComplexBalls, for
+which every entry is lifted to a ball (``_lifted``) as soon as one is a
+ball, so a numeric coordinate yields a certified enclosure.  The zero test
+``_vanishes`` decides FieldElements exactly and balls by enclosure.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
@@ -74,6 +80,34 @@ def _support(vec):
     return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
 
 
+def _contract(tensor, a, b, precision):
+    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T: the one loop
+    over structure-constant entries.
+
+    Exact when every entry is exact (FieldElements, or the polynomials of
+    the splitter's systems); when one is a ComplexBall every entry is lifted
+    to a ball and the result is an enclosure.  Only the exact supports of a
+    and b are visited, and b_q T[p, q, k] is summed over q before it meets
+    a_p, so each a_p is multiplied once per k it reaches.
+    """
+    out = [FieldElement.zero()] * tensor.shape[2]
+    with mpmath.workprec(precision + 40):
+        lifted = _lifted((*a, *b), precision)
+        la, lb = lifted[: len(a)], lifted[len(a) :]
+        support_b = _support(b)
+        vb = [lb[q] for q in support_b]
+        for p in _support(a):
+            block = tensor[p, support_b]
+            qs, ks = np.nonzero(block)
+            inner = {}
+            for q, k, c in zip(qs.tolist(), ks.tolist(), block[qs, ks].tolist()):
+                term = vb[q] if c == 1 else vb[q] * c
+                inner[k] = inner[k] + term if k in inner else term
+            for k, s in inner.items():
+                out[k] = out[k] + la[p] * s
+    return out
+
+
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
     """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
 
@@ -82,21 +116,7 @@ def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISIO
     splitter's systems).  When an entry is a ComplexBall every entry is
     lifted to a ball and the product is an enclosure.
     """
-    rank = consts.rank
-    with mpmath.workprec(precision + 40):
-        lifted = _lifted((*a, *b), precision)
-        la, lb = lifted[: len(a)], lifted[len(a) :]
-        out = [FieldElement.zero()] * rank
-        support_b = _support(b)
-        for p in _support(a):
-            for q in support_b:
-                ab = la[p] * lb[q]
-                col = consts.table[p + 1, q + 1]
-                for r in range(rank):
-                    c = int(col[r + 1])
-                    if c:
-                        out[r] = out[r] + ab * c
-        return out
+    return _contract(consts.table[1:, 1:, 1:], a, b, precision)
 
 
 def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
@@ -128,30 +148,15 @@ def primitivity_traces(consts: StructureConstants, vectors, precision=DEFAULT_PR
     """dim eAe = tr(x -> e x e) for each coefficient vector e.
 
     The map is L_e R_e, and its trace is the quadratic form e^T T e with the
-    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q.  For an idempotent e the
+    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q, contracted as a tensor
+    whose last axis has length 1.  For an idempotent e the
     map is idempotent, so the trace is its rank, and e is primitive exactly
     when the trace is 1.  Exact over the tower for exact vectors, a
     ComplexBall otherwise.
     """
     c = consts.table[1:, 1:, 1:]
-    form = np.einsum("pqr,rsq->ps", c, c)
-    pairs = [
-        [(s, int(form[p, s])) for s in np.nonzero(form[p])[0]]
-        for p in range(consts.rank)
-    ]
-    out = []
-    with mpmath.workprec(precision + 40):
-        for e in vectors:
-            lifted = _lifted(e, precision)
-            total = FieldElement.zero()
-            for p in _support(e):
-                if pairs[p]:
-                    inner = FieldElement.zero()
-                    for s, t in pairs[p]:
-                        inner = inner + lifted[s] * t
-                    total = total + lifted[p] * inner
-            out.append(total)
-    return out
+    form = np.einsum("pqr,rsq->ps", c, c)[:, :, None]
+    return [_contract(form, e, e, precision)[0] for e in vectors]
 
 
 def is_unit_trace(trace):
@@ -245,7 +250,7 @@ def verify_family_algebraic(
     total = _coefficient_sum(projectors, rank, precision)
     dims = sum(p.dimension for p in projectors)
     completeness = [
-        _checked("completeness sum(B) = A1", _witness(total, _unit_vector(rank), precision)),
+        _checked("completeness sum(B) = A1", _witness(total, _basis_vector(rank, 0), precision)),
         _checked("completeness sum(d) = N", "" if dims == n else f"{dims} != {n}"),
     ]
     integrality = []
@@ -298,9 +303,9 @@ def _render(x):
     return f"~{complex(x.mid)}"
 
 
-def _unit_vector(rank):
-    """Coefficients of the identity matrix A_1."""
-    return [FieldElement.one()] + [FieldElement.zero()] * (rank - 1)
+def _basis_vector(rank, r):
+    """Coefficients of the basis matrix A_{r+1}."""
+    return [FieldElement.one() if i == r else FieldElement.zero() for i in range(rank)]
 
 
 def _coefficient_sum(projectors, rank, precision):
@@ -420,7 +425,7 @@ def verify_matrix_level(
         witness = _witness(sq, coeffs, precision)
         report.add(f"idempotency B[{m}]^2 = B[{m}] (matrix)", closed and not witness, witness)
     total = _coefficient_sum(deco.projectors, rank, precision)
-    identity = _unit_vector(rank)
+    identity = _basis_vector(rank, 0)
     witness = _witness(total, identity, precision)
     report.add("completeness sum(B) = I (matrix)", diagonal and not witness, witness)
     return report

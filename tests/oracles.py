@@ -326,3 +326,31 @@ def orthogonality_forms_by_definition(consts, coeffs, side):
         if terms:
             forms.append(Poly(ring, terms))
     return forms
+
+
+def algebra_product_by_definition(consts, a, b, precision=None):
+    """Coefficients of (sum a_p A_p)(sum b_q A_q), one product a_p b_q per
+    pair of the supports and one structure constant at a time: the triple
+    loop the library's contraction kernel replaced, kept as its reference."""
+    import mpmath
+
+    from permsplit.exactfield import FieldElement
+    from permsplit.solver import DEFAULT_PRECISION
+    from permsplit.verify import _lifted, _support
+
+    precision = DEFAULT_PRECISION if precision is None else precision
+    rank = consts.rank
+    with mpmath.workprec(precision + 40):
+        lifted = _lifted((*a, *b), precision)
+        la, lb = lifted[: len(a)], lifted[len(a) :]
+        out = [FieldElement.zero()] * rank
+        support_b = _support(b)
+        for p in _support(a):
+            for q in support_b:
+                ab = la[p] * lb[q]
+                col = consts.table[p + 1, q + 1]
+                for r in range(rank):
+                    c = int(col[r + 1])
+                    if c:
+                        out[r] = out[r] + ab * c
+        return out

@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permsplit import NotZeroDimensional, SplitConfig, cli, polynomial, solver
+from permsplit import NotZeroDimensional, SplitConfig, cli, polynomial, solver, splitter
 from permsplit.cli import (
     decomposition_from_json,
     decomposition_to_json,
@@ -16,6 +18,8 @@ from permsplit.cli import (
 )
 from permsplit import split
 from permsplit.centralizer import compute_orbitals, compute_structure_constants
+from permsplit.errors import SliceExhausted
+from permsplit.exactfield import ComplexBall
 from permsplit.verify import verify_family_algebraic, verify_matrix_level
 from conftest import (
     CORPUS,
@@ -33,14 +37,18 @@ C5_TEXT = "degree 5\ngen (1,2,3,4,5)\n"
 PETERSEN_TEXT = None
 
 
-def petersen_file(tmp_path):
-    gens = petersen()
-    lines = ["degree 10"]
+def gens_file(tmp_path, name, gens):
+    """A generator file of ``gens``, one image list per generator."""
+    lines = [f"degree {gens.degree}"]
     for g in gens.generators:
         lines.append("gen " + " ".join(str(x) for x in g.images()))
-    path = tmp_path / "petersen.gens"
+    path = tmp_path / f"{name}.gens"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def petersen_file(tmp_path):
+    return gens_file(tmp_path, "petersen", petersen())
 
 
 def run_cli(args):
@@ -78,6 +86,19 @@ class TestAnalyze:
         c = obj["structure_constants"]
         assert c[1][1][0] == 2  # C_22^1
         assert c[1][1][1] == 1  # C_22^2
+        # the whole tensor, entry by entry, of a noncommutative action
+        gens = regular_action(symmetric(3))
+        path = gens_file(tmp_path, "s3reg", gens)
+        code, out, _ = run_cli(["analyze", str(path), "--json", "--tensor"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["commutative"] is False
+        consts = compute_structure_constants(gens, compute_orbitals(gens))
+        rank = consts.rank
+        assert obj["structure_constants"] == [
+            [[consts.c(p, q, r) for r in range(1, rank + 1)] for q in range(1, rank + 1)]
+            for p in range(1, rank + 1)
+        ]
 
     def test_intransitive_exit_2(self, tmp_path):
         path = tmp_path / "bad.gens"
@@ -108,12 +129,7 @@ class TestSplitCommand:
         assert "time split:" in err
 
     def test_s3_regular_multiplicity_marking(self, tmp_path):
-        gens = regular_action(symmetric(3))
-        lines = ["degree 6"] + [
-            "gen " + " ".join(str(x) for x in g.images()) for g in gens.generators
-        ]
-        path = tmp_path / "s3reg.gens"
-        path.write_text("\n".join(lines) + "\n")
+        path = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
         code, out, _ = run_cli(["split", str(path)])
         assert code == 0
         assert "6 ≅ 1 ⊕ 1 ⊕ (2 ⊕ 2)" in out
@@ -205,6 +221,38 @@ class TestSplitCommand:
         assert main(["split", str(path)]) == 3
         assert "Groebner pair cap 1 exceeded" in capsys.readouterr().err
 
+    def test_slice_exhausted_exit_3(self, tmp_path, monkeypatch, capsys):
+        """Regular S3 through the dimension loop alone slices at d = 2; with
+        no numeric projector accepted, running out of slice attempts is a
+        resource limit."""
+        def exhausted(*args, **kwargs):
+            raise SliceExhausted("no particular solution within 8 slice attempts")
+
+        path = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
+        monkeypatch.setattr(splitter, "_split_linear", lambda *args: [])
+        monkeypatch.setattr(splitter, "particular_solution_on_slice", exhausted)
+        assert main(["split", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: no particular solution")
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["split", "verify"])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, command, unreadable):
+        """A directory, or a file that is not UTF-8, given as the generator
+        file of split or the decomposition file of verify."""
+        bad = tmp_path / "bad"
+        if unreadable == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe\x00")
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        args = ["split", str(bad)] if command == "split" else ["verify", str(path), str(bad)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert "Traceback" not in captured.err
+
     def test_generator_file_named_like_a_keyword(self, tmp_path, monkeypatch, capsys):
         """The file argument is always a path, even one that starts with
         "degree"."""
@@ -274,6 +322,13 @@ class TestRoundTrips:
             p.coefficients for p in j.projectors
         ]
 
+    def test_notes_roundtrip(self):
+        deco = split(symmetric(3))
+        deco.notes.append("d=2: slice attempts exhausted against numeric projectors")
+        text = parse_decomposition_text(render_decomposition_text(deco))
+        obj = decomposition_from_json(json.loads(json.dumps(decomposition_to_json(deco))))
+        assert text.notes == obj.notes == deco.notes
+
     def test_numeric_coefficients_roundtrip(self):
         import mpmath
 
@@ -288,6 +343,37 @@ class TestRoundTrips:
                     assert abs(c.mid - d.mid) < mpmath.mpf(10) ** -30
                 else:
                     assert c == d
+
+
+def test_ball_read_back_in_the_example_contains_the_ball_written():
+    """Mid 1/3 and radius 1.23456781e-40 at 128 bits: the radius prints as
+    1.2345678e-40, and mid + radius must still lie in the ball read."""
+    with mpmath.workprec(152):
+        ball = ComplexBall(mpmath.mpf(1) / 3, mpmath.mpf("1.23456781e-40"))
+    re, im, rad = cli._ball_to_strings(ball, 128)
+    assert rad == "1.2345678e-40"
+    back = cli._ball_from_strings(re, im, rad, 128)
+    with mpmath.workprec(600):
+        assert abs(ball.mid + ball.rad - back.mid) <= back.rad
+
+
+@given(st.integers(53, 2048), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ball_read_back_contains_the_ball_written(precision, data):
+    """For random balls at precisions 53..2048, every point of the ball
+    written lies in the ball read back, checked at a higher precision."""
+    def number(bits, low, high):
+        man = data.draw(st.integers(-(2**bits) + 1, 2**bits - 1))
+        return mpmath.ldexp(man, data.draw(st.integers(low, high)))
+
+    with mpmath.workprec(precision):
+        ball = ComplexBall(
+            mpmath.mpc(number(precision, -precision - 300, 300), number(precision, -precision - 300, 300)),
+            abs(number(precision, -2 * precision - 300, 0)),
+        )
+    back = cli._ball_from_strings(*cli._ball_to_strings(ball, precision), precision)
+    with mpmath.workprec(4 * precision + 200):
+        assert abs(ball.mid - back.mid) + ball.rad <= back.rad
 
 
 class TestVerifyCommand:

@@ -23,10 +23,12 @@ from permsplit import (
 )
 from permsplit import splitter, verify
 from permsplit.cli import render_decomposition_text
-from permsplit.exactfield import ComplexBall
+from permsplit.errors import SliceExhausted
+from permsplit.exactfield import ComplexBall, as_ball
 from permsplit.polynomial import groebner_basis
 from permsplit.splitter import (
     Projector,
+    SplitEvent,
     _SplitState,
     algebra_product,
     build_orthogonality_system_right,
@@ -224,6 +226,47 @@ class TestProcessSingleSolution:
         r = basis[0].ring
         x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
         assert basis == [x1 - Fraction(2, 3), x2 + Fraction(1, 3)]
+
+
+class TestDimensionLoopExits:
+    """The exits of ``_run_dimension`` that no corpus input reaches."""
+
+    def _state(self, gens):
+        basis, consts = constants_for(gens)
+        return _SplitState(basis, consts, SplitConfig())
+
+    @staticmethod
+    def _exhausted(*args, **kwargs):
+        raise SliceExhausted("no particular solution within 8 slice attempts")
+
+    def test_every_point_filtered(self, monkeypatch):
+        """A zero-dimensional system whose every point the numeric filter
+        rejects ends d with a "filtered" event and no projector."""
+        state = self._state(symmetric(3))
+        monkeypatch.setattr(_SplitState, "accept_candidate", lambda self, point: False)
+        splitter._run_dimension(state, 1)
+        assert state.events == [SplitEvent(1, "filtered", 0, 0)]
+        assert state.projectors == [] and state.notes == []
+
+    def test_slices_exhausted_against_numeric_projectors(self, monkeypatch):
+        """With a numeric projector accepted, running out of slice attempts
+        ends the block at d with a note and moves on to d + 1."""
+        state = self._state(regular_action(symmetric(3)))
+        trivial = tuple(as_ball(fe(Fraction(1, 6)), 128) for _ in range(6))
+        process_single_solution(state, Projector(trivial, 1, "uniqueSolution"))
+        monkeypatch.setattr(splitter, "particular_solution_on_slice", self._exhausted)
+        splitter._run_dimension(state, 2)
+        assert state.events == [SplitEvent(2, "filtered", 2, 0)]
+        assert state.notes == ["d=2: slice attempts exhausted against numeric projectors"]
+        assert len(state.projectors) == 1
+
+    def test_slices_exhausted_without_numeric_projectors(self, monkeypatch):
+        """With no numeric projector to blame, SliceExhausted propagates."""
+        state = self._state(regular_action(symmetric(3)))
+        monkeypatch.setattr(splitter, "particular_solution_on_slice", self._exhausted)
+        with pytest.raises(SliceExhausted):
+            splitter._run_dimension(state, 2)
+        assert state.events == [] and state.notes == []
 
 
 class TestAlgebraProduct:

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import functools
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permsplit import (
     ComplexBall,
@@ -19,12 +21,14 @@ from permsplit import (
     verify_matrix_level,
     compare_to_reference,
 )
+from permsplit.exactfield import as_ball
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
 from permsplit.verify import (
     _coefficient_sum,
     _vanishes,
     algebra_product,
     orbital_label_matrix,
+    primitivity_traces,
     tensor_from_label_matrix,
 )
 
@@ -33,13 +37,16 @@ from conftest import (
     affine,
     corpus_split,
     cyclic,
+    frobenius20,
     groebner_split,
     pair_action,
     petersen,
     primitive_root,
+    q8_regular,
     regular_action,
     symmetric,
 )
+from oracles import algebra_product_by_definition
 
 FE = FieldElement
 
@@ -509,3 +516,87 @@ class TestCompare:
         _, _, a = split_with_constants(symmetric(3))
         _, _, b = split_with_constants(cyclic(4))
         assert not compare_to_reference(a, b).passed
+
+
+# -- the contraction kernel against its definitions ---------------------------------
+
+KERNEL_ACTIONS = {
+    "petersen": petersen,  # commutative, rank 3
+    "Q8_regular": q8_regular,  # noncommutative, rank 8
+    "F20_regular": lambda: regular_action(frobenius20()),  # noncommutative, rank 20
+}
+
+
+@functools.cache
+def _kernel_constants(name):
+    gens = KERNEL_ACTIONS[name]()
+    return compute_structure_constants(gens, compute_orbitals(gens))
+
+
+@functools.cache
+def _primitivity_form(name):
+    """T[p][s] = sum_qr C_pq^r C_rs^q, entry by entry."""
+    consts = _kernel_constants(name)
+    idx = range(1, consts.rank + 1)
+    return [
+        [sum(consts.c(p, q, r) * consts.c(r, s, q) for q in idx for r in idx) for s in idx]
+        for p in idx
+    ]
+
+
+_TOWER_RADICANDS = (1, -1, 2, -2)  # Q(i, sqrt 2)
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def tower_vectors(draw, rank):
+    """Vectors over Q(i, sqrt 2) with exact zeros among their entries."""
+    out = []
+    for _ in range(rank):
+        if draw(st.booleans()):
+            out.append(FE.zero())
+        else:
+            coeffs = draw(st.lists(_small_fractions, min_size=4, max_size=4))
+            out.append(FE(dict(zip(_TOWER_RADICANDS, coeffs))))
+    return out
+
+
+def _encloses(ball, exact):
+    """Whether ``ball`` contains the exact tower element ``exact``, decided
+    at 600 bits."""
+    with mpmath.workprec(600):
+        want = as_ball(exact, 500)
+        return abs(ball.mid - want.mid) + want.rad <= ball.rad
+
+
+@given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.sampled_from([53, 128, 300]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_match_the_triple_loop(name, precision, data):
+    """Exact vectors give exactly the product of the triple loop; the same
+    vectors lifted to balls give an enclosure of it."""
+    consts = _kernel_constants(name)
+    a = data.draw(tower_vectors(consts.rank))
+    b = data.draw(tower_vectors(consts.rank))
+    want = algebra_product_by_definition(consts, a, b)
+    assert algebra_product(consts, a, b) == want
+    balls = [as_ball(x, precision) for x in a], [as_ball(x, precision) for x in b]
+    got = algebra_product(consts, *balls, precision)
+    assert all(_encloses(g, w) for g, w in zip(got, want))
+
+
+@given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_primitivity_traces_match_their_form(name, data):
+    """tr(x -> e x e) = sum_ps e_p e_s sum_qr C_pq^r C_rs^q, exactly, and
+    within the enclosure of the lifted vector."""
+    consts = _kernel_constants(name)
+    form = _primitivity_form(name)
+    e = data.draw(tower_vectors(consts.rank))
+    want = FE.zero()
+    for p in range(consts.rank):
+        for s in range(consts.rank):
+            if form[p][s]:
+                want = want + e[p] * e[s] * form[p][s]
+    assert primitivity_traces(consts, [e]) == [want]
+    (got,) = primitivity_traces(consts, [[as_ball(x, 128) for x in e]], 128)
+    assert _encloses(got, want)
