@@ -36,7 +36,7 @@ from .exactfield import (
     parse_field_element,
     render_field_element,
 )
-from .perms import parse_generators
+from .perms import parse_generators, read_input
 from .solver import DEFAULT_PRECISION, MAX_PRECISION
 from .splitter import (
     PROVENANCES,
@@ -189,13 +189,14 @@ def _ball_from_strings(re, im, rad, precision):
     read into binary, so the radius grows by the last printed digit of the
     radius and of each midpoint component, and by the midpoint's binary
     rounding; the sum is exact and rounded up once."""
+    if Fraction(rad) < 0:
+        raise ValueError(f"negative radius {rad}")
     digits = _midpoint_digits(precision)
     with mpmath.workprec(precision + 24):
         mid = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
         bound = Fraction(rad) + _last_digit(rad, RADIUS_DIGITS)
         for text, part in ((re, mid.real), (im, mid.imag)):
-            man, exp = part.man_exp
-            read = Fraction(man) * Fraction(2) ** exp
+            read = Fraction(*libmp.to_rational(part._mpf_))
             bound += _last_digit(text, digits) + abs(read - Fraction(text))
         up = libmp.from_rational(bound.numerator, bound.denominator, precision + 24, "u")
         return ComplexBall(mid, mpmath.mp.make_mpf(up))
@@ -456,11 +457,7 @@ def decomposition_from_json(obj):
 
 
 def load_decomposition(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not UTF-8 text: {e}") from e
+    text = read_input(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -603,7 +600,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as e:
+    except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
     except IntransitiveAction as e:

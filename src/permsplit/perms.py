@@ -18,6 +18,7 @@ __all__ = [
     "Permutation",
     "GeneratorSet",
     "SchreierTree",
+    "read_input",
     "parse_generators",
     "parse_generator_text",
     "orbit_with_tree",
@@ -296,14 +297,19 @@ def _parse_gen_spec(spec, degree, lineno):
         raise ParseError(str(e), lineno) from None
 
 
+def read_input(path):
+    """The UTF-8 text of the input file at ``path``.  A file that cannot be
+    read as such (missing, a directory, not UTF-8) is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(str(e)) from e
+
+
 def parse_generators(path):
     """Parse the generator file at ``path``; ``parse_generator_text`` reads text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not UTF-8 text: {e}") from e
-    return parse_generator_text(text)
+    return parse_generator_text(read_input(path))
 
 
 # -- orbits and Schreier trees ------------------------------------------------

@@ -253,6 +253,19 @@ class TestSplitCommand:
         assert captured.err.startswith("parse error: ")
         assert "Traceback" not in captured.err
 
+    def test_broken_pipe_is_not_a_parse_error(self, tmp_path, monkeypatch):
+        """Only reading the input files is a parse error; a reader that
+        closes stdout early is not."""
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "render_decomposition_text", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["split", str(path)])
+
     def test_generator_file_named_like_a_keyword(self, tmp_path, monkeypatch, capsys):
         """The file argument is always a path, even one that starts with
         "degree"."""
@@ -374,9 +387,46 @@ def test_ball_read_back_contains_the_ball_written(precision, data):
     back = cli._ball_from_strings(*cli._ball_to_strings(ball, precision), precision)
     with mpmath.workprec(4 * precision + 200):
         assert abs(ball.mid - back.mid) + ball.rad <= back.rad
+        assert back.rad <= _read_back_radius_bound(ball, precision)
+
+
+def _read_back_radius_bound(ball, precision):
+    """The radius written plus the rounding terms of the reader: the radius
+    printed to 8 digits and its last digit, and per midpoint component its
+    last printed digit and its binary rounding, with room for the final
+    rounding up."""
+    step = mpmath.mpf(10) ** (1 - cli._midpoint_digits(precision)) + mpmath.ldexp(1, -precision - 20)
+    return ball.rad * (1 + mpmath.mpf("2e-7")) + 2 * step * (abs(ball.mid.real) + abs(ball.mid.imag))
+
+
+@pytest.mark.parametrize("mid", [-mpmath.mpf(1) / 3, mpmath.mpc(-1, -2) / 7, mpmath.mpc(0, -5) / 3])
+def test_ball_read_back_with_a_negative_midpoint_keeps_its_radius(mid):
+    """A negative midpoint component is read with its sign, so the radius
+    grows only by the rounding terms, not by twice the component."""
+    with mpmath.workprec(152):
+        ball = ComplexBall(mpmath.mpc(mid), mpmath.mpf("1.23456781e-40"))
+    back = cli._ball_from_strings(*cli._ball_to_strings(ball, 128), 128)
+    with mpmath.workprec(600):
+        assert abs(ball.mid - back.mid) + ball.rad <= back.rad
+        assert back.rad <= _read_back_radius_bound(ball, 128)
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_numeric_report_roundtrip_exit_0(self, tmp_path, fmt):
+        """C5's natural report has numeric coefficients with negative
+        midpoint components; read back, it verifies."""
+        path = tmp_path / "c5.gens"
+        path.write_text(C5_TEXT)
+        code, out, _ = run_cli(["split", str(path)] + (["--json"] if fmt == "json" else []))
+        assert code == 0
+        assert (" numeric " if fmt == "text" else '"numeric"') in out
+        deco_path = tmp_path / "c5.deco"
+        deco_path.write_text(out)
+        code, out, _ = run_cli(["verify", str(path), str(deco_path)])
+        assert code == 0
+        assert "verification: OK" in out
+
     def test_self_roundtrip_exit_0(self, tmp_path):
         path = petersen_file(tmp_path)
         code, out, _ = run_cli(["split", str(path)])
@@ -876,6 +926,26 @@ class TestMalformedDecompositionFile:
         assert elapsed < 1.0
         assert code == 1
         assert err.startswith(f"parse error: line {numeric[0] + 1}: ")
+
+    def test_negative_radius(self, tmp_path, capsys):
+        lines = render_decomposition_text(corpus_split("C5_natural")).splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("coeff ")
+                      and " numeric " in line)
+        fields = lines[lineno - 1].split()
+        fields[-2] = "-" + fields[-2]
+        lines[lineno - 1] = " ".join(fields)
+        code, err, _ = self.verify_c5_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err.startswith(f"parse error: line {lineno}: ")
+
+    def test_json_negative_radius(self, tmp_path, capsys):
+        obj = decomposition_to_json(corpus_split("C5_natural"))
+        numeric = next(c["numeric"] for p in obj["projectors"]
+                       for c in p["coefficients"] if "numeric" in c)
+        numeric["rad"] = "-" + numeric["rad"]
+        code, err, _ = self.verify_c5_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err.startswith("parse error: ")
 
     @pytest.mark.parametrize("precision", [True, 10**7, 1, "128", 128.0])
     def test_json_numeric_precision_outside_the_range(self, tmp_path, capsys, precision):
