@@ -390,29 +390,54 @@ def _centre_basis(consts):
     c = consts.table[1:, 1:, 1:]
     # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
-    pivots = {}  # pivot column -> row, 1 there and 0 in every other pivot column
-    for row in dict.fromkeys(tuple(int(v) for v in row) for row in matrix if row.any()):
-        v = [Fraction(x) for x in row]
-        for col, prow in pivots.items():
-            if v[col]:
-                v = [a - v[col] * b for a, b in zip(v, prow)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
-            continue
-        v = [a / v[lead] for a in v]
-        for col, prow in pivots.items():
-            if prow[lead]:
-                pivots[col] = [a - prow[lead] * b for a, b in zip(prow, v)]
-        pivots[lead] = v
-        if len(pivots) == rank - 1:
-            break  # the identity is central, so no more pivots can come
+    # the identity is central, so at most rank - 1 pivots
+    pivots = _integer_row_reduce(matrix, rank - 1)
     basis = []
     for free in (j for j in range(rank) if j not in pivots):
-        z = [Fraction(j == free) for j in range(rank)]
-        for col, prow in pivots.items():
-            z[col] = -prow[free]
-        basis.append([FieldElement.from_rational(x) for x in z])
+        z = _basis_vector(rank, free)
+        for col, row in pivots.items():
+            z[col] = FieldElement.from_rational(Fraction(-int(row[free]), int(row[col])))
+        basis.append(z)
     return basis
+
+
+def _integer_row_reduce(matrix, most):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, stopped at
+    ``most`` pivots: {pivot column: integer row} with each row 0 in every
+    other pivot column, so the rows divided by their pivot entries are the
+    reduced row echelon form.
+
+    A step eliminates the pivot column from every other row that has it,
+    row -> pivot * row - row[col] * pivot row, and divides each changed row
+    by the gcd of its entries; the rows are int64 while a bound shows the
+    step cannot overflow, and Python ints from then on.
+    """
+    rows = np.array(list(dict.fromkeys(map(tuple, matrix[matrix.any(axis=1)].tolist()))))
+    cols = []  # the pivot column of rows[i], for i < len(cols)
+    while len(cols) < min(len(rows), most):
+        n = len(cols)
+        pivot_row = rows[n]
+        col = int(np.flatnonzero(pivot_row)[0])
+        hit = np.flatnonzero(rows[:, col])
+        hit = hit[hit != n]
+        if len(hit):
+            sub = rows[hit]
+            factor = sub[:, col]
+            if rows.dtype != object and (
+                int(np.abs(sub).max()) * abs(int(pivot_row[col]))
+                + int(np.abs(factor).max()) * int(np.abs(pivot_row).max())
+                >= 1 << 63
+            ):
+                rows, sub, factor, pivot_row = (
+                    x.astype(object) for x in (rows, sub, factor, pivot_row)
+                )
+            sub = sub * pivot_row[col] - np.outer(factor, pivot_row)
+            gcd = np.gcd.reduce(sub, axis=1)
+            gcd[gcd == 0] = 1
+            rows[hit] = sub // gcd[:, None]
+            rows = rows[(rows != 0).any(axis=1)]
+        cols.append(col)
+    return {col: rows[i] for i, col in enumerate(cols)}
 
 
 def _refine(consts, parts, elements, target):
@@ -422,21 +447,29 @@ def _refine(consts, parts, elements, target):
     Each element maps an idempotent e to an element y of eAe, and e splits
     by y (``_split_idempotent``).  The elements are tried in order, in
     passes.  When ``target`` parts are reached, each is primitive.  When a
-    pass splits nothing, the parts that every element maps to a multiple of
-    themselves are returned: those, and only those, are primitive.
+    pass splits nothing, the parts that every element mapped to a multiple
+    of themselves in that pass are returned: those, and only those, are
+    primitive.
     """
     while len(parts) < target:
         before = len(parts)
+        # per part: every element of this pass so far mapped it to a multiple of itself
+        fixed = [True] * len(parts)
         for element in elements:
-            parts = [
-                piece
-                for e in parts
-                for piece in _split_idempotent(consts, e, element(e)) or [e]
-            ]
+            split_parts, split_fixed = [], []
+            for e, still in zip(parts, fixed):
+                y = element(e)
+                pieces = _split_idempotent(consts, e, y) or [e]
+                split_parts += pieces
+                if len(pieces) == 1:
+                    split_fixed.append(still and _is_multiple(y, e))
+                else:
+                    split_fixed += [False] * len(pieces)
+            parts, fixed = split_parts, split_fixed
             if len(parts) == target:
                 return parts
         if len(parts) == before:
-            return [e for e in parts if all(_is_multiple(f(e), e) for f in elements)]
+            return [e for e, still in zip(parts, fixed) if still]
     return parts
 
 

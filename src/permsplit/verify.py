@@ -3,15 +3,19 @@ in the centralizer algebra that it rests on.
 
 Every product of coefficient vectors in the ordered orbital basis is one
 contraction, ``_contract``: out[k] = sum_pq a_p b_q T[p, q, k] for an
-integer tensor T, visiting only the nonzero entries of T on the exact
-supports of a and b.  ``algebra_product`` contracts with the structure
-constants (in the matrix route, with the tensor read off the label matrix),
-and ``primitivity_traces`` with the form T[p, s] = sum_qr C_pq^r C_rs^q.
-``_contract`` owns every kind of entry: exact FieldElements over the tower;
-Polys, whose products are the splitter's systems; and ComplexBalls, for
-which every entry is lifted to a ball (``_lifted``) as soon as one is a
-ball, so a numeric coordinate yields a certified enclosure.  The zero test
-``_vanishes`` decides FieldElements exactly and balls by enclosure.
+integer tensor T, on the exact supports of a and b.  ``algebra_product``
+contracts with the structure constants (in the matrix route, with the
+tensor read off the label matrix), and ``primitivity_traces`` with the
+form T[p, s] = sum_qr C_pq^r C_rs^q.  ``_contract`` owns every kind of
+entry.  Vectors of exact FieldElements over the tower are written as one
+common denominator and an integer array (support x radicands used), and
+contracted with T on integer arrays: int64 where a bound shows nothing can
+overflow, Python ints otherwise (``_contract_exact``).  Polys, whose
+products are the splitter's systems, and ComplexBalls go through a loop
+over the nonzero entries of T; there every entry is lifted to a ball
+(``_lifted``) as soon as one is a ball, so a numeric coordinate yields a
+certified enclosure.  The zero test ``_vanishes`` decides FieldElements
+exactly and balls by enclosure.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
@@ -31,6 +35,7 @@ from its coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -40,7 +45,7 @@ import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
-from .exactfield import ComplexBall, FieldElement, as_ball, render_field_element
+from .exactfield import ComplexBall, FieldElement, _rad_mul, as_ball, render_field_element
 from .perms import GeneratorSet, orbit_with_tree
 from .solver import DEFAULT_PRECISION
 
@@ -81,15 +86,19 @@ def _support(vec):
 
 
 def _contract(tensor, a, b, precision):
-    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T: the one loop
-    over structure-constant entries.
+    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T: the one
+    product of coefficient vectors.
 
-    Exact when every entry is exact (FieldElements, or the polynomials of
-    the splitter's systems); when one is a ComplexBall every entry is lifted
-    to a ball and the result is an enclosure.  Only the exact supports of a
-    and b are visited, and b_q T[p, q, k] is summed over q before it meets
+    When every entry of a and b is a FieldElement the product is taken on
+    integer arrays (``_contract_exact``) and no entry is multiplied on its
+    own.  Otherwise (the polynomials of the splitter's systems, or a
+    ComplexBall, which lifts every entry to a ball so the result is an
+    enclosure) it is a loop over the nonzero T[p, q, k] on the exact
+    supports of a and b, which sums b_q T[p, q, k] over q before it meets
     a_p, so each a_p is multiplied once per k it reaches.
     """
+    if all(isinstance(x, FieldElement) for x in (*a, *b)):
+        return _contract_exact(tensor, a, b)
     out = [FieldElement.zero()] * tensor.shape[2]
     with mpmath.workprec(precision + 40):
         lifted = _lifted((*a, *b), precision)
@@ -106,6 +115,92 @@ def _contract(tensor, a, b, precision):
             for k, s in inner.items():
                 out[k] = out[k] + la[p] * s
     return out
+
+
+def _encode(vec):
+    """A vector of FieldElements as integers over one common denominator:
+    (support, radicands, denominator, rows), with one row per entry of the
+    exact support and one column per radicand that the vector uses."""
+    support = [i for i, x in enumerate(vec) if x.terms]
+    rads = sorted({r for i in support for r in vec[i].terms})
+    column = {r: j for j, r in enumerate(rads)}
+    den = math.lcm(*(c.denominator for i in support for c in vec[i].terms.values()))
+    rows = []
+    for i in support:
+        row = [0] * len(rads)
+        for r, c in vec[i].terms.items():
+            row[column[r]] = c.numerator * (den // c.denominator)
+        rows.append(row)
+    return support, rads, den, rows
+
+
+def _contract_exact(tensor, a, b):
+    """``_contract`` for vectors of FieldElements, on integer arrays.
+
+    With a = A / D_a and b = B / D_b (``_encode``: rows over the exact
+    support, columns over the radicands used), two ``np.tensordot``s give
+    S[u, k, v] = sum_pq A[p, u] T[p, q, k] B[q, v] on T restricted to the
+    supports.  Each radicand pair folds through sqrt(x) sqrt(y) =
+    g sqrt(m) (``exactfield._rad_mul``) into out[k] = sum g S[u, k, v]
+    sqrt(m) / (D_a D_b).  The arithmetic is int64 when
+    max|A| max|B| max_k sum_pq |T[p, q, k]| times the largest sum of |g|
+    over one m is below 2^63, so that nothing can overflow; otherwise A and
+    B are split into int64 limbs (``_limbs``) and S is put together from
+    their products as Python ints, in arrays of support x radicands and
+    radicands x K x radicands only.
+    """
+    k_len = tensor.shape[2]
+    support_a, rads_a, den_a, rows_a = _encode(a)
+    support_b, rads_b, den_b, rows_b = _encode(b)
+    if not support_a or not support_b:
+        return [FieldElement.zero()] * k_len
+    t = tensor[np.ix_(support_a, support_b)]
+    t_sum = int(np.abs(t).sum(axis=(0, 1)).max())
+    folds = {}  # radicand m -> [(u, v, g)] with sqrt(rads_a[u]) sqrt(rads_b[v]) = g sqrt(m)
+    for u, x in enumerate(rads_a):
+        for v, y in enumerate(rads_b):
+            g, m = _rad_mul(x, y)
+            folds.setdefault(m, []).append((u, v, g))
+    fold = max(sum(abs(g) for _, _, g in pairs) for pairs in folds.values())
+    big_a = max(abs(x) for row in rows_a for x in row)
+    big_b = max(abs(x) for row in rows_b for x in row)
+    if big_a * big_b * max(t_sum, 1) * fold < 1 << 63:
+        s = _tensordots(np.array(rows_a, dtype=np.int64), t, np.array(rows_b, dtype=np.int64))
+    else:
+        # a product of two limbs contracted with t stays below 2^62
+        bits = (62 - t_sum.bit_length()) // 2
+        s = np.zeros((len(rads_a), k_len, len(rads_b)), dtype=object)
+        for i, limb_a in enumerate(_limbs(rows_a, bits)):
+            for j, limb_b in enumerate(_limbs(rows_b, bits)):
+                s += _tensordots(limb_a, t, limb_b).astype(object) << (i + j) * bits
+    den = den_a * den_b
+    columns = {m: sum(g * s[u, :, v] for u, v, g in pairs).tolist() for m, pairs in folds.items()}
+    return [
+        FieldElement(
+            {m: Fraction(col[k], den) for m, col in columns.items() if col[k]}, _canonical=True
+        )
+        for k in range(k_len)
+    ]
+
+
+def _tensordots(rows_a, t, rows_b):
+    """S[u, k, v] = sum_pq A[p, u] T[p, q, k] B[q, v]."""
+    return np.tensordot(np.tensordot(rows_a, t, axes=(0, 0)), rows_b, axes=(1, 0))
+
+
+def _limbs(rows, bits):
+    """int64 arrays L_0, L_1, ... with rows = sum_i L_i 2^(i bits) and every
+    |entry| below 2^bits: the limbs of each |x| in base 2^bits, signed as x."""
+    mask = (1 << bits) - 1
+    top = max(abs(x) for row in rows for x in row).bit_length()
+    return [
+        np.array(
+            [[(x >> shift) & mask if x >= 0 else -((-x >> shift) & mask) for x in row]
+             for row in rows],
+            dtype=np.int64,
+        )
+        for shift in range(0, top, bits)
+    ]
 
 
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):

@@ -354,3 +354,47 @@ def algebra_product_by_definition(consts, a, b, precision=None):
                     if c:
                         out[r] = out[r] + ab * c
         return out
+
+
+def row_reduce_by_definition(matrix, most=None):
+    """Gauss-Jordan elimination of an integer matrix over the rationals, one
+    row at a time and stopped at ``most`` pivots: {pivot column: row of
+    Fractions}, 1 at its pivot and 0 in every other pivot column."""
+    pivots = {}
+    for row in dict.fromkeys(tuple(int(v) for v in row) for row in matrix if any(row)):
+        v = [Fraction(x) for x in row]
+        for col, prow in pivots.items():
+            if v[col]:
+                v = [a - v[col] * b for a, b in zip(v, prow)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            continue
+        v = [a / v[lead] for a in v]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = [a - prow[lead] * b for a, b in zip(prow, v)]
+        pivots[lead] = v
+        if len(pivots) == most:
+            break
+    return pivots
+
+
+def centre_basis_by_definition(consts):
+    """The reduced basis of the centre, as ``splitter._centre_basis`` returns
+    it: the rational null space of x -> (x A_r - A_r x)_r, with one vector
+    per free column of the reduced row echelon form, by Fraction Gauss-Jordan
+    elimination of the commutator matrix (the elimination the library's
+    fraction-free one replaced)."""
+    from permsplit.exactfield import FieldElement
+
+    rank = consts.rank
+    c = consts.table[1:, 1:, 1:]
+    matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
+    pivots = row_reduce_by_definition(matrix, rank - 1)
+    basis = []
+    for free in (j for j in range(rank) if j not in pivots):
+        z = [Fraction(j == free) for j in range(rank)]
+        for col, prow in pivots.items():
+            z[col] = -prow[free]
+        basis.append([FieldElement.from_rational(x) for x in z])
+    return basis

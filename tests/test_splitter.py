@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from collections import Counter
@@ -38,6 +39,7 @@ from permsplit.splitter import (
 from conftest import (
     CORPUS,
     GROEBNER_ONLY,
+    alternating,
     corpus_split,
     cyclic,
     duplicate_first_projector,
@@ -50,10 +52,12 @@ from conftest import (
     symmetric,
 )
 from oracles import (
+    centre_basis_by_definition,
     dimension_multiset,
     idempotency_system_by_definition,
     orthogonality_forms_by_definition,
     petersen_eigenprojectors,
+    row_reduce_by_definition,
     s3_character_projectors,
 )
 
@@ -67,6 +71,19 @@ def fe(q):
 def constants_for(gens):
     basis = compute_orbitals(gens)
     return basis, compute_structure_constants(gens, basis)
+
+
+# right-regular actions beyond the corpus, with their numbers of conjugacy classes
+REGULAR = {
+    "S4": (lambda: symmetric(4), 5),
+    "F20": (frobenius20, 5),
+    "A5": (lambda: alternating(5), 5),
+}
+
+
+@functools.cache
+def regular_constants(name):
+    return constants_for(regular_action(REGULAR[name][0]()))
 
 
 class TestIdempotencySystem:
@@ -462,6 +479,68 @@ class TestLinearRoute:
         assert verify.verify_family_algebraic(consts, deco).passed
         fours = [p for p in deco.projectors if p.dimension == 4]
         assert {(p.provenance, p.block) for p in fours} == {("blockRefinement", 4)}
+
+    def test_a5_regular(self):
+        """Regular A5 (rank 60) holds its irreducibles of dimensions 1, 3, 3,
+        4 and 5 as often as their dimensions.  Its block idempotents need
+        sqrt(5) and sqrt(13), so their products meet sqrt(65) =
+        sqrt(5) sqrt(13); every coefficient stays exact."""
+        basis, consts = regular_constants("A5")
+        deco = splitter.split_from_constants(basis, consts)
+        assert deco.dimension_multiset == [1] + [3] * 6 + [4] * 4 + [5] * 5
+        assert deco.exact_only()
+        assert verify.verify_family_algebraic(consts, deco).passed
+        radicands = {r for p in deco.projectors for c in p.coefficients for r in c.terms}
+        assert radicands == {1, 5, 13}
+
+    @pytest.mark.parametrize("name", sorted(REGULAR))
+    def test_regular_centre_is_the_class_sums(self, name):
+        """The centre of a group algebra is spanned by its class sums, so its
+        dimension is the number of conjugacy classes; the fraction-free
+        elimination returns the reduced basis of the Fraction one."""
+        _, consts = regular_constants(name)
+        centre = splitter._centre_basis(consts)
+        assert len(centre) == REGULAR[name][1]
+        assert centre == centre_basis_by_definition(consts)
+
+    def test_centre_matches_fraction_elimination(self, corpus_member):
+        _, consts = constants_for(corpus_member[1])
+        assert splitter._centre_basis(consts) == centre_basis_by_definition(consts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_reduction_past_int64(self, seed):
+        """Entries near 2^40 overflow int64 within a step or two, so the
+        elimination goes on in Python ints; rows scaled to their pivots are
+        the Fraction elimination's reduced rows."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(-(1 << 40), 1 << 40, size=(9, 7))
+        matrix[3] = 2 * matrix[1] - 5 * matrix[0]  # a dependent row
+        matrix[:, 4] = matrix[:, 2] - matrix[:, 6]  # a dependent column
+        most = 6 + seed % 2  # the rank is at most 6; fewer pivots would depend on the row order
+        want = row_reduce_by_definition(matrix, most)
+        got = splitter._integer_row_reduce(matrix, most)
+        assert sorted(got) == sorted(want)
+        for col, row in got.items():
+            assert [Fraction(int(x), int(row[col])) for x in row] == want[col]
+
+    # ``algebra_product`` calls of ``_split_linear``: a pass that splits
+    # nothing keeps the products it made to find the primitive parts
+    # (50, 96, 163 and 33 when the parts were multiplied again)
+    LINEAR_PRODUCTS = {"C5_natural": 43, "C7_natural": 87, "C9_natural": 132, "D7_natural": 27}
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PRODUCTS))
+    def test_final_pass_multiplies_each_part_once(self, name, monkeypatch):
+        basis, consts = constants_for(dict(CORPUS)[name])
+        calls = []
+        real = splitter.algebra_product
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitter, "algebra_product", counted)
+        splitter._split_linear(basis, consts, SplitConfig())
+        assert len(calls) == self.LINEAR_PRODUCTS[name]
 
     def test_tower_centres_split_without_groebner(self, corpus_member, monkeypatch):
         name, gens = corpus_member

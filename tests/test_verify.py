@@ -544,20 +544,34 @@ def _primitivity_form(name):
     ]
 
 
-_TOWER_RADICANDS = (1, -1, 2, -2)  # Q(i, sqrt 2)
+# Q(i, sqrt 2), and radicands whose products carry a gcd and a sign:
+# sqrt(5) sqrt(65) = 5 sqrt(13), sqrt(-3) sqrt(-15) = -3 sqrt(5)
+_TOWERS = ((1, -1, 2, -2), (1, 5, 13, 65, -3, -15))
 _small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# integers around 2^31: a product of two of them, contracted with the
+# tensor, falls on either side of 2^63
+_int64_edge = st.integers(-(1 << 32), 1 << 32).map(Fraction)
+_huge = st.integers(1 << 63, 1 << 80)
+# numerators and denominators past 2^63: only Python ints hold them
+_past_int64 = st.builds(
+    lambda n, d, sign: Fraction(sign * n, d), _huge, _huge, st.sampled_from([1, -1])
+)
+_COEFFICIENTS = (_small_fractions, _int64_edge, _past_int64)
 
 
 @st.composite
 def tower_vectors(draw, rank):
-    """Vectors over Q(i, sqrt 2) with exact zeros among their entries."""
+    """Vectors over one tower of ``_TOWERS``, with exact zeros among their
+    entries, and coefficients of one size class of ``_COEFFICIENTS``."""
+    rads = draw(st.sampled_from(_TOWERS))
+    coefficients = draw(st.sampled_from(_COEFFICIENTS))
     out = []
     for _ in range(rank):
         if draw(st.booleans()):
             out.append(FE.zero())
         else:
-            coeffs = draw(st.lists(_small_fractions, min_size=4, max_size=4))
-            out.append(FE(dict(zip(_TOWER_RADICANDS, coeffs))))
+            coeffs = draw(st.lists(coefficients, min_size=len(rads), max_size=len(rads)))
+            out.append(FE(dict(zip(rads, coeffs))))
     return out
 
 
@@ -572,8 +586,9 @@ def _encloses(ball, exact):
 @given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.sampled_from([53, 128, 300]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_products_match_the_triple_loop(name, precision, data):
-    """Exact vectors give exactly the product of the triple loop; the same
-    vectors lifted to balls give an enclosure of it."""
+    """Exact vectors give exactly the product of the triple loop, on int64
+    arrays or on Python ints; the same vectors lifted to balls give an
+    enclosure of it."""
     consts = _kernel_constants(name)
     a = data.draw(tower_vectors(consts.rank))
     b = data.draw(tower_vectors(consts.rank))
@@ -582,6 +597,19 @@ def test_products_match_the_triple_loop(name, precision, data):
     balls = [as_ball(x, precision) for x in a], [as_ball(x, precision) for x in b]
     got = algebra_product(consts, *balls, precision)
     assert all(_encloses(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("tower", _TOWERS)
+def test_products_across_the_int64_edge(tower):
+    """Positive entries make the sums coherent, so the true coordinates pass
+    2^63 as the scale grows by quarter bits: each product is exact whether
+    the bound keeps it in int64 or sends it to Python ints."""
+    consts = _kernel_constants("Q8_regular")
+    for quarter_bits in range(100, 136):
+        scale = int(2 ** (quarter_bits / 4))
+        a = [FE({r: scale + 7 * p + i for i, r in enumerate(tower)}) for p in range(consts.rank)]
+        b = [FE({r: scale - 3 * q - i for i, r in enumerate(tower)}) for q in range(consts.rank)]
+        assert algebra_product(consts, a, b) == algebra_product_by_definition(consts, a, b)
 
 
 @given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.data())
@@ -600,3 +628,28 @@ def test_primitivity_traces_match_their_form(name, data):
     assert primitivity_traces(consts, [e]) == [want]
     (got,) = primitivity_traces(consts, [[as_ball(x, 128) for x in e]], 128)
     assert _encloses(got, want)
+
+
+@pytest.mark.parametrize("name", ["F20_regular", "Q8_regular"])
+def test_exact_products_multiply_no_entries(name, monkeypatch):
+    """An all-exact product or primitivity trace runs on integer arrays: it
+    makes no FieldElement product, so exact work cannot drift back into the
+    loop over entries."""
+    consts = _kernel_constants(name)
+    deco = split_from_constants(compute_orbitals(KERNEL_ACTIONS[name]()), consts)
+    vectors = [p.coefficients for p in deco.projectors]
+    calls = []
+    real = FE.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(FE, "__mul__", counted)
+    monkeypatch.setattr(FE, "__rmul__", counted)
+    products = [algebra_product(consts, a, b) for a in vectors for b in vectors]
+    traces = primitivity_traces(consts, vectors)
+    assert not calls
+    monkeypatch.undo()
+    assert products[0] == algebra_product_by_definition(consts, vectors[0], vectors[0])
+    assert all(t == FE.one() for t in traces)
