@@ -26,6 +26,7 @@ the sliced solution is taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ __all__ = [
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 2048
 SLICE_ATTEMPTS = 64
+MAX_DIVISORS = 4096  # the rational root search gives up on more divisors
 
 _PIN_VALUES = [
     Fraction(0),
@@ -126,9 +128,9 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _divisors(n, cap=4096):
-    """The positive divisors of n; None for 0, past ``cap`` divisors, or when
-    factorizing n hits its step cap."""
+def _divisors(n):
+    """The positive divisors of n; None for 0, past ``MAX_DIVISORS`` divisors,
+    or when factorizing n hits its step cap."""
     n = abs(n)
     if n == 0:
         return None
@@ -139,7 +141,7 @@ def _divisors(n, cap=4096):
     divs = [1]
     for p, e in factors.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
-        if len(divs) > cap:
+        if len(divs) > MAX_DIVISORS:
             return None
     return divs
 
@@ -152,8 +154,6 @@ def _rational_roots(coeffs):
     coefficient's first radicand (a rational polynomial with nonzero leading
     entry) and each candidate is verified against the full polynomial.
     """
-    import math as _math
-
     roots = []
     work = list(coeffs)
     while len(work) > 1 and work[0].is_zero():
@@ -163,9 +163,7 @@ def _rational_roots(coeffs):
         return roots, work
     key = work[-1].sorted_terms()[0][0]
     comp = [c.terms.get(key, Fraction(0)) for c in work]
-    den_lcm = 1
-    for q in comp:
-        den_lcm = den_lcm * q.denominator // _math.gcd(den_lcm, q.denominator)
+    den_lcm = math.lcm(*(q.denominator for q in comp))
     ints = [int(q * den_lcm) for q in comp]
     low = 0
     while ints[low] == 0:

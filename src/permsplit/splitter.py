@@ -385,8 +385,6 @@ def _centre_basis(consts):
     """A basis of the centre: the rational null space of x -> (x A_r - A_r x)_r,
     read off the reduced row echelon form of that map's integer matrix."""
     rank = consts.rank
-    if consts.is_commutative():
-        return [_basis_vector(rank, r) for r in range(rank)]
     c = consts.table[1:, 1:, 1:]
     # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
@@ -446,31 +444,34 @@ def _refine(consts, parts, elements, target):
 
     Each element maps an idempotent e to an element y of eAe, and e splits
     by y (``_split_idempotent``).  The elements are tried in order, in
-    passes.  When ``target`` parts are reached, each is primitive.  When a
-    pass splits nothing, the parts that every element mapped to a multiple
-    of themselves in that pass are returned: those, and only those, are
-    primitive.
+    passes.  A part that has met every element since it was made without
+    splitting is settled: the same (e, y) pairs would split nothing again,
+    so it is not multiplied again.  When ``target`` parts are reached, each
+    is primitive.  When every part is settled, the parts that every element
+    mapped to a multiple of themselves are returned: those, and only those,
+    are primitive.
     """
+    # per part: (e, elements met since it was made, each of them mapped e to a multiple of e)
+    parts = [(e, 0, True) for e in parts]
     while len(parts) < target:
-        before = len(parts)
-        # per part: every element of this pass so far mapped it to a multiple of itself
-        fixed = [True] * len(parts)
+        if all(met == len(elements) for _, met, _ in parts):
+            return [e for e, _, fixed in parts if fixed]
         for element in elements:
-            split_parts, split_fixed = [], []
-            for e, still in zip(parts, fixed):
+            refined = []
+            for e, met, fixed in parts:
+                if met == len(elements):
+                    refined.append((e, met, fixed))
+                    continue
                 y = element(e)
                 pieces = _split_idempotent(consts, e, y) or [e]
-                split_parts += pieces
                 if len(pieces) == 1:
-                    split_fixed.append(still and _is_multiple(y, e))
+                    refined.append((e, met + 1, fixed and _is_multiple(y, e)))
                 else:
-                    split_fixed += [False] * len(pieces)
-            parts, fixed = split_parts, split_fixed
+                    refined += [(f, 0, True) for f in pieces]
+            parts = refined
             if len(parts) == target:
-                return parts
-        if len(parts) == before:
-            return [e for e, still in zip(parts, fixed) if still]
-    return parts
+                break
+    return [e for e, _, _ in parts]
 
 
 def _is_multiple(y, e):

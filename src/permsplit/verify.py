@@ -10,7 +10,8 @@ form T[p, s] = sum_qr C_pq^r C_rs^q.  ``_contract`` owns every kind of
 entry.  Vectors of exact FieldElements over the tower are written as one
 common denominator and an integer array (support x radicands used), and
 contracted with T on integer arrays: int64 where a bound shows nothing can
-overflow, Python ints otherwise (``_contract_exact``).  Polys, whose
+overflow, Python-int (object) arrays otherwise (``_contract_exact``), the
+same rule as the centre's elimination in the splitter.  Polys, whose
 products are the splitter's systems, and ComplexBalls go through a loop
 over the nonzero entries of T; there every entry is lifted to a ball
 (``_lifted``) as soon as one is a ball, so a numeric coordinate yields a
@@ -144,10 +145,10 @@ def _contract_exact(tensor, a, b):
     g sqrt(m) (``exactfield._rad_mul``) into out[k] = sum g S[u, k, v]
     sqrt(m) / (D_a D_b).  The arithmetic is int64 when
     max|A| max|B| max_k sum_pq |T[p, q, k]| times the largest sum of |g|
-    over one m is below 2^63, so that nothing can overflow; otherwise A and
-    B are split into int64 limbs (``_limbs``) and S is put together from
-    their products as Python ints, in arrays of support x radicands and
-    radicands x K x radicands only.
+    over one m is below 2^63, so that nothing can overflow; otherwise A, B
+    and the restricted T are Python-int (object) arrays, the same rule as
+    the centre's elimination.  The object copy of T holds at most
+    |support a| x |support b| x K references, R^3 for full supports.
     """
     k_len = tensor.shape[2]
     support_a, rads_a, den_a, rows_a = _encode(a)
@@ -164,15 +165,10 @@ def _contract_exact(tensor, a, b):
     fold = max(sum(abs(g) for _, _, g in pairs) for pairs in folds.values())
     big_a = max(abs(x) for row in rows_a for x in row)
     big_b = max(abs(x) for row in rows_b for x in row)
-    if big_a * big_b * max(t_sum, 1) * fold < 1 << 63:
-        s = _tensordots(np.array(rows_a, dtype=np.int64), t, np.array(rows_b, dtype=np.int64))
-    else:
-        # a product of two limbs contracted with t stays below 2^62
-        bits = (62 - t_sum.bit_length()) // 2
-        s = np.zeros((len(rads_a), k_len, len(rads_b)), dtype=object)
-        for i, limb_a in enumerate(_limbs(rows_a, bits)):
-            for j, limb_b in enumerate(_limbs(rows_b, bits)):
-                s += _tensordots(limb_a, t, limb_b).astype(object) << (i + j) * bits
+    dtype = np.int64 if big_a * big_b * max(t_sum, 1) * fold < 1 << 63 else object
+    rows_a, rows_b = np.array(rows_a, dtype), np.array(rows_b, dtype)
+    t = t.astype(dtype, copy=False)
+    s = np.tensordot(np.tensordot(rows_a, t, axes=(0, 0)), rows_b, axes=(1, 0))
     den = den_a * den_b
     columns = {m: sum(g * s[u, :, v] for u, v, g in pairs).tolist() for m, pairs in folds.items()}
     return [
@@ -180,26 +176,6 @@ def _contract_exact(tensor, a, b):
             {m: Fraction(col[k], den) for m, col in columns.items() if col[k]}, _canonical=True
         )
         for k in range(k_len)
-    ]
-
-
-def _tensordots(rows_a, t, rows_b):
-    """S[u, k, v] = sum_pq A[p, u] T[p, q, k] B[q, v]."""
-    return np.tensordot(np.tensordot(rows_a, t, axes=(0, 0)), rows_b, axes=(1, 0))
-
-
-def _limbs(rows, bits):
-    """int64 arrays L_0, L_1, ... with rows = sum_i L_i 2^(i bits) and every
-    |entry| below 2^bits: the limbs of each |x| in base 2^bits, signed as x."""
-    mask = (1 << bits) - 1
-    top = max(abs(x) for row in rows for x in row).bit_length()
-    return [
-        np.array(
-            [[(x >> shift) & mask if x >= 0 else -((-x >> shift) & mask) for x in row]
-             for row in rows],
-            dtype=np.int64,
-        )
-        for shift in range(0, top, bits)
     ]
 
 

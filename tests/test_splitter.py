@@ -523,10 +523,10 @@ class TestLinearRoute:
         for col, row in got.items():
             assert [Fraction(int(x), int(row[col])) for x in row] == want[col]
 
-    # ``algebra_product`` calls of ``_split_linear``: a pass that splits
-    # nothing keeps the products it made to find the primitive parts
-    # (50, 96, 163 and 33 when the parts were multiplied again)
-    LINEAR_PRODUCTS = {"C5_natural": 43, "C7_natural": 87, "C9_natural": 132, "D7_natural": 27}
+    # ``algebra_product`` calls of ``_split_linear``: a part that has met
+    # every element since it was made without splitting is not multiplied
+    # again
+    LINEAR_PRODUCTS = {"C5_natural": 28, "C7_natural": 52, "C9_natural": 109, "D7_natural": 19}
 
     @pytest.mark.parametrize("name", sorted(LINEAR_PRODUCTS))
     def test_final_pass_multiplies_each_part_once(self, name, monkeypatch):

@@ -599,17 +599,41 @@ def test_products_match_the_triple_loop(name, precision, data):
     assert all(_encloses(g, w) for g, w in zip(got, want))
 
 
+def _spy_on_entry_products(monkeypatch):
+    """A list that grows by one for every FieldElement product made."""
+    calls = []
+    real = FE.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(FE, "__mul__", counted)
+    monkeypatch.setattr(FE, "__rmul__", counted)
+    return calls
+
+
 @pytest.mark.parametrize("tower", _TOWERS)
-def test_products_across_the_int64_edge(tower):
+def test_products_across_the_int64_edge(tower, monkeypatch):
     """Positive entries make the sums coherent, so the true coordinates pass
-    2^63 as the scale grows by quarter bits: each product is exact whether
-    the bound keeps it in int64 or sends it to Python ints."""
+    2^63 as the scale grows by quarter bits: each product is exact, and
+    multiplies no entry on its own, whether the bound keeps it in int64 or
+    sends it to Python-int arrays."""
     consts = _kernel_constants("Q8_regular")
+    vectors = []
     for quarter_bits in range(100, 136):
         scale = int(2 ** (quarter_bits / 4))
         a = [FE({r: scale + 7 * p + i for i, r in enumerate(tower)}) for p in range(consts.rank)]
         b = [FE({r: scale - 3 * q - i for i, r in enumerate(tower)}) for q in range(consts.rank)]
-        assert algebra_product(consts, a, b) == algebra_product_by_definition(consts, a, b)
+        vectors.append((a, b))
+    calls = _spy_on_entry_products(monkeypatch)
+    products = [algebra_product(consts, a, b) for a, b in vectors]
+    assert not calls
+    monkeypatch.undo()
+    largest = [max(abs(c) for x in out for c in x.terms.values()) for out in products]
+    assert largest[0] < 1 << 63 <= largest[-1]
+    for (a, b), out in zip(vectors, products):
+        assert out == algebra_product_by_definition(consts, a, b)
 
 
 @given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.data())
@@ -638,15 +662,7 @@ def test_exact_products_multiply_no_entries(name, monkeypatch):
     consts = _kernel_constants(name)
     deco = split_from_constants(compute_orbitals(KERNEL_ACTIONS[name]()), consts)
     vectors = [p.coefficients for p in deco.projectors]
-    calls = []
-    real = FE.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(FE, "__mul__", counted)
-    monkeypatch.setattr(FE, "__rmul__", counted)
+    calls = _spy_on_entry_products(monkeypatch)
     products = [algebra_product(consts, a, b) for a in vectors for b in vectors]
     traces = primitivity_traces(consts, vectors)
     assert not calls
