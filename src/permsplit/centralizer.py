@@ -4,7 +4,8 @@ The basis matrices A_1..A_R are 0/1 matrices supported on the orbitals of the
 group acting diagonally on ordered pairs; they are never materialized here.
 Everything is driven by the suborbit partition of the point-1 stabilizer and
 by transport along the Schreier tree's parent links, so no N x N storage is
-ever allocated.
+ever allocated: the stabilizer scan keeps its transport rows in a store of
+at most ``ROW_STORE_ENTRIES`` entries, and the other stages walk the tree.
 """
 
 from __future__ import annotations
@@ -92,13 +93,73 @@ class StructureConstants:
         return bool(np.array_equal(self.table, self.table.transpose(1, 0, 2)))
 
 
+# Entries (points) the transport rows of the orbital stage may hold at once:
+# 2^20 int16 entries are 2 MB, every row of an action on up to 1024 points.
+ROW_STORE_ENTRIES = 1 << 20
+
+
+class _TransportRows:
+    """The rows t_x, t_x[y] = image of y under the inverse of the tree word
+    base -> x, each made by one gather from its parent's row.
+
+    With undo_x the inverse of the generator on x's tree edge (its image
+    array for an inverse edge), t_x = t_parent(x)[undo_x].  Rows are kept in
+    the smallest integer dtype that holds the degree (int16 up to 2^15
+    points).  The store holds ``ROW_STORE_ENTRIES // N`` rows, the base's
+    included, and never fewer than two: when the next row would not fit, it
+    is cleared back to the base row, and a row that is missing is rebuilt
+    from its nearest stored ancestor.  A row of depth d thus costs at most
+    d − 1 gathers, fewer than ``SchreierTree.transport_to_base0`` makes.
+    """
+
+    def __init__(self, tree: SchreierTree):
+        n = len(tree.parent0)
+        self.tree = tree
+        self.base0 = tree.base - 1
+        self.dtype = np.int16 if n <= 1 << 15 else np.int32
+        self.capacity = max(2, ROW_STORE_ENTRIES // n)
+        self.rows = {self.base0: np.arange(n, dtype=self.dtype)}
+
+    def __call__(self, x0):
+        tree = self.tree
+        path = []
+        while x0 not in self.rows:
+            path.append(x0)
+            x0 = int(tree.parent0[x0])
+        row = self.rows[x0]
+        for y0 in reversed(path):
+            undo = tree.undo0(y0)
+            # the base row is the identity: its child's row is undo itself
+            row = undo.astype(self.dtype) if x0 == self.base0 else row.take(undo)
+            x0 = y0
+            self._keep(y0, row)
+        return row
+
+    def _keep(self, x0, row):
+        if len(self.rows) == self.capacity:
+            self.rows = {self.base0: self.rows[self.base0]}
+        self.rows[x0] = row
+
+
+def _tree_edge_mask(tree: SchreierTree):
+    """mask[p, i] is ``tree.is_edge0(p, i)`` for every point p and generator
+    i, from the tree's arrays in O(N)."""
+    mask = np.zeros((len(tree.parent0), len(tree.gens)), dtype=bool)
+    forward = np.flatnonzero(tree.direction > 0)
+    mask[tree.parent0[forward], tree.gen_index[forward]] = True
+    inverse = np.flatnonzero(tree.direction < 0)
+    mask[inverse, tree.gen_index[inverse]] = True
+    return mask
+
+
 def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     """Partition of points into orbits of the point-base stabilizer.
 
     With t_x the transport x -> base and q = p^s, the Schreier generator
     u_p·s·u_q^{-1} keeps the partition exactly when labels[t_p(y)] equals
-    labels[t_q(y^s)] for every y.  t_p is built once per point, one
-    generator that respects the partition costs one O(N) check, and the
+    labels[t_q(y^s)] for every y.  Each row t_x is one gather from its
+    parent's row (``_TransportRows``, a store of bounded size), so a check
+    costs O(N): one gather for t_q(y^s) and two reads of the labels.  The
     N−1 tree edges, whose generators are the identity, cost nothing.
 
     The scan stops as soon as the partition has two cells: the stabilizer
@@ -108,22 +169,25 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     every Schreier generator.
     """
     n = gens.degree
-    points = np.arange(n, dtype=np.int64)
-    labels = points
+    rows = _TransportRows(tree)
+    edge = _tree_edge_mask(tree)
+    labels = np.arange(n, dtype=np.int64)
     for p0 in range(n):
-        row_p = None
+        here = None
         for gi, s in enumerate(gens.generators):
-            if tree.is_edge0(p0, gi):
+            if edge[p0, gi]:
                 continue
-            if row_p is None:
-                row_p = tree.transport_to_base0(p0, points)
+            if here is None:
+                here = labels.take(rows(p0))
             q0 = int(s.images0[p0])
-            here = labels[row_p]
-            there = labels[tree.transport_to_base0(q0, s.images0)]
-            if not np.array_equal(here, there):
+            # the base row is the identity, so t_base(y^s) is y^s
+            there = labels.take(s.images0 if q0 == rows.base0 else rows(q0).take(s.images0))
+            # byte equality of two int64 arrays of one length
+            if here.tobytes() != there.tobytes():
                 labels = _merge_cells(labels, here, there)
                 if labels.max() == 1:
                     return labels
+                here = labels.take(rows(p0))
     return labels
 
 

@@ -192,13 +192,17 @@ class SchreierTree:
         """
         if self.depth[x0] < 0:
             raise ValueError(f"point {x0 + 1} not in orbit of {self.base}")
-        gens = self.gens.generators
         b0 = self.base - 1
         while x0 != b0:
-            g = gens[self.gen_index[x0]]
-            y0 = (g.inv_images0 if self.direction[x0] > 0 else g.images0)[y0]
+            y0 = self.undo0(x0)[y0]
             x0 = int(self.parent0[x0])
         return y0
+
+    def undo0(self, x0):
+        """The image array of the inverse of the labelled generator on the
+        tree edge into x (0-based, x not the base): it maps x to its parent."""
+        g = self.gens.generators[self.gen_index[x0]]
+        return g.inv_images0 if self.direction[x0] > 0 else g.images0
 
     def is_edge0(self, p0, gen_index):
         """True when p -> p^s (0-based p, s the generator ``gen_index``) is
@@ -348,7 +352,7 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
         gen_index[new] = at % width // 2
         direction[new] = 1 - 2 * (at % 2)
         level = new
-    orbit = {int(i) + 1 for i in np.nonzero(depth >= 0)[0]}
+    orbit = set((np.flatnonzero(depth >= 0) + 1).tolist())
     for a in (parent, gen_index, direction, depth):
         a.setflags(write=False)
     tree = SchreierTree(base, parent, gen_index, direction, depth, gens)

@@ -152,7 +152,9 @@ def _rational_roots(coeffs):
     With irrational coefficients a rational root must kill every radicand
     component, so the search runs on the component of the leading
     coefficient's first radicand (a rational polynomial with nonzero leading
-    entry) and each candidate is verified against the full polynomial.
+    entry).  Each candidate p/q is first screened in integers on that
+    component, cleared of denominators (sum_k ints[k]·p^k·q^(n−k) = 0), and
+    only a survivor is verified against the full polynomial and deflated.
     """
     roots = []
     work = list(coeffs)
@@ -178,11 +180,24 @@ def _rational_roots(coeffs):
             candidates.add(Fraction(p, q))
             candidates.add(Fraction(-p, q))
     for cand in sorted(candidates):
+        if not _kills_component(ints, cand):
+            continue
         fe = FieldElement.from_rational(cand)
         while len(work) > 1 and _poly_eval(work, fe).is_zero():
             roots.append(fe)
             work = _deflate(work, fe)
     return roots, work
+
+
+def _kills_component(ints, x):
+    """True when x = p/q is a root of sum_k ints[k]·t^k, by Horner's rule
+    on sum_k ints[k]·p^k·q^(n−k) in Python integers."""
+    p, q = x.numerator, x.denominator
+    acc, q_power = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc == 0
 
 
 def _quadratic_roots(coeffs):

@@ -64,6 +64,18 @@ def pair_action(gens, m, pair_order=None):
     return GeneratorSet(len(pairs), tuple(out))
 
 
+def set_action(gens, m, k):
+    """Induced action on the k-subsets of {1..m}, in lexicographic order;
+    the Johnson scheme J(m, k) for the symmetric group."""
+    subsets = list(combinations(range(1, m + 1), k))
+    idx = {c: i + 1 for i, c in enumerate(subsets)}
+    out = [
+        perm([idx[tuple(sorted(g.apply(a) for a in c))] for c in subsets])
+        for g in gens.generators
+    ]
+    return GeneratorSet(len(subsets), tuple(out))
+
+
 # Petersen labeling: point 2 is disjoint from point 1 = {1,2}, which puts the
 # valency-3 (disjointness) suborbit ahead of the valency-6 one in the basis
 # ordering and yields suborbit lengths 1, 3, 6.

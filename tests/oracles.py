@@ -398,3 +398,44 @@ def centre_basis_by_definition(consts):
             z[col] = -prow[free]
         basis.append([FieldElement.from_rational(x) for x in z])
     return basis
+
+
+def rational_roots_by_divisor_search(coeffs):
+    """``solver._rational_roots`` as it was before its integer screen: every
+    divisor candidate p/q, in ascending order, is evaluated on the full
+    polynomial (lowest degree first) by Horner's rule over the tower and
+    deflated while it is a root.  Returns (roots, residual)."""
+    import math
+
+    from permsplit.exactfield import FieldElement
+    from permsplit.solver import _deflate, _divisors, _poly_eval
+
+    roots = []
+    work = list(coeffs)
+    while len(work) > 1 and work[0].is_zero():
+        roots.append(FieldElement.zero())
+        work = work[1:]
+    if len(work) <= 1:
+        return roots, work
+    key = work[-1].sorted_terms()[0][0]
+    comp = [c.terms.get(key, Fraction(0)) for c in work]
+    den_lcm = math.lcm(*(q.denominator for q in comp))
+    ints = [int(q * den_lcm) for q in comp]
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    d0 = _divisors(ints[low])
+    dn = _divisors(ints[-1])
+    if d0 is None or dn is None:
+        return roots, work
+    candidates = set()
+    for p in d0:
+        for q in dn:
+            candidates.add(Fraction(p, q))
+            candidates.add(Fraction(-p, q))
+    for cand in sorted(candidates):
+        fe = FieldElement.from_rational(cand)
+        while len(work) > 1 and _poly_eval(work, fe).is_zero():
+            roots.append(fe)
+            work = _deflate(work, fe)
+    return roots, work

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from permsplit import (
     InvariantViolation,
     Permutation,
     ResourceLimit,
-    SchreierTree,
     compute_orbitals,
     compute_structure_constants,
     orbit_with_tree,
@@ -21,10 +21,13 @@ from permsplit.centralizer import (
     _check_constants,
     _merge_cells,
     _stabilizer_cell_labels,
+    _TransportRows,
+    _tree_edge_mask,
     order_basis,
 )
 
 from conftest import (
+    CORPUS,
     affine,
     cyclic,
     m22_path,
@@ -32,6 +35,7 @@ from conftest import (
     primitive_root,
     regular_action,
     requires_m22,
+    set_action,
     symmetric,
 )
 import golay
@@ -146,20 +150,28 @@ class TestTwoCellStop:
     )
     def test_two_transitive_scan_stops_at_two_cells(self, gens, monkeypatch):
         """A 2-transitive action is done once {base} and the rest are the
-        cells; the scan makes a handful of transports, not thousands, and
-        gives the basis of the full scan."""
+        cells; the scan reads a handful of transport rows and builds as
+        few, not thousands, and gives the basis of the full scan."""
         _, tree = orbit_with_tree(gens, 1)
-        calls = []
-        real = SchreierTree.transport_to_base0
+        looked_up, built = [], []
+        real_call, real_keep = _TransportRows.__call__, _TransportRows._keep
 
-        def counted(self, x0, y0):
-            calls.append(x0)
-            return real(self, x0, y0)
+        def lookup(self, x0):
+            looked_up.append(x0)
+            return real_call(self, x0)
+
+        def keep(self, x0, row):
+            built.append(x0)
+            return real_keep(self, x0, row)
 
         with monkeypatch.context() as m:
-            m.setattr(SchreierTree, "transport_to_base0", counted)
+            m.setattr(_TransportRows, "__call__", lookup)
+            m.setattr(_TransportRows, "_keep", keep)
             cells = _stabilizer_cell_labels(gens, tree)
-        assert len(calls) <= 8
+        # each row read stands for one transport of the full scan, and each
+        # row built for one array pass
+        assert 1 <= len(looked_up) <= 8
+        assert len(built) <= 8
         full_cells = _cells_of_the_full_scan(gens, tree)
         assert np.array_equal(cells, full_cells)
         basis = compute_orbitals(gens)
@@ -183,6 +195,97 @@ class TestTwoCellStop:
         assert basis.transpose_of.tolist() == [0, 1, 3, 2]
         squares = sorted({x * x % p for x in range(1, p)})
         assert basis.suborbit_members(3) == [x + 1 for x in squares]
+
+
+def _rank_three_affine():
+    """The index-2 subgroup of AGL(1,1999): rank 3, see
+    ``test_rank_three_affine_subgroup_scans_in_full``."""
+    g = primitive_root(1999)
+    return affine(1999, g * g % 1999)
+
+
+TRANSPORT_CASES = [gens for _, gens in CORPUS] + [
+    set_action(symmetric(12), 12, 6),
+    golay.m22_770(),
+    _rank_three_affine(),
+]
+TRANSPORT_IDS = [name for name, _ in CORPUS] + ["J12_6", "M22_770", "AGL1_1999_index2"]
+
+
+class TestTransportRows:
+    @pytest.mark.parametrize("rows_in_store", [None, 3], ids=["default", "three_rows"])
+    @pytest.mark.parametrize("gens", TRANSPORT_CASES, ids=TRANSPORT_IDS)
+    def test_labels_equal_the_full_scan(self, gens, rows_in_store, monkeypatch):
+        """The rows give the labels of a scan that walks the tree for every
+        transport; with room for three rows the store clears many times."""
+        if rows_in_store is not None:
+            monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", rows_in_store * gens.degree)
+        _, tree = orbit_with_tree(gens, 1)
+        cells = _stabilizer_cell_labels(gens, tree)
+        assert np.array_equal(cells, _cells_of_the_full_scan(gens, tree))
+
+    @pytest.mark.parametrize("gens", TRANSPORT_CASES[-3:], ids=TRANSPORT_IDS[-3:])
+    def test_rows_are_the_transports(self, gens, monkeypatch):
+        monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", 5 * gens.degree)
+        _, tree = orbit_with_tree(gens, 1)
+        rows = _TransportRows(tree)
+        points = np.arange(gens.degree)
+        for x0 in range(0, gens.degree, 7):
+            row = rows(x0)
+            assert row.dtype == np.int16
+            assert np.array_equal(row, tree.transport_to_base0(x0, points))
+
+    def test_rows_past_two_to_the_fifteen_points_are_int32(self):
+        p = 32771
+        _, tree = orbit_with_tree(affine(p, primitive_root(p)), 1)
+        rows = _TransportRows(tree)
+        x0 = int(np.argmax(tree.depth))
+        row = rows(x0)
+        assert row.dtype == np.int32
+        assert np.array_equal(row, tree.transport_to_base0(x0, np.arange(p)))
+
+    def test_store_keeps_to_its_budget(self, monkeypatch):
+        """With room for four rows on 1999 points the store clears back to
+        the base row many times and never holds more than its budget; the
+        stage allocates nothing of the size of a BFS level of rows (up to
+        698 here) or of N x N."""
+        gens = _rank_three_affine()
+        n = gens.degree
+        budget = 4 * n
+        monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", budget)
+        _, tree = orbit_with_tree(gens, 1)
+        most, clears = [0], [0]
+        real_keep = _TransportRows._keep
+
+        def keep(self, x0, row):
+            before = len(self.rows)
+            real_keep(self, x0, row)
+            most[0] = max(most[0], sum(r.size for r in self.rows.values()))
+            clears[0] += len(self.rows) < before
+
+        with monkeypatch.context() as m:
+            m.setattr(_TransportRows, "_keep", keep)
+            cells = _stabilizer_cell_labels(gens, tree)
+        assert int(cells.max()) + 1 == 3
+        assert most[0] <= budget
+        assert clears[0] > 100
+
+        tracemalloc.start()
+        try:
+            _stabilizer_cell_labels(gens, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * 2 + 32 * n * 8
+        assert np.bincount(tree.depth).max() * n * 2 > 4 * peak
+
+    def test_edge_mask_is_the_tree_edge_test(self, corpus_member):
+        _, gens = corpus_member
+        _, tree = orbit_with_tree(gens, 1)
+        mask = _tree_edge_mask(tree)
+        want = [[tree.is_edge0(p0, gi) for gi in range(len(gens))] for p0 in range(gens.degree)]
+        assert mask.tolist() == want
+        assert int(mask.sum()) == gens.degree - 1
 
 
 class TestStructureConstants:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permsplit import (
     FieldElement,
@@ -17,6 +18,8 @@ from permsplit import (
 from permsplit import solver
 from permsplit.exactfield import ComplexBall
 from permsplit.solver import SolutionPoint
+
+from oracles import rational_roots_by_divisor_search
 
 FE = FieldElement
 
@@ -61,6 +64,39 @@ class TestExactRoots:
             FE.from_rational(1),
             FE.from_rational(2),
         ]
+
+    @given(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6), max_size=4),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.sampled_from([-1, 2, 3, 5, -3]), st.integers(-3, 3), st.booleans()),
+            max_size=3,
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_roots_match_the_divisor_search(self, roots, rational, tower, scale):
+        """(chosen rational roots) x (a rational cofactor) x (a tower
+        cofactor, x − c·√k or √k·x − c): the integer screen leaves the
+        roots, their order and the residual of the search that evaluates
+        every candidate."""
+        coeffs = [FE.from_rational(scale)]
+        factors = [[FE.from_rational(-r), FE.one()] for r in roots]
+        factors.append([FE.from_rational(c) for c in rational])
+        for k, c, lead in tower:
+            root = FE.sqrt_int(k)
+            factors.append([FE.from_rational(-c), root] if lead else [-c * root, FE.one()])
+        for f in factors:
+            out = [FE.zero()] * (len(coeffs) + len(f) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(f):
+                    out[i + j] = out[i + j] + a * b
+            coeffs = out
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs.pop()
+        if coeffs[-1].is_zero():
+            return
+        assert solver._rational_roots(coeffs) == rational_roots_by_divisor_search(coeffs)
 
     def test_two_variable_back_substitution(self):
         r = Ring(("x2", "x3"), "degrevlex")
