@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -96,12 +97,28 @@ class SolutionPoint:
         return as_ball(self.values[i], precision or self.precision)
 
     def sort_key(self):
-        """Lexicographic on (Re, Im) of the coordinate embeddings."""
-        key = []
-        for i in range(len(self.values)):
-            b = self.coordinate_ball(i, 64)
-            key.append((mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)))
-        return key
+        """Lexicographic on (Re, Im) of the coordinate embeddings, lazily."""
+        return [_SortCoordinate(v) for v in self.values]
+
+
+class _SortCoordinate:
+    """A coordinate ordered by (Re, Im) of its 64-bit ball's midpoint, made
+    at the first comparison that needs it; equal exact values need none."""
+
+    def __init__(self, value):
+        self.value = value
+
+    @cached_property
+    def key(self):
+        b = as_ball(self.value, 64)
+        return mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)
+
+    def __eq__(self, other):
+        exact = isinstance(self.value, FieldElement) and self.value == other.value
+        return exact or self.key == other.key
+
+    def __lt__(self, other):
+        return self.key < other.key
 
 
 # -- univariate helpers ---------------------------------------------------------

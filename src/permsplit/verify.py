@@ -29,15 +29,15 @@ for a family with a numeric coordinate or a failed hypothesis.  The matrix
 route certifies the same family against the actual generators: it checks
 the orbital basis itself on the N x N orbital label matrix (invariance
 under every generator, A_1 = I, and closure of the products with a tensor
-it reads off the matrix, independent of the splitter's), after which
-commutation, trace, idempotency and completeness of every projector follow
-from its coefficients.
+T it reads off the matrix, independent of the splitter's), then runs the
+algebraic route on T.  One certificate serves both routes: the splitter's
+constants on one, the tensor read off the generators on the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -393,11 +393,13 @@ def _coefficient_sum(projectors, rank, precision):
 
 
 def orbital_label_matrix(basis: OrbitalBasis):
-    """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r."""
-    n = basis.degree
-    labels = np.empty((n, n), dtype=np.int64)
-    for x in range(1, n + 1):
-        labels[x - 1] = basis.orbital_row(x)
+    """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r,
+    one gather per row by ascending depth: L[x] = L[parent(x)][undo_x]."""
+    tree = basis.tree
+    labels = np.empty((basis.degree, basis.degree), dtype=np.int64)
+    labels[tree.base - 1] = basis.sidx0
+    for x0 in np.argsort(tree.depth, kind="stable")[1:].tolist():
+        labels[x0] = labels[tree.parent0[x0]].take(tree.undo0(x0))
     return labels
 
 
@@ -446,12 +448,11 @@ def verify_matrix_level(
       Delta_r in that row.  With invariance and transitivity a G-invariant
       matrix is fixed by its base row, so A_p A_q = sum_r T_pq^r A_r.
 
-    Each projector then gets commutation, trace (N b_1 = d) and idempotency
-    (B^2 = B through T, not the splitter's tensor), and the family gets
-    completeness (sum b = e_1, so sum B = I).  These are exact over the
-    tower for exact coefficients and certified enclosures for numeric ones.
-    Known limit: the check does not prove that the A_r span the whole
-    commutant, so a G-invariant fusion of orbitals would pass.
+    Then b -> sum_r b_r A_r is a homomorphism with trace N b_1, and the
+    lines of ``verify_family_algebraic`` on T (N the degree of ``gens``)
+    hold of the real matrices; primitivity holds in the span of the A_r.
+    Known limit: a closed G-invariant fusion of orbitals passes with a
+    family that is primitive in the fusion.
 
     ``mode`` is accepted for compatibility only; it selects nothing.  Raises
     MatrixCapExceeded above ``matrix_cap`` points, since L holds N^2 labels.
@@ -481,24 +482,9 @@ def verify_matrix_level(
         if diagonal
         else (np.zeros((rank + 1,) * 3, dtype=np.int64), False)
     )
-    closed = invariant and consistent
-    report.add("closure A_p A_q = sum_r T_pq^r A_r", closed)
+    report.add("closure A_p A_q = sum_r T_pq^r A_r", invariant and consistent)
     tensor = StructureConstants(rank=rank, table=table)
-
-    for m, p in enumerate(deco.projectors, start=1):
-        report.add(f"commutation B[{m}] with all generators", invariant)
-        b1 = p.coefficients[:1]
-        d_over_n = [FieldElement.from_rational(Fraction(p.dimension, n))]
-        witness = _witness(b1, d_over_n, precision)
-        report.add(f"trace B[{m}] = {p.dimension}", diagonal and not witness, witness)
-        sq = algebra_product(tensor, p.coefficients, p.coefficients, precision)
-        coeffs = list(p.coefficients)
-        witness = _witness(sq, coeffs, precision)
-        report.add(f"idempotency B[{m}]^2 = B[{m}] (matrix)", closed and not witness, witness)
-    total = _coefficient_sum(deco.projectors, rank, precision)
-    identity = _basis_vector(rank, 0)
-    witness = _witness(total, identity, precision)
-    report.add("completeness sum(B) = I (matrix)", diagonal and not witness, witness)
+    report.checks += verify_family_algebraic(tensor, replace(deco, degree=n), precision).checks
     return report
 
 

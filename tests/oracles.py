@@ -439,3 +439,16 @@ def rational_roots_by_divisor_search(coeffs):
             roots.append(fe)
             work = _deflate(work, fe)
     return roots, work
+
+
+def eager_sort_key(point):
+    """``SolutionPoint.sort_key`` as it was before it became lazy: every
+    coordinate lifted to a 64-bit ball up front, keyed by (Re, Im) of the
+    midpoint."""
+    import mpmath
+
+    key = []
+    for i in range(len(point.values)):
+        b = point.coordinate_ball(i, 64)
+        key.append((mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)))
+    return key

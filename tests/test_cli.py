@@ -176,16 +176,20 @@ class TestSplitCommand:
         path.write_text(S3_TEXT)
         code, out, err = run_cli(["split", str(path), "--verify", "matrix"])
         assert code == 0
-        assert "commutation" in err
+        lines = err.splitlines()
+        assert lines[0] == "PASS  invariance L[s(i), s(j)] = L[i, j] for all generators"
+        assert "PASS  primitivity B[1]" in lines
 
     def test_matrix_verify_numeric_coordinates(self, tmp_path):
         """C5 keeps its quartic coordinates numeric; the matrix route
-        certifies them through enclosures."""
+        certifies them through enclosures, primitivity included."""
         path = tmp_path / "c5.gens"
         path.write_text("degree 5\ngen (1,2,3,4,5)\n")
         code, out, err = run_cli(["split", str(path), "--verify", "matrix"])
         assert code == 0
-        assert "PASS  completeness sum(B) = I (matrix)" in err.splitlines()
+        lines = err.splitlines()
+        assert "PASS  completeness sum(B) = A1" in lines
+        assert [f"PASS  primitivity B[{m}]" in lines for m in range(1, 6)] == [True] * 5
 
     @pytest.mark.parametrize("value", ["10", "52", "abc"])
     def test_precision_below_double_is_a_usage_error(self, tmp_path, value):
@@ -549,127 +553,127 @@ def test_corpus_report_is_pinned(name):
 CORPUS_OUTPUT_SHA256 = {
     "C4_regular": (
         "5c6cfcc5a02be2f8bff37ce962857fdeaaf6b223b0f6ebbbc5735aa6b995d1d0",
-        "36586836ea05215a0a66410d0a8360af11ef146eb29765e7b7c308c38e7088bc",
+        "7406e40f6473a5227c149611eec1cbbc057f98a668f69a92563dbbc787d0a3e2",
         "ea3222c0901a664413f53cbc11b0d17382af38b9e1681b6df1090501a78d186d",
     ),
     "C5_natural": (
         "70afcc54f290380e2f02c8447cc429683c58b43eb35b48b885e136d100790d86",
-        "c78222d8a959c76e7afa376d58270411be19530b53d46b7b5826cf60ba885a88",
+        "11687fc6bf5caa31745a8205d4f5acdf3f024fba7a698b019d1c8bdb584f0c20",
         "fc89d9516df325323d56f20dc37eaaf72a0a543d7aa2ed2218d2e14e9b593c45",
     ),
     "C6_natural": (
         "f5968a48c7c356a0d56efcc58dae00d170f5b4ffbfc1a1f97abb3db17c2218dd",
-        "0c0895e7a52e5b14566a4b6803abb1a8416c9ec9842bd86121c66c05641dd6ff",
+        "96ccd4c37bd1d9e37050979f94687d309b8c90be060bb00651a5f04b1d70844f",
         "d7ebe46c2a174c52b3c8e98a298692f36b79682ebbb052c16d414f9c48388e11",
     ),
     "C7_natural": (
         "91cd3a19ce10d129e7814d7d25d6cc55b2036361510fef5d3fa0e044daecdfcd",
-        "6e01868c18d6b3022248ba4735ed2b516e80a627661eb186c8819f5765546719",
+        "206ce3a80792e361160cd180f1bcd9d2b543444f3b880620c64c5627590d71aa",
         "c6b5b26bff9bcf31f3b29349277d1fc5fe369ebed035a547f0a1ecdd74b59103",
     ),
     "C8_natural": (
         "575a1ae5a26b7272a362554f5fbebc82118ebf6411259e223ddf422e5a48c236",
-        "bf09dcd3c8c5f8f309806b7a32362a97633d4dd91fc7d42d43cbdb38dada159b",
+        "c54c27151e50a4e730f9bdaf2ceca36de7a2be5486ffaaf5c7b4b01a87639169",
         "2801a0bcb4d350e8ee81918d3536dec4f20f313990986cde05501c7074ab34e5",
     ),
     "C9_natural": (
         "cb89ac4818bafc57cf43887cb16129e4cd38c3d536206b2bdeea6a035319c34c",
-        "1ed70192c385fdebcc8ed776b92aee2367e85c3b0c3ee44080759a6bb1d0a8e7",
+        "6ca715e75ec0ba22618c555898453d4a50024d3d7696361664a210141307d4f1",
         "fc1de7057dea00880868cf224f5dd04836c09fc736225f3e67a36b819a2d62fb",
     ),
     "D4_natural": (
         "1551ee11361b6d1122bcf2600bb201048da130260527fd2829f0c32ff5790575",
-        "b3d593c81c87f900c6e22cc3c38609811553e64a518cb59948231d86370c39a4",
+        "c75eb0f82e630c523c432a99a073e4be44a83310da59acbefaa258e4aafb4961",
         "1a08fbd511ed3f9708c555ecdc3f85f0627f8dbab11197dc7cbd13beb9a4e546",
     ),
     "D5_natural": (
         "5405c973774e12a9ecd0c3ba0076b5248ac0a22ae114380344eb989da794fe5b",
-        "4325691eba6b1636e2b92bf9f3397e54a192dfc66f65477602af5e12c149c63a",
+        "50a61e933934bf8298fbb24c7ca5a3c7520884e83e493cb755a5ec7ed950cd26",
         "6180994932cbdc719b1abcdf1d7f5232043d6fbbeb65611b0ab73e40e6cb4d29",
     ),
     "D6_natural": (
         "5ef1e383d844275af31c41283454274917d08683ea538952baa85a9f61340438",
-        "b06cfdff94dd0178dcf60196bd46193763a74e7fda08412e4eef275c4b3caff7",
+        "0231307046ac23f97645e9d7bb8752a73cbb1f6bb3642aafef7fada8c4b20c81",
         "f1d655f4d1098cda193fd835c7fc63e737e2b607a3ea7beac472ee9c59d2beb5",
     ),
     "D7_natural": (
         "52c061f55bd4a61b1262a0a98172248f11d492cb74855c8ee7341f7baf3ec4ef",
-        "ddd7c97850b1f8006f513d882090018f314cdeeac28fa128c9a1eb7d01f59857",
+        "605c9da4ae1c3c3b43179a8d33550bf254d110194b6f888a79793ded806d35f9",
         "72f376e880f1fb5cb466fc991ce2c3f69f56dffca7e92103da79ce80670f3c05",
     ),
     "S3_natural": (
         "19cfc529bd0e12b9856e14b1fe4af11a77baaa2485d442d8405fa75f7a497503",
-        "c73c07d3904211ef85a98d8e8b8ea037fc3e1151e56ecfbfc6f3df35c47c35a3",
+        "8d3d010392064efd258d17477158c6e510a86d983272727a2538c92f91ff3d63",
         "aa867a9a0abc68e9231c80e3c01bf23a77d0ee1101758fa2539a89e75f870bad",
     ),
     "S4_natural": (
         "9daff1eb9446e4995855e63549f1dc439c795a34effb981343c63486aa32110a",
-        "cb5ea1ffb0ed3b257e6aef1d641553427ffcf18777f5a075c399e6dd203bfa34",
+        "d24ea38fea485920c70581db1fd86aeeeccc1e120cd7f127798f7fd021586b5b",
         "74d49b7b0af230578fab1c474a98589f940e619db5aac4d28474073c20e18a50",
     ),
     "A4_natural": (
         "9daff1eb9446e4995855e63549f1dc439c795a34effb981343c63486aa32110a",
-        "cb5ea1ffb0ed3b257e6aef1d641553427ffcf18777f5a075c399e6dd203bfa34",
+        "d24ea38fea485920c70581db1fd86aeeeccc1e120cd7f127798f7fd021586b5b",
         "74d49b7b0af230578fab1c474a98589f940e619db5aac4d28474073c20e18a50",
     ),
     "A5_natural": (
         "8a5f9a9c0202740cc254e35b62fca038142115f2863c511f0c2ffee0b64d420e",
-        "4f2d9e0b383dadd74b278cb3a6123563e1b628dc3362df753e7bb64eec9592b6",
+        "c11b8bd7480a0e0480d04e5bdba656f35043dabc9f4c432621891a9cadb05ad5",
         "41258f1f04c93acca1587f2c20b41e9cc9fb3db34c3ed2b6ae5563c354d3147e",
     ),
     "S4_pairs": (
         "2cc1fdc5e6d57ff3da79ab907e9c1401a1230f92a168ae0e9390f830e2daeacb",
-        "90ea47828a9804078c633f03ae988fd283b54b6b56f763c34f86e18f0404d94c",
+        "1d520276bdf1c3e5011a1d5a3a7988335871bb2b3e835ff5ed12bc37081daad1",
         "b8db04993570ae825826a90fb15eb82232ed1fb2ff99dd100e07146c3d13a1f4",
     ),
     "A4_pairs": (
         "e57f4d9890d374fc992e44f28138a818748c972d68343cde2f3ea9563a5be5d7",
-        "13656f2fa063bdfd1b784d153131a1293304f48aeb8615078b90d48cd390a0e6",
+        "c9382280c7b065e043a5a8fe99c1f9df0117c0e6016cbbbea70e501aacbedc19",
         "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
     ),
     "A5_petersen": (
         "2b6f7aa8cde781d8e8545d3e3c7051938bac6abc45b93017366603a39cad92a0",
-        "585b54ddef12f9e692196fc0dcc2ada580273aa3ab45a44e7e81a6010522a32f",
+        "41cdebd1caabc66aaab0479156ad4cc00d9168abe2daa0add51692b41d2217cf",
         "0f66525366421969eb31354b30074e0df51fe47819950203c2dd68747605be5e",
     ),
     "S3_regular": (
         "9fc80bc16e0f0114189d102fada1a42b6de330df8f24fc6bc52442cc4fbeae9c",
-        "b06cfdff94dd0178dcf60196bd46193763a74e7fda08412e4eef275c4b3caff7",
+        "0231307046ac23f97645e9d7bb8752a73cbb1f6bb3642aafef7fada8c4b20c81",
         "3b98b4d5b336b76201834388e7a5be39cc4a675ebedf1a39cd9cb36c519ef31e",
     ),
     "D4_regular": (
         "b76390bb4b03b8933a5f78ff291782885b033d3faa37d15a53a51feb094a311d",
-        "231b457f0fa6d8127f47bfad6a28031a5d4ebecc94734c879b131ce5ef182312",
+        "1119e7a67dc7cd9715c35a77669723b15eb3a56ab1ec5b5f705d9a1ba82c9f56",
         "dadeaf3c03df604ad8648c0b78900b0a6d3dcc8fa9004081b32c2ea15df6e5fb",
     ),
     "Q8_regular": (
         "50cc8f99eeb4a4523dc6df39b9e99172646f244b4df673be19e8892fe372865f",
-        "231b457f0fa6d8127f47bfad6a28031a5d4ebecc94734c879b131ce5ef182312",
+        "1119e7a67dc7cd9715c35a77669723b15eb3a56ab1ec5b5f705d9a1ba82c9f56",
         "0522c07ebef636874411e1e06a6753684fbdb126263764d69a01ee7198faccff",
     ),
     "V4_regular": (
         "6537c7bba0b7730b63abe846b3ae10469c70696e5bfdb3b80f091046069a49b1",
-        "36586836ea05215a0a66410d0a8360af11ef146eb29765e7b7c308c38e7088bc",
+        "7406e40f6473a5227c149611eec1cbbc057f98a668f69a92563dbbc787d0a3e2",
         "033a72be94ad578afee7e30e85891b4fea849080b1b79a9fb69fa6f9c35b3974",
     ),
     "F21_natural": (
         "942bf8a88f28a70804efae62eab953181b183bdbaa530cc05d311e5ca2c31d00",
-        "8bbc529e228e4b1a7f008caf49891829269ed6f69522d8eac6026fb529c67025",
+        "24b5c764d8881d9d99208c4c1eba30758462f03f7cab1643e818c3892a7c1119",
         "1e32139c64e010ebd63b26f45394d4b3d05e5f534acd4c97bde2f8b1b410379c",
     ),
     "C2wrC3": (
         "e57f4d9890d374fc992e44f28138a818748c972d68343cde2f3ea9563a5be5d7",
-        "13656f2fa063bdfd1b784d153131a1293304f48aeb8615078b90d48cd390a0e6",
+        "c9382280c7b065e043a5a8fe99c1f9df0117c0e6016cbbbea70e501aacbedc19",
         "11b06108f5f8500b205628994f74246ce657050e87efb24753dc1289b9036e61",
     ),
     "S3wrC2": (
         "5b02ec40ff89f7824460118215d159db20bfd3aacdec50ccee2d78a3e43f632e",
-        "7d0462246a973ecb4c4eff63de34ba201f37a2962582c84f95007dd417b224f1",
+        "63e64310a6ac68a31527d662b82c9d51fe6f17274399811c9b867127c7b5ccbb",
         "8393d5c29bfbb6ec34cf682e01cb6f7c776a258c67c21818c05d2bcbd5fd370a",
     ),
     "C3wrC2": (
         "d2a9158e6159a1bf9f9af9f97669d2295f53921222012f1a1ca34151442a6215",
-        "b06cfdff94dd0178dcf60196bd46193763a74e7fda08412e4eef275c4b3caff7",
+        "0231307046ac23f97645e9d7bb8752a73cbb1f6bb3642aafef7fada8c4b20c81",
         "4a2f5c8499fff7013f2e3b621aae2c7ed7cd8bab1ad9c8f4b2f93218fd3c3541",
     ),
 }

@@ -19,7 +19,7 @@ from permsplit import solver
 from permsplit.exactfield import ComplexBall
 from permsplit.solver import SolutionPoint
 
-from oracles import rational_roots_by_divisor_search
+from oracles import eager_sort_key, rational_roots_by_divisor_search
 
 FE = FieldElement
 
@@ -121,6 +121,50 @@ class TestExactRoots:
         x2, x3 = Poly.variable(r, 0), Poly.variable(r, 1)
         with pytest.raises(NotZeroDimensional):
             solve_zero_dimensional([x2 * x3])
+
+
+# coordinates for the sort key: exact rationals, tower elements, two exact
+# values that differ only past 64 bits, and balls
+_KEY_POOL = [
+    FE.from_rational(Fraction(1)),
+    FE.from_rational(Fraction(1) + Fraction(1, 2**80)),
+    FE.from_rational(Fraction(-1, 3)),
+    FE.sqrt_int(2) - 1,
+    FE.sqrt_int(-3) / 2,
+    FE.from_rational(Fraction(-1, 2)) + FE.sqrt_int(-3) / 2,
+    ComplexBall(mpmath.mpc(-0.5, 0.8660254037844386), mpmath.mpf(2) ** -90),
+    ComplexBall(mpmath.mpf(1), mpmath.mpf(2) ** -70),
+]
+
+
+class TestSortKey:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_KEY_POOL), st.sampled_from(_KEY_POOL)),
+            max_size=7,
+        )
+    )
+    def test_lazy_key_keeps_the_eager_order(self, rows):
+        points = [SolutionPoint(values) for values in rows]
+        lazy = sorted(range(len(points)), key=lambda i: points[i].sort_key())
+        eager = sorted(range(len(points)), key=lambda i: eager_sort_key(points[i]))
+        assert lazy == eager
+
+    def test_coordinates_after_the_first_difference_are_not_lifted(self):
+        """Distinct first coordinates settle the order, so no second
+        coordinate is lifted; equal exact first coordinates compare equal
+        without a ball of their own."""
+        distinct = [
+            SolutionPoint((FE.from_rational(Fraction(k)), FE.sqrt_int(2))) for k in (3, 1, 2)
+        ]
+        keys = [p.sort_key() for p in distinct]
+        assert sorted(range(3), key=keys.__getitem__) == [1, 2, 0]
+        assert all("key" in vars(k[0]) and "key" not in vars(k[1]) for k in keys)
+        same = [SolutionPoint((FE.sqrt_int(2), FE.from_rational(Fraction(k)))) for k in (2, 1)]
+        keys = [p.sort_key() for p in same]
+        assert sorted(range(2), key=keys.__getitem__) == [1, 0]
+        assert all("key" not in vars(k[0]) and "key" in vars(k[1]) for k in keys)
 
 
 class TestNumericFallback:

@@ -44,6 +44,7 @@ from conftest import (
     primitive_root,
     q8_regular,
     regular_action,
+    set_action,
     symmetric,
 )
 from oracles import algebra_product_by_definition
@@ -194,10 +195,8 @@ class TestAlgebraic:
         assert max(x.rad for x in total) < mpmath.mpf(2) ** -128
         algebraic = verify_family_algebraic(consts, deco).checks
         matrix = verify_matrix_level(gens, basis, deco).checks
-        assert [c.passed for c in algebraic if c.name == "completeness sum(B) = A1"] == [True]
-        assert [
-            c.passed for c in matrix if c.name == "completeness sum(B) = I (matrix)"
-        ] == [True]
+        for checks in (algebraic, matrix):
+            assert [c.passed for c in checks if c.name == "completeness sum(B) = A1"] == [True]
 
     @pytest.mark.parametrize(
         "builder", [symmetric(3), petersen(), cyclic(4), regular_action(symmetric(3))],
@@ -325,13 +324,19 @@ class TestMatrixLevel:
             verify_matrix_level(gens, basis, deco, matrix_cap=5)
 
     def test_agreement_with_algebraic(self, corpus_member):
-        """Algebraic pass and matrix-level pass agree on the corpus, numeric
-        decompositions included."""
+        """On the corpus, numeric decompositions included, the matrix lines
+        are the three basis lines, passed, then the splitter's certificate
+        line for line: the tensor read off the label matrix is the
+        structure constants."""
         name, gens = corpus_member
         basis, consts, deco = corpus_with_constants(name, gens)
-        algebraic = verify_family_algebraic(consts, deco).passed
-        matrix = verify_matrix_level(gens, basis, deco).passed
-        assert algebraic and matrix
+        algebraic = verify_family_algebraic(consts, deco)
+        matrix = verify_matrix_level(gens, basis, deco)
+        assert algebraic.passed and matrix.passed
+        assert [c.name.split()[0] for c in matrix.checks[:3]] == [
+            "invariance", "diagonal", "closure",
+        ]
+        assert matrix.checks[3:] == algebraic.checks
 
     def test_tampered_fails_at_matrix_level(self):
         gens = symmetric(3)
@@ -339,8 +344,11 @@ class TestMatrixLevel:
         bad = _tweak(deco, 1, 1, flip=True)
         report = verify_matrix_level(gens, basis, bad, mode="exact")
         assert [c.name for c in report.failures()] == [
-            "idempotency B[2]^2 = B[2] (matrix)",
-            "completeness sum(B) = I (matrix)",
+            "idempotency B[2] (d=2)",
+            "orthogonality B[1]*B[2]",
+            "orthogonality B[2]*B[1]",
+            "completeness sum(B) = A1",
+            "primitivity B[2]",
         ]
 
     def test_swapped_labels_fail_invariance(self):
@@ -371,15 +379,15 @@ class TestMatrixLevel:
     @pytest.mark.parametrize(
         "sidx0,failures",
         [
-            # the known limit: differences {1, 4} and {2, 3} form the D5
-            # scheme, a closed G-invariant fusion, indistinguishable here
-            # from the full commutant
-            ([1, 2, 3, 3, 2], []),
+            # differences {1, 4} and {2, 3} form the D5 scheme, a closed
+            # G-invariant fusion, in which I = E_0 + E_1 + E_2 is not
+            # primitive
+            ([1, 2, 3, 3, 2], ["primitivity"]),
             # differences {1, 2} and {3, 4}: A^2 = C^2 + 2C^3 + C^4 is not
             # in the span, so the counts differ along the orbital
-            ([1, 2, 2, 3, 3], ["closure", "idempotency"]),
+            ([1, 2, 2, 3, 3], ["closure", "primitivity"]),
             # the diagonal fused with differences {1, 4}
-            ([1, 1, 3, 3, 1], ["diagonal", "closure", "trace", "idempotency", "completeness"]),
+            ([1, 1, 3, 3, 1], ["diagonal", "closure", "idempotency", "primitivity"]),
         ],
         ids=["closed", "unclosed", "diagonal"],
     )
@@ -397,13 +405,62 @@ class TestMatrixLevel:
         report = verify_matrix_level(gens, fused, identity)
         assert [c.name.split()[0] for c in report.failures()] == failures
 
+    def test_closed_fusion_with_its_primitive_family_passes(self):
+        """The known limit: in the D5 scheme of C5 (A_2 = C + C^4,
+        A_3 = C^2 + C^3) the family J/5, E, E' is primitive, so every line
+        passes, though E and E' of dimension 2 each split into two
+        characters of C5.  Counting the generators' orbits on pairs, which
+        finds 5 against the fusion's rank 3, would fail it."""
+        gens = cyclic(5)
+        fused = dataclasses.replace(
+            compute_orbitals(gens), sidx0=np.array([1, 2, 3, 3, 2]), rank=3
+        )
+        root5 = FE.sqrt_int(5)
+        plus, minus = (root5 - 1) / 10, (-root5 - 1) / 10
+        family = Decomposition(
+            degree=5,
+            rank=3,
+            projectors=[
+                Projector((fe(Fraction(1, 5)),) * 3, 1, "uniqueSolution"),
+                Projector((fe(Fraction(2, 5)), plus, minus), 2, "uniqueSolution"),
+                Projector((fe(Fraction(2, 5)), minus, plus), 2, "uniqueSolution"),
+            ],
+            suborbit_lengths=[],
+        )
+        report = verify_matrix_level(gens, fused, family)
+        assert report.passed
+        assert sum(c.name.startswith("primitivity") for c in report.checks) == 3
+
     def test_wrong_dimension_fails_trace(self):
         gens = petersen()
         basis, consts, deco = split_with_constants(gens)
         p = deco.projectors[1]
         deco.projectors[1] = dataclasses.replace(p, dimension=p.dimension + 1)
         failures = verify_matrix_level(gens, basis, deco).failures()
-        assert [c.name for c in failures] == [f"trace B[2] = {p.dimension + 1}"]
+        assert [c.name for c in failures] == [
+            "completeness sum(d) = N",
+            "trace integrality B[2]: N*b1 = d",
+        ]
+
+    def test_degree_is_read_off_the_generators(self):
+        """A family that claims twice the degree and twice every dimension
+        is consistent with itself (sum(d) = 20, 20*b1 = d); N is the
+        degree of the generators, so both trace lines fail."""
+        gens = petersen()
+        basis, consts, deco = split_with_constants(gens)
+        doubled = dataclasses.replace(
+            deco,
+            degree=20,
+            projectors=[dataclasses.replace(p, dimension=2 * p.dimension) for p in deco.projectors],
+        )
+        assert verify_family_algebraic(consts, doubled).passed
+        failures = verify_matrix_level(gens, basis, doubled).failures()
+        assert [c.name for c in failures] == [
+            "completeness sum(d) = N",
+            "trace integrality B[1]: N*b1 = d",
+            "trace integrality B[2]: N*b1 = d",
+            "trace integrality B[3]: N*b1 = d",
+        ]
 
     def test_label_tensor_matches_structure_constants(self, corpus_member):
         name, gens = corpus_member
@@ -414,6 +471,17 @@ class TestMatrixLevel:
         assert consistent
         assert np.array_equal(table, consts.table)
 
+    def test_label_matrix_rows_are_transported_base_rows(self):
+        """J(16, 3), 560 points on a Schreier tree of depth 25: each row
+        gathered from its parent's row equals the base row transported
+        along the whole tree word."""
+        gens = set_action(symmetric(16), 16, 3)
+        basis = compute_orbitals(gens)
+        assert basis.tree.depth.max() == 25
+        points = np.arange(gens.degree)
+        want = [basis.sidx0[basis.tree.transport_to_base0(x0, points)] for x0 in points]
+        assert np.array_equal(orbital_label_matrix(basis), np.array(want))
+
     def test_affine_group_at_cap_scale(self):
         """AGL(1, 1999) on 1999 points, just under the default cap."""
         p = 1999
@@ -423,7 +491,7 @@ class TestMatrixLevel:
         deco = split_from_constants(basis, consts, SplitConfig())
         report = verify_matrix_level(gens, basis, deco)
         assert report.passed
-        assert [c.name for c in report.checks][-1] == "completeness sum(B) = I (matrix)"
+        assert [c.name for c in report.checks][-1] == f"primitivity B[{len(deco.projectors)}]"
 
 
 class TestCompare:
