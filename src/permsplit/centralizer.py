@@ -3,9 +3,11 @@
 The basis matrices A_1..A_R are 0/1 matrices supported on the orbitals of the
 group acting diagonally on ordered pairs; they are never materialized here.
 Everything is driven by the suborbit partition of the point-1 stabilizer and
-by transport along the Schreier tree's parent links, so no N x N storage is
-ever allocated: the stabilizer scan keeps its transport rows in a store of
-at most ``ROW_STORE_ENTRIES`` entries, and the other stages walk the tree.
+by rows along the Schreier tree, each made from its parent's row by
+``SchreierTree.row0``, so no N x N storage is ever allocated: the stabilizer
+scan keeps its transport rows in a store of at most ``ROW_STORE_ENTRIES``
+entries, and the structure constants make the label row of each orbital's
+representative afresh.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ class OrbitalBasis:
         y0 = self.tree.transport_to_base0(x - 1, y - 1)
         return int(self.sidx0[y0])
 
-    def orbital_row(self, x):
-        """Orbital indices of the pairs (x, y) over all points y (0-based y).
-
-        The vectorised twin of ``orbital_of_pair``: one array pass per tree
-        edge between x and the base.
-        """
-        points = np.arange(self.degree, dtype=np.int64)
-        return self.sidx0[self.tree.transport_to_base0(x - 1, points)]
-
     def lengths_in_order(self):
         return [int(self.suborbit_lengths[r]) for r in range(1, self.rank + 1)]
 
@@ -98,69 +91,20 @@ class StructureConstants:
 ROW_STORE_ENTRIES = 1 << 20
 
 
-class _TransportRows:
-    """The rows t_x, t_x[y] = image of y under the inverse of the tree word
-    base -> x, each made by one gather from its parent's row.
-
-    With undo_x the inverse of the generator on x's tree edge (its image
-    array for an inverse edge), t_x = t_parent(x)[undo_x].  Rows are kept in
-    the smallest integer dtype that holds the degree (int16 up to 2^15
-    points).  The store holds ``ROW_STORE_ENTRIES // N`` rows, the base's
-    included, and never fewer than two: when the next row would not fit, it
-    is cleared back to the base row, and a row that is missing is rebuilt
-    from its nearest stored ancestor.  A row of depth d thus costs at most
-    d − 1 gathers, fewer than ``SchreierTree.transport_to_base0`` makes.
-    """
-
-    def __init__(self, tree: SchreierTree):
-        n = len(tree.parent0)
-        self.tree = tree
-        self.base0 = tree.base - 1
-        self.dtype = np.int16 if n <= 1 << 15 else np.int32
-        self.capacity = max(2, ROW_STORE_ENTRIES // n)
-        self.rows = {self.base0: np.arange(n, dtype=self.dtype)}
-
-    def __call__(self, x0):
-        tree = self.tree
-        path = []
-        while x0 not in self.rows:
-            path.append(x0)
-            x0 = int(tree.parent0[x0])
-        row = self.rows[x0]
-        for y0 in reversed(path):
-            undo = tree.undo0(y0)
-            # the base row is the identity: its child's row is undo itself
-            row = undo.astype(self.dtype) if x0 == self.base0 else row.take(undo)
-            x0 = y0
-            self._keep(y0, row)
-        return row
-
-    def _keep(self, x0, row):
-        if len(self.rows) == self.capacity:
-            self.rows = {self.base0: self.rows[self.base0]}
-        self.rows[x0] = row
-
-
-def _tree_edge_mask(tree: SchreierTree):
-    """mask[p, i] is ``tree.is_edge0(p, i)`` for every point p and generator
-    i, from the tree's arrays in O(N)."""
-    mask = np.zeros((len(tree.parent0), len(tree.gens)), dtype=bool)
-    forward = np.flatnonzero(tree.direction > 0)
-    mask[tree.parent0[forward], tree.gen_index[forward]] = True
-    inverse = np.flatnonzero(tree.direction < 0)
-    mask[inverse, tree.gen_index[inverse]] = True
-    return mask
-
-
 def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     """Partition of points into orbits of the point-base stabilizer.
 
     With t_x the transport x -> base and q = p^s, the Schreier generator
     u_p·s·u_q^{-1} keeps the partition exactly when labels[t_p(y)] equals
     labels[t_q(y^s)] for every y.  Each row t_x is one gather from its
-    parent's row (``_TransportRows``, a store of bounded size), so a check
-    costs O(N): one gather for t_q(y^s) and two reads of the labels.  The
-    N−1 tree edges, whose generators are the identity, cost nothing.
+    parent's row (``SchreierTree.row0`` from the identity), kept in the
+    smallest integer dtype that holds the degree, in a store of at most
+    ``ROW_STORE_ENTRIES`` entries and never fewer than two rows: a full
+    store is cleared back to the base row, and a missing row is rebuilt
+    from its nearest stored ancestor.  A check thus costs O(N): one gather
+    for t_q(y^s) and two reads of the labels.  The N−1 tree edges
+    (``SchreierTree.edge_mask``), whose generators are the identity, cost
+    nothing.
 
     The scan stops as soon as the partition has two cells: the stabilizer
     fixes the base, so {base} is always a cell, and every merge is forced
@@ -169,8 +113,10 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     every Schreier generator.
     """
     n = gens.degree
-    rows = _TransportRows(tree)
-    edge = _tree_edge_mask(tree)
+    b0 = tree.base - 1
+    rows = {b0: np.arange(n, dtype=np.int16 if n <= 1 << 15 else np.int32)}
+    capacity = max(2, ROW_STORE_ENTRIES // n)
+    edge = tree.edge_mask()
     labels = np.arange(n, dtype=np.int64)
     for p0 in range(n):
         here = None
@@ -178,16 +124,18 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
             if edge[p0, gi]:
                 continue
             if here is None:
-                here = labels.take(rows(p0))
+                here = labels.take(tree.row0(p0, rows, capacity))
             q0 = int(s.images0[p0])
             # the base row is the identity, so t_base(y^s) is y^s
-            there = labels.take(s.images0 if q0 == rows.base0 else rows(q0).take(s.images0))
+            there = labels.take(
+                s.images0 if q0 == b0 else tree.row0(q0, rows, capacity).take(s.images0)
+            )
             # byte equality of two int64 arrays of one length
             if here.tobytes() != there.tobytes():
                 labels = _merge_cells(labels, here, there)
                 if labels.max() == 1:
                     return labels
-                here = labels.take(rows(p0))
+                here = labels.take(tree.row0(p0, rows, capacity))
     return labels
 
 
@@ -309,9 +257,12 @@ def _check_basis(basis: OrbitalBasis):
 
 
 def _constants_slab(basis: OrbitalBasis, q_vec, r):
-    """C[:, :, r] counted from the representative pair (j_r, 1)."""
+    """C[:, :, r] counted from the representative pair (j_r, 1), whose label
+    row (the orbitals of the pairs (j_r, k)) is made from the base's labels
+    in a store of two rows, so a deep representative holds no more."""
     rank = basis.rank
-    p_vec = basis.orbital_row(int(basis.suborbit_representative[r]))
+    rows = {basis.base - 1: basis.sidx0}
+    p_vec = basis.tree.row0(int(basis.suborbit_representative[r]) - 1, rows, capacity=2)
     flat = np.bincount(p_vec * (rank + 1) + q_vec, minlength=(rank + 1) ** 2)
     return flat.reshape(rank + 1, rank + 1)
 
@@ -321,10 +272,10 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
 
     For each r the count runs over all N points k of the pair
     (j_r, k) in Delta_p, (k, 1) in Delta_q with (j_r, 1) a fixed
-    representative of Delta_r; orbital membership of arbitrary pairs is read
-    off by transport along the Schreier tree.  ``threads`` is accepted for
-    the benchmark's calls only and selects nothing: the slabs are computed
-    in one loop.
+    representative of Delta_r; the orbitals of the pairs (j_r, k) are one
+    label row along the Schreier tree (``SchreierTree.row0``).  ``threads``
+    is accepted for the benchmark's calls only and selects nothing: the
+    slabs are computed in one loop.
     """
     rank = basis.rank
     # orbital of (k, 1) is the transpose of the orbital of (1, k): constant in r

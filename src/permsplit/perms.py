@@ -2,7 +2,17 @@
 
 Points are 1-based at every public interface (matching the usual conventions
 for permutation group data files); storage is 0-based numpy arrays.  All types
-are immutable after construction and all operations are pure functions.
+are immutable after construction and all operations are pure functions, except
+that ``SchreierTree.row0`` adds the rows it makes to the caller's store.
+
+The Schreier tree stores no coset representatives.  Every row indexed by the
+points of the orbit is made by one recurrence, owned by ``SchreierTree.row0``:
+with undo_x the inverse of the generator on x's tree edge, r_x =
+r_parent(x)[undo_x], one gather per edge from the nearest row already made.
+Its base row decides what the rows are: the identity gives the transports
+x -> base that the stabilizer scan reads, and the suborbit labels of the base
+give the orbital label rows of the structure constants and of the label
+matrix.  ``transport_to_base0`` walks the same edges for one point or array.
 """
 
 from __future__ import annotations
@@ -172,7 +182,9 @@ class SchreierTree:
     ``direction`` is +1 for a forward generator edge, −1 for an inverse edge.
     Following ``parent0`` links from any orbit point reaches the base, and
     applying the labelled generators along the reversed path maps the base to
-    the point.
+    the point.  No other module of the library reads ``parent0``,
+    ``gen_index`` or ``direction``: ``row0``, ``transport_to_base0`` and
+    ``edge_mask`` are the tree's interface.
     """
 
     base: int                     # 1-based
@@ -198,27 +210,53 @@ class SchreierTree:
             x0 = int(self.parent0[x0])
         return y0
 
+    def row0(self, x0, rows, capacity=None):
+        """The row r_x = r_parent(x)[undo_x] of the point x (0-based).
+
+        ``rows`` maps points to rows and holds the base's row r_base.  The
+        walk goes up ``parent0`` to the nearest point that ``rows`` holds
+        and comes back down with one gather per tree edge; each row made
+        joins ``rows``.  A row that would push ``rows`` past ``capacity``
+        rows first clears it back to the base's row.  With the identity as
+        r_base, r_x is the transport ``transport_to_base0(x, ·)``; with the
+        suborbit labels of the base, r_x is x's orbital label row.
+        """
+        path = []
+        while x0 not in rows:
+            path.append(x0)
+            x0 = int(self.parent0[x0])
+            # parent0 is -1 outside the orbit, and rows holds the base
+            if x0 < 0:
+                raise ValueError(f"point {path[0] + 1} not in orbit of {self.base}")
+        row = rows[x0]
+        for y0 in reversed(path):
+            row = row.take(self.undo0(y0))
+            if capacity is not None and len(rows) >= capacity:
+                base_row = rows[self.base - 1]
+                rows.clear()
+                rows[self.base - 1] = base_row
+            rows[y0] = row
+        return row
+
     def undo0(self, x0):
         """The image array of the inverse of the labelled generator on the
         tree edge into x (0-based, x not the base): it maps x to its parent."""
         g = self.gens.generators[self.gen_index[x0]]
         return g.inv_images0 if self.direction[x0] > 0 else g.images0
 
-    def is_edge0(self, p0, gen_index):
-        """True when p -> p^s (0-based p, s the generator ``gen_index``) is
+    def edge_mask(self):
+        """mask[p, i] is True when p -> p^s (0-based p, s the generator i) is
         the tree edge of p^s, or the reverse of the tree edge of p.
 
         Its Schreier generator u_p·s·u_{p^s}^{-1} is then the identity by
         construction.  An orbit of N points has exactly N−1 such pairs.
         """
-        q0 = int(self.gens.generators[gen_index].images0[p0])
-        if self.parent0[q0] == p0 and self.direction[q0] > 0:
-            return bool(self.gen_index[q0] == gen_index)
-        return bool(
-            self.parent0[p0] == q0
-            and self.direction[p0] < 0
-            and self.gen_index[p0] == gen_index
-        )
+        mask = np.zeros((len(self.parent0), len(self.gens)), dtype=bool)
+        forward = np.flatnonzero(self.direction > 0)
+        mask[self.parent0[forward], self.gen_index[forward]] = True
+        inverse = np.flatnonzero(self.direction < 0)
+        mask[inverse, self.gen_index[inverse]] = True
+        return mask
 
 
 # -- generator file parsing ---------------------------------------------------

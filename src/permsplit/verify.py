@@ -64,7 +64,6 @@ __all__ = [
     "compare_to_reference",
 ]
 
-NUMERIC_TOLERANCE = 1e-10
 DEFAULT_MATRIX_CAP = 2000  # the orbital label matrix holds N^2 labels
 
 
@@ -393,13 +392,19 @@ def _coefficient_sum(projectors, rank, precision):
 
 
 def orbital_label_matrix(basis: OrbitalBasis):
-    """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r,
-    one gather per row by ascending depth: L[x] = L[parent(x)][undo_x]."""
+    """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r.
+
+    Row x is x's label row, ``SchreierTree.row0`` from the base's labels.
+    By ascending depth the parent's row is already in L, so each row is one
+    gather, written in place: L is the only N x N array."""
     tree = basis.tree
+    b0 = tree.base - 1
     labels = np.empty((basis.degree, basis.degree), dtype=np.int64)
-    labels[tree.base - 1] = basis.sidx0
+    labels[b0] = basis.sidx0
+    rows = {b0: labels[b0]}
     for x0 in np.argsort(tree.depth, kind="stable")[1:].tolist():
-        labels[x0] = labels[tree.parent0[x0]].take(tree.undo0(x0))
+        labels[x0] = tree.row0(x0, rows)
+        rows[x0] = labels[x0]
     return labels
 
 
@@ -492,12 +497,13 @@ def verify_matrix_level(
 
 
 def _coeffs_equal(a, b, precision=DEFAULT_PRECISION):
-    a, b = _lifted((a, b), precision)
-    if isinstance(a, FieldElement):
-        return a == b
-    diff = a - b
-    tol = mpmath.mpf(NUMERIC_TOLERANCE) * (1 + abs(b.mid))
-    return bool(abs(diff.mid) <= max(diff.rad, tol))
+    """a == b for exact values; otherwise whether the enclosure of a − b
+    contains zero."""
+    with mpmath.workprec(precision + 40):
+        a, b = _lifted((a, b), precision)
+        if isinstance(a, FieldElement):
+            return a == b
+        return bool((a - b).contains_zero())
 
 
 def _all_equal(coeffs, ref_coeffs):

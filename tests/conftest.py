@@ -2,7 +2,6 @@
 
 import copy
 import functools
-import os
 from itertools import combinations
 
 import pytest
@@ -275,18 +274,3 @@ def duplicate_first_projector(monkeypatch):
 
     monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
     monkeypatch.setattr(splitter, "process_single_solution", doubled)
-
-
-def m22_path():
-    path = os.environ.get("PERMSPLIT_M22_FILE")
-    if path and os.path.exists(path):
-        return path
-    here = os.path.join(os.path.dirname(__file__), "data", "m22_770.gens")
-    return here if os.path.exists(here) else None
-
-
-requires_m22 = pytest.mark.skipif(
-    m22_path() is None,
-    reason="M22 on 770 points needs user-supplied generators "
-    "(tests/data/m22_770.gens or PERMSPLIT_M22_FILE)",
-)

@@ -1,10 +1,11 @@
 """Independent brute-force oracles.
 
 Everything here deliberately avoids the library's Schreier-tree machinery:
-Schreier trees come from a point-by-point BFS, orbitals from a BFS over
-ordered pairs, structure constants from dense 0/1 matrix products,
-irreducible dimensions from numerically diagonalizing a random
-group-averaged matrix.  Most scale only to toy degrees, which is the point.
+Schreier trees come from a point-by-point BFS, tree edges are read off a
+tree's arrays one pair at a time, orbitals from a BFS over ordered pairs,
+structure constants from dense 0/1 matrix products, irreducible dimensions
+from numerically diagonalizing a random group-averaged matrix.  Most scale
+only to toy degrees, which is the point.
 """
 
 from fractions import Fraction
@@ -68,6 +69,18 @@ def scalar_orbit_with_tree(gens, base):
         level = nxt
     orbit = {int(i) + 1 for i in np.nonzero(depth >= 0)[0]}
     return orbit, parent, gen_index, direction, depth
+
+
+def is_edge0(tree, p0, gen_index):
+    """True when p -> p^s (0-based p, s the generator ``gen_index``) is the
+    tree edge of p^s, or the reverse of the tree edge of p: the scalar
+    reference for ``SchreierTree.edge_mask``, read off the tree's arrays."""
+    q0 = int(tree.gens.generators[gen_index].images0[p0])
+    if tree.parent0[q0] == p0 and tree.direction[q0] > 0:
+        return bool(tree.gen_index[q0] == gen_index)
+    return bool(
+        tree.parent0[p0] == q0 and tree.direction[p0] < 0 and tree.gen_index[p0] == gen_index
+    )
 
 
 def pair_orbit_labels(gens):

@@ -13,7 +13,6 @@ from permsplit import (
     compute_orbitals,
     compute_structure_constants,
     orbit_with_tree,
-    parse_generators,
 )
 from permsplit import centralizer
 from permsplit.centralizer import (
@@ -21,26 +20,24 @@ from permsplit.centralizer import (
     _check_constants,
     _merge_cells,
     _stabilizer_cell_labels,
-    _TransportRows,
-    _tree_edge_mask,
     order_basis,
 )
+from permsplit.perms import SchreierTree
 
 from conftest import (
     CORPUS,
     affine,
     cyclic,
-    m22_path,
     petersen,
     primitive_root,
     regular_action,
-    requires_m22,
     set_action,
     symmetric,
 )
 import golay
 from oracles import (
     dense_algebra_commutes,
+    is_edge0,
     pair_orbit_labels,
     structure_constants_dense,
 )
@@ -124,7 +121,7 @@ def _cells_of_the_full_scan(gens, tree):
     labels = points
     for p0 in range(gens.degree):
         for gi, s in enumerate(gens.generators):
-            if tree.is_edge0(p0, gi):
+            if is_edge0(tree, p0, gi):
                 continue
             here = labels[tree.transport_to_base0(p0, points)]
             there = labels[tree.transport_to_base0(int(s.images0[p0]), s.images0)]
@@ -154,19 +151,19 @@ class TestTwoCellStop:
         few, not thousands, and gives the basis of the full scan."""
         _, tree = orbit_with_tree(gens, 1)
         looked_up, built = [], []
-        real_call, real_keep = _TransportRows.__call__, _TransportRows._keep
+        real_row, real_undo = SchreierTree.row0, SchreierTree.undo0
 
-        def lookup(self, x0):
+        def lookup(self, x0, rows, capacity=None):
             looked_up.append(x0)
-            return real_call(self, x0)
+            return real_row(self, x0, rows, capacity)
 
-        def keep(self, x0, row):
+        def undo(self, x0):
             built.append(x0)
-            return real_keep(self, x0, row)
+            return real_undo(self, x0)
 
         with monkeypatch.context() as m:
-            m.setattr(_TransportRows, "__call__", lookup)
-            m.setattr(_TransportRows, "_keep", keep)
+            m.setattr(SchreierTree, "row0", lookup)
+            m.setattr(SchreierTree, "undo0", undo)
             cells = _stabilizer_cell_labels(gens, tree)
         # each row read stands for one transport of the full scan, and each
         # row built for one array pass
@@ -212,7 +209,42 @@ TRANSPORT_CASES = [gens for _, gens in CORPUS] + [
 TRANSPORT_IDS = [name for name, _ in CORPUS] + ["J12_6", "M22_770", "AGL1_1999_index2"]
 
 
-class TestTransportRows:
+def _scan_spy(monkeypatch):
+    """Record every ``SchreierTree.row0`` call of the scans that follow: the
+    row it returns, the store's entries after it, the capacity it was
+    passed, and how many calls left the store smaller than they found it
+    (each such call cleared it at least once)."""
+    seen = {"rows": [], "sizes": [], "capacities": set(), "clears": 0}
+    real = SchreierTree.row0
+
+    def row0(self, x0, rows, capacity=None):
+        before = len(rows)
+        row = real(self, x0, rows, capacity)
+        seen["rows"].append((x0, row))
+        seen["sizes"].append(sum(r.size for r in rows.values()))
+        seen["capacities"].add(capacity)
+        seen["clears"] += len(rows) < before
+        return row
+
+    monkeypatch.setattr(SchreierTree, "row0", row0)
+    return seen
+
+
+class _StoreLog(dict):
+    """A row store that logs its largest size and its clears."""
+
+    most = clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestRows:
     @pytest.mark.parametrize("rows_in_store", [None, 3], ids=["default", "three_rows"])
     @pytest.mark.parametrize("gens", TRANSPORT_CASES, ids=TRANSPORT_IDS)
     def test_labels_equal_the_full_scan(self, gens, rows_in_store, monkeypatch):
@@ -225,24 +257,56 @@ class TestTransportRows:
         assert np.array_equal(cells, _cells_of_the_full_scan(gens, tree))
 
     @pytest.mark.parametrize("gens", TRANSPORT_CASES[-3:], ids=TRANSPORT_IDS[-3:])
-    def test_rows_are_the_transports(self, gens, monkeypatch):
-        monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", 5 * gens.degree)
+    def test_rows_from_the_identity_are_the_transports(self, gens):
+        """From the identity, every row is the transport; the store keeps to
+        five rows and keeps the base row through every clear."""
         _, tree = orbit_with_tree(gens, 1)
-        rows = _TransportRows(tree)
-        points = np.arange(gens.degree)
+        identity = np.arange(gens.degree, dtype=np.int16)
+        rows = _StoreLog({0: identity})
         for x0 in range(0, gens.degree, 7):
-            row = rows(x0)
+            row = tree.row0(x0, rows, capacity=5)
             assert row.dtype == np.int16
-            assert np.array_equal(row, tree.transport_to_base0(x0, points))
+            assert np.array_equal(row, tree.transport_to_base0(x0, identity))
+            assert rows[x0] is row and rows[0] is identity
+        assert rows.most == 5 and rows.clears > 0
 
-    def test_rows_past_two_to_the_fifteen_points_are_int32(self):
-        p = 32771
-        _, tree = orbit_with_tree(affine(p, primitive_root(p)), 1)
-        rows = _TransportRows(tree)
-        x0 = int(np.argmax(tree.depth))
-        row = rows(x0)
-        assert row.dtype == np.int32
-        assert np.array_equal(row, tree.transport_to_base0(x0, np.arange(p)))
+    @pytest.mark.parametrize("gens", TRANSPORT_CASES[-3:], ids=TRANSPORT_IDS[-3:])
+    def test_rows_from_the_base_labels_are_the_label_rows(self, gens):
+        """From the base's suborbit labels, x's row holds the orbitals of the
+        pairs (x, y): those of ``orbital_of_pair``."""
+        basis = compute_orbitals(gens)
+        points = np.arange(gens.degree)
+        rows = {0: basis.sidx0}
+        for x0 in range(0, gens.degree, 11):
+            row = basis.tree.row0(x0, rows)
+            assert row.dtype == np.int64
+            assert np.array_equal(row, basis.sidx0[basis.tree.transport_to_base0(x0, points)])
+            y0 = x0 * 5 % gens.degree
+            assert row[y0] == basis.orbital_of_pair(x0 + 1, y0 + 1)
+
+    def test_a_point_outside_the_orbit_is_refused(self):
+        """parent0 is -1 outside the orbit; a walk that followed it would
+        read the parent of the last point instead."""
+        g = GeneratorSet(4, (Permutation.from_images([2, 3, 1, 4]),))
+        _, tree = orbit_with_tree(g, 1)
+        rows = {0: np.arange(4)}
+        with pytest.raises(ValueError, match="^point 4 not in orbit of 1$"):
+            tree.row0(3, rows)
+        assert list(rows) == [0]
+
+    @pytest.mark.parametrize(
+        "p, dtype", [(1999, np.int16), (32771, np.int32)], ids=["int16", "int32"]
+    )
+    def test_scan_rows_are_the_transports_in_the_smallest_dtype(self, p, dtype, monkeypatch):
+        """The scan's rows are int16 up to 2^15 points and int32 past."""
+        gens = affine(p, primitive_root(p))
+        _, tree = orbit_with_tree(gens, 1)
+        seen = _scan_spy(monkeypatch)
+        _stabilizer_cell_labels(gens, tree)
+        assert seen["rows"]
+        for x0, row in seen["rows"]:
+            assert row.dtype == dtype
+            assert np.array_equal(row, tree.transport_to_base0(x0, np.arange(p)))
 
     def test_store_keeps_to_its_budget(self, monkeypatch):
         """With room for four rows on 1999 points the store clears back to
@@ -254,21 +318,13 @@ class TestTransportRows:
         budget = 4 * n
         monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", budget)
         _, tree = orbit_with_tree(gens, 1)
-        most, clears = [0], [0]
-        real_keep = _TransportRows._keep
-
-        def keep(self, x0, row):
-            before = len(self.rows)
-            real_keep(self, x0, row)
-            most[0] = max(most[0], sum(r.size for r in self.rows.values()))
-            clears[0] += len(self.rows) < before
-
         with monkeypatch.context() as m:
-            m.setattr(_TransportRows, "_keep", keep)
+            seen = _scan_spy(m)
             cells = _stabilizer_cell_labels(gens, tree)
         assert int(cells.max()) + 1 == 3
-        assert most[0] <= budget
-        assert clears[0] > 100
+        assert seen["capacities"] == {4}
+        assert max(seen["sizes"]) <= budget
+        assert seen["clears"] > 100
 
         tracemalloc.start()
         try:
@@ -279,13 +335,23 @@ class TestTransportRows:
         assert peak <= budget * 2 + 32 * n * 8
         assert np.bincount(tree.depth).max() * n * 2 > 4 * peak
 
-    def test_edge_mask_is_the_tree_edge_test(self, corpus_member):
-        _, gens = corpus_member
+    def test_rows_built_with_a_four_row_store(self, monkeypatch):
+        """A full store is cleared mid-path and a missing row is rebuilt from
+        its nearest stored ancestor, one gather per row: on the index-2
+        subgroup of AGL(1,1999) with room for four rows that is 23,276 rows."""
+        gens = _rank_three_affine()
+        monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", 4 * gens.degree)
         _, tree = orbit_with_tree(gens, 1)
-        mask = _tree_edge_mask(tree)
-        want = [[tree.is_edge0(p0, gi) for gi in range(len(gens))] for p0 in range(gens.degree)]
-        assert mask.tolist() == want
-        assert int(mask.sum()) == gens.degree - 1
+        built = []
+        real = SchreierTree.undo0
+
+        def undo(self, x0):
+            built.append(x0)
+            return real(self, x0)
+
+        monkeypatch.setattr(SchreierTree, "undo0", undo)
+        _stabilizer_cell_labels(gens, tree)
+        assert len(built) == 23276
 
 
 class TestStructureConstants:
@@ -432,18 +498,12 @@ class TestCheckConstants:
         self.refuse(basis, self.moved(consts.table, 2, 3, r, s), "transpose consistency failed")
 
 
-@requires_m22
-def test_m22_770_suborbit_lengths():
-    gens = parse_generators(m22_path())
-    basis = compute_orbitals(gens)
-    assert basis.rank == 9
-    assert basis.lengths_in_order() == [1, 96, 144, 72, 144, 9, 16, 144, 144]
-
-
 def test_m22_770_suborbit_lengths_from_the_golay_code():
+    """The Golay construction fixes the labelling, so the lengths hold by
+    basis position."""
     basis = compute_orbitals(golay.m22_770())
     assert basis.rank == 9
-    assert sorted(basis.lengths_in_order()) == [1, 9, 16, 72, 96, 144, 144, 144, 144]
+    assert basis.lengths_in_order() == [1, 9, 96, 144, 72, 144, 16, 144, 144]
 
 
 class TestGolayConstruction:

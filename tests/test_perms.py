@@ -20,7 +20,7 @@ from conftest import (
     primitive_root,
     symmetric,
 )
-from oracles import enumerate_group, scalar_orbit_with_tree
+from oracles import enumerate_group, is_edge0, scalar_orbit_with_tree
 
 
 class TestParsing:
@@ -153,7 +153,7 @@ class TestOrbits:
             (p0, gi)
             for p0 in range(n)
             for gi in range(len(gens))
-            if tree.is_edge0(p0, gi)
+            if is_edge0(tree, p0, gi)
         ]
         assert len(edges) == n - 1
         for p0, gi in edges:
@@ -163,6 +163,15 @@ class TestOrbits:
                 tree.transport_to_base0(p0, points),
                 tree.transport_to_base0(q0, s.images0),
             )
+
+
+    def test_edge_mask_is_the_tree_edge_test(self, corpus_member):
+        _, gens = corpus_member
+        _, tree = orbit_with_tree(gens, 1)
+        mask = tree.edge_mask()
+        want = [[is_edge0(tree, p0, gi) for gi in range(len(gens))] for p0 in range(gens.degree)]
+        assert mask.tolist() == want
+        assert int(mask.sum()) == gens.degree - 1
 
 
 def _assert_tree_matches_scalar_bfs(gens, base):

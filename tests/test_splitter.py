@@ -27,6 +27,7 @@ from permsplit.cli import render_decomposition_text
 from permsplit.errors import SliceExhausted
 from permsplit.exactfield import ComplexBall, as_ball
 from permsplit.polynomial import groebner_basis
+from permsplit.solver import SolutionPoint
 from permsplit.splitter import (
     Projector,
     SplitEvent,
@@ -234,6 +235,23 @@ class TestProcessSingleSolution:
             process_single_solution(state, p)
         assert all(isinstance(c, ComplexBall) for c in state.numeric_sum)
         assert max(c.rad for c in state.numeric_sum) < mpmath.mpf(2) ** -128
+
+    def test_numeric_filter_on_c5(self):
+        """The dimension loop alone leaves C5's four nontrivial projectors
+        numeric.  With B1 of them accepted, the filter rejects the candidates
+        that B1 does not annihilate, B1 and B1 + B2, and accepts B2, B3, B4
+        and B3 + B4."""
+        state = self._state(cyclic(5))
+        b = [p for p in groebner_split("C5_natural").projectors if not p.exact]
+        assert len(b) == 4
+        process_single_solution(state, b[0])
+
+        def accepted(*projectors):
+            total = verify._coefficient_sum(projectors, state.basis.rank, b[0].precision)
+            return state.accept_candidate(SolutionPoint(tuple(total), b[0].precision))
+
+        assert not accepted(b[0]) and not accepted(b[0], b[1])
+        assert accepted(b[1]) and accepted(b[2]) and accepted(b[3]) and accepted(b[2], b[3])
 
     def test_s3_d2_forced_linearly(self):
         state = self._state(symmetric(3))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,7 @@ from permsplit import (
     verify_matrix_level,
     compare_to_reference,
 )
+from permsplit.cli import parse_decomposition_text, render_decomposition_text
 from permsplit.exactfield import as_ball
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
 from permsplit.verify import (
@@ -34,6 +36,7 @@ from permsplit.verify import (
 
 from conftest import (
     CORPUS,
+    GROEBNER_ONLY,
     affine,
     corpus_split,
     cyclic,
@@ -54,6 +57,12 @@ FE = FieldElement
 
 def fe(q):
     return FE.from_rational(Fraction(q))
+
+
+# The corpus actions on at most 8 points, for the sweeps that run on a
+# representative subset; every one outside GROEBNER_ONLY splits exactly.
+SMALL_CORPUS = [(name, gens) for name, gens in CORPUS if gens.degree <= 8]
+SMALL_EXACT_CORPUS = [(name, gens) for name, gens in SMALL_CORPUS if name not in GROEBNER_ONLY]
 
 
 def split_with_constants(gens):
@@ -209,17 +218,16 @@ class TestAlgebraic:
         assert report.passed
         assert names == [f"primitivity B[{m}]" for m in range(1, len(deco.projectors) + 1)]
 
-    def test_every_single_coefficient_perturbation_fails(self, corpus_member):
+    @pytest.mark.parametrize(
+        "name, gens", SMALL_EXACT_CORPUS, ids=[name for name, _ in SMALL_EXACT_CORPUS]
+    )
+    def test_every_single_coefficient_perturbation_fails(self, name, gens):
         """Each perturbed family fails a hypothesis of the orthogonality
         theorem, so its pairs are multiplied: no line is derived, and since
         sum_{j != m} B'_m B_j = B'_m (I - B_m) = delta A_r (I - B_m) is never
         zero, some pair keeps a witness."""
-        name, gens = corpus_member
-        if gens.degree > 8:
-            pytest.skip("keep the negative-control sweep small")
         basis, consts, deco = corpus_with_constants(name, gens)
-        if not deco.exact_only():
-            pytest.skip("perturbation sweep is for exact decompositions")
+        assert deco.exact_only()
         for m in range(len(deco.projectors)):
             for r in range(basis.rank):
                 report = verify_family_algebraic(consts, _tweak(deco, m, r))
@@ -495,12 +503,27 @@ class TestMatrixLevel:
 
 
 class TestCompare:
-    def test_self_comparison(self, corpus_member):
-        name, gens = corpus_member
-        if gens.degree > 8:
-            pytest.skip("representative subset")
+    @pytest.mark.parametrize("name", [name for name, _ in SMALL_CORPUS])
+    def test_self_comparison(self, name):
         deco = corpus_split(name)
         assert compare_to_reference(deco, deco).passed
+
+    def test_a_moved_numeric_midpoint_fails_its_match(self):
+        """One printed midpoint of C5's text report moved by 1e-12, far past
+        its radius of about 1e-42, is a different coefficient: numeric
+        coefficients match when their difference encloses zero, with no
+        tolerance beyond the enclosures."""
+        deco = corpus_split("C5_natural")
+        lines = render_decomposition_text(deco).splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith("coeff ") and " numeric " in line)
+        fields = lines[i].split()
+        with localcontext() as ctx:
+            ctx.prec = 80
+            fields[3] = str(Decimal(fields[3]) + Decimal("1e-12"))
+        lines[i] = " ".join(fields)
+        report = compare_to_reference(deco, parse_decomposition_text("\n".join(lines) + "\n"))
+        assert [c.name for c in report.failures()] == ["projector 1 (d=1) match"]
 
     def test_conjugated_family_matches(self):
         _, consts, deco = split_with_constants(cyclic(4))
