@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse error, 2 intransitive action, 3 resource
 limit, 4 internal invariant violation (any other error of the package), 5
 verification failure.  Reports are byte-identical for identical inputs;
-timing lines go to stderr.
+timing lines go to stderr.  Every sum in a report, a coefficient or a
+``# B[k]`` line, is written by ``exactfield.signed_sum``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .exactfield import (
     field_element_to_json,
     parse_field_element,
     render_field_element,
+    signed_sum,
 )
 from .perms import parse_generators, read_input
 from .solver import DEFAULT_PRECISION, MAX_PRECISION
@@ -135,25 +137,8 @@ def _appendix_line(p, index):
     if not p.exact:
         return f"# B[{index}] d={p.dimension} has numeric coordinates"
     b1 = p.coefficients[0]
-    chunks = []
-    for r, c in enumerate(p.coefficients, start=1):
-        ratio = c / b1
-        if ratio.is_zero():
-            continue
-        if ratio == 1:
-            body, neg = f"A{r}", False
-        elif ratio.is_rational():
-            q = ratio.rational_value()
-            neg = q < 0
-            body = f"A{r}" if abs(q) == 1 else f"{abs(q)}*A{r}"
-        else:
-            neg = False
-            body = f"({render_field_element(ratio, factored=False)})*A{r}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return f"# B[{index}] = {render_field_element(b1)}*({' '.join(chunks)})"
+    ratios = signed_sum((c / b1, f"A{r}") for r, c in enumerate(p.coefficients, start=1))
+    return f"# B[{index}] = {render_field_element(b1)}*({ratios})"
 
 
 RADIUS_DIGITS = 8
@@ -234,10 +219,15 @@ def render_decomposition_text(deco):
     return "\n".join(out).rstrip() + "\n"
 
 
+HEADERS = ("Degree:", "Rank:", "Suborbit lengths:", "Decomposition:")
+
+
 def parse_decomposition_text(text):
     """The inverse of ``render_decomposition_text``; ParseError, with the
-    line number, on a malformed line or projector block."""
+    line number, on a malformed line or projector block, or on a header
+    line that appears twice."""
     degree = rank = lineno = None
+    headers = set()
     lengths = []
     projectors = []
     conjugate_lines = []
@@ -251,14 +241,17 @@ def parse_decomposition_text(text):
                 continue
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("Degree:"):
-                degree = int(line.split(":", 1)[1])
-            elif line.startswith("Rank:"):
-                rank = int(line.split(":", 1)[1])
-            elif line.startswith("Suborbit lengths:"):
-                lengths = [int(t) for t in line.split(":", 1)[1].split(",")]
-            elif line.startswith("Decomposition:"):
-                continue
+            if line.startswith(HEADERS):
+                head, _, value = line.partition(":")
+                if head in headers:
+                    raise ParseError(f"repeated {head} line", lineno)
+                headers.add(head)
+                if head == "Degree":
+                    degree = int(value)
+                elif head == "Rank":
+                    rank = int(value)
+                elif head == "Suborbit lengths":
+                    lengths = [int(t) for t in value.split(",")]
             elif line.startswith("projector"):
                 if current is not None:
                     raise ParseError("projector before the open block's end", lineno)

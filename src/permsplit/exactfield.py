@@ -16,6 +16,10 @@ structural.  Nonzero canonical elements are nonzero complex numbers, which
 
 ``Rational`` is the standard library Fraction: it already maintains the
 gcd-reduced, positive-denominator canonical form required here.
+
+``signed_sum`` is the one writer of every sum the package prints: an
+element over its radicals, a polynomial over its monomials, and a
+projector over A_1..A_R in the reports' ``# B[k]`` lines.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "UNREPRESENTABLE",
     "sqrt_if_nice",
     "render_field_element",
+    "signed_sum",
     "parse_field_element",
     "field_element_to_json",
     "field_element_from_json",
@@ -590,17 +595,42 @@ def as_ball(x, precision=None):
 # -- rendering and parsing ------------------------------------------------------
 
 
-def _atom(c, rad):
-    """Render c*sqrt(rad)."""
-    c = Fraction(c)
-    if rad == 1:
-        return str(c)
-    parts = [str(abs(c))] if abs(c) != 1 else []
-    if rad < 0:
-        parts.append("I")
-    if abs(rad) != 1:
-        parts.append(f"sqrt({abs(rad)})")
-    return ("-" if c < 0 else "") + "*".join(parts)
+def _radical(rad):
+    """The symbol of sqrt(rad): none, ``I``, ``sqrt(k)`` or ``I*sqrt(k)``."""
+    if rad > 1:
+        return f"sqrt({rad})"
+    if rad < -1:
+        return f"I*sqrt({-rad})"
+    return "I" if rad == -1 else ""
+
+
+def signed_sum(terms):
+    """The one writer of a sum: (coefficient, symbol) pairs as ``a - b + c``.
+
+    A rational coefficient (a Fraction, or a rational FieldElement) goes
+    before its symbol, joined by ``*``, and is left out when it is ±1 and a
+    symbol follows; its sign goes in front of its term, ``-`` on the first
+    and ``- `` or ``+ `` on the later ones.  Any other coefficient is written
+    in parentheses, unfactored.  The symbol ``""`` is no symbol.  Zero terms
+    are left out, and a sum of none is ``0``.
+    """
+    out = []
+    for c, symbol in terms:
+        if isinstance(c, FieldElement) and c.is_rational():
+            c = c.rational_value()
+        if isinstance(c, FieldElement):
+            neg, coeff = False, f"({render_field_element(c, factored=False)})"
+        elif not c:
+            continue
+        else:
+            neg, c = c < 0, abs(c)
+            coeff = "" if symbol and c == 1 else str(c)
+        body = f"{coeff}*{symbol}" if coeff and symbol else coeff or symbol
+        if out:
+            out.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            out.append(f"-{body}" if neg else body)
+    return " ".join(out) if out else "0"
 
 
 def render_field_element(fe, factored=True):
@@ -611,26 +641,11 @@ def render_field_element(fe, factored=True):
     references) multi-term values are written as leading-coefficient times a
     parenthesized sum whose first coefficient is 1.
     """
-    fe = _coerce(fe)
-    items = fe.sorted_terms()
-    if not items:
-        return "0"
-    if len(items) == 1:
-        return _atom(items[0][1], items[0][0])
-    if factored:
+    items = _coerce(fe).sorted_terms()
+    if factored and len(items) > 1 and items[0][1] != 1:
         lead = items[0][1]
-        inner = render_field_element(fe.scaled(1 / lead), factored=False)
-        if lead == 1:
-            return inner
-        return f"{lead}*({inner})"
-    out = []
-    for idx, (rad, c) in enumerate(items):
-        if idx == 0:
-            out.append(_atom(c, rad))
-        else:
-            body = _atom(abs(c), rad)
-            out.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(out)
+        return f"{lead}*({signed_sum((c / lead, _radical(rad)) for rad, c in items)})"
+    return signed_sum((c, _radical(rad)) for rad, c in items)
 
 
 def parse_field_element(text):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add, le, neg, sub
 
 from .errors import ResourceLimit
-from .exactfield import FieldElement, render_field_element
+from .exactfield import FieldElement, signed_sum
 
 __all__ = [
     "Ring",
@@ -276,31 +276,14 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: self.ring.key(t[0]), reverse=True)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, c in self.sorted_terms():
-            mono_txt = "*".join(
-                f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
-                for i, e in enumerate(mono)
-                if e
+        names = self.ring.names
+
+        def monomial(mono):
+            return "*".join(
+                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(mono) if e
             )
-            if c.is_rational():
-                q = c.rational_value()
-                coeff_txt = str(abs(q))
-                neg = q < 0
-            else:
-                coeff_txt = f"({render_field_element(c, factored=False)})"
-                neg = False
-            if mono_txt:
-                body = mono_txt if coeff_txt == "1" else f"{coeff_txt}*{mono_txt}"
-            else:
-                body = coeff_txt
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+
+        return signed_sum((c, monomial(mono)) for mono, c in self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self.render()})"

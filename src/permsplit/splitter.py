@@ -70,6 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import verify
 from .centralizer import (
     DEFAULT_RANK_CAP,
     OrbitalBasis,
@@ -102,7 +103,6 @@ from .verify import (
     _coefficient_sum,
     _vanishes,
     algebra_product,
-    verify_family_algebraic,
 )
 
 __all__ = [
@@ -597,7 +597,7 @@ def _split_over(basis, consts, config, projectors):
         events=events,
         notes=notes,
     )
-    report = verify_family_algebraic(consts, deco, config.precision)
+    report = verify.verify_family_algebraic(consts, deco, config.precision)
     if not report.passed:
         failed = "; ".join(c.name for c in report.failures())
         raise InvariantViolation(f"split family fails its certificate: {failed}")

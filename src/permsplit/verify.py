@@ -496,20 +496,6 @@ def verify_matrix_level(
 # -- reference comparison ------------------------------------------------------------
 
 
-def _coeffs_equal(a, b, precision=DEFAULT_PRECISION):
-    """a == b for exact values; otherwise whether the enclosure of a − b
-    contains zero."""
-    with mpmath.workprec(precision + 40):
-        a, b = _lifted((a, b), precision)
-        if isinstance(a, FieldElement):
-            return a == b
-        return bool((a - b).contains_zero())
-
-
-def _all_equal(coeffs, ref_coeffs):
-    return all(_coeffs_equal(x, y) for x, y in zip(coeffs, ref_coeffs))
-
-
 def _match(deco: Decomposition, ref: Decomposition, conjugate):
     """Whether each computed projector matches, in order (see
     ``compare_to_reference``); with ``conjugate`` the computed family is
@@ -526,7 +512,7 @@ def _match(deco: Decomposition, ref: Decomposition, conjugate):
             (
                 j for j, q in enumerate(ref.projectors)
                 if j not in used and q.dimension == p.dimension
-                and _all_equal(coefficients(p), q.coefficients)
+                and _vanishes(coefficients(p), q.coefficients)
             ),
             None,
         )
@@ -542,7 +528,7 @@ def _match(deco: Decomposition, ref: Decomposition, conjugate):
             total = _coefficient_sum(mine, deco.rank, DEFAULT_PRECISION)
             if conjugate:
                 total = [c.conjugate() for c in total]
-            ok = _all_equal(total, _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION))
+            ok = _vanishes(total, _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION))
         matched.update((i, ok) for i in members)
     return [matched[i] for i in range(len(deco.projectors))]
 

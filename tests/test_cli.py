@@ -835,6 +835,28 @@ class TestMalformedDecompositionFile:
         assert err.startswith(f"parse error: line {lineno}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header", [
+        "Degree: 3", "Rank: 2", "Suborbit lengths: 1, 2", "Decomposition: 3 ≅ 1 ⊕ 2",
+    ], ids=["degree", "rank", "suborbit-lengths", "decomposition"])
+    def test_repeated_header_line(self, tmp_path, capsys, header):
+        """Each header line appears once, even when the second agrees."""
+        lines = render_decomposition_text(split(symmetric(3))).splitlines() + [header]
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err == f"parse error: line {len(lines)}: repeated {header.split(':')[0]} line\n"
+
+    def test_rank_changed_after_the_projectors(self, tmp_path, capsys):
+        """Projectors read at rank 3 cannot be compared at a later rank 2:
+        the second Rank line is refused, not met by an IndexError."""
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lines[lines.index("Rank: 2")] = "Rank: 3"
+        for at in reversed([i for i, line in enumerate(lines) if line == "end"]):
+            lines.insert(at, "coeff 3 1")
+        lines.append("Rank: 2")
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err == f"parse error: line {len(lines)}: repeated Rank line\n"
+
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["projectors"][0].update(dimension="1"),
         lambda obj: obj["projectors"][0].update(dimension=0),

@@ -14,6 +14,7 @@ from permsplit.exactfield import (
     field_element_to_json,
     parse_field_element,
     render_field_element,
+    signed_sum,
     squarefree_decompose,
 )
 
@@ -215,6 +216,22 @@ class TestRendering:
         assert render_field_element(-FE.i()) == "-I"
         assert render_field_element(FE.term(Fraction(2, 3), 7)) == "2/3*sqrt(7)"
         assert render_field_element(FE.term(-1, -5)) == "-I*sqrt(5)"
+
+    def test_signed_sum(self):
+        """One rule for every symbol: a rational coefficient before it, left
+        out when it is 1 or -1, its sign in front; any other coefficient in
+        parentheses; zero terms left out."""
+        terms = [
+            (Fraction(-1), "A1"),
+            (fe(Fraction(2, 3)), "A2"),
+            (Fraction(0), "A3"),
+            (fe(1) + FE.i(), "A4"),
+            (fe(-1), "A5"),
+            (Fraction(-5, 2), ""),
+        ]
+        assert signed_sum(terms) == "-A1 + 2/3*A2 + (1 + I)*A4 - A5 - 5/2"
+        assert signed_sum([(fe(1), ""), (FE.term(-1, 2), "")]) == "1 + (-sqrt(2))"
+        assert signed_sum([(Fraction(0), "x")]) == signed_sum([]) == "0"
 
     def test_term_order(self):
         val = FE.term(1, -2) + FE.term(1, 2) + fe(1) + FE.i()

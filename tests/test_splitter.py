@@ -640,7 +640,7 @@ class TestLinearRoute:
     def test_failed_certificate_raises_instead_of_falling_back(self, monkeypatch):
         """An exact family that fails its certificate is a bug, not a reason
         to run the dimension loop."""
-        real = splitter.verify_family_algebraic
+        real = verify.verify_family_algebraic
 
         def one_check_fails(consts, deco, precision):
             report = real(consts, deco, precision)
@@ -650,7 +650,7 @@ class TestLinearRoute:
         def no_groebner(polys):
             raise AssertionError("the dimension loop ran")
 
-        monkeypatch.setattr(splitter, "verify_family_algebraic", one_check_fails)
+        monkeypatch.setattr(verify, "verify_family_algebraic", one_check_fails)
         monkeypatch.setattr(splitter, "groebner_basis", no_groebner)
         with pytest.raises(InvariantViolation, match="planted check"):
             split(regular_action(symmetric(3)))

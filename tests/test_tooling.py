@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -92,15 +93,28 @@ def test_every_error_class_is_raised():
     assert defined <= raised, f"never raised: {sorted(defined - raised)}"
 
 
+# sha256 of each demo's stdout; the demos print no timings, so any change
+# in these bytes is a change in what the package computes or writes
+DEMO_OUTPUT_SHA256 = {
+    "01_orbitals_and_constants": "a879ebcef00643752c149beca078728338711521c42d0cfade054ee91da5289e",
+    "02_splitting_small_groups": "164c5cf0a916eb6e1a88430402120a456f67509a20b8445f47168c4834d674f7",
+    "03_multiplicity_blocks": "454aaea4ce29df069ba62dc88b450f5e08eddd55cdb754e824f2e6ee6e3e3acc",
+    "04_exact_tower_arithmetic": "7892fb8305cd1c484b8d99d5d0306614ee70a7adcbcc4d5c945e076c2ed39a31",
+    "05_gewirtz_graph": "7a8ff40848f2854d10a9d4d057b77ff432a09f3663739dd001a67c4399779984",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demos_run(demo):
-    """Each demo runs to the end against the package in ``src``."""
+    """Each demo runs to the end against the package in ``src`` and prints
+    the bytes pinned in ``DEMO_OUTPUT_SHA256``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_OUTPUT_SHA256[demo.stem]
 
 
 def test_benchmark_smoke_workload_runs():
