@@ -142,7 +142,6 @@ def _appendix_line(p, index):
 
 
 RADIUS_DIGITS = 8
-NOTE_PREFIX = "# note: "
 
 
 def _midpoint_digits(precision):
@@ -214,8 +213,6 @@ def render_decomposition_text(deco):
                 out.append(f"coeff {r} numeric {re} {im} {rad} {p.precision}")
         out.append("end")
         out.append("")
-    for note in deco.notes:
-        out.append(NOTE_PREFIX + note)
     return "\n".join(out).rstrip() + "\n"
 
 
@@ -225,20 +222,16 @@ HEADERS = ("Degree:", "Rank:", "Suborbit lengths:", "Decomposition:")
 def parse_decomposition_text(text):
     """The inverse of ``render_decomposition_text``; ParseError, with the
     line number, on a malformed line or projector block, or on a header
-    line that appears twice."""
+    line, or a field line of one block, that appears twice."""
     degree = rank = lineno = None
     headers = set()
     lengths = []
     projectors = []
     conjugate_lines = []
-    notes = []
     current = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if line.startswith(NOTE_PREFIX):
-                notes.append(line[len(NOTE_PREFIX):])
-                continue
             if not line or line.startswith("#"):
                 continue
             if line.startswith(HEADERS):
@@ -258,6 +251,7 @@ def parse_decomposition_text(text):
                 if rank is None:
                     raise ParseError("projector before the Rank header", lineno)
                 current = {"coeffs": {}}
+                fields = set()
             elif line == "end":
                 if current is None:
                     raise ParseError("end without projector", lineno)
@@ -267,6 +261,9 @@ def parse_decomposition_text(text):
             elif current is not None:
                 key, _, rest = line.partition(" ")
                 rest = rest.strip()
+                if key != "coeff" and key in fields:
+                    raise ParseError(f"repeated {key} line", lineno)
+                fields.add(key)
                 if key == "dimension":
                     current["dimension"] = int(rest)
                 elif key == "exact":
@@ -304,7 +301,6 @@ def parse_decomposition_text(text):
         rank=rank,
         projectors=projectors,
         suborbit_lengths=lengths,
-        notes=notes,
     )
 
 
@@ -382,6 +378,9 @@ def _projector_from_record(rec, rank, lineno=None):
     )
 
 
+JSON_FORMAT = "permsplit.decomposition.v1"
+
+
 def decomposition_to_json(deco):
     projs = []
     for p in deco.projectors:
@@ -405,20 +404,24 @@ def decomposition_to_json(deco):
             }
         )
     return {
-        "format": "permsplit.decomposition.v1",
+        "format": JSON_FORMAT,
         "degree": deco.degree,
         "rank": deco.rank,
         "suborbit_lengths": list(deco.suborbit_lengths),
         "decomposition": _decomposition_line(deco),
         "projectors": projs,
-        "notes": list(deco.notes),
+        # format v1 keeps the key, which the reader ignores: no certified
+        # family carries notes
+        "notes": [],
     }
 
 
 def decomposition_from_json(obj):
     """The inverse of ``decomposition_to_json``; ParseError on a missing or
-    malformed field."""
+    malformed field, or a ``format`` other than JSON_FORMAT."""
     try:
+        if obj["format"] != JSON_FORMAT:
+            raise ParseError(f"format {obj['format']!r} is not {JSON_FORMAT}")
         rank = obj["rank"]
         if not all(type(x) is int for x in (obj["degree"], rank, *obj["suborbit_lengths"])):
             raise ParseError("degree, rank and suborbit lengths must be integers")
@@ -443,10 +446,19 @@ def decomposition_from_json(obj):
             rank=rank,
             projectors=projectors,
             suborbit_lengths=list(obj["suborbit_lengths"]),
-            notes=list(obj.get("notes", [])),
         )
     except (ArithmeticError, LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed decomposition JSON: {e!r}") from e
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; ParseError when a key appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
 
 
 def load_decomposition(path):
@@ -454,7 +466,7 @@ def load_decomposition(path):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ParseError(e.msg, e.lineno) from e
         return decomposition_from_json(obj)

@@ -714,14 +714,17 @@ def field_element_to_json(fe):
 
 def field_element_from_json(obj):
     """The inverse of ``field_element_to_json``.  ParseError unless every
-    ``rad`` is an int and every ``num`` and ``den`` an int or the decimal
-    string the writer emits; a bool is neither."""
+    ``rad`` is an int that no other term repeats and every ``num`` and
+    ``den`` an int or the decimal string the writer emits; a bool is
+    neither."""
     terms = {}
     for t in obj["terms"]:
         rad = t["rad"]
         # type(x) is int, because a bool is an int to isinstance
         if type(rad) is not int:
             raise ParseError(f"radicand {rad!r} is not an integer")
+        if rad in terms:
+            raise ParseError(f"repeated radicand {rad}")
         value = Fraction(_json_integer(t["num"]), _json_integer(t["den"]))
         terms[_read_radicand(rad)] = value
     return FieldElement(terms)

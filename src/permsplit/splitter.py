@@ -174,7 +174,6 @@ class Decomposition:
     projectors: list
     suborbit_lengths: list
     events: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def dimension_multiset(self):
@@ -189,10 +188,11 @@ class SplitEvent:
     """One step of the split, for reports and diagnostics."""
 
     d: int
-    # the dimension loop's "inconsistent" | "solutions" | "slice" | "filtered";
-    # the exact projectors of dimension d make one event with no Hilbert
-    # dimension, "blockRefinement" when some come from refining a block and
-    # "solutions" otherwise
+    # the dimension loop's "inconsistent" | "solutions" | "slice" | "filtered",
+    # the last when the numeric filter rejects every point of a
+    # zero-dimensional system; the exact projectors of dimension d make one
+    # event with no Hilbert dimension, "blockRefinement" when some come from
+    # refining a block and "solutions" otherwise
     kind: str
     hilbert: int = None
     extracted: int = 0
@@ -254,7 +254,6 @@ class _SplitState:
         self.numeric_sum = None  # coefficients of the numeric projectors' sum
         self.found = sum(p.dimension for p in projectors)
         self.events = []
-        self.notes = []
         if self.projectors:
             self.renew_sum(exact=True)  # the seeds are exact idempotents
 
@@ -574,7 +573,6 @@ def _split_over(basis, consts, config, projectors):
         at_d = [p for p in projectors if p.dimension == d]
         kind = "solutions" if all(p.block is None for p in at_d) else "blockRefinement"
         events.append(SplitEvent(d, kind, None, len(at_d)))
-    notes = []
     if sum(p.dimension for p in projectors) < n:
         state = _SplitState(basis, consts, config, projectors)
         for d in range(1, n + 1):
@@ -584,7 +582,7 @@ def _split_over(basis, consts, config, projectors):
             _run_dimension(state, d)
         if state.found < n:
             raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
-        projectors, events, notes = state.projectors, events + state.events, state.notes
+        projectors, events = state.projectors, events + state.events
     deco = Decomposition(
         degree=n,
         rank=basis.rank,
@@ -595,7 +593,6 @@ def _split_over(basis, consts, config, projectors):
         ),
         suborbit_lengths=basis.lengths_in_order(),
         events=events,
-        notes=notes,
     )
     report = verify.verify_family_algebraic(consts, deco, config.precision)
     if not report.passed:
@@ -611,7 +608,10 @@ def _run_dimension(state: _SplitState, d):
     The Hilbert dimension only chooses between enumerating and slicing; how
     many projectors a dimension yields is left to the certificate.  When a
     slice happened at d, every projector extracted at d is tagged as the
-    block d.
+    block d.  Running out of slice attempts raises SliceExhausted naming d
+    and the Hilbert dimension, whatever the family holds: the primitive
+    idempotents left in that block each have trace d, so no later dimension
+    could supply them.
     """
     cfg = state.config
     first = len(state.projectors)
@@ -641,14 +641,8 @@ def _run_dimension(state: _SplitState, d):
             point = particular_solution_on_slice(
                 gb, precision=cfg.precision, accept=state.accept_candidate
             )
-        except SliceExhausted:
-            if state.numeric_sum is not None:
-                state.notes.append(
-                    f"d={d}: slice attempts exhausted against numeric projectors"
-                )
-                state.events.append(SplitEvent(d, "filtered", h, 0))
-                break
-            raise
+        except SliceExhausted as e:
+            raise SliceExhausted(f"{e} at d={d} (Hilbert dimension {h})") from None
         process_single_solution(
             state, Projector(point.values, d, "slicedSolution", point.precision)
         )

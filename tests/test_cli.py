@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -18,7 +21,16 @@ from permsplit.cli import (
 )
 from permsplit import split
 from permsplit.centralizer import compute_orbitals, compute_structure_constants
-from permsplit.errors import SliceExhausted
+from permsplit.errors import (
+    IncompleteDecomposition,
+    IntransitiveAction,
+    InvariantViolation,
+    MatrixCapExceeded,
+    ParseError,
+    PermsplitError,
+    ResourceLimit,
+    SliceExhausted,
+)
 from permsplit.exactfield import ComplexBall
 from permsplit.verify import verify_family_algebraic, verify_matrix_level
 from conftest import (
@@ -26,6 +38,7 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
+    exhaust_slices_after_numeric_projectors,
     groebner_split,
     petersen,
     regular_action,
@@ -238,6 +251,14 @@ class TestSplitCommand:
         assert main(["split", str(path)]) == 3
         assert capsys.readouterr().err.startswith("resource limit: no particular solution")
 
+    def test_slice_exhausted_after_numeric_projectors_exit_3(self, tmp_path, monkeypatch, capsys):
+        """With numeric projectors accepted, running out of slice attempts
+        is the same resource limit."""
+        path = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
+        exhaust_slices_after_numeric_projectors(monkeypatch)
+        assert main(["split", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: no particular solution")
+
     @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
     @pytest.mark.parametrize("command", ["split", "verify"])
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, command, unreadable):
@@ -339,12 +360,18 @@ class TestRoundTrips:
             p.coefficients for p in j.projectors
         ]
 
-    def test_notes_roundtrip(self):
+    def test_older_notes_are_read_past(self):
+        """Reports of earlier releases could carry notes: a ``# note:`` line
+        reads as a comment and a JSON ``notes`` list is ignored."""
         deco = split(symmetric(3))
-        deco.notes.append("d=2: slice attempts exhausted against numeric projectors")
-        text = parse_decomposition_text(render_decomposition_text(deco))
-        obj = decomposition_from_json(json.loads(json.dumps(decomposition_to_json(deco))))
-        assert text.notes == obj.notes == deco.notes
+        note = "d=2: slice attempts exhausted against numeric projectors"
+        text = render_decomposition_text(deco).replace("\n\n", f"\n# note: {note}\n\n")
+        obj = decomposition_to_json(deco)
+        obj["notes"] = [note]
+        for back in parse_decomposition_text(text), decomposition_from_json(obj):
+            assert [(p.coefficients, p.dimension) for p in back.projectors] == [
+                (p.coefficients, p.dimension) for p in deco.projectors
+            ]
 
     def test_numeric_coefficients_roundtrip(self):
         import mpmath
@@ -845,6 +872,23 @@ class TestMalformedDecompositionFile:
         assert code == 1
         assert err == f"parse error: line {len(lines)}: repeated {header.split(':')[0]} line\n"
 
+    @pytest.mark.parametrize("field, first", [
+        ("dimension 1", "dimension 5"),
+        ("exact true", "exact false"),
+        ("provenance uniqueSolution", "provenance slicedSolution"),
+        ("block -", "block 1"),
+        ("conjugate-of -", "conjugate-of 2"),
+    ], ids=["dimension", "exact", "provenance", "block", "conjugate-of"])
+    def test_repeated_field_line(self, tmp_path, capsys, field, first):
+        """Each field line appears once in a block; the second copy is
+        refused, not read over the first."""
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        at = lines.index(field)
+        lines.insert(at, first)
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err == f"parse error: line {at + 2}: repeated {field.split()[0]} line\n"
+
     def test_rank_changed_after_the_projectors(self, tmp_path, capsys):
         """Projectors read at rank 3 cannot be compared at a later rank 2:
         the second Rank line is refused, not met by an IndexError."""
@@ -874,6 +918,37 @@ class TestMalformedDecompositionFile:
         code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
         assert code == 1
         assert err.startswith("parse error: ")
+
+    def test_json_repeated_key(self, tmp_path, capsys):
+        text = json.dumps(decomposition_to_json(split(symmetric(3))))
+        assert text.count('"dimension": 1,') == 1
+        text = text.replace('"dimension": 1,', '"dimension": 5, "dimension": 1,')
+        code, err = self.verify_against(tmp_path, capsys, text)
+        assert code == 1
+        assert err == "parse error: repeated key 'dimension' in a JSON object\n"
+
+    def test_json_repeated_radicand(self, tmp_path, capsys):
+        """5/3 and 1/3 on radicand 1 would sum to 2; a reader that kept
+        the last term would read the coefficient as 1/3."""
+        obj = decomposition_to_json(split(symmetric(3)))
+        obj["projectors"][0]["coefficients"][0]["terms"] = [
+            {"rad": 1, "num": "5", "den": "3"},
+            {"rad": 1, "num": "1", "den": "3"},
+        ]
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err == "parse error: repeated radicand 1\n"
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda obj: obj.update(format="permsplit.decomposition.v9"), "'permsplit.decomposition.v9'"),
+        (lambda obj: obj.pop("format"), "KeyError('format')"),
+    ], ids=["v9", "missing"])
+    def test_json_format_other_than_v1(self, tmp_path, capsys, edit, named):
+        obj = decomposition_to_json(split(symmetric(3)))
+        edit(obj)
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err.startswith("parse error: ") and named in err
 
     def test_json_without_degree(self, tmp_path, capsys):
         obj = decomposition_to_json(split(symmetric(3)))
@@ -996,6 +1071,45 @@ class TestMalformedDecompositionFile:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert err.startswith("resource limit: ") and "Pollard rho" in err
+
+
+# README's exit code of each error class; a new class needs its code here
+EXIT_CODES = {
+    ParseError: 1,
+    IntransitiveAction: 2,
+    ResourceLimit: 3,
+    MatrixCapExceeded: 3,
+    SliceExhausted: 3,
+    InvariantViolation: 4,
+    NotZeroDimensional: 4,
+    IncompleteDecomposition: 4,
+}
+
+
+@pytest.mark.parametrize("error", PermsplitError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_error_has_its_documented_exit_code(tmp_path, monkeypatch, capsys, error):
+    def raise_error(*args, **kwargs):
+        raise error({1}) if error is IntransitiveAction else error("raised")
+
+    monkeypatch.setattr(cli, "split_from_constants", raise_error)
+    path = tmp_path / "s3.gens"
+    path.write_text(S3_TEXT)
+    assert main(["split", str(path)]) == EXIT_CODES[error]
+
+
+def test_readme_usage_lines_are_the_parser_options():
+    """Each usage line of README's command line section names exactly the
+    options of its subcommand."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    usages = re.split(r"\n(?=permsplit )", block.strip())
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [usage.split()[1] for usage in usages] == list(sub.choices)
+    for usage in usages:
+        parser = sub.choices[usage.split()[1]]
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options
 
 
 def test_main_callable_directly(tmp_path):

@@ -44,6 +44,7 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
+    exhaust_slices_after_numeric_projectors,
     frobenius20,
     groebner_route,
     groebner_split,
@@ -281,27 +282,37 @@ class TestDimensionLoopExits:
         monkeypatch.setattr(_SplitState, "accept_candidate", lambda self, point: False)
         splitter._run_dimension(state, 1)
         assert state.events == [SplitEvent(1, "filtered", 0, 0)]
-        assert state.projectors == [] and state.notes == []
+        assert state.projectors == []
 
     def test_slices_exhausted_against_numeric_projectors(self, monkeypatch):
         """With a numeric projector accepted, running out of slice attempts
-        ends the block at d with a note and moves on to d + 1."""
+        still raises SliceExhausted: the block's missing idempotents have
+        trace d, so no later dimension could supply them."""
         state = self._state(regular_action(symmetric(3)))
         trivial = tuple(as_ball(fe(Fraction(1, 6)), 128) for _ in range(6))
         process_single_solution(state, Projector(trivial, 1, "uniqueSolution"))
         monkeypatch.setattr(splitter, "particular_solution_on_slice", self._exhausted)
-        splitter._run_dimension(state, 2)
-        assert state.events == [SplitEvent(2, "filtered", 2, 0)]
-        assert state.notes == ["d=2: slice attempts exhausted against numeric projectors"]
-        assert len(state.projectors) == 1
+        with pytest.raises(SliceExhausted, match=r"at d=2 \(Hilbert dimension 2\)$"):
+            splitter._run_dimension(state, 2)
+        assert state.events == [] and len(state.projectors) == 1
 
     def test_slices_exhausted_without_numeric_projectors(self, monkeypatch):
-        """With no numeric projector to blame, SliceExhausted propagates."""
+        """With no numeric projector accepted, SliceExhausted propagates."""
         state = self._state(regular_action(symmetric(3)))
         monkeypatch.setattr(splitter, "particular_solution_on_slice", self._exhausted)
-        with pytest.raises(SliceExhausted):
+        with pytest.raises(SliceExhausted, match=r"at d=2 \(Hilbert dimension 2\)$"):
             splitter._run_dimension(state, 2)
-        assert state.events == [] and state.notes == []
+        assert state.events == []
+
+    def test_split_stops_at_the_exhausted_slice(self, monkeypatch):
+        """Regular S3 with numeric coordinates for its two linear characters:
+        running out of slice attempts in the block of the 2 ends the split
+        at d = 2, after the Groebner bases of d = 1 and d = 2, and not in an
+        IncompleteDecomposition once the dimensions run out."""
+        bases = exhaust_slices_after_numeric_projectors(monkeypatch)
+        with pytest.raises(SliceExhausted, match=r"^no particular solution .* at d=2 "):
+            split(regular_action(symmetric(3)))
+        assert len(bases) == 2
 
 
 class TestAlgebraProduct:
