@@ -251,7 +251,6 @@ def parse_decomposition_text(text):
                 if rank is None:
                     raise ParseError("projector before the Rank header", lineno)
                 current = {"coeffs": {}}
-                fields = set()
             elif line == "end":
                 if current is None:
                     raise ParseError("end without projector", lineno)
@@ -261,9 +260,8 @@ def parse_decomposition_text(text):
             elif current is not None:
                 key, _, rest = line.partition(" ")
                 rest = rest.strip()
-                if key != "coeff" and key in fields:
+                if key != "coeff" and key.replace("-", "_") in current:
                     raise ParseError(f"repeated {key} line", lineno)
-                fields.add(key)
                 if key == "dimension":
                     current["dimension"] = int(rest)
                 elif key == "exact":
@@ -410,8 +408,7 @@ def decomposition_to_json(deco):
         "suborbit_lengths": list(deco.suborbit_lengths),
         "decomposition": _decomposition_line(deco),
         "projectors": projs,
-        # format v1 keeps the key, which the reader ignores: no certified
-        # family carries notes
+        # format v1 keeps the key, always empty now, which the reader ignores
         "notes": [],
     }
 

@@ -190,9 +190,10 @@ class SplitEvent:
     d: int
     # the dimension loop's "inconsistent" | "solutions" | "slice" | "filtered",
     # the last when the numeric filter rejects every point of a
-    # zero-dimensional system; the exact projectors of dimension d make one
-    # event with no Hilbert dimension, "blockRefinement" when some come from
-    # refining a block and "solutions" otherwise
+    # zero-dimensional system or every slice of a positive-dimensional one;
+    # the exact projectors of dimension d make one event with no Hilbert
+    # dimension, "blockRefinement" when some come from refining a block and
+    # "solutions" otherwise
     kind: str
     hilbert: int = None
     extracted: int = 0
@@ -608,10 +609,9 @@ def _run_dimension(state: _SplitState, d):
     The Hilbert dimension only chooses between enumerating and slicing; how
     many projectors a dimension yields is left to the certificate.  When a
     slice happened at d, every projector extracted at d is tagged as the
-    block d.  Running out of slice attempts raises SliceExhausted naming d
-    and the Hilbert dimension, whatever the family holds: the primitive
-    idempotents left in that block each have trace d, so no later dimension
-    could supply them.
+    block d.  Running out of slice attempts ends the block at d once a
+    numeric projector has been accepted, and raises SliceExhausted naming d
+    and the Hilbert dimension otherwise.
     """
     cfg = state.config
     first = len(state.projectors)
@@ -642,7 +642,12 @@ def _run_dimension(state: _SplitState, d):
                 gb, precision=cfg.precision, accept=state.accept_candidate
             )
         except SliceExhausted as e:
-            raise SliceExhausted(f"{e} at d={d} (Hilbert dimension {h})") from None
+            if state.numeric_sum is None:
+                raise SliceExhausted(f"{e} at d={d} (Hilbert dimension {h})") from None
+            # a numeric projector leaves the d-system as it was, so once the
+            # block is complete every slice is rejected: the block ends here
+            state.events.append(SplitEvent(d, "filtered", h, 0))
+            break
         process_single_solution(
             state, Projector(point.values, d, "slicedSolution", point.precision)
         )

@@ -1,7 +1,6 @@
 """Shared group constructions and the acceptance-corpus fixture."""
 
 import copy
-import dataclasses
 import functools
 from itertools import combinations
 
@@ -16,8 +15,6 @@ from permsplit import (
     split,
     splitter,
 )
-from permsplit.errors import SliceExhausted
-from permsplit.exactfield import as_ball
 
 
 def perm(imgs):
@@ -76,6 +73,22 @@ def set_action(gens, m, k):
         for g in gens.generators
     ]
     return GeneratorSet(len(subsets), tuple(out))
+
+
+def orbit_action(gens, start, act):
+    """The action of ``gens`` on the orbit of ``start`` under ``act(g, x)``,
+    its points numbered in breadth-first order."""
+    points, idx = [start], {start: 1}
+    for x in points:  # the list grows while it is walked
+        for g in gens.generators:
+            y = act(g, x)
+            if y not in idx:
+                idx[y] = len(points) + 1
+                points.append(y)
+    return GeneratorSet(
+        len(points),
+        tuple(perm([idx[act(g, x)] for x in points]) for g in gens.generators),
+    )
 
 
 # Petersen labeling: point 2 is disjoint from point 1 = {1,2}, which puts the
@@ -277,30 +290,3 @@ def duplicate_first_projector(monkeypatch):
 
     monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
     monkeypatch.setattr(splitter, "process_single_solution", doubled)
-
-
-def exhaust_slices_after_numeric_projectors(monkeypatch):
-    """Send ``split`` down the dimension loop alone, give every point of a
-    zero-dimensional system numeric coordinates, and make every slice run
-    out of attempts.  Returns the list of the Groebner bases computed."""
-    solve, groebner = splitter.solve_zero_dimensional, splitter.groebner_basis
-    bases = []
-
-    def numeric(system, precision):
-        return [
-            dataclasses.replace(p, values=tuple(as_ball(v, precision) for v in p.values))
-            for p in solve(system, precision=precision)
-        ]
-
-    def counted(system):
-        bases.append(groebner(system))
-        return bases[-1]
-
-    def exhausted(*args, **kwargs):
-        raise SliceExhausted("no particular solution within 8 slice attempts")
-
-    monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
-    monkeypatch.setattr(splitter, "solve_zero_dimensional", numeric)
-    monkeypatch.setattr(splitter, "groebner_basis", counted)
-    monkeypatch.setattr(splitter, "particular_solution_on_slice", exhausted)
-    return bases

@@ -38,7 +38,6 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
-    exhaust_slices_after_numeric_projectors,
     groebner_split,
     petersen,
     regular_action,
@@ -248,14 +247,6 @@ class TestSplitCommand:
         path = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
         monkeypatch.setattr(splitter, "_split_linear", lambda *args: [])
         monkeypatch.setattr(splitter, "particular_solution_on_slice", exhausted)
-        assert main(["split", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("resource limit: no particular solution")
-
-    def test_slice_exhausted_after_numeric_projectors_exit_3(self, tmp_path, monkeypatch, capsys):
-        """With numeric projectors accepted, running out of slice attempts
-        is the same resource limit."""
-        path = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
-        exhaust_slices_after_numeric_projectors(monkeypatch)
         assert main(["split", str(path)]) == 3
         assert capsys.readouterr().err.startswith("resource limit: no particular solution")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import re
@@ -44,10 +45,10 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
-    exhaust_slices_after_numeric_projectors,
     frobenius20,
     groebner_route,
     groebner_split,
+    orbit_action,
     pair_action,
     petersen,
     regular_action,
@@ -286,15 +287,16 @@ class TestDimensionLoopExits:
 
     def test_slices_exhausted_against_numeric_projectors(self, monkeypatch):
         """With a numeric projector accepted, running out of slice attempts
-        still raises SliceExhausted: the block's missing idempotents have
-        trace d, so no later dimension could supply them."""
+        ends the block at d with a "filtered" event and moves on to d + 1:
+        numeric projectors leave the d-system as it was, so slices against
+        a complete block can only be rejected."""
         state = self._state(regular_action(symmetric(3)))
         trivial = tuple(as_ball(fe(Fraction(1, 6)), 128) for _ in range(6))
         process_single_solution(state, Projector(trivial, 1, "uniqueSolution"))
         monkeypatch.setattr(splitter, "particular_solution_on_slice", self._exhausted)
-        with pytest.raises(SliceExhausted, match=r"at d=2 \(Hilbert dimension 2\)$"):
-            splitter._run_dimension(state, 2)
-        assert state.events == [] and len(state.projectors) == 1
+        splitter._run_dimension(state, 2)
+        assert state.events == [SplitEvent(2, "filtered", 2, 0)]
+        assert len(state.projectors) == 1
 
     def test_slices_exhausted_without_numeric_projectors(self, monkeypatch):
         """With no numeric projector accepted, SliceExhausted propagates."""
@@ -304,15 +306,35 @@ class TestDimensionLoopExits:
             splitter._run_dimension(state, 2)
         assert state.events == []
 
-    def test_split_stops_at_the_exhausted_slice(self, monkeypatch):
-        """Regular S3 with numeric coordinates for its two linear characters:
-        running out of slice attempts in the block of the 2 ends the split
-        at d = 2, after the Groebner bases of d = 1 and d = 2, and not in an
-        IncompleteDecomposition once the dimensions run out."""
-        bases = exhaust_slices_after_numeric_projectors(monkeypatch)
-        with pytest.raises(SliceExhausted, match=r"^no particular solution .* at d=2 "):
-            split(regular_action(symmetric(3)))
-        assert len(bases) == 2
+    def test_numeric_block_ends_before_the_last_dimension(self, monkeypatch):
+        """S4 on the 12 pairs of disjoint arcs (point stabilizer (12)(34)):
+        characters of degree 1, 1, 2, 3, 3, the 2 twice.  With numeric
+        coordinates for every sliced point, the block of the 2 ends when its
+        slices run out against its two numeric projectors, and d = 3
+        completes a family that passes the certificate."""
+        gens = orbit_action(
+            symmetric(4), frozenset({(1, 3), (2, 4)}),
+            lambda g, arcs: frozenset((g.apply(a), g.apply(b)) for a, b in arcs),
+        )
+        slice_exactly = splitter.particular_solution_on_slice
+
+        def numeric(point, precision):
+            # the trace coordinate stays exact, as in every solver point
+            values = point.values[:1] + tuple(as_ball(v, precision) for v in point.values[1:])
+            return dataclasses.replace(point, values=values)
+
+        def slice_numerically(gb, precision, accept):
+            return numeric(slice_exactly(
+                gb, precision=precision, accept=lambda p: accept(numeric(p, precision))
+            ), precision)
+
+        monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
+        monkeypatch.setattr(splitter, "particular_solution_on_slice", slice_numerically)
+        deco = split(gens)
+        assert SplitEvent(2, "filtered", 2, 0) in deco.events
+        assert [(p.dimension, p.exact) for p in deco.projectors] == [
+            (1, True), (1, True), (2, False), (2, False), (3, True), (3, True)
+        ]
 
 
 class TestAlgebraProduct:
