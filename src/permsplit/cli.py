@@ -221,9 +221,10 @@ HEADERS = ("Degree:", "Rank:", "Suborbit lengths:", "Decomposition:")
 
 def parse_decomposition_text(text):
     """The inverse of ``render_decomposition_text``; ParseError, with the
-    line number, on a malformed line or projector block, or on a header
-    line, or a field line of one block, that appears twice."""
-    degree = rank = lineno = None
+    line number, on a malformed line or projector block, on a header line,
+    or a field line of one block, that appears twice, or on a Decomposition
+    line that does not describe the projectors read."""
+    degree = rank = lineno = line_read = line_at = None
     headers = set()
     lengths = []
     projectors = []
@@ -245,6 +246,8 @@ def parse_decomposition_text(text):
                     rank = int(value)
                 elif head == "Suborbit lengths":
                     lengths = [int(t) for t in value.split(",")]
+                else:
+                    line_read, line_at = value.strip(), lineno
             elif line.startswith("projector"):
                 if current is not None:
                     raise ParseError("projector before the open block's end", lineno)
@@ -294,12 +297,24 @@ def parse_decomposition_text(text):
     if degree is None or rank is None:
         raise ParseError("missing Degree/Rank headers")
     _check_conjugates(projectors, conjugate_lines)
-    return Decomposition(
+    deco = Decomposition(
         degree=degree,
         rank=rank,
         projectors=projectors,
         suborbit_lengths=lengths,
     )
+    return _checked_line(deco, line_read, line_at)
+
+
+def _checked_line(deco, line_read, lineno=None):
+    """``deco``; ParseError, naming the line when it is known, when the
+    report has a decomposition line and it is not ``deco``'s."""
+    expected = _decomposition_line(deco)
+    if line_read is not None and line_read != expected:
+        raise ParseError(
+            f"decomposition {line_read!r}, but the projectors give {expected!r}", lineno
+        )
+    return deco
 
 
 def _parse_coefficient(txt):
@@ -415,7 +430,8 @@ def decomposition_to_json(deco):
 
 def decomposition_from_json(obj):
     """The inverse of ``decomposition_to_json``; ParseError on a missing or
-    malformed field, or a ``format`` other than JSON_FORMAT."""
+    malformed field, a ``format`` other than JSON_FORMAT, or a
+    ``decomposition`` string that does not describe the projectors read."""
     try:
         if obj["format"] != JSON_FORMAT:
             raise ParseError(f"format {obj['format']!r} is not {JSON_FORMAT}")
@@ -438,12 +454,13 @@ def decomposition_from_json(obj):
                 _projector_from_record(dict(rec, coeffs=coeffs, exact=rec["exact"]), rank)
             )
         _check_conjugates(projectors, [None] * len(projectors))
-        return Decomposition(
+        deco = Decomposition(
             degree=obj["degree"],
             rank=rank,
             projectors=projectors,
             suborbit_lengths=list(obj["suborbit_lengths"]),
         )
+        return _checked_line(deco, obj.get("decomposition"))
     except (ArithmeticError, LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed decomposition JSON: {e!r}") from e
 

@@ -1,8 +1,9 @@
-"""M22 on 770 points, built from the binary Golay code.
+"""M22 on 770 points and M24 on 759 octads, built from the binary Golay code.
 
 The paper's example: M22 acting on the 770 pairs (hexad, 3|3 bisection of
-it).  Everything is closed form (Conway and Sloane, *Sphere Packings,
-Lattices and Groups*, ch. 10-11), and no search runs:
+it); and M24 on its 759 octads, the code words of weight 8.  Everything is
+closed form (Conway and Sloane, *Sphere Packings, Lattices and Groups*, ch.
+10-11), and no search runs:
 
 * the extended Golay code is the span of the 23 translates of the
   quadratic non-residues mod 23, each with a parity coordinate at infinity;
@@ -151,6 +152,22 @@ def hexads(words):
         tuple(x for x in range(1, P) if w >> x & 1)
         for w in words
         if bin(w).count("1") == 8 and w & through == through
+    )
+
+
+def m24_octads():
+    """M24 on its 759 octads, as a GeneratorSet; point i + 1 is the i-th
+    octad in increasing order of its 24-bit word."""
+    octads = sorted(w for w in golay_code() if bin(w).count("1") == 8)
+    index = {w: i + 1 for i, w in enumerate(octads)}
+    return GeneratorSet(
+        len(octads),
+        tuple(
+            Permutation.from_images(
+                [index[sum(1 << g[x] for x in range(P + 1) if w >> x & 1)] for w in octads]
+            )
+            for g in m24_generators()
+        ),
     )
 
 

@@ -880,6 +880,28 @@ class TestMalformedDecompositionFile:
         assert code == 1
         assert err == f"parse error: line {at + 2}: repeated {field.split()[0]} line\n"
 
+    def test_decomposition_line_other_than_the_projectors(self, tmp_path, capsys):
+        """The Decomposition line must be the one the projectors read give;
+        S3 is 1 + 2, so a report claiming three 1s is refused on that line."""
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lineno = lines.index("Decomposition: 3 ≅ 1 ⊕ 2") + 1
+        lines[lineno - 1] = "Decomposition: 3 ≅ 1 ⊕ 1 ⊕ 1"
+        code, err = self.verify_against(tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 1
+        assert err == (
+            f"parse error: line {lineno}: decomposition '3 ≅ 1 ⊕ 1 ⊕ 1', "
+            "but the projectors give '3 ≅ 1 ⊕ 2'\n"
+        )
+
+    def test_json_decomposition_other_than_the_projectors(self, tmp_path, capsys):
+        obj = decomposition_to_json(split(symmetric(3)))
+        obj["decomposition"] = "nonsense"
+        code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
+        assert code == 1
+        assert err == (
+            "parse error: decomposition 'nonsense', but the projectors give '3 ≅ 1 ⊕ 2'\n"
+        )
+
     def test_rank_changed_after_the_projectors(self, tmp_path, capsys):
         """Projectors read at rank 3 cannot be compared at a later rank 2:
         the second Rank line is refused, not met by an IndexError."""

@@ -54,6 +54,7 @@ from conftest import (
     regular_action,
     symmetric,
 )
+import golay
 from oracles import (
     centre_basis_by_definition,
     dimension_multiset,
@@ -543,6 +544,18 @@ class TestLinearRoute:
         assert verify.verify_family_algebraic(consts, deco).passed
         radicands = {r for p in deco.projectors for c in p.coefficients for r in c.terms}
         assert radicands == {1, 5, 13}
+
+    def test_m24_on_its_octads(self):
+        """M24 on its 759 octads, a second input from the paper's family:
+        rank 4 (two octads meet in 8, 4, 2 or 0 points) and multiplicity
+        free, 759 = 1 + 23 + 252 + 483, every projector exact."""
+        gens = golay.m24_octads()
+        basis, consts = constants_for(gens)
+        assert sorted(basis.lengths_in_order()) == [1, 30, 280, 448]
+        deco = split(gens)
+        assert deco.dimension_multiset == [1, 23, 252, 483]
+        assert deco.exact_only()
+        assert verify.verify_family_algebraic(consts, deco).passed
 
     @pytest.mark.parametrize("name", sorted(REGULAR))
     def test_regular_centre_is_the_class_sums(self, name):

@@ -26,6 +26,83 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_parsing_loads_only_what_it_uses(tmp_path):
+    """``import permsplit`` loads each submodule on first use, so a process
+    that only parses generators loads neither mpmath nor a later stage."""
+    path = tmp_path / "s3.gens"
+    path.write_text("degree 3\ngen (1,2,3)\ngen (1,2)\n")
+    later = ["mpmath"] + [
+        f"permsplit.{m}"
+        for m in ("centralizer", "exactfield", "polynomial", "solver", "splitter", "verify")
+    ]
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import permsplit; "
+        "permsplit.parse_generators(sys.argv[2]); "
+        "print(json.dumps([m for m in sys.argv[3:] if m in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), str(path), *later],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == []
+
+
+# the public names of the package root, by home submodule
+PUBLIC_NAMES = {
+    "errors": [
+        "IncompleteDecomposition", "IntransitiveAction", "InvariantViolation",
+        "MatrixCapExceeded", "NotZeroDimensional", "ParseError", "PermsplitError",
+        "ResourceLimit", "SliceExhausted", "UNREPRESENTABLE", "Unrepresentable",
+    ],
+    "perms": [
+        "GeneratorSet", "Permutation", "SchreierTree", "is_transitive",
+        "orbit_with_tree", "parse_generators", "parse_generator_text",
+    ],
+    "centralizer": [
+        "OrbitalBasis", "StructureConstants", "compute_orbitals",
+        "compute_structure_constants", "order_basis",
+    ],
+    "exactfield": [
+        "ComplexBall", "FieldElement", "Rational", "field_element_from_json",
+        "field_element_to_json", "parse_field_element", "render_field_element",
+        "sqrt_if_nice",
+    ],
+    "polynomial": ["Poly", "Ring", "groebner_basis", "hilbert_dimension", "normal_form"],
+    "solver": ["SolutionPoint", "particular_solution_on_slice", "solve_zero_dimensional"],
+    "splitter": [
+        "Decomposition", "Projector", "SplitConfig", "build_idempotency_system",
+        "build_orthogonality_system", "process_single_solution", "split",
+    ],
+    "verify": ["compare_to_reference", "verify_family_algebraic", "verify_matrix_level"],
+}
+
+
+def test_public_namespace():
+    """``from permsplit import *`` binds each public name and submodule, each
+    the object of that name in its home submodule; ``dir`` lists them all,
+    and any other name is an AttributeError that names it."""
+    import permsplit
+
+    expected = {name for home, names in PUBLIC_NAMES.items() for name in (home, *names)}
+    namespace = {}
+    exec("from permsplit import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == expected
+    for home, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"permsplit.{home}")
+        assert namespace[home] is module
+        for name in names:
+            assert namespace[name] is getattr(module, name), name
+    # dir() in a fresh process, where no name has been imported yet
+    listed = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import permsplit; print(' '.join(dir(permsplit)))", str(SRC)],
+        capture_output=True, text=True, check=True,
+    )
+    assert expected <= set(listed.stdout.split())
+    with pytest.raises(AttributeError, match="no_such_name"):
+        permsplit.no_such_name
+
+
 def test_package_imports_are_acyclic():
     """The module-level relative imports of the package form no cycle, so the
     verifier cannot come to depend on the splitter it certifies."""
@@ -43,6 +120,26 @@ def test_package_imports_are_acyclic():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for m in leaves:
             del remaining[m]
+
+
+def test_relative_imports_are_at_module_level():
+    """Every relative import in the package is a statement of its module's
+    body, or under ``if TYPE_CHECKING:``, so the acyclicity test above sees
+    each internal dependency; the package root's name table is the only
+    deferred import."""
+    hidden = []
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen = set(map(id, tree.body))
+        for node in tree.body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                seen.update(map(id, node.body))
+        hidden += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and id(node) not in seen
+        ]
+    assert not hidden, f"relative imports below module level: {hidden}"
 
 
 def test_every_exported_name_is_defined_or_used():
