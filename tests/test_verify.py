@@ -38,6 +38,7 @@ from conftest import (
     CORPUS,
     GROEBNER_ONLY,
     affine,
+    alternating,
     corpus_split,
     cyclic,
     frobenius20,
@@ -266,6 +267,139 @@ class TestAlgebraic:
         assert multiplied.lines() == lines
         assert not any(c.derived for c in multiplied.checks)
         assert len(calls) > 2 * m
+
+
+def _replaced(deco, m, coefficients, **changes):
+    """deco with projector m's coefficients (and any other field) replaced."""
+    projectors = list(deco.projectors)
+    projectors[m] = dataclasses.replace(projectors[m], coefficients=tuple(coefficients), **changes)
+    return dataclasses.replace(deco, projectors=projectors)
+
+
+class TestFailingCertificateLines:
+    """Every line of a failing certificate, literally: the witnesses of the
+    failed checks and the lines that pass beside them."""
+
+    def test_scaled_projector(self):
+        """2·B[2] of regular S3 fails its square, its trace and the sums;
+        its pairs still vanish."""
+        _, consts, deco = corpus_with_constants("S3_regular", regular_action(symmetric(3)))
+        bad = _replaced(deco, 1, [2 * c for c in deco.projectors[1].coefficients])
+        assert verify_family_algebraic(consts, bad).lines() == [
+            "PASS  idempotency B[1] (d=1)",
+            "FAIL  idempotency B[2] (d=1)  [r=1: 1/3]",
+            "PASS  idempotency B[3] (d=2)",
+            "PASS  idempotency B[4] (d=2)",
+            "PASS  orthogonality B[1]*B[2]",
+            "PASS  orthogonality B[1]*B[3]",
+            "PASS  orthogonality B[1]*B[4]",
+            "PASS  orthogonality B[2]*B[1]",
+            "PASS  orthogonality B[2]*B[3]",
+            "PASS  orthogonality B[2]*B[4]",
+            "PASS  orthogonality B[3]*B[1]",
+            "PASS  orthogonality B[3]*B[2]",
+            "PASS  orthogonality B[3]*B[4]",
+            "PASS  orthogonality B[4]*B[1]",
+            "PASS  orthogonality B[4]*B[2]",
+            "PASS  orthogonality B[4]*B[3]",
+            "FAIL  completeness sum(B) = A1  [r=1: 1/6]",
+            "PASS  completeness sum(d) = N",
+            "PASS  trace integrality B[1]: N*b1 = d",
+            "FAIL  trace integrality B[2]: N*b1 = d",
+            "PASS  trace integrality B[3]: N*b1 = d",
+            "PASS  trace integrality B[4]: N*b1 = d",
+            "PASS  primitivity B[1]",
+            "FAIL  primitivity B[2]  [dim B A B = 4]",
+            "PASS  primitivity B[3]",
+            "PASS  primitivity B[4]",
+        ]
+
+    def test_merged_primitive_projectors(self):
+        """B[3] + B[4] of regular S3 is an idempotent of dimension 4 that
+        passes every check but primitivity."""
+        _, consts, deco = corpus_with_constants("S3_regular", regular_action(symmetric(3)))
+        b3, b4 = (p.coefficients for p in deco.projectors[2:])
+        merged = _replaced(deco, 2, [x + y for x, y in zip(b3, b4)], dimension=4, block=None)
+        merged.projectors.pop()
+        assert verify_family_algebraic(consts, merged).lines() == [
+            "PASS  idempotency B[1] (d=1)",
+            "PASS  idempotency B[2] (d=1)",
+            "PASS  idempotency B[3] (d=4)",
+            "PASS  orthogonality B[1]*B[2]",
+            "PASS  orthogonality B[1]*B[3]",
+            "PASS  orthogonality B[2]*B[1]",
+            "PASS  orthogonality B[2]*B[3]",
+            "PASS  orthogonality B[3]*B[1]",
+            "PASS  orthogonality B[3]*B[2]",
+            "PASS  completeness sum(B) = A1",
+            "PASS  completeness sum(d) = N",
+            "PASS  trace integrality B[1]: N*b1 = d",
+            "PASS  trace integrality B[2]: N*b1 = d",
+            "PASS  trace integrality B[3]: N*b1 = d",
+            "PASS  primitivity B[1]",
+            "PASS  primitivity B[2]",
+            "FAIL  primitivity B[3]  [dim B A B = 4]",
+        ]
+
+    def test_conjugated_coordinate_over_the_tower(self):
+        """Regular A4 with one coordinate of B[1] conjugated: witnesses in
+        Q(sqrt(-3)) on the square, the pairs, the sum and the trace."""
+        _, consts, deco = split_with_constants(regular_action(alternating(4)))
+        coefficients = list(deco.projectors[0].coefficients)
+        coefficients[4] = coefficients[4].conjugate()
+        bad = _replaced(deco, 0, coefficients)
+        assert verify_family_algebraic(consts, bad).lines() == [
+            "FAIL  idempotency B[1] (d=1)  [r=1: -1/48*(1 + 1/3*I*sqrt(3))]",
+            "PASS  idempotency B[2] (d=1)",
+            "PASS  idempotency B[3] (d=1)",
+            "PASS  idempotency B[4] (d=3)",
+            "PASS  idempotency B[5] (d=3)",
+            "PASS  idempotency B[6] (d=3)",
+            "FAIL  orthogonality B[1]*B[2]  [r=1: 1/96*(1 - 1/3*I*sqrt(3))]",
+            "FAIL  orthogonality B[1]*B[3]  [r=1: 1/144*I*sqrt(3)]",
+            "FAIL  orthogonality B[1]*B[4]  [r=5: 1/48*I*sqrt(3)]",
+            "FAIL  orthogonality B[1]*B[5]  [r=5: 1/48*I*sqrt(3)]",
+            "FAIL  orthogonality B[1]*B[6]  [r=5: 1/48*I*sqrt(3)]",
+            "FAIL  orthogonality B[2]*B[1]  [r=1: 1/96*(1 - 1/3*I*sqrt(3))]",
+            "PASS  orthogonality B[2]*B[3]",
+            "PASS  orthogonality B[2]*B[4]",
+            "PASS  orthogonality B[2]*B[5]",
+            "PASS  orthogonality B[2]*B[6]",
+            "FAIL  orthogonality B[3]*B[1]  [r=1: 1/144*I*sqrt(3)]",
+            "PASS  orthogonality B[3]*B[2]",
+            "PASS  orthogonality B[3]*B[4]",
+            "PASS  orthogonality B[3]*B[5]",
+            "PASS  orthogonality B[3]*B[6]",
+            "FAIL  orthogonality B[4]*B[1]  [r=5: 1/48*I*sqrt(3)]",
+            "PASS  orthogonality B[4]*B[2]",
+            "PASS  orthogonality B[4]*B[3]",
+            "PASS  orthogonality B[4]*B[5]",
+            "PASS  orthogonality B[4]*B[6]",
+            "FAIL  orthogonality B[5]*B[1]  [r=5: 1/48*I*sqrt(3)]",
+            "PASS  orthogonality B[5]*B[2]",
+            "PASS  orthogonality B[5]*B[3]",
+            "PASS  orthogonality B[5]*B[4]",
+            "PASS  orthogonality B[5]*B[6]",
+            "FAIL  orthogonality B[6]*B[1]  [r=5: 1/48*I*sqrt(3)]",
+            "PASS  orthogonality B[6]*B[2]",
+            "PASS  orthogonality B[6]*B[3]",
+            "PASS  orthogonality B[6]*B[4]",
+            "PASS  orthogonality B[6]*B[5]",
+            "FAIL  completeness sum(B) = A1  [r=5: 1/12*I*sqrt(3)]",
+            "PASS  completeness sum(d) = N",
+            "PASS  trace integrality B[1]: N*b1 = d",
+            "PASS  trace integrality B[2]: N*b1 = d",
+            "PASS  trace integrality B[3]: N*b1 = d",
+            "PASS  trace integrality B[4]: N*b1 = d",
+            "PASS  trace integrality B[5]: N*b1 = d",
+            "PASS  trace integrality B[6]: N*b1 = d",
+            "FAIL  primitivity B[1]  [dim B A B = 3/4*(1 - 1/9*I*sqrt(3))]",
+            "PASS  primitivity B[2]",
+            "PASS  primitivity B[3]",
+            "PASS  primitivity B[4]",
+            "PASS  primitivity B[5]",
+            "PASS  primitivity B[6]",
+        ]
 
 
 class TestOrthogonalityTheorem:
