@@ -13,6 +13,7 @@ representative afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,36 @@ class StructureConstants:
         """True iff C is symmetric in (p, q); equivalent to the action being
         multiplicity-free."""
         return bool(np.array_equal(self.table, self.table.transpose(1, 0, 2)))
+
+    @cached_property
+    def trace_form(self):
+        """The integer matrix T[p, s] = sum_qr C_pq^r C_rs^q over 0-based
+        indices, with tr(x -> e x e) = e^T T e (``verify.primitivity_traces``);
+        built on first use, once per constants object."""
+        return _trace_form(self.table[1:, 1:, 1:])
+
+
+# Entries that ``_trace_form`` gathers at once, as rows of C of R entries
+# each: 2^18 int64 entries are 2 MB.
+TRACE_FORM_ENTRIES = 1 << 18
+
+
+def _trace_form(c):
+    """T[p, s] = sum_qr c[p, q, r] c[r, s, q] from the nonzero c[p, q, r]:
+    each adds c[p, q, r] c[r, :, q] to row p, so the cost is R per nonzero
+    (R^3 for a regular action, whose C has R^2 nonzeros, against R^4 for
+    the dense sum).  The rows are gathered ``TRACE_FORM_ENTRIES`` entries at
+    a time and summed per p (``np.nonzero`` lists p in order)."""
+    rank = c.shape[0]
+    p, q, r = np.nonzero(c)
+    form = np.zeros((rank, rank), dtype=np.int64)
+    step = max(1, TRACE_FORM_ENTRIES // rank)
+    for lo in range(0, len(p), step):
+        ps, qs, rs = p[lo : lo + step], q[lo : lo + step], r[lo : lo + step]
+        rows = c[rs, :, qs] * c[ps, qs, rs][:, None]
+        starts = np.flatnonzero(np.diff(ps, prepend=-1))
+        form[ps[starts]] += np.add.reduceat(rows, starts)
+    return form
 
 
 # Entries (points) the transport rows of the orbital stage may hold at once:

@@ -169,9 +169,10 @@ def _rational_roots(coeffs):
     With irrational coefficients a rational root must kill every radicand
     component, so the search runs on the component of the leading
     coefficient's first radicand (a rational polynomial with nonzero leading
-    entry).  Each candidate p/q is first screened in integers on that
-    component, cleared of denominators (sum_k ints[k]·p^k·q^(n−k) = 0), and
-    only a survivor is verified against the full polynomial and deflated.
+    entry).  Each candidate ±p/q in lowest terms is screened in integers on
+    that component, cleared of denominators (sum_k ints[k]·p^k·q^(n−k) = 0);
+    only a survivor becomes a Fraction, and the survivors, in ascending
+    order, are verified against the full polynomial and deflated.
     """
     roots = []
     work = list(coeffs)
@@ -191,14 +192,15 @@ def _rational_roots(coeffs):
     dn = _divisors(ints[-1])
     if d0 is None or dn is None:
         return roots, work
-    candidates = set()
-    for p in d0:
-        for q in dn:
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        if not _kills_component(ints, cand):
-            continue
+    survivors = [
+        Fraction(num, q)
+        for p in d0
+        for q in dn
+        if math.gcd(p, q) == 1
+        for num in (p, -p)
+        if _kills_component(ints, num, q)
+    ]
+    for cand in sorted(survivors):
         fe = FieldElement.from_rational(cand)
         while len(work) > 1 and _poly_eval(work, fe).is_zero():
             roots.append(fe)
@@ -206,10 +208,9 @@ def _rational_roots(coeffs):
     return roots, work
 
 
-def _kills_component(ints, x):
-    """True when x = p/q is a root of sum_k ints[k]·t^k, by Horner's rule
-    on sum_k ints[k]·p^k·q^(n−k) in Python integers."""
-    p, q = x.numerator, x.denominator
+def _kills_component(ints, p, q):
+    """True when p/q is a root of sum_k ints[k]·t^k, by Horner's rule on
+    sum_k ints[k]·p^k·q^(n−k) in Python integers."""
     acc, q_power = ints[-1], 1
     for c in reversed(ints[:-1]):
         q_power *= q

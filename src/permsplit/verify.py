@@ -2,21 +2,26 @@
 in the centralizer algebra that it rests on.
 
 Every product of coefficient vectors in the ordered orbital basis is one
-contraction, ``_contract``: out[k] = sum_pq a_p b_q T[p, q, k] for an
-integer tensor T, on the exact supports of a and b.  ``algebra_product``
-contracts with the structure constants (in the matrix route, with the
-tensor read off the label matrix), and ``primitivity_traces`` with the
-form T[p, s] = sum_qr C_pq^r C_rs^q.  ``_contract`` owns every kind of
-entry.  Vectors of exact FieldElements over the tower are written as one
-common denominator and an integer array (support x radicands used), and
-contracted with T on integer arrays: int64 where a bound shows nothing can
-overflow, Python-int (object) arrays otherwise (``_contract_exact``), the
-same rule as the centre's elimination in the splitter.  Polys, whose
-products are the splitter's systems, and ComplexBalls go through a loop
-over the nonzero entries of T; there every entry is lifted to a ball
-(``_lifted``) as soon as one is a ball, so a numeric coordinate yields a
-certified enclosure.  The zero test ``_vanishes`` decides FieldElements
-exactly and balls by enclosure.
+contraction, ``_contract``: for a batch of pairs (a, b), out[k] =
+sum_pq a_p b_q T[p, q, k] for an integer tensor T.  ``algebra_product`` is
+a batch of one with the structure constants (in the matrix route, with the
+tensor read off the label matrix), and ``primitivity_traces`` contracts
+with the form T[p, s] = sum_qr C_pq^r C_rs^q
+(``StructureConstants.trace_form``, built once per constants object).
+``_contract`` owns every kind of entry.  When every entry of the batch is
+an exact FieldElement over the tower, each vector is written as one
+denominator and an integer array (entries x the radicands the batch uses),
+and the whole batch is contracted with T in two matmuls
+(``_contract_exact``): every a with T, then each result with its b, on T
+restricted to the union of the supports.  The radicands fold once for the
+batch.  The arrays are int64 where a bound over the batch shows nothing
+can overflow, Python-int (object) arrays otherwise, the same rule as the
+centre's elimination in the splitter.  Polys, whose products are the
+splitter's systems, and ComplexBalls go through a loop over the nonzero
+entries of T; there every entry is lifted to a ball (``_lifted``) as soon
+as one is a ball, so a numeric coordinate yields a certified enclosure.
+The zero test ``_vanishes`` decides FieldElements exactly and balls by
+enclosure.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
@@ -25,7 +30,13 @@ returns a family only when this route passes on it.  Orthogonality of an
 exact family is derived, not multiplied: idempotents that sum to the
 identity and whose traces sum to N are pairwise orthogonal, and the other
 checks establish exactly those hypotheses.  The pairs are multiplied only
-for a family with a numeric coordinate or a failed hypothesis.  The matrix
+for a family with a numeric coordinate or a failed hypothesis.  An exact
+family's squares are one contraction and its primitivity traces another,
+compared with the family in integers: with e = A / D, e e = S / D^2, so e
+is idempotent when S = D A and primitive when its trace is D^2.  Only a
+projector that fails is decoded into FieldElements, for its witness; a
+family with a ComplexBall is checked projector by projector on its
+enclosures.  The matrix
 route certifies the same family against the actual generators: it checks
 the orbital basis itself on the N x N orbital label matrix (invariance
 under every generator, A_1 = I, and closure of the products with a tensor
@@ -85,20 +96,27 @@ def _support(vec):
     return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
 
 
-def _contract(tensor, a, b, precision):
-    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T: the one
+def _contract(tensor, vectors, pairs, precision):
+    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T, with
+    a = vectors[i] and b = vectors[j] for each (i, j) in ``pairs``: the one
     product of coefficient vectors.
 
-    When every entry of a and b is a FieldElement the product is taken on
-    integer arrays (``_contract_exact``) and no entry is multiplied on its
-    own.  Otherwise (the polynomials of the splitter's systems, or a
-    ComplexBall, which lifts every entry to a ball so the result is an
-    enclosure) it is a loop over the nonzero T[p, q, k] on the exact
-    supports of a and b, which sums b_q T[p, q, k] over q before it meets
-    a_p, so each a_p is multiplied once per k it reaches.
+    When every entry is a FieldElement the whole batch is one integer
+    contraction (``_contract_exact``) and no entry is multiplied on its
+    own.  Otherwise each pair goes through ``_contract_entries``.
     """
-    if all(isinstance(x, FieldElement) for x in (*a, *b)):
-        return _contract_exact(tensor, a, b)
+    if all(isinstance(x, FieldElement) for vec in vectors for x in vec):
+        rads, dens, out = _contract_exact(tensor, _encode(vectors), pairs)
+        return [_decoded(rads, den, rows) for den, rows in zip(dens, out.tolist())]
+    return [_contract_entries(tensor, vectors[i], vectors[j], precision) for i, j in pairs]
+
+
+def _contract_entries(tensor, a, b, precision):
+    """One product as a loop over the nonzero T[p, q, k] on the exact
+    supports of a and b, for the polynomials of the splitter's systems and
+    for ComplexBalls, which lift every entry to a ball so the result is an
+    enclosure.  It sums b_q T[p, q, k] over q before it meets a_p, so each
+    a_p is multiplied once per k it reaches."""
     out = [FieldElement.zero()] * tensor.shape[2]
     with mpmath.workprec(precision + 40):
         lifted = _lifted((*a, *b), precision)
@@ -117,65 +135,106 @@ def _contract(tensor, a, b, precision):
     return out
 
 
-def _encode(vec):
-    """A vector of FieldElements as integers over one common denominator:
-    (support, radicands, denominator, rows), with one row per entry of the
-    exact support and one column per radicand that the vector uses."""
-    support = [i for i, x in enumerate(vec) if x.terms]
-    rads = sorted({r for i in support for r in vec[i].terms})
-    column = {r: j for j, r in enumerate(rads)}
-    den = math.lcm(*(c.denominator for i in support for c in vec[i].terms.values()))
-    rows = []
-    for i in support:
-        row = [0] * len(rads)
-        for r, c in vec[i].terms.items():
-            row[column[r]] = c.numerator * (den // c.denominator)
-        rows.append(row)
-    return support, rads, den, rows
+def _encode(vectors):
+    """Vectors of FieldElements as integers: (rads, dens, rows).
+
+    ``rads`` is the sorted union of the radicands the vectors use,
+    ``dens[i]`` the common denominator of vectors[i], and ``rows[i][p][u]``
+    the integer dens[i] times the coefficient of sqrt(rads[u]) in
+    vectors[i][p]."""
+    rads = sorted({r for vec in vectors for x in vec for r in x.terms})
+    column = {r: u for u, r in enumerate(rads)}
+    dens, rows = [], []
+    for vec in vectors:
+        den = math.lcm(*(c.denominator for x in vec for c in x.terms.values()))
+        block = []
+        for x in vec:
+            row = [0] * len(rads)
+            for r, c in x.terms.items():
+                row[column[r]] = c.numerator * (den // c.denominator)
+            block.append(row)
+        dens.append(den)
+        rows.append(block)
+    return rads, dens, rows
 
 
-def _contract_exact(tensor, a, b):
-    """``_contract`` for vectors of FieldElements, on integer arrays.
+def _decoded(rads, den, rows):
+    """One FieldElement sum_m row[m] sqrt(rads[m]) / den per integer row."""
+    return [
+        FieldElement({r: Fraction(c, den) for r, c in zip(rads, row) if c}, _canonical=True)
+        for row in rows
+    ]
 
-    With a = A / D_a and b = B / D_b (``_encode``: rows over the exact
-    support, columns over the radicands used), two ``np.tensordot``s give
-    S[u, k, v] = sum_pq A[p, u] T[p, q, k] B[q, v] on T restricted to the
-    supports.  Each radicand pair folds through sqrt(x) sqrt(y) =
-    g sqrt(m) (``exactfield._rad_mul``) into out[k] = sum g S[u, k, v]
-    sqrt(m) / (D_a D_b).  The arithmetic is int64 when
-    max|A| max|B| max_k sum_pq |T[p, q, k]| times the largest sum of |g|
-    over one m is below 2^63, so that nothing can overflow; otherwise A, B
-    and the restricted T are Python-int (object) arrays, the same rule as
-    the centre's elimination.  The object copy of T holds at most
-    |support a| x |support b| x K references, R^3 for full supports.
+
+def _contract_exact(tensor, encoded, pairs):
+    """The products of a batch of exact vectors, on integer arrays.
+
+    ``encoded`` is ``_encode(vectors)``: vector i is A_i / D_i, with A_i
+    an integer array (entries x radicands).  For each (i, j) in ``pairs``
+    the product of vectors[i] and vectors[j] is
+    S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v], taken in two
+    matmuls over the whole batch on T restricted to the union of the
+    supports: first every A_i with T, then each result with its A_j.  The
+    radicand pairs fold once for the batch through sqrt(x) sqrt(y) =
+    g sqrt(m) (``exactfield._rad_mul``).
+
+    Returns (rads, dens, out): rads extends the radicands of ``encoded``
+    by those the folds reach, dens holds D_i D_j, and the product of pair
+    n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].  The arithmetic is
+    int64 when max|A_i| max|A_j| max_k sum_pq |T[p, q, k]| times the
+    largest sum of |g| over one m is below 2^63, each maximum over the
+    batch, so that nothing can overflow; otherwise the arrays and the
+    restricted T are Python-int (object) arrays, the same rule as the
+    centre's elimination.  The object copy of T holds at most R^3
+    references.
     """
-    k_len = tensor.shape[2]
-    support_a, rads_a, den_a, rows_a = _encode(a)
-    support_b, rads_b, den_b, rows_b = _encode(b)
-    if not support_a or not support_b:
-        return [FieldElement.zero()] * k_len
-    t = tensor[np.ix_(support_a, support_b)]
-    t_sum = int(np.abs(t).sum(axis=(0, 1)).max())
-    folds = {}  # radicand m -> [(u, v, g)] with sqrt(rads_a[u]) sqrt(rads_b[v]) = g sqrt(m)
-    for u, x in enumerate(rads_a):
-        for v, y in enumerate(rads_b):
+    rads_in, dens_in, rows = encoded
+    folds = {}  # radicand m -> [(u, v, g)] with sqrt(rads[u]) sqrt(rads[v]) = g sqrt(m)
+    for u, x in enumerate(rads_in):
+        for v, y in enumerate(rads_in):
             g, m = _rad_mul(x, y)
             folds.setdefault(m, []).append((u, v, g))
-    fold = max(sum(abs(g) for _, _, g in pairs) for pairs in folds.values())
-    big_a = max(abs(x) for row in rows_a for x in row)
-    big_b = max(abs(x) for row in rows_b for x in row)
-    dtype = np.int64 if big_a * big_b * max(t_sum, 1) * fold < 1 << 63 else object
-    rows_a, rows_b = np.array(rows_a, dtype), np.array(rows_b, dtype)
-    t = t.astype(dtype, copy=False)
-    s = np.tensordot(np.tensordot(rows_a, t, axes=(0, 0)), rows_b, axes=(1, 0))
-    den = den_a * den_b
-    columns = {m: sum(g * s[u, :, v] for u, v, g in pairs).tolist() for m, pairs in folds.items()}
-    return [
-        FieldElement(
-            {m: Fraction(col[k], den) for m, col in columns.items() if col[k]}, _canonical=True
-        )
-        for k in range(k_len)
-    ]
+    rads = rads_in + sorted(set(folds) - set(rads_in))
+    dens = [dens_in[i] * dens_in[j] for i, j in pairs]
+    n, k_len, u_len = len(pairs), tensor.shape[2], len(rads_in)
+    zero = np.zeros((n, k_len, len(rads)), dtype=np.int64)
+    if not n:
+        return rads, dens, zero
+    left, right = [i for i, _ in pairs], [j for _, j in pairs]
+    a, big_a = _integer_array([rows[i] for i in left])  # n x P x U
+    b, big_b = (a, big_a) if right == left else _integer_array([rows[j] for j in right])
+    support_a = np.flatnonzero((a != 0).any(axis=(0, 2)))
+    support_b = support_a if b is a else np.flatnonzero((b != 0).any(axis=(0, 2)))
+    if not len(support_a) or not len(support_b):
+        return rads, dens, zero
+    p_len, q_len = len(support_a), len(support_b)
+    if p_len < tensor.shape[0] or q_len < tensor.shape[1]:
+        tensor = tensor[np.ix_(support_a, support_b)]
+        a, b = a[:, support_a], b[:, support_b]
+    t_sum = int(np.abs(tensor).reshape(p_len * q_len, k_len).sum(axis=0).max())
+    fold = max(sum(abs(g) for _, _, g in terms) for terms in folds.values())
+    if big_a * big_b * max(t_sum, 1) * fold >= 1 << 63:
+        a, b = a.astype(object), b.astype(object)
+    tensor = tensor.astype(a.dtype, copy=False).reshape(p_len, q_len * k_len)
+    first = a.transpose(0, 2, 1).reshape(n * u_len, p_len) @ tensor  # nU x QK
+    first = first.reshape(n, u_len, q_len, k_len).transpose(0, 1, 3, 2)
+    s = (first.reshape(n, u_len * k_len, q_len) @ b).reshape(n, u_len, k_len, u_len)
+    out = np.zeros((n, k_len, len(rads)), dtype=a.dtype)
+    for m, terms in folds.items():
+        out[:, :, rads.index(m)] = sum(g * s[:, u, :, v] for u, v, g in terms)
+    return rads, dens, out
+
+
+def _integer_array(rows):
+    """``rows`` as an int64 array, or an object array of Python ints when
+    an entry does not fit; and the largest absolute entry."""
+    try:
+        array = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        array = np.array(rows, dtype=object)
+    if not array.size:
+        return array, 0
+    return array, max(-int(array.min()), int(array.max()))
 
 
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
@@ -186,7 +245,7 @@ def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISIO
     splitter's systems).  When an entry is a ComplexBall every entry is
     lifted to a ball and the product is an enclosure.
     """
-    return _contract(consts.table[1:, 1:, 1:], a, b, precision)
+    return _contract(consts.table[1:, 1:, 1:], [a, b], [(0, 1)], precision)[0]
 
 
 def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
@@ -217,16 +276,15 @@ def _vanishes(vec, reference=None, precision=DEFAULT_PRECISION):
 def primitivity_traces(consts: StructureConstants, vectors, precision=DEFAULT_PRECISION):
     """dim eAe = tr(x -> e x e) for each coefficient vector e.
 
-    The map is L_e R_e, and its trace is the quadratic form e^T T e with the
-    integer matrix T[p,s] = sum_qr C_pq^r C_rs^q, contracted as a tensor
-    whose last axis has length 1.  For an idempotent e the
-    map is idempotent, so the trace is its rank, and e is primitive exactly
-    when the trace is 1.  Exact over the tower for exact vectors, a
-    ComplexBall otherwise.
+    The map is L_e R_e, and its trace is the quadratic form e^T T e with
+    the integer matrix T = ``consts.trace_form``, contracted as a tensor
+    whose last axis has length 1.  For an idempotent e the map is
+    idempotent, so the trace is its rank, and e is primitive exactly when
+    the trace is 1.  Exact over the tower for exact vectors, a ComplexBall
+    otherwise.
     """
-    c = consts.table[1:, 1:, 1:]
-    form = np.einsum("pqr,rsq->ps", c, c)[:, :, None]
-    return [_contract(form, e, e, precision)[0] for e in vectors]
+    pairs = [(i, i) for i in range(len(vectors))]
+    return [t for t, in _contract(consts.trace_form[:, :, None], vectors, pairs, precision)]
 
 
 def is_unit_trace(trace):
@@ -311,16 +369,20 @@ def verify_family_algebraic(
     rank = consts.rank
     n = deco.degree
     projectors = deco.projectors
+    squares, traces, total = _values_to_compare(consts, projectors, precision)
     idempotency = []
     for m, p in enumerate(projectors, start=1):
-        sq = algebra_product(consts, p.coefficients, p.coefficients, precision)
-        witness = _witness(sq, list(p.coefficients), precision)
+        sq = squares.get(m - 1)
+        witness = "" if sq is None else _witness(sq, list(p.coefficients), precision)
         idempotency.append(_checked(f"idempotency B[{m}] (d={p.dimension})", witness))
     # completeness: sum of projectors equals the identity vector
-    total = _coefficient_sum(projectors, rank, precision)
+    identity = _basis_vector(rank, 0)
     dims = sum(p.dimension for p in projectors)
     completeness = [
-        _checked("completeness sum(B) = A1", _witness(total, _basis_vector(rank, 0), precision)),
+        _checked(
+            "completeness sum(B) = A1",
+            "" if total is None else _witness(total, identity, precision),
+        ),
         _checked("completeness sum(d) = N", "" if dims == n else f"{dims} != {n}"),
     ]
     integrality = []
@@ -344,11 +406,55 @@ def verify_family_algebraic(
             CheckResult(name, True, derived=True) if derive else _checked(name, witnesses[i, j])
         )
     report = VerificationReport(idempotency + orthogonality + completeness + integrality)
-    traces = primitivity_traces(consts, [p.coefficients for p in projectors], precision)
-    for m, t in enumerate(traces, start=1):
-        ok = is_unit_trace(t)
+    for m in range(1, len(projectors) + 1):
+        t = traces.get(m - 1)
+        ok = t is None or is_unit_trace(t)
         report.add(f"primitivity B[{m}]", ok, "" if ok else f"dim B A B = {_render(t)}")
     return report
+
+
+def _values_to_compare(consts, projectors, precision):
+    """(squares, traces, total): the values that the certificate compares
+    with what they must be, wherever they may differ.  ``squares`` and
+    ``traces`` map the index of a projector e to e*e (which must be e) and
+    to tr(x -> e x e) (which must be 1); ``total`` is the sum of the family
+    (which must be A_1), or None.
+
+    An exact family is decided in integers, all squares in one contraction
+    and all traces in another: with e = A / D (``_encode``), e*e = S / D^2
+    and the trace is t / D^2, so e is idempotent when S = D A and has trace
+    1 when t = D^2; and with L the lcm of the D, the family sums to A_1 when
+    sum A (L / D) = L A_1.  Only a value that fails is decoded, for its
+    witness.  A family with a ComplexBall yields every value, as
+    enclosures.
+    """
+    vectors = [p.coefficients for p in projectors]
+    if not all(p.exact for p in projectors):
+        squares = {i: algebra_product(consts, e, e, precision) for i, e in enumerate(vectors)}
+        traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
+        return squares, traces, _coefficient_sum(projectors, consts.rank, precision)
+    encoded = _encode(vectors)
+    rads_in, dens, rows = encoded
+    pairs = [(i, i) for i in range(len(vectors))]
+    rads, _, out = _contract_exact(consts.table[1:, 1:, 1:], encoded, pairs)
+    _, _, form = _contract_exact(consts.trace_form[:, :, None], encoded, pairs)
+    pad = [0] * (len(rads) - len(rads_in))
+    squares, traces = {}, {}
+    for i, (d, got, (trace,)) in enumerate(zip(dens, out.tolist(), form.tolist())):
+        if any(row != [d * x for x in want] + pad for row, want in zip(got, rows[i])):
+            squares[i] = _decoded(rads, d * d, got)
+        if 1 not in rads or trace != [d * d * (r == 1) for r in rads]:
+            traces[i] = _decoded(rads, d * d, [trace])[0]
+    lcm = math.lcm(*dens)
+    scales = [lcm // d for d in dens]
+    identity = [[lcm * (p == 0 and r == 1) for r in rads_in] for p in range(consts.rank)]
+    summed = [
+        [sum(scale * block[p][u] for scale, block in zip(scales, rows)) for u in range(len(rads_in))]
+        for p in range(consts.rank)
+    ]
+    complete = 1 in rads_in and summed == identity
+    total = None if complete else _coefficient_sum(projectors, consts.rank, precision)
+    return squares, traces, total
 
 
 def _pair_witnesses(consts, projectors, pairs, precision):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,10 @@ from permsplit.solver import SolutionPoint
 from oracles import eager_sort_key, rational_roots_by_divisor_search
 
 FE = FieldElement
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def one_var():
@@ -97,6 +102,32 @@ class TestExactRoots:
         if coeffs[-1].is_zero():
             return
         assert solver._rational_roots(coeffs) == rational_roots_by_divisor_search(coeffs)
+
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=5),
+        st.tuples(st.integers(1, 4), st.integers(-6, 6), st.integers(-6, 6)).filter(
+            lambda abc: not _is_square(abc[1] ** 2 - 4 * abc[0] * abc[2])
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_roots_of_linear_factors_and_a_quadratic(self, linear, quadratic):
+        """prod (q x - p) times an irreducible a x^2 + b x + c: the roots
+        are the p/q, each as often as its factor, zeros first and then in
+        ascending order, as the search that evaluates every candidate finds
+        them; the residual is the quadratic times prod q."""
+        a, b, c = quadratic
+        coeffs = [FE.from_rational(c), FE.from_rational(b), FE.from_rational(a)]
+        lead = 1
+        for p, q in linear:
+            lead *= q
+            shifted = [FE.zero()] + [x.scaled(q) for x in coeffs]
+            coeffs = [s - x.scaled(p) for s, x in zip(shifted, coeffs + [FE.zero()])]
+        roots, residual = solver._rational_roots(coeffs)
+        values = [Fraction(p, q) for p, q in linear]
+        want = [v for v in values if not v] + sorted(v for v in values if v)
+        assert roots == [FE.from_rational(v) for v in want]
+        assert residual == [FE.from_rational(x * lead) for x in (c, b, a)]
+        assert (roots, residual) == rational_roots_by_divisor_search(coeffs)
 
     def test_two_variable_back_substitution(self):
         r = Ring(("x2", "x3"), "degrevlex")

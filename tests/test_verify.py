@@ -1,3 +1,4 @@
+from collections import Counter
 import copy
 import dataclasses
 import functools
@@ -22,9 +23,11 @@ from permsplit import (
     verify_matrix_level,
     compare_to_reference,
 )
+from permsplit import verify
 from permsplit.cli import parse_decomposition_text, render_decomposition_text
 from permsplit.exactfield import as_ball
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
+from permsplit.solver import DEFAULT_PRECISION
 from permsplit.verify import (
     _coefficient_sum,
     _vanishes,
@@ -254,19 +257,22 @@ class TestAlgebraic:
 
     @pytest.mark.parametrize("name", ["A5_petersen", "S3_regular"])
     def test_exact_family_multiplies_no_pair(self, name, monkeypatch):
-        """An exact certified family makes one product per idempotency check
-        and none for its pairs; its lines are those of the multiplied pairs."""
+        """An exact certified family multiplies none of its pairs (its
+        squares and traces are two batched contractions, see
+        ``TestBatchedCertificate``); its lines are those of the multiplied
+        pairs, one product per ordered pair, or per unordered pair when the
+        algebra is commutative."""
         _, consts, deco = corpus_with_constants(name, dict(CORPUS)[name])
         assert deco.exact_only()
         calls = _count_products(monkeypatch)
         lines = verify_family_algebraic(consts, deco).lines()
-        m = len(deco.projectors)
-        assert len(calls) == m
+        assert not calls
         monkeypatch.setattr(Decomposition, "exact_only", lambda self: False)
         multiplied = verify_family_algebraic(consts, deco)
         assert multiplied.lines() == lines
         assert not any(c.derived for c in multiplied.checks)
-        assert len(calls) > 2 * m
+        m = len(deco.projectors)
+        assert len(calls) == (m * (m - 1) // 2 if consts.is_commutative() else m * (m - 1))
 
 
 def _replaced(deco, m, coefficients, **changes):
@@ -400,6 +406,97 @@ class TestFailingCertificateLines:
             "PASS  primitivity B[5]",
             "PASS  primitivity B[6]",
         ]
+
+
+class TestBatchedCertificate:
+    """An exact family's squares and traces are two integer contractions,
+    compared with the family in integers."""
+
+    @pytest.mark.parametrize(
+        "gens, m",
+        [(regular_action(symmetric(3)), 4), (regular_action(alternating(4)), 6)],
+        ids=["S3_regular", "A4_regular"],
+    )
+    def test_two_kernel_calls(self, gens, m, monkeypatch):
+        """One contraction for all m squares and one for all m traces."""
+        _, consts, deco = split_with_constants(gens)
+        assert len(deco.projectors) == m and deco.exact_only()
+        calls = []
+        real = verify._contract_exact
+
+        def counted(tensor, encoded, pairs):
+            calls.append(len(pairs))
+            return real(tensor, encoded, pairs)
+
+        monkeypatch.setattr(verify, "_contract_exact", counted)
+        assert verify_family_algebraic(consts, deco).passed
+        assert calls == [m, m]
+
+    def test_passing_family_subtracts_nothing(self, monkeypatch):
+        """A family that passes is compared in integers: no FieldElement is
+        subtracted and no mpmath working precision is set."""
+        _, consts, deco = split_with_constants(regular_action(alternating(4)))
+        calls = []
+
+        def spy(real):
+            def counted(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(FE, "__sub__", spy(FE.__sub__))
+        monkeypatch.setattr(FE, "__rsub__", spy(FE.__rsub__))
+        monkeypatch.setattr(mpmath, "workprec", spy(mpmath.workprec))
+        assert verify_family_algebraic(consts, deco).passed
+        assert not calls
+
+    def test_sum_without_a_rational_part(self):
+        """A family that uses sqrt(2) alone and sums to zero, and the empty
+        family, are not complete: the integer sum is compared with A_1 only
+        where the family has a rational part."""
+        _, consts, _ = split_with_constants(symmetric(3))
+        root2 = FE.sqrt_int(2)
+        for vectors, dims in (([(root2, fe(0)), (-root2, fe(0))], [1, 2]), ([], [])):
+            report = verify_family_algebraic(consts, _family(consts, 3, vectors, dims))
+            assert [c.witness for c in report.failures() if c.name.endswith("= A1")] == [
+                "r=1: -1"
+            ]
+
+    def test_trace_form_is_built_once(self, monkeypatch):
+        """Two certificates on one constants object build the primitivity
+        form once; it is the form of the definition."""
+        import permsplit.centralizer as centralizer_module
+
+        name = "F20_regular"
+        gens = KERNEL_ACTIONS[name]()
+        consts = compute_structure_constants(gens, compute_orbitals(gens))
+        deco = split_from_constants(compute_orbitals(gens), _kernel_constants(name))
+        builds = []
+        real = centralizer_module._trace_form
+
+        def counted(c):
+            builds.append(1)
+            return real(c)
+
+        monkeypatch.setattr(centralizer_module, "_trace_form", counted)
+        assert verify_family_algebraic(consts, deco).passed
+        assert verify_family_algebraic(consts, deco).passed
+        assert len(builds) == 1
+        assert consts.trace_form.tolist() == _primitivity_form(name)
+
+    def test_regular_s5_at_full_rank(self):
+        """Rank 120, the largest the tests split: 26 exact projectors, and
+        the two contractions at full rank certify them."""
+        gens = regular_action(symmetric(5))
+        basis = compute_orbitals(gens, rank_cap=None)
+        consts = compute_structure_constants(gens, basis)
+        deco = split_from_constants(basis, consts, SplitConfig(rank_cap=None))
+        assert len(deco.projectors) == 26 and deco.exact_only()
+        assert sorted(Counter(p.dimension for p in deco.projectors).items()) == [
+            (1, 2), (4, 8), (5, 10), (6, 6),
+        ]
+        assert verify_family_algebraic(consts, deco).passed
 
 
 class TestOrthogonalityTheorem:
@@ -811,15 +908,22 @@ def _encloses(ball, exact):
 @given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.sampled_from([53, 128, 300]), st.data())
 @settings(max_examples=40, deadline=None)
 def test_products_match_the_triple_loop(name, precision, data):
-    """Exact vectors give exactly the product of the triple loop, on int64
-    arrays or on Python ints; the same vectors lifted to balls give an
-    enclosure of it."""
+    """A batch of 1-6 products of exact vectors, over towers and size
+    classes mixed within the batch, so that one contraction may have to
+    leave int64 for a single pair: each product is exactly that of the
+    triple loop, and equals the product taken alone.  The first pair
+    lifted to balls gives an enclosure of it."""
     consts = _kernel_constants(name)
-    a = data.draw(tower_vectors(consts.rank))
-    b = data.draw(tower_vectors(consts.rank))
-    want = algebra_product_by_definition(consts, a, b)
-    assert algebra_product(consts, a, b) == want
-    balls = [as_ball(x, precision) for x in a], [as_ball(x, precision) for x in b]
+    tensor = consts.table[1:, 1:, 1:]
+    vectors = data.draw(st.lists(tower_vectors(consts.rank), min_size=1, max_size=6))
+    index = st.integers(0, len(vectors) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+    wants = [algebra_product_by_definition(consts, vectors[i], vectors[j]) for i, j in pairs]
+    assert verify._contract(tensor, vectors, pairs, precision) == wants
+    for (i, j), want in zip(pairs, wants):
+        assert algebra_product(consts, vectors[i], vectors[j]) == want
+    (i, j), want = pairs[0], wants[0]
+    balls = [as_ball(x, precision) for x in vectors[i]], [as_ball(x, precision) for x in vectors[j]]
     got = algebra_product(consts, *balls, precision)
     assert all(_encloses(g, w) for g, w in zip(got, want))
 
@@ -853,10 +957,17 @@ def test_products_across_the_int64_edge(tower, monkeypatch):
         vectors.append((a, b))
     calls = _spy_on_entry_products(monkeypatch)
     products = [algebra_product(consts, a, b) for a, b in vectors]
+    batch = verify._contract(
+        consts.table[1:, 1:, 1:],
+        [x for pair in vectors for x in pair],
+        [(2 * n, 2 * n + 1) for n in range(len(vectors))],
+        DEFAULT_PRECISION,
+    )
     assert not calls
     monkeypatch.undo()
     largest = [max(abs(c) for x in out for c in x.terms.values()) for out in products]
     assert largest[0] < 1 << 63 <= largest[-1]
+    assert batch == products
     for (a, b), out in zip(vectors, products):
         assert out == algebra_product_by_definition(consts, a, b)
 
