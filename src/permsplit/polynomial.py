@@ -350,55 +350,35 @@ def s_polynomial(f, g):
     return a - b
 
 
-def reduce_basis(G, assume_groebner=False):
-    """Inter-reduce to the unique reduced basis: monic, tails reduced, no
-    leading term divides another.
+def reduce_basis(G):
+    """The reduced Groebner basis of the ideal with Groebner basis G: monic,
+    tails reduced, no leading term divides another, in ascending order.
 
-    With ``assume_groebner`` the input is already a Groebner basis, so
-    minimalizing by leading-term divisibility and one tail-reduction pass
-    suffice.  Without it (arbitrary generators) inter-reduction runs to a
-    fixpoint, since reductions can cascade through changing leading terms.
+    Keeping each element whose leading term no kept one divides, in
+    ascending order, leaves a minimal basis; reducing each tail by the
+    others leaves every leading term in place.  The ideal alone fixes the
+    result, so it does not depend on which Groebner basis G is.
     """
-    G = [g for g in G if not g.is_zero()]
-    if assume_groebner:
-        G = sorted(G, key=lambda g: g.ring.key(g.leading_monomial()))
-        minimal = []
-        for g in G:
-            lm = g.leading_monomial()
-            if any(_mono_divides(h.leading_monomial(), lm) for h in minimal):
-                continue
+    minimal = []
+    G = sorted((g for g in G if not g.is_zero()), key=lambda g: g.ring.key(g.leading_monomial()))
+    for g in G:
+        lm = g.leading_monomial()
+        if not any(_mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
-        reducers = _reducers(minimal)
-        out = []
-        for i, g in enumerate(minimal):
-            rest = reducers[:i] + reducers[i + 1 :]
-            out.append((_normal_form(g, rest) if rest else g).monic())
-        out.sort(key=lambda g: g.ring.key(g.leading_monomial()))
-        return out
-    # reducers[i] is G[i]'s, kept in step with G: built once per generator
-    reducers = _reducers(G)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            rest = G[:i] + G[i + 1 :]
-            rest_reducers = reducers[:i] + reducers[i + 1 :]
-            r = _normal_form(G[i], rest_reducers) if rest else G[i]
-            if r.is_zero():
-                G, reducers = rest, rest_reducers
-                changed = True
-                break
-            if r != G[i]:
-                G, reducers = rest + [r], rest_reducers + _reducers([r])
-                changed = True
-                break
-    G = [g.monic() for g in G]
-    G.sort(key=lambda g: g.ring.key(g.leading_monomial()))
-    return G
+    reducers = _reducers(minimal)
+    return [
+        _normal_form(g, reducers[:i] + reducers[i + 1 :]).monic()
+        for i, g in enumerate(minimal)
+    ]
 
 
 def groebner_basis(generators):
     """Reduced Groebner basis by Buchberger's algorithm.
+
+    Each generator, in ascending order of leading term, is reduced by those
+    kept before it (a constant remainder means the unit ideal); Buchberger
+    runs from the kept ones, and ``reduce_basis`` returns the reduced basis,
+    which the ideal alone fixes, whatever the generators' order or scale.
 
     Pair selection follows the normal strategy (minimal lcm in the active
     order, ties by input index) via a heap keyed at pair-creation time; the
@@ -412,9 +392,20 @@ def groebner_basis(generators):
     if not gens:
         raise ValueError("groebner_basis of an empty/zero generating set")
     ring = gens[0].ring
-    G = reduce_basis(gens)
-    if any(g.is_constant() for g in G):
-        return [Poly.one(ring)]
+    G, reducers = [], []
+
+    def keep(r):
+        r = r.monic()
+        G.append(r)
+        reducers.append((r.leading_monomial(), FieldElement.one(), r))
+
+    for g in sorted(gens, key=lambda g: ring.key(g.leading_monomial())):
+        r = _normal_form(g, reducers)
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return [Poly.one(ring)]
+        keep(r)
 
     heap = []
 
@@ -425,7 +416,6 @@ def groebner_basis(generators):
     for i in range(len(G)):
         for j in range(i):
             push_pair(j, i)
-    reducers = _reducers(G)
     done = set()
     processed = 0
     while heap:
@@ -449,18 +439,13 @@ def groebner_basis(generators):
             continue
         if r.is_constant():
             return [Poly.one(ring)]
-        r = r.monic()
-        G.append(r)
-        reducers.append((r.leading_monomial(), FieldElement.one(), r))
+        keep(r)
         if len(G) > MAX_BASIS:
             raise ResourceLimit(f"Groebner basis cap {MAX_BASIS} exceeded")
         k = len(G) - 1
         for t in range(k):
             push_pair(t, k)
-    G = reduce_basis(G, assume_groebner=True)
-    if any(g.is_constant() for g in G):
-        return [Poly.one(ring)]
-    return G
+    return reduce_basis(G)
 
 
 def _chain_criterion(G, pair, lcm, done):

@@ -332,14 +332,8 @@ def _triangular_chain(G, ring):
 
 
 def _to_lex(polys):
-    ring = polys[0].ring
-    if ring.order == "lex":
-        lex_ring = ring
-        lex_gens = list(polys)
-    else:
-        lex_ring = ring.with_order("lex")
-        lex_gens = [Poly(lex_ring, p.terms) for p in polys]
-    return groebner_basis(lex_gens), lex_ring
+    lex_ring = polys[0].ring.with_order("lex")
+    return groebner_basis([Poly(lex_ring, p.terms, _canonical=True) for p in polys]), lex_ring
 
 
 def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):

@@ -131,8 +131,10 @@ class SplitConfig:
 
     precision: int = DEFAULT_PRECISION
     rank_cap: int = DEFAULT_RANK_CAP
-    matrix_cap: int = DEFAULT_MATRIX_CAP
-    threads: int = 1  # read by the benchmark only; selects nothing
+    # not fields: no split reads them; ``permsplit split --matrix-cap`` takes
+    # its default from one, and the benchmark reads both
+    matrix_cap = DEFAULT_MATRIX_CAP
+    threads = 1
 
 
 @dataclass
@@ -462,10 +464,9 @@ def _refine(consts, parts, elements, target):
                 if met == len(elements):
                     refined.append((e, met, fixed))
                     continue
-                y = element(e)
-                pieces = _split_idempotent(consts, e, y) or [e]
-                if len(pieces) == 1:
-                    refined.append((e, met + 1, fixed and _is_multiple(y, e)))
+                pieces = _split_idempotent(consts, e, element(e))
+                if len(pieces) < 2:
+                    refined.append((e, met + 1, fixed and not pieces))
                 else:
                     refined += [(f, 0, True) for f in pieces]
             parts = refined
@@ -474,24 +475,21 @@ def _refine(consts, parts, elements, target):
     return [e for e, _, _ in parts]
 
 
-def _is_multiple(y, e):
-    """Whether y = c e for a scalar c; e is nonzero."""
-    i = next(i for i, a in enumerate(e) if a)
-    c = y[i] / e[i]
-    return all(b == c * a for a, b in zip(e, y))
-
-
 def _split_idempotent(consts, e, y):
-    """The Lagrange idempotents of y's simple tower roots in eAe, and, when
-    y's minimal polynomial keeps a residual factor g, e minus their sum, the
-    idempotent of g's roots; the parts sum to e.  [e] when y is a multiple
-    of e or has no root in the tower, and None when a tower root is
-    repeated."""
+    """What y in eAe says about the idempotent e.
+
+    ``[]`` when y's minimal polynomial has degree 1, that is when y is a
+    multiple of e.  Otherwise the Lagrange idempotents of y's simple tower
+    roots and, when the minimal polynomial keeps a residual factor g, e
+    minus their sum, the idempotent of g's roots; the parts sum to e.
+    ``[e]`` when nothing splits: y has no root in the tower, or a repeated
+    one."""
     poly, powers = _minimal_polynomial(consts, e, y)
+    if len(poly) == 2:
+        return []
     roots, residual = _exact_roots(poly)
-    if len(roots) + len(residual) < len(poly):
-        return None
-    if len(roots) + (len(residual) > 1) < 2:
+    repeated = len(roots) + len(residual) < len(poly)
+    if repeated or len(roots) + (len(residual) > 1) < 2:
         return [e]
     parts = []
     for root in roots:

@@ -602,13 +602,9 @@ def verify_matrix_level(
 # -- reference comparison ------------------------------------------------------------
 
 
-def _match(deco: Decomposition, ref: Decomposition, conjugate):
+def _match(deco: Decomposition, ref: Decomposition):
     """Whether each computed projector matches, in order (see
-    ``compare_to_reference``); with ``conjugate`` the computed family is
-    conjugated first."""
-    def coefficients(p):
-        return p.conjugate_coefficients() if conjugate else p.coefficients
-
+    ``compare_to_reference``)."""
     used = set()
     matched = {}
     for i, p in enumerate(deco.projectors):
@@ -618,7 +614,7 @@ def _match(deco: Decomposition, ref: Decomposition, conjugate):
             (
                 j for j, q in enumerate(ref.projectors)
                 if j not in used and q.dimension == p.dimension
-                and _vanishes(coefficients(p), q.coefficients)
+                and _vanishes(p.coefficients, q.coefficients)
             ),
             None,
         )
@@ -632,8 +628,6 @@ def _match(deco: Decomposition, ref: Decomposition, conjugate):
         if ok:
             mine = [deco.projectors[i] for i in members]
             total = _coefficient_sum(mine, deco.rank, DEFAULT_PRECISION)
-            if conjugate:
-                total = [c.conjugate() for c in total]
             ok = _vanishes(total, _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION))
         matched.update((i, ok) for i in members)
     return [matched[i] for i in range(len(deco.projectors))]
@@ -652,9 +646,12 @@ def compare_to_reference(deco: Decomposition, ref: Decomposition):
     block's.  That those reference projectors are primitive orthogonal
     idempotents is left to ``verify_family_algebraic`` on the reference,
     which ``permsplit verify`` runs as well.  The matching tolerates
-    reordering within equal-dimension groups and one simultaneous complex
-    conjugation of the whole computed family.  There is one line per
-    projector outside a block and one per block.
+    reordering within equal-dimension groups.  It needs no second try with
+    the computed family conjugated: a complete, certified family holds every
+    central primitive idempotent, so complex conjugation, an automorphism of
+    the rational algebra, only permutes its projectors outside blocks and
+    fixes each block's sum.  There is one line per projector outside a block
+    and one per block.
     """
     report = VerificationReport()
     if deco.degree != ref.degree or deco.rank != ref.rank:
@@ -670,20 +667,13 @@ def compare_to_reference(deco: Decomposition, ref: Decomposition):
         return report
     report.add("suborbit lengths agreement", True)
 
-    matched = _match(deco, ref, conjugate=False)
-    note = ""
-    if not all(matched) and deco.exact_only():
-        conjugated = _match(deco, ref, conjugate=True)
-        if all(conjugated):
-            matched, note = conjugated, " (conjugated)"
-    # on failure the lines are the results of the direct orientation
     seen = set()
-    for i, (p, ok) in enumerate(zip(deco.projectors, matched), start=1):
+    for i, (p, ok) in enumerate(zip(deco.projectors, _match(deco, ref)), start=1):
         if p.block is None:
-            report.add(f"projector {i} (d={p.dimension}) match{note}", ok)
+            report.add(f"projector {i} (d={p.dimension}) match", ok)
         elif p.block not in seen:
             seen.add(p.block)
             members = [m for m, q in enumerate(deco.projectors, start=1) if q.block == p.block]
             listed = ", ".join(map(str, members))
-            report.add(f"block d={p.block} (projectors {listed}) sum match{note}", ok)
+            report.add(f"block d={p.block} (projectors {listed}) sum match", ok)
     return report

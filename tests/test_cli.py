@@ -32,7 +32,7 @@ from permsplit.errors import (
     SliceExhausted,
 )
 from permsplit.exactfield import ComplexBall
-from permsplit.verify import verify_family_algebraic, verify_matrix_level
+from permsplit.verify import VerificationReport, verify_family_algebraic, verify_matrix_level
 from conftest import (
     CORPUS,
     corpus_split,
@@ -119,6 +119,25 @@ class TestAnalyze:
         assert code == 2
         assert "[1, 2]" in err  # names the orbit of point 1
 
+    def test_transpose_pairs_and_commutativity_lines(self, tmp_path, capsys):
+        """C5's shifts by k and -k are transposes of each other; with
+        ``--constants`` the last line says whether the algebra commutes,
+        which regular S3's does not."""
+        c5 = tmp_path / "c5.gens"
+        c5.write_text(C5_TEXT)
+        s3 = gens_file(tmp_path, "s3reg", regular_action(symmetric(3)))
+        assert main(["analyze", str(c5)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "Transpose pairs: (A2, A3), (A4, A5)"
+        assert main(["analyze", str(c5), "--constants"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "Transpose pairs: (A2, A3), (A4, A5)", "Commutative: yes",
+        ]
+        assert main(["analyze", str(s3), "--constants"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "Transpose pairs: (A5, A6)", "Commutative: no",
+        ]
+
     def test_parse_error_exit_1(self, tmp_path):
         path = tmp_path / "bad.gens"
         path.write_text("degree 3\ngen (1,2,2)\n")
@@ -202,6 +221,25 @@ class TestSplitCommand:
         lines = err.splitlines()
         assert "PASS  completeness sum(B) = A1" in lines
         assert [f"PASS  primitivity B[{m}]" in lines for m in range(1, 6)] == [True] * 5
+
+    def test_failed_matrix_verify_exit_4(self, tmp_path, monkeypatch, capsys):
+        """A matrix-level report with a failed check prints its lines and
+        no decomposition, and ends as an invariant violation."""
+        def one_check_fails(*args, **kwargs):
+            report = VerificationReport()
+            report.add("planted check", False)
+            return report
+
+        monkeypatch.setattr(cli, "verify_matrix_level", one_check_fails)
+        path = tmp_path / "s3.gens"
+        path.write_text(S3_TEXT)
+        assert main(["split", str(path), "--verify", "matrix"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "FAIL  planted check",
+            "internal invariant violation: matrix-level verification failed",
+        ]
 
     @pytest.mark.parametrize("value", ["10", "52", "abc"])
     def test_precision_below_double_is_a_usage_error(self, tmp_path, value):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from permsplit import (
@@ -188,9 +189,9 @@ _small = st.integers(-4, 4)
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, orders=("degrevlex", "lex")):
     """1-3 generators, 2 variables, degree <= 2, tiny coefficients."""
-    r = Ring(("y", "x"), draw(st.sampled_from(["degrevlex", "lex"])))
+    r = Ring(("y", "x"), draw(st.sampled_from(orders)))
     monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     polys = []
     for _ in range(draw(st.integers(1, 3))):
@@ -222,3 +223,21 @@ def test_random_system_invariants(sys):
             assert monos is not None
         else:
             assert monos is None
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_basis_does_not_depend_on_the_generators_given(order, data):
+    """The reduced basis is fixed by the ideal: shuffling the generators,
+    repeating some and scaling each by a nonzero rational changes nothing."""
+    ring, polys = data.draw(small_systems(orders=[order]))
+    if not polys:
+        return
+    repeated = polys + data.draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3))
+    shuffled = data.draw(st.permutations(repeated))
+    scales = data.draw(
+        st.lists(st.fractions(-3, 3, max_denominator=4).filter(bool),
+                 min_size=len(shuffled), max_size=len(shuffled))
+    )
+    assert groebner_basis([g * c for g, c in zip(shuffled, scales)]) == groebner_basis(polys)

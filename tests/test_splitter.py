@@ -791,6 +791,43 @@ class TestExactIdempotents:
             for e in parts:
                 assert algebra_product(consts, e, y) == algebra_product(consts, y, e)
 
+    def test_repeated_root_and_multiple_of_e(self):
+        """Regular S3: with E the central idempotent of the 2-dimensional
+        block, f a primitive idempotent under it and n = f A_r (E - f) != 0,
+        y = E + n has minimal polynomial (t - 1)^2 in EAE.  Nothing splits E,
+        and y is no multiple of E, so refining E by y alone keeps no part;
+        3E is a multiple of E.  In the whole algebra, 1 + n + P with P a
+        linear projector has minimal polynomial (t - 1)^2 (t - 2): its two
+        tower roots give no Lagrange idempotents, since 1 is repeated."""
+        basis, consts = constants_for(regular_action(symmetric(3)))
+        linear = splitter._split_linear(basis, consts, SplitConfig())
+        block = [p.coefficients for p in linear if p.block == 2]
+        assert len(block) == 2
+        e = [a + b for a, b in zip(*block)]
+        f = list(block[0])
+        rest = [a - b for a, b in zip(e, f)]
+        zero = [fe(0)] * consts.rank
+        products = (
+            algebra_product(
+                consts, algebra_product(consts, f, splitter._basis_vector(consts.rank, r)), rest
+            )
+            for r in range(1, consts.rank)
+        )
+        n = next(p for p in products if p != zero)
+        y = [a + b for a, b in zip(e, n)]
+        assert splitter._minimal_polynomial(consts, e, y)[0] == [fe(1), fe(-2), fe(1)]
+        assert splitter._split_idempotent(consts, e, y) == [e]
+        assert splitter._refine(consts, [e], [lambda part: y], 2) == []
+        assert splitter._split_idempotent(consts, e, [3 * a for a in e]) == []
+
+        one = splitter._basis_vector(consts.rank, 0)
+        projector = next(p.coefficients for p in linear if p.block is None)
+        z = [a + b + c for a, b, c in zip(one, n, projector)]
+        assert splitter._minimal_polynomial(consts, one, z)[0] == [
+            fe(-2), fe(5), fe(-4), fe(1)
+        ]
+        assert splitter._split_idempotent(consts, one, z) == [one]
+
 
 class TestDimensionLoop:
     def test_loop_alone_matches_the_split(self, corpus_member):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -230,6 +231,14 @@ def test_benchmark_smoke_workload_runs():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_split_config_fields():
+    """A SplitConfig sets the precision and the rank cap; ``matrix_cap`` and
+    ``threads`` are class attributes that no split reads."""
+    from permsplit import SplitConfig
+
+    assert [f.name for f in dataclasses.fields(SplitConfig)] == ["precision", "rank_cap"]
 
 
 def _load_benchmark_module(name):
