@@ -381,13 +381,12 @@ def groebner_basis(generators):
     which the ideal alone fixes, whatever the generators' order or scale.
 
     Pair selection follows the normal strategy (minimal lcm in the active
-    order, ties by input index) via a heap keyed at pair-creation time; the
-    coprime and chain criteria prune pairs.  Returns ``[1]`` exactly when the
+    order, ties by input index) from a list of pairs keyed at creation and
+    sorted again as each kept polynomial adds its pairs; the coprime and
+    chain criteria prune pairs.  Returns ``[1]`` exactly when the
     ideal is the whole ring.  Raises ResourceLimit when more than MAX_PAIRS
     pairs are processed or the basis grows past MAX_BASIS.
     """
-    import heapq
-
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("groebner_basis of an empty/zero generating set")
@@ -407,19 +406,20 @@ def groebner_basis(generators):
             return [Poly.one(ring)]
         keep(r)
 
-    heap = []
+    pairs = []  # (key of the lcm, (i, j)), sorted so that the next pair is last
 
-    def push_pair(i, j):
-        lcm = _mono_lcm(G[i].leading_monomial(), G[j].leading_monomial())
-        heapq.heappush(heap, (ring.key(lcm), (i, j)))
+    def add_pairs(k):
+        for t in range(k):
+            lcm = _mono_lcm(G[t].leading_monomial(), G[k].leading_monomial())
+            pairs.append((ring.key(lcm), (t, k)))
+        pairs.sort(reverse=True)
 
-    for i in range(len(G)):
-        for j in range(i):
-            push_pair(j, i)
+    for k in range(len(G)):
+        add_pairs(k)
     done = set()
     processed = 0
-    while heap:
-        _, pair = heapq.heappop(heap)
+    while pairs:
+        _, pair = pairs.pop()
         if pair in done:
             continue
         done.add(pair)
@@ -442,9 +442,7 @@ def groebner_basis(generators):
         keep(r)
         if len(G) > MAX_BASIS:
             raise ResourceLimit(f"Groebner basis cap {MAX_BASIS} exceeded")
-        k = len(G) - 1
-        for t in range(k):
-            push_pair(t, k)
+        add_pairs(len(G) - 1)
     return reduce_basis(G)
 
 

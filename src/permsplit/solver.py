@@ -20,8 +20,8 @@ which must contain zero.
 
 A positive-dimensional system is sliced from the caller's Groebner basis:
 coordinate pins over the free variables its leading terms leave, tried in a
-fixed order, turn it zero-dimensional, and the caller re-runs its system once
-the sliced solution is taken.
+fixed order, turn it zero-dimensional, and the caller cuts its next slice
+from the same basis until a solution changes its system.
 """
 
 from __future__ import annotations

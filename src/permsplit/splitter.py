@@ -34,15 +34,14 @@ coordinates of X·X - X (the idempotency polynomials) and the nonzero
 coordinates of S·X and X·S (the forms of S).  The linear generator
 x_1 - d/N joins them (the trace pins the coefficient of the identity basis
 matrix), so every solution carries b_1 = d/N exactly as its first
-coordinate.  Its Groebner basis decides: inconsistent
-(advance d), zero-dimensional (enumerate and accept every solution; the
-dimension is done, as more constraints could only shrink that finite
-variety), or positive-dimensional (an irreducible that occurs more than
-once; one particular solution is sliced off that same basis, and the
-dimension re-runs with the forms of the new sum; see
-``process_single_solution`` for why S stands for every projector).  The
-loop never counts the projectors of a block; the certificate settles the
-counts.
+coordinate.  Its Groebner basis decides: inconsistent (advance d),
+zero-dimensional (enumerate and accept every solution; the dimension is
+done, as more constraints could only shrink that finite variety), or
+positive-dimensional (an irreducible that occurs more than once; solutions
+are sliced off that basis one at a time: an exact one's forms join the
+system, whose basis is computed again, and a numeric one leaves both as
+they were; ``process_single_solution`` says why S stands for every
+projector).  The certificate, not the loop, counts a block's projectors.
 
 The floats are never trusted.  Each solution the solver returns already
 satisfies the d-system, so it is idempotent and orthogonal to every exact
@@ -601,29 +600,30 @@ def _split_over(basis, consts, config, projectors):
 
 
 def _run_dimension(state: _SplitState, d):
-    """Process one candidate dimension: slice and re-run while the system is
+    """Process one candidate dimension: slice while the system is
     positive-dimensional, then enumerate its solutions or meet inconsistency.
 
-    The Hilbert dimension only chooses between enumerating and slicing; how
-    many projectors a dimension yields is left to the certificate.  When a
-    slice happened at d, every projector extracted at d is tagged as the
-    block d.  Running out of slice attempts ends the block at d once a
-    numeric projector has been accepted, and raises SliceExhausted naming d
-    and the Hilbert dimension otherwise.
+    The d-system's Groebner basis is computed on entry and after each exact
+    sliced projector, whose forms join the system; a numeric one leaves the
+    system and its basis as they were.  The Hilbert dimension only chooses
+    between enumerating and slicing; the certificate settles how many
+    projectors a dimension yields.  Every projector extracted at a sliced d
+    is tagged as the block d.  Running out of slice attempts ends the block
+    at d once a numeric projector has been accepted, and raises
+    SliceExhausted naming d and the Hilbert dimension otherwise.  Each pass
+    ends d or accepts a projector of dimension d, so at most N passes run.
     """
     cfg = state.config
     first = len(state.projectors)
     sliced = False
-    guard = 0
+    changed = True  # the d-system has no basis yet, or has changed since
     while True:
-        guard += 1
-        if guard > state.basis.degree + state.basis.rank + 8:
-            raise InvariantViolation(f"dimension {d} failed to stabilize")
-        gb = groebner_basis(state.d_system(d))
-        if is_trivial_basis(gb):
-            state.events.append(SplitEvent(d, "inconsistent"))
-            break
-        h = hilbert_dimension(gb)
+        if changed:
+            gb = groebner_basis(state.d_system(d))
+            if is_trivial_basis(gb):
+                state.events.append(SplitEvent(d, "inconsistent"))
+                break
+            h = hilbert_dimension(gb)
         if h == 0:
             points = solve_zero_dimensional(gb, precision=cfg.precision)
             points = [p for p in points if state.accept_candidate(p)]
@@ -646,12 +646,12 @@ def _run_dimension(state: _SplitState, d):
             # block is complete every slice is rejected: the block ends here
             state.events.append(SplitEvent(d, "filtered", h, 0))
             break
-        process_single_solution(
-            state, Projector(point.values, d, "slicedSolution", point.precision)
-        )
+        projector = Projector(point.values, d, "slicedSolution", point.precision)
+        process_single_solution(state, projector)
         state.events.append(SplitEvent(d, "slice", h, 1))
         if state.found >= state.basis.degree:
             break
+        changed = projector.exact
     if sliced:
         for proj in state.projectors[first:]:
             proj.block = d

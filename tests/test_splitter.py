@@ -27,7 +27,7 @@ from permsplit import splitter, verify
 from permsplit.cli import render_decomposition_text
 from permsplit.errors import SliceExhausted
 from permsplit.exactfield import ComplexBall, as_ball
-from permsplit.polynomial import groebner_basis
+from permsplit.polynomial import Ring, groebner_basis
 from permsplit.solver import SolutionPoint
 from permsplit.splitter import (
     Projector,
@@ -329,9 +329,19 @@ class TestDimensionLoopExits:
                 gb, precision=precision, accept=lambda p: accept(numeric(p, precision))
             ), precision)
 
+        groebner, calls = splitter.groebner_basis, []
+
+        def counted(system):
+            calls.append(system)
+            return groebner(system)
+
         monkeypatch.setattr(splitter, "_split_linear", lambda basis, consts, config: [])
         monkeypatch.setattr(splitter, "particular_solution_on_slice", slice_numerically)
+        monkeypatch.setattr(splitter, "groebner_basis", counted)
         deco = split(gens)
+        # one basis for each of d = 1, 2, 3: a numeric projector leaves the
+        # d-system as it was, so the block of the 2 is sliced from one basis
+        assert len(calls) == 3
         assert SplitEvent(2, "filtered", 2, 0) in deco.events
         assert [(p.dimension, p.exact) for p in deco.projectors] == [
             (1, True), (1, True), (2, False), (2, False), (3, True), (3, True)
@@ -776,16 +786,23 @@ class TestExactIdempotents:
         assert not Counter(p.dimension for p in linear) - Counter(dimension_multiset(gens))
 
     def test_basis_elements_split_the_identity(self, corpus_member):
-        """For each A_r, ``_split_idempotent`` splits the identity into
-        polynomials in A_r that are mutually orthogonal idempotents summing
-        to it and commuting with A_r, or leaves it whole."""
+        """For each A_r, the minimal polynomial m is squarefree (m and m'
+        generate the unit ideal), and ``_split_idempotent`` splits the
+        identity into polynomials in A_r that are mutually orthogonal
+        idempotents summing to it and commuting with A_r, or leaves it
+        whole."""
         name, gens = corpus_member
         _, consts = constants_for(gens)
         one = splitter._basis_vector(consts.rank, 0)
+        ring = Ring(("t",))
         for r in range(1, consts.rank):
             y = splitter._basis_vector(consts.rank, r)
+            m, _ = splitter._minimal_polynomial(consts, one, y)
+            dm = [i * c for i, c in enumerate(m)][1:]
+            assert groebner_basis([
+                Poly(ring, {(i,): c for i, c in enumerate(f)}) for f in (m, dm)
+            ]) == [Poly.one(ring)], f"A_{r + 1} has a repeated root"
             parts = splitter._split_idempotent(consts, one, y)
-            assert parts is not None, f"A_{r + 1} has a repeated root"
             assert [sum(col, fe(0)) for col in zip(*parts)] == one
             _assert_orthogonal_idempotents(consts, parts)
             for e in parts:

@@ -123,11 +123,11 @@ def test_package_imports_are_acyclic():
             del remaining[m]
 
 
-def test_relative_imports_are_at_module_level():
-    """Every relative import in the package is a statement of its module's
-    body, or under ``if TYPE_CHECKING:``, so the acyclicity test above sees
-    each internal dependency; the package root's name table is the only
-    deferred import."""
+def test_imports_are_at_module_level():
+    """Every import in the package, relative or absolute, is a statement of
+    its module's body, or under ``if TYPE_CHECKING:``, so the acyclicity test
+    above sees each internal dependency and a module's imports are read in
+    one place; the package root's name table is the only deferred import."""
     hidden = []
     for path in sorted((SRC / "permsplit").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -138,9 +138,9 @@ def test_relative_imports_are_at_module_level():
         hidden += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level and id(node) not in seen
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in seen
         ]
-    assert not hidden, f"relative imports below module level: {hidden}"
+    assert not hidden, f"imports below module level: {hidden}"
 
 
 def test_every_exported_name_is_defined_or_used():
