@@ -9,13 +9,21 @@ integer radicands k, with rational coefficients c_k:
 
 Products of radicals rewrite by gcd extraction,
 sqrt(a)*sqrt(b) = g*sqrt(m) with g = gcd, m square-free, and a factor -1
-whenever both radicands are negative (i^2 = -1).  Elements are kept in
-canonical form (square-free keys, no zero coefficients), so equality is
-structural.  Nonzero canonical elements are nonzero complex numbers, which
-``to_complex`` exploits to produce enclosures of guaranteed relative width.
+whenever both radicands are negative (i^2 = -1).  Nonzero canonical
+elements are nonzero complex numbers, which ``to_complex`` exploits to
+produce enclosures of guaranteed relative width.
 
-``Rational`` is the standard library Fraction: it already maintains the
-gcd-reduced, positive-denominator canonical form required here.
+An element holds its coefficients as integers over one common denominator,
+the number-field representation of Cohen (A Course in Computational
+Algebraic Number Theory, 1993, section 4.2): {radicand: numerator} and a
+positive ``int`` den.  The canonical form has square-free keys, no zero
+numerator and gcd(den, all numerators) = 1, with zero as ({}, 1), so
+equality is structural.  Arithmetic runs on Python ints and reduces each
+result with one gcd.  ``Rational`` (the standard library Fraction) appears
+only at the public boundary: the constructor ``FieldElement({rad:
+rational})``, ``from_rational``, ``rational_value`` and the read-only
+``terms`` view; other modules read the integers through ``coefficient``
+and ``radicands``.
 
 ``signed_sum`` is the one writer of every sum the package prints: an
 element over its radicals, a polynomial over its monomials, and a
@@ -27,6 +35,7 @@ from __future__ import annotations
 import ast
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath
 
@@ -179,76 +188,99 @@ def _rad_mul(a, b):
 
 
 class FieldElement:
-    """Immutable element of the radical tower; see the module docstring."""
+    """Immutable element of the radical tower; see the module docstring.
 
-    __slots__ = ("terms", "_hash")
+    ``FieldElement({rad: rational})`` builds sum_k c_k sqrt(k) from any
+    nonzero integer radicands and rational coefficients (ints, Fractions or
+    anything ``Fraction`` reads); ``terms`` reads it back as
+    {radicand: Fraction}.
+    """
 
-    def __init__(self, terms=None, _canonical=False):
-        if terms is None:
-            terms = {}
-        if not _canonical:
-            clean = {}
-            for rad, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if rad == 0:
-                    raise ValueError("radicand 0 is not allowed")
-                s, m = squarefree_decompose(rad)
-                if s != 1:
-                    c *= s
-                clean[m] = clean.get(m, Fraction(0)) + c
-            terms = {r: c for r, c in clean.items() if c != 0}
-        self.terms = terms
+    __slots__ = ("_num", "_den", "_hash")
+
+    def __init__(self, terms=None):
+        clean = {}
+        for rad, c in (terms or {}).items():
+            c = Fraction(c)
+            if c == 0:
+                continue
+            if rad == 0:
+                raise ValueError("radicand 0 is not allowed")
+            s, m = squarefree_decompose(rad)
+            clean[m] = clean.get(m, 0) + c * s
+        clean = {r: c for r, c in clean.items() if c}
+        # the lcm of reduced denominators leaves gcd(den, numerators) = 1
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {r: c.numerator * (den // c.denominator) for r, c in clean.items()}
+        self._den = den
         self._hash = None
 
     # constructors
     @classmethod
     def zero(cls):
-        return cls({}, _canonical=True)
+        return _ZERO
 
     @classmethod
     def one(cls):
-        return cls({1: Fraction(1)}, _canonical=True)
+        return _ONE
 
     @classmethod
     def from_rational(cls, q):
-        q = Fraction(q)
-        return cls({1: q} if q else {}, _canonical=True)
+        if type(q) is not int:
+            q = Fraction(q)
+        return _make({1: q.numerator}, q.denominator) if q else _ZERO
 
     @classmethod
     def i(cls):
-        return cls({-1: Fraction(1)}, _canonical=True)
+        return _make({-1: 1}, 1)
 
     @classmethod
     def term(cls, coeff, rad):
         """coeff * sqrt(rad) for an arbitrary nonzero integer radicand."""
-        return cls({rad: Fraction(coeff)})
+        return cls({rad: coeff})
 
     @classmethod
     def sqrt_int(cls, n):
         """Exact sqrt of an integer: sqrt(12) = 2*sqrt(3), sqrt(-7) = i*sqrt(7)."""
         if n == 0:
-            return cls.zero()
+            return _ZERO
         s, m = squarefree_decompose(n)
-        return cls({m: Fraction(s)}, _canonical=True)
+        return _make({m: s}, 1)
 
     # predicates and accessors
+    @property
+    def terms(self):
+        """The coefficients as a read-only {radicand: Fraction}."""
+        return MappingProxyType({r: Fraction(c, self._den) for r, c in self._num.items()})
+
+    def radicands(self):
+        """The radicands of the nonzero terms in writing order: |rad|
+        ascending, positive radicand first."""
+        return sorted(self._num, key=lambda r: (abs(r), r < 0))
+
+    def coefficient(self, rad):
+        """The coefficient of sqrt(rad) in lowest terms, as (numerator,
+        positive denominator) ints; (0, 1) when there is no such term."""
+        n = self._num.get(rad, 0)
+        g = math.gcd(n, self._den)
+        return n // g, self._den // g
+
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_rational(self):
-        return not self.terms or set(self.terms) == {1}
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def support_primes(self):
         """Primes under the radicals, plus -1 when i is involved."""
         out = set()
-        for r in self.terms:
+        for r in self._num:
             if r < 0:
                 out.add(-1)
             for p in factorize(abs(r)):
@@ -256,34 +288,35 @@ class FieldElement:
         out.discard(1)
         return out
 
-    # arithmetic
+    # arithmetic: numerators over one denominator, reduced by ``_reduced``
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
+        a, b = self._num, other._num
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        out = dict(self.terms)
-        for r, c in other.terms.items():
-            s = out.get(r)
-            if s is None:
-                out[r] = c
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(a)
+        else:
+            out = {r: c * db for r, c in a.items()}
+            b = {r: c * da for r, c in b.items()}
+            da *= db
+        for r, c in b.items():
+            s = out.get(r, 0) + c
+            if s:
+                out[r] = s
             else:
-                s = s + c
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return FieldElement(out, _canonical=True)
+                del out[r]
+        return _reduced(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(
-            {r: -c for r, c in self.terms.items()}, _canonical=True
-        )
+        return _make({r: -c for r, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -301,44 +334,41 @@ class FieldElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         if not a or not b:
-            return FieldElement.zero()
+            return _ZERO
+        den = self._den * other._den
         # fast path: rational * anything
-        if set(a) == {1}:
+        if len(a) == 1 and 1 in a:
             q = a[1]
-            return FieldElement({r: c * q for r, c in b.items()}, _canonical=True)
-        if set(b) == {1}:
+            return _reduced({r: c * q for r, c in b.items()}, den)
+        if len(b) == 1 and 1 in b:
             q = b[1]
-            return FieldElement({r: c * q for r, c in a.items()}, _canonical=True)
+            return _reduced({r: c * q for r, c in a.items()}, den)
         out = {}
         for r1, c1 in a.items():
             for r2, c2 in b.items():
                 mult, rad = _rad_mul(r1, r2)
-                c = c1 * c2
-                if mult != 1:
-                    c *= mult
-                s = out.get(rad)
-                out[rad] = c if s is None else s + c
-        return FieldElement(
-            {r: c for r, c in out.items() if c != 0}, _canonical=True
-        )
+                out[rad] = out.get(rad, 0) + mult * c1 * c2
+        return _reduced({r: c for r, c in out.items() if c}, den)
 
     __rmul__ = __mul__
 
     def scaled(self, q):
         """Multiply by an exact rational, cheaply."""
         q = Fraction(q)
-        if not q:
-            return FieldElement.zero()
-        return FieldElement(
-            {r: c * q for r, c in self.terms.items()}, _canonical=True
-        )
+        return self._times(q.numerator, q.denominator)
+
+    def _times(self, n, d):
+        """self * n/d for ints n and d != 0."""
+        if not n:
+            return _ZERO
+        return _reduced({r: c * n for r, c in self._num.items()}, self._den * d)
 
     def __pow__(self, n):
         if n < 0:
             return self.invert() ** (-n)
-        out = FieldElement.one()
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -351,14 +381,10 @@ class FieldElement:
         """Conjugation flipping one radical: which = -1 flips i, a prime p
         flips sqrt(p)."""
         if which == -1:
-            return FieldElement(
-                {r: (-c if r < 0 else c) for r, c in self.terms.items()},
-                _canonical=True,
-            )
-        return FieldElement(
-            {r: (-c if abs(r) % which == 0 else c) for r, c in self.terms.items()},
-            _canonical=True,
-        )
+            num = {r: (-c if r < 0 else c) for r, c in self._num.items()}
+        else:
+            num = {r: (-c if abs(r) % which == 0 else c) for r, c in self._num.items()}
+        return _make(num, self._den)
 
     def conjugate(self):
         """Complex conjugation: flip the sign of every i-carrying term."""
@@ -371,23 +397,24 @@ class FieldElement:
         flipping one radical, removing that radical from the denominator;
         at most (number of distinct primes) + 1 rounds.
         """
-        if not self.terms:
+        if not self._num:
             raise ZeroDivisionError("inverse of zero field element")
-        num = FieldElement.one()
+        num = _ONE
         den = self
         while not den.is_rational():
-            flips = sorted(den.support_primes())
-            sigma = den._flip(flips[0])
+            sigma = den._flip(min(den.support_primes()))
             num = num * sigma
             den = den * sigma
-        return num.scaled(1 / den.rational_value())
+        return num._times(den._den, den._num[1])
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_rational():
-            return self.scaled(1 / other.rational_value())
+            if not other._num:
+                raise ZeroDivisionError("division by zero field element")
+            return self._times(other._den, other._num[1])
         return self * other.invert()
 
     def __rtruediv__(self, other):
@@ -401,19 +428,15 @@ class FieldElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        """(rad, coeff) pairs: |rad| ascending, positive radicand first."""
-        return sorted(self.terms.items(), key=lambda t: (abs(t[0]), t[0] < 0))
+        return bool(self._num)
 
     def __repr__(self):
         return f"FieldElement({render_field_element(self)})"
@@ -427,15 +450,16 @@ class FieldElement:
         """
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
-        if not self.terms:
+        if not self._num:
             return ComplexBall(mpmath.mpc(0), mpmath.mpf(0))
         work = precision + 24
         while True:
             with mpmath.workprec(work):
                 total = mpmath.mpc(0)
                 abssum = mpmath.mpf(0)
-                for rad, c in self.terms.items():
-                    cval = mpmath.mpf(c.numerator) / c.denominator
+                for rad in self._num:
+                    n, d = self.coefficient(rad)
+                    cval = mpmath.mpf(n) / d
                     if rad == 1:
                         t = mpmath.mpc(cval)
                     elif rad == -1:
@@ -453,8 +477,35 @@ class FieldElement:
             work *= 2
 
 
+def _make(num, den):
+    """The element sum_r num[r] sqrt(r) / den, already canonical: nonzero
+    int numerators over a positive int den that shares no factor with all
+    of them."""
+    x = object.__new__(FieldElement)
+    x._num, x._den, x._hash = num, den, None
+    return x
+
+
+def _reduced(num, den):
+    """The canonical element sum_r num[r] sqrt(r) / den from nonzero int
+    numerators and a nonzero int den, by one gcd."""
+    if not num:
+        return _ZERO
+    g = math.gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {r: c // g for r, c in num.items()}
+        den //= g
+    return _make(num, den)
+
+
+_ZERO = _make({}, 1)
+_ONE = _make({1: 1}, 1)
+
+
 def _coerce(x):
-    if isinstance(x, FieldElement):
+    if type(x) is FieldElement:
         return x
     if isinstance(x, (int, Fraction)):
         return FieldElement.from_rational(x)
@@ -464,25 +515,15 @@ def _coerce(x):
 # -- restricted square roots ---------------------------------------------------
 
 
-def _sqrt_fraction(q):
-    """Exact sqrt of a rational as a tower element (always representable)."""
-    q = Fraction(q)
-    if q == 0:
-        return FieldElement.zero()
-    s, m = squarefree_decompose(q.numerator * q.denominator)
-    return FieldElement({m: Fraction(s, q.denominator)}, _canonical=True)
-
-
-def _rational_sqrt_or_none(q):
-    """sqrt of q as a plain Fraction, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _sqrt_ratio(n, d):
+    """Exact sqrt of n/d, for ints n and d > 0, as a tower element (always
+    representable)."""
+    if not n:
+        return _ZERO
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    s, m = squarefree_decompose(n * d)
+    return _reduced({m: s}, d)
 
 
 def sqrt_if_nice(a):
@@ -502,16 +543,19 @@ def sqrt_if_nice(a):
     caller's job.
     """
     a = _coerce(a)
-    c1 = a.terms.get(1, Fraction(0))
-    rest = [(r, c) for r, c in a.terms.items() if r != 1]
+    num, den = a._num, a._den
+    rest = [(r, c) for r, c in num.items() if r != 1]
     if len(rest) > 1:
         return UNREPRESENTABLE
-    r, c2 = rest[0] if rest else (1, Fraction(0))
-    t = _rational_sqrt_or_none(c1 * c1 - r * c2 * c2)
-    if t is None:
+    r, n2 = rest[0] if rest else (1, 0)
+    # c1^2 - r*c2^2 = p/den^2, whose root is rational exactly when p is a square
+    n1 = num.get(1, 0)
+    p = n1 * n1 - r * n2 * n2
+    t = math.isqrt(max(p, 0))
+    if t * t != p:
         return UNREPRESENTABLE
-    u = _sqrt_fraction((c1 + t) / 2)
-    v = _sqrt_fraction((c1 - t) / 2)
+    u = _sqrt_ratio(n1 + t, 2 * den)
+    v = _sqrt_ratio(n1 - t, 2 * den)
     for x in (u + v, u - v):
         if x * x == a:
             return x
@@ -607,30 +651,55 @@ def _radical(rad):
 def signed_sum(terms):
     """The one writer of a sum: (coefficient, symbol) pairs as ``a - b + c``.
 
-    A rational coefficient (a Fraction, or a rational FieldElement) goes
-    before its symbol, joined by ``*``, and is left out when it is ±1 and a
-    symbol follows; its sign goes in front of its term, ``-`` on the first
-    and ``- `` or ``+ `` on the later ones.  Any other coefficient is written
-    in parentheses, unfactored.  The symbol ``""`` is no symbol.  Zero terms
-    are left out, and a sum of none is ``0``.
+    A rational coefficient (an int, a Fraction, or a rational FieldElement)
+    goes before its symbol, joined by ``*``, and is left out when it is ±1
+    and a symbol follows; its sign goes in front of its term, ``-`` on the
+    first and ``- `` or ``+ `` on the later ones.  Any other coefficient is
+    written in parentheses, unfactored.  The symbol ``""`` is no symbol.
+    Zero terms are left out, and a sum of none is ``0``.
     """
-    out = []
+    parts = []
     for c, symbol in terms:
-        if isinstance(c, FieldElement) and c.is_rational():
-            c = c.rational_value()
-        if isinstance(c, FieldElement):
-            neg, coeff = False, f"({render_field_element(c, factored=False)})"
-        elif not c:
-            continue
+        if type(c) is not FieldElement:
+            parts.append(_rational_part(c.numerator, c.denominator, symbol))
+        elif c.is_rational():
+            parts.append(_rational_part(c._num.get(1, 0), c._den, symbol))
         else:
-            neg, c = c < 0, abs(c)
-            coeff = "" if symbol and c == 1 else str(c)
+            parts.append((False, f"({render_field_element(c, factored=False)})", symbol))
+    return _joined(parts)
+
+
+def _rational_part(n, d, symbol):
+    """The term n/d * symbol, for ints n and d > 0, as (negative,
+    coefficient text, symbol) for ``_joined``; None when n is 0."""
+    if not n:
+        return None
+    neg, n = n < 0, abs(n)
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    coeff = "" if symbol and n == d == 1 else _rational_text(n, d)
+    return neg, coeff, symbol
+
+
+def _joined(parts):
+    """The (negative, coefficient text, symbol) terms as ``a - b + c``,
+    skipping None; ``0`` for none."""
+    out = []
+    for part in parts:
+        if part is None:
+            continue
+        neg, coeff, symbol = part
         body = f"{coeff}*{symbol}" if coeff and symbol else coeff or symbol
         if out:
             out.append(f"- {body}" if neg else f"+ {body}")
         else:
             out.append(f"-{body}" if neg else body)
     return " ".join(out) if out else "0"
+
+
+def _rational_text(n, d):
+    """n/d for coprime ints n and d > 0, written as ``str`` writes a Fraction."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def render_field_element(fe, factored=True):
@@ -641,11 +710,17 @@ def render_field_element(fe, factored=True):
     references) multi-term values are written as leading-coefficient times a
     parenthesized sum whose first coefficient is 1.
     """
-    items = _coerce(fe).sorted_terms()
-    if factored and len(items) > 1 and items[0][1] != 1:
-        lead = items[0][1]
-        return f"{lead}*({signed_sum((c / lead, _radical(rad)) for rad, c in items)})"
-    return signed_sum((c, _radical(rad)) for rad, c in items)
+    fe = _coerce(fe)
+    num, den = fe._num, fe._den
+    rads = fe.radicands()
+    lead = num[rads[0]] if rads else 0
+    if factored and len(rads) > 1 and lead != den:
+        # each coefficient over the leading one, n/lead, with a positive denominator
+        sign = -1 if lead < 0 else 1
+        ratios = _joined([_rational_part(sign * num[r], abs(lead), _radical(r)) for r in rads])
+        g = math.gcd(lead, den)
+        return f"{_rational_text(lead // g, den // g)}*({ratios})"
+    return _joined([_rational_part(num[r], den, _radical(r)) for r in rads])
 
 
 def parse_field_element(text):
@@ -704,12 +779,11 @@ def parse_field_element(text):
 
 def field_element_to_json(fe):
     fe = _coerce(fe)
-    return {
-        "terms": [
-            {"rad": rad, "num": str(c.numerator), "den": str(c.denominator)}
-            for rad, c in fe.sorted_terms()
-        ]
-    }
+    terms = []
+    for rad in fe.radicands():
+        n, d = fe.coefficient(rad)
+        terms.append({"rad": rad, "num": str(n), "den": str(d)})
+    return {"terms": terms}
 
 
 def field_element_from_json(obj):

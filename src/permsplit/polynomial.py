@@ -420,8 +420,6 @@ def groebner_basis(generators):
     processed = 0
     while pairs:
         _, pair = pairs.pop()
-        if pair in done:
-            continue
         done.add(pair)
         i, j = pair
         li = G[i].leading_monomial()

@@ -181,10 +181,10 @@ def _rational_roots(coeffs):
         work = work[1:]
     if len(work) <= 1:
         return roots, work
-    key = work[-1].sorted_terms()[0][0]
-    comp = [c.terms.get(key, Fraction(0)) for c in work]
-    den_lcm = math.lcm(*(q.denominator for q in comp))
-    ints = [int(q * den_lcm) for q in comp]
+    key = work[-1].radicands()[0]
+    comp = [c.coefficient(key) for c in work]
+    den_lcm = math.lcm(*(d for _, d in comp))
+    ints = [n * (den_lcm // d) for n, d in comp]
     low = 0
     while ints[low] == 0:
         low += 1  # nonzero candidates divide the lowest nonzero entry

@@ -356,9 +356,10 @@ def _split_linear(basis, consts, config):
     docstring)."""
     rank, n = consts.rank, basis.degree
     centre = _centre_basis(consts)
+    # centre[0] is A_1 (the commutator matrix's column 0 is zero), which splits nothing
     central = _refine(
         consts, [_basis_vector(rank, 0)],
-        [lambda e, z=z: algebra_product(consts, e, z) for z in centre],
+        [lambda e, z=z: algebra_product(consts, e, z) for z in centre[1:]],
         len(centre),
     )
     table = consts.table[1:, 1:, 1:]

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import mpmath
@@ -57,7 +56,7 @@ import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
-from .exactfield import ComplexBall, FieldElement, _rad_mul, as_ball, render_field_element
+from .exactfield import ComplexBall, FieldElement, _rad_mul, _reduced, as_ball, render_field_element
 from .perms import GeneratorSet, orbit_with_tree
 from .solver import DEFAULT_PRECISION
 
@@ -139,19 +138,22 @@ def _encode(vectors):
     """Vectors of FieldElements as integers: (rads, dens, rows).
 
     ``rads`` is the sorted union of the radicands the vectors use,
-    ``dens[i]`` the common denominator of vectors[i], and ``rows[i][p][u]``
-    the integer dens[i] times the coefficient of sqrt(rads[u]) in
-    vectors[i][p]."""
-    rads = sorted({r for vec in vectors for x in vec for r in x.terms})
+    ``dens[i]`` the lcm of the denominators of vectors[i]'s entries, and
+    ``rows[i][p][u]`` the integer dens[i] times the coefficient of
+    sqrt(rads[u]) in vectors[i][p].  An entry already holds integer
+    numerators over one denominator, so its row is those numerators times
+    dens[i] over that denominator, with no rational arithmetic."""
+    rads = sorted({r for vec in vectors for x in vec for r in x._num})
     column = {r: u for u, r in enumerate(rads)}
     dens, rows = [], []
     for vec in vectors:
-        den = math.lcm(*(c.denominator for x in vec for c in x.terms.values()))
+        den = math.lcm(*(x._den for x in vec))
         block = []
         for x in vec:
             row = [0] * len(rads)
-            for r, c in x.terms.items():
-                row[column[r]] = c.numerator * (den // c.denominator)
+            scale = den // x._den
+            for r, c in x._num.items():
+                row[column[r]] = c * scale
             block.append(row)
         dens.append(den)
         rows.append(block)
@@ -160,10 +162,7 @@ def _encode(vectors):
 
 def _decoded(rads, den, rows):
     """One FieldElement sum_m row[m] sqrt(rads[m]) / den per integer row."""
-    return [
-        FieldElement({r: Fraction(c, den) for r, c in zip(rads, row) if c}, _canonical=True)
-        for row in rows
-    ]
+    return [_reduced({r: c for r, c in zip(rads, row) if c}, den) for row in rows]
 
 
 def _contract_exact(tensor, encoded, pairs):

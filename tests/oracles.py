@@ -430,7 +430,7 @@ def rational_roots_by_divisor_search(coeffs):
         work = work[1:]
     if len(work) <= 1:
         return roots, work
-    key = work[-1].sorted_terms()[0][0]
+    key = work[-1].radicands()[0]
     comp = [c.terms.get(key, Fraction(0)) for c in work]
     den_lcm = math.lcm(*(q.denominator for q in comp))
     ints = [int(q * den_lcm) for q in comp]

@@ -177,6 +177,114 @@ def test_to_complex_respects_multiplication(a, b):
         assert diff <= bound
 
 
+def _assert_canonical(x):
+    """Integer numerators over one positive denominator: no zero numerator,
+    square-free radicands, gcd(den, numerators) = 1, zero as ({}, 1)."""
+    num, den = x._num, x._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in num.values())
+    assert all(r and squarefree_decompose(r)[0] == 1 for r in num)
+    assert math.gcd(den, *num.values()) == 1
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for r, c in b.items():
+        out[r] = out.get(r, 0) + c
+    return {r: c for r, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    """Per-term Fraction product, the radicals multiplied through
+    squarefree_decompose: sqrt(x) sqrt(y) = -sqrt(xy) when both are negative."""
+    out = {}
+    for r1, c1 in a.items():
+        for r2, c2 in b.items():
+            s, m = squarefree_decompose(r1 * r2)
+            if r1 < 0 and r2 < 0:
+                s = -s
+            out[m] = out.get(m, 0) + s * c1 * c2
+    return {r: c for r, c in out.items() if c}
+
+
+_nonzero_coeff = _coeff.filter(bool)
+
+
+@given(field_elements(), field_elements(), _nonzero_coeff)
+@settings(max_examples=80, deadline=None)
+def test_results_are_canonical_and_match_a_per_term_reference(a, b, q):
+    ta, tb = dict(a.terms), dict(b.terms)
+    cases = [
+        (a + b, _ref_add(ta, tb)),
+        (a - b, _ref_add(ta, {r: -c for r, c in tb.items()})),
+        (-a, {r: -c for r, c in ta.items()}),
+        (a * b, _ref_mul(ta, tb)),
+        (a.scaled(q), {r: c * q for r, c in ta.items()}),
+        (a.scaled(0), {}),
+        (a / q, {r: c / q for r, c in ta.items()}),
+        (a / fe(q), {r: c / q for r, c in ta.items()}),
+        (a.conjugate(), {r: -c if r < 0 else c for r, c in ta.items()}),
+    ]
+    for x, want in cases:
+        _assert_canonical(x)
+        assert dict(x.terms) == want
+    if b:
+        # no per-term formula for a quotient: multiplied back it gives a
+        quotient, inverse = a / b, b.invert()
+        _assert_canonical(quotient)
+        _assert_canonical(inverse)
+        assert _ref_mul(dict(quotient.terms), tb) == ta
+        assert _ref_mul(dict(inverse.terms), tb) == {1: 1}
+
+
+@given(field_elements(), field_elements())
+@settings(max_examples=60, deadline=None)
+def test_equal_values_are_equal_and_hash_alike(a, b):
+    rebuilt = FE(a.terms)
+    _assert_canonical(rebuilt)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    other_route = (a + b) - b
+    assert other_route == a and hash(other_route) == hash(a)
+    assert (a == b) == (dict(a.terms) == dict(b.terms))
+
+
+def _ref_to_complex(terms, precision):
+    """The enclosure from per-term Fractions, term by term in ``terms``' order."""
+    work = precision + 24
+    while True:
+        with mpmath.workprec(work):
+            total, abssum = mpmath.mpc(0), mpmath.mpf(0)
+            for rad, c in terms.items():
+                cval = mpmath.mpf(c.numerator) / c.denominator
+                if rad == 1:
+                    t = mpmath.mpc(cval)
+                elif rad == -1:
+                    t = mpmath.mpc(0, cval)
+                elif rad > 0:
+                    t = mpmath.mpc(cval * mpmath.sqrt(rad))
+                else:
+                    t = mpmath.mpc(0, cval * mpmath.sqrt(-rad))
+                total += t
+                abssum += abs(t)
+            err = abssum * mpmath.mpf(2) ** (-(work - 8))
+            if err <= abs(total) * mpmath.mpf(2) ** (-precision):
+                return +total, +err
+        work *= 2
+
+
+@given(field_elements(), field_elements(), st.sampled_from([53, 64, 100]))
+@settings(max_examples=40, deadline=None)
+def test_to_complex_is_bit_identical_to_a_per_term_reference(a, b, precision):
+    # numerators beyond the working precision round, so dividing reduced and
+    # unreduced ones may differ
+    for x in (a, a * b + b, (a * b + b).scaled(Fraction(3**70, 7**30))):
+        if x.is_zero():
+            continue
+        ball = x.to_complex(precision)
+        mid, rad = _ref_to_complex(x.terms, precision)
+        assert ball.mid == mid and ball.rad == rad
+
+
 class TestToComplex:
     def test_exact_rational(self):
         ball = fe(Fraction(1, 2)).to_complex(64)

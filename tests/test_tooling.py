@@ -170,6 +170,29 @@ def test_every_exported_name_is_defined_or_used():
     assert not stray, f"exported but neither defined nor used: {stray}"
 
 
+def test_field_element_integers_stay_in_exactfield():
+    """A FieldElement's integer fields ``_num`` and ``_den`` are read only in
+    exactfield.py and in verify's ``_encode`` and ``_decoded``, the exact
+    kernel's boundary; every other module goes through the public
+    accessors, so the representation stays one module's decision."""
+    allowed = {("verify", "_encode"), ("verify", "_decoded")}
+    private = {"_num", "_den"}
+    stray = []
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        if path.stem == "exactfield":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.stem, getattr(top, "name", None)) in allowed:
+                continue
+            stray += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr in private)
+                or (isinstance(node, ast.Constant) and node.value in private)
+            ]
+    assert not stray, f"FieldElement integers read outside exactfield: {stray}"
+
+
 def test_every_error_class_is_raised():
     """Each PermsplitError subclass in errors.py is raised somewhere in the
     package, so an error class that nothing raises any more cannot linger."""
