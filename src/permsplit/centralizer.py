@@ -91,7 +91,18 @@ class StructureConstants:
         """The integer matrix T[p, s] = sum_qr C_pq^r C_rs^q over 0-based
         indices, with tr(x -> e x e) = e^T T e (``verify.primitivity_traces``);
         built on first use, once per constants object."""
-        return _trace_form(self.table[1:, 1:, 1:])
+        return _trace_form(self.tensor)
+
+    @cached_property
+    def tensor(self):
+        """C over 0-based indices, contiguous, so a product reshapes it as is."""
+        return np.ascontiguousarray(self.table[1:, 1:, 1:])
+
+    @cached_property
+    def product_bound(self):
+        """max_r sum_pq |C[p, q, r]|, by which a product's integers can
+        exceed its factors' (``verify._contract_exact``)."""
+        return int(np.abs(self.tensor).sum(axis=(0, 1)).max())
 
 
 # Entries that ``_trace_form`` gathers at once, as rows of C of R entries

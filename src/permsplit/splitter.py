@@ -2,9 +2,13 @@
 of irreducible projectors: exact idempotents first, then the dimension loop
 for what they leave.
 
-The exact idempotents need no Groebner basis, slice or float.  The centre Z
-of the algebra is the rational null space of x -> (x A_r - A_r x)_r.
-Refinement splits the identity into the central primitive idempotents E_j:
+The exact idempotents need no Groebner basis, slice or float.  Their
+algebra elements are one denominator, the radicands used and an R x U
+integer array (``exactfield._canonical``): a product is one contraction
+(``verify._contract_exact``), a linear combination one matmul per term
+(``exactfield._combination``), and FieldElements are only the scalars and
+each projector, decoded once.  The centre Z of the algebra is the rational
+null space of x -> (x A_r - A_r x)_r.  Refinement splits the identity into the central primitive idempotents E_j:
 for each current idempotent e and each basis element z of Z, the minimal
 polynomial of y = e z in eZ is read off the linear dependence of its powers,
 its roots are found in the tower (``solver._exact_roots``), and e splits into
@@ -78,7 +82,7 @@ from .centralizer import (
     compute_structure_constants,
 )
 from .errors import IncompleteDecomposition, InvariantViolation, SliceExhausted
-from .exactfield import FieldElement
+from .exactfield import FieldElement, _canonical, _combination, _decoded, _integer_array
 from .perms import GeneratorSet
 from .polynomial import (
     Poly,
@@ -98,7 +102,6 @@ from .solver import (
 )
 from .verify import (
     DEFAULT_MATRIX_CAP,
-    _basis_vector,
     _coefficient_sum,
     _vanishes,
     algebra_product,
@@ -353,51 +356,85 @@ def _split_linear(basis, consts, config):
     """The primitive idempotents that the central and block refinements reach
     in the tower, as projectors; they sum to the identity unless some part of
     the centre or of a block holds roots outside it (see the module
-    docstring)."""
+    docstring).  Each is decoded into FieldElements once, here."""
     rank, n = consts.rank, basis.degree
     centre = _centre_basis(consts)
     # centre[0] is A_1 (the commutator matrix's column 0 is zero), which splits nothing
     central = _refine(
-        consts, [_basis_vector(rank, 0)],
-        [lambda e, z=z: algebra_product(consts, e, z) for z in centre[1:]],
+        consts, [_unit(rank, 0)],
+        [lambda e, z=z: _product(consts, e, z) for z in centre[1:]],
         len(centre),
     )
-    table = consts.table[1:, 1:, 1:]
-    left_traces = [int(t) for t in np.einsum("pqq->p", table)]
+    left_traces = [int(t) for t in np.einsum("pqq->p", consts.tensor)]
     compressions = [
-        lambda e, a=_basis_vector(rank, r): algebra_product(
-            consts, algebra_product(consts, e, a), e
-        )
+        lambda e, a=_unit(rank, r): _product(consts, _product(consts, e, a), e)
         for r in range(1, rank)
     ]
     projectors = []
     for idem in central:
         k, d = _block_size(idem, left_traces, n)
         if k == 1:
-            projectors.append(Projector(tuple(idem), d, "uniqueSolution", config.precision))
+            projectors.append(Projector(_vector(idem), d, "uniqueSolution", config.precision))
             continue
         projectors += [
-            Projector(tuple(f), d, "blockRefinement", config.precision, block=d)
+            Projector(_vector(f), d, "blockRefinement", config.precision, block=d)
             for f in _refine(consts, [idem], compressions, k)
         ]
     return projectors
 
 
+def _unit(rank, r):
+    """The basis matrix A_{r+1} as an element."""
+    a = np.zeros((rank, 1), dtype=np.int64)
+    a[r] = 1
+    return 1, (1,), a, 1
+
+
+def _vector(x):
+    """The element x as its tuple of FieldElement coefficients."""
+    return tuple(_entries(x, slice(None)))
+
+
+def _entries(x, ps):
+    """The coefficients of the element x at the positions ``ps``."""
+    den, rads, a, _ = x
+    return _decoded(rads, den, a[ps].tolist())
+
+
+def _product(consts, x, y):
+    """The product of two elements, their arrays widened to the union of
+    their radicands, by one exact contraction."""
+    rads = x[1] if x[1] == y[1] else tuple(sorted(set(x[1]) | set(y[1])))
+    arrays = []
+    for _, r, a, _ in (x, y):
+        if r != rads:
+            wide = np.zeros((len(a), len(rads)), dtype=a.dtype)
+            wide[:, [rads.index(u) for u in r]] = a
+            a = wide
+        arrays.append(a)
+    encoded = rads, [x[0], y[0]], arrays, [x[3], y[3]]
+    rads, dens, out = verify._contract_exact(consts.tensor, encoded, [(0, 1)], consts.product_bound)
+    return _canonical(dens[0], rads, out[0])
+
+
 def _centre_basis(consts):
-    """A basis of the centre: the rational null space of x -> (x A_r - A_r x)_r,
-    read off the reduced row echelon form of that map's integer matrix."""
-    rank = consts.rank
-    c = consts.table[1:, 1:, 1:]
+    """A basis of the centre, as elements: the rational null space of
+    x -> (x A_r - A_r x)_r, read off the reduced row echelon form of that
+    map's integer matrix."""
+    rank, c = consts.rank, consts.tensor
     # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
     # the identity is central, so at most rank - 1 pivots
-    pivots = _integer_row_reduce(matrix, rank - 1)
+    pivots = {col: row.tolist() for col, row in _integer_row_reduce(matrix, rank - 1).items()}
     basis = []
     for free in (j for j in range(rank) if j not in pivots):
-        z = _basis_vector(rank, free)
+        # z_free = 1 and z_col = -row[free] / row[col], over the lcm of those pivots
+        den = math.lcm(*(row[col] for col, row in pivots.items() if row[free]))
+        z = [[0] for _ in range(rank)]
+        z[free][0] = den
         for col, row in pivots.items():
-            z[col] = FieldElement.from_rational(Fraction(-int(row[free]), int(row[col])))
-        basis.append(z)
+            z[col][0] = -row[free] * den // row[col]
+        basis.append(_canonical(den, (1,), _integer_array(z)))
     return basis
 
 
@@ -496,16 +533,10 @@ def _split_idempotent(consts, e, y):
         # L(t) = m(t) / ((t - root) m'(root)), a combination of e, y, ..., y^(m-1)
         quotient = _deflate(poly, root)
         scale = _poly_eval(quotient, root).invert()
-        part = [FieldElement.zero()] * len(e)
-        for c, power in zip(quotient, powers):
-            c = c * scale
-            part = [a + c * b for a, b in zip(part, power)]
-        parts.append(part)
+        parts.append(_combination([(c * scale, power) for c, power in zip(quotient, powers)]))
     if len(residual) > 1:
-        rest = list(e)
-        for part in parts:
-            rest = [a - b for a, b in zip(rest, part)]
-        parts.append(rest)
+        minus = -FieldElement.one()
+        parts.append(_combination([(FieldElement.one(), e)] + [(minus, part) for part in parts]))
     return parts
 
 
@@ -515,34 +546,44 @@ def _minimal_polynomial(consts, e, y):
 
     The powers are reduced against each other in turn; the first that
     reduces to zero gives the polynomial through the recorded combinations.
+    A power v is reduced against the kept w_1, w_2, ... (pivots p_i) in one
+    combination, with c_i = (v - sum_{j<i} c_j w_j)[p_i] / w_i[p_i] read
+    off the entries at the pivots.
     """
-    zero = FieldElement.zero()
-    powers, rows = [], []  # rows: (pivot, reduced power, its combination of powers)
+    zero, one = FieldElement.zero(), FieldElement.one()
+    # rows: (p_i, w_i, 1 / w_i[p_i], [w_j[p_i] for j < i], w_i as a combination of powers)
+    powers, rows = [], []
     power = e
     while True:
-        vec = list(power)
-        combo = [zero] * len(powers) + [FieldElement.one()]
-        for pivot, row, row_combo in rows:
-            c = vec[pivot]
+        coeffs = []
+        at = _entries(power, [row[0] for row in rows]) if rows else []
+        for v, (_, _, inv, above, _) in zip(at, rows):
+            coeffs.append((v - sum((c * w for c, w in zip(coeffs, above)), zero)) * inv)
+        terms = [(-c, row[1]) for c, row in zip(coeffs, rows) if c]
+        vec = _combination([(one, power)] + terms) if terms else power
+        combo = [zero] * len(powers) + [one]
+        for c, (*_, row_combo) in zip(coeffs, rows):
             if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
                 pad = [zero] * (len(combo) - len(row_combo))
                 combo = [a - c * b for a, b in zip(combo, row_combo + pad)]
-        lead = next((i for i, a in enumerate(vec) if a), None)
-        if lead is None:
+        nonzero = np.flatnonzero(vec[2])
+        if not len(nonzero):
             return combo, powers
-        inv = vec[lead].invert()
-        rows.append((lead, [a * inv for a in vec], [a * inv for a in combo]))
+        pivot = int(nonzero[0]) // len(vec[1])
+        above = [_entries(row[1], [pivot])[0] for row in rows]
+        rows.append((pivot, vec, _entries(vec, [pivot])[0].invert(), above, combo))
         powers.append(power)
-        power = y if len(powers) == 1 else algebra_product(consts, power, y)
+        power = y if len(powers) == 1 else _product(consts, power, y)
 
 
 def _block_size(idem, left_traces, degree):
     """(k, d) of a central primitive idempotent E: k^2 = tr(L_E) and
     N E_1 = k d.  InvariantViolation unless both are positive integers,
     which for a central primitive idempotent they always are."""
-    k_squared = sum((c * t for c, t in zip(idem, left_traces) if t), FieldElement.zero())
-    trace = idem[0] * degree
+    den, rads, a, _ = idem
+    traces = [sum(t * x for t, x in zip(left_traces, col)) for col in a.T.tolist()]
+    k_squared = _decoded(rads, den, [traces])[0]
+    trace = _entries(idem, [0])[0] * degree
     if k_squared.is_rational() and trace.is_rational():
         k_squared, trace = k_squared.rational_value(), trace.rational_value()
         k = math.isqrt(max(int(k_squared), 0))
@@ -582,13 +623,14 @@ def _split_over(basis, consts, config, projectors):
         if state.found < n:
             raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
         projectors, events = state.projectors, events + state.events
+    memo = {}  # one sort key per distinct exact coordinate
     deco = Decomposition(
         degree=n,
         rank=basis.rank,
         projectors=sorted(
             projectors,
             key=lambda p: (p.dimension, p.block is not None,
-                           SolutionPoint(p.coefficients[1:]).sort_key()),
+                           SolutionPoint(p.coefficients[1:]).sort_key(memo)),
         ),
         suborbit_lengths=basis.lengths_in_order(),
         events=events,

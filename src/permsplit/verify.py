@@ -10,13 +10,15 @@ with the form T[p, s] = sum_qr C_pq^r C_rs^q
 (``StructureConstants.trace_form``, built once per constants object).
 ``_contract`` owns every kind of entry.  When every entry of the batch is
 an exact FieldElement over the tower, each vector is written as one
-denominator and an integer array (entries x the radicands the batch uses),
-and the whole batch is contracted with T in two matmuls
-(``_contract_exact``): every a with T, then each result with its b, on T
-restricted to the union of the supports.  The radicands fold once for the
-batch.  The arrays are int64 where a bound over the batch shows nothing
-can overflow, Python-int (object) arrays otherwise, the same rule as the
-centre's elimination in the splitter.  Polys, whose products are the
+denominator and an integer array (entries x the radicands the batch uses,
+``exactfield._encode``), and the whole batch is contracted with T in two
+matmuls (``_contract_exact``): every a with T, then each result with its
+b, on T restricted to the union of the supports when T is large.  A third
+matmul folds the radicands for the whole batch.  The arrays are int64
+where a bound over the batch shows nothing can overflow, Python-int
+(object) arrays otherwise, the same rule as the centre's elimination in
+the splitter.  The splitter's linear route holds its elements in this
+integer form and calls ``_contract_exact`` directly.  Polys, whose products are the
 splitter's systems, and ComplexBalls go through a loop over the nonzero
 entries of T; there every entry is lifted to a ball (``_lifted``) as soon
 as one is a ball, so a numeric coordinate yields a certified enclosure.
@@ -56,7 +58,16 @@ import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
-from .exactfield import ComplexBall, FieldElement, _rad_mul, _reduced, as_ball, render_field_element
+from .exactfield import (
+    _INT64,
+    ComplexBall,
+    FieldElement,
+    _decoded,
+    _encode,
+    _rad_mul,
+    as_ball,
+    render_field_element,
+)
 from .perms import GeneratorSet, orbit_with_tree
 from .solver import DEFAULT_PRECISION
 
@@ -75,6 +86,9 @@ __all__ = [
 ]
 
 DEFAULT_MATRIX_CAP = 2000  # the orbital label matrix holds N^2 labels
+# an exact product restricts a T of more entries to the supports first;
+# on a smaller T the gather costs more than the entries it saves
+DENSE_PRODUCT_ENTRIES = 1 << 13
 
 
 # -- products in the centralizer algebra ---------------------------------------
@@ -105,7 +119,8 @@ def _contract(tensor, vectors, pairs, precision):
     own.  Otherwise each pair goes through ``_contract_entries``.
     """
     if all(isinstance(x, FieldElement) for vec in vectors for x in vec):
-        rads, dens, out = _contract_exact(tensor, _encode(vectors), pairs)
+        t_sum = int(np.abs(tensor).sum(axis=(0, 1)).max(initial=0))
+        rads, dens, out = _contract_exact(tensor, _encode(vectors), pairs, t_sum)
         return [_decoded(rads, den, rows) for den, rows in zip(dens, out.tolist())]
     return [_contract_entries(tensor, vectors[i], vectors[j], precision) for i, j in pairs]
 
@@ -134,106 +149,67 @@ def _contract_entries(tensor, a, b, precision):
     return out
 
 
-def _encode(vectors):
-    """Vectors of FieldElements as integers: (rads, dens, rows).
-
-    ``rads`` is the sorted union of the radicands the vectors use,
-    ``dens[i]`` the lcm of the denominators of vectors[i]'s entries, and
-    ``rows[i][p][u]`` the integer dens[i] times the coefficient of
-    sqrt(rads[u]) in vectors[i][p].  An entry already holds integer
-    numerators over one denominator, so its row is those numerators times
-    dens[i] over that denominator, with no rational arithmetic."""
-    rads = sorted({r for vec in vectors for x in vec for r in x._num})
-    column = {r: u for u, r in enumerate(rads)}
-    dens, rows = [], []
-    for vec in vectors:
-        den = math.lcm(*(x._den for x in vec))
-        block = []
-        for x in vec:
-            row = [0] * len(rads)
-            scale = den // x._den
-            for r, c in x._num.items():
-                row[column[r]] = c * scale
-            block.append(row)
-        dens.append(den)
-        rows.append(block)
-    return rads, dens, rows
-
-
-def _decoded(rads, den, rows):
-    """One FieldElement sum_m row[m] sqrt(rads[m]) / den per integer row."""
-    return [_reduced({r: c for r, c in zip(rads, row) if c}, den) for row in rows]
-
-
-def _contract_exact(tensor, encoded, pairs):
+def _contract_exact(tensor, encoded, pairs, t_sum):
     """The products of a batch of exact vectors, on integer arrays.
 
-    ``encoded`` is ``_encode(vectors)``: vector i is A_i / D_i, with A_i
-    an integer array (entries x radicands).  For each (i, j) in ``pairs``
-    the product of vectors[i] and vectors[j] is
+    ``encoded`` is (rads, dens, arrays, bigs), as ``exactfield._encode``
+    returns it: vector i is A_i / D_i, with A_i = arrays[i] an integer
+    array (entries x radicands) whose entries are at most bigs[i] in
+    absolute value.  For each (i, j) in
+    ``pairs`` the product of vectors[i] and vectors[j] is
     S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v], taken in two
-    matmuls over the whole batch on T restricted to the union of the
-    supports: first every A_i with T, then each result with its A_j.  The
-    radicand pairs fold once for the batch through sqrt(x) sqrt(y) =
-    g sqrt(m) (``exactfield._rad_mul``).
+    matmuls over the whole batch: first every A_i with T, then each result
+    with its A_j.  When T has more than ``DENSE_PRODUCT_ENTRIES`` entries, it is
+    first restricted to the union of the supports.  A third folds the radicand pairs through the integer matrix F with
+    F[(u, v), m] = g for sqrt(rads[u]) sqrt(rads[v]) = g sqrt(m)
+    (``exactfield._rad_mul``).
 
-    Returns (rads, dens, out): rads extends the radicands of ``encoded``
-    by those the folds reach, dens holds D_i D_j, and the product of pair
-    n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].  The arithmetic is
-    int64 when max|A_i| max|A_j| max_k sum_pq |T[p, q, k]| times the
-    largest sum of |g| over one m is below 2^63, each maximum over the
-    batch, so that nothing can overflow; otherwise the arrays and the
-    restricted T are Python-int (object) arrays, the same rule as the
-    centre's elimination.  The object copy of T holds at most R^3
-    references.
+    Returns (rads, dens, out): rads is the sorted union of the radicands
+    of ``encoded`` and those the folds reach, dens holds D_i D_j, and the
+    product of pair n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].
+    ``t_sum`` is max_k sum_pq |T[p, q, k]|, or any larger int.  The
+    arithmetic is int64 when max|A_i| max|A_j| t_sum times the largest
+    column sum of |F| is below 2^63, each maximum over the batch, so that
+    nothing can overflow; otherwise the arrays, F and the restricted T are
+    Python-int (object) arrays, the same rule as the centre's elimination.
+    The object copy of T holds at most R^3 references.
     """
-    rads_in, dens_in, rows = encoded
-    folds = {}  # radicand m -> [(u, v, g)] with sqrt(rads[u]) sqrt(rads[v]) = g sqrt(m)
-    for u, x in enumerate(rads_in):
-        for v, y in enumerate(rads_in):
-            g, m = _rad_mul(x, y)
-            folds.setdefault(m, []).append((u, v, g))
-    rads = rads_in + sorted(set(folds) - set(rads_in))
+    rads_in, dens_in, arrays, bigs = encoded
+    folds = [_rad_mul(x, y) for x in rads_in for y in rads_in]  # at u * U + v
+    rads = tuple(sorted(set(rads_in).union(m for _, m in folds)))
     dens = [dens_in[i] * dens_in[j] for i, j in pairs]
     n, k_len, u_len = len(pairs), tensor.shape[2], len(rads_in)
-    zero = np.zeros((n, k_len, len(rads)), dtype=np.int64)
     if not n:
-        return rads, dens, zero
-    left, right = [i for i, _ in pairs], [j for _, j in pairs]
-    a, big_a = _integer_array([rows[i] for i in left])  # n x P x U
-    b, big_b = (a, big_a) if right == left else _integer_array([rows[j] for j in right])
-    support_a = np.flatnonzero((a != 0).any(axis=(0, 2)))
-    support_b = support_a if b is a else np.flatnonzero((b != 0).any(axis=(0, 2)))
-    if not len(support_a) or not len(support_b):
-        return rads, dens, zero
-    p_len, q_len = len(support_a), len(support_b)
-    if p_len < tensor.shape[0] or q_len < tensor.shape[1]:
-        tensor = tensor[np.ix_(support_a, support_b)]
-        a, b = a[:, support_a], b[:, support_b]
-    t_sum = int(np.abs(tensor).reshape(p_len * q_len, k_len).sum(axis=0).max())
-    fold = max(sum(abs(g) for _, _, g in terms) for terms in folds.values())
-    if big_a * big_b * max(t_sum, 1) * fold >= 1 << 63:
-        a, b = a.astype(object), b.astype(object)
-    tensor = tensor.astype(a.dtype, copy=False).reshape(p_len, q_len * k_len)
-    first = a.transpose(0, 2, 1).reshape(n * u_len, p_len) @ tensor  # nU x QK
-    first = first.reshape(n, u_len, q_len, k_len).transpose(0, 1, 3, 2)
-    s = (first.reshape(n, u_len * k_len, q_len) @ b).reshape(n, u_len, k_len, u_len)
-    out = np.zeros((n, k_len, len(rads)), dtype=a.dtype)
-    for m, terms in folds.items():
-        out[:, :, rads.index(m)] = sum(g * s[:, u, :, v] for u, v, g in terms)
-    return rads, dens, out
+        return rads, dens, np.zeros((0, k_len, len(rads)), dtype=np.int64)
+    left, right = map(list, zip(*pairs))
+    a = _stacked(arrays, left)  # n x P x U
+    b = a if right == left else _stacked(arrays, right)
+    if tensor.size > DENSE_PRODUCT_ENTRIES:
+        used_a = a.any(axis=(0, 2))
+        used_b = used_a if b is a else b.any(axis=(0, 2))
+        # gathering an entry of T costs about what multiplying by it does
+        if 2 * used_a.sum() * used_b.sum() <= len(used_a) * len(used_b):
+            tensor, a, b = tensor[np.ix_(used_a, used_b)], a[:, used_a], b[:, used_b]
+    fold = [[0] * len(rads) for _ in folds]
+    for uv, (g, m) in enumerate(folds):
+        fold[uv][rads.index(m)] = g
+    fold_sum = max((sum(map(abs, col)) for col in zip(*fold)), default=0)
+    big = max(bigs[i] for i in left) * max(bigs[j] for j in right) * max(t_sum, 1)
+    dtype = object if big * fold_sum >= _INT64 else np.int64
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    fold = np.array(fold, dtype).reshape(len(folds), len(rads))
+    p_len, q_len = tensor.shape[:2]
+    tensor = tensor.astype(dtype, copy=False).reshape(p_len, q_len * k_len)
+    first = (a.transpose(0, 2, 1) @ tensor).reshape(n, u_len, q_len, k_len)
+    s = first.transpose(0, 3, 1, 2) @ b[:, None]  # n x K x U x U
+    return rads, dens, s.reshape(n, k_len, u_len * u_len) @ fold
 
 
-def _integer_array(rows):
-    """``rows`` as an int64 array, or an object array of Python ints when
-    an entry does not fit; and the largest absolute entry."""
-    try:
-        array = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        array = np.array(rows, dtype=object)
-    if not array.size:
-        return array, 0
-    return array, max(-int(array.min()), int(array.max()))
+def _stacked(arrays, indices):
+    """arrays[i] for i in ``indices`` as one array; a view for one index."""
+    if len(indices) == 1:
+        return arrays[indices[0]][None]
+    return np.stack([arrays[i] for i in indices])
 
 
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
@@ -244,7 +220,7 @@ def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISIO
     splitter's systems).  When an entry is a ComplexBall every entry is
     lifted to a ball and the product is an enclosure.
     """
-    return _contract(consts.table[1:, 1:, 1:], [a, b], [(0, 1)], precision)[0]
+    return _contract(consts.tensor, [a, b], [(0, 1)], precision)[0]
 
 
 def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
@@ -433,25 +409,31 @@ def _values_to_compare(consts, projectors, precision):
         traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
         return squares, traces, _coefficient_sum(projectors, consts.rank, precision)
     encoded = _encode(vectors)
-    rads_in, dens, rows = encoded
+    rads_in, dens, arrays, _ = encoded
     pairs = [(i, i) for i in range(len(vectors))]
-    rads, _, out = _contract_exact(consts.table[1:, 1:, 1:], encoded, pairs)
-    _, _, form = _contract_exact(consts.trace_form[:, :, None], encoded, pairs)
-    pad = [0] * (len(rads) - len(rads_in))
-    squares, traces = {}, {}
-    for i, (d, got, (trace,)) in enumerate(zip(dens, out.tolist(), form.tolist())):
-        if any(row != [d * x for x in want] + pad for row, want in zip(got, rows[i])):
-            squares[i] = _decoded(rads, d * d, got)
-        if 1 not in rads or trace != [d * d * (r == 1) for r in rads]:
-            traces[i] = _decoded(rads, d * d, [trace])[0]
+    trace_form = consts.trace_form
+    rads, _, out = _contract_exact(consts.tensor, encoded, pairs, consts.product_bound)
+    t_sum = int(np.abs(trace_form).sum())
+    _, _, form = _contract_exact(trace_form[:, :, None], encoded, pairs, t_sum)
+    # in Python ints, what they must be: D A for e*e and D^2 for the trace
+    d = np.array(dens, dtype=object)[:, None, None]
+    square, unit = np.zeros(out.shape, dtype=object), np.zeros(form.shape, dtype=object)
+    square[..., [rads.index(r) for r in rads_in]] = arrays * d
+    if 1 in rads:
+        unit[..., rads.index(1)] = (d * d)[..., 0]
+    wrong_square = (out != square).any(axis=(1, 2))
+    wrong_trace = (form != unit).any(axis=(1, 2)) | (1 not in rads)
+    squares = {
+        i: _decoded(rads, dens[i] ** 2, out[i].tolist())
+        for i in np.flatnonzero(wrong_square).tolist()
+    }
+    traces = {
+        i: _decoded(rads, dens[i] ** 2, form[i].tolist())[0]
+        for i in np.flatnonzero(wrong_trace).tolist()
+    }
     lcm = math.lcm(*dens)
-    scales = [lcm // d for d in dens]
-    identity = [[lcm * (p == 0 and r == 1) for r in rads_in] for p in range(consts.rank)]
-    summed = [
-        [sum(scale * block[p][u] for scale, block in zip(scales, rows)) for u in range(len(rads_in))]
-        for p in range(consts.rank)
-    ]
-    complete = 1 in rads_in and summed == identity
+    summed = (arrays * (lcm // d)).sum(axis=0)
+    complete = 1 in rads_in and summed[0, rads_in.index(1)] == lcm and np.count_nonzero(summed) == 1
     total = None if complete else _coefficient_sum(projectors, consts.rank, precision)
     return squares, traces, total
 

@@ -3,12 +3,17 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permsplit import UNREPRESENTABLE, FieldElement, ResourceLimit, sqrt_if_nice
 from permsplit.exactfield import (
     RHO_STEPS,
+    _canonical,
+    _combination,
+    _decoded,
+    _encode,
     factorize,
     field_element_from_json,
     field_element_to_json,
@@ -445,3 +450,95 @@ class TestFactorizationCap:
         with pytest.raises(ResourceLimit):
             field_element_from_json({"terms": [{"rad": n, "num": "1", "den": "2"}]})
         assert parse_field_element(f"sqrt({self.Q})") == FE.term(1, self.Q)
+
+
+# -- rational elements hash as the numbers they equal ---------------------------
+
+_rationals = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**20),
+    st.sampled_from([Fraction(1, 2**61 - 1), Fraction(-5, 3 * (2**61 - 1)), Fraction(2**61 - 1)]),
+)
+
+
+@given(_rationals)
+@settings(max_examples=150, deadline=None)
+def test_rational_elements_hash_as_their_int_or_fraction(q):
+    """A rational element equals its int or Fraction, so it hashes alike
+    and finds it in a set or dict (2^61 - 1 is the hash modulus)."""
+    x = FE.from_rational(q)
+    assert x == q and hash(x) == hash(q) == hash(Fraction(q))
+    assert q in {x} and x in {q}
+    assert {x: 1}[q] == 1
+
+
+# -- vectors as integer arrays, against entry-by-entry FieldElement arithmetic ----
+
+_vector_coeff = st.one_of(_coeff, st.integers(2**60, 2**70).map(Fraction))
+
+
+@st.composite
+def tower_vectors(draw, rank):
+    """Vectors of ``rank`` FieldElements with exact zeros among them, over
+    radicands from a small pool, some coefficients past int64."""
+    out = []
+    for _ in range(rank):
+        n = draw(st.integers(0, 2))
+        rads = draw(st.lists(st.sampled_from([1, 5, -3, 13]), min_size=n, max_size=n, unique=True))
+        coeffs = draw(st.lists(_vector_coeff, min_size=n, max_size=n))
+        out.append(FE(dict(zip(rads, coeffs))))
+    return out
+
+
+def _element(vec):
+    rads, (den,), (a,), _ = _encode([vec])
+    return _canonical(den, rads, a)
+
+
+def _assert_canonical_element(x, rank):
+    """den > 0, sorted radicands with no zero column, gcd(den, all
+    entries) = 1, big bounding the entries, and int64 below 2^63."""
+    den, rads, a, big = x
+    assert type(den) is int and den > 0
+    assert list(rads) == sorted(set(rads)) and a.shape == (rank, len(rads))
+    entries = [int(v) for v in a.ravel()]
+    assert all(any(int(v) for v in a[:, u]) for u in range(len(rads)))
+    assert math.gcd(den, *entries) == 1
+    assert big >= max(map(abs, entries), default=0)
+    assert (a.dtype == np.int64) == (big < 1 << 63)
+
+
+def _values(x):
+    den, rads, a, _ = x
+    return _decoded(rads, den, a.tolist())
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_array_arithmetic_matches_field_elements(rank, data):
+    """c x through c's fold matrix, a + c b, one elimination step (the
+    entry at a pivot of b cleared from a) and a scalar with a radicand that
+    x does not use, which widens the array: each result is canonical and
+    equals the entry-by-entry FieldElement result."""
+    a = data.draw(tower_vectors(rank))
+    b = data.draw(tower_vectors(rank))
+    c = data.draw(field_elements(max_terms=3))
+    x, y = _element(a), _element(b)
+    for vec, elem in ((a, x), (b, y)):
+        _assert_canonical_element(elem, rank)
+        assert _values(elem) == vec
+    one = FE.one()
+    cases = [
+        (_combination([(c, x)]), [c * v for v in a]),
+        (_combination([(one, x), (c, y)]), [u + c * v for u, v in zip(a, b)]),
+        (_combination([(FE.sqrt_int(7), x)]), [FE.sqrt_int(7) * v for v in a]),
+    ]
+    pivot = next((p for p, v in enumerate(b) if v), None)
+    if pivot is not None:
+        c = a[pivot] / b[pivot]
+        step = [u - c * v for u, v in zip(a, b)]
+        assert not step[pivot]
+        cases.append((_combination([(one, x), (-c, y)]), step))
+    for got, want in cases:
+        _assert_canonical_element(got, rank)
+        assert _values(got) == want

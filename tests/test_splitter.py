@@ -23,10 +23,10 @@ from permsplit import (
     compute_structure_constants,
     split,
 )
-from permsplit import splitter, verify
+from permsplit import exactfield, splitter, verify
 from permsplit.cli import render_decomposition_text
 from permsplit.errors import SliceExhausted
-from permsplit.exactfield import ComplexBall, as_ball
+from permsplit.exactfield import ComplexBall, _canonical, _encode, as_ball
 from permsplit.polynomial import Ring, groebner_basis
 from permsplit.solver import SolutionPoint
 from permsplit.splitter import (
@@ -70,6 +70,17 @@ FE = FieldElement
 
 def fe(q):
     return FE.from_rational(Fraction(q))
+
+
+def element(vec):
+    """A vector of FieldElements as the linear route's element."""
+    rads, (den,), (a,), _ = _encode([vec])
+    return _canonical(den, rads, a)
+
+
+def vector(x):
+    """The linear route's element x as a list of FieldElements."""
+    return list(splitter._vector(x))
 
 
 def constants_for(gens):
@@ -573,13 +584,14 @@ class TestLinearRoute:
         dimension is the number of conjugacy classes; the fraction-free
         elimination returns the reduced basis of the Fraction one."""
         _, consts = regular_constants(name)
-        centre = splitter._centre_basis(consts)
+        centre = [vector(z) for z in splitter._centre_basis(consts)]
         assert len(centre) == REGULAR[name][1]
         assert centre == centre_basis_by_definition(consts)
 
     def test_centre_matches_fraction_elimination(self, corpus_member):
         _, consts = constants_for(corpus_member[1])
-        assert splitter._centre_basis(consts) == centre_basis_by_definition(consts)
+        centre = [vector(z) for z in splitter._centre_basis(consts)]
+        assert centre == centre_basis_by_definition(consts)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_row_reduction_past_int64(self, seed):
@@ -597,24 +609,61 @@ class TestLinearRoute:
         for col, row in got.items():
             assert [Fraction(int(x), int(row[col])) for x in row] == want[col]
 
-    # ``algebra_product`` calls of ``_split_linear``: a part that has met
-    # every element since it was made without splitting is not multiplied
-    # again, and no part is multiplied by A_1
+    # ``_product`` calls of ``_split_linear``: a part that has met every
+    # element since it was made without splitting is not multiplied again,
+    # and no part is multiplied by A_1
     LINEAR_PRODUCTS = {"C5_natural": 25, "C7_natural": 49, "C9_natural": 103, "D7_natural": 16}
 
     @pytest.mark.parametrize("name", sorted(LINEAR_PRODUCTS))
     def test_final_pass_multiplies_each_part_once(self, name, monkeypatch):
         basis, consts = constants_for(dict(CORPUS)[name])
         calls = []
-        real = splitter.algebra_product
+        real = splitter._product
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(splitter, "algebra_product", counted)
+        monkeypatch.setattr(splitter, "_product", counted)
         splitter._split_linear(basis, consts, SplitConfig())
         assert len(calls) == self.LINEAR_PRODUCTS[name]
+
+    @pytest.mark.parametrize("group", [lambda: alternating(4), lambda: alternating(5)], ids=["A4", "A5"])
+    def test_vectors_decoded_once_per_projector(self, group, monkeypatch):
+        """Regular A4 and A5: the linear route decodes a whole vector once
+        per projector it returns, and encodes none while it refines."""
+        basis, consts = constants_for(regular_action(group()))
+        decoded, encoded, refining = [], [], []
+        real_decoded, real_refine = splitter._decoded, splitter._refine
+
+        def spy_decoded(rads, den, rows):
+            if len(rows) == consts.rank:
+                decoded.append(1)
+            return real_decoded(rads, den, rows)
+
+        def spy_encode(real):
+            def counted(vectors):
+                if refining:
+                    encoded.extend(len(v) for v in vectors)
+                return real(vectors)
+
+            return counted
+
+        def spy_refine(*args):
+            refining.append(1)
+            try:
+                return real_refine(*args)
+            finally:
+                refining.pop()
+
+        monkeypatch.setattr(splitter, "_decoded", spy_decoded)
+        monkeypatch.setattr(splitter, "_refine", spy_refine)
+        monkeypatch.setattr(exactfield, "_encode", spy_encode(exactfield._encode))
+        monkeypatch.setattr(verify, "_encode", spy_encode(verify._encode))
+        projectors = splitter._split_linear(basis, consts, SplitConfig())
+        assert sum(p.dimension for p in projectors) == basis.degree
+        assert len(decoded) == len(projectors)
+        assert consts.rank not in encoded
 
     def test_tower_centres_split_without_groebner(self, corpus_member, monkeypatch):
         name, gens = corpus_member
@@ -687,8 +736,8 @@ class TestLinearRoute:
         basis, consts = constants_for(cyclic(5))
         one = [fe(1)] + [fe(0)] * 4
         a2 = [fe(0), fe(1)] + [fe(0)] * 3
-        parts = splitter._split_idempotent(consts, one, a2)
-        assert parts == [
+        parts = splitter._split_idempotent(consts, element(one), element(a2))
+        assert [vector(part) for part in parts] == [
             [fe(Fraction(1, 5))] * 5,
             [fe(Fraction(4, 5))] + [fe(Fraction(-1, 5))] * 4,
         ]
@@ -717,9 +766,9 @@ class TestLinearRoute:
         _, consts = constants_for(symmetric(3))
         left_traces = [int(t) for t in np.einsum("pqq->p", consts.table[1:, 1:, 1:])]
         trivial = [fe(Fraction(1, 3)), fe(Fraction(1, 3))]
-        assert splitter._block_size(trivial, left_traces, 3) == (1, 1)
+        assert splitter._block_size(element(trivial), left_traces, 3) == (1, 1)
         with pytest.raises(InvariantViolation, match=r"tr\(L_E\) = 2 "):
-            splitter._block_size([x * 2 for x in trivial], left_traces, 3)
+            splitter._block_size(element([x * 2 for x in trivial]), left_traces, 3)
 
     @pytest.mark.parametrize("name", [
         name for name, _ in CORPUS
@@ -793,16 +842,17 @@ class TestExactIdempotents:
         whole."""
         name, gens = corpus_member
         _, consts = constants_for(gens)
-        one = splitter._basis_vector(consts.rank, 0)
+        one = verify._basis_vector(consts.rank, 0)
         ring = Ring(("t",))
         for r in range(1, consts.rank):
-            y = splitter._basis_vector(consts.rank, r)
-            m, _ = splitter._minimal_polynomial(consts, one, y)
+            y = verify._basis_vector(consts.rank, r)
+            m, _ = splitter._minimal_polynomial(consts, element(one), element(y))
             dm = [i * c for i, c in enumerate(m)][1:]
             assert groebner_basis([
                 Poly(ring, {(i,): c for i, c in enumerate(f)}) for f in (m, dm)
             ]) == [Poly.one(ring)], f"A_{r + 1} has a repeated root"
-            parts = splitter._split_idempotent(consts, one, y)
+            parts = splitter._split_idempotent(consts, element(one), element(y))
+            parts = [vector(part) for part in parts]
             assert [sum(col, fe(0)) for col in zip(*parts)] == one
             _assert_orthogonal_idempotents(consts, parts)
             for e in parts:
@@ -826,20 +876,22 @@ class TestExactIdempotents:
         zero = [fe(0)] * consts.rank
         products = (
             algebra_product(
-                consts, algebra_product(consts, f, splitter._basis_vector(consts.rank, r)), rest
+                consts, algebra_product(consts, f, verify._basis_vector(consts.rank, r)), rest
             )
             for r in range(1, consts.rank)
         )
         n = next(p for p in products if p != zero)
         y = [a + b for a, b in zip(e, n)]
+        e, y, three_e = element(e), element(y), element([3 * a for a in e])
         assert splitter._minimal_polynomial(consts, e, y)[0] == [fe(1), fe(-2), fe(1)]
         assert splitter._split_idempotent(consts, e, y) == [e]
         assert splitter._refine(consts, [e], [lambda part: y], 2) == []
-        assert splitter._split_idempotent(consts, e, [3 * a for a in e]) == []
+        assert splitter._split_idempotent(consts, e, three_e) == []
 
-        one = splitter._basis_vector(consts.rank, 0)
+        one = verify._basis_vector(consts.rank, 0)
         projector = next(p.coefficients for p in linear if p.block is None)
         z = [a + b + c for a, b, c in zip(one, n, projector)]
+        one, z = element(one), element(z)
         assert splitter._minimal_polynomial(consts, one, z)[0] == [
             fe(-2), fe(5), fe(-4), fe(1)
         ]

@@ -172,10 +172,10 @@ def test_every_exported_name_is_defined_or_used():
 
 def test_field_element_integers_stay_in_exactfield():
     """A FieldElement's integer fields ``_num`` and ``_den`` are read only in
-    exactfield.py and in verify's ``_encode`` and ``_decoded``, the exact
+    exactfield.py, which also holds ``_encode`` and ``_decoded``, the exact
     kernel's boundary; every other module goes through the public
     accessors, so the representation stays one module's decision."""
-    allowed = {("verify", "_encode"), ("verify", "_decoded")}
+    allowed = set()
     private = {"_num", "_den"}
     stray = []
     for path in sorted((SRC / "permsplit").glob("*.py")):

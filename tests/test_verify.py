@@ -424,9 +424,9 @@ class TestBatchedCertificate:
         calls = []
         real = verify._contract_exact
 
-        def counted(tensor, encoded, pairs):
+        def counted(tensor, encoded, pairs, t_sum):
             calls.append(len(pairs))
-            return real(tensor, encoded, pairs)
+            return real(tensor, encoded, pairs, t_sum)
 
         monkeypatch.setattr(verify, "_contract_exact", counted)
         assert verify_family_algebraic(consts, deco).passed
