@@ -169,8 +169,9 @@ def _contract_exact(tensor, encoded, pairs, t_sum):
     product of pair n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].
     ``t_sum`` is max_k sum_pq |T[p, q, k]|, or any larger int.  The
     arithmetic is int64 when max|A_i| max|A_j| t_sum times the largest
-    column sum of |F| is below 2^63, each maximum over the batch, so that
-    nothing can overflow; otherwise the arrays, F and the restricted T are
+    column sum of |F| is below 2^63, each maximum over the batch, and each
+    of max|A_i|, max|A_j| is below 2^63 itself, so that nothing can
+    overflow; otherwise the arrays, F and the restricted T are
     Python-int (object) arrays, the same rule as the centre's elimination.
     The object copy of T holds at most R^3 references.
     """
@@ -194,8 +195,10 @@ def _contract_exact(tensor, encoded, pairs, t_sum):
     for uv, (g, m) in enumerate(folds):
         fold[uv][rads.index(m)] = g
     fold_sum = max((sum(map(abs, col)) for col in zip(*fold)), default=0)
-    big = max(bigs[i] for i in left) * max(bigs[j] for j in right) * max(t_sum, 1)
-    dtype = object if big * fold_sum >= _INT64 else np.int64
+    big_a, big_b = max(bigs[i] for i in left), max(bigs[j] for j in right)
+    # a zero side bounds the product by 0, but the other side must still fit
+    fits = max(big_a, big_b) < _INT64 and big_a * big_b * max(t_sum, 1) * fold_sum < _INT64
+    dtype = np.int64 if fits else object
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     fold = np.array(fold, dtype).reshape(len(folds), len(rads))
     p_len, q_len = tensor.shape[:2]

@@ -928,6 +928,19 @@ def test_products_match_the_triple_loop(name, precision, data):
     assert all(_encloses(g, w) for g, w in zip(got, want))
 
 
+def test_a_zero_vector_times_one_past_int64():
+    """A zero vector bounds the product by 0, yet the other vector's
+    entries past 2^63 still keep the contraction off int64."""
+    consts = _kernel_constants("petersen")
+    tensor = consts.table[1:, 1:, 1:]
+    past = Fraction(1 << 63, (1 << 63) + 1)
+    wide = [FE({1: 1, 2: past})] + [FE.zero()] * (consts.rank - 1)
+    vectors = [[FE.zero()] * consts.rank, wide]
+    for pairs in ([(0, 1)], [(1, 0)], [(0, 1), (1, 1)]):
+        wants = [algebra_product_by_definition(consts, vectors[i], vectors[j]) for i, j in pairs]
+        assert verify._contract(tensor, vectors, pairs, 53) == wants
+
+
 def _spy_on_entry_products(monkeypatch):
     """A list that grows by one for every FieldElement product made."""
     calls = []
