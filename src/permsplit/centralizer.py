@@ -94,14 +94,18 @@ class StructureConstants:
         return _trace_form(self.tensor)
 
     @cached_property
+    def trace_bound(self):
+        """sum_ps |T[p, s]|, the ``product_bound`` of ``trace_form``."""
+        return int(np.abs(self.trace_form).sum())
+
+    @cached_property
     def tensor(self):
         """C over 0-based indices, contiguous, so a product reshapes it as is."""
         return np.ascontiguousarray(self.table[1:, 1:, 1:])
 
     @cached_property
     def product_bound(self):
-        """max_r sum_pq |C[p, q, r]|, by which a product's integers can
-        exceed its factors' (``verify._contract_exact``)."""
+        """max_r sum_pq |C[p, q, r]|, for ``verify._contract_exact``."""
         return int(np.abs(self.tensor).sum(axis=(0, 1)).max())
 
 

@@ -23,8 +23,7 @@ result with one gcd.  ``Rational`` (the standard library Fraction) appears
 only at the public boundary: the constructor ``FieldElement({rad:
 rational})``, ``from_rational``, ``rational_value`` and the read-only
 ``terms`` view; other modules read the integers through ``coefficient``
-and ``radicands``, or hold vectors as integer arrays (``_encode``).  A
-rational element hashes as the int or Fraction it equals.
+and ``radicands``, or hold vectors as integer arrays (``_encode``).
 
 ``signed_sum`` is the one writer of every sum the package prints: an
 element over its radicals, a polynomial over its monomials, and a
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import ast
 import math
-import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -436,7 +434,8 @@ class FieldElement:
     def __hash__(self):
         if self._hash is None:
             if self.is_rational():
-                self._hash = _rational_hash(self._num.get(1, 0), self._den)
+                n, d = self._num.get(1, 0), self._den
+                self._hash = hash(n if d == 1 else Fraction(n, d))
             else:
                 self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
@@ -483,15 +482,6 @@ class FieldElement:
             work *= 2
 
 
-def _rational_hash(n, d):
-    """hash(Fraction(n, d)) for coprime n and d > 0, by the rule of the
-    Python reference ("Hashing of numeric types")."""
-    modulus = sys.hash_info.modulus
-    h = sys.hash_info.inf if d % modulus == 0 else hash(hash(abs(n)) * pow(d, -1, modulus))
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 def _make(num, den):
     """The element sum_r num[r] sqrt(r) / den, already canonical: nonzero
     int numerators over a positive int den that shares no factor with all
@@ -529,11 +519,8 @@ def _coerce(x):
 
 # -- vectors as integer arrays ---------------------------------------------------
 #
-# A vector x of R elements is one positive int den, a sorted tuple of
-# radicands and an R x U integer array a: x[p] = sum_u a[p, u] sqrt(rads[u]) / den
-# (``_encode``, ``_decoded``).  The splitter's elements are canonical,
-# (den, rads, a, big) with no zero column, gcd(den, entries) = 1, big a bound
-# on |entries| and a int64 below 2^63, Python ints past it (``_canonical``).
+# x[p] = sum_u a[p, u] sqrt(rads[u]) / den: one positive int den, sorted
+# radicands and an R x U integer array, int64 below 2^63 and Python ints past it.
 
 _INT64 = 1 << 63
 
@@ -547,13 +534,6 @@ def _integer_array(rows):
         return np.array(rows, dtype=object)
 
 
-def _big(a):
-    """The largest absolute entry of an integer array, 0 when it has none."""
-    if not a.size:
-        return 0
-    return max(-int(np.minimum.reduce(a, axis=None)), int(np.maximum.reduce(a, axis=None)))
-
-
 def _encode(vectors):
     """Vectors of FieldElements as integers: (rads, dens, array, bigs), with
     ``rads`` the sorted union of the radicands used, ``dens[i]`` the lcm of
@@ -561,21 +541,13 @@ def _encode(vectors):
     times the coefficient of sqrt(rads[u]) in vectors[i][p], and bigs[i]
     the largest of vector i's integers in absolute value."""
     rads = tuple(sorted({r for vec in vectors for x in vec for r in x._num}))
-    column = {r: u for u, r in enumerate(rads)}
-    dens, rows, bigs = [], [], []
-    for vec in vectors:
-        den = math.lcm(*(x._den for x in vec))
-        block = []
-        for x in vec:
-            row = [0] * len(rads)
-            scale = den // x._den
-            for r, c in x._num.items():
-                row[column[r]] = c * scale
-            block.append(row)
-        dens.append(den)
-        rows.append(block)
-        bigs.append(max((abs(c) for row in block for c in row), default=0))
-    return rads, dens, _integer_array(rows), bigs
+    dens = [math.lcm(*(x._den for x in vec)) for vec in vectors]
+    array = _integer_array([
+        [[x._num.get(r, 0) * (den // x._den) for r in rads] for x in vec]
+        for vec, den in zip(vectors, dens)
+    ])
+    bigs = [max(-int(a.min()), int(a.max())) if a.size else 0 for a in array]
+    return rads, dens, array, bigs
 
 
 def _decoded(rads, den, rows):
@@ -584,8 +556,9 @@ def _decoded(rads, den, rows):
 
 
 def _canonical(den, rads, a, big=None):
-    """a / den over ``rads`` as a canonical element; ``big`` bounds |a|'s
-    entries, and is read off a when not given or when it reaches 2^63."""
+    """a / den over ``rads`` as a canonical element (den, rads, a, big): no
+    zero column, gcd(den, entries) = 1, big >= every |entry| (read off a
+    unless given below 2^63), and a int64 when big is below 2^63."""
     g = int(np.gcd.reduce(a, axis=None)) if a.size else 0
     if not g:
         return 1, (), np.zeros((len(a), 0), dtype=np.int64), 0
@@ -598,49 +571,63 @@ def _canonical(den, rads, a, big=None):
         a, den = a // g, den // g
         big = None if big is None else big // g
     if big is None or big >= _INT64:
-        big = _big(a)
+        big = max(-int(np.minimum.reduce(a, axis=None)), int(np.maximum.reduce(a, axis=None)))
     return den, rads, a.astype(np.int64 if big < _INT64 else object, copy=False), big
+
+
+def _widened(a, rads, cols):
+    """The array a, whose last axis runs over the radicands ``rads``, with
+    that axis over ``cols``, which holds them all."""
+    if rads == cols:
+        return a
+    wide = np.zeros(a.shape[:-1] + (len(cols),), dtype=a.dtype)
+    wide[..., [cols.index(r) for r in rads]] = a
+    return wide
+
+
+def _fold(rads, scalars, cols=()):
+    """Multiplication by each of the S ``scalars`` ({radicand: int}) on arrays
+    over ``rads`` as one integer matrix: (cols, f, weight), with ``cols`` the
+    sorted union of ``cols`` and the radicands reached, f[u * S + i][m] the
+    coefficient of sqrt(cols[m]) in sqrt(rads[u]) scalars[i], and weight the
+    largest column sum of |f|."""
+    entries = {}
+    for u, r in enumerate(rads):
+        for i, scalar in enumerate(scalars):
+            for s, n in scalar.items():
+                g, m = _rad_mul(r, s)
+                key = u * len(scalars) + i, m
+                entries[key] = entries.get(key, 0) + g * n
+    cols = tuple(sorted(set(cols).union(m for _, m in entries)))
+    f = [[0] * len(cols) for _ in range(len(rads) * len(scalars))]
+    for (row, m), x in entries.items():
+        f[row][cols.index(m)] = x
+    return cols, f, max((sum(map(abs, col)) for col in zip(*f)), default=0)
 
 
 def _combination(terms):
     """sum_k c_k x_k, canonical, for pairs (c_k, x_k) of FieldElements and
-    canonical elements of one length.  c_k x_k is one matmul with the fold
-    matrix of c_k (its integer multiplication table on x_k's radicands,
-    read off ``_rad_mul``), or a multiplication when c_k is rational, after
-    scaling to the lcm of the denominators; the bound of the sum adds those
-    of the x_k times the largest column sums of the matrices."""
-    parts, big = [], 0  # parts: (cols, array, multiplier or fold matrix)
-    den = math.lcm(*(d * c._den for c, (d, rads, _, _) in terms if c and rads))
+    canonical elements of one length.  After scaling to the lcm of the
+    denominators, c_k x_k is one matmul with c_k's fold matrix, and the
+    bound of the sum adds those of the x_k times the matrices' weights."""
+    length = len(terms[0][1][2])
+    terms = [(c, x) for c, x in terms if c and x[1]]
+    den = math.lcm(*(d * c._den for c, (d, *_) in terms))
+    parts, big = [], 0  # parts: (cols, array, fold matrix)
     for c, (d, rads, a, b) in terms:
-        if not (c and rads):
-            continue
         scale = den // (d * c._den)
-        if c.is_rational():
-            cols, m, weight = rads, c._num[1] * scale, abs(c._num[1] * scale)
+        if c.is_rational():  # the fold matrix is a multiple of the identity
+            cols, f, weight = rads, c._num[1] * scale, abs(c._num[1] * scale)
         else:
-            fold = {}  # (u, v): scale c sqrt(rads[u]) = sum_v fold[u, v] sqrt(v) / c._den
-            for u, r in enumerate(rads):
-                for s, n in c._num.items():
-                    g, v = _rad_mul(r, s)
-                    fold[u, v] = fold.get((u, v), 0) + g * n * scale
-            cols = tuple(sorted({v for _, v in fold}))
-            m = [[fold.get((u, v), 0) for v in cols] for u in range(len(rads))]
-            weight = max(sum(map(abs, col)) for col in zip(*m))
-        parts.append((cols, a, m))
+            cols, f, weight = _fold(rads, [{s: n * scale for s, n in c._num.items()}])
+        parts.append((cols, a, f))
         big += b * weight
     rads = tuple(sorted({r for cols, _, _ in parts for r in cols}))
     dtype = np.int64 if big < _INT64 else object
-    total = np.zeros((len(terms[0][1][2]), len(rads)), dtype=dtype)
-    for cols, a, m in parts:
+    total = np.zeros((length, len(rads)), dtype=dtype)
+    for cols, a, f in parts:
         a = a.astype(dtype, copy=False)
-        if type(m) is not int:
-            product = a @ np.array(m, dtype=dtype)
-        else:
-            product = a if m == 1 else a * m
-        if cols == rads:
-            total += product
-        else:
-            total[:, [rads.index(r) for r in cols]] += product
+        total += _widened(a * f if type(f) is int else a @ np.array(f, dtype=dtype), cols, rads)
     return _canonical(den, rads, total, big)
 
 

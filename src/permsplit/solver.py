@@ -96,28 +96,22 @@ class SolutionPoint:
     def coordinate_ball(self, i, precision=None):
         return as_ball(self.values[i], precision or self.precision)
 
-    def sort_key(self, memo=None):
-        """Lexicographic on (Re, Im) of the coordinate embeddings, lazily;
-        points sorted together may share ``memo``, one key per value."""
-        memo = {} if memo is None else memo
-        return [_SortCoordinate(v, memo) for v in self.values]
+    def sort_key(self):
+        """Lexicographic on (Re, Im) of the coordinate embeddings, lazily."""
+        return [_SortCoordinate(v) for v in self.values]
 
 
 class _SortCoordinate:
     """A coordinate ordered by (Re, Im) of its 64-bit ball's midpoint, made
     at the first comparison that needs it; equal exact values need none."""
 
-    def __init__(self, value, memo):
+    def __init__(self, value):
         self.value = value
-        self.memo = memo
 
     @cached_property
     def key(self):
-        # exact values are keyed by value, balls by identity
-        if self.value not in self.memo:
-            b = as_ball(self.value, 64)
-            self.memo[self.value] = mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)
-        return self.memo[self.value]
+        b = as_ball(self.value, 64)
+        return mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)
 
     def __eq__(self, other):
         exact = isinstance(self.value, FieldElement) and self.value == other.value

@@ -2,13 +2,11 @@
 of irreducible projectors: exact idempotents first, then the dimension loop
 for what they leave.
 
-The exact idempotents need no Groebner basis, slice or float.  Their
-algebra elements are one denominator, the radicands used and an R x U
-integer array (``exactfield._canonical``): a product is one contraction
-(``verify._contract_exact``), a linear combination one matmul per term
-(``exactfield._combination``), and FieldElements are only the scalars and
-each projector, decoded once.  The centre Z of the algebra is the rational
-null space of x -> (x A_r - A_r x)_r.  Refinement splits the identity into the central primitive idempotents E_j:
+The exact idempotents need no Groebner basis, slice or float, and their
+elements are integer arrays over one denominator (``exactfield._canonical``;
+decoded once per projector).  The centre Z of the algebra is the rational
+null space of x -> (x A_r - A_r x)_r.
+Refinement splits the identity into the central primitive idempotents E_j:
 for each current idempotent e and each basis element z of Z, the minimal
 polynomial of y = e z in eZ is read off the linear dependence of its powers,
 its roots are found in the tower (``solver._exact_roots``), and e splits into
@@ -82,7 +80,7 @@ from .centralizer import (
     compute_structure_constants,
 )
 from .errors import IncompleteDecomposition, InvariantViolation, SliceExhausted
-from .exactfield import FieldElement, _canonical, _combination, _decoded, _integer_array
+from .exactfield import FieldElement, _canonical, _combination, _decoded, _integer_array, _widened
 from .perms import GeneratorSet
 from .polynomial import (
     Poly,
@@ -359,15 +357,16 @@ def _split_linear(basis, consts, config):
     docstring).  Each is decoded into FieldElements once, here."""
     rank, n = consts.rank, basis.degree
     centre = _centre_basis(consts)
+    units = [(1, (1,), a[:, None], 1) for a in np.eye(rank, dtype=np.int64)]  # A_1, ..., A_R
     # centre[0] is A_1 (the commutator matrix's column 0 is zero), which splits nothing
     central = _refine(
-        consts, [_unit(rank, 0)],
+        consts, [units[0]],
         [lambda e, z=z: _product(consts, e, z) for z in centre[1:]],
         len(centre),
     )
     left_traces = [int(t) for t in np.einsum("pqq->p", consts.tensor)]
     compressions = [
-        lambda e, a=_unit(rank, r): _product(consts, _product(consts, e, a), e)
+        lambda e, a=units[r]: _product(consts, _product(consts, e, a), e)
         for r in range(1, rank)
     ]
     projectors = []
@@ -381,13 +380,6 @@ def _split_linear(basis, consts, config):
             for f in _refine(consts, [idem], compressions, k)
         ]
     return projectors
-
-
-def _unit(rank, r):
-    """The basis matrix A_{r+1} as an element."""
-    a = np.zeros((rank, 1), dtype=np.int64)
-    a[r] = 1
-    return 1, (1,), a, 1
 
 
 def _vector(x):
@@ -404,15 +396,8 @@ def _entries(x, ps):
 def _product(consts, x, y):
     """The product of two elements, their arrays widened to the union of
     their radicands, by one exact contraction."""
-    rads = x[1] if x[1] == y[1] else tuple(sorted(set(x[1]) | set(y[1])))
-    arrays = []
-    for _, r, a, _ in (x, y):
-        if r != rads:
-            wide = np.zeros((len(a), len(rads)), dtype=a.dtype)
-            wide[:, [rads.index(u) for u in r]] = a
-            a = wide
-        arrays.append(a)
-    encoded = rads, [x[0], y[0]], arrays, [x[3], y[3]]
+    rads = tuple(sorted(set(x[1]) | set(y[1])))
+    encoded = rads, [x[0], y[0]], [_widened(e[2], e[1], rads) for e in (x, y)], [x[3], y[3]]
     rads, dens, out = verify._contract_exact(consts.tensor, encoded, [(0, 1)], consts.product_bound)
     return _canonical(dens[0], rads, out[0])
 
@@ -421,7 +406,8 @@ def _centre_basis(consts):
     """A basis of the centre, as elements: the rational null space of
     x -> (x A_r - A_r x)_r, read off the reduced row echelon form of that
     map's integer matrix."""
-    rank, c = consts.rank, consts.tensor
+    rank = consts.rank
+    c = consts.table[1:, 1:, 1:]
     # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
     # the identity is central, so at most rank - 1 pivots
@@ -449,7 +435,11 @@ def _integer_row_reduce(matrix, most):
     by the gcd of its entries; the rows are int64 while a bound shows the
     step cannot overflow, and Python ints from then on.
     """
-    rows = np.array(list(dict.fromkeys(map(tuple, matrix[matrix.any(axis=1)].tolist()))))
+    rows = matrix[matrix.any(axis=1)]
+    first = {}  # each distinct row at its first index
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    rows = rows[list(first.values())]
     cols = []  # the pivot column of rows[i], for i < len(cols)
     while len(cols) < min(len(rows), most):
         n = len(cols)
@@ -470,9 +460,11 @@ def _integer_row_reduce(matrix, most):
                 )
             sub = sub * pivot_row[col] - np.outer(factor, pivot_row)
             gcd = np.gcd.reduce(sub, axis=1)
-            gcd[gcd == 0] = 1
+            zero = gcd == 0
+            gcd[zero] = 1
             rows[hit] = sub // gcd[:, None]
-            rows = rows[(rows != 0).any(axis=1)]
+            if zero.any():
+                rows = np.delete(rows, hit[zero], axis=0)
         cols.append(col)
     return {col: rows[i] for i, col in enumerate(cols)}
 
@@ -544,11 +536,10 @@ def _minimal_polynomial(consts, e, y):
     """The monic minimal polynomial of y in the algebra with unit e, as its
     ascending coefficients, and the powers e, y, ..., y^(m-1) of y.
 
-    The powers are reduced against each other in turn; the first that
-    reduces to zero gives the polynomial through the recorded combinations.
-    A power v is reduced against the kept w_1, w_2, ... (pivots p_i) in one
-    combination, with c_i = (v - sum_{j<i} c_j w_j)[p_i] / w_i[p_i] read
-    off the entries at the pivots.
+    The powers are reduced against each other in turn, each in one
+    combination whose coefficients are read off the entries at the pivots;
+    the first that reduces to zero gives the polynomial through the
+    recorded combinations.
     """
     zero, one = FieldElement.zero(), FieldElement.one()
     # rows: (p_i, w_i, 1 / w_i[p_i], [w_j[p_i] for j < i], w_i as a combination of powers)
@@ -623,14 +614,13 @@ def _split_over(basis, consts, config, projectors):
         if state.found < n:
             raise IncompleteDecomposition(f"dimensions exhausted with {state.found}/{n} found")
         projectors, events = state.projectors, events + state.events
-    memo = {}  # one sort key per distinct exact coordinate
     deco = Decomposition(
         degree=n,
         rank=basis.rank,
         projectors=sorted(
             projectors,
             key=lambda p: (p.dimension, p.block is not None,
-                           SolutionPoint(p.coefficients[1:]).sort_key(memo)),
+                           SolutionPoint(p.coefficients[1:]).sort_key()),
         ),
         suborbit_lengths=basis.lengths_in_order(),
         events=events,

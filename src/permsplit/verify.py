@@ -10,15 +10,12 @@ with the form T[p, s] = sum_qr C_pq^r C_rs^q
 (``StructureConstants.trace_form``, built once per constants object).
 ``_contract`` owns every kind of entry.  When every entry of the batch is
 an exact FieldElement over the tower, each vector is written as one
-denominator and an integer array (entries x the radicands the batch uses,
-``exactfield._encode``), and the whole batch is contracted with T in two
-matmuls (``_contract_exact``): every a with T, then each result with its
-b, on T restricted to the union of the supports when T is large.  A third
-matmul folds the radicands for the whole batch.  The arrays are int64
+denominator and an integer array (``exactfield._encode``), and the whole
+batch is contracted with T in matmuls (``_contract_exact``, which the
+splitter's linear route calls on its own arrays).  The arrays are int64
 where a bound over the batch shows nothing can overflow, Python-int
 (object) arrays otherwise, the same rule as the centre's elimination in
-the splitter.  The splitter's linear route holds its elements in this
-integer form and calls ``_contract_exact`` directly.  Polys, whose products are the
+the splitter.  Polys, whose products are the
 splitter's systems, and ComplexBalls go through a loop over the nonzero
 entries of T; there every entry is lifted to a ball (``_lifted``) as soon
 as one is a ball, so a numeric coordinate yields a certified enclosure.
@@ -49,6 +46,7 @@ constants on one, the tensor read off the generators on the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -59,13 +57,7 @@ import numpy as np
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
 from .exactfield import (
-    _INT64,
-    ComplexBall,
-    FieldElement,
-    _decoded,
-    _encode,
-    _rad_mul,
-    as_ball,
+    _INT64, ComplexBall, FieldElement, _decoded, _encode, _fold, _widened, as_ball,
     render_field_element,
 )
 from .perms import GeneratorSet, orbit_with_tree
@@ -109,17 +101,17 @@ def _support(vec):
     return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
 
 
-def _contract(tensor, vectors, pairs, precision):
+def _contract(tensor, t_sum, vectors, pairs, precision):
     """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T, with
     a = vectors[i] and b = vectors[j] for each (i, j) in ``pairs``: the one
     product of coefficient vectors.
 
     When every entry is a FieldElement the whole batch is one integer
-    contraction (``_contract_exact``) and no entry is multiplied on its
-    own.  Otherwise each pair goes through ``_contract_entries``.
+    contraction (``_contract_exact``, with T's bound ``t_sum``) and no entry
+    is multiplied on its own.  Otherwise each pair goes through
+    ``_contract_entries``.
     """
     if all(isinstance(x, FieldElement) for vec in vectors for x in vec):
-        t_sum = int(np.abs(tensor).sum(axis=(0, 1)).max(initial=0))
         rads, dens, out = _contract_exact(tensor, _encode(vectors), pairs, t_sum)
         return [_decoded(rads, den, rows) for den, rows in zip(dens, out.tolist())]
     return [_contract_entries(tensor, vectors[i], vectors[j], precision) for i, j in pairs]
@@ -154,32 +146,29 @@ def _contract_exact(tensor, encoded, pairs, t_sum):
 
     ``encoded`` is (rads, dens, arrays, bigs), as ``exactfield._encode``
     returns it: vector i is A_i / D_i, with A_i = arrays[i] an integer
-    array (entries x radicands) whose entries are at most bigs[i] in
-    absolute value.  For each (i, j) in
-    ``pairs`` the product of vectors[i] and vectors[j] is
+    array (entries x radicands) and bigs[i] >= max|A_i|.  For each (i, j)
+    in ``pairs`` the product of vectors[i] and vectors[j] is
     S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v], taken in two
-    matmuls over the whole batch: first every A_i with T, then each result
-    with its A_j.  When T has more than ``DENSE_PRODUCT_ENTRIES`` entries, it is
-    first restricted to the union of the supports.  A third folds the radicand pairs through the integer matrix F with
-    F[(u, v), m] = g for sqrt(rads[u]) sqrt(rads[v]) = g sqrt(m)
-    (``exactfield._rad_mul``).
+    matmuls over the whole batch, on T restricted to the union of the
+    supports when it has more than ``DENSE_PRODUCT_ENTRIES`` entries:
+    first every A_i with T, then each result with its A_j.  A third folds
+    the radicand pairs by ``exactfield._fold``'s matrix F.
 
-    Returns (rads, dens, out): rads is the sorted union of the radicands
+    Returns (rads, dens, out): rads is the sorted union of 1, the radicands
     of ``encoded`` and those the folds reach, dens holds D_i D_j, and the
-    product of pair n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].
-    ``t_sum`` is max_k sum_pq |T[p, q, k]|, or any larger int.  The
-    arithmetic is int64 when max|A_i| max|A_j| t_sum times the largest
-    column sum of |F| is below 2^63, each maximum over the batch, and each
-    of max|A_i|, max|A_j| is below 2^63 itself, so that nothing can
-    overflow; otherwise the arrays, F and the restricted T are
-    Python-int (object) arrays, the same rule as the centre's elimination.
-    The object copy of T holds at most R^3 references.
+    product of pair n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].  The
+    arithmetic is int64 when max|A_i|, max|A_j| and their product times
+    ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) and the largest column
+    sum of |F| are below 2^63, each maximum over the batch; otherwise the
+    arrays, F and the restricted T are Python-int (object) arrays, the same
+    rule as the centre's elimination.  The object copy of T holds at most
+    R^3 references.
     """
     rads_in, dens_in, arrays, bigs = encoded
-    folds = [_rad_mul(x, y) for x in rads_in for y in rads_in]  # at u * U + v
-    rads = tuple(sorted(set(rads_in).union(m for _, m in folds)))
+    u_len = len(rads_in)
+    rads, fold, fold_sum = _product_fold(rads_in)
     dens = [dens_in[i] * dens_in[j] for i, j in pairs]
-    n, k_len, u_len = len(pairs), tensor.shape[2], len(rads_in)
+    n, k_len = len(pairs), tensor.shape[2]
     if not n:
         return rads, dens, np.zeros((0, k_len, len(rads)), dtype=np.int64)
     left, right = map(list, zip(*pairs))
@@ -188,24 +177,25 @@ def _contract_exact(tensor, encoded, pairs, t_sum):
     if tensor.size > DENSE_PRODUCT_ENTRIES:
         used_a = a.any(axis=(0, 2))
         used_b = used_a if b is a else b.any(axis=(0, 2))
-        # gathering an entry of T costs about what multiplying by it does
-        if 2 * used_a.sum() * used_b.sum() <= len(used_a) * len(used_b):
+        if not (used_a.all() and used_b.all()):
             tensor, a, b = tensor[np.ix_(used_a, used_b)], a[:, used_a], b[:, used_b]
-    fold = [[0] * len(rads) for _ in folds]
-    for uv, (g, m) in enumerate(folds):
-        fold[uv][rads.index(m)] = g
-    fold_sum = max((sum(map(abs, col)) for col in zip(*fold)), default=0)
     big_a, big_b = max(bigs[i] for i in left), max(bigs[j] for j in right)
     # a zero side bounds the product by 0, but the other side must still fit
     fits = max(big_a, big_b) < _INT64 and big_a * big_b * max(t_sum, 1) * fold_sum < _INT64
     dtype = np.int64 if fits else object
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    fold = np.array(fold, dtype).reshape(len(folds), len(rads))
+    fold = np.array(fold, dtype).reshape(u_len * u_len, len(rads))
     p_len, q_len = tensor.shape[:2]
     tensor = tensor.astype(dtype, copy=False).reshape(p_len, q_len * k_len)
     first = (a.transpose(0, 2, 1) @ tensor).reshape(n, u_len, q_len, k_len)
     s = first.transpose(0, 3, 1, 2) @ b[:, None]  # n x K x U x U
     return rads, dens, s.reshape(n, k_len, u_len * u_len) @ fold
+
+
+@functools.cache
+def _product_fold(rads):
+    """``exactfield._fold`` of the radicands' pairwise products, once per set."""
+    return _fold(rads, [{r: 1} for r in rads], rads + (1,))
 
 
 def _stacked(arrays, indices):
@@ -223,7 +213,7 @@ def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISIO
     splitter's systems).  When an entry is a ComplexBall every entry is
     lifted to a ball and the product is an enclosure.
     """
-    return _contract(consts.tensor, [a, b], [(0, 1)], precision)[0]
+    return _contract(consts.tensor, consts.product_bound, [a, b], [(0, 1)], precision)[0]
 
 
 def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
@@ -262,7 +252,8 @@ def primitivity_traces(consts: StructureConstants, vectors, precision=DEFAULT_PR
     otherwise.
     """
     pairs = [(i, i) for i in range(len(vectors))]
-    return [t for t, in _contract(consts.trace_form[:, :, None], vectors, pairs, precision)]
+    form = consts.trace_form[:, :, None]
+    return [t for t, in _contract(form, consts.trace_bound, vectors, pairs, precision)]
 
 
 def is_unit_trace(trace):
@@ -414,26 +405,16 @@ def _values_to_compare(consts, projectors, precision):
     encoded = _encode(vectors)
     rads_in, dens, arrays, _ = encoded
     pairs = [(i, i) for i in range(len(vectors))]
-    trace_form = consts.trace_form
     rads, _, out = _contract_exact(consts.tensor, encoded, pairs, consts.product_bound)
-    t_sum = int(np.abs(trace_form).sum())
-    _, _, form = _contract_exact(trace_form[:, :, None], encoded, pairs, t_sum)
+    _, _, form = _contract_exact(consts.trace_form[:, :, None], encoded, pairs, consts.trace_bound)
     # in Python ints, what they must be: D A for e*e and D^2 for the trace
     d = np.array(dens, dtype=object)[:, None, None]
-    square, unit = np.zeros(out.shape, dtype=object), np.zeros(form.shape, dtype=object)
-    square[..., [rads.index(r) for r in rads_in]] = arrays * d
-    if 1 in rads:
-        unit[..., rads.index(1)] = (d * d)[..., 0]
-    wrong_square = (out != square).any(axis=(1, 2))
-    wrong_trace = (form != unit).any(axis=(1, 2)) | (1 not in rads)
-    squares = {
-        i: _decoded(rads, dens[i] ** 2, out[i].tolist())
-        for i in np.flatnonzero(wrong_square).tolist()
-    }
-    traces = {
-        i: _decoded(rads, dens[i] ** 2, form[i].tolist())[0]
-        for i in np.flatnonzero(wrong_trace).tolist()
-    }
+    square, unit = _widened(arrays * d, rads_in, rads), _widened(d * d, (1,), rads)
+    squares, traces = {}, {}
+    for i in np.flatnonzero((out != square).any(axis=(1, 2))).tolist():
+        squares[i] = _decoded(rads, dens[i] ** 2, out[i].tolist())
+    for i in np.flatnonzero((form != unit).any(axis=(1, 2))).tolist():
+        traces[i] = _decoded(rads, dens[i] ** 2, form[i].tolist())[0]
     lcm = math.lcm(*dens)
     summed = (arrays * (lcm // d)).sum(axis=0)
     complete = 1 in rads_in and summed[0, rads_in.index(1)] == lcm and np.count_nonzero(summed) == 1

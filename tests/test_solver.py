@@ -181,26 +181,6 @@ class TestSortKey:
         lazy = sorted(range(len(points)), key=lambda i: points[i].sort_key())
         eager = sorted(range(len(points)), key=lambda i: eager_sort_key(points[i]))
         assert lazy == eager
-        memo = {}
-        assert sorted(range(len(points)), key=lambda i: points[i].sort_key(memo)) == eager
-
-    def test_shared_memo_embeds_each_exact_value_once(self, monkeypatch):
-        """Points sorted with one memo lift each distinct exact value to a
-        ball once, however many coordinates hold it, in the eager order."""
-        values = [FE.from_rational(Fraction(k, 7)) for k in (3, -1, 2)] + [FE.sqrt_int(2)]
-        points = [SolutionPoint((values[i % 4], values[(i * 3) % 4], values[i % 2])) for i in range(8)]
-        eager = sorted(range(len(points)), key=lambda i: eager_sort_key(points[i]))
-        lifted = []
-        real = solver.as_ball
-
-        def counted(x, precision=None):
-            lifted.append(x)
-            return real(x, precision)
-
-        monkeypatch.setattr(solver, "as_ball", counted)
-        memo = {}
-        assert sorted(range(len(points)), key=lambda i: points[i].sort_key(memo)) == eager
-        assert len(lifted) == len(set(lifted)) <= len(values)
 
     def test_coordinates_after_the_first_difference_are_not_lifted(self):
         """Distinct first coordinates settle the order, so no second

@@ -919,7 +919,7 @@ def test_products_match_the_triple_loop(name, precision, data):
     index = st.integers(0, len(vectors) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
     wants = [algebra_product_by_definition(consts, vectors[i], vectors[j]) for i, j in pairs]
-    assert verify._contract(tensor, vectors, pairs, precision) == wants
+    assert verify._contract(tensor, consts.product_bound, vectors, pairs, precision) == wants
     for (i, j), want in zip(pairs, wants):
         assert algebra_product(consts, vectors[i], vectors[j]) == want
     (i, j), want = pairs[0], wants[0]
@@ -938,7 +938,7 @@ def test_a_zero_vector_times_one_past_int64():
     vectors = [[FE.zero()] * consts.rank, wide]
     for pairs in ([(0, 1)], [(1, 0)], [(0, 1), (1, 1)]):
         wants = [algebra_product_by_definition(consts, vectors[i], vectors[j]) for i, j in pairs]
-        assert verify._contract(tensor, vectors, pairs, 53) == wants
+        assert verify._contract(tensor, consts.product_bound, vectors, pairs, 53) == wants
 
 
 def _spy_on_entry_products(monkeypatch):
@@ -972,6 +972,7 @@ def test_products_across_the_int64_edge(tower, monkeypatch):
     products = [algebra_product(consts, a, b) for a, b in vectors]
     batch = verify._contract(
         consts.table[1:, 1:, 1:],
+        consts.product_bound,
         [x for pair in vectors for x in pair],
         [(2 * n, 2 * n + 1) for n in range(len(vectors))],
         DEFAULT_PRECISION,
