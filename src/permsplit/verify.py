@@ -192,10 +192,12 @@ def _contract_exact(tensor, encoded, pairs, t_sum):
     return rads, dens, s.reshape(n, k_len, u_len * u_len) @ fold
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _product_fold(rads):
-    """``exactfield._fold`` of the radicands' pairwise products, once per set."""
-    return _fold(rads, [{r: 1} for r in rads], rads + (1,))
+    """``exactfield._fold`` of the radicands' pairwise products, kept for the
+    radicand sets met last; the matrix is a tuple, as callers share it."""
+    cols, f, weight = _fold(rads, [{r: 1} for r in rads], rads + (1,))
+    return cols, tuple(map(tuple, f)), weight
 
 
 def _stacked(arrays, indices):
