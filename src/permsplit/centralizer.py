@@ -7,7 +7,9 @@ by rows along the Schreier tree, each made from its parent's row by
 ``SchreierTree.row0``, so no N x N storage is ever allocated: the stabilizer
 scan keeps its transport rows in a store of at most ``ROW_STORE_ENTRIES``
 entries, and the structure constants make the label row of each orbital's
-representative afresh.
+representative afresh.  The structure constants are one R x R x R integer
+array over 0-based indices (``StructureConstants.tensor``), the layout
+every product reads.
 """
 
 from __future__ import annotations
@@ -73,18 +75,19 @@ class OrbitalBasis:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Integer tensor C with A_p A_q = sum_r C[p,q,r] A_r (1-based indices)."""
+    """C with A_p A_q = sum_r C_pq^r A_r: ``tensor[p-1, q-1, r-1]``, contiguous
+    so a product reshapes it as is, and ``c(p, q, r)`` by 1-based indices."""
 
     rank: int
-    table: np.ndarray   # shape (R+1, R+1, R+1), slot 0 unused
+    tensor: np.ndarray   # shape (R, R, R)
 
     def c(self, p, q, r):
-        return int(self.table[p, q, r])
+        return int(self.tensor[p - 1, q - 1, r - 1])
 
     def is_commutative(self):
         """True iff C is symmetric in (p, q); equivalent to the action being
         multiplicity-free."""
-        return bool(np.array_equal(self.table, self.table.transpose(1, 0, 2)))
+        return bool(np.array_equal(self.tensor, self.tensor.transpose(1, 0, 2)))
 
     @cached_property
     def trace_form(self):
@@ -99,13 +102,8 @@ class StructureConstants:
         return int(np.abs(self.trace_form).sum())
 
     @cached_property
-    def tensor(self):
-        """C over 0-based indices, contiguous, so a product reshapes it as is."""
-        return np.ascontiguousarray(self.table[1:, 1:, 1:])
-
-    @cached_property
     def product_bound(self):
-        """max_r sum_pq |C[p, q, r]|, for ``verify._contract_exact``."""
+        """max_r sum_pq |C[p, q, r]|, for ``exactfield._contract_exact``."""
         return int(np.abs(self.tensor).sum(axis=(0, 1)).max())
 
 
@@ -302,15 +300,15 @@ def _check_basis(basis: OrbitalBasis):
             raise InvariantViolation("transpose-paired suborbits differ in length")
 
 
-def _constants_slab(basis: OrbitalBasis, q_vec, r):
+def _constants_slab(basis: OrbitalBasis, q0, r):
     """C[:, :, r] counted from the representative pair (j_r, 1), whose label
     row (the orbitals of the pairs (j_r, k)) is made from the base's labels
     in a store of two rows, so a deep representative holds no more."""
     rank = basis.rank
     rows = {basis.base - 1: basis.sidx0}
     p_vec = basis.tree.row0(int(basis.suborbit_representative[r]) - 1, rows, capacity=2)
-    flat = np.bincount(p_vec * (rank + 1) + q_vec, minlength=(rank + 1) ** 2)
-    return flat.reshape(rank + 1, rank + 1)
+    flat = np.bincount((p_vec - 1) * rank + q0, minlength=rank * rank)
+    return flat.reshape(rank, rank)
 
 
 def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads=1):
@@ -324,39 +322,37 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
     slabs are computed in one loop.
     """
     rank = basis.rank
-    # orbital of (k, 1) is the transpose of the orbital of (1, k): constant in r
-    q_vec = basis.transpose_of[basis.sidx0]
-    table = np.zeros((rank + 1, rank + 1, rank + 1), dtype=np.int64)
+    # 0-based orbital of (k, 1), the transpose of that of (1, k): constant in r
+    q0 = basis.transpose_of[basis.sidx0] - 1
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     for r in range(1, rank + 1):
-        table[:, :, r] = _constants_slab(basis, q_vec, r)
-    table.setflags(write=False)
-    consts = StructureConstants(rank=rank, table=table)
+        tensor[:, :, r - 1] = _constants_slab(basis, q0, r)
+    tensor.setflags(write=False)
+    consts = StructureConstants(rank=rank, tensor=tensor)
     _check_constants(basis, consts)
     return consts
 
 
 def _check_constants(basis: OrbitalBasis, consts: StructureConstants):
     rank = basis.rank
-    n = basis.suborbit_lengths
-    c = consts.table
+    # suborbit lengths and transposes, 0-based like the tensor
+    n, t = basis.suborbit_lengths[1:], basis.transpose_of[1:] - 1
+    c = consts.tensor
     if c.min() < 0:
         raise InvariantViolation("negative structure constant")
     # row-sum identity: sum_r C_pq^r n_r = n_p n_q
-    sums = np.tensordot(c[1:, 1:, 1:], n[1:], axes=([2], [0]))
-    expected = np.outer(n[1:], n[1:])
-    if not np.array_equal(sums, expected):
+    if not np.array_equal(np.tensordot(c, n, axes=([2], [0])), np.outer(n, n)):
         raise InvariantViolation("row-sum identity failed")
     # C_pq^1 = n_p when q = p*, else 0
-    t = basis.transpose_of
-    want = np.zeros((rank + 1, rank + 1), dtype=c.dtype)
-    want[np.arange(1, rank + 1), t[1:]] = n[1:]
-    bad = np.argwhere(c[1:, 1:, 1] != want[1:, 1:])
+    want = np.zeros((rank, rank), dtype=c.dtype)
+    want[np.arange(rank), t] = n
+    bad = np.argwhere(c[:, :, 0] != want)
     if len(bad):
         p, q = bad[0] + 1
         raise InvariantViolation(f"diagonal rule failed at C[{p},{q},1]")
     # identity element: A_1 A_q = A_q = A_q A_1
-    eye = np.eye(rank + 1, dtype=c.dtype)[1:]
-    if not (np.array_equal(c[1, 1:], eye) and np.array_equal(c[1:, 1], eye)):
+    eye = np.eye(rank, dtype=c.dtype)
+    if not (np.array_equal(c[0], eye) and np.array_equal(c[:, 0], eye)):
         raise InvariantViolation("A_1 is not the multiplicative identity")
     # transpose consistency: C_pq^r = C_{q* p*}^{r*}
     if not np.array_equal(c, c[np.ix_(t, t, t)].transpose(1, 0, 2)):

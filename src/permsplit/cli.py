@@ -98,7 +98,7 @@ def analyze_to_json(basis, consts=None, include_tensor=False):
     if consts is not None:
         obj["commutative"] = consts.is_commutative()
         if include_tensor:
-            obj["structure_constants"] = consts.table[1:, 1:, 1:].tolist()
+            obj["structure_constants"] = consts.tensor.tolist()
     return obj
 
 

@@ -23,7 +23,8 @@ result with one gcd.  ``Rational`` (the standard library Fraction) appears
 only at the public boundary: the constructor ``FieldElement({rad:
 rational})``, ``from_rational``, ``rational_value`` and the read-only
 ``terms`` view; other modules read the integers through ``coefficient``
-and ``radicands``, or hold vectors as integer arrays (``_encode``).
+and ``radicands``, or hold vectors as integer-array elements, which this
+module alone encodes, multiplies, combines, compares and decodes.
 
 ``signed_sum`` is the one writer of every sum the package prints: an
 element over its radicals, a polynomial over its monomials, and a
@@ -33,6 +34,7 @@ projector over A_1..A_R in the reports' ``# B[k]`` lines.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -517,12 +519,16 @@ def _coerce(x):
     return NotImplemented
 
 
-# -- vectors as integer arrays ---------------------------------------------------
+# -- elements: vectors as integer arrays -------------------------------------------
 #
-# x[p] = sum_u a[p, u] sqrt(rads[u]) / den: one positive int den, sorted
-# radicands and an R x U integer array, int64 below 2^63 and Python ints past it.
+# An element is the vector x[p] = sum_u a[p, u] sqrt(rads[u]) / den, held as
+# (den, rads, a, big): one positive int den, sorted radicands, an R x U integer
+# array, int64 below 2^63 and Python ints past it, and big >= every |entry|.
 
 _INT64 = 1 << 63
+# an exact product restricts a T of more entries to the supports first;
+# on a smaller T the gather costs more than the entries it saves
+DENSE_PRODUCT_ENTRIES = 1 << 13
 
 
 def _integer_array(rows):
@@ -535,24 +541,30 @@ def _integer_array(rows):
 
 
 def _encode(vectors):
-    """Vectors of FieldElements as integers: (rads, dens, array, bigs), with
-    ``rads`` the sorted union of the radicands used, ``dens[i]`` the lcm of
-    the denominators in vectors[i], array[i, p, u] the integer dens[i]
-    times the coefficient of sqrt(rads[u]) in vectors[i][p], and bigs[i]
-    the largest of vector i's integers in absolute value."""
+    """Vectors of FieldElements as elements over one radicand tuple, the
+    sorted union of those used: vector i is (D_i, rads, A_i, max|A_i|), with
+    D_i the lcm of its denominators; a column of A_i may be zero."""
     rads = tuple(sorted({r for vec in vectors for x in vec for r in x._num}))
     dens = [math.lcm(*(x._den for x in vec)) for vec in vectors]
-    array = _integer_array([
-        [[x._num.get(r, 0) * (den // x._den) for r in rads] for x in vec]
-        for vec, den in zip(vectors, dens)
-    ])
-    bigs = [max(-int(a.min()), int(a.max())) if a.size else 0 for a in array]
-    return rads, dens, array, bigs
+    flat = [x._num.get(r, 0) * d // x._den for v, d in zip(vectors, dens) for x in v for r in rads]
+    arrays = _integer_array(flat).reshape(len(dens), len(vectors[0]) if vectors else 0, len(rads))
+    lows = arrays.min(axis=(1, 2), initial=0).tolist()
+    highs = arrays.max(axis=(1, 2), initial=0).tolist()
+    return [(d, rads, a, max(-lo, hi)) for d, a, lo, hi in zip(dens, arrays, lows, highs)]
 
 
-def _decoded(rads, den, rows):
-    """One FieldElement sum_m row[m] sqrt(rads[m]) / den per integer row."""
-    return [_reduced({r: c for r, c in zip(rads, row) if c}, den) for row in rows]
+def _decoded(x, ps=slice(None)):
+    """The coefficients of the element x at the positions ``ps``, all of them
+    by default, as FieldElements."""
+    den, rads, a, _ = x
+    return [_reduced({r: c for r, c in zip(rads, row) if c}, den) for row in a[ps].tolist()]
+
+
+def _form(x, weights):
+    """sum_p weights[p] x[p] for integer weights, as a FieldElement."""
+    den, rads, a, _ = x
+    sums = [sum(w * c for w, c in zip(weights, col)) for col in a.T.tolist()]
+    return _reduced({r: c for r, c in zip(rads, sums) if c}, den)
 
 
 def _canonical(den, rads, a, big=None):
@@ -629,6 +641,80 @@ def _combination(terms):
         a = a.astype(dtype, copy=False)
         total += _widened(a * f if type(f) is int else a @ np.array(f, dtype=dtype), cols, rads)
     return _canonical(den, rads, total, big)
+
+
+def _contract_exact(tensor, t_sum, elements, pairs):
+    """The product of elements[i] and elements[j] for each (i, j) in
+    ``pairs`` in the algebra with integer structure tensor T, not reduced:
+    (D_i D_j, rads, S, big), rads the sorted union of 1, the radicands and
+    those their products reach, big the batch's bound.  With A_i over the
+    union of the radicands, S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v]
+    is two matmuls over the batch, on T restricted to the supports past
+    ``DENSE_PRODUCT_ENTRIES`` entries; a third folds the radicand pairs by
+    ``_fold``'s matrix F.  It is int64 when max|A_i|, max|A_j| and their
+    product times ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) times the
+    largest column sum of |F| are below 2^63 over the batch, Python ints
+    otherwise (T then holds R^3 references)."""
+    rads_in = tuple(sorted(set().union(*(x[1] for x in elements))))
+    arrays = [_widened(a, rads, rads_in) for _, rads, a, _ in elements]
+    u_len = len(rads_in)
+    rads, fold, fold_sum = _product_fold(rads_in)
+    n, k_len = len(pairs), tensor.shape[2]
+    if not n:
+        return []
+    left, right = map(list, zip(*pairs))
+    a = np.array([arrays[i] for i in left])  # n x P x U
+    b = a if right == left else np.array([arrays[j] for j in right])
+    if tensor.size > DENSE_PRODUCT_ENTRIES:
+        used_a = a.any(axis=(0, 2))
+        used_b = used_a if b is a else b.any(axis=(0, 2))
+        if not (used_a.all() and used_b.all()):
+            tensor, a, b = tensor[np.ix_(used_a, used_b)], a[:, used_a], b[:, used_b]
+    big_a, big_b = max([elements[i][3] for i in left]), max([elements[j][3] for j in right])
+    big = big_a * big_b * max(t_sum, 1) * fold_sum
+    # a zero side bounds the product by 0, but the other side must still fit
+    dtype = np.int64 if max(big_a, big_b, big) < _INT64 else object
+    a, b, fold = (x.astype(dtype, copy=False) for x in (a, b, fold))
+    p_len, q_len = tensor.shape[:2]
+    tensor = tensor.astype(dtype, copy=False).reshape(p_len, q_len * k_len)
+    first = (a.transpose(0, 2, 1) @ tensor).reshape(n, u_len, q_len, k_len)
+    s = first.transpose(0, 3, 1, 2) @ b[:, None]  # n x K x U x U
+    out = s.reshape(n, k_len, u_len * u_len) @ fold
+    return [(elements[i][0] * elements[j][0], rads, x, big) for (i, j), x in zip(pairs, out)]
+
+
+@functools.lru_cache(maxsize=64)
+def _product_fold(rads):
+    """``_fold`` of the radicands' pairwise products, for the radicand sets
+    met last; its matrix is a read-only integer array, as callers share it."""
+    cols, f, weight = _fold(rads, [{r: 1} for r in rads], rads + (1,))
+    f = _integer_array(f).reshape(len(rads) ** 2, len(cols))
+    f.setflags(write=False)
+    return cols, f, weight
+
+
+def _summed(xs):
+    """The sum of elements that share one radicand tuple and shape, not reduced."""
+    den = math.lcm(*(x[0] for x in xs))
+    scale = [den // x[0] for x in xs]
+    total = (np.array([x[2] for x in xs]) * np.array(scale, dtype=object)[:, None, None]).sum(0)
+    return den, xs[0][1], total, sum(x[3] * s for x, s in zip(xs, scale))
+
+
+def _differing(xs, ys):
+    """The indices i at which xs[i] = A / D and ys[i] = B / E differ, in Python
+    ints over the whole batch: A (E / g) = B (D / g) with g = gcd(D, E), over
+    the union of the radicands.  The elements of each list share one
+    radicand tuple and shape, as ``_encode`` and ``_contract_exact`` make."""
+    cols = tuple(sorted(set(xs[0][1]) | set(ys[0][1])))
+    sides = []
+    for mine, theirs in ((xs, ys), (ys, xs)):
+        a = np.array([x[2] for x in mine])
+        scale = [y[0] // math.gcd(x[0], y[0]) for x, y in zip(mine, theirs)]
+        if any(s != 1 for s in scale):  # e*e = S / D^2 against e = A / D scales A alone
+            a = a * np.array(scale, dtype=object)[:, None, None]
+        sides.append(_widened(a, mine[0][1], cols))
+    return np.flatnonzero((sides[0] != sides[1]).any(axis=(1, 2))).tolist()
 
 
 # -- restricted square roots ---------------------------------------------------

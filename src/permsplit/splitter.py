@@ -2,10 +2,10 @@
 of irreducible projectors: exact idempotents first, then the dimension loop
 for what they leave.
 
-The exact idempotents need no Groebner basis, slice or float, and their
-elements are integer arrays over one denominator (``exactfield._canonical``;
-decoded once per projector).  The centre Z of the algebra is the rational
-null space of x -> (x A_r - A_r x)_r.
+The exact idempotents need no Groebner basis, slice or float; their
+elements are ``exactfield``'s integer arrays, decoded once per projector.
+The centre Z of the algebra is the rational null space of
+x -> (x A_r - A_r x)_r.
 Refinement splits the identity into the central primitive idempotents E_j:
 for each current idempotent e and each basis element z of Z, the minimal
 polynomial of y = e z in eZ is read off the linear dependence of its powers,
@@ -80,7 +80,9 @@ from .centralizer import (
     compute_structure_constants,
 )
 from .errors import IncompleteDecomposition, InvariantViolation, SliceExhausted
-from .exactfield import FieldElement, _canonical, _combination, _decoded, _integer_array, _widened
+from .exactfield import (
+    FieldElement, _canonical, _combination, _contract_exact, _decoded, _form, _integer_array,
+)
 from .perms import GeneratorSet
 from .polynomial import (
     Poly,
@@ -364,42 +366,25 @@ def _split_linear(basis, consts, config):
         [lambda e, z=z: _product(consts, e, z) for z in centre[1:]],
         len(centre),
     )
-    left_traces = [int(t) for t in np.einsum("pqq->p", consts.tensor)]
     compressions = [
         lambda e, a=units[r]: _product(consts, _product(consts, e, a), e)
         for r in range(1, rank)
     ]
     projectors = []
+    left_traces = np.einsum("pqq->p", consts.tensor).tolist()  # tr(L_{A_p})
     for idem in central:
         k, d = _block_size(idem, left_traces, n)
-        if k == 1:
-            projectors.append(Projector(_vector(idem), d, "uniqueSolution", config.precision))
-            continue
-        projectors += [
-            Projector(_vector(f), d, "blockRefinement", config.precision, block=d)
-            for f in _refine(consts, [idem], compressions, k)
-        ]
+        parts = [idem] if k == 1 else _refine(consts, [idem], compressions, k)
+        kind, block = ("uniqueSolution", None) if k == 1 else ("blockRefinement", d)
+        for f in parts:
+            projectors.append(Projector(tuple(_decoded(f)), d, kind, config.precision, block))
     return projectors
 
 
-def _vector(x):
-    """The element x as its tuple of FieldElement coefficients."""
-    return tuple(_entries(x, slice(None)))
-
-
-def _entries(x, ps):
-    """The coefficients of the element x at the positions ``ps``."""
-    den, rads, a, _ = x
-    return _decoded(rads, den, a[ps].tolist())
-
-
 def _product(consts, x, y):
-    """The product of two elements, their arrays widened to the union of
-    their radicands, by one exact contraction."""
-    rads = tuple(sorted(set(x[1]) | set(y[1])))
-    encoded = rads, [x[0], y[0]], [_widened(e[2], e[1], rads) for e in (x, y)], [x[3], y[3]]
-    rads, dens, out = verify._contract_exact(consts.tensor, encoded, [(0, 1)], consts.product_bound)
-    return _canonical(dens[0], rads, out[0])
+    """The product of two elements, canonical, with the bound read off it."""
+    (den, rads, s, _), = _contract_exact(consts.tensor, consts.product_bound, [x, y], [(0, 1)])
+    return _canonical(den, rads, s)
 
 
 def _centre_basis(consts):
@@ -407,7 +392,7 @@ def _centre_basis(consts):
     x -> (x A_r - A_r x)_r, read off the reduced row echelon form of that
     map's integer matrix."""
     rank = consts.rank
-    c = consts.table[1:, 1:, 1:]
+    c = consts.tensor
     # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
     # the identity is central, so at most rank - 1 pivots
@@ -547,7 +532,7 @@ def _minimal_polynomial(consts, e, y):
     power = e
     while True:
         coeffs = []
-        at = _entries(power, [row[0] for row in rows]) if rows else []
+        at = _decoded(power, [row[0] for row in rows]) if rows else []
         for v, (_, _, inv, above, _) in zip(at, rows):
             coeffs.append((v - sum((c * w for c, w in zip(coeffs, above)), zero)) * inv)
         terms = [(-c, row[1]) for c, row in zip(coeffs, rows) if c]
@@ -561,20 +546,17 @@ def _minimal_polynomial(consts, e, y):
         if not len(nonzero):
             return combo, powers
         pivot = int(nonzero[0]) // len(vec[1])
-        above = [_entries(row[1], [pivot])[0] for row in rows]
-        rows.append((pivot, vec, _entries(vec, [pivot])[0].invert(), above, combo))
+        above = [_decoded(row[1], [pivot])[0] for row in rows]
+        rows.append((pivot, vec, _decoded(vec, [pivot])[0].invert(), above, combo))
         powers.append(power)
         power = y if len(powers) == 1 else _product(consts, power, y)
 
 
 def _block_size(idem, left_traces, degree):
-    """(k, d) of a central primitive idempotent E: k^2 = tr(L_E) and
-    N E_1 = k d.  InvariantViolation unless both are positive integers,
-    which for a central primitive idempotent they always are."""
-    den, rads, a, _ = idem
-    traces = [sum(t * x for t, x in zip(left_traces, col)) for col in a.T.tolist()]
-    k_squared = _decoded(rads, den, [traces])[0]
-    trace = _entries(idem, [0])[0] * degree
+    """(k, d) of a central primitive idempotent E: k^2 = tr(L_E), the sum of
+    tr(L_{A_p}) E_p, and N E_1 = k d.  InvariantViolation unless both are
+    positive integers, which for a central primitive idempotent they are."""
+    k_squared, trace = _form(idem, left_traces), _decoded(idem, [0])[0] * degree
     if k_squared.is_rational() and trace.is_rational():
         k_squared, trace = k_squared.rational_value(), trace.rational_value()
         k = math.isqrt(max(int(k_squared), 0))

@@ -9,13 +9,12 @@ tensor read off the label matrix), and ``primitivity_traces`` contracts
 with the form T[p, s] = sum_qr C_pq^r C_rs^q
 (``StructureConstants.trace_form``, built once per constants object).
 ``_contract`` owns every kind of entry.  When every entry of the batch is
-an exact FieldElement over the tower, each vector is written as one
-denominator and an integer array (``exactfield._encode``), and the whole
-batch is contracted with T in matmuls (``_contract_exact``, which the
-splitter's linear route calls on its own arrays).  The arrays are int64
-where a bound over the batch shows nothing can overflow, Python-int
-(object) arrays otherwise, the same rule as the centre's elimination in
-the splitter.  Polys, whose products are the
+an exact FieldElement over the tower, each vector becomes an element of
+``exactfield`` (one denominator and an integer array, ``_encode``), and
+the whole batch is contracted with T in matmuls by
+``exactfield._contract_exact``, the kernel that the splitter's linear
+route calls on its own elements; int64 where a bound over the batch shows
+nothing can overflow, Python ints otherwise.  Polys, whose products are the
 splitter's systems, and ComplexBalls go through a loop over the nonzero
 entries of T; there every entry is lifted to a ball (``_lifted``) as soon
 as one is a ball, so a numeric coordinate yields a certified enclosure.
@@ -31,12 +30,12 @@ identity and whose traces sum to N are pairwise orthogonal, and the other
 checks establish exactly those hypotheses.  The pairs are multiplied only
 for a family with a numeric coordinate or a failed hypothesis.  An exact
 family's squares are one contraction and its primitivity traces another,
-compared with the family in integers: with e = A / D, e e = S / D^2, so e
-is idempotent when S = D A and primitive when its trace is D^2.  Only a
-projector that fails is decoded into FieldElements, for its witness; a
-family with a ComplexBall is checked projector by projector on its
-enclosures.  The matrix
-route certifies the same family against the actual generators: it checks
+compared with the family in integers (``exactfield._differing``): with
+e = A / D, e e = S / D^2, so e is idempotent when S = D A and primitive
+when its trace is D^2.  Only a projector that fails is decoded into
+FieldElements, for its witness; a family with a ComplexBall is checked
+projector by projector on its enclosures.  The matrix route certifies the
+same family against the actual generators: it checks
 the orbital basis itself on the N x N orbital label matrix (invariance
 under every generator, A_1 = I, and closure of the products with a tensor
 T it reads off the matrix, independent of the splitter's), then runs the
@@ -46,8 +45,6 @@ constants on one, the tensor read off the generators on the other.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -57,8 +54,8 @@ import numpy as np
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
 from .exactfield import (
-    _INT64, ComplexBall, FieldElement, _decoded, _encode, _fold, _widened, as_ball,
-    render_field_element,
+    ComplexBall, FieldElement, _contract_exact, _decoded, _differing, _encode, _summed,
+    as_ball, render_field_element,
 )
 from .perms import GeneratorSet, orbit_with_tree
 from .solver import DEFAULT_PRECISION
@@ -78,9 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_MATRIX_CAP = 2000  # the orbital label matrix holds N^2 labels
-# an exact product restricts a T of more entries to the supports first;
-# on a smaller T the gather costs more than the entries it saves
-DENSE_PRODUCT_ENTRIES = 1 << 13
+_UNIT = _encode([[FieldElement.one()]])[0]  # what an exact trace must be
 
 
 # -- products in the centralizer algebra ---------------------------------------
@@ -112,8 +107,7 @@ def _contract(tensor, t_sum, vectors, pairs, precision):
     ``_contract_entries``.
     """
     if all(isinstance(x, FieldElement) for vec in vectors for x in vec):
-        rads, dens, out = _contract_exact(tensor, _encode(vectors), pairs, t_sum)
-        return [_decoded(rads, den, rows) for den, rows in zip(dens, out.tolist())]
+        return [_decoded(x) for x in _contract_exact(tensor, t_sum, _encode(vectors), pairs)]
     return [_contract_entries(tensor, vectors[i], vectors[j], precision) for i, j in pairs]
 
 
@@ -139,72 +133,6 @@ def _contract_entries(tensor, a, b, precision):
             for k, s in inner.items():
                 out[k] = out[k] + la[p] * s
     return out
-
-
-def _contract_exact(tensor, encoded, pairs, t_sum):
-    """The products of a batch of exact vectors, on integer arrays.
-
-    ``encoded`` is (rads, dens, arrays, bigs), as ``exactfield._encode``
-    returns it: vector i is A_i / D_i, with A_i = arrays[i] an integer
-    array (entries x radicands) and bigs[i] >= max|A_i|.  For each (i, j)
-    in ``pairs`` the product of vectors[i] and vectors[j] is
-    S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v], taken in two
-    matmuls over the whole batch, on T restricted to the union of the
-    supports when it has more than ``DENSE_PRODUCT_ENTRIES`` entries:
-    first every A_i with T, then each result with its A_j.  A third folds
-    the radicand pairs by ``exactfield._fold``'s matrix F.
-
-    Returns (rads, dens, out): rads is the sorted union of 1, the radicands
-    of ``encoded`` and those the folds reach, dens holds D_i D_j, and the
-    product of pair n is sum_m out[n, k, m] sqrt(rads[m]) / dens[n].  The
-    arithmetic is int64 when max|A_i|, max|A_j| and their product times
-    ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) and the largest column
-    sum of |F| are below 2^63, each maximum over the batch; otherwise the
-    arrays, F and the restricted T are Python-int (object) arrays, the same
-    rule as the centre's elimination.  The object copy of T holds at most
-    R^3 references.
-    """
-    rads_in, dens_in, arrays, bigs = encoded
-    u_len = len(rads_in)
-    rads, fold, fold_sum = _product_fold(rads_in)
-    dens = [dens_in[i] * dens_in[j] for i, j in pairs]
-    n, k_len = len(pairs), tensor.shape[2]
-    if not n:
-        return rads, dens, np.zeros((0, k_len, len(rads)), dtype=np.int64)
-    left, right = map(list, zip(*pairs))
-    a = _stacked(arrays, left)  # n x P x U
-    b = a if right == left else _stacked(arrays, right)
-    if tensor.size > DENSE_PRODUCT_ENTRIES:
-        used_a = a.any(axis=(0, 2))
-        used_b = used_a if b is a else b.any(axis=(0, 2))
-        if not (used_a.all() and used_b.all()):
-            tensor, a, b = tensor[np.ix_(used_a, used_b)], a[:, used_a], b[:, used_b]
-    big_a, big_b = max(bigs[i] for i in left), max(bigs[j] for j in right)
-    # a zero side bounds the product by 0, but the other side must still fit
-    fits = max(big_a, big_b) < _INT64 and big_a * big_b * max(t_sum, 1) * fold_sum < _INT64
-    dtype = np.int64 if fits else object
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    fold = np.array(fold, dtype).reshape(u_len * u_len, len(rads))
-    p_len, q_len = tensor.shape[:2]
-    tensor = tensor.astype(dtype, copy=False).reshape(p_len, q_len * k_len)
-    first = (a.transpose(0, 2, 1) @ tensor).reshape(n, u_len, q_len, k_len)
-    s = first.transpose(0, 3, 1, 2) @ b[:, None]  # n x K x U x U
-    return rads, dens, s.reshape(n, k_len, u_len * u_len) @ fold
-
-
-@functools.lru_cache(maxsize=64)
-def _product_fold(rads):
-    """``exactfield._fold`` of the radicands' pairwise products, kept for the
-    radicand sets met last; the matrix is a tuple, as callers share it."""
-    cols, f, weight = _fold(rads, [{r: 1} for r in rads], rads + (1,))
-    return cols, tuple(map(tuple, f)), weight
-
-
-def _stacked(arrays, indices):
-    """arrays[i] for i in ``indices`` as one array; a view for one index."""
-    if len(indices) == 1:
-        return arrays[indices[0]][None]
-    return np.stack([arrays[i] for i in indices])
 
 
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
@@ -391,37 +319,24 @@ def _values_to_compare(consts, projectors, precision):
     to tr(x -> e x e) (which must be 1); ``total`` is the sum of the family
     (which must be A_1), or None.
 
-    An exact family is decided in integers, all squares in one contraction
-    and all traces in another: with e = A / D (``_encode``), e*e = S / D^2
-    and the trace is t / D^2, so e is idempotent when S = D A and has trace
-    1 when t = D^2; and with L the lcm of the D, the family sums to A_1 when
-    sum A (L / D) = L A_1.  Only a value that fails is decoded, for its
-    witness.  A family with a ComplexBall yields every value, as
-    enclosures.
+    An exact family is decided in integers (see the module docstring): a
+    square or trace is decoded only when it differs, for its witness, and
+    the family's sum (``_summed``) is decoded and compared with A_1.  A
+    family with a ComplexBall, and the empty family, yield every value.
     """
     vectors = [p.coefficients for p in projectors]
-    if not all(p.exact for p in projectors):
+    if not (vectors and all(p.exact for p in projectors)):
         squares = {i: algebra_product(consts, e, e, precision) for i, e in enumerate(vectors)}
         traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
         return squares, traces, _coefficient_sum(projectors, consts.rank, precision)
-    encoded = _encode(vectors)
-    rads_in, dens, arrays, _ = encoded
+    elements = _encode(vectors)
     pairs = [(i, i) for i in range(len(vectors))]
-    rads, _, out = _contract_exact(consts.tensor, encoded, pairs, consts.product_bound)
-    _, _, form = _contract_exact(consts.trace_form[:, :, None], encoded, pairs, consts.trace_bound)
-    # in Python ints, what they must be: D A for e*e and D^2 for the trace
-    d = np.array(dens, dtype=object)[:, None, None]
-    square, unit = _widened(arrays * d, rads_in, rads), _widened(d * d, (1,), rads)
-    squares, traces = {}, {}
-    for i in np.flatnonzero((out != square).any(axis=(1, 2))).tolist():
-        squares[i] = _decoded(rads, dens[i] ** 2, out[i].tolist())
-    for i in np.flatnonzero((form != unit).any(axis=(1, 2))).tolist():
-        traces[i] = _decoded(rads, dens[i] ** 2, form[i].tolist())[0]
-    lcm = math.lcm(*dens)
-    summed = (arrays * (lcm // d)).sum(axis=0)
-    complete = 1 in rads_in and summed[0, rads_in.index(1)] == lcm and np.count_nonzero(summed) == 1
-    total = None if complete else _coefficient_sum(projectors, consts.rank, precision)
-    return squares, traces, total
+    squared = _contract_exact(consts.tensor, consts.product_bound, elements, pairs)
+    traced = _contract_exact(consts.trace_form[:, :, None], consts.trace_bound, elements, pairs)
+    squares = {i: _decoded(squared[i]) for i in _differing(squared, elements)}
+    traces = {i: _decoded(traced[i])[0] for i in _differing(traced, [_UNIT] * len(vectors))}
+    total = _decoded(_summed(elements))
+    return squares, traces, None if total == _basis_vector(consts.rank, 0) else total
 
 
 def _pair_witnesses(consts, projectors, pairs, precision):
@@ -482,7 +397,7 @@ def orbital_label_matrix(basis: OrbitalBasis):
 
 
 def tensor_from_label_matrix(labels, base, rank):
-    """T[p, q, r] = #{k : L[b, k] = p, L[k, j] = q} read off the base row b.
+    """T_pq^r = #{k : L[b, k] = p, L[k, j] = q} read off base row b, at [p-1, q-1, r-1].
 
     The count is taken at the first j of row b with L[b, j] = r.  Also
     returns whether every j with L[b, j] = r gives the same counts, i.e.
@@ -490,19 +405,20 @@ def tensor_from_label_matrix(labels, base, rank):
     lie in 1..rank.  One p at a time, so the extra memory stays O(N^2).
     """
     n = labels.shape[0]
-    row = labels[base - 1]
+    row = labels[base - 1] - 1  # 0-based, like T's axes
     present, first = np.unique(row, return_index=True)
-    table = np.zeros((rank + 1,) * 3, dtype=np.int64)
+    tensor = np.zeros((rank,) * 3, dtype=np.int64)
     consistent = True
-    for p in range(1, rank + 1):
+    for p in range(rank):
         keys = labels[row == p]
+        keys -= 1
         keys *= n
         keys += np.arange(n)
-        counts = np.bincount(keys.ravel(), minlength=(rank + 1) * n).reshape(rank + 1, n)
-        table[p][:, present] = counts[:, first]
-        consistent = consistent and np.array_equal(counts, table[p][:, row])
-    table.setflags(write=False)
-    return table, consistent
+        counts = np.bincount(keys.ravel(), minlength=rank * n).reshape(rank, n)
+        tensor[p][:, present] = counts[:, first]
+        consistent = consistent and np.array_equal(counts, tensor[p][:, row])
+    tensor.setflags(write=False)
+    return tensor, consistent
 
 
 def verify_matrix_level(
@@ -555,14 +471,14 @@ def verify_matrix_level(
         and np.count_nonzero(labels == 1) == n
     )
     report.add("diagonal L[i, j] = 1 exactly when i = j", diagonal)
-    table, consistent = (
+    tensor, consistent = (
         tensor_from_label_matrix(labels, basis.base, rank)
         if diagonal
-        else (np.zeros((rank + 1,) * 3, dtype=np.int64), False)
+        else (np.zeros((rank,) * 3, dtype=np.int64), False)
     )
     report.add("closure A_p A_q = sum_r T_pq^r A_r", invariant and consistent)
-    tensor = StructureConstants(rank=rank, table=table)
-    report.checks += verify_family_algebraic(tensor, replace(deco, degree=n), precision).checks
+    consts = StructureConstants(rank=rank, tensor=tensor)
+    report.checks += verify_family_algebraic(consts, replace(deco, degree=n), precision).checks
     return report
 
 

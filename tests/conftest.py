@@ -1,4 +1,5 @@
-"""Shared group constructions and the acceptance-corpus fixture."""
+"""Shared group constructions, the acceptance-corpus fixture, and the exact
+vectors of the linear route as integer-array elements."""
 
 import copy
 import functools
@@ -15,6 +16,13 @@ from permsplit import (
     split,
     splitter,
 )
+from permsplit.exactfield import _canonical, _encode
+
+
+def element(vec):
+    """A vector of FieldElements as the canonical element (den, rads, A, big)
+    of ``exactfield``'s integer-array form."""
+    return _canonical(*_encode([vec])[0])
 
 
 def perm(imgs):

@@ -152,21 +152,21 @@ def basis_matrices(gens):
 
 
 def structure_constants_dense(gens):
-    """C_pq^r by multiplying the dense basis matrices."""
+    """C_pq^r by multiplying the dense basis matrices, at [p-1, q-1, r-1]."""
     mats, lab = basis_matrices(gens)
     rank = len(mats)
     reps = []
     for r in range(1, rank + 1):
         i, j = np.argwhere(lab == r)[0]
         reps.append((int(i), int(j)))
-    table = np.zeros((rank + 1, rank + 1, rank + 1), dtype=np.int64)
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     for p in range(rank):
         for q in range(rank):
             prod = mats[p] @ mats[q]
             for r in range(rank):
                 i, j = reps[r]
-                table[p + 1, q + 1, r + 1] = prod[i, j]
-    return table
+                tensor[p, q, r] = prod[i, j]
+    return tensor
 
 
 def dense_algebra_commutes(gens):
@@ -361,9 +361,9 @@ def algebra_product_by_definition(consts, a, b, precision=None):
         for p in _support(a):
             for q in support_b:
                 ab = la[p] * lb[q]
-                col = consts.table[p + 1, q + 1]
+                col = consts.tensor[p, q]
                 for r in range(rank):
-                    c = int(col[r + 1])
+                    c = int(col[r])
                     if c:
                         out[r] = out[r] + ab * c
         return out
@@ -401,7 +401,7 @@ def centre_basis_by_definition(consts):
     from permsplit.exactfield import FieldElement
 
     rank = consts.rank
-    c = consts.table[1:, 1:, 1:]
+    c = consts.tensor
     matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
     pivots = row_reduce_by_definition(matrix, rank - 1)
     basis = []

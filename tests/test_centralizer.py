@@ -385,7 +385,7 @@ class TestStructureConstants:
             pytest.skip("oracle is dense")
         basis = compute_orbitals(gens)
         consts = compute_structure_constants(gens, basis)
-        assert np.array_equal(consts.table, structure_constants_dense(gens))
+        assert np.array_equal(consts.tensor, structure_constants_dense(gens))
 
     def test_row_sum_identity(self, corpus_member):
         name, gens = corpus_member
@@ -438,7 +438,7 @@ class TestStructureConstants:
 
 class TestCheckConstants:
     """Each check of ``_check_constants`` refuses a copy of the S3-regular
-    table tampered so that the checks before it still pass.  Every suborbit
+    tensor tampered so that the checks before it still pass.  Every suborbit
     of a regular action has length 1, so moving one unit from C[p,q,r] to
     C[p,q,s] keeps the row sums."""
 
@@ -448,15 +448,17 @@ class TestCheckConstants:
         basis = compute_orbitals(gens)
         return basis, compute_structure_constants(gens, basis)
 
-    def refuse(self, basis, table, message):
+    def refuse(self, basis, tensor, message):
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-            _check_constants(basis, StructureConstants(basis.rank, table))
+            _check_constants(basis, StructureConstants(basis.rank, tensor))
 
-    def moved(self, table, p, q, r, s):
-        table = table.copy()
-        assert table[p, q, r] == 1 and table[p, q, s] == 0
-        table[p, q, r], table[p, q, s] = 0, 1
-        return table
+    def moved(self, tensor, p, q, r, s):
+        """A copy with one unit moved from C[p,q,r] to C[p,q,s], 1-based."""
+        tensor = tensor.copy()
+        p, q, r, s = p - 1, q - 1, r - 1, s - 1
+        assert tensor[p, q, r] == 1 and tensor[p, q, s] == 0
+        tensor[p, q, r], tensor[p, q, s] = 0, 1
+        return tensor
 
     def test_untampered_table_passes(self, s3_regular):
         basis, consts = s3_regular
@@ -465,37 +467,37 @@ class TestCheckConstants:
 
     def test_negative(self, s3_regular):
         basis, consts = s3_regular
-        table = consts.table.copy()
-        table[2, 3, 4] = -1
-        self.refuse(basis, table, "negative structure constant")
+        tensor = consts.tensor.copy()
+        tensor[1, 2, 3] = -1  # C[2,3,4]
+        self.refuse(basis, tensor, "negative structure constant")
 
     def test_row_sum(self, s3_regular):
         basis, consts = s3_regular
-        table = consts.table.copy()
-        table[2, 3, 4] += 1
-        self.refuse(basis, table, "row-sum identity failed")
+        tensor = consts.tensor.copy()
+        tensor[1, 2, 3] += 1  # C[2,3,4]
+        self.refuse(basis, tensor, "row-sum identity failed")
 
     def test_diagonal_rule_names_the_first_failing_entry(self, s3_regular):
         basis, consts = s3_regular
-        table = consts.table
+        tensor = consts.tensor
         for p in (5, 3):
             q = int(basis.transpose_of[p])
-            s = next(s for s in range(2, 7) if table[p, q, s] == 0)
-            table = self.moved(table, p, q, 1, s)
+            s = next(s for s in range(2, 7) if tensor[p - 1, q - 1, s - 1] == 0)
+            tensor = self.moved(tensor, p, q, 1, s)
         q = int(basis.transpose_of[3])
-        self.refuse(basis, table, f"diagonal rule failed at C[3,{q},1]")
+        self.refuse(basis, tensor, f"diagonal rule failed at C[3,{q},1]")
 
     def test_identity(self, s3_regular):
         basis, consts = s3_regular
         self.refuse(
-            basis, self.moved(consts.table, 1, 2, 2, 3), "A_1 is not the multiplicative identity"
+            basis, self.moved(consts.tensor, 1, 2, 2, 3), "A_1 is not the multiplicative identity"
         )
 
     def test_transpose_consistency(self, s3_regular):
         basis, consts = s3_regular
         r = next(r for r in range(2, 7) if consts.c(2, 3, r) == 1)
         s = next(s for s in range(2, 7) if consts.c(2, 3, s) == 0)
-        self.refuse(basis, self.moved(consts.table, 2, 3, r, s), "transpose consistency failed")
+        self.refuse(basis, self.moved(consts.tensor, 2, 3, r, s), "transpose consistency failed")
 
 
 def test_m22_770_suborbit_lengths_from_the_golay_code():

@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from permsplit import UNREPRESENTABLE, FieldElement, ResourceLimit, sqrt_if_nice
 from permsplit.exactfield import (
     RHO_STEPS,
-    _canonical,
     _combination,
     _decoded,
-    _encode,
     factorize,
     field_element_from_json,
     field_element_to_json,
@@ -22,6 +20,8 @@ from permsplit.exactfield import (
     signed_sum,
     squarefree_decompose,
 )
+
+from conftest import element
 
 FE = FieldElement
 
@@ -490,11 +490,6 @@ def tower_vectors(draw, rank):
     return out
 
 
-def _element(vec):
-    rads, (den,), (a,), _ = _encode([vec])
-    return _canonical(den, rads, a)
-
-
 def _assert_canonical_element(x, rank):
     """den > 0, sorted radicands with no zero column, gcd(den, all
     entries) = 1, big bounding the entries, and int64 below 2^63."""
@@ -508,11 +503,6 @@ def _assert_canonical_element(x, rank):
     assert (a.dtype == np.int64) == (big < 1 << 63)
 
 
-def _values(x):
-    den, rads, a, _ = x
-    return _decoded(rads, den, a.tolist())
-
-
 @given(st.integers(1, 5), st.data())
 @settings(max_examples=120, deadline=None)
 def test_array_arithmetic_matches_field_elements(rank, data):
@@ -523,10 +513,10 @@ def test_array_arithmetic_matches_field_elements(rank, data):
     a = data.draw(tower_vectors(rank))
     b = data.draw(tower_vectors(rank))
     c = data.draw(field_elements(max_terms=3))
-    x, y = _element(a), _element(b)
+    x, y = element(a), element(b)
     for vec, elem in ((a, x), (b, y)):
         _assert_canonical_element(elem, rank)
-        assert _values(elem) == vec
+        assert _decoded(elem) == vec
     one = FE.one()
     cases = [
         (_combination([(c, x)]), [c * v for v in a]),
@@ -541,4 +531,4 @@ def test_array_arithmetic_matches_field_elements(rank, data):
         cases.append((_combination([(one, x), (-c, y)]), step))
     for got, want in cases:
         _assert_canonical_element(got, rank)
-        assert _values(got) == want
+        assert _decoded(got) == want

@@ -26,7 +26,7 @@ from permsplit import (
 from permsplit import exactfield, splitter, verify
 from permsplit.cli import render_decomposition_text
 from permsplit.errors import SliceExhausted
-from permsplit.exactfield import ComplexBall, _canonical, _encode, as_ball
+from permsplit.exactfield import ComplexBall, _decoded, as_ball
 from permsplit.polynomial import Ring, groebner_basis
 from permsplit.solver import SolutionPoint
 from permsplit.splitter import (
@@ -45,6 +45,7 @@ from conftest import (
     corpus_split,
     cyclic,
     duplicate_first_projector,
+    element,
     frobenius20,
     groebner_route,
     groebner_split,
@@ -70,17 +71,6 @@ FE = FieldElement
 
 def fe(q):
     return FE.from_rational(Fraction(q))
-
-
-def element(vec):
-    """A vector of FieldElements as the linear route's element."""
-    rads, (den,), (a,), _ = _encode([vec])
-    return _canonical(den, rads, a)
-
-
-def vector(x):
-    """The linear route's element x as a list of FieldElements."""
-    return list(splitter._vector(x))
 
 
 def constants_for(gens):
@@ -584,13 +574,13 @@ class TestLinearRoute:
         dimension is the number of conjugacy classes; the fraction-free
         elimination returns the reduced basis of the Fraction one."""
         _, consts = regular_constants(name)
-        centre = [vector(z) for z in splitter._centre_basis(consts)]
+        centre = [_decoded(z) for z in splitter._centre_basis(consts)]
         assert len(centre) == REGULAR[name][1]
         assert centre == centre_basis_by_definition(consts)
 
     def test_centre_matches_fraction_elimination(self, corpus_member):
         _, consts = constants_for(corpus_member[1])
-        centre = [vector(z) for z in splitter._centre_basis(consts)]
+        centre = [_decoded(z) for z in splitter._centre_basis(consts)]
         assert centre == centre_basis_by_definition(consts)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -636,10 +626,11 @@ class TestLinearRoute:
         decoded, encoded, refining = [], [], []
         real_decoded, real_refine = splitter._decoded, splitter._refine
 
-        def spy_decoded(rads, den, rows):
-            if len(rows) == consts.rank:
+        def spy_decoded(x, *ps):
+            values = real_decoded(x, *ps)
+            if len(values) == consts.rank:
                 decoded.append(1)
-            return real_decoded(rads, den, rows)
+            return values
 
         def spy_encode(real):
             def counted(vectors):
@@ -737,7 +728,7 @@ class TestLinearRoute:
         one = [fe(1)] + [fe(0)] * 4
         a2 = [fe(0), fe(1)] + [fe(0)] * 3
         parts = splitter._split_idempotent(consts, element(one), element(a2))
-        assert [vector(part) for part in parts] == [
+        assert [_decoded(part) for part in parts] == [
             [fe(Fraction(1, 5))] * 5,
             [fe(Fraction(4, 5))] + [fe(Fraction(-1, 5))] * 4,
         ]
@@ -764,7 +755,7 @@ class TestLinearRoute:
         """S3 on three points: E = (A_1 + A_2)/3 is the trivial projector,
         with k = d = 1; for 2E, tr(L_E) = 2 is no k^2."""
         _, consts = constants_for(symmetric(3))
-        left_traces = [int(t) for t in np.einsum("pqq->p", consts.table[1:, 1:, 1:])]
+        left_traces = np.einsum("pqq->p", consts.tensor).tolist()
         trivial = [fe(Fraction(1, 3)), fe(Fraction(1, 3))]
         assert splitter._block_size(element(trivial), left_traces, 3) == (1, 1)
         with pytest.raises(InvariantViolation, match=r"tr\(L_E\) = 2 "):
@@ -852,7 +843,7 @@ class TestExactIdempotents:
                 Poly(ring, {(i,): c for i, c in enumerate(f)}) for f in (m, dm)
             ]) == [Poly.one(ring)], f"A_{r + 1} has a repeated root"
             parts = splitter._split_idempotent(consts, element(one), element(y))
-            parts = [vector(part) for part in parts]
+            parts = [_decoded(part) for part in parts]
             assert [sum(col, fe(0)) for col in zip(*parts)] == one
             _assert_orthogonal_idempotents(consts, parts)
             for e in parts:

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -172,9 +173,10 @@ def test_every_exported_name_is_defined_or_used():
 
 def test_field_element_integers_stay_in_exactfield():
     """A FieldElement's integer fields ``_num`` and ``_den`` are read only in
-    exactfield.py, which also holds ``_encode`` and ``_decoded``, the exact
-    kernel's boundary; every other module goes through the public
-    accessors, so the representation stays one module's decision."""
+    exactfield.py, which also owns the integer-array element that exact
+    vectors become (``_encode``, ``_decoded``, ``_contract_exact``); every
+    other module goes through the public accessors, so the representation
+    stays one module's decision."""
     allowed = set()
     private = {"_num", "_den"}
     stray = []
@@ -191,6 +193,27 @@ def test_field_element_integers_stay_in_exactfield():
                 or (isinstance(node, ast.Constant) and node.value in private)
             ]
     assert not stray, f"FieldElement integers read outside exactfield: {stray}"
+
+
+def test_element_internals_stay_in_exactfield():
+    """No module but exactfield.py imports or reads the helpers behind the
+    integer-array element: widening to more radicands, the radicand fold
+    matrices and the int64 limit.  The others make, multiply, combine,
+    compare and decode elements through exactfield's functions, so the
+    layout and its arithmetic stay one module's decision."""
+    internal = {"_widened", "_fold", "_product_fold", "_INT64"}
+    stray = []
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        if path.stem == "exactfield":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else []
+            )
+            stray += [f"{path.name}:{node.lineno} {name}" for name in names if name in internal]
+    assert not stray, f"element internals used outside exactfield: {stray}"
 
 
 def test_every_error_class_is_raised():
@@ -238,17 +261,24 @@ def test_demos_run(demo):
     assert hashlib.sha256(done.stdout).hexdigest() == DEMO_OUTPUT_SHA256[demo.stem]
 
 
-def test_benchmark_smoke_workload_runs():
+def test_benchmark_smoke_workload_runs(tmp_path):
     """The benchmark reads library attributes that tier-1 does not otherwise
     touch through it (per-coordinate ``SolutionPoint.exact``,
     ``Projector.exact``, ``verify_matrix_level(mode=)``,
     ``SplitConfig.threads`` and ``compute_structure_constants(threads=)``,
     both inert, and the functions it wraps); its smoke workload must still
-    run and pass its own gate."""
+    run and pass its own gate.  It runs from a copy of the benchmark's
+    scripts beside a link to ``src``, so the files it writes stay out of
+    the checkout."""
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    for script in (ROOT / "perfbench").glob("*.py"):
+        shutil.copy(script, bench)
+    (tmp_path / "src").symlink_to(SRC)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "smoke",
+        [sys.executable, str(bench / "run.py"), "--workload", "smoke",
          "--seed", "5", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])

@@ -23,7 +23,7 @@ from permsplit import (
     verify_matrix_level,
     compare_to_reference,
 )
-from permsplit import verify
+from permsplit import exactfield, verify
 from permsplit.cli import parse_decomposition_text, render_decomposition_text
 from permsplit.exactfield import as_ball
 from permsplit.splitter import Decomposition, Projector, SplitConfig, split_from_constants
@@ -45,6 +45,7 @@ from conftest import (
     corpus_split,
     cyclic,
     frobenius20,
+    frobenius21,
     groebner_split,
     pair_action,
     petersen,
@@ -424,9 +425,9 @@ class TestBatchedCertificate:
         calls = []
         real = verify._contract_exact
 
-        def counted(tensor, encoded, pairs, t_sum):
+        def counted(tensor, t_sum, elements, pairs):
             calls.append(len(pairs))
-            return real(tensor, encoded, pairs, t_sum)
+            return real(tensor, t_sum, elements, pairs)
 
         monkeypatch.setattr(verify, "_contract_exact", counted)
         assert verify_family_algebraic(consts, deco).passed
@@ -708,7 +709,7 @@ class TestMatrixLevel:
         labels = orbital_label_matrix(basis)
         table, consistent = tensor_from_label_matrix(labels, basis.base, basis.rank)
         assert consistent
-        assert np.array_equal(table, consts.table)
+        assert np.array_equal(table, consts.tensor)
 
     def test_label_matrix_rows_are_transported_base_rows(self):
         """J(16, 3), 560 points on a Schreier tree of depth 25: each row
@@ -846,6 +847,9 @@ KERNEL_ACTIONS = {
     "petersen": petersen,  # commutative, rank 3
     "Q8_regular": q8_regular,  # noncommutative, rank 8
     "F20_regular": lambda: regular_action(frobenius20()),  # noncommutative, rank 20
+    # rank 21: 9,261 entries, past DENSE_PRODUCT_ENTRIES, so the kernel
+    # restricts T to the supports
+    "F21_regular": lambda: regular_action(frobenius21()),
 }
 
 
@@ -914,7 +918,7 @@ def test_products_match_the_triple_loop(name, precision, data):
     triple loop, and equals the product taken alone.  The first pair
     lifted to balls gives an enclosure of it."""
     consts = _kernel_constants(name)
-    tensor = consts.table[1:, 1:, 1:]
+    tensor = consts.tensor
     vectors = data.draw(st.lists(tower_vectors(consts.rank), min_size=1, max_size=6))
     index = st.integers(0, len(vectors) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
@@ -932,13 +936,37 @@ def test_a_zero_vector_times_one_past_int64():
     """A zero vector bounds the product by 0, yet the other vector's
     entries past 2^63 still keep the contraction off int64."""
     consts = _kernel_constants("petersen")
-    tensor = consts.table[1:, 1:, 1:]
+    tensor = consts.tensor
     past = Fraction(1 << 63, (1 << 63) + 1)
     wide = [FE({1: 1, 2: past})] + [FE.zero()] * (consts.rank - 1)
     vectors = [[FE.zero()] * consts.rank, wide]
     for pairs in ([(0, 1)], [(1, 0)], [(0, 1), (1, 1)]):
         wants = [algebra_product_by_definition(consts, vectors[i], vectors[j]) for i, j in pairs]
         assert verify._contract(tensor, consts.product_bound, vectors, pairs, 53) == wants
+
+
+def test_a_large_tensor_is_restricted_to_the_supports(monkeypatch):
+    """F21's regular tensor has more than ``DENSE_PRODUCT_ENTRIES`` entries,
+    so a batch whose vectors leave coordinates at zero is contracted with T
+    restricted to the union of their supports; each product still equals
+    the triple loop's."""
+    consts = _kernel_constants("F21_regular")
+    assert consts.tensor.size > exactfield.DENSE_PRODUCT_ENTRIES
+    # supports: the multiples of 3, and the odd coordinates
+    a = [fe(p + 1) if p % 3 == 0 else FE.zero() for p in range(consts.rank)]
+    b = [FE.sqrt_int(5) * (p - 4) if p % 2 else FE.zero() for p in range(consts.rank)]
+    pairs = [(0, 1), (1, 0), (0, 0)]
+    kept, real = [], np.ix_
+
+    def spy(*masks):
+        kept.append([int(m.sum()) for m in masks])
+        return real(*masks)
+
+    monkeypatch.setattr(np, "ix_", spy)
+    got = verify._contract(consts.tensor, consts.product_bound, [a, b], pairs, DEFAULT_PRECISION)
+    monkeypatch.undo()
+    assert kept and all(0 < n < consts.rank for n in kept[0])
+    assert got == [algebra_product_by_definition(consts, *([a, b][k] for k in pair)) for pair in pairs]
 
 
 def _spy_on_entry_products(monkeypatch):
@@ -971,7 +999,7 @@ def test_products_across_the_int64_edge(tower, monkeypatch):
     calls = _spy_on_entry_products(monkeypatch)
     products = [algebra_product(consts, a, b) for a, b in vectors]
     batch = verify._contract(
-        consts.table[1:, 1:, 1:],
+        consts.tensor,
         consts.product_bound,
         [x for pair in vectors for x in pair],
         [(2 * n, 2 * n + 1) for n in range(len(vectors))],
