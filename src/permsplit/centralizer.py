@@ -7,13 +7,17 @@ by rows along the Schreier tree, each made from its parent's row by
 ``SchreierTree.row0``, so no N x N storage is ever allocated: the stabilizer
 scan keeps its transport rows in a store of at most ``ROW_STORE_ENTRIES``
 entries, and the structure constants make the label row of each orbital's
-representative afresh.  The structure constants are one R x R x R integer
-array over 0-based indices (``StructureConstants.tensor``), the layout
-every product reads.
+representative afresh.  The scan ends once its partition is proved to be the
+suborbits: at two cells, or by colour refinement of one exact orbital graph
+(``_suborbits_proved``, whose out-lists ``SchreierTree.carry0`` makes within
+the same budget); otherwise it checks every Schreier generator.  The
+structure constants are one R x R x R integer array over 0-based indices
+(``StructureConstants.tensor``), the layout every product reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,6 +136,7 @@ def _trace_form(c):
 
 # Entries (points) the transport rows of the orbital stage may hold at once:
 # 2^20 int16 entries are 2 MB, every row of an action on up to 1024 points.
+# The out-lists of the certificate (``_suborbits_proved``) keep to it too.
 ROW_STORE_ENTRIES = 1 << 20
 
 
@@ -148,21 +153,30 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
     from its nearest stored ancestor.  A check thus costs O(N): one gather
     for t_q(y^s) and two reads of the labels.  The N−1 tree edges
     (``SchreierTree.edge_mask``), whose generators are the identity, cost
-    nothing.
+    nothing.  The points p are visited in stride order (``_stride_order``),
+    since actions on lexicographically labelled sets merge late in label
+    order.
 
-    The scan stops as soon as the partition has two cells: the stabilizer
-    fixes the base, so {base} is always a cell, and every merge is forced
-    by a stabilizer element, so {base} and the rest is already the final
-    partition (a 2-transitive action).  An action of rank 3 or more checks
-    every Schreier generator.
+    Every merge is forced by a stabilizer element, so the partition is
+    always finer than or equal to the suborbits.  The scan stops as soon as
+    it is proved equal to them:
+    - at two cells: the stabilizer fixes the base, so {base} is always a
+      cell, and {base} and the rest is the final partition (a 2-transitive
+      action);
+    - by the certificate ``_suborbits_proved``, tried at checks 16, 32,
+      64, ... when no merge happened in the last half of the checks, and
+      not tried again on a partition it failed to prove.
+    Otherwise every Schreier generator is checked.
     """
     n = gens.degree
     b0 = tree.base - 1
-    rows = {b0: np.arange(n, dtype=np.int16 if n <= 1 << 15 else np.int32)}
+    rows = {b0: np.arange(n, dtype=_point_dtype(n))}
     capacity = max(2, ROW_STORE_ENTRIES // n)
     edge = tree.edge_mask()
     labels = np.arange(n, dtype=np.int64)
-    for p0 in range(n):
+    checks = last_merge = 0
+    proof_at, unproved = 16, None
+    for p0 in _stride_order(n):
         here = None
         for gi, s in enumerate(gens.generators):
             if edge[p0, gi]:
@@ -174,13 +188,103 @@ def _stabilizer_cell_labels(gens: GeneratorSet, tree: SchreierTree):
             there = labels.take(
                 s.images0 if q0 == b0 else tree.row0(q0, rows, capacity).take(s.images0)
             )
+            checks += 1
             # byte equality of two int64 arrays of one length
             if here.tobytes() != there.tobytes():
                 labels = _merge_cells(labels, here, there)
+                last_merge = checks
                 if labels.max() == 1:
                     return labels
                 here = labels.take(tree.row0(p0, rows, capacity))
+            if checks == proof_at:
+                proof_at *= 2
+                cells = int(labels.max()) + 1
+                if 2 * last_merge <= checks and cells != unproved:
+                    if _suborbits_proved(gens, tree, labels, cells):
+                        return labels
+                    unproved = cells
     return labels
+
+
+def _point_dtype(n):
+    """The smallest integer dtype that holds the points 0..n-1 (and -1)."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _stride_order(n):
+    """The points 0..n-1 as i·k mod n, k the first stride from ⌊0.618 n⌋
+    up that is prime to n: consecutive points lie far apart."""
+    k = max(1, int(0.618 * n))
+    while math.gcd(k, n) != 1:
+        k += 1
+    return (i * k % n for i in range(n))
+
+
+def _suborbits_proved(gens: GeneratorSet, tree: SchreierTree, labels, cells):
+    """True when the partition ``labels`` of ``cells`` cells, finer than or
+    equal to the suborbits O, is proved equal to them.
+
+    Let S be its smallest cell other than {base} (the lowest label on a
+    tie) and N(x) = S^{u_x} its images under the tree words
+    (``SchreierTree.carry0``).  If N(x^s) = N(x)^s as sets for every point
+    x and generator s, the rule x -> N(x) commutes with all of G, so S =
+    N(base) is fixed by the stabilizer: a union of suborbits inside one,
+    hence a suborbit, and x -> N(x) an orbital graph.  Colour refinement
+    (1-WL on the out-lists) of that graph with the base individualised
+    gives a partition F that the stabilizer, acting by automorphisms that
+    fix the base, preserves cell by cell, so F is coarser than or equal to
+    O.  F with as many cells as the partition forces partition = O (McKay
+    and Piperno, *Practical graph isomorphism II*, 2014).
+
+    Only attempted while the out-lists hold at most ``ROW_STORE_ENTRIES``
+    entries; they are in the smallest dtype of the points.  A refinement
+    round reads N x (|S| + 1) colours and adds a colour or ends the proof,
+    so there are fewer than ``cells`` rounds, and as S is the smallest of
+    cells − 1 cells they read fewer than 3N² entries (the full scan reads N
+    per Schreier generator, of which there are N(K − 1) + 1).
+    """
+    n = gens.degree
+    b0 = tree.base - 1
+    sizes = np.bincount(labels)
+    sizes[labels[b0]] = n + 1
+    cell = int(np.argmin(sizes))
+    if n * int(sizes[cell]) > ROW_STORE_ENTRIES:
+        return False
+    out = tree.carry0(np.flatnonzero(labels == cell).astype(_point_dtype(n)))
+    out.sort(axis=1)
+    for s in gens.generators:
+        moved = s.images0.astype(out.dtype).take(out)
+        moved.sort(axis=1)
+        if not np.array_equal(out.take(s.images0, axis=0), moved):
+            return False
+    colours = np.zeros(n, dtype=np.int64)
+    colours[b0] = 1
+    found = 2
+    while found < cells:
+        # a point's new colour: its colour and its out-neighbours' colours
+        # as a sorted row, |S| + 1 columns whatever the number of colours
+        neighbours = colours.take(out)
+        neighbours.sort(axis=1)
+        colours = _row_classes(np.column_stack((colours, neighbours)))
+        if int(colours.max()) + 1 == found:
+            return False
+        found = int(colours.max()) + 1
+    return found == cells
+
+
+def _row_classes(rows):
+    """Class ids 0, 1, ... of the rows of a non-negative integer matrix, equal
+    for equal rows: the columns are read as digits of one int64 key, which
+    is compacted to the ids so far before it could overflow."""
+    radix = int(rows.max()) + 1
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        if span * radix >= 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            span = len(rows)
+        key = key * radix + column
+        span *= radix
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _merge_cells(labels, here, there):

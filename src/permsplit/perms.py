@@ -13,6 +13,9 @@ Its base row decides what the rows are: the identity gives the transports
 x -> base that the stabilizer scan reads, and the suborbit labels of the base
 give the orbital label rows of the structure constants and of the label
 matrix.  ``transport_to_base0`` walks the same edges for one point or array.
+``SchreierTree.carry0`` runs the recurrence on the image side, a BFS level at
+a time: the images of one point set under every tree word, the out-lists of
+an orbital graph that certify the suborbits.
 """
 
 from __future__ import annotations
@@ -183,8 +186,8 @@ class SchreierTree:
     Following ``parent0`` links from any orbit point reaches the base, and
     applying the labelled generators along the reversed path maps the base to
     the point.  No other module of the library reads ``parent0``,
-    ``gen_index`` or ``direction``: ``row0``, ``transport_to_base0`` and
-    ``edge_mask`` are the tree's interface.
+    ``gen_index`` or ``direction``: ``row0``, ``carry0``,
+    ``transport_to_base0`` and ``edge_mask`` are the tree's interface.
     """
 
     base: int                     # 1-based
@@ -237,6 +240,33 @@ class SchreierTree:
                 rows[self.base - 1] = base_row
             rows[y0] = row
         return row
+
+    def carry0(self, points0):
+        """The images of the point set S = ``points0`` (0-based) under every
+        tree word u_x: base -> x, as an N x |S| array in the dtype of
+        ``points0`` whose row x lists S^{u_x} (-1 outside the orbit).
+
+        Row x is s_x[row parent(x)], s_x the generator on x's tree edge:
+        the recurrence of ``row0`` on the image side, made for a whole BFS
+        level with one gather.
+        """
+        n = len(self.depth)
+        gens = self.gens.generators
+        edges = np.stack([a for g in gens for a in (g.images0, g.inv_images0)])
+        edges = edges.astype(points0.dtype).ravel()
+        # where x's edge generator starts in ``edges``
+        offset = (2 * self.gen_index + (self.direction < 0)) * n
+        rows = np.full((n, len(points0)), -1, dtype=points0.dtype)
+        rows[self.base - 1] = points0
+        order = np.argsort(self.depth, kind="stable")
+        # order lists the points outside the orbit, the base, then each level
+        start = int(np.count_nonzero(self.depth < 0)) + 1
+        for size in np.bincount(self.depth[order[start:]]).tolist()[1:]:
+            level = order[start : start + size]
+            start += size
+            above = rows.take(self.parent0.take(level), axis=0)
+            rows[level] = edges.take(above + offset.take(level)[:, None])
+        return rows
 
     def undo0(self, x0):
         """The image array of the inverse of the labelled generator on the
@@ -360,11 +390,14 @@ def parse_generators(path):
 def orbit_with_tree(gens: GeneratorSet, base: int):
     """Orbit of ``base`` with a deterministic BFS Schreier tree.
 
-    Level-synchronised BFS, one array pass per level: the level's images
-    form a (points x 2K) table, points ascending, generators in list order,
-    forward image before inverse.  A point new to the tree hangs off its
-    first occurrence in that table, exactly as a point-by-point BFS in the
-    same order would attach it.
+    Level-synchronised BFS, one array pass per level: a point new to the
+    tree hangs off its first occurrence in the level's (points x 2K) image
+    table, read with points ascending, generators in list order, forward
+    image before inverse, exactly as a point-by-point BFS in the same order
+    would attach it.  That first occurrence is the least key p * 2K + column
+    over the table entries that reach the point, taken with one
+    ``np.minimum.at``, so the level itself needs no order and no level is
+    sorted.
     """
     n = gens.degree
     if not 1 <= base <= n:
@@ -376,6 +409,7 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
     # row p: p's image under each generator, forward image before inverse
     table = np.stack([a for g in gens.generators for a in (g.images0, g.inv_images0)], axis=1)
     width = table.shape[1]
+    first = np.full(n, n * width, dtype=np.int64)  # least key that reached each point
     level = np.array([base - 1], dtype=np.int64)
     depth[level] = 0
     d = 0
@@ -383,13 +417,17 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
         d += 1
         images = table[level].ravel()
         unseen = np.flatnonzero(depth[images] < 0)
-        new, first = np.unique(images[unseen], return_index=True)
-        at = unseen[first]
-        depth[new] = d
-        parent[new] = level[at // width]
-        gen_index[new] = at % width // 2
-        direction[new] = 1 - 2 * (at % 2)
-        level = new
+        reached = images[unseen]
+        keys = level[unseen // width] * width + unseen % width
+        np.minimum.at(first, reached, keys)
+        # each new point once: at the entry that holds its least key
+        level = reached[first[reached] == keys]
+        depth[level] = d
+    # a point's least key names its parent and the column of its edge
+    hung = np.flatnonzero(depth > 0)
+    parent[hung], column = np.divmod(first[hung], width)
+    gen_index[hung] = column // 2
+    direction[hung] = 1 - 2 * (column % 2)
     orbit = set((np.flatnonzero(depth >= 0) + 1).tolist())
     for a in (parent, gen_index, direction, depth):
         a.setflags(write=False)

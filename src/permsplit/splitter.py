@@ -387,16 +387,28 @@ def _product(consts, x, y):
     return _canonical(den, rads, s)
 
 
+# Entries of the commutator matrix that ``_centre_basis`` makes at once:
+# 2^16 int64 entries are 0.5 MB, the whole matrix up to rank 40.
+COMMUTATOR_ENTRIES = 1 << 16
+
+
 def _centre_basis(consts):
     """A basis of the centre, as elements: the rational null space of
     x -> (x A_r - A_r x)_r, read off the reduced row echelon form of that
     map's integer matrix."""
     rank = consts.rank
     c = consts.tensor
-    # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p
-    matrix = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(rank * rank, rank)
+    # row (r, s), column p: the A_s coefficient of A_p A_r - A_r A_p, made
+    # for ``COMMUTATOR_ENTRIES`` entries' worth of r at a time
+    step = max(1, COMMUTATOR_ENTRIES // rank**2)
+    blocks = (
+        (c[:, lo : lo + step] - c[lo : lo + step].transpose(1, 0, 2))
+        .transpose(1, 2, 0)
+        .reshape(-1, rank)
+        for lo in range(0, rank, step)
+    )
     # the identity is central, so at most rank - 1 pivots
-    pivots = {col: row.tolist() for col, row in _integer_row_reduce(matrix, rank - 1).items()}
+    pivots = {col: row.tolist() for col, row in _integer_row_reduce(blocks, rank - 1).items()}
     basis = []
     for free in (j for j in range(rank) if j not in pivots):
         # z_free = 1 and z_col = -row[free] / row[col], over the lcm of those pivots
@@ -409,8 +421,9 @@ def _centre_basis(consts):
     return basis
 
 
-def _integer_row_reduce(matrix, most):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, stopped at
+def _integer_row_reduce(matrices, most):
+    """Fraction-free Gauss-Jordan elimination of the rows of the integer
+    matrices ``matrices``, stacked in order (``_distinct_rows``), stopped at
     ``most`` pivots: {pivot column: integer row} with each row 0 in every
     other pivot column, so the rows divided by their pivot entries are the
     reduced row echelon form.
@@ -420,11 +433,7 @@ def _integer_row_reduce(matrix, most):
     by the gcd of its entries; the rows are int64 while a bound shows the
     step cannot overflow, and Python ints from then on.
     """
-    rows = matrix[matrix.any(axis=1)]
-    first = {}  # each distinct row at its first index
-    for i, row in enumerate(rows):
-        first.setdefault(row.tobytes(), i)
-    rows = rows[list(first.values())]
+    rows = _distinct_rows(matrices)
     cols = []  # the pivot column of rows[i], for i < len(cols)
     while len(cols) < min(len(rows), most):
         n = len(cols)
@@ -452,6 +461,23 @@ def _integer_row_reduce(matrix, most):
                 rows = np.delete(rows, hit[zero], axis=0)
         cols.append(col)
     return {col: rows[i] for i, col in enumerate(cols)}
+
+
+def _distinct_rows(matrices):
+    """The nonzero rows of the integer matrices, stacked in order, each
+    distinct row once, at its first occurrence; nothing of the matrices
+    outlives the call."""
+    seen, kept = set(), []
+    for matrix in matrices:
+        rows = matrix[matrix.any(axis=1)]
+        first = []
+        for i, row in enumerate(rows):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                first.append(i)
+        kept.append(rows[first])
+    return np.concatenate(kept)
 
 
 def _refine(consts, parts, elements, target):

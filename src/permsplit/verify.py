@@ -268,7 +268,8 @@ def verify_family_algebraic(
     rank = consts.rank
     n = deco.degree
     projectors = deco.projectors
-    squares, traces, total = _values_to_compare(consts, projectors, precision)
+    exact = deco.exact_only()
+    squares, traces, total = _values_to_compare(consts, projectors, exact, precision)
     idempotency = []
     for m, p in enumerate(projectors, start=1):
         sq = squares.get(m - 1)
@@ -296,7 +297,7 @@ def verify_family_algebraic(
         integrality.append(CheckResult(f"trace integrality B[{m}]: N*b1 = d", ok))
     pairs = [(i, j) for i in range(len(projectors)) for j in range(len(projectors)) if i != j]
     hypotheses = idempotency + completeness + integrality
-    derive = deco.exact_only() and all(c.passed for c in hypotheses)
+    derive = exact and all(c.passed for c in hypotheses)
     witnesses = {} if derive else _pair_witnesses(consts, projectors, pairs, precision)
     orthogonality = []
     for i, j in pairs:
@@ -312,20 +313,21 @@ def verify_family_algebraic(
     return report
 
 
-def _values_to_compare(consts, projectors, precision):
+def _values_to_compare(consts, projectors, exact, precision):
     """(squares, traces, total): the values that the certificate compares
     with what they must be, wherever they may differ.  ``squares`` and
     ``traces`` map the index of a projector e to e*e (which must be e) and
     to tr(x -> e x e) (which must be 1); ``total`` is the sum of the family
     (which must be A_1), or None.
 
-    An exact family is decided in integers (see the module docstring): a
-    square or trace is decoded only when it differs, for its witness, and
-    the family's sum (``_summed``) is decoded and compared with A_1.  A
-    family with a ComplexBall, and the empty family, yield every value.
+    An exact family (``exact``: every coefficient a FieldElement) is decided
+    in integers (see the module docstring): a square or trace is decoded
+    only when it differs, for its witness, and the family's sum
+    (``_summed``) is decoded and compared with A_1.  A family with a
+    ComplexBall, and the empty family, yield every value.
     """
     vectors = [p.coefficients for p in projectors]
-    if not (vectors and all(p.exact for p in projectors)):
+    if not (vectors and exact):
         squares = {i: algebra_product(consts, e, e, precision) for i, e in enumerate(vectors)}
         traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
         return squares, traces, _coefficient_sum(projectors, consts.rank, precision)

@@ -1,9 +1,12 @@
-"""M22 on 770 points and M24 on 759 octads, built from the binary Golay code.
+"""M22 on 770 points and M24 on its octads and larger actions, built from
+the binary Golay code.
 
 The paper's example: M22 acting on the 770 pairs (hexad, 3|3 bisection of
-it); and M24 on its 759 octads, the code words of weight 8.  Everything is
-closed form (Conway and Sloane, *Sphere Packings, Lattices and Groups*, ch.
-10-11), and no search runs:
+it); and M24 on its 759 octads, the code words of weight 8, on its 1,288
+dodecad pairs, 1,771 sextets, 2,576 dodecads and 3,795 trios, and on its 24
+points (whose 4-sets, ``conftest.set_action``, are 10,626 points).
+Everything is closed form (Conway and Sloane, *Sphere Packings, Lattices
+and Groups*, ch. 10-11), and no search runs:
 
 * the extended Golay code is the span of the 23 translates of the
   quadratic non-residues mod 23, each with a parity coordinate at infinity;
@@ -155,20 +158,87 @@ def hexads(words):
     )
 
 
-def m24_octads():
-    """M24 on its 759 octads, as a GeneratorSet; point i + 1 is the i-th
-    octad in increasing order of its 24-bit word."""
-    octads = sorted(w for w in golay_code() if bin(w).count("1") == 8)
-    index = {w: i + 1 for i, w in enumerate(octads)}
+def m24_points():
+    """M24 on its 24 points, as a GeneratorSet: point x + 1 is x."""
     return GeneratorSet(
-        len(octads),
+        P + 1, tuple(Permutation.from_images([y + 1 for y in g]) for g in m24_generators())
+    )
+
+
+def _image(g, word):
+    return sum(1 << g[x] for x in range(P + 1) if word >> x & 1)
+
+
+def _m24_action(points, image):
+    """M24 on ``points``, as a GeneratorSet: point i + 1 is points[i], and g
+    sends it to image(g, points[i])."""
+    index = {x: i + 1 for i, x in enumerate(points)}
+    return GeneratorSet(
+        len(points),
         tuple(
-            Permutation.from_images(
-                [index[sum(1 << g[x] for x in range(P + 1) if w >> x & 1)] for w in octads]
-            )
+            Permutation.from_images([index[image(g, x)] for x in points])
             for g in m24_generators()
         ),
     )
+
+
+def _words(weight):
+    return sorted(w for w in golay_code() if bin(w).count("1") == weight)
+
+
+def _set_image(g, words):
+    return frozenset(_image(g, w) for w in words)
+
+
+def _in_order(sets):
+    return sorted(sets, key=sorted)
+
+
+def m24_octads():
+    """M24 on its 759 octads, as a GeneratorSet; point i + 1 is the i-th
+    octad in increasing order of its 24-bit word."""
+    return _m24_action(_words(8), _image)
+
+
+def m24_dodecads():
+    """M24 on its 2,576 dodecads (the code words of weight 12), in
+    increasing order of their words."""
+    return _m24_action(_words(12), _image)
+
+
+def m24_dodecad_pairs():
+    """M24 on the 1,288 pairs {dodecad, complement}, each named by the
+    smaller word of the two."""
+    full = (1 << P + 1) - 1
+
+    def image(g, w):
+        v = _image(g, w)
+        return min(v, v ^ full)
+
+    return _m24_action(sorted({min(w, w ^ full) for w in _words(12)}), image)
+
+
+def m24_sextets():
+    """M24 on its 1,771 sextets: the partitions of the 24 points into six
+    tetrads, any two of which make an octad.  Each of the five octads
+    through a tetrad T is T and another tetrad of T's sextet."""
+    of = {}
+    for octad in _words(8):
+        points = [x for x in range(P + 1) if octad >> x & 1]
+        for tetrad in combinations(points, 4):
+            word = sum(1 << x for x in tetrad)
+            of.setdefault(word, {word}).add(octad ^ word)
+    return _m24_action(_in_order({frozenset(s) for s in of.values()}), _set_image)
+
+
+def m24_trios():
+    """M24 on its 3,795 trios: the partitions of the 24 points into three
+    octads.  The complement of two disjoint octads is an octad, since the
+    all-ones word lies in the code."""
+    full = (1 << P + 1) - 1
+    octads = _words(8)
+    trios = {frozenset((a, b, full ^ a ^ b)) for a in octads for b in octads if not a & b}
+    return _m24_action(_in_order(trios), _set_image)
 
 
 def m22_770():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -20,6 +21,7 @@ from permsplit.centralizer import (
     _check_constants,
     _merge_cells,
     _stabilizer_cell_labels,
+    _suborbits_proved,
     order_basis,
 )
 from permsplit.perms import SchreierTree
@@ -28,6 +30,7 @@ from conftest import (
     CORPUS,
     affine,
     cyclic,
+    dihedral,
     petersen,
     primitive_root,
     regular_action,
@@ -338,7 +341,8 @@ class TestRows:
     def test_rows_built_with_a_four_row_store(self, monkeypatch):
         """A full store is cleared mid-path and a missing row is rebuilt from
         its nearest stored ancestor, one gather per row: on the index-2
-        subgroup of AGL(1,1999) with room for four rows that is 23,276 rows."""
+        subgroup of AGL(1,1999) with room for four rows, visiting the points
+        in stride order, that is 26,307 rows."""
         gens = _rank_three_affine()
         monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", 4 * gens.degree)
         _, tree = orbit_with_tree(gens, 1)
@@ -351,7 +355,193 @@ class TestRows:
 
         monkeypatch.setattr(SchreierTree, "undo0", undo)
         _stabilizer_cell_labels(gens, tree)
-        assert len(built) == 23276
+        assert len(built) == 26307
+
+
+def _partition_sha256(gens):
+    """sha256 over the basis's suborbit labels, lengths, transposes and
+    representatives and the structure constants, as int64 bytes."""
+    basis = compute_orbitals(gens, rank_cap=None)
+    consts = compute_structure_constants(gens, basis)
+    digest = hashlib.sha256()
+    for a in (
+        basis.sidx0,
+        basis.suborbit_lengths,
+        basis.transpose_of,
+        basis.suborbit_representative,
+        consts.tensor,
+    ):
+        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# ``_partition_sha256`` of every corpus action and of larger actions, taken
+# when the scan checked every Schreier generator in label order: a scan that
+# stops early, or visits the points in another order, must give them all.
+PARTITION_SHA256 = {
+    "C4_regular": "5b62ce3ff86760dc443748d25de7477a7c04b009d228178a70838e9285fe1a76",
+    "C5_natural": "885dd7a08e4b4435341d4936356e42baad1086ff22909e60daaa6187e1acfe86",
+    "C6_natural": "3c1944ad2e9053b500af51b5d21083a7693ba24bb3c9121740f199b85f597054",
+    "C7_natural": "3af9e2e7d3fe97c6552347873b85660b01714df3972f9a075b89b62c463770d6",
+    "C8_natural": "1e7efa3e543a5aab3cca36a0e1bcb474f9e37bb76f3bb47a281f6dbeeb5f13fe",
+    "C9_natural": "d56799ab8d20b70d48f0975ad35c68f7cbd65534a6e7768b907a369d46ec0f13",
+    "D4_natural": "336c3054628cf9dd349cef696a13f4181ba09e0bdce38965d42e98ffe0d3c3a9",
+    "D5_natural": "a2275781918ba9e3b34b853f3b9dad236e493c9e5627814c751f987f2753a0e8",
+    "D6_natural": "b90f29ecb5fac8102a72f35beb0f45a720d39abd09bd0b178746b304e74b802b",
+    "D7_natural": "4d3044b3b2189eb7cb3331634bb4bc2af1bcdbdc34ed2d9a4cba33726e9b3fe0",
+    "S3_natural": "8ebd4dd769ea564816ff54d28b236cf83d1a3208ce91c39d3ad7f09834f52369",
+    "S4_natural": "d8b9da1462a97b324636be3861cee5f4ee661ecbf3d244ac866ad12fe8b0e0eb",
+    "A4_natural": "d8b9da1462a97b324636be3861cee5f4ee661ecbf3d244ac866ad12fe8b0e0eb",
+    "A5_natural": "4aa2113a633d939097dc5a9c542831a1cbf23d8a487417242a9519e8be9e9534",
+    "S4_pairs": "d4c1e4f0785761728c2df4e253a8274906eb2a2b684e3e4ae67aeefaff34e5cd",
+    "A4_pairs": "6718b483dadcb1c52ff2c74a418b033bc995a1f5437281f4f17dcc432c514194",
+    "A5_petersen": "103e9642a46378c5065bf08c65d542fc1325c0c33395189c09f42b5425a26367",
+    "S3_regular": "09411f0bcda33f7aaaf5890dd853601c2982ed1a59b4d1e136e72d8bd98d4a4e",
+    "D4_regular": "34a0b509da95d39a174908c99a66d7fc36e6c531a647367911315561ef964599",
+    "Q8_regular": "c07d39deb2dfed7995b263152d441947482b27ac5825686dc47f046b429ddfcd",
+    "V4_regular": "278be49a16cd033694634809f50852dbfe36c84462e7e4eac83ff36215e4563d",
+    "F21_natural": "b3857a90ddf0362e8e7ec04d793173d7031e7066abcf3a448ec9e9a98375599a",
+    "C2wrC3": "775992c7b880006d921dcb7344d9acf73c9f40cf94ef81c19822048fe3b51018",
+    "S3wrC2": "d35136cb1eef70b7d325993f043660f7ac204f3b77090168d3d80d92549a6033",
+    "C3wrC2": "c4e6ad7ef9183f2e65d1848701a5dd0b120a71e1ab4ea76a1b14c171a270aeff",
+    "J16_3": "04992e380d14caa51e15cfcefc8ac4682f8df2acfdc51241b81581585bb7e580",
+    "S12_on_5sets": "dca72b4e01fd99acde1452c944a1b1920aab04d30e7142b1e71a60f82e13c660",
+    "M22_770": "4b14837d75111d512f301ed97680b03fac87113bb4a1eca6a43da25abecd6bed",
+    "AGL1_1999_index2": "22f751b4a604b116cd737e891d1bd4e2176e575747c6a46412ad9b0a3edc9309",
+    "J20_4": "1f903eb64fef4e346fcd1cd92e34390ac613e6d26fe08fd2a49f103ab159a5ab",
+    "J24_4": "9645d9dc193878caf9be860fc4b06a07cc20a7151fe02bf428d0b2db32c5de8e",
+    "M24_on_4sets": "7c17813015a7695bc5d50e5e5c74bf92915b57f260f19567ac881149b6fe74c5",
+}
+
+LARGER_ACTIONS = {
+    "J16_3": lambda: set_action(symmetric(16), 16, 3),
+    "S12_on_5sets": lambda: set_action(symmetric(12), 12, 5),
+    "M22_770": golay.m22_770,
+    "AGL1_1999_index2": _rank_three_affine,
+    "J20_4": lambda: set_action(symmetric(20), 20, 4),
+    "J24_4": lambda: set_action(symmetric(24), 24, 4),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS] + list(LARGER_ACTIONS))
+def test_partition_is_pinned(name):
+    gens = dict(CORPUS)[name] if name in dict(CORPUS) else LARGER_ACTIONS[name]()
+    assert _partition_sha256(gens) == PARTITION_SHA256[name]
+
+
+def _split_one_cell(labels, cell, part):
+    """``labels`` with the points of ``cell`` at the positions ``part`` of
+    its member list moved to a new last cell."""
+    labels = labels.copy()
+    labels[np.flatnonzero(labels == cell)[part]] = labels.max() + 1
+    return labels
+
+
+class TestCertificate:
+    """``_suborbits_proved`` accepts the suborbit partition and refuses a
+    partition strictly finer than it, whichever of its cells is the
+    smallest."""
+
+    @pytest.mark.parametrize("gens", [petersen(), set_action(symmetric(16), 16, 3)], ids=["petersen", "J16_3"])
+    def test_the_suborbits_are_proved(self, gens):
+        basis = compute_orbitals(gens)
+        assert _suborbits_proved(gens, basis.tree, basis.sidx0 - 1, basis.rank)
+
+    def test_splitting_one_suborbit_into_two_cells_is_refused(self):
+        """J(16,3) has suborbits of 1, 39, 234 and 286 points.  With the 286
+        halved, the smallest other cell is still the suborbit of 39, whose
+        out-lists pass the invariance check; refinement then finds at most
+        the 4 suborbits, fewer than the 5 cells."""
+        gens = set_action(symmetric(16), 16, 3)
+        basis = compute_orbitals(gens)
+        labels = basis.sidx0 - 1
+        assert sorted(np.bincount(labels).tolist()) == [1, 39, 234, 286]
+        largest = int(np.argmax(np.bincount(labels)))
+        finer = _split_one_cell(labels, largest, slice(0, 143))
+        assert not _suborbits_proved(gens, basis.tree, finer, basis.rank + 1)
+
+    def test_a_cell_inside_its_suborbit_fails_the_invariance_check(self):
+        """The Petersen graph's suborbits have 1, 3 and 6 points.  With one
+        point split off the suborbit of 3, that point is the smallest cell,
+        and its images under the tree words are no orbital graph.  Colour
+        refinement of them alone would reach the 4 cells: only the check
+        N(x^s) = N(x)^s refuses the partition."""
+        gens = petersen()
+        basis = compute_orbitals(gens)
+        labels = basis.sidx0 - 1
+        finer = _split_one_cell(labels, 1, slice(0, 1))
+        assert np.bincount(finer).tolist() == [1, 2, 6, 1]
+        assert not _suborbits_proved(gens, basis.tree, finer, basis.rank + 1)
+
+    @pytest.mark.parametrize(
+        "gens", [set_action(symmetric(16), 16, 3), set_action(symmetric(12), 12, 5)],
+        ids=["J16_3", "S12_on_5sets"],
+    )
+    def test_the_scan_stops_at_the_proof(self, gens, monkeypatch):
+        """The lexicographic Johnson labels merge early in stride order, and
+        the scan ends at the first proof, at check 16, 32 or 64, with the
+        labels of the full scan."""
+        _, tree = orbit_with_tree(gens, 1)
+        seen = _scan_spy(monkeypatch)
+        proofs = _proof_spy(monkeypatch)
+        cells = _stabilizer_cell_labels(gens, tree)
+        assert proofs[-1] is True and proofs.count(True) == 1
+        assert len(seen["rows"]) < 3 * 64
+        assert np.array_equal(cells, _cells_of_the_full_scan(gens, tree))
+
+    def test_refinement_rounds_stay_narrow(self, monkeypatch):
+        """D_1001 on its 1001 points has 501 suborbits, {0} and the pairs
+        {i, −i}, and its smallest orbital graph, the 1001-cycle, gains one
+        colour per refinement round from the base.  Each of those rounds
+        reads the points' colours and their two neighbours' colours, 3
+        columns however many colours there are, before the rank cap refuses
+        the action."""
+        shapes = []
+        real = centralizer._row_classes
+
+        def row_classes(rows):
+            shapes.append(rows.shape)
+            return real(rows)
+
+        monkeypatch.setattr(centralizer, "_row_classes", row_classes)
+        proofs = _proof_spy(monkeypatch)
+        with pytest.raises(ResourceLimit, match="^rank 501 exceeds configured cap 64$"):
+            compute_orbitals(dihedral(1001))
+        assert proofs == [True]
+        assert set(shapes) == {(1001, 3)}
+        assert len(shapes) < 501
+
+    def test_m24_on_4_sets_falls_back_to_the_full_scan(self, monkeypatch):
+        """One orbital graph of M24 on its 10,626 4-sets (rank 14) refines to
+        fewer colours than the suborbits: the certificate fails once, is not
+        tried again on the same partition, and the scan reads every point's
+        row and ends with the pinned partition."""
+        gens = set_action(golay.m24_points(), 24, 4)
+        proofs = _proof_spy(monkeypatch)
+        looked_up = set()
+        real = SchreierTree.row0
+
+        def row0(self, x0, rows, capacity=None):
+            looked_up.add(x0)
+            return real(self, x0, rows, capacity)
+
+        monkeypatch.setattr(SchreierTree, "row0", row0)
+        assert _partition_sha256(gens) == PARTITION_SHA256["M24_on_4sets"]
+        assert proofs == [False]
+        assert len(looked_up) == gens.degree
+
+
+def _proof_spy(monkeypatch):
+    """The results of every ``_suborbits_proved`` call of the scans that follow."""
+    results = []
+    real = centralizer._suborbits_proved
+
+    def proved(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(centralizer, "_suborbits_proved", proved)
+    return results
 
 
 class TestStructureConstants:

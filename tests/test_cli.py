@@ -43,6 +43,7 @@ from conftest import (
     regular_action,
     symmetric,
 )
+import golay
 
 S3_TEXT = "degree 3\ngen (1,2,3)\ngen (1,2)\n"
 C5_TEXT = "degree 5\ngen (1,2,3,4,5)\n"
@@ -789,6 +790,34 @@ def test_corpus_certificate_lines_are_pinned(name):
     consts = compute_structure_constants(gens, compute_orbitals(gens))
     lines = verify_family_algebraic(consts, corpus_split(name)).lines()
     assert _sha256("\n".join(lines)) == CORPUS_CERTIFICATE_SHA256[name]
+
+
+# M24 on four of its actions of rank 3-5 on thousands of points: the
+# decomposition line of ``permsplit split``, every projector exact, and for
+# the two under the matrix cap the number of ``--verify matrix`` lines, all
+# PASS.
+M24_SPLITS = {
+    "dodecad_pairs": (golay.m24_dodecad_pairs, "1288 ≅ 1 ⊕ 252 ⊕ 1035", 20),
+    "sextets": (golay.m24_sextets, "1771 ≅ 1 ⊕ 252 ⊕ 483 ⊕ 1035", 29),
+    "dodecads": (golay.m24_dodecads, "2576 ≅ 1 ⊕ 23 ⊕ 252 ⊕ 1035 ⊕ 1265", None),
+    "trios": (golay.m24_trios, "3795 ≅ 1 ⊕ 252 ⊕ 483 ⊕ 1035 ⊕ 2024", None),
+}
+
+
+@pytest.mark.parametrize("name", list(M24_SPLITS))
+def test_m24_split_is_pinned(name, tmp_path, capsys):
+    build, decomposition, matrix_lines = M24_SPLITS[name]
+    path = gens_file(tmp_path, name, build())
+    verify = [] if matrix_lines is None else ["--verify", "matrix"]
+    assert main(["split", str(path), *verify]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert f"Decomposition: {decomposition}" in lines
+    projectors = decomposition.count("⊕") + 1
+    assert lines.count("exact true") == projectors and "exact false" not in lines
+    checks = [line for line in err.splitlines() if not line.startswith("time ")]
+    assert len(checks) == (matrix_lines or 0)
+    assert all(line.startswith("PASS  ") for line in checks)
 
 
 # Edits of the S3 reference text that leave one projector block malformed;

@@ -53,6 +53,7 @@ from conftest import (
     pair_action,
     petersen,
     regular_action,
+    set_action,
     symmetric,
 )
 import golay
@@ -568,6 +569,18 @@ class TestLinearRoute:
         assert deco.exact_only()
         assert verify.verify_family_algebraic(consts, deco).passed
 
+    def test_johnson_24_4(self):
+        """J(24,4): S24 on its 10,626 4-sets, rank 5, whose orbital stage
+        ends at the suborbit certificate; 10626 = 1 + 23 + 252 + 1748 +
+        8602, each C(24,i) - C(24,i-1), every projector exact."""
+        gens = set_action(symmetric(24), 24, 4)
+        basis, consts = constants_for(gens)
+        assert basis.lengths_in_order() == [1, 80, 1140, 4560, 4845]
+        deco = splitter.split_from_constants(basis, consts)
+        assert deco.dimension_multiset == [1, 23, 252, 1748, 8602]
+        assert deco.exact_only()
+        assert verify.verify_family_algebraic(consts, deco).passed
+
     @pytest.mark.parametrize("name", sorted(REGULAR))
     def test_regular_centre_is_the_class_sums(self, name):
         """The centre of a group algebra is spanned by its class sums, so its
@@ -594,7 +607,7 @@ class TestLinearRoute:
         matrix[:, 4] = matrix[:, 2] - matrix[:, 6]  # a dependent column
         most = 6 + seed % 2  # the rank is at most 6; fewer pivots would depend on the row order
         want = row_reduce_by_definition(matrix, most)
-        got = splitter._integer_row_reduce(matrix, most)
+        got = splitter._integer_row_reduce([matrix], most)
         assert sorted(got) == sorted(want)
         for col, row in got.items():
             assert [Fraction(int(x), int(row[col])) for x in row] == want[col]

@@ -260,9 +260,10 @@ class TestAlgebraic:
     def test_exact_family_multiplies_no_pair(self, name, monkeypatch):
         """An exact certified family multiplies none of its pairs (its
         squares and traces are two batched contractions, see
-        ``TestBatchedCertificate``); its lines are those of the multiplied
-        pairs, one product per ordered pair, or per unordered pair when the
-        algebra is commutative."""
+        ``TestBatchedCertificate``); its lines are those of the general
+        route, which exactness decided once turns on for the whole family:
+        one square per projector and one product per ordered pair, or per
+        unordered pair when the algebra is commutative."""
         _, consts, deco = corpus_with_constants(name, dict(CORPUS)[name])
         assert deco.exact_only()
         calls = _count_products(monkeypatch)
@@ -273,7 +274,7 @@ class TestAlgebraic:
         assert multiplied.lines() == lines
         assert not any(c.derived for c in multiplied.checks)
         m = len(deco.projectors)
-        assert len(calls) == (m * (m - 1) // 2 if consts.is_commutative() else m * (m - 1))
+        assert len(calls) == m + (m * (m - 1) // 2 if consts.is_commutative() else m * (m - 1))
 
 
 def _replaced(deco, m, coefficients, **changes):
