@@ -41,7 +41,7 @@ def main():
     basis = compute_orbitals(gens)
     print(f"rank R = {basis.rank}")
     print("suborbit lengths in basis order:", basis.lengths_in_order())
-    print("symmetric orbitals:", [bool(basis.symmetric[r]) for r in (1, 2, 3)])
+    print("symmetric orbitals:", [bool(basis.symmetric[r]) for r in (0, 1, 2)])
     print("suborbit of the base paired with A2:", basis.suborbit_members(2))
 
     # membership of an arbitrary ordered pair is a Schreier-word translation

@@ -3,16 +3,21 @@
 The basis matrices A_1..A_R are 0/1 matrices supported on the orbitals of the
 group acting diagonally on ordered pairs; they are never materialized here.
 Everything is driven by the suborbit partition of the point-1 stabilizer and
-by rows along the Schreier tree, each made from its parent's row by
-``SchreierTree.row0``, so no N x N storage is ever allocated: the stabilizer
-scan keeps its transport rows in a store of at most ``ROW_STORE_ENTRIES``
-entries, and the structure constants make the label row of each orbital's
-representative afresh.  The scan ends once its partition is proved to be the
-suborbits: at two cells, or by colour refinement of one exact orbital graph
+by rows along the Schreier tree, so no N x N storage is ever allocated: the
+stabilizer scan keeps its transport rows, each made from its parent's row by
+``SchreierTree.row0``, in a store of at most ``ROW_STORE_ENTRIES`` entries,
+and the structure constants read the label row of each orbital's
+representative through its transport (``SchreierTree.transport_to_base0``).
+The scan ends once its partition is proved to be the suborbits: at two
+cells, or by colour refinement of one exact orbital graph
 (``_suborbits_proved``, whose out-lists ``SchreierTree.carry0`` makes within
-the same budget); otherwise it checks every Schreier generator.  The
-structure constants are one R x R x R integer array over 0-based indices
-(``StructureConstants.tensor``), the layout every product reads.
+the same budget); otherwise it checks every Schreier generator.
+
+One index names an orbital: r in 0..R-1 means A_{r+1}, in the arrays of
+``OrbitalBasis`` and in the structure constants, one R x R x R integer array
+(``StructureConstants.tensor``) in the layout every product reads.  Only what
+a person reads counts from 1: A_r in reports and messages,
+``StructureConstants.c`` and the ``OrbitalBasis`` accessors.
 """
 
 from __future__ import annotations
@@ -41,40 +46,43 @@ DEFAULT_RANK_CAP = 64
 class OrbitalBasis:
     """The ordered basis A_1..A_R of the centralizer algebra.
 
-    Arrays indexed by orbital are padded so that index r means orbital r
-    (slot 0 unused).  ``sidx0[p]`` gives the orbital index of the pair
-    (1, p+1); equivalently the suborbit of point p+1.
+    The arrays are 0-based like ``StructureConstants.tensor``: index r of a
+    per-orbital array means A_{r+1}, and ``sidx0[p]``, in 0..R-1, is the
+    orbital of the pair (base, p+1), the suborbit of the point p+1.
+    Representatives are 1-based points.  The accessors take and give 1-based
+    orbitals r, as A_r is written.
     """
 
     degree: int
     rank: int
     base: int
     sidx0: np.ndarray
-    suborbit_lengths: np.ndarray        # [r] = n_r
-    suborbit_representative: np.ndarray  # [r] = min j with (j,1) in orbital r
-    transpose_of: np.ndarray            # [r] = r*
-    symmetric: np.ndarray               # [r] = (r == r*)
+    suborbit_lengths: np.ndarray        # [r] = n_{r+1}
+    suborbit_representative: np.ndarray  # [r] = min j with (j, base) in A_{r+1}
+    transpose_of: np.ndarray            # [r] = s with A_{r+1}^T = A_{s+1}
+    symmetric: np.ndarray               # [r] = (transpose_of[r] == r)
     tree: SchreierTree = field(repr=False)
 
     def orbital_size(self, r):
         """|Delta_r| = N * n_r."""
-        return self.degree * int(self.suborbit_lengths[r])
+        return self.degree * int(self.suborbit_lengths[r - 1])
 
     def suborbit_members(self, r):
-        """1-based points of the suborbit paired with the base, ascending."""
-        return [int(p) + 1 for p in np.nonzero(self.sidx0 == r)[0]]
+        """1-based points of the suborbit of A_r, ascending."""
+        return [int(p) + 1 for p in np.nonzero(self.sidx0 == r - 1)[0]]
 
     def orbital_of_pair(self, x, y):
-        """Orbital index of an arbitrary ordered pair (1-based points).
+        """The r of the orbital A_r of an ordered pair (1-based points).
 
         Transports x to the base point along the tree's parent links and
-        reads the suborbit index of the transported y; costs O(tree depth).
+        reads the suborbit of the transported y; costs O(tree depth).
         """
         y0 = self.tree.transport_to_base0(x - 1, y - 1)
-        return int(self.sidx0[y0])
+        return int(self.sidx0[y0]) + 1
 
     def lengths_in_order(self):
-        return [int(self.suborbit_lengths[r]) for r in range(1, self.rank + 1)]
+        """n_1..n_R as Python ints."""
+        return self.suborbit_lengths.tolist()
 
 
 @dataclass(frozen=True)
@@ -351,14 +359,13 @@ def order_basis(cells, tree: SchreierTree, degree: int):
     ordered = np.array(ordered, dtype=np.int64)
     rank = len(ordered)
     rank_of = np.empty(rank, dtype=np.int64)
-    rank_of[ordered] = np.arange(1, rank + 1)
+    rank_of[ordered] = np.arange(rank)
 
-    # slot 0 of the per-orbital arrays is unused
     sidx0 = rank_of[compact]
-    lengths = np.concatenate(([0], np.bincount(compact)[ordered]))
-    reps = np.concatenate(([0], i_x[ordered] + 1))
-    transpose_of = np.concatenate(([0], rank_of[transpose_cell[ordered]]))
-    symmetric = np.concatenate(([False], transpose_cell[ordered] == ordered))
+    lengths = np.bincount(compact)[ordered]
+    reps = i_x[ordered] + 1
+    transpose_of = rank_of[transpose_cell[ordered]]
+    symmetric = transpose_cell[ordered] == ordered
     for a in (sidx0, lengths, reps, transpose_of, symmetric):
         a.setflags(write=False)
     return OrbitalBasis(
@@ -391,27 +398,26 @@ def compute_orbitals(gens: GeneratorSet, rank_cap=DEFAULT_RANK_CAP):
 
 
 def _check_basis(basis: OrbitalBasis):
-    r1 = int(basis.sidx0[basis.base - 1])
-    if r1 != 1 or basis.suborbit_lengths[1] != 1 or basis.suborbit_representative[1] != basis.base:
+    n, t = basis.suborbit_lengths, basis.transpose_of
+    first = basis.sidx0[basis.base - 1], n[0], basis.suborbit_representative[0]
+    if first != (0, 1, basis.base):
         raise InvariantViolation("diagonal orbital is not first")
-    if int(basis.suborbit_lengths[1:].sum()) != basis.degree:
+    if int(n.sum()) != basis.degree:
         raise InvariantViolation("suborbit lengths do not sum to the degree")
-    for r in range(1, basis.rank + 1):
-        rs = int(basis.transpose_of[r])
-        if int(basis.transpose_of[rs]) != r:
-            raise InvariantViolation("transpose map is not an involution")
-        if basis.suborbit_lengths[r] != basis.suborbit_lengths[rs]:
-            raise InvariantViolation("transpose-paired suborbits differ in length")
+    if not np.array_equal(t[t], np.arange(basis.rank)):
+        raise InvariantViolation("transpose map is not an involution")
+    if not np.array_equal(n[t], n):
+        raise InvariantViolation("transpose-paired suborbits differ in length")
 
 
 def _constants_slab(basis: OrbitalBasis, q0, r):
-    """C[:, :, r] counted from the representative pair (j_r, 1), whose label
-    row (the orbitals of the pairs (j_r, k)) is made from the base's labels
-    in a store of two rows, so a deep representative holds no more."""
+    """C[:, :, r] counted from the representative pair (j, base) of orbital
+    r, whose label row (the orbitals of the pairs (j, k)) is the base's
+    labels read through the transport j -> base."""
     rank = basis.rank
-    rows = {basis.base - 1: basis.sidx0}
-    p_vec = basis.tree.row0(int(basis.suborbit_representative[r]) - 1, rows, capacity=2)
-    flat = np.bincount((p_vec - 1) * rank + q0, minlength=rank * rank)
+    j0 = int(basis.suborbit_representative[r]) - 1
+    p_vec = basis.sidx0[basis.tree.transport_to_base0(j0, np.arange(basis.degree))]
+    flat = np.bincount(p_vec * rank + q0, minlength=rank * rank)
     return flat.reshape(rank, rank)
 
 
@@ -421,16 +427,18 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
     For each r the count runs over all N points k of the pair
     (j_r, k) in Delta_p, (k, 1) in Delta_q with (j_r, 1) a fixed
     representative of Delta_r; the orbitals of the pairs (j_r, k) are one
-    label row along the Schreier tree (``SchreierTree.row0``).  ``threads``
-    is accepted for the benchmark's calls only and selects nothing: the
-    slabs are computed in one loop.
+    label row along the Schreier tree (``SchreierTree.transport_to_base0``).
+    Everything is read off ``basis``: ``gens`` and ``threads`` select
+    nothing, and stay for the benchmark's calls, which pass ``gens``
+    positionally and ``threads`` by name.  The slabs are computed in one
+    loop.
     """
     rank = basis.rank
-    # 0-based orbital of (k, 1), the transpose of that of (1, k): constant in r
-    q0 = basis.transpose_of[basis.sidx0] - 1
+    # orbital of (k, 1), the transpose of that of (1, k): constant in r
+    q0 = basis.transpose_of[basis.sidx0]
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    for r in range(1, rank + 1):
-        tensor[:, :, r - 1] = _constants_slab(basis, q0, r)
+    for r in range(rank):
+        tensor[:, :, r] = _constants_slab(basis, q0, r)
     tensor.setflags(write=False)
     consts = StructureConstants(rank=rank, tensor=tensor)
     _check_constants(basis, consts)
@@ -439,8 +447,7 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
 
 def _check_constants(basis: OrbitalBasis, consts: StructureConstants):
     rank = basis.rank
-    # suborbit lengths and transposes, 0-based like the tensor
-    n, t = basis.suborbit_lengths[1:], basis.transpose_of[1:] - 1
+    n, t = basis.suborbit_lengths, basis.transpose_of
     c = consts.tensor
     if c.min() < 0:
         raise InvariantViolation("negative structure constant")

@@ -67,13 +67,11 @@ def render_analyze_text(basis, consts=None):
     lengths = ", ".join(str(x) for x in basis.lengths_in_order())
     lines = [f"Rank: {basis.rank}. Suborbit lengths: {lengths}"]
     lines.append(f"Degree: {basis.degree}")
-    sym = [f"A{r}" for r in range(1, basis.rank + 1) if basis.symmetric[r]]
+    sym = [f"A{r + 1}" for r, yes in enumerate(basis.symmetric.tolist()) if yes]
     lines.append("Symmetric: " + (", ".join(sym) if sym else "none"))
-    pairs = []
-    for r in range(1, basis.rank + 1):
-        rs = int(basis.transpose_of[r])
-        if rs > r:
-            pairs.append(f"(A{r}, A{rs})")
+    pairs = [
+        f"(A{r + 1}, A{rs + 1})" for r, rs in enumerate(basis.transpose_of.tolist()) if rs > r
+    ]
     lines.append("Transpose pairs: " + (", ".join(pairs) if pairs else "none"))
     if consts is not None:
         lines.append(
@@ -87,13 +85,9 @@ def analyze_to_json(basis, consts=None, include_tensor=False):
         "degree": basis.degree,
         "rank": basis.rank,
         "suborbit_lengths": basis.lengths_in_order(),
-        "suborbit_representatives": [
-            int(basis.suborbit_representative[r]) for r in range(1, basis.rank + 1)
-        ],
-        "symmetric": [bool(basis.symmetric[r]) for r in range(1, basis.rank + 1)],
-        "transpose_of": [
-            int(basis.transpose_of[r]) for r in range(1, basis.rank + 1)
-        ],
+        "suborbit_representatives": basis.suborbit_representative.tolist(),
+        "symmetric": basis.symmetric.tolist(),
+        "transpose_of": (basis.transpose_of + 1).tolist(),
     }
     if consts is not None:
         obj["commutative"] = consts.is_commutative()

@@ -11,8 +11,9 @@ with undo_x the inverse of the generator on x's tree edge, r_x =
 r_parent(x)[undo_x], one gather per edge from the nearest row already made.
 Its base row decides what the rows are: the identity gives the transports
 x -> base that the stabilizer scan reads, and the suborbit labels of the base
-give the orbital label rows of the structure constants and of the label
-matrix.  ``transport_to_base0`` walks the same edges for one point or array.
+give the orbital label rows of the label matrix.  ``transport_to_base0`` walks
+the same edges for one point or array, such as the label row of one orbital's
+representative that the structure constants read.
 ``SchreierTree.carry0`` runs the recurrence on the image side, a BFS level at
 a time: the images of one point set under every tree word, the out-lists of
 an orbital graph that certify the suborbits.

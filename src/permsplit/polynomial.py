@@ -24,7 +24,6 @@ __all__ = [
     "reduce_basis",
     "hilbert_dimension",
     "max_independent_set",
-    "standard_monomials",
 ]
 
 MAX_PAIRS = 40000
@@ -500,29 +499,3 @@ def max_independent_set(G, nvars):
     best.cache_clear()
     return set(result)
 
-
-def standard_monomials(G, limit=10000):
-    """Monomials not divisible by any leading term, or None if more than
-    ``limit`` (in particular when the ideal is not zero-dimensional)."""
-    if not G:
-        return None
-    ring = G[0].ring
-    lms = [g.leading_monomial() for g in G if not g.is_zero()]
-    seen = set()
-    frontier = [(0,) * ring.nvars]
-    out = []
-    while frontier:
-        mono = frontier.pop()
-        if mono in seen:
-            continue
-        seen.add(mono)
-        if any(_mono_divides(lm, mono) for lm in lms):
-            continue
-        out.append(mono)
-        if len(out) > limit:
-            return None
-        for i in range(ring.nvars):
-            nxt = tuple(e + 1 if k == i else e for k, e in enumerate(mono))
-            if nxt not in seen:
-                frontier.append(nxt)
-    return sorted(out, key=ring.key)

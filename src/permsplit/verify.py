@@ -384,13 +384,13 @@ def _coefficient_sum(projectors, rank, precision):
 def orbital_label_matrix(basis: OrbitalBasis):
     """The N x N integer matrix L with L[i, j] = r for (i+1, j+1) in Delta_r.
 
-    Row x is x's label row, ``SchreierTree.row0`` from the base's labels.
-    By ascending depth the parent's row is already in L, so each row is one
-    gather, written in place: L is the only N x N array."""
+    Row x is x's label row, ``SchreierTree.row0`` from the base's labels
+    ``sidx0 + 1``.  By ascending depth the parent's row is already in L, so
+    each row is one gather, written in place: L is the only N x N array."""
     tree = basis.tree
     b0 = tree.base - 1
     labels = np.empty((basis.degree, basis.degree), dtype=np.int64)
-    labels[b0] = basis.sidx0
+    labels[b0] = basis.sidx0 + 1
     rows = {b0: labels[b0]}
     for x0 in np.argsort(tree.depth, kind="stable")[1:].tolist():
         labels[x0] = tree.row0(x0, rows)

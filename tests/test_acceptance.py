@@ -184,10 +184,10 @@ def test_criterion_5_property_suite(name, gens):
     for p in range(1, rank + 1):
         for q in range(1, rank + 1):
             assert (
-                sum(consts.c(p, q, r) * int(n_r[r]) for r in range(1, rank + 1))
-                == int(n_r[p]) * int(n_r[q])
+                sum(consts.c(p, q, r) * int(n_r[r - 1]) for r in range(1, rank + 1))
+                == int(n_r[p - 1]) * int(n_r[q - 1])
             )
-            want = int(n_r[p]) if q == int(basis.transpose_of[p]) else 0
+            want = int(n_r[p - 1]) if q == int(basis.transpose_of[p - 1]) + 1 else 0
             assert consts.c(p, q, 1) == want
     if gens.degree <= 60:
         assert consts.is_commutative() == dense_algebra_commutes(gens)

@@ -723,7 +723,7 @@ class TestLinearRoute:
             coeffs = []
             for r in range(9):
                 # A_(r+1) is the basis matrix of the shift by shift_of[r]
-                shift = basis.suborbit_representative[r + 1] - 1
+                shift = basis.suborbit_representative[r] - 1
                 power = FE.one()
                 for _ in range((k * shift) % 3):
                     power = power * omega

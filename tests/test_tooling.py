@@ -216,6 +216,24 @@ def test_element_internals_stay_in_exactfield():
     assert not stray, f"element internals used outside exactfield: {stray}"
 
 
+def test_tree_internals_stay_in_perms():
+    """No module but perms.py reads a Schreier tree's ``parent0``,
+    ``gen_index`` or ``direction`` or calls its ``undo0``; the others go
+    through ``row0``, ``carry0``, ``transport_to_base0`` and ``edge_mask``,
+    so how the tree stores its edges stays one module's decision."""
+    internal = {"parent0", "gen_index", "direction", "undo0"}
+    stray = []
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        if path.stem == "perms":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in internal) or (
+                isinstance(node, ast.Constant) and node.value in internal
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"Schreier tree internals used outside perms: {stray}"
+
+
 def test_every_error_class_is_raised():
     """Each PermsplitError subclass in errors.py is raised somewhere in the
     package, so an error class that nothing raises any more cannot linger."""

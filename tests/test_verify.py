@@ -623,12 +623,12 @@ class TestMatrixLevel:
             # differences {1, 4} and {2, 3} form the D5 scheme, a closed
             # G-invariant fusion, in which I = E_0 + E_1 + E_2 is not
             # primitive
-            ([1, 2, 3, 3, 2], ["primitivity"]),
+            ([0, 1, 2, 2, 1], ["primitivity"]),
             # differences {1, 2} and {3, 4}: A^2 = C^2 + 2C^3 + C^4 is not
             # in the span, so the counts differ along the orbital
-            ([1, 2, 2, 3, 3], ["closure", "primitivity"]),
+            ([0, 1, 1, 2, 2], ["closure", "primitivity"]),
             # the diagonal fused with differences {1, 4}
-            ([1, 1, 3, 3, 1], ["diagonal", "closure", "idempotency", "primitivity"]),
+            ([0, 0, 2, 2, 0], ["diagonal", "closure", "idempotency", "primitivity"]),
         ],
         ids=["closed", "unclosed", "diagonal"],
     )
@@ -654,7 +654,7 @@ class TestMatrixLevel:
         finds 5 against the fusion's rank 3, would fail it."""
         gens = cyclic(5)
         fused = dataclasses.replace(
-            compute_orbitals(gens), sidx0=np.array([1, 2, 3, 3, 2]), rank=3
+            compute_orbitals(gens), sidx0=np.array([0, 1, 2, 2, 1]), rank=3
         )
         root5 = FE.sqrt_int(5)
         plus, minus = (root5 - 1) / 10, (-root5 - 1) / 10
@@ -720,7 +720,7 @@ class TestMatrixLevel:
         basis = compute_orbitals(gens)
         assert basis.tree.depth.max() == 25
         points = np.arange(gens.degree)
-        want = [basis.sidx0[basis.tree.transport_to_base0(x0, points)] for x0 in points]
+        want = [basis.sidx0[basis.tree.transport_to_base0(x0, points)] + 1 for x0 in points]
         assert np.array_equal(orbital_label_matrix(basis), np.array(want))
 
     def test_affine_group_at_cap_scale(self):
