@@ -328,9 +328,10 @@ def order_basis(cells, tree: SchreierTree, degree: int):
     orbitals in adjacent transpose pairs.  Both the symmetric block and the
     pair leaders are sorted by i_X = min{ i : (A)_{i,1} = 1 }, which is the
     minimal point of the transpose suborbit; within a pair the member with
-    the smaller i_X leads.  Cells are compacted with one ``np.unique``, whose
-    first occurrences are their minimal points; the only loop is one tree
-    walk per cell.
+    the smaller i_X leads.  That rule is one ``np.lexsort`` key, and the i_X
+    are distinct, so it has no ties.  Cells are compacted with one
+    ``np.unique``, whose first occurrences are their minimal points; the
+    only loop is one tree walk per cell.
     """
     _, first, compact = np.unique(np.asarray(cells), return_index=True, return_inverse=True)
     b0 = tree.base - 1
@@ -339,28 +340,19 @@ def order_basis(cells, tree: SchreierTree, degree: int):
     # transpose pairing on cells: (j, 1) lies in the orbital of (1, j*)
     # where j* is the image of the base under the inverse word base -> j.
     transpose_cell = compact[[tree.transport_to_base0(int(j0), b0) for j0 in first]]
-    if not np.array_equal(transpose_cell[transpose_cell], np.arange(len(first))):
+    cell = np.arange(len(first))
+    if not np.array_equal(transpose_cell[transpose_cell], cell):
         raise InvariantViolation("transpose pairing is not an involution")
     # i_X of each cell, 0-based: the minimal point of its transpose cell
     i_x = first[transpose_cell]
 
-    cell_range = range(len(first))
-    symmetric_cells = sorted(
-        (c for c in cell_range if transpose_cell[c] == c and c != base_cell),
-        key=lambda c: i_x[c],
+    # the last key sorts first: the base, the symmetric cells, then each
+    # pair at its leader's i_X, leader first
+    ordered = np.lexsort(
+        (i_x, np.minimum(i_x, i_x[transpose_cell]), transpose_cell != cell, cell != base_cell)
     )
-    leaders = sorted(
-        (c for c in cell_range if i_x[c] < i_x[transpose_cell[c]]),
-        key=lambda c: i_x[c],
-    )
-    ordered = [base_cell] + symmetric_cells
-    for c in leaders:
-        ordered.extend((c, int(transpose_cell[c])))
-    ordered = np.array(ordered, dtype=np.int64)
     rank = len(ordered)
-    rank_of = np.empty(rank, dtype=np.int64)
-    rank_of[ordered] = np.arange(rank)
-
+    rank_of = np.argsort(ordered)
     sidx0 = rank_of[compact]
     lengths = np.bincount(compact)[ordered]
     reps = i_x[ordered] + 1
@@ -410,17 +402,6 @@ def _check_basis(basis: OrbitalBasis):
         raise InvariantViolation("transpose-paired suborbits differ in length")
 
 
-def _constants_slab(basis: OrbitalBasis, q0, r):
-    """C[:, :, r] counted from the representative pair (j, base) of orbital
-    r, whose label row (the orbitals of the pairs (j, k)) is the base's
-    labels read through the transport j -> base."""
-    rank = basis.rank
-    j0 = int(basis.suborbit_representative[r]) - 1
-    p_vec = basis.sidx0[basis.tree.transport_to_base0(j0, np.arange(basis.degree))]
-    flat = np.bincount(p_vec * rank + q0, minlength=rank * rank)
-    return flat.reshape(rank, rank)
-
-
 def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads=1):
     """The integer tensor C_pq^r, one representative pair per orbital.
 
@@ -430,15 +411,18 @@ def compute_structure_constants(gens: GeneratorSet, basis: OrbitalBasis, threads
     label row along the Schreier tree (``SchreierTree.transport_to_base0``).
     Everything is read off ``basis``: ``gens`` and ``threads`` select
     nothing, and stay for the benchmark's calls, which pass ``gens``
-    positionally and ``threads`` by name.  The slabs are computed in one
-    loop.
+    positionally and ``threads`` by name.  The slabs C[:, :, r] are counted
+    in one loop, each with one bincount over p·R + q.
     """
     rank = basis.rank
+    points = np.arange(basis.degree)
     # orbital of (k, 1), the transpose of that of (1, k): constant in r
     q0 = basis.transpose_of[basis.sidx0]
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    for r in range(rank):
-        tensor[:, :, r] = _constants_slab(basis, q0, r)
+    for r, rep in enumerate(basis.suborbit_representative.tolist()):
+        # orbitals of (j_r, k): the base's labels through the transport j_r -> base
+        p0 = basis.sidx0[basis.tree.transport_to_base0(rep - 1, points)]
+        tensor[:, :, r] = np.bincount(p0 * rank + q0, minlength=rank * rank).reshape(rank, rank)
     tensor.setflags(write=False)
     consts = StructureConstants(rank=rank, tensor=tensor)
     _check_constants(basis, consts)

@@ -10,6 +10,7 @@ timing lines go to stderr.  Every sum in a report, a coefficient or a
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -101,29 +102,18 @@ def analyze_to_json(basis, consts=None, include_tensor=False):
 
 def _decomposition_line(deco):
     """``10 ≅ 1 ⊕ 4 ⊕ 5`` with multiplicity blocks parenthesized and the
-    second member of a conjugate pair marked with ``~``."""
+    second member of a conjugate pair marked with ``~``: one group per run
+    of projectors with the same ``block``, a mark per projector outside a
+    block."""
     parts = []
-    i = 0
-    projs = deco.projectors
-    while i < len(projs):
-        p = projs[i]
-        if p.block is not None:
-            j = i
-            while j < len(projs) and projs[j].block == p.block:
-                j += 1
-            inner = " ⊕ ".join(str(projs[k].dimension) for k in range(i, j))
-            parts.append(f"({inner})")
-            i = j
+    for block, run in itertools.groupby(enumerate(deco.projectors), key=lambda ip: ip[1].block):
+        if block is None:
+            for i, p in run:
+                second = p.conjugate_of is not None and p.conjugate_of < i
+                parts.append(f"{p.dimension}{'~' if second else ''}")
         else:
-            parts.append(_dim_mark(projs, i))
-            i += 1
+            parts.append("(" + " ⊕ ".join(str(p.dimension) for _, p in run) + ")")
     return f"{deco.degree} ≅ " + " ⊕ ".join(parts)
-
-
-def _dim_mark(projs, i):
-    p = projs[i]
-    mark = "~" if (p.conjugate_of is not None and p.conjugate_of < i) else ""
-    return f"{p.dimension}{mark}"
 
 
 def _appendix_line(p, index):

@@ -102,8 +102,6 @@ def _pollard_rho(n, max_steps):
     """A proper factor of the odd composite n; with ``max_steps``, in at most
     that many steps over all the polynomials x^2 + c tried, and
     ResourceLimit past them."""
-    if n % 2 == 0:
-        return 2
     steps = 0
     for c in range(1, 50):
         x = y = 2

@@ -189,8 +189,7 @@ def test_criterion_5_property_suite(name, gens):
             )
             want = int(n_r[p - 1]) if q == int(basis.transpose_of[p - 1]) + 1 else 0
             assert consts.c(p, q, 1) == want
-    if gens.degree <= 60:
-        assert consts.is_commutative() == dense_algebra_commutes(gens)
+    assert consts.is_commutative() == dense_algebra_commutes(gens)
 
     # Groebner idempotence + Buchberger criterion on the d=1 system
     gb = groebner_basis(_SplitState(basis, consts, SplitConfig()).d_system(1))

@@ -564,6 +564,20 @@ class TestVerifyCommand:
         assert code == 5
         assert "FAIL" in out
 
+    def test_other_suborbit_lengths_fail_exit_5(self, tmp_path, capsys):
+        """A reference of the same degree and rank whose suborbit lengths
+        differ fails on its lengths, and no projector is matched."""
+        path = petersen_file(tmp_path)
+        text = render_decomposition_text(split(petersen()))
+        ref = tmp_path / "reference"
+        ref.write_text(text.replace("Suborbit lengths: 1, 3, 6", "Suborbit lengths: 1, 6, 3"))
+        assert main(["verify", str(path), str(ref)]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["PASS  frame (degree, rank) agreement",
+                             "FAIL  suborbit lengths agreement"]
+        assert not any(" match" in line for line in lines)
+        assert lines[-1] == "verification: FAILED"
+
 
 # sha256 of the text report of every corpus action.  Reports are
 # byte-identical for the same input, so a change that moves any of these

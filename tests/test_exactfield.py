@@ -316,6 +316,24 @@ class TestToComplex:
         with pytest.raises(ValueError):
             fe(1).to_complex(10)
 
+    def test_cancellation_doubles_the_working_precision(self):
+        """p - q*sqrt(2) for the 31-digit Pell convergent p/q of sqrt(2)
+        below it is about -9.9e-32: its two terms, near 5e30, cancel in
+        about 200 bits, more than the first working precision holds, so the
+        enclosure is made only after that precision is doubled."""
+        p, q = 1, 1
+        while len(str(p)) < 31 or p * p - 2 * q * q != -1:
+            p, q = p + 2 * q, p + q
+        x = fe(p) - FE.term(q, 2)
+        with mpmath.workprec(2000):
+            value = p - q * mpmath.sqrt(2)
+            assert -1e-31 < value < -9.8e-32
+        for prec in (53, 128):
+            ball = x.to_complex(prec)
+            with mpmath.workprec(2000):
+                assert abs(ball.mid - value) <= ball.rad
+                assert 2 * ball.rad <= mpmath.mpf(2) ** (1 - prec) * abs(value)
+
 
 class TestRendering:
     def test_appendix_style(self):

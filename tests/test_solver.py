@@ -231,6 +231,35 @@ class TestNumericFallback:
             moved = SolutionPoint(off, pt.precision)
             assert solver._classify_point(moved, lex_basis, prec) == "reject"
 
+    def test_classify_point_near_a_root_asks_for_more_precision(self):
+        """A residual ball that excludes zero decides 'reject' only when its
+        midpoint lies more than 2^24 radii from zero; nearer, the point is
+        'ambiguous', so the solver retries it at a higher precision."""
+        r, x = one_var()
+        residual = [x - Poly.const(r, Fraction(1, 3))]
+        prec = solver.DEFAULT_PRECISION
+        rad = mpmath.mpf(2) ** -100
+        with mpmath.workprec(prec + 40):
+            third = mpmath.mpf(1) / 3
+
+            def at(offset):
+                return SolutionPoint((ComplexBall(third + offset, rad),), prec)
+
+            assert solver._classify_point(at(0), residual, prec) == "ok"
+            assert solver._classify_point(at(2**10 * rad), residual, prec) == "ambiguous"
+            assert solver._classify_point(at(2**30 * rad), residual, prec) == "reject"
+
+    def test_dedupe_merges_two_enclosures_of_one_root(self):
+        """Two enclosures of 1/2 whose midpoints differ by 2^-40, far past
+        the 2^-64 tolerance at 128 bits, overlap by their radii: one root,
+        kept as first found.  A disjoint ball is another root."""
+        with mpmath.workprec(168):
+            half = mpmath.mpf(1) / 2
+            first = ComplexBall(half, mpmath.mpf(2) ** -39)
+            second = ComplexBall(half + mpmath.mpf(2) ** -40, mpmath.mpf(2) ** -39)
+            other = ComplexBall(mpmath.mpf(7) / 10, mpmath.mpf(2) ** -100)
+            assert solver._dedupe_balls([first, second, other], 128) == [first, other]
+
     def test_unrepresentable_quadratic_goes_numeric(self):
         # discriminant 1 + sqrt(2) has no tower square root
         r, x = one_var()

@@ -1,9 +1,11 @@
+import argparse
 import ast
 import dataclasses
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -310,6 +312,29 @@ def test_split_config_fields():
     from permsplit import SplitConfig
 
     assert [f.name for f in dataclasses.fields(SplitConfig)] == ["precision", "rank_cap"]
+
+
+def test_readme_synopsis_lists_the_cli_options():
+    """Each ``permsplit analyze/split/verify`` line of the README's command
+    line synopsis, with its continuation lines, names exactly the options
+    that the parser defines for that subcommand, besides -h/--help."""
+    from permsplit.cli import _build_parser
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    listed = {}
+    for line in synopsis.strip().splitlines():
+        if line.startswith("permsplit "):
+            options = listed.setdefault(line.split()[1], set())
+        options.update(re.findall(r"--[a-z-]+", line))
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert listed == defined
 
 
 def _load_benchmark_module(name):

@@ -410,6 +410,31 @@ class TestFailingCertificateLines:
         ]
 
 
+    def test_numeric_witness_is_its_midpoint(self):
+        """C5's B[1] with the numeric coefficient of A2 moved by 1/1000 fails
+        on enclosures: each witness is a ball, printed as ``~`` and its
+        midpoint as a Python complex."""
+        _, consts, deco = corpus_with_constants("C5_natural", cyclic(5))
+        coefficients = list(deco.projectors[0].coefficients)
+        assert isinstance(coefficients[1], ComplexBall)
+        with mpmath.workprec(128):
+            coefficients[1] = coefficients[1] + ComplexBall(mpmath.mpf(1) / 1000)
+        lines = verify_family_algebraic(consts, _replaced(deco, 0, coefficients)).lines()
+        assert lines[0] == (
+            "FAIL  idempotency B[1] (d=1)  "
+            "[r=1: ~(-0.00032360679774997897+0.00023511410091698926j)]"
+        )
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split("  [")[0] for line in failed] == [
+            "FAIL  idempotency B[1] (d=1)",
+            *(f"FAIL  orthogonality B[1]*B[{j}]" for j in range(2, 6)),
+            *(f"FAIL  orthogonality B[{i}]*B[1]" for i in range(2, 6)),
+            "FAIL  completeness sum(B) = A1",
+            "FAIL  primitivity B[1]",
+        ]
+        assert all(" ~(" in line and line.endswith("j)]") for line in failed)
+
+
 class TestBatchedCertificate:
     """An exact family's squares and traces are two integer contractions,
     compared with the family in integers."""
