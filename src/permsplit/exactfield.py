@@ -20,9 +20,9 @@ positive ``int`` den.  The canonical form has square-free keys, no zero
 numerator and gcd(den, all numerators) = 1, with zero as ({}, 1), so
 equality is structural.  Arithmetic runs on Python ints and reduces each
 result with one gcd.  ``Rational`` (the standard library Fraction) appears
-only at the public boundary: the constructor ``FieldElement({rad:
-rational})``, ``from_rational``, ``rational_value`` and the read-only
-``terms`` view; other modules read the integers through ``coefficient``
+only at the boundary: the constructor ``FieldElement({rad: rational})``,
+``from_rational``, ``rational_value``, the read-only ``terms`` view and a
+ball's radius; other modules read the integers through ``coefficient``
 and ``radicands``, or hold vectors as integer-array elements, which this
 module alone encodes, multiplies, combines, compares and decodes.
 
@@ -41,6 +41,7 @@ from types import MappingProxyType
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_rational, mpc_abs, to_rational
 
 from .errors import UNREPRESENTABLE, ParseError, ResourceLimit
 
@@ -647,8 +648,9 @@ def _contract_exact(tensor, t_sum, elements, pairs):
     (D_i D_j, rads, S, big), rads the sorted union of 1, the radicands and
     those their products reach, big the batch's bound.  With A_i over the
     union of the radicands, S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v]
-    is two matmuls over the batch, on T restricted to the supports past
-    ``DENSE_PRODUCT_ENTRIES`` entries; a third folds the radicand pairs by
+    is two matmuls over the batch, the first once per distinct left element,
+    on T restricted to the supports past ``DENSE_PRODUCT_ENTRIES`` entries;
+    a third folds the radicand pairs by
     ``_fold``'s matrix F.  It is int64 when max|A_i|, max|A_j| and their
     product times ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) times the
     largest column sum of |F| are below 2^63 over the batch, Python ints
@@ -661,8 +663,9 @@ def _contract_exact(tensor, t_sum, elements, pairs):
     if not n:
         return []
     left, right = map(list, zip(*pairs))
-    a = np.array([arrays[i] for i in left])  # n x P x U
-    b = a if right == left else np.array([arrays[j] for j in right])
+    rows = {i: r for r, i in enumerate(dict.fromkeys(left))}  # each left meets T once
+    a = np.array([arrays[i] for i in rows])  # n' x P x U
+    b = a if right == list(rows) else np.array([arrays[j] for j in right])
     if tensor.size > DENSE_PRODUCT_ENTRIES:
         used_a = a.any(axis=(0, 2))
         used_b = used_a if b is a else b.any(axis=(0, 2))
@@ -675,7 +678,9 @@ def _contract_exact(tensor, t_sum, elements, pairs):
     a, b, fold = (x.astype(dtype, copy=False) for x in (a, b, fold))
     p_len, q_len = tensor.shape[:2]
     tensor = tensor.astype(dtype, copy=False).reshape(p_len, q_len * k_len)
-    first = (a.transpose(0, 2, 1) @ tensor).reshape(n, u_len, q_len, k_len)
+    first = (a.transpose(0, 2, 1) @ tensor).reshape(len(rows), u_len, q_len, k_len)
+    if len(rows) < n:
+        first = first[[rows[i] for i in left]]
     s = first.transpose(0, 3, 1, 2) @ b[:, None]  # n x K x U x U
     out = s.reshape(n, k_len, u_len * u_len) @ fold
     return [(elements[i][0] * elements[j][0], rads, x, big) for (i, j), x in zip(pairs, out)]
@@ -772,8 +777,9 @@ class ComplexBall:
     """Midpoint-radius complex enclosure on top of mpmath.
 
     Arithmetic is outward-padded by a few ulps of the current working
-    precision, which keeps the enclosures honest for the verification jobs
-    here (residual checks against tolerances far above 2^-prec).
+    precision, which keeps the solver's enclosures honest (residual checks
+    against tolerances far above 2^-prec); products in the algebra read a
+    ball as its exact midpoint and radius instead (``_midpoint``).
     """
 
     __slots__ = ("mid", "rad")
@@ -797,15 +803,6 @@ class ComplexBall:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return ComplexBall(-self.mid, self.rad)
-
-    def __sub__(self, other):
-        return self + (-as_ball(other))
-
-    def __rsub__(self, other):
-        return as_ball(other) + (-self)
-
     def __mul__(self, other):
         other = as_ball(other)
         mid = self.mid * other.mid
@@ -828,15 +825,43 @@ class ComplexBall:
 
 def as_ball(x, precision=None):
     """``x`` as a ComplexBall: a ball as is, a FieldElement as its enclosure at
-    ``precision`` bits (None: the current working precision), a rational or
-    complex number as an exact midpoint."""
+    ``precision`` bits (None: the current working precision)."""
     if isinstance(x, ComplexBall):
         return x
+    return x.to_complex(mpmath.mp.prec if precision is None else precision)
+
+
+# -- balls as exact midpoints over the radicands 1 and -1 (an mpf is dyadic) --------
+
+
+def _midpoint(x):
+    """The exact midpoint of the ComplexBall x; x itself for a FieldElement."""
     if isinstance(x, FieldElement):
-        return x.to_complex(mpmath.mp.prec if precision is None else precision)
-    if isinstance(x, Fraction):
-        return ComplexBall(mpmath.mpf(x.numerator) / x.denominator, 0)
-    return ComplexBall(x, 0)
+        return x
+    re, im = (Fraction(*to_rational(part)) for part in x.mid._mpc_)
+    return FieldElement({1: re, -1: im})
+
+
+def _radius(x):
+    """The radius of the ComplexBall x, a Fraction; 0 for a FieldElement."""
+    return Fraction(*to_rational(x.rad._mpf_)) if isinstance(x, ComplexBall) else Fraction(0)
+
+
+def _magnitude(x):
+    """An upper bound on |x| for a FieldElement x, within a relative 2^-50,
+    as a rational FieldElement."""
+    ball = x.to_complex(53)
+    size = Fraction(*to_rational(mpc_abs(ball.mid._mpc_, 53, "u")))
+    return FieldElement.from_rational(size + _radius(ball))
+
+
+def _ball(mid, rad, precision):
+    """mid's enclosure at ``precision`` bits widened by the Fraction ``rad``,
+    the radius rounded up to 53 bits."""
+    ball = mid.to_complex(precision)
+    rad += _radius(ball)
+    ball.rad = mpmath.mp.make_mpf(from_rational(rad.numerator, rad.denominator, 53, "u"))
+    return ball
 
 
 # -- rendering and parsing ------------------------------------------------------

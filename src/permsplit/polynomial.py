@@ -164,8 +164,6 @@ class Poly:
                     out[m] = s
         return Poly(self.ring, out, _canonical=True)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly(
             self.ring, {m: -c for m, c in self.terms.items()}, _canonical=True
@@ -193,8 +191,6 @@ class Poly:
             {m: c for m, c in out.items() if not c.is_zero()},
             _canonical=True,
         )
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:

@@ -30,10 +30,10 @@ loop finds their projectors.
 The dimension loop runs only when the exact projectors sum to less than N.
 It starts from the orthogonality forms of their sum S and tries
 d = 1, 2, ... in turn.  The system of d lives in x_1..x_R, the coordinates
-of the rest of the split X = sum x_r A_r, and is read off products in the
-algebra: ``algebra_product`` on the variables as polynomials gives the
-coordinates of X·X - X (the idempotency polynomials) and the nonzero
-coordinates of S·X and X·S (the forms of S).  The linear generator
+of the rest of the split X = sum x_r A_r: the idempotency polynomials,
+the coordinates of X·X - X, are read off the structure constants, and the
+forms of S, the nonzero coordinates of S·X and X·S, off the products S·A_q
+and A_q·S, one batch of ``verify._contract`` per side.  The linear generator
 x_1 - d/N joins them (the trace pins the coefficient of the identity basis
 matrix), so every solution carries b_1 = d/N exactly as its first
 coordinate.  Its Groebner basis decides: inconsistent (advance d),
@@ -66,6 +66,7 @@ occur in exact arithmetic and raises InvariantViolation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,7 +103,9 @@ from .solver import (
 )
 from .verify import (
     DEFAULT_MATRIX_CAP,
+    _basis_vector,
     _coefficient_sum,
+    _contract,
     _vanishes,
     algebra_product,
 )
@@ -203,26 +206,33 @@ class SplitEvent:
     extracted: int = 0
 
 
-def _variables(rank):
-    """The coordinates x_1..x_R of an unknown X, as polynomials."""
-    ring = Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
-    return [Poly.variable(ring, i) for i in range(rank)]
+def _ring(rank):
+    """The ring of the coordinates x_1..x_R of an unknown X."""
+    return Ring(tuple(f"x{i}" for i in range(1, rank + 1)), "degrevlex")
 
 
 def build_idempotency_system(consts: StructureConstants):
-    """The coordinates of X·X - X over x_1..x_R: E_r = sum_pq C_pq^r x_p x_q - x_r."""
-    x = _variables(consts.rank)
-    return [s - v for s, v in zip(algebra_product(consts, x, x), x)]
+    """The coordinates of X·X - X over x_1..x_R: E_r = sum_pq C_pq^r x_p x_q - x_r,
+    one term per nonzero structure constant."""
+    c, ring, eye = consts.tensor, _ring(consts.rank), np.eye(consts.rank, dtype=np.int64)
+    terms = [Counter() for _ in range(consts.rank)]
+    for r, p, q in zip(*np.nonzero(c.transpose(2, 0, 1))):
+        terms[r][tuple((eye[p] + eye[q]).tolist())] += int(c[p, q, r])
+    return [Poly(ring, at_r) - Poly.variable(ring, r) for r, at_r in enumerate(terms)]
 
 
 def _orthogonality_forms(consts, coeffs, side):
-    """The nonzero coordinates of B·X (side="left") or X·B (side="right"),
-    linear forms in x_1..x_R."""
+    """The nonzero coordinates of B·X (side="left") or X·B (side="right"), linear
+    forms in x_1..x_R whose coefficients are one batch of products B·A_q (A_q·B)."""
     if not all(isinstance(c, FieldElement) for c in coeffs):
         raise ValueError("orthogonality forms need exact coefficients")
-    x = _variables(consts.rank)
-    pair = (coeffs, x) if side == "left" else (x, coeffs)
-    return [form for form in algebra_product(consts, *pair) if not form.is_zero()]
+    rank, ring = consts.rank, _ring(consts.rank)
+    vectors = [coeffs] + [_basis_vector(rank, q) for q in range(rank)]
+    pairs = [(0, q) if side == "left" else (q, 0) for q in range(1, rank + 1)]
+    columns = _contract(consts.tensor, consts.product_bound, vectors, pairs, DEFAULT_PRECISION)
+    monos = [tuple(row) for row in np.eye(rank, dtype=int).tolist()]
+    forms = (Poly(ring, dict(zip(monos, row))) for row in zip(*columns))
+    return [form for form in forms if not form.is_zero()]
 
 
 def build_orthogonality_system(consts: StructureConstants, coeffs):

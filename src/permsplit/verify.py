@@ -3,23 +3,19 @@ in the centralizer algebra that it rests on.
 
 Every product of coefficient vectors in the ordered orbital basis is one
 contraction, ``_contract``: for a batch of pairs (a, b), out[k] =
-sum_pq a_p b_q T[p, q, k] for an integer tensor T.  ``algebra_product`` is
-a batch of one with the structure constants (in the matrix route, with the
-tensor read off the label matrix), and ``primitivity_traces`` contracts
+sum_pq a_p b_q T[p, q, k] for an integer tensor T >= 0.  ``algebra_product``
+is a batch of one with the structure constants (in the matrix route, with
+the tensor read off the label matrix), and ``primitivity_traces`` contracts
 with the form T[p, s] = sum_qr C_pq^r C_rs^q
 (``StructureConstants.trace_form``, built once per constants object).
-``_contract`` owns every kind of entry.  When every entry of the batch is
-an exact FieldElement over the tower, each vector becomes an element of
-``exactfield`` (one denominator and an integer array, ``_encode``), and
-the whole batch is contracted with T in matmuls by
-``exactfield._contract_exact``, the kernel that the splitter's linear
-route calls on its own elements; int64 where a bound over the batch shows
-nothing can overflow, Python ints otherwise.  Polys, whose products are the
-splitter's systems, and ComplexBalls go through a loop over the nonzero
-entries of T; there every entry is lifted to a ball (``_lifted``) as soon
-as one is a ball, so a numeric coordinate yields a certified enclosure.
-The zero test ``_vanishes`` decides FieldElements exactly and balls by
-enclosure.
+``_contract`` has one path: the midpoints of the vectors (a FieldElement is
+its own, a ComplexBall's is an exact dyadic one) become elements of
+``exactfield`` (``_encode``), and the batch is contracted in matmuls by
+``exactfield._contract_exact``, the kernel that the splitter's linear route
+calls on its own elements.  A product with a ball is an enclosure of that
+exact product, its radius one more contraction in the same kernel, so no
+entry is multiplied on its own.  The zero test ``_vanishes`` decides
+FieldElements exactly and balls by enclosure.
 
 Two routes.  The algebraic route works on the structure constants alone:
 idempotency, orthogonality, completeness, trace integrality and
@@ -33,10 +29,10 @@ family's squares are one contraction and its primitivity traces another,
 compared with the family in integers (``exactfield._differing``): with
 e = A / D, e e = S / D^2, so e is idempotent when S = D A and primitive
 when its trace is D^2.  Only a projector that fails is decoded into
-FieldElements, for its witness; a family with a ComplexBall is checked
-projector by projector on its enclosures.  The matrix route certifies the
-same family against the actual generators: it checks
-the orbital basis itself on the N x N orbital label matrix (invariance
+FieldElements, for its witness; a family with a ComplexBall has its
+squares, its traces and its pairs made as one batch of enclosures each.
+The matrix route certifies the same family against the actual generators:
+it checks the orbital basis itself on the N x N orbital label matrix (invariance
 under every generator, A_1 = I, and closure of the products with a tensor
 T it reads off the matrix, independent of the splitter's), then runs the
 algebraic route on T.  One certificate serves both routes: the splitter's
@@ -48,14 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-import mpmath
 import numpy as np
 
 from .centralizer import OrbitalBasis, StructureConstants
 from .errors import MatrixCapExceeded
 from .exactfield import (
-    ComplexBall, FieldElement, _contract_exact, _decoded, _differing, _encode, _summed,
-    as_ball, render_field_element,
+    ComplexBall, FieldElement, _ball, _contract_exact, _decoded, _differing, _encode,
+    _magnitude, _midpoint, _radius, _summed, render_field_element,
 )
 from .perms import GeneratorSet, orbit_with_tree
 from .solver import DEFAULT_PRECISION
@@ -81,68 +76,37 @@ _UNIT = _encode([[FieldElement.one()]])[0]  # what an exact trace must be
 # -- products in the centralizer algebra ---------------------------------------
 
 
-def _lifted(values, precision):
-    """``values`` as they are unless one is a ComplexBall; else every one as a
-    ball at ``precision``, so that exact and enclosed entries meet in one
-    loop.  Entries that are not balls (FieldElements, or the polynomials of
-    the splitter's systems) pass through together."""
-    if not any(isinstance(x, ComplexBall) for x in values):
-        return list(values)
-    return [as_ball(x, precision) for x in values]
-
-
-def _support(vec):
-    """Indices of the entries of vec that are not exact zeros."""
-    return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
-
-
 def _contract(tensor, t_sum, vectors, pairs, precision):
-    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T, with
-    a = vectors[i] and b = vectors[j] for each (i, j) in ``pairs``: the one
-    product of coefficient vectors.
+    """out[k] = sum_pq a_p b_q T[p, q, k] for an integer array T >= 0, with
+    a = vectors[i] and b = vectors[j] for each (i, j) in ``pairs``.
 
-    When every entry is a FieldElement the whole batch is one integer
-    contraction (``_contract_exact``, with T's bound ``t_sum``) and no entry
-    is multiplied on its own.  Otherwise each pair goes through
-    ``_contract_entries``.
+    The midpoints a', b' are contracted in one exact batch (with T's bound
+    ``t_sum``), decoded as they are for a pair without a ball.  A pair with
+    one yields enclosures of a'b' (at ``precision`` bits, ``_ball``) with
+    the radius K(|a'| + rho_a, |b'| + rho_b) - K(|a'|, |b'|) in the same
+    kernel K, on upper bounds of the moduli (``_magnitude``) and the radii:
+    sum_pq T (|a'| rho_b + rho_a |b'| + rho_a rho_b) by bilinearity, which
+    bounds |ab - a'b'| for a, b in the balls since T >= 0.
     """
-    if all(isinstance(x, FieldElement) for vec in vectors for x in vec):
-        return [_decoded(x) for x in _contract_exact(tensor, t_sum, _encode(vectors), pairs)]
-    return [_contract_entries(tensor, vectors[i], vectors[j], precision) for i, j in pairs]
-
-
-def _contract_entries(tensor, a, b, precision):
-    """One product as a loop over the nonzero T[p, q, k] on the exact
-    supports of a and b, for the polynomials of the splitter's systems and
-    for ComplexBalls, which lift every entry to a ball so the result is an
-    enclosure.  It sums b_q T[p, q, k] over q before it meets a_p, so each
-    a_p is multiplied once per k it reaches."""
-    out = [FieldElement.zero()] * tensor.shape[2]
-    with mpmath.workprec(precision + 40):
-        lifted = _lifted((*a, *b), precision)
-        la, lb = lifted[: len(a)], lifted[len(a) :]
-        support_b = _support(b)
-        vb = [lb[q] for q in support_b]
-        for p in _support(a):
-            block = tensor[p, support_b]
-            qs, ks = np.nonzero(block)
-            inner = {}
-            for q, k, c in zip(qs.tolist(), ks.tolist(), block[qs, ks].tolist()):
-                term = vb[q] if c == 1 else vb[q] * c
-                inner[k] = inner[k] + term if k in inner else term
-            for k, s in inner.items():
-                out[k] = out[k] + la[p] * s
-    return out
+    mids = [[_midpoint(x) for x in vec] for vec in vectors]
+    products = [_decoded(x) for x in _contract_exact(tensor, t_sum, _encode(mids), pairs)]
+    balls = [any(isinstance(x, ComplexBall) for x in vec) for vec in vectors]
+    numeric = [n for n, (i, j) in enumerate(pairs) if balls[i] or balls[j]]
+    if not numeric:
+        return products
+    sizes = [[_magnitude(m) for m in vec] for vec in mids]
+    widths = [[s + _radius(x) for s, x in zip(size, vec)] for size, vec in zip(sizes, vectors)]
+    outer = [(i + h, j + h) for h in (0, len(vectors)) for i, j in (pairs[n] for n in numeric)]
+    bounds = [_decoded(x) for x in _contract_exact(tensor, t_sum, _encode(widths + sizes), outer)]
+    for n, wide, narrow in zip(numeric, bounds, bounds[len(numeric) :]):
+        radii = ((w - s).rational_value() for w, s in zip(wide, narrow))
+        products[n] = [_ball(m, r, precision) for m, r in zip(products[n], radii)]
+    return products
 
 
 def algebra_product(consts: StructureConstants, a, b, precision=DEFAULT_PRECISION):
-    """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis.
-
-    Exact when both vectors are exact.  Entries may also be polynomials, so
-    the coordinates of a product with unknowns are polynomials (the
-    splitter's systems).  When an entry is a ComplexBall every entry is
-    lifted to a ball and the product is an enclosure.
-    """
+    """Coefficients of (sum a_p A_p)(sum b_q A_q) in the basis: exact when
+    both vectors are exact, enclosures when an entry is a ComplexBall."""
     return _contract(consts.tensor, consts.product_bound, [a, b], [(0, 1)], precision)[0]
 
 
@@ -151,15 +115,16 @@ def _first_nonzero(vec, reference=None, precision=DEFAULT_PRECISION):
     None when every component vanishes.
 
     Exact for FieldElements, by enclosure for balls (a ball is zero when it
-    contains zero).  ``reference`` supplies the expected values to subtract.
+    contains zero): a difference with a ball is that of the midpoints,
+    widened by the radii.  ``reference`` supplies the values to subtract.
     """
-    with mpmath.workprec(precision + 40):
-        for r, v in enumerate(vec, start=1):
-            if reference is not None:
-                v, want = _lifted((v, reference[r - 1]), precision)
-                v = v - want
-            if not (v.contains_zero() if isinstance(v, ComplexBall) else v.is_zero()):
-                return r, v
+    for r, v in enumerate(vec, start=1):
+        if reference is not None:
+            want = reference[r - 1]
+            diff, rad = _midpoint(v) - _midpoint(want), _radius(v) + _radius(want)
+            v = diff if ComplexBall not in (type(v), type(want)) else _ball(diff, rad, precision)
+        if not (v.contains_zero() if isinstance(v, ComplexBall) else v.is_zero()):
+            return r, v
     return None
 
 
@@ -189,9 +154,8 @@ def primitivity_traces(consts: StructureConstants, vectors, precision=DEFAULT_PR
 def is_unit_trace(trace):
     """The trace certifies primitivity: exactly 1, or a ball of width below 1
     around 1 (the true value is an integer)."""
-    if isinstance(trace, FieldElement):
-        return trace == FieldElement.one()
-    return (trace - 1).contains_zero() and trace.width() < 1
+    exact = isinstance(trace, FieldElement)
+    return _vanishes([trace], [FieldElement.one()]) and (exact or trace.width() < 1)
 
 
 # -- reports and the algebraic route ---------------------------------------------------
@@ -327,12 +291,12 @@ def _values_to_compare(consts, projectors, exact, precision):
     ComplexBall, and the empty family, yield every value.
     """
     vectors = [p.coefficients for p in projectors]
-    if not (vectors and exact):
-        squares = {i: algebra_product(consts, e, e, precision) for i, e in enumerate(vectors)}
-        traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
-        return squares, traces, _coefficient_sum(projectors, consts.rank, precision)
-    elements = _encode(vectors)
     pairs = [(i, i) for i in range(len(vectors))]
+    if not (vectors and exact):
+        squares = _contract(consts.tensor, consts.product_bound, vectors, pairs, precision)
+        traces = dict(enumerate(primitivity_traces(consts, vectors, precision)))
+        return dict(enumerate(squares)), traces, _coefficient_sum(projectors, consts.rank, precision)
+    elements = _encode(vectors)
     squared = _contract_exact(consts.tensor, consts.product_bound, elements, pairs)
     traced = _contract_exact(consts.trace_form[:, :, None], consts.trace_bound, elements, pairs)
     squares = {i: _decoded(squared[i]) for i in _differing(squared, elements)}
@@ -343,17 +307,15 @@ def _values_to_compare(consts, projectors, exact, precision):
 
 def _pair_witnesses(consts, projectors, pairs, precision):
     """The witness of B[i]*B[j] = 0 for each ordered pair (i, j), by
-    multiplying; in a commutative algebra B_j*B_i = B_i*B_j, so each
-    unordered pair is multiplied once."""
+    multiplying them all in one batch; in a commutative algebra
+    B_j*B_i = B_i*B_j, so each unordered pair is multiplied once."""
     commutative = consts.is_commutative()
-    witnesses = {}
-    for i, j in pairs:
-        key = (min(i, j), max(i, j)) if commutative else (i, j)
-        if key not in witnesses:
-            a, b = (projectors[m].coefficients for m in key)
-            witnesses[key] = _witness(algebra_product(consts, a, b, precision), precision=precision)
-        witnesses[i, j] = witnesses[key]
-    return witnesses
+    key = {(i, j): (min(i, j), max(i, j)) if commutative else (i, j) for i, j in pairs}
+    keys = list(dict.fromkeys(key.values()))
+    vectors = [p.coefficients for p in projectors]
+    products = _contract(consts.tensor, consts.product_bound, vectors, keys, precision)
+    witnesses = {k: _witness(product, precision=precision) for k, product in zip(keys, products)}
+    return {pair: witnesses[k] for pair, k in key.items()}
 
 
 def _render(x):
@@ -369,13 +331,12 @@ def _basis_vector(rank, r):
 
 
 def _coefficient_sum(projectors, rank, precision):
-    """Coefficients of sum_m B[m]; exact when every coefficient is exact."""
-    total = [FieldElement.zero()] * rank
-    with mpmath.workprec(precision + 40):
-        lifted = _lifted([c for p in projectors for c in p.coefficients], precision)
-        for m in range(0, len(lifted), rank):
-            total = [a + c for a, c in zip(total, lifted[m : m + rank])]
-    return total
+    """Coefficients of sum_m B[m]; exact when every coefficient is exact, else
+    the sums of the midpoints widened by those of the radii."""
+    cols = [[p.coefficients[r] for p in projectors] for r in range(rank)]
+    mids = [sum(map(_midpoint, col), FieldElement.zero()) for col in cols]
+    exact = all(p.exact for p in projectors)
+    return [m if exact else _ball(m, sum(map(_radius, c)), precision) for m, c in zip(mids, cols)]
 
 
 # -- matrix-level checks -----------------------------------------------------------

@@ -344,28 +344,36 @@ def orthogonality_forms_by_definition(consts, coeffs, side):
 def algebra_product_by_definition(consts, a, b, precision=None):
     """Coefficients of (sum a_p A_p)(sum b_q A_q), one product a_p b_q per
     pair of the supports and one structure constant at a time: the triple
-    loop the library's contraction kernel replaced, kept as its reference."""
+    loop the library's contraction kernel replaced, kept as its reference.
+    When an entry is a ComplexBall every entry is lifted to a ball at
+    ``precision`` bits and the loop runs in ball arithmetic, so the reference
+    shares nothing with the library's midpoint-radius products."""
     import mpmath
 
-    from permsplit.exactfield import FieldElement
+    from permsplit.exactfield import ComplexBall, FieldElement, as_ball
     from permsplit.solver import DEFAULT_PRECISION
-    from permsplit.verify import _lifted, _support
 
     precision = DEFAULT_PRECISION if precision is None else precision
     rank = consts.rank
     with mpmath.workprec(precision + 40):
-        lifted = _lifted((*a, *b), precision)
-        la, lb = lifted[: len(a)], lifted[len(a) :]
+        entries = (*a, *b)
+        if any(isinstance(x, ComplexBall) for x in entries):
+            entries = [as_ball(x, precision) for x in entries]
+        la, lb = entries[: len(a)], entries[len(a) :]
         out = [FieldElement.zero()] * rank
-        support_b = _support(b)
-        for p in _support(a):
+
+        def support(vec):
+            return [i for i, x in enumerate(vec) if not (isinstance(x, FieldElement) and x.is_zero())]
+
+        support_b = support(b)
+        for p in support(a):
             for q in support_b:
                 ab = la[p] * lb[q]
                 col = consts.tensor[p, q]
                 for r in range(rank):
                     c = int(col[r])
                     if c:
-                        out[r] = out[r] + ab * c
+                        out[r] = out[r] + ab * FieldElement.from_rational(c)
         return out
 
 

@@ -2,6 +2,7 @@ from collections import Counter
 import copy
 import dataclasses
 import functools
+import hashlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from permsplit.verify import (
     _coefficient_sum,
     _vanishes,
     algebra_product,
+    is_unit_trace,
     orbital_label_matrix,
     primitivity_traces,
     tensor_from_label_matrix,
@@ -116,18 +118,20 @@ def _tweak(deco, m, r, delta=Fraction(1, 7), flip=False):
 
 
 def _count_products(monkeypatch):
-    """A list that gains one entry per ``algebra_product`` call the
-    verifier makes."""
+    """A list that gains one entry per product of two vectors the verifier
+    makes: per pair of a ``_contract`` batch with a product tensor (a trace
+    form has one output coordinate)."""
     import permsplit.verify as verify_module
 
     calls = []
-    real = verify_module.algebra_product
+    real = verify_module._contract
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(tensor, t_sum, vectors, pairs, precision):
+        if tensor.shape[2] > 1:
+            calls.extend(1 for _ in pairs)
+        return real(tensor, t_sum, vectors, pairs, precision)
 
-    monkeypatch.setattr(verify_module, "algebra_product", counted)
+    monkeypatch.setattr(verify_module, "_contract", counted)
     return calls
 
 
@@ -1073,3 +1077,120 @@ def test_exact_products_multiply_no_entries(name, monkeypatch):
     monkeypatch.undo()
     assert products[0] == algebra_product_by_definition(consts, vectors[0], vectors[0])
     assert all(t == FE.one() for t in traces)
+
+
+# radii of the balls around exact vectors: none, tiny, or up to 2^-20
+_radii = st.one_of(st.just(Fraction(0)), st.integers(20, 200).map(lambda e: Fraction(1, 1 << e)))
+# entries of positive rational vectors: with T >= 0 their products add up
+# with no cancellation, so moving every midpoint toward zero by its radius
+# makes the radius bound tight
+_positive = st.fractions(min_value=0, max_value=5, max_denominator=7).map(FE.from_rational)
+
+
+@st.composite
+def balls_around(draw, exact):
+    """Balls that hold the entries of the exact vector ``exact``: each
+    entry's 300-bit enclosure, its midpoint moved by a drawn radius
+    rho <= 2^-20 in one drawn direction for the whole vector (toward zero,
+    away from it, turned by i, or not at all), and its radius grown by rho
+    (with a margin of rho 2^-500 for the rounding of the move)."""
+    move = draw(st.sampled_from([-1, 1, 1j, 0]))
+    out = []
+    with mpmath.workprec(600):
+        for x in exact:
+            rho = draw(_radii)
+            c = as_ball(x, 300)
+            unit = c.mid / abs(c.mid) if c.mid else 1
+            step = mpmath.mpf(rho.numerator) / rho.denominator
+            out.append(ComplexBall(c.mid + move * unit * step, c.rad + step * (1 + mpmath.mpf(2) ** -500)))
+    return out
+
+
+@given(st.sampled_from(sorted(KERNEL_ACTIONS)), st.sampled_from([53, 128, 300]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ball_products_enclose_the_exact_ones(name, precision, data):
+    """The radius term of a product with balls: for exact a and b and balls
+    around them, ``algebra_product`` and ``primitivity_traces`` of the balls
+    enclose the exact product and trace, whether the midpoints moved by the
+    whole radius, the radii are 0 (the midpoints alone carry the error) or
+    one side is exact."""
+    consts = _kernel_constants(name)
+    vectors = st.one_of(
+        tower_vectors(consts.rank),
+        st.lists(_positive, min_size=consts.rank, max_size=consts.rank),
+    )
+    a, b = data.draw(vectors), data.draw(vectors)
+    ball_a, ball_b = data.draw(balls_around(a)), data.draw(balls_around(b))
+    want = algebra_product(consts, a, b)
+    for left, right in ((ball_a, ball_b), (ball_a, b), (a, ball_b)):
+        got = algebra_product(consts, left, right, precision)
+        assert all(_encloses(g, w) for g, w in zip(got, want))
+    (trace,), (exact_trace,) = primitivity_traces(consts, [ball_a], precision), primitivity_traces(consts, [a])
+    assert _encloses(trace, exact_trace)
+
+
+@pytest.mark.parametrize("precision", [53, 128, 300])
+@pytest.mark.parametrize("name", sorted(KERNEL_ACTIONS))
+def test_ball_products_at_the_edge(name, precision):
+    """Two balls that need every part of the radius: around the all-ones
+    vector, midpoints 1 - rho with radius rho = 2^-20, so the exact product
+    lies on the bound sum_pq T (|a'| rho + rho |a'| + rho^2) itself; and
+    around 1/3 in every entry, midpoints of 324 bits with a radius near
+    2^-300, so a midpoint read in fewer bits misses.  Products and traces
+    of the balls enclose the exact ones."""
+    consts = _kernel_constants(name)
+    rho = mpmath.mpf(2) ** -20
+    ones, third = [FE.one()] * consts.rank, [fe(Fraction(1, 3))] * consts.rank
+    edge, fine = [ComplexBall(1 - rho, rho)] * consts.rank, [as_ball(x, 300) for x in third]
+    for balls, exact in ((edge, ones), (fine, third)):
+        got = algebra_product(consts, balls, balls, precision)
+        assert all(_encloses(g, w) for g, w in zip(got, algebra_product(consts, exact, exact)))
+        (trace,), (want,) = primitivity_traces(consts, [balls], precision), primitivity_traces(consts, [exact])
+        assert _encloses(trace, want)
+
+
+def test_numeric_family_multiplies_no_balls(monkeypatch):
+    """C7 natural keeps numeric projectors; their products, primitivity
+    traces and certificate read each ball as an exact midpoint plus a
+    radius, so no ComplexBall is ever multiplied: the loop over entries in
+    ball arithmetic cannot come back."""
+    _, consts, deco = corpus_with_constants("C7_natural", cyclic(7))
+    assert not deco.exact_only()
+    vectors = [p.coefficients for p in deco.projectors]
+    calls = []
+    real = ComplexBall.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ComplexBall, "__mul__", counted)
+    monkeypatch.setattr(ComplexBall, "__rmul__", counted)
+    products = [algebra_product(consts, a, b) for a in vectors for b in vectors]
+    traces = primitivity_traces(consts, vectors)
+    report = verify_family_algebraic(consts, deco)
+    assert not calls
+    monkeypatch.undo()
+    assert any(isinstance(x, ComplexBall) for product in products for x in product)
+    assert all(is_unit_trace(t) for t in traces)
+    assert report.passed
+
+
+def test_affine_11_on_pairs_is_pinned():
+    """AGL(1,11) on the 55 2-subsets of F_11, the largest numeric family:
+    6 of its 10 projectors are exact, and the 4 of dimension 10 that the
+    dimension loop finds are enclosures, so its certificate multiplies every
+    pair.  Its decomposition, certificate and report are pinned.  Budget:
+    about 1.4 s on one Xeon core, the split with its certificate about 1 s
+    and the certificate again about 0.35 s; multiplied entry by entry in
+    ball arithmetic the same took about 11 s."""
+    gens = set_action(affine(11, 2), 11, 2)
+    basis, consts, deco = split_with_constants(gens)
+    text = render_decomposition_text(deco)
+    assert "Decomposition: 55 ≅ 1 ⊕ 1 ⊕ 1 ⊕ 1 ⊕ 1 ⊕ (10 ⊕ 10 ⊕ 10 ⊕ 10 ⊕ 10)" in text.splitlines()
+    assert sum(p.exact for p in deco.projectors) == 6 and len(deco.projectors) == 10
+    lines = verify_family_algebraic(consts, deco).lines()
+    assert len(lines) == 122 and all(line.startswith("PASS  ") for line in lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "34bfff6071cb66fdb2b87fdbdb0852963d80c3e57970ca2ff296a7b166c71f60"
+    )
