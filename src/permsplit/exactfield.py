@@ -596,31 +596,13 @@ def _widened(a, rads, cols):
     return wide
 
 
-def _fold(rads, scalars, cols=()):
-    """Multiplication by each of the S ``scalars`` ({radicand: int}) on arrays
-    over ``rads`` as one integer matrix: (cols, f, weight), with ``cols`` the
-    sorted union of ``cols`` and the radicands reached, f[u * S + i][m] the
-    coefficient of sqrt(cols[m]) in sqrt(rads[u]) scalars[i], and weight the
-    largest column sum of |f|."""
-    entries = {}
-    for u, r in enumerate(rads):
-        for i, scalar in enumerate(scalars):
-            for s, n in scalar.items():
-                g, m = _rad_mul(r, s)
-                key = u * len(scalars) + i, m
-                entries[key] = entries.get(key, 0) + g * n
-    cols = tuple(sorted(set(cols).union(m for _, m in entries)))
-    f = [[0] * len(cols) for _ in range(len(rads) * len(scalars))]
-    for (row, m), x in entries.items():
-        f[row][cols.index(m)] = x
-    return cols, f, max((sum(map(abs, col)) for col in zip(*f)), default=0)
-
-
 def _combination(terms):
     """sum_k c_k x_k, canonical, for pairs (c_k, x_k) of FieldElements and
     canonical elements of one length.  After scaling to the lcm of the
-    denominators, c_k x_k is one matmul with c_k's fold matrix, and the
-    bound of the sum adds those of the x_k times the matrices' weights."""
+    denominators, c_k x_k is one matmul with c_k's fold matrix, whose row u
+    is sum_v c_k[v] F[(u, v), :] with F ``_product_fold``'s table over the
+    union of the radicands of x_k and c_k, and the bound of the sum adds
+    those of the x_k times the matrices' weights."""
     length = len(terms[0][1][2])
     terms = [(c, x) for c, x in terms if c and x[1]]
     den = math.lcm(*(d * c._den for c, (d, *_) in terms))
@@ -629,8 +611,13 @@ def _combination(terms):
         scale = den // (d * c._den)
         if c.is_rational():  # the fold matrix is a multiple of the identity
             cols, f, weight = rads, c._num[1] * scale, abs(c._num[1] * scale)
-        else:
-            cols, f, weight = _fold(rads, [{s: n * scale for s, n in c._num.items()}])
+        else:  # in Python ints, as c's numerators may pass 2^63
+            union = tuple(sorted(set(rads).union(c._num)))
+            cols, table, _ = _product_fold(union)
+            scalar = np.array([c._num.get(s, 0) * scale for s in union], dtype=object)
+            f = (scalar @ table.reshape(len(union), len(union), len(cols))).tolist()
+            f = [f[union.index(r)] for r in rads]
+            weight = max(sum(map(abs, col)) for col in zip(*f))
         parts.append((cols, a, f))
         big += b * weight
     rads = tuple(sorted({r for cols, _, _ in parts for r in cols}))
@@ -650,10 +637,10 @@ def _contract_exact(tensor, t_sum, elements, pairs):
     union of the radicands, S[k, u, v] = sum_pq A_i[p, u] T[p, q, k] A_j[q, v]
     is two matmuls over the batch, the first once per distinct left element,
     on T restricted to the supports past ``DENSE_PRODUCT_ENTRIES`` entries;
-    a third folds the radicand pairs by
-    ``_fold``'s matrix F.  It is int64 when max|A_i|, max|A_j| and their
-    product times ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) times the
-    largest column sum of |F| are below 2^63 over the batch, Python ints
+    a third folds the radicand pairs by ``_product_fold``'s table F, the
+    field's multiplication table.  It is int64 when max|A_i|, max|A_j| and
+    their product times ``t_sum`` (at least max_k sum_pq |T[p, q, k]|) times
+    the largest column sum of |F| are below 2^63 over the batch, Python ints
     otherwise (T then holds R^3 references)."""
     rads_in = tuple(sorted(set().union(*(x[1] for x in elements))))
     arrays = [_widened(a, rads, rads_in) for _, rads, a, _ in elements]
@@ -688,10 +675,17 @@ def _contract_exact(tensor, t_sum, elements, pairs):
 
 @functools.lru_cache(maxsize=64)
 def _product_fold(rads):
-    """``_fold`` of the radicands' pairwise products, for the radicand sets
-    met last; its matrix is a read-only integer array, as callers share it."""
-    cols, f, weight = _fold(rads, [{r: 1} for r in rads], rads + (1,))
-    f = _integer_array(f).reshape(len(rads) ** 2, len(cols))
+    """The multiplication table of the radicands, read off the field's own
+    products: (cols, F, weight), with ``cols`` the sorted union of 1,
+    ``rads`` and the radicands reached, F[u * U + v][m] the coefficient of
+    sqrt(cols[m]) in sqrt(rads[u]) sqrt(rads[v]), and weight the largest
+    column sum of |F|.  It is cached for the radicand sets met last, and F
+    is a read-only integer array, as callers share it."""
+    products = [_make({r: 1}, 1) * _make({s: 1}, 1) for r in rads for s in rads]
+    cols = tuple(sorted(set(rads).union([1], *(p._num for p in products))))
+    f = [[p._num.get(m, 0) for m in cols] for p in products]
+    weight = max((sum(map(abs, col)) for col in zip(*f)), default=0)
+    f = _integer_array(f).reshape(len(products), len(cols))
     f.setflags(write=False)
     return cols, f, weight
 

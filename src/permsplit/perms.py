@@ -362,6 +362,8 @@ def _parse_gen_spec(spec, degree, lineno):
         raise ParseError(
             f"image list has {len(images)} entries, expected {degree}", lineno
         )
+    # Permutation._check repeats this range test, but only after np.asarray,
+    # which would raise an uncaught OverflowError on an image past int64
     if any(not 1 <= x <= degree for x in images):
         raise ParseError("point out of range in image list", lineno)
     try:

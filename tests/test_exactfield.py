@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,10 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permsplit import UNREPRESENTABLE, FieldElement, ResourceLimit, sqrt_if_nice
+from permsplit import (
+    UNREPRESENTABLE,
+    FieldElement,
+    ResourceLimit,
+    compute_orbitals,
+    compute_structure_constants,
+    exactfield,
+    sqrt_if_nice,
+)
 from permsplit.exactfield import (
     RHO_STEPS,
     _combination,
+    _contract_exact,
     _decoded,
     factorize,
     field_element_from_json,
@@ -21,7 +31,7 @@ from permsplit.exactfield import (
     squarefree_decompose,
 )
 
-from conftest import element
+from conftest import CORPUS, element
 
 FE = FieldElement
 
@@ -113,12 +123,12 @@ _coeff = st.fractions(
 
 
 @st.composite
-def field_elements(draw, max_terms=4):
+def field_elements(draw, max_terms=4, coeff=_coeff):
     nterms = draw(st.integers(0, max_terms))
     rads = draw(
         st.lists(st.sampled_from(_rad_pool), min_size=nterms, max_size=nterms, unique=True)
     )
-    coeffs = draw(st.lists(_coeff, min_size=nterms, max_size=nterms))
+    coeffs = draw(st.lists(coeff, min_size=nterms, max_size=nterms))
     return FE({r: c for r, c in zip(rads, coeffs)})
 
 
@@ -527,10 +537,12 @@ def test_array_arithmetic_matches_field_elements(rank, data):
     """c x through c's fold matrix, a + c b, one elimination step (the
     entry at a pivot of b cleared from a) and a scalar with a radicand that
     x does not use, which widens the array: each result is canonical and
-    equals the entry-by-entry FieldElement result."""
+    equals the entry-by-entry FieldElement result.  Some numerators of c
+    pass 2^63, so that its fold matrix is read off the table in Python ints
+    and the sum is an object array."""
     a = data.draw(tower_vectors(rank))
     b = data.draw(tower_vectors(rank))
-    c = data.draw(field_elements(max_terms=3))
+    c = data.draw(field_elements(max_terms=3, coeff=_vector_coeff))
     x, y = element(a), element(b)
     for vec, elem in ((a, x), (b, y)):
         _assert_canonical_element(elem, rank)
@@ -550,3 +562,69 @@ def test_array_arithmetic_matches_field_elements(rank, data):
     for got, want in cases:
         _assert_canonical_element(got, rank)
         assert _decoded(got) == want
+
+
+# -- a second field: Q(zeta_5) in the power basis ----------------------------
+
+
+def _zeta5_table(labels):
+    """The table of Q(zeta_5) over the powers zeta^u, u in ``labels`` (a
+    subset of 0..3), as ``_product_fold`` serves one: the columns are
+    1, zeta, zeta^2, zeta^3; zeta^5 = 1 and zeta^4 = -1 - zeta - zeta^2 -
+    zeta^3, so a row with u + v = 4 has four nonzeros."""
+    rows = []
+    for u in labels:
+        for v in labels:
+            w = (u + v) % 5
+            rows.append([-1] * 4 if w == 4 else [int(m == w) for m in range(4)])
+    f = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    return (0, 1, 2, 3), f, int(np.abs(f).sum(axis=0).max(initial=0))
+
+
+def _cyclotomic_product(a, b):
+    """a b in Z[x]/Phi_5 for coefficient lists of length 4, reduced by
+    x^d = -x^(d-1) - x^(d-2) - x^(d-3) - x^(d-4) from the top degree down."""
+    prod = [0] * 7
+    for u, x in enumerate(a):
+        for v, y in enumerate(b):
+            prod[u + v] += x * y
+    for d in (6, 5, 4):
+        top = prod.pop()
+        for e in range(d - 4, d):
+            prod[e] -= top
+    return prod
+
+
+@pytest.mark.parametrize("name", [name for name, gens in CORPUS if gens.degree <= 8])
+def test_contract_exact_multiplies_in_any_integer_table(monkeypatch, name):
+    """The kernel knows the field only through ``_product_fold``'s table:
+    served Q(zeta_5)'s power basis, it multiplies elements over subsets of
+    its labels (some entries past 2^63) in the algebra, entry by entry as
+    sum_pq T[p, q, k] A_i[p] A_j[q] in Z[x]/Phi_5, within its bound."""
+    gens = dict(CORPUS)[name]
+    consts = compute_structure_constants(gens, compute_orbitals(gens))
+    monkeypatch.setattr(exactfield, "_product_fold", _zeta5_table)
+    rng = random.Random(name)
+    elements = []
+    for i in range(4):
+        labels = tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
+        top = 2**70 if i == 1 else 2**20
+        rows = [[rng.randint(-top, top) for _ in labels] for _ in range(consts.rank)]
+        big = max(abs(x) for row in rows for x in row)
+        elements.append((rng.randint(1, 9), labels, exactfield._integer_array(rows), big))
+    # coefficient lists of length 4, one per position
+    dense = [[[dict(zip(labels, row)).get(u, 0) for u in range(4)] for row in a.tolist()]
+             for _, labels, a, _ in elements]
+    # the kernel picks int64 or Python ints per batch: element 1 is past 2^63
+    for pairs in ([(0, 0), (0, 2), (2, 3), (3, 3)], [(1, 3), (2, 1), (1, 1)]):
+        products = _contract_exact(consts.tensor, consts.product_bound, elements, pairs)
+        for (i, j), (den, rads, s, big) in zip(pairs, products):
+            a, b = dense[i], dense[j]
+            want = [[0] * 4 for _ in range(consts.rank)]
+            for p, q, k in zip(*np.nonzero(consts.tensor)):
+                t = int(consts.tensor[p, q, k])
+                want[k] = [w + t * x for w, x in zip(want[k], _cyclotomic_product(a[p], b[q]))]
+            assert (den, rads) == (elements[i][0] * elements[j][0], (0, 1, 2, 3))
+            assert s.tolist() == want
+            assert big >= max(abs(x) for row in want for x in row)
+            assert (s.dtype == np.int64) == (pairs[0] == (0, 0))

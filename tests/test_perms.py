@@ -52,6 +52,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 2"):
             parse_generator_text("degree 3\ngen (1,4)")
 
+    def test_image_past_int64_is_out_of_range(self):
+        # the parser's range pass keeps np.asarray from overflowing
+        with pytest.raises(ParseError, match="point out of range in image list") as err:
+            parse_generator_text("degree 2\ngen 1 100000000000000000000000000")
+        assert err.value.line == 2
+
     def test_repeated_image_in_list(self):
         with pytest.raises(ParseError, match="line 2.*repeated image"):
             parse_generator_text("degree 3\ngen 1 1 2")

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from permsplit import (
     FieldElement,
     Poly,
+    ResourceLimit,
     Ring,
     groebner_basis,
     hilbert_dimension,
     normal_form,
+    polynomial,
 )
 from permsplit.polynomial import (
     is_trivial_basis,
@@ -93,6 +95,14 @@ class TestGroebner:
         for i in range(len(basis)):
             for j in range(i):
                 assert normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero()
+
+    def test_basis_cap_raises_resource_limit(self, monkeypatch):
+        # the S-polynomial of x^2 - y and x*y - 1 keeps a third polynomial
+        monkeypatch.setattr(polynomial, "MAX_BASIS", 1)
+        r = ring_xy_lex()
+        y, x = variables(r)
+        with pytest.raises(ResourceLimit, match="Groebner basis cap 1 exceeded"):
+            groebner_basis([x * x - y, x * y - 1])
 
     def test_tower_coefficients(self):
         r = Ring(("x",), "lex")

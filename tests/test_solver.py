@@ -59,6 +59,13 @@ class TestExactRoots:
         pts = solve_zero_dimensional([x * x + 1])
         assert [p.values[0] for p in pts] == [-FE.i(), FE.i()]
 
+    def test_double_root_is_one_root(self):
+        # 2 - 2 sqrt(2) x + x^2 = (x - sqrt(2))^2: a zero discriminant
+        s2 = FE.sqrt_int(2)
+        coeffs = [FE.from_rational(2), -2 * s2, FE.one()]
+        assert solver._quadratic_roots(coeffs) == [s2]
+        assert solver._exact_roots(coeffs) == ([s2], [FE.from_rational(2)])
+
     def test_rational_roots_of_cubic(self):
         r, x = one_var()
         f = (x - 1) * (x - 2) * (x * 2 + 1)
@@ -389,6 +396,25 @@ class TestSlicing:
         pt = particular_solution_on_slice(groebner_basis(gens))
         for g in gens:
             assert g.evaluate(list(pt.values)).is_zero()
+
+    def test_positive_dimensional_pin_retries(self, monkeypatch):
+        # x1*x2 = 0 with x2 free: the pin x2 = 0 leaves the line x2 = 0,
+        # which is not zero-dimensional, so the next pin x2 = 1 is tried
+        r = Ring(("x1", "x2"), "degrevlex")
+        x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
+        raised, real = [], solver.solve_zero_dimensional
+
+        def spy(system, precision):
+            try:
+                return real(system, precision=precision)
+            except NotZeroDimensional:
+                raised.append(system[-1].render())
+                raise
+
+        monkeypatch.setattr(solver, "solve_zero_dimensional", spy)
+        pt = particular_solution_on_slice(groebner_basis([x1 * x2]))
+        assert raised == ["x2"]
+        assert [v.rational_value() for v in pt.values] == [0, 1]
 
     def test_accept_filter_and_exhaustion(self):
         # h = 1: the eight pin values are all the attempts there are

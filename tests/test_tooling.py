@@ -199,11 +199,11 @@ def test_field_element_integers_stay_in_exactfield():
 
 def test_element_internals_stay_in_exactfield():
     """No module but exactfield.py imports or reads the helpers behind the
-    integer-array element: widening to more radicands, the radicand fold
-    matrices and the int64 limit.  The others make, multiply, combine,
-    compare and decode elements through exactfield's functions, so the
-    layout and its arithmetic stay one module's decision."""
-    internal = {"_widened", "_fold", "_product_fold", "_INT64"}
+    integer-array element: widening to more radicands, the field's
+    multiplication table and the int64 limit.  The others make, multiply,
+    combine, compare and decode elements through exactfield's functions, so
+    the layout and its arithmetic stay one module's decision."""
+    internal = {"_widened", "_product_fold", "_INT64"}
     stray = []
     for path in sorted((SRC / "permsplit").glob("*.py")):
         if path.stem == "exactfield":
@@ -216,6 +216,29 @@ def test_element_internals_stay_in_exactfield():
             )
             stray += [f"{path.name}:{node.lineno} {name}" for name in names if name in internal]
     assert not stray, f"element internals used outside exactfield: {stray}"
+
+
+def test_only_field_products_use_the_radicand_rule():
+    """``_rad_mul`` (sqrt(a) sqrt(b) = g sqrt(m)) is named only in
+    ``FieldElement.__mul__``.  The array layer reads the products of basis
+    elements off ``_product_fold``'s table, which that method builds, so the
+    field's multiplication has one definition."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_rad_mul") or (
+                isinstance(child, ast.Attribute) and child.attr == "_rad_mul"
+            ) or (isinstance(child, ast.alias) and child.name == "_rad_mul"):
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert users == {"exactfield.FieldElement.__mul__"}
 
 
 def test_tree_internals_stay_in_perms():
