@@ -609,7 +609,7 @@ def main(argv=None):
     except IntransitiveAction as e:
         print(f"intransitive: {e}; orbit of 1 = {sorted(e.orbit)}", file=sys.stderr)
         return 2
-    except (ResourceLimit, MatrixCapExceeded, SliceExhausted) as e:
+    except (ResourceLimit, MatrixCapExceeded, SliceExhausted, MemoryError) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except PermsplitError as e:

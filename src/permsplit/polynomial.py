@@ -284,57 +284,33 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _reducers(G):
-    out = []
-    for g in G:
-        if not g.is_zero():
-            out.append((g.leading_monomial(), g.leading_coeff().invert(), g))
-    return out
-
-
 def normal_form(f, G):
     """Remainder of f under full division by G (tails included).
 
-    No term of the result is divisible by any leading monomial of G, and
-    f - result lies in the ideal generated by G.  The reducer is always the
-    first list element whose leading term divides, so the result is
+    The engine's one reduction.  While terms are left, the leading one is
+    cancelled by the first nonzero element of G whose leading monomial
+    divides it, with the factor lc / (that element's leading coefficient),
+    so G need not be monic; a leading term nothing divides moves to the
+    result.  No term of the result is divisible by any leading monomial of
+    G, and f - result lies in the ideal generated by G.  The result is
     deterministic for a fixed list order.
     """
-    return _normal_form(f, _reducers(G))
-
-
-def _normal_form(f, reducers):
-    """``normal_form`` under prebuilt ``_reducers``: head-reduce, move the
-    irreducible leading term to the result, repeat on the rest."""
     ring = f.ring
+    G = [g for g in G if not g.is_zero()]
     out = {}
-    p = _head_reduce(f, reducers)
-    while p.terms:
-        lm = p.leading_monomial()
-        out[lm] = p.terms[lm]
-        rest = Poly(ring, {m: c for m, c in p.terms.items() if m != lm}, _canonical=True)
-        p = _head_reduce(rest, reducers)
-    return Poly(ring, out, _canonical=True)
-
-
-def _head_reduce(f, reducers):
-    """Reduce only the leading term until it is irreducible; tails stay.
-
-    Sufficient inside Buchberger's loop: an S-polynomial that head-reduces to
-    zero has reduced to zero outright, and a nonzero head-irreducible result
-    is a valid new basis element.  Tails are cleaned up once at the end.
-    """
     p = f
     while p.terms:
         lm = p.leading_monomial()
         lc = p.terms[lm]
-        for glm, glc_inv, g in reducers:
+        for g in G:
+            glm = g.leading_monomial()
             if _mono_divides(glm, lm):
-                p = p - g.term_mul(lc * glc_inv, _mono_div(lm, glm))
+                p = p - g.term_mul(lc / g.leading_coeff(), _mono_div(lm, glm))
                 break
         else:
-            return p
-    return p
+            out[lm] = lc
+            p = Poly(ring, {m: c for m, c in p.terms.items() if m != lm}, _canonical=True)
+    return Poly(ring, out, _canonical=True)
 
 
 def s_polynomial(f, g):
@@ -350,9 +326,10 @@ def reduce_basis(G):
     tails reduced, no leading term divides another, in ascending order.
 
     Keeping each element whose leading term no kept one divides, in
-    ascending order, leaves a minimal basis; reducing each tail by the
-    others leaves every leading term in place.  The ideal alone fixes the
-    result, so it does not depend on which Groebner basis G is.
+    ascending order, leaves a minimal basis; ``normal_form`` of each by the
+    others, which need not be monic, leaves every leading term in place.
+    The ideal alone fixes the result, so it does not depend on which
+    Groebner basis G is.
     """
     minimal = []
     G = sorted((g for g in G if not g.is_zero()), key=lambda g: g.ring.key(g.leading_monomial()))
@@ -360,9 +337,8 @@ def reduce_basis(G):
         lm = g.leading_monomial()
         if not any(_mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
-    reducers = _reducers(minimal)
     return [
-        _normal_form(g, reducers[:i] + reducers[i + 1 :]).monic()
+        normal_form(g, minimal[:i] + minimal[i + 1 :]).monic()
         for i, g in enumerate(minimal)
     ]
 
@@ -370,10 +346,12 @@ def reduce_basis(G):
 def groebner_basis(generators):
     """Reduced Groebner basis by Buchberger's algorithm.
 
-    Each generator, in ascending order of leading term, is reduced by those
-    kept before it (a constant remainder means the unit ideal); Buchberger
-    runs from the kept ones, and ``reduce_basis`` returns the reduced basis,
-    which the ideal alone fixes, whatever the generators' order or scale.
+    Each generator, in ascending order of leading term, and then each
+    S-polynomial is reduced in full by ``normal_form`` with the basis G
+    kept so far, in list order; a nonzero remainder is made monic and
+    appended to G, and a constant one means the unit ideal.
+    ``reduce_basis`` returns the reduced basis, which the ideal alone
+    fixes, whatever the generators' order or scale.
 
     Pair selection follows the normal strategy (minimal lcm in the active
     order, ties by input index) from a list of pairs keyed at creation and
@@ -386,20 +364,14 @@ def groebner_basis(generators):
     if not gens:
         raise ValueError("groebner_basis of an empty/zero generating set")
     ring = gens[0].ring
-    G, reducers = [], []
-
-    def keep(r):
-        r = r.monic()
-        G.append(r)
-        reducers.append((r.leading_monomial(), FieldElement.one(), r))
-
+    G = []
     for g in sorted(gens, key=lambda g: ring.key(g.leading_monomial())):
-        r = _normal_form(g, reducers)
+        r = normal_form(g, G)
         if r.is_zero():
             continue
         if r.is_constant():
             return [Poly.one(ring)]
-        keep(r)
+        G.append(r.monic())
 
     pairs = []  # (key of the lcm, (i, j)), sorted so that the next pair is last
 
@@ -427,12 +399,12 @@ def groebner_basis(generators):
         processed += 1
         if processed > MAX_PAIRS:
             raise ResourceLimit(f"Groebner pair cap {MAX_PAIRS} exceeded")
-        r = _head_reduce(s_polynomial(G[i], G[j]), reducers)
+        r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.is_zero():
             continue
         if r.is_constant():
             return [Poly.one(ring)]
-        keep(r)
+        G.append(r.monic())
         if len(G) > MAX_BASIS:
             raise ResourceLimit(f"Groebner basis cap {MAX_BASIS} exceeded")
         add_pairs(len(G) - 1)

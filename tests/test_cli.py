@@ -289,6 +289,16 @@ class TestSplitCommand:
         assert main(["split", str(path)]) == 3
         assert capsys.readouterr().err.startswith("resource limit: no particular solution")
 
+    @pytest.mark.parametrize("command", ["analyze", "split"])
+    def test_refused_allocation_exit_3(self, tmp_path, capsys, command):
+        """A degree of 10^15 makes the first permutation ask for 7.11 PiB,
+        more than any x86-64 address space, so the allocator refuses it at
+        once; the refusal is a resource limit, not a traceback."""
+        path = tmp_path / "huge.gens"
+        path.write_text("degree 1000000000000000\ngen (1,2)\n")
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: Unable to allocate 7.11 PiB")
+
     @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
     @pytest.mark.parametrize("command", ["split", "verify"])
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, command, unreadable):

@@ -8,6 +8,9 @@ from permsplit import (
     Poly,
     ResourceLimit,
     Ring,
+    build_idempotency_system,
+    compute_orbitals,
+    compute_structure_constants,
     groebner_basis,
     hilbert_dimension,
     normal_form,
@@ -18,6 +21,8 @@ from permsplit.polynomial import (
     reduce_basis,
     s_polynomial,
 )
+
+from conftest import cyclic
 
 FE = FieldElement
 
@@ -48,6 +53,19 @@ class TestNormalForm:
         y, x = variables(r)
         nf = normal_form(x * y, [x + y])
         assert nf == -(y * y)
+
+    @pytest.mark.parametrize("scale", [1, 2, Fraction(1, 3), -5, FE.sqrt_int(2)],
+                             ids=["1", "2", "1/3", "-5", "sqrt2"])
+    def test_divisors_need_not_be_monic(self, scale):
+        """x^2*y + 3xy + y^2 - 1 divided by [xy - 1, y^2 - x] leaves 2x + 2.
+        Each divisor cancels a leading term with the factor lc / (its own
+        leading coefficient), so scaling the divisors, or listing zero
+        polynomials among them, leaves the same remainder."""
+        r = Ring(("y", "x"), "degrevlex")
+        y, x = variables(r)
+        f = x * x * y + x * y * 3 + y * y - 1
+        G = [Poly.zero(r), (x * y - 1) * scale, Poly.zero(r), (y * y - x) * scale]
+        assert normal_form(f, G) == x * 2 + 2
 
     def test_membership_soundness(self):
         r = ring_xy_lex()
@@ -125,6 +143,23 @@ class TestGroebner:
                         assert not all(a <= b for a, b in zip(lm, mono))
                     elif mono != g.leading_monomial():
                         assert not all(a <= b for a, b in zip(lm, mono))
+
+
+@pytest.mark.parametrize("cap,needed", [("MAX_PAIRS", 148), ("MAX_BASIS", 53)])
+def test_c7_system_at_the_caps(monkeypatch, cap, needed):
+    """C7 natural's d = 1 system, its idempotency polynomials plus x1 - 1/7
+    (8 polynomials in x1..x7), processes 148 S-pairs (875 without the chain
+    criterion) and grows its basis to 53 polynomials before
+    ``reduce_basis`` leaves 22: each cap passes at its count and raises one
+    below it."""
+    gens = cyclic(7)
+    system = build_idempotency_system(compute_structure_constants(gens, compute_orbitals(gens)))
+    system.append(Poly.variable(system[0].ring, 0) - Fraction(1, 7))
+    monkeypatch.setattr(polynomial, cap, needed)
+    assert len(groebner_basis(system)) == 22
+    monkeypatch.setattr(polynomial, cap, needed - 1)
+    with pytest.raises(ResourceLimit, match=f"cap {needed - 1} exceeded"):
+        groebner_basis(system)
 
 
 class TestHilbertDimension:

@@ -24,6 +24,8 @@ from oracles import eager_sort_key, rational_roots_by_divisor_search
 
 FE = FieldElement
 
+PRIMORIAL_41 = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+
 
 def _is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
@@ -159,6 +161,33 @@ class TestExactRoots:
         x2, x3 = Poly.variable(r, 0), Poly.variable(r, 1)
         with pytest.raises(NotZeroDimensional):
             solve_zero_dimensional([x2 * x3])
+
+    def test_inconsistent_system_has_no_points(self):
+        r = Ring(("x1",), "degrevlex")
+        x1 = Poly.variable(r, 0)
+        assert solve_zero_dimensional([x1, x1 - 1]) == []
+
+    @pytest.mark.parametrize(
+        "n", [0, PRIMORIAL_41, 1099511627791 * 1099511627803],
+        ids=["zero", "past_max_divisors", "past_rho_steps"],
+    )
+    def test_divisor_search_gives_up(self, n):
+        """0; 2·3·…·41, whose 8,192 divisors are past MAX_DIVISORS; and a
+        product of two primes near 2^40, which Pollard rho does not split
+        within RHO_STEPS."""
+        assert solver._divisors(n) is None
+
+    def test_rational_roots_give_up_but_the_quadratic_finds_them(self):
+        """(t + 1)(t − N) with N = 2·3·…·41: N's divisors are past the cap,
+        so the rational search returns no root, and the quadratic formula
+        finds both.  (With t − 1 in place of t + 1 the discriminant is the
+        square of the prime N − 1, whose uncapped factorization takes
+        Pollard rho about 50 s.)"""
+        coeffs = [FE.from_rational(x) for x in (-PRIMORIAL_41, 1 - PRIMORIAL_41, 1)]
+        assert solver._rational_roots(coeffs) == ([], coeffs)
+        roots, residual = solver._exact_roots(coeffs)
+        assert roots == [FE.from_rational(PRIMORIAL_41), -FE.one()]
+        assert residual == coeffs[:1]
 
 
 # coordinates for the sort key: exact rationals, tower elements, two exact
