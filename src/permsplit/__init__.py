@@ -30,7 +30,7 @@ _EXPORTS = {
         "order_basis",
     ),
     "exactfield": (
-        "ComplexBall", "FieldElement", "Rational", "field_element_from_json",
+        "ComplexBall", "FieldElement", "field_element_from_json",
         "field_element_to_json", "parse_field_element", "render_field_element", "sqrt_if_nice",
     ),
     "polynomial": ("Poly", "Ring", "groebner_basis", "hilbert_dimension", "normal_form"),

@@ -19,11 +19,11 @@ Algebraic Number Theory, 1993, section 4.2): {radicand: numerator} and a
 positive ``int`` den.  The canonical form has square-free keys, no zero
 numerator and gcd(den, all numerators) = 1, with zero as ({}, 1), so
 equality is structural.  Arithmetic runs on Python ints and reduces each
-result with one gcd.  ``Rational`` (the standard library Fraction) appears
-only at the boundary: the constructor ``FieldElement({rad: rational})``,
-``from_rational``, ``rational_value``, the read-only ``terms`` view and a
-ball's radius; other modules read the integers through ``coefficient``
-and ``radicands``, or hold vectors as integer-array elements, which this
+result with one gcd.  ``Fraction`` appears only at the boundary: the
+constructor ``FieldElement({rad: rational})``, ``from_rational``,
+``rational_value``, the read-only ``terms`` view and a ball's radius;
+other modules read the integers through ``coefficient`` and
+``radicands``, or hold vectors as integer-array elements, which this
 module alone encodes, multiplies, combines, compares and decodes.
 
 ``signed_sum`` is the one writer of every sum the package prints: an
@@ -46,7 +46,6 @@ from mpmath.libmp import from_rational, mpc_abs, to_rational
 from .errors import UNREPRESENTABLE, ParseError, ResourceLimit
 
 __all__ = [
-    "Rational",
     "FieldElement",
     "ComplexBall",
     "UNREPRESENTABLE",
@@ -57,8 +56,6 @@ __all__ = [
     "field_element_to_json",
     "field_element_from_json",
 ]
-
-Rational = Fraction
 
 
 # -- integer factorization helpers --------------------------------------------
@@ -326,12 +323,6 @@ class FieldElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -418,12 +409,6 @@ class FieldElement:
                 raise ZeroDivisionError("division by zero field element")
             return self._times(other._den, other._num[1])
         return self * other.invert()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.invert()
 
     # comparisons / hashing
     def __eq__(self, other):
@@ -724,6 +709,9 @@ def _sqrt_ratio(n, d):
         return _ZERO
     g = math.gcd(n, d)
     n, d = n // g, d // g
+    s = math.isqrt(abs(n * d))
+    if s * s == abs(n * d):  # a rational or i times one: nothing to factorize
+        return _reduced({1 if n > 0 else -1: s}, d)
     s, m = squarefree_decompose(n * d)
     return _reduced({m: s}, d)
 

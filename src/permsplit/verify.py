@@ -448,37 +448,6 @@ def verify_matrix_level(
 # -- reference comparison ------------------------------------------------------------
 
 
-def _match(deco: Decomposition, ref: Decomposition):
-    """Whether each computed projector matches, in order (see
-    ``compare_to_reference``)."""
-    used = set()
-    matched = {}
-    for i, p in enumerate(deco.projectors):
-        if p.block is not None:
-            continue
-        j = next(
-            (
-                j for j, q in enumerate(ref.projectors)
-                if j not in used and q.dimension == p.dimension
-                and _vanishes(p.coefficients, q.coefficients)
-            ),
-            None,
-        )
-        if j is not None:
-            used.add(j)
-        matched[i] = j is not None
-    for d in {p.block for p in deco.projectors} - {None}:
-        members = [i for i, p in enumerate(deco.projectors) if p.block == d]
-        theirs = [q for j, q in enumerate(ref.projectors) if j not in used and q.dimension == d]
-        ok = len(theirs) == len(members)
-        if ok:
-            mine = [deco.projectors[i] for i in members]
-            total = _coefficient_sum(mine, deco.rank, DEFAULT_PRECISION)
-            ok = _vanishes(total, _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION))
-        matched.update((i, ok) for i in members)
-    return [matched[i] for i in range(len(deco.projectors))]
-
-
 def compare_to_reference(deco: Decomposition, ref: Decomposition):
     """Match the computed projectors with the reference's, by dimension and
     exact coefficient equality (within the enclosures for numeric ones).
@@ -513,13 +482,30 @@ def compare_to_reference(deco: Decomposition, ref: Decomposition):
         return report
     report.add("suborbit lengths agreement", True)
 
-    seen = set()
-    for i, (p, ok) in enumerate(zip(deco.projectors, _match(deco, ref)), start=1):
+    free = dict(enumerate(ref.projectors))  # the reference projectors not yet taken
+    singles = {}
+    for i, p in enumerate(deco.projectors, start=1):
         if p.block is None:
-            report.add(f"projector {i} (d={p.dimension}) match", ok)
+            j = next(
+                (
+                    j for j, q in free.items()
+                    if q.dimension == p.dimension and _vanishes(p.coefficients, q.coefficients)
+                ),
+                None,
+            )
+            singles[i] = free.pop(j, None) is not None
+    seen = set()
+    for i, p in enumerate(deco.projectors, start=1):
+        if p.block is None:
+            report.add(f"projector {i} (d={p.dimension}) match", singles[i])
         elif p.block not in seen:
             seen.add(p.block)
-            members = [m for m, q in enumerate(deco.projectors, start=1) if q.block == p.block]
-            listed = ", ".join(map(str, members))
+            members = [(m, q) for m, q in enumerate(deco.projectors, start=1) if q.block == p.block]
+            theirs = [q for q in free.values() if q.dimension == p.block]
+            ok = len(theirs) == len(members) and _vanishes(
+                _coefficient_sum([q for _, q in members], deco.rank, DEFAULT_PRECISION),
+                _coefficient_sum(theirs, ref.rank, DEFAULT_PRECISION),
+            )
+            listed = ", ".join(str(m) for m, _ in members)
             report.add(f"block d={p.block} (projectors {listed}) sum match", ok)
     return report

@@ -816,6 +816,71 @@ def test_corpus_certificate_lines_are_pinned(name):
     assert _sha256("\n".join(lines)) == CORPUS_CERTIFICATE_SHA256[name]
 
 
+# sha256 of the stdout of ``permsplit verify`` and its exit code, taken when
+# ``cmd_verify`` still printed the comparison's lines and then the reference
+# certificate's: every corpus action against its own report, regular S3, D4
+# and Q8 against the report of the dimension loop alone ("loop"), and every
+# action against the report of another action with the same degree, rank and
+# suborbit lengths.  A text and a JSON reference give the same bytes.
+VERIFY_OUTPUT_SHA256 = {
+    ("C4_regular", "C4_regular"): ("52457116f43c110239978da707eca3f1c65709b0e9d01faec879ae553930c703", 0),
+    ("C5_natural", "C5_natural"): ("ec90ad834644f0d7fb903544948f8a784a4768f48bca1f7de81b0eb1b2037ffe", 0),
+    ("C6_natural", "C6_natural"): ("af4ede2c459a9c0468a7170653484f41518ca97135b18685780633153849a810", 0),
+    ("C7_natural", "C7_natural"): ("9b9bab6a63eadf9d1c935d6587e2fc533f4da708fdf0482b42a71cdb1703da30", 0),
+    ("C8_natural", "C8_natural"): ("9b6e53c559f51221a5cb1cf2b37ddcb0f709ba267cd3d2054a2514f988577bb4", 0),
+    ("C9_natural", "C9_natural"): ("c37e30a2d3bb4d04b6906f41ac56273aa6257e462e1885b6fcc6138ca150fb65", 0),
+    ("D4_natural", "D4_natural"): ("a501c736b24f104ec5555944626520c287e33bafa8482dd3cd38db695ed2c77b", 0),
+    ("D5_natural", "D5_natural"): ("4cc7d6b079594c7fc36472f46af72d5ef3234befcfb91e57e340fe333950e771", 0),
+    ("D6_natural", "D6_natural"): ("0f5142d6e12d4369690b2fcf4abd130362c82c45d745487a47cd54d79303c68b", 0),
+    ("D7_natural", "D7_natural"): ("6eadbd95d2509c10d980a7cb53b4907eb63470bb18e6dcc0d80c2a589a6cbbbe", 0),
+    ("S3_natural", "S3_natural"): ("41a7b4df569af467d62bc8e5e9beb81b923d491553fd889c7362ecf06baf378f", 0),
+    ("S4_natural", "S4_natural"): ("89d19b2ade4d0a73e577a471be000344e0642c6ce0d2d308cefb617a34be16dc", 0),
+    ("A4_natural", "A4_natural"): ("89d19b2ade4d0a73e577a471be000344e0642c6ce0d2d308cefb617a34be16dc", 0),
+    ("A5_natural", "A5_natural"): ("a591804414b2a5fad6ef88f2494e8ef240785c41f12e97867a505450de109f31", 0),
+    ("S4_pairs", "S4_pairs"): ("97a7507323593e28821f3d69d8b02e443bd37ffcd1b59287edc58b4fff0c4d0c", 0),
+    ("A4_pairs", "A4_pairs"): ("3c2d378f2cf19697bd2ad029fef0547e98a903404a286a92706ded0e33d8cea5", 0),
+    ("A5_petersen", "A5_petersen"): ("f028eda5fd23e320ae2983fc8929004b81bfd6b689b7b22799347e11264d990b", 0),
+    ("S3_regular", "S3_regular"): ("47f16d12d46cee4404a28d134f752bef00427a3639d7a2c50741c2e79fa22701", 0),
+    ("D4_regular", "D4_regular"): ("4b1e3cc760bd6d8a603e203e9656979be4fe0a2cd9965c2e786bf16cc64f8524", 0),
+    ("Q8_regular", "Q8_regular"): ("4b1e3cc760bd6d8a603e203e9656979be4fe0a2cd9965c2e786bf16cc64f8524", 0),
+    ("V4_regular", "V4_regular"): ("52457116f43c110239978da707eca3f1c65709b0e9d01faec879ae553930c703", 0),
+    ("F21_natural", "F21_natural"): ("96c6226a58363a9ec178271857ad6ffcbd9f1eb1cc8aa37bc1fee1aee22c84b0", 0),
+    ("C2wrC3", "C2wrC3"): ("3c2d378f2cf19697bd2ad029fef0547e98a903404a286a92706ded0e33d8cea5", 0),
+    ("S3wrC2", "S3wrC2"): ("ce880e2f309f330693f9c65c9e8ac30452b7f36ed46dc85598d43c706b540b3c", 0),
+    ("C3wrC2", "C3wrC2"): ("0f5142d6e12d4369690b2fcf4abd130362c82c45d745487a47cd54d79303c68b", 0),
+    ("S3_regular", "loop"): ("47f16d12d46cee4404a28d134f752bef00427a3639d7a2c50741c2e79fa22701", 0),
+    ("D4_regular", "loop"): ("4b1e3cc760bd6d8a603e203e9656979be4fe0a2cd9965c2e786bf16cc64f8524", 0),
+    ("Q8_regular", "loop"): ("4b1e3cc760bd6d8a603e203e9656979be4fe0a2cd9965c2e786bf16cc64f8524", 0),
+    ("C4_regular", "V4_regular"): ("2df41d8e34592911d6fd4e0e400f3f3478e403d4a07116f92e3c0c2b171d0736", 5),
+    ("C6_natural", "S3_regular"): ("98482483eaf9894a41f97e202c7efbd5c53b2395d8365b22fa60279444abfc22", 5),
+    ("C8_natural", "D4_regular"): ("71cd60e1a6bf148f95d7cc2062ed86385cd5b21681a7f09e947d8a20a2515e0a", 5),
+    ("C8_natural", "Q8_regular"): ("2a7e619fd25d70c9b573f03af034e1e309d76c0b1db24cfed1fa19037e9b9a1d", 5),
+    ("S4_natural", "A4_natural"): ("89d19b2ade4d0a73e577a471be000344e0642c6ce0d2d308cefb617a34be16dc", 0),
+    ("A4_natural", "S4_natural"): ("89d19b2ade4d0a73e577a471be000344e0642c6ce0d2d308cefb617a34be16dc", 0),
+    ("A4_pairs", "C2wrC3"): ("3c2d378f2cf19697bd2ad029fef0547e98a903404a286a92706ded0e33d8cea5", 0),
+    ("S3_regular", "C6_natural"): ("2e89e92e52480d8001fd4bbed9b87839ef6dcb77114555eaf96599cc1f11bb34", 5),
+    ("D4_regular", "C8_natural"): ("82614bcc17b7bcce30c293ffba4f4a2a2976c96ded60b055c98ccbafaf38ea5a", 5),
+    ("D4_regular", "Q8_regular"): ("8ef31b385fde062e5f45be9254c5d620b0a3d812dae4741d2aed51800852fa9f", 5),
+    ("Q8_regular", "C8_natural"): ("33f3c5939ce3fbcac7b5331fc00be9ffc19b5d804207801dee031c255499e996", 5),
+    ("Q8_regular", "D4_regular"): ("6d7e49817accafbf5778fc91bc6f7d02c35cc34e95073c4bb8b2119870b9bb82", 5),
+    ("V4_regular", "C4_regular"): ("2df41d8e34592911d6fd4e0e400f3f3478e403d4a07116f92e3c0c2b171d0736", 5),
+    ("C2wrC3", "A4_pairs"): ("3c2d378f2cf19697bd2ad029fef0547e98a903404a286a92706ded0e33d8cea5", 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("action, reference", list(VERIFY_OUTPUT_SHA256))
+def test_verify_output_is_pinned(tmp_path, capsys, action, reference, fmt):
+    deco = groebner_split(action) if reference == "loop" else corpus_split(reference)
+    ref = tmp_path / "reference"
+    if fmt == "json":
+        ref.write_text(json.dumps(decomposition_to_json(deco)))
+    else:
+        ref.write_text(render_decomposition_text(deco))
+    code = main(["verify", str(gens_file(tmp_path, action, dict(CORPUS)[action])), str(ref)])
+    assert (_sha256(capsys.readouterr().out), code) == VERIFY_OUTPUT_SHA256[action, reference]
+
+
 # M24 on four of its actions of rank 3-5 on thousands of points: the
 # decomposition line of ``permsplit split``, every projector exact, and for
 # the two under the matrix cap the number of ``--verify matrix`` lines, all

@@ -97,6 +97,23 @@ class TestSqrtIfNice:
         # multi-quadratic
         assert sqrt_if_nice(FE.one() + FE.sqrt_int(2)) is UNREPRESENTABLE
 
+    @pytest.mark.parametrize("a", [
+        FE.sqrt_int(2) + FE.sqrt_int(3),
+        # its root 1 + sqrt(2) + sqrt(3) lies in the tower, past the denesting
+        (FE.one() + FE.sqrt_int(2) + FE.sqrt_int(3)) ** 2,
+        # 3^2 - 2*2^2 and 3^2 - 5*1^2 are both squares
+        fe(3) + FE.term(2, 2) + FE.sqrt_int(5),
+    ], ids=["sqrt2+sqrt3", "(1+sqrt2+sqrt3)^2", "3+2sqrt2+sqrt5"])
+    def test_two_irrational_terms(self, a, monkeypatch):
+        """An element with two irrational terms is refused at once, without
+        a rational square root."""
+
+        def refuse(n, d):
+            raise AssertionError(f"took sqrt({n}/{d})")
+
+        monkeypatch.setattr(exactfield, "_sqrt_ratio", refuse)
+        assert sqrt_if_nice(a) is UNREPRESENTABLE
+
     def test_two_term_square(self):
         assert sqrt_if_nice(fe(3) + FE.term(2, 2)) == FE.one() + FE.sqrt_int(2)
 

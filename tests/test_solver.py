@@ -16,7 +16,7 @@ from permsplit import (
     particular_solution_on_slice,
     solve_zero_dimensional,
 )
-from permsplit import solver
+from permsplit import exactfield, solver, sqrt_if_nice
 from permsplit.exactfield import ComplexBall
 from permsplit.solver import SolutionPoint
 
@@ -180,13 +180,30 @@ class TestExactRoots:
     def test_rational_roots_give_up_but_the_quadratic_finds_them(self):
         """(t + 1)(t − N) with N = 2·3·…·41: N's divisors are past the cap,
         so the rational search returns no root, and the quadratic formula
-        finds both.  (With t − 1 in place of t + 1 the discriminant is the
-        square of the prime N − 1, whose uncapped factorization takes
-        Pollard rho about 50 s.)"""
+        finds both."""
         coeffs = [FE.from_rational(x) for x in (-PRIMORIAL_41, 1 - PRIMORIAL_41, 1)]
         assert solver._rational_roots(coeffs) == ([], coeffs)
         roots, residual = solver._exact_roots(coeffs)
         assert roots == [FE.from_rational(PRIMORIAL_41), -FE.one()]
+        assert residual == coeffs[:1]
+
+    def test_the_root_of_a_rational_square_factorizes_nothing(self, monkeypatch):
+        """(t − 1)(t − N) with N = 2·3·…·41 has the discriminant (N − 1)²,
+        the square of a prime that Pollard rho would take about a minute to
+        find: a rational square's root comes from ``math.isqrt``, so with
+        factorization refused the quadratic still finds both roots."""
+
+        def refuse(n):
+            raise AssertionError(f"factorized {n}")
+
+        n = PRIMORIAL_41 - 1
+        half_i = FE.term(Fraction(n, 2), -1)
+        coeffs = [FE.from_rational(x) for x in (PRIMORIAL_41, -1 - PRIMORIAL_41, 1)]
+        monkeypatch.setattr(exactfield, "squarefree_decompose", refuse)
+        assert sqrt_if_nice(FE.from_rational(n * n)) == FE.from_rational(n)
+        assert sqrt_if_nice(FE.from_rational(Fraction(-n * n, 4))) == half_i
+        roots, residual = solver._exact_roots(coeffs)
+        assert roots == [FE.from_rational(PRIMORIAL_41), FE.one()]
         assert residual == coeffs[:1]
 
 

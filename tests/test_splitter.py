@@ -44,6 +44,7 @@ from conftest import (
     alternating,
     corpus_split,
     cyclic,
+    dihedral,
     duplicate_first_projector,
     element,
     frobenius20,
@@ -308,6 +309,25 @@ class TestDimensionLoopExits:
         with pytest.raises(SliceExhausted, match=r"at d=2 \(Hilbert dimension 2\)$"):
             splitter._run_dimension(state, 2)
         assert state.events == []
+
+    def test_a_slice_that_completes_the_family_ends_the_loop(self, monkeypatch):
+        """Regular D5 on the dimension loop alone (about 3 s): its fourth
+        slice at d = 2 brings the dimensions found to 10 of 10, and the
+        loop ends there instead of slicing again."""
+        groebner, calls = splitter.groebner_basis, []
+
+        def counted(system):
+            calls.append(system)
+            return groebner(system)
+
+        monkeypatch.setattr(splitter, "groebner_basis", counted)
+        deco = groebner_route(regular_action(dihedral(5)))
+        assert [(e.d, e.kind) for e in deco.events] == [(1, "solutions")] + [(2, "slice")] * 4
+        # one basis for each of d = 1, 2: the sliced projectors are numeric,
+        # so the d-system keeps its basis
+        assert len(calls) == 2
+        dims = [(p.dimension, p.exact) for p in deco.projectors]
+        assert dims == [(1, True)] * 2 + [(2, False)] * 4
 
     def test_numeric_block_ends_before_the_last_dimension(self, monkeypatch):
         """S4 on the 12 pairs of disjoint arcs (point stabilizer (12)(34)):

@@ -67,7 +67,7 @@ PUBLIC_NAMES = {
         "compute_structure_constants", "order_basis",
     ],
     "exactfield": [
-        "ComplexBall", "FieldElement", "Rational", "field_element_from_json",
+        "ComplexBall", "FieldElement", "field_element_from_json",
         "field_element_to_json", "parse_field_element", "render_field_element",
         "sqrt_if_nice",
     ],
@@ -171,6 +171,26 @@ def test_every_exported_name_is_defined_or_used():
         if exported - known:
             stray[path.name] = sorted(exported - known)
     assert not stray, f"exported but neither defined nor used: {stray}"
+
+
+def test_every_private_function_has_a_caller():
+    """Each function of the package whose name starts with one underscore
+    (dunders aside) is loaded by name somewhere in the package, as a name or
+    an attribute, so a helper cannot outlive its last caller."""
+    defined, loaded = {}, set()
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    uncalled = [
+        where for name, where in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+    assert not uncalled, f"private functions that nothing loads: {uncalled}"
 
 
 def test_field_element_integers_stay_in_exactfield():

@@ -477,7 +477,6 @@ class TestBatchedCertificate:
             return counted
 
         monkeypatch.setattr(FE, "__sub__", spy(FE.__sub__))
-        monkeypatch.setattr(FE, "__rsub__", spy(FE.__rsub__))
         monkeypatch.setattr(mpmath, "workprec", spy(mpmath.workprec))
         assert verify_family_algebraic(consts, deco).passed
         assert not calls
@@ -857,6 +856,24 @@ class TestCompare:
         for ref in (doubled, short):
             report = compare_to_reference(deco, ref)
             assert [c.name for c in report.failures()] == ["block d=2 (projectors 3, 4) sum match"]
+
+    def test_singles_take_their_projectors_before_a_block(self):
+        """A block listed before the projectors outside blocks of its
+        dimension is compared with the reference projectors that they leave:
+        C4's regular family with its first two projectors made a block of
+        dimension 1 matches its own family in reverse order."""
+        deco = corpus_split("C4_regular")
+        blocked = copy.deepcopy(deco)
+        blocked.projectors[:2] = [dataclasses.replace(p, block=1) for p in deco.projectors[:2]]
+        reversed_ref = copy.deepcopy(deco)
+        reversed_ref.projectors.reverse()
+        report = compare_to_reference(blocked, reversed_ref)
+        assert [c.name for c in report.checks[2:]] == [
+            "block d=1 (projectors 1, 2) sum match",
+            "projector 3 (d=1) match",
+            "projector 4 (d=1) match",
+        ]
+        assert report.passed
 
     def test_numeric_reference_matches_exact_family(self):
         """The dimension loop alone leaves 24 of C8's 64 coordinates numeric;
