@@ -7,7 +7,8 @@ bases and solution points for what the tower cannot split) -> the
 complete orthogonal family of irreducible projectors, verified algebraically
 and (optionally) at matrix level.  Each public name is imported from its home
 submodule on first use (PEP 562), so parsing alone loads neither mpmath nor
-the Groebner stack.
+the Groebner stack; and mpmath, bound lazily in ``exactfield``, loads only at
+the first value outside the tower, so exact splits never load it.
 """
 
 from importlib import import_module

@@ -375,9 +375,9 @@ def order_basis(cells, tree: SchreierTree, degree: int):
 
 def compute_orbitals(gens: GeneratorSet, rank_cap=DEFAULT_RANK_CAP):
     """Orbitals of a transitive action as an ordered OrbitalBasis."""
-    orbit, tree = orbit_with_tree(gens, 1)
-    if len(orbit) != gens.degree:
-        raise IntransitiveAction(orbit)
+    tree = orbit_with_tree(gens, 1)
+    if (tree.depth < 0).any():
+        raise IntransitiveAction(set((np.flatnonzero(tree.depth >= 0) + 1).tolist()))
     cells = _stabilizer_cell_labels(gens, tree)
     # checked before ordering, which walks the tree once per cell; the cell
     # labels are 0, 1, ... (see ``_merge_cells``)

@@ -17,9 +17,6 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
-from mpmath import libmp
-
 from .centralizer import compute_orbitals, compute_structure_constants
 from .errors import (
     IntransitiveAction,
@@ -35,6 +32,7 @@ from .exactfield import (
     FieldElement,
     field_element_from_json,
     field_element_to_json,
+    mpmath,
     parse_field_element,
     render_field_element,
     signed_sum,
@@ -164,9 +162,9 @@ def _ball_from_strings(re, im, rad, precision):
         mid = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
         bound = Fraction(rad) + _last_digit(rad, RADIUS_DIGITS)
         for text, part in ((re, mid.real), (im, mid.imag)):
-            read = Fraction(*libmp.to_rational(part._mpf_))
+            read = Fraction(*mpmath.libmp.to_rational(part._mpf_))
             bound += _last_digit(text, digits) + abs(read - Fraction(text))
-        up = libmp.from_rational(bound.numerator, bound.denominator, precision + 24, "u")
+        up = mpmath.libmp.from_rational(bound.numerator, bound.denominator, precision + 24, "u")
         return ComplexBall(mid, mpmath.mp.make_mpf(up))
 
 

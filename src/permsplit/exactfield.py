@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_rational, mpc_abs, to_rational
 
 from .errors import UNREPRESENTABLE, ParseError, ResourceLimit
 
@@ -56,6 +56,25 @@ __all__ = [
     "field_element_to_json",
     "field_element_from_json",
 ]
+
+
+def _lazily_loaded(name):
+    """The module ``name``: the one in ``sys.modules`` when it is there,
+    otherwise one registered there whose code runs at its first attribute
+    access."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+# mpmath encloses the values outside the tower, so only the numeric fallback
+# loads it; the package's other modules import this binding
+mpmath = _lazily_loaded("mpmath")
 
 
 # -- integer factorization helpers --------------------------------------------
@@ -139,7 +158,9 @@ def factorize(n, max_steps=None):
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, max_steps)
+        # rho needs about sqrt(p) steps to split p^2, so a square goes by isqrt
+        r = math.isqrt(m)
+        d = r if r * r == m else _pollard_rho(m, max_steps)
         stack.extend((d, m // d))
     return out
 
@@ -813,6 +834,62 @@ def as_ball(x, precision=None):
     return x.to_complex(mpmath.mp.prec if precision is None else precision)
 
 
+# -- values rounded to 53 bits, for ordering -------------------------------------------
+
+SORT_BITS = 53
+
+
+def rounded_parts(x):
+    """(Re x, Im x), each rounded to 53 bits with ties to even, as Fractions:
+    the parts of a FieldElement's value, found in integers, and those of a
+    ComplexBall's midpoint."""
+    if isinstance(x, ComplexBall):
+        libmp = mpmath.libmp
+        parts = (libmp.mpf_pos(part, SORT_BITS, "n") for part in x.mid._mpc_)
+        return tuple(Fraction(*libmp.to_rational(part)) for part in parts)
+    real = {r: c for r, c in x._num.items() if r > 0}
+    imag = {-r: c for r, c in x._num.items() if r < 0}
+    return _rounded(real, x._den), _rounded(imag, x._den)
+
+
+def _rounded(terms, den):
+    """sum_m terms[m] sqrt(m) / den, for square-free m > 0, rounded to 53 bits
+    with ties to even.  The sum times 2^s lies between integers that
+    ``math.isqrt`` bounds term by term, and s doubles until both ends round
+    alike; they do once the enclosure is narrow enough, as a sum with an
+    irrational term is irrational and so no tie."""
+    s = 64
+    while True:
+        lo = hi = 0
+        for m, c in terms.items():
+            if m == 1:
+                lo, hi = lo + (c << s), hi + (c << s)
+                continue
+            a = math.isqrt(c * c * m << 2 * s)  # a <= |c| sqrt(m) 2^s < a + 1
+            lo, hi = (lo + a, hi + a + 1) if c > 0 else (lo - a - 1, hi - a)
+        low, high = _nearest(lo, den << s), _nearest(hi, den << s)
+        if low == high:
+            return low
+        s *= 2
+
+
+def _nearest(p, q):
+    """The number of at most 53 significant bits nearest to p/q, for ints p
+    and q > 0, ties to even, as a Fraction."""
+    if not p:
+        return Fraction(0)
+    n = abs(p)
+    e = n.bit_length() - q.bit_length() - SORT_BITS  # 2^52 < n / (q 2^e) < 2^54
+    num, den = (n, q << e) if e >= 0 else (n << -e, q)
+    if num >= den << SORT_BITS:
+        den, e = den << 1, e + 1
+    m, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    m = m if p > 0 else -m
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
 # -- balls as exact midpoints over the radicands 1 and -1 (an mpf is dyadic) --------
 
 
@@ -820,20 +897,22 @@ def _midpoint(x):
     """The exact midpoint of the ComplexBall x; x itself for a FieldElement."""
     if isinstance(x, FieldElement):
         return x
-    re, im = (Fraction(*to_rational(part)) for part in x.mid._mpc_)
+    re, im = (Fraction(*mpmath.libmp.to_rational(part)) for part in x.mid._mpc_)
     return FieldElement({1: re, -1: im})
 
 
 def _radius(x):
     """The radius of the ComplexBall x, a Fraction; 0 for a FieldElement."""
-    return Fraction(*to_rational(x.rad._mpf_)) if isinstance(x, ComplexBall) else Fraction(0)
+    if isinstance(x, ComplexBall):
+        return Fraction(*mpmath.libmp.to_rational(x.rad._mpf_))
+    return Fraction(0)
 
 
 def _magnitude(x):
     """An upper bound on |x| for a FieldElement x, within a relative 2^-50,
     as a rational FieldElement."""
     ball = x.to_complex(53)
-    size = Fraction(*to_rational(mpc_abs(ball.mid._mpc_, 53, "u")))
+    size = Fraction(*mpmath.libmp.to_rational(mpmath.libmp.mpc_abs(ball.mid._mpc_, 53, "u")))
     return FieldElement.from_rational(size + _radius(ball))
 
 
@@ -842,7 +921,8 @@ def _ball(mid, rad, precision):
     the radius rounded up to 53 bits."""
     ball = mid.to_complex(precision)
     rad += _radius(ball)
-    ball.rad = mpmath.mp.make_mpf(from_rational(rad.numerator, rad.denominator, 53, "u"))
+    up = mpmath.libmp.from_rational(rad.numerator, rad.denominator, 53, "u")
+    ball.rad = mpmath.mp.make_mpf(up)
     return ball
 
 

@@ -391,7 +391,8 @@ def parse_generators(path):
 
 
 def orbit_with_tree(gens: GeneratorSet, base: int):
-    """Orbit of ``base`` with a deterministic BFS Schreier tree.
+    """The deterministic BFS Schreier tree of the orbit of ``base``; the
+    orbit is read off it as the points with ``tree.depth >= 0``.
 
     Level-synchronised BFS, one array pass per level: a point new to the
     tree hangs off its first occurrence in the level's (points x 2K) image
@@ -431,13 +432,10 @@ def orbit_with_tree(gens: GeneratorSet, base: int):
     parent[hung], column = np.divmod(first[hung], width)
     gen_index[hung] = column // 2
     direction[hung] = 1 - 2 * (column % 2)
-    orbit = set((np.flatnonzero(depth >= 0) + 1).tolist())
     for a in (parent, gen_index, direction, depth):
         a.setflags(write=False)
-    tree = SchreierTree(base, parent, gen_index, direction, depth, gens)
-    return orbit, tree
+    return SchreierTree(base, parent, gen_index, direction, depth, gens)
 
 
 def is_transitive(gens: GeneratorSet):
-    orbit, _ = orbit_with_tree(gens, 1)
-    return len(orbit) == gens.degree
+    return bool((orbit_with_tree(gens, 1).depth >= 0).all())

@@ -26,12 +26,11 @@ from the same basis until a solution changes its system.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import mpmath
 
 from .errors import (
     InvariantViolation,
@@ -40,7 +39,16 @@ from .errors import (
     SliceExhausted,
     UNREPRESENTABLE,
 )
-from .exactfield import RHO_STEPS, ComplexBall, FieldElement, as_ball, factorize, sqrt_if_nice
+from .exactfield import (
+    RHO_STEPS,
+    ComplexBall,
+    FieldElement,
+    as_ball,
+    factorize,
+    mpmath,
+    rounded_parts,
+    sqrt_if_nice,
+)
 from .polynomial import (
     Poly,
     groebner_basis,
@@ -102,16 +110,18 @@ class SolutionPoint:
 
 
 class _SortCoordinate:
-    """A coordinate ordered by (Re, Im) of its 64-bit ball's midpoint, made
-    at the first comparison that needs it; equal exact values need none."""
+    """A coordinate ordered by (Re, Im), each rounded to 53 bits
+    (``exactfield.rounded_parts``): of the value for an exact coordinate,
+    in integers, so sorting exact points loads no mpmath, and of the
+    midpoint for a ball.  The key is made at the first comparison that needs
+    it; equal exact values need none."""
 
     def __init__(self, value):
         self.value = value
 
     @cached_property
     def key(self):
-        b = as_ball(self.value, 64)
-        return mpmath.mpf(b.mid.real), mpmath.mpf(b.mid.imag)
+        return rounded_parts(self.value)
 
     def __eq__(self, other):
         exact = isinstance(self.value, FieldElement) and self.value == other.value
@@ -340,8 +350,8 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
     """All solutions over the complex numbers of a zero-dimensional system.
 
     ``system`` is a list of Poly sharing one ring.  Returns
-    SolutionPoints in deterministic order (lexicographic over the numeric
-    embeddings of the coordinates).  Raises ResourceLimit when some candidate
+    SolutionPoints in deterministic order (lexicographic over the real and
+    imaginary parts of the coordinates, rounded to 53 bits).  Raises ResourceLimit when some candidate
     root is neither verified nor rejected at MAX_PRECISION.
     """
     gens = [g for g in system if not g.is_zero()]
@@ -408,7 +418,7 @@ def _collect_univariate(poly, var, partial, prec):
         if isinstance(v, FieldElement):
             poly = poly.substitute(i, v)
     lift = not all(isinstance(v, FieldElement) for v in partial)
-    with mpmath.workprec(prec + 40):
+    with mpmath.workprec(prec + 40) if lift else contextlib.nullcontext():
         buckets = {}
         for mono, c in poly.terms.items():
             term = as_ball(c, prec) if lift else c

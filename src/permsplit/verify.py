@@ -422,7 +422,7 @@ def verify_matrix_level(
     rank = basis.rank
     report = VerificationReport()
     labels = orbital_label_matrix(basis)
-    invariant = len(orbit_with_tree(gens, basis.base)[0]) == n and all(
+    invariant = bool((orbit_with_tree(gens, basis.base).depth >= 0).all()) and all(
         np.array_equal(labels[np.ix_(s.images0, s.images0)], labels)
         for s in gens.generators
     )

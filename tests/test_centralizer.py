@@ -218,7 +218,7 @@ class TestTwoCellStop:
         """A 2-transitive action is done once {base} and the rest are the
         cells; the scan reads a handful of transport rows and builds as
         few, not thousands, and gives the basis of the full scan."""
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         looked_up, built = [], []
         real_row, real_undo = SchreierTree.row0, SchreierTree.undo0
 
@@ -321,7 +321,7 @@ class TestRows:
         transport; with room for three rows the store clears many times."""
         if rows_in_store is not None:
             monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", rows_in_store * gens.degree)
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         cells = _stabilizer_cell_labels(gens, tree)
         assert np.array_equal(cells, _cells_of_the_full_scan(gens, tree))
 
@@ -329,7 +329,7 @@ class TestRows:
     def test_rows_from_the_identity_are_the_transports(self, gens):
         """From the identity, every row is the transport; the store keeps to
         five rows and keeps the base row through every clear."""
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         identity = np.arange(gens.degree, dtype=np.int16)
         rows = _StoreLog({0: identity})
         for x0 in range(0, gens.degree, 7):
@@ -357,7 +357,7 @@ class TestRows:
         """parent0 is -1 outside the orbit; a walk that followed it would
         read the parent of the last point instead."""
         g = GeneratorSet(4, (Permutation.from_images([2, 3, 1, 4]),))
-        _, tree = orbit_with_tree(g, 1)
+        tree = orbit_with_tree(g, 1)
         rows = {0: np.arange(4)}
         with pytest.raises(ValueError, match="^point 4 not in orbit of 1$"):
             tree.row0(3, rows)
@@ -369,7 +369,7 @@ class TestRows:
     def test_scan_rows_are_the_transports_in_the_smallest_dtype(self, p, dtype, monkeypatch):
         """The scan's rows are int16 up to 2^15 points and int32 past."""
         gens = affine(p, primitive_root(p))
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         seen = _scan_spy(monkeypatch)
         _stabilizer_cell_labels(gens, tree)
         assert seen["rows"]
@@ -386,7 +386,7 @@ class TestRows:
         n = gens.degree
         budget = 4 * n
         monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", budget)
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         with monkeypatch.context() as m:
             seen = _scan_spy(m)
             cells = _stabilizer_cell_labels(gens, tree)
@@ -411,7 +411,7 @@ class TestRows:
         in stride order, that is 26,307 rows."""
         gens = _rank_three_affine()
         monkeypatch.setattr(centralizer, "ROW_STORE_ENTRIES", 4 * gens.degree)
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         built = []
         real = SchreierTree.undo0
 
@@ -549,7 +549,7 @@ class TestCertificate:
         """The lexicographic Johnson labels merge early in stride order, and
         the scan ends at the first proof, at check 16, 32 or 64, with the
         labels of the full scan."""
-        _, tree = orbit_with_tree(gens, 1)
+        tree = orbit_with_tree(gens, 1)
         seen = _scan_spy(monkeypatch)
         proofs = _proof_spy(monkeypatch)
         cells = _stabilizer_cell_labels(gens, tree)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -27,6 +28,7 @@ from permsplit.exactfield import (
     field_element_to_json,
     parse_field_element,
     render_field_element,
+    rounded_parts,
     signed_sum,
     squarefree_decompose,
 )
@@ -496,6 +498,18 @@ class TestFactorizationCap:
             field_element_from_json({"terms": [{"rad": n, "num": "1", "den": "2"}]})
         assert parse_field_element(f"sqrt({self.Q})") == FE.term(1, self.Q)
 
+    def test_a_square_is_split_by_isqrt(self):
+        """2 (N - 1)^2, N = 2·3·…·41: N - 1 is a prime near 3·10^14, so
+        Pollard rho would need about 10^7 steps to split its square (a
+        minute on one core); isqrt splits it at once, well inside the 1 s
+        CPU budget, and the root needs no step cap."""
+        n = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+        start = time.process_time()
+        assert factorize(2 * (n - 1) ** 2) == {2: 1, n - 1: 2}
+        assert sqrt_if_nice(fe(2 * (n - 1) ** 2)) == FE.term(n - 1, 2)
+        assert factorize((n - 1) ** 2, RHO_STEPS) == {n - 1: 2}
+        assert time.process_time() - start < 1.0
+
 
 # -- rational elements hash as the numbers they equal ---------------------------
 
@@ -645,3 +659,60 @@ def test_contract_exact_multiplies_in_any_integer_table(monkeypatch, name):
             assert s.tolist() == want
             assert big >= max(abs(x) for row in want for x in row)
             assert (s.dtype == np.int64) == (pairs[0] == (0, 0))
+
+
+# -- the 53-bit parts that order solution points ------------------------------------
+
+_KEY_RADICANDS = (1, -1, 2, -2, 3, -3, 5, -7, 10)
+
+
+@st.composite
+def key_elements(draw):
+    """Tower elements over the radicands ±1, ±2, ±3, 5, -7 and 10, numerators
+    up to 2^70 in size."""
+    rads = draw(st.lists(st.sampled_from(_KEY_RADICANDS), unique=True, max_size=4))
+    return FE({
+        r: Fraction(draw(st.integers(-(2**70), 2**70)), draw(st.integers(1, 2**40)))
+        for r in rads
+    })
+
+
+def _mpmath_key(x):
+    """(Re, Im) of x's 400-bit enclosure, each rounded by mpmath to 53 bits
+    (to nearest, ties to even)."""
+    ball = x.to_complex(400)
+    with mpmath.workprec(53):
+        parts = mpmath.mpf(ball.mid.real), mpmath.mpf(ball.mid.imag)
+    return tuple(Fraction(*mpmath.libmp.to_rational(part._mpf_)) for part in parts)
+
+
+class TestRoundedParts:
+    @settings(max_examples=300, deadline=None)
+    @given(key_elements())
+    def test_integer_rounding_is_mpmaths(self, x):
+        assert rounded_parts(x) == _mpmath_key(x)
+
+    @pytest.mark.parametrize("value,want", [
+        (1 + Fraction(1, 2**53), Fraction(1)),
+        (1 + Fraction(3, 2**53), 1 + Fraction(1, 2**51)),
+        (2 - Fraction(1, 2**54), Fraction(2)),  # no tie: rounds up into the next binade
+    ])
+    def test_rational_ties_go_to_even(self, value, want):
+        for sign in (1, -1):
+            assert rounded_parts(fe(sign * value)) == (sign * want, 0)
+            assert rounded_parts(FE({-1: sign * value})) == (0, sign * want)
+
+    def test_a_part_without_terms_is_zero(self):
+        assert rounded_parts(FE.sqrt_int(2) / 3) == (_mpmath_key(FE.sqrt_int(2) / 3)[0], 0)
+        assert rounded_parts(FE.zero()) == (0, 0)
+
+    def test_cancellation_refines_the_enclosure(self):
+        """p - q sqrt(2) for the Pell convergent of 31 digits is about
+        -9.9e-32, so its isqrt bounds at 64 bits straddle zero and the
+        rounding takes several refinements."""
+        p, q = 1, 1
+        while len(str(p)) < 31 or p * p - 2 * q * q != -1:
+            p, q = p + 2 * q, p + q
+        x = fe(p) - FE.term(q, 2)
+        assert rounded_parts(x) == _mpmath_key(x)
+        assert rounded_parts(x)[0] < 0

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CORPUS, alternating, regular_action, set_action, symmetric
+from test_cli import CORPUS_REPORT_SHA256
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -49,6 +52,66 @@ def test_parsing_loads_only_what_it_uses(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert json.loads(out.stdout) == []
+
+
+# Split, certify, write and read back the action in the generator file
+# argv[2], then print the report's sha256 and whether mpmath ran.
+_SPLIT_AND_READ_BACK = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from permsplit import (compute_orbitals, compute_structure_constants, parse_generators,
+                       split, verify_family_algebraic, verify_matrix_level)
+from permsplit.cli import (decomposition_from_json, decomposition_to_json,
+                           parse_decomposition_text, render_decomposition_text)
+gens = parse_generators(sys.argv[2])
+basis = compute_orbitals(gens)
+consts = compute_structure_constants(gens, basis)
+deco = split(gens)
+checks = [verify_family_algebraic(consts, deco), verify_matrix_level(gens, basis, deco)]
+text = render_decomposition_text(deco)
+blob = json.dumps(decomposition_to_json(deco))
+read = [parse_decomposition_text(text), decomposition_from_json(json.loads(blob))]
+print(json.dumps({
+    "passed": all(c.passed for c in checks),
+    "read_back": [render_decomposition_text(d) == text for d in read],
+    "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    "mpmath": "mpmath.libmp" in sys.modules,
+}))
+"""
+
+
+def _split_in_a_fresh_process(tmp_path, gens):
+    path = tmp_path / "action.gens"
+    path.write_text(f"degree {gens.degree}\n" + "".join(
+        "gen " + " ".join(map(str, g.images())) + "\n" for g in gens.generators
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPLIT_AND_READ_BACK, str(SRC), str(path)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("name", ["A4_regular", "J6_2"])
+def test_exact_split_loads_no_mpmath(tmp_path, name):
+    """mpmath is bound lazily and runs only for a value outside the tower:
+    an exact split (regular A4 needs sqrt(-3), the Johnson action J(6, 2)
+    only rationals), its algebraic and matrix certificates, both writers
+    and both readers never load ``mpmath.libmp``."""
+    gens = {"A4_regular": regular_action(alternating(4)), "J6_2": set_action(symmetric(6), 6, 2)}
+    got = _split_in_a_fresh_process(tmp_path, gens[name])
+    assert got["passed"] and got["read_back"] == [True, True]
+    assert got["mpmath"] is False
+
+
+def test_numeric_split_loads_mpmath(tmp_path):
+    """C5's quartic coordinates lie outside the tower: the same run loads
+    mpmath and prints the pinned report.  A ball read back is widened by
+    the digits printed, so its report is not the one written."""
+    got = _split_in_a_fresh_process(tmp_path, dict(CORPUS)["C5_natural"])
+    assert got["passed"]
+    assert got["mpmath"] is True
+    assert got["sha256"] == CORPUS_REPORT_SHA256["C5_natural"]
 
 
 # the public names of the package root, by home submodule
@@ -130,7 +193,9 @@ def test_imports_are_at_module_level():
     """Every import in the package, relative or absolute, is a statement of
     its module's body, or under ``if TYPE_CHECKING:``, so the acyclicity test
     above sees each internal dependency and a module's imports are read in
-    one place; the package root's name table is the only deferred import."""
+    one place; the package root's name table is the only deferred import,
+    and ``exactfield`` binds mpmath as a module that loads on its first
+    attribute access, which the other modules import from there."""
     hidden = []
     for path in sorted((SRC / "permsplit").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
