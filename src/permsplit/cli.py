@@ -1,5 +1,9 @@
 """Command-line front end and the report formats it owns.
 
+A decomposition report is one record, declared once in ``_HEADERS`` and
+``_FIELDS``: both writers write it, both readers fill it, and one validator
+refuses the same reports in text and in JSON.
+
 Exit codes: 0 success, 1 parse error, 2 intransitive action, 3 resource
 limit, 4 internal invariant violation (any other error of the package), 5
 verification failure.  Reports are byte-identical for identical inputs;
@@ -16,6 +20,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .centralizer import compute_orbitals, compute_structure_constants
 from .errors import (
@@ -168,135 +173,160 @@ def _ball_from_strings(re, im, rad, precision):
         return ComplexBall(mid, mpmath.mp.make_mpf(up))
 
 
+def _flag(text):
+    """``true`` or ``false`` as a bool; ValueError on any other text."""
+    if text not in ("true", "false"):
+        raise ValueError(f"exact must be true or false, not {text!r}")
+    return text == "true"
+
+
+def _is_int(x):
+    # type(x) is int, because a bool is an int to isinstance
+    return type(x) is int
+
+
+class _Field(NamedTuple):
+    """One line of a report: a header, ``Text key: value``, or a field of a
+    projector block, ``text-key value``."""
+
+    text: str  # the key of its text line
+    record: str  # its key in the record, which is its JSON key
+    write: Callable  # its value as text
+    read: Callable  # its value from text; ValueError when malformed
+    kind: str = None  # what a value must be, for the validator's refusal
+    valid: Callable = None  # whether a value is that
+
+
+# The report, declared once.  Both writers write ``_record(deco)`` through
+# these tables; both readers fill such a record, and
+# ``_decomposition_from_record`` checks it and turns it into a Decomposition.
+_HEADERS = (
+    _Field("Degree", "degree", str, int, "an integer", _is_int),
+    _Field("Rank", "rank", str, int, "an integer", _is_int),
+    _Field(
+        "Suborbit lengths", "suborbit_lengths",
+        lambda v: ", ".join(map(str, v)), lambda t: [int(x) for x in t.split(",")],
+        "a list of integers", lambda v: type(v) is list and all(map(_is_int, v)),
+    ),
+    # optional; when present it must be the line the projectors give
+    _Field("Decomposition", "decomposition", str, str.strip),
+)
+_FIELDS = (
+    _Field("dimension", "dimension", str, int, "a positive integer",
+           lambda v: _is_int(v) and v >= 1),
+    _Field("exact", "exact", lambda v: "true" if v else "false", _flag, "a boolean",
+           lambda v: type(v) is bool),
+    _Field("provenance", "provenance", str, str, f"one of {', '.join(PROVENANCES)}",
+           lambda v: v in PROVENANCES),
+    _Field("block", "block", lambda v: "-" if v is None else str(v),
+           lambda t: None if t == "-" else int(t), "an integer",
+           lambda v: v is None or _is_int(v)),
+    _Field("conjugate-of", "conjugate_of", lambda v: "-" if v is None else str(v + 1),
+           lambda t: None if t == "-" else int(t) - 1, "an integer",
+           lambda v: v is None or _is_int(v)),
+)
+_HEADER_OF = {f.text: f for f in _HEADERS}
+_FIELD_OF = {f.text: f for f in _FIELDS}
+
+
+def _record(deco):
+    """``deco`` as the report's record, keyed as the JSON report: the headers,
+    and per projector its fields and one (value, precision) pair per
+    coefficient, the precision None on an exact value."""
+    projectors = [
+        dict({f.record: getattr(p, f.record) for f in _FIELDS}, coefficients=[
+            (c, None if isinstance(c, FieldElement) else p.precision) for c in p.coefficients
+        ])
+        for p in deco.projectors
+    ]
+    return {
+        "degree": deco.degree,
+        "rank": deco.rank,
+        "suborbit_lengths": list(deco.suborbit_lengths),
+        "decomposition": _decomposition_line(deco),
+        "projectors": projectors,
+    }
+
+
 def render_decomposition_text(deco):
-    out = []
-    out.append(f"Degree: {deco.degree}")
-    out.append(f"Rank: {deco.rank}")
-    out.append(
-        "Suborbit lengths: " + ", ".join(str(x) for x in deco.suborbit_lengths)
-    )
-    out.append("Decomposition: " + _decomposition_line(deco))
+    rec = _record(deco)
+    out = [f"{f.text}: {f.write(rec[f.record])}" for f in _HEADERS]
     out.append("")
-    for m, p in enumerate(deco.projectors, start=1):
-        out.append(_appendix_line(p, m))
-        out.append(f"projector {m}")
-        out.append(f"dimension {p.dimension}")
-        out.append(f"exact {'true' if p.exact else 'false'}")
-        out.append(f"provenance {p.provenance}")
-        out.append(f"block {p.block if p.block is not None else '-'}")
-        out.append(
-            f"conjugate-of {p.conjugate_of + 1 if p.conjugate_of is not None else '-'}"
-        )
-        for r, c in enumerate(p.coefficients, start=1):
-            if isinstance(c, FieldElement):
+    for m, (p, q) in enumerate(zip(deco.projectors, rec["projectors"]), start=1):
+        out += [_appendix_line(p, m), f"projector {m}"]
+        out += [f"{f.text} {f.write(q[f.record])}" for f in _FIELDS]
+        for r, (c, prec) in enumerate(q["coefficients"], start=1):
+            if prec is None:
                 out.append(f"coeff {r} {render_field_element(c)}")
             else:
-                re, im, rad = _ball_to_strings(c, p.precision)
-                out.append(f"coeff {r} numeric {re} {im} {rad} {p.precision}")
-        out.append("end")
-        out.append("")
+                re, im, rad = _ball_to_strings(c, prec)
+                out.append(f"coeff {r} numeric {re} {im} {rad} {prec}")
+        out += ["end", ""]
     return "\n".join(out).rstrip() + "\n"
 
 
-HEADERS = ("Degree:", "Rank:", "Suborbit lengths:", "Decomposition:")
-
-
 def parse_decomposition_text(text):
-    """The inverse of ``render_decomposition_text``; ParseError, with the
-    line number, on a malformed line or projector block, on a header line,
-    or a field line of one block, that appears twice, or on a Decomposition
-    line that does not describe the projectors read."""
-    degree = rank = lineno = line_read = line_at = None
-    headers = set()
-    lengths = []
-    projectors = []
-    conjugate_lines = []
-    current = None
+    """The inverse of ``render_decomposition_text``: the lines fill the
+    report's record, which ``_decomposition_from_record`` checks.  ParseError,
+    with the line number, on a header line, or a field line of one block,
+    that appears twice, a ``projector`` line inside an open block or before
+    the Rank header, an ``end`` outside a block or with a coefficient
+    missing, a ``coeff r`` outside ``1..rank`` or repeated, an unknown field,
+    any other line, or a value that does not read."""
+    rec, lines = {"projectors": []}, {}
+    block = lineno = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith(HEADERS):
-                head, _, value = line.partition(":")
-                if head in headers:
+            head, colon, value = line.partition(":")
+            key, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if colon and head in _HEADER_OF:
+                f = _HEADER_OF[head]
+                if f.record in rec:
                     raise ParseError(f"repeated {head} line", lineno)
-                headers.add(head)
-                if head == "Degree":
-                    degree = int(value)
-                elif head == "Rank":
-                    rank = int(value)
-                elif head == "Suborbit lengths":
-                    lengths = [int(t) for t in value.split(",")]
-                else:
-                    line_read, line_at = value.strip(), lineno
+                rec[f.record], lines[f.record] = f.read(value), lineno
             elif line.startswith("projector"):
-                if current is not None:
+                if block is not None:
                     raise ParseError("projector before the open block's end", lineno)
-                if rank is None:
+                if "rank" not in rec:
                     raise ParseError("projector before the Rank header", lineno)
-                current = {"coeffs": {}}
+                block, coeffs = {}, {}
             elif line == "end":
-                if current is None:
+                if block is None:
                     raise ParseError("end without projector", lineno)
-                projectors.append(_projector_from_record(current, rank, lineno))
-                conjugate_lines.append(current.get("conjugate_line"))
-                current = None
-            elif current is not None:
-                key, _, rest = line.partition(" ")
-                rest = rest.strip()
-                if key != "coeff" and key.replace("-", "_") in current:
+                missing = [r for r in range(1, rec["rank"] + 1) if r not in coeffs]
+                if missing:
+                    raise ParseError(f"missing coeff {missing[0]}", lineno)
+                block["coefficients"] = [coeffs[r] for r in sorted(coeffs)]
+                lines[len(rec["projectors"]), "end"] = lineno
+                rec["projectors"].append(block)
+                block = None
+            elif block is not None and key == "coeff":
+                r, _, txt = rest.partition(" ")
+                r = int(r)
+                if not 1 <= r <= rec["rank"]:
+                    raise ParseError(f"coeff {r} outside 1..{rec['rank']}", lineno)
+                if r in coeffs:
+                    raise ParseError(f"repeated coeff {r}", lineno)
+                coeffs[r] = _parse_coefficient(txt.strip())
+            elif block is not None and key in _FIELD_OF:
+                f = _FIELD_OF[key]
+                if f.record in block:
                     raise ParseError(f"repeated {key} line", lineno)
-                if key == "dimension":
-                    current["dimension"] = int(rest)
-                elif key == "exact":
-                    if rest not in ("true", "false"):
-                        raise ParseError(f"exact must be true or false, not {rest!r}", lineno)
-                    current["exact"] = rest == "true"
-                elif key == "provenance":
-                    current["provenance"] = rest
-                elif key == "block":
-                    current["block"] = None if rest == "-" else int(rest)
-                elif key == "conjugate-of":
-                    current["conjugate_of"] = None if rest == "-" else int(rest) - 1
-                    current["conjugate_line"] = lineno
-                elif key == "coeff":
-                    r, _, txt = rest.partition(" ")
-                    r = int(r)
-                    if not 1 <= r <= rank:
-                        raise ParseError(f"coeff {r} outside 1..{rank}", lineno)
-                    if r in current["coeffs"]:
-                        raise ParseError(f"repeated coeff {r}", lineno)
-                    current["coeffs"][r] = _parse_coefficient(txt.strip())
-                else:
-                    raise ParseError(f"unknown projector field {key!r}", lineno)
+                block[f.record] = f.read(rest)
+                lines[len(rec["projectors"]), f.record] = lineno
+            elif block is not None:
+                raise ParseError(f"unknown projector field {key!r}", lineno)
             else:
                 raise ParseError(f"unexpected line {line!r}", lineno)
     except (ArithmeticError, ValueError) as e:
         raise ParseError(f"malformed line: {e}", lineno) from e
-    if current is not None:
+    if block is not None:
         raise ParseError("projector without end", lineno)
-    if degree is None or rank is None:
-        raise ParseError("missing Degree/Rank headers")
-    _check_conjugates(projectors, conjugate_lines)
-    deco = Decomposition(
-        degree=degree,
-        rank=rank,
-        projectors=projectors,
-        suborbit_lengths=lengths,
-    )
-    return _checked_line(deco, line_read, line_at)
-
-
-def _checked_line(deco, line_read, lineno=None):
-    """``deco``; ParseError, naming the line when it is known, when the
-    report has a decomposition line and it is not ``deco``'s."""
-    expected = _decomposition_line(deco)
-    if line_read is not None and line_read != expected:
-        raise ParseError(
-            f"decomposition {line_read!r}, but the projectors give {expected!r}", lineno
-        )
-    return deco
+    return _decomposition_from_record(rec, lines)
 
 
 def _parse_coefficient(txt):
@@ -313,138 +343,104 @@ def _checked_precision(prec):
     ValueError unless it is an integer in 53..MAX_PRECISION.  Enclosures
     start from double precision, so fewer bits cannot hold one, and the
     solver escalates no further than MAX_PRECISION."""
-    # type(x) is int, because a bool is an int to isinstance
-    if type(prec) is not int or not 53 <= prec <= MAX_PRECISION:
+    if not _is_int(prec) or not 53 <= prec <= MAX_PRECISION:
         raise ValueError(f"precision {prec!r} is not an integer in 53..{MAX_PRECISION}")
     return prec
 
 
-def _check_conjugates(projectors, lines):
-    """ParseError, naming the line when ``lines`` holds it, unless every
-    conjugate of a projector is a projector of the family that names it back."""
+def _values(rec, fields, line):
+    """The values of ``fields`` in the record ``rec``; ParseError, naming
+    ``line``, when one is missing or is not of its kind."""
+    for f in fields:
+        if f.record not in rec:
+            raise ParseError(f"missing {f.record}", line)
+        if not f.valid(rec[f.record]):
+            raise ParseError(f"{f.record} {rec[f.record]!r} is not {f.kind}", line)
+    return [rec[f.record] for f in fields]
+
+
+def _decomposition_from_record(rec, lines):
+    """The Decomposition of a report's record, for both readers; ParseError
+    when a header but the Decomposition line, or a field, is missing or not
+    of its kind, a projector has not ``rank`` coefficients or its exact flag
+    disagrees with their types, a conjugate is not a projector that names it
+    back, or the Decomposition line, when present, is not the one the
+    projectors give.  ``lines`` holds the text reader's line numbers, of a
+    header by its record key and of a field or a block's ``end`` by
+    (projector index, key): a refusal names the conjugate-of line, the
+    Decomposition line, or else the block's end, when it is known."""
+    degree, rank, lengths = _values(rec, _HEADERS[:3], None)
+    projectors = []
+    for i, q in enumerate(rec["projectors"]):
+        end = lines.get((i, "end"))
+        dimension, exact, provenance, block, conjugate_of = _values(q, _FIELDS, end)
+        coeffs = q["coefficients"]
+        if len(coeffs) != rank:
+            raise ParseError(f"{len(coeffs)} coefficients for rank {rank}", end)
+        if exact != all(isinstance(c, FieldElement) for c, _ in coeffs):
+            raise ParseError(f"exact {str(exact).lower()} disagrees with the coefficients", end)
+        precision = next((prec for _, prec in reversed(coeffs) if prec), DEFAULT_PRECISION)
+        projectors.append(Projector(
+            coefficients=tuple(c for c, _ in coeffs), dimension=dimension,
+            provenance=provenance, precision=precision, block=block, conjugate_of=conjugate_of,
+        ))
     for i, p in enumerate(projectors):
-        j = p.conjugate_of
+        j, line = p.conjugate_of, lines.get((i, "conjugate_of"))
         if j is None:
             continue
+        where = f"projector {i + 1}: conjugate {j + 1}"
         if not 0 <= j < len(projectors):
-            raise ParseError(
-                f"projector {i + 1}: conjugate {j + 1} outside 1..{len(projectors)}", lines[i]
-            )
+            raise ParseError(f"{where} outside 1..{len(projectors)}", line)
         if projectors[j].conjugate_of != i:
-            raise ParseError(
-                f"projector {i + 1}: conjugate {j + 1} does not name {i + 1} back", lines[i]
-            )
-
-
-def _projector_from_record(rec, rank, lineno=None):
-    """One projector block's fields as a Projector; ParseError when a
-    coefficient is missing, the exact flag disagrees with their types, the
-    provenance is not a word of ``PROVENANCES``, or a field has the wrong
-    type."""
-    coeffs = []
-    precision = DEFAULT_PRECISION
-    for r in range(1, rank + 1):
-        if r not in rec["coeffs"]:
-            raise ParseError(f"missing coeff {r}", lineno)
-        value, prec = rec["coeffs"][r]
-        precision = prec or precision
-        coeffs.append(value)
-    if "dimension" not in rec:
-        raise ParseError("missing dimension", lineno)
-    # type(x) is int, because a bool is an int to isinstance
-    if type(rec["dimension"]) is not int or rec["dimension"] < 1:
-        raise ParseError(f"dimension {rec['dimension']!r} is not a positive integer", lineno)
-    for key in ("block", "conjugate_of"):
-        if rec.get(key) is not None and type(rec[key]) is not int:
-            raise ParseError(f"{key} {rec[key]!r} is not an integer", lineno)
-    provenance = rec.get("provenance", "uniqueSolution")
-    if provenance not in PROVENANCES:
-        raise ParseError(f"provenance {provenance!r} is not one of {', '.join(PROVENANCES)}", lineno)
-    exact = all(isinstance(c, FieldElement) for c in coeffs)
-    if rec.get("exact", True) != exact:
-        raise ParseError(f"exact {str(not exact).lower()} disagrees with the coefficients", lineno)
-    return Projector(
-        coefficients=tuple(coeffs),
-        dimension=rec["dimension"],
-        provenance=provenance,
-        precision=precision,
-        block=rec.get("block"),
-        conjugate_of=rec.get("conjugate_of"),
+            raise ParseError(f"{where} does not name {i + 1} back", line)
+    deco = Decomposition(
+        degree=degree, rank=rank, projectors=projectors, suborbit_lengths=list(lengths)
     )
+    read, expected = rec.get("decomposition"), _decomposition_line(deco)
+    if read is not None and read != expected:
+        message = f"decomposition {read!r}, but the projectors give {expected!r}"
+        raise ParseError(message, lines.get("decomposition"))
+    return deco
 
 
 JSON_FORMAT = "permsplit.decomposition.v1"
 
 
 def decomposition_to_json(deco):
-    projs = []
-    for p in deco.projectors:
-        coeffs = []
-        for c in p.coefficients:
-            if isinstance(c, FieldElement):
-                coeffs.append(field_element_to_json(c))
-            else:
-                re, im, rad = _ball_to_strings(c, p.precision)
-                coeffs.append(
-                    {"numeric": {"re": re, "im": im, "rad": rad, "precision": p.precision}}
-                )
-        projs.append(
-            {
-                "dimension": p.dimension,
-                "exact": p.exact,
-                "provenance": p.provenance,
-                "block": p.block,
-                "conjugate_of": p.conjugate_of,
-                "coefficients": coeffs,
-            }
-        )
-    return {
-        "format": JSON_FORMAT,
-        "degree": deco.degree,
-        "rank": deco.rank,
-        "suborbit_lengths": list(deco.suborbit_lengths),
-        "decomposition": _decomposition_line(deco),
-        "projectors": projs,
-        # format v1 keeps the key, always empty now, which the reader ignores
-        "notes": [],
-    }
+    rec = _record(deco)
+    for q in rec["projectors"]:
+        q["coefficients"] = [
+            field_element_to_json(c) if prec is None else
+            {"numeric": dict(zip(("re", "im", "rad"), _ball_to_strings(c, prec)), precision=prec)}
+            for c, prec in q["coefficients"]
+        ]
+    # format v1 keeps the key, always empty now, which the reader ignores
+    return {"format": JSON_FORMAT, **rec, "notes": []}
 
 
 def decomposition_from_json(obj):
-    """The inverse of ``decomposition_to_json``; ParseError on a missing or
-    malformed field, a ``format`` other than JSON_FORMAT, or a
-    ``decomposition`` string that does not describe the projectors read."""
+    """The inverse of ``decomposition_to_json``: its record, with each
+    coefficient read, checked by ``_decomposition_from_record``.  ParseError
+    also on a ``format`` other than JSON_FORMAT and on a malformed value."""
     try:
         if obj["format"] != JSON_FORMAT:
             raise ParseError(f"format {obj['format']!r} is not {JSON_FORMAT}")
-        rank = obj["rank"]
-        if not all(type(x) is int for x in (obj["degree"], rank, *obj["suborbit_lengths"])):
-            raise ParseError("degree, rank and suborbit lengths must be integers")
-        projectors = []
-        for rec in obj["projectors"]:
-            if len(rec["coefficients"]) != rank:
-                raise ParseError(f"{len(rec['coefficients'])} coefficients for rank {rank}")
-            coeffs = {}
-            for r, c in enumerate(rec["coefficients"], start=1):
-                if "numeric" in c:
-                    nv = c["numeric"]
-                    prec = _checked_precision(nv.get("precision", DEFAULT_PRECISION))
-                    coeffs[r] = _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
-                else:
-                    coeffs[r] = field_element_from_json(c), None
-            projectors.append(
-                _projector_from_record(dict(rec, coeffs=coeffs, exact=rec["exact"]), rank)
-            )
-        _check_conjugates(projectors, [None] * len(projectors))
-        deco = Decomposition(
-            degree=obj["degree"],
-            rank=rank,
-            projectors=projectors,
-            suborbit_lengths=list(obj["suborbit_lengths"]),
-        )
-        return _checked_line(deco, obj.get("decomposition"))
+        projectors = [
+            dict(q, coefficients=[_coefficient_from_json(c) for c in q["coefficients"]])
+            for q in obj["projectors"]
+        ]
+        return _decomposition_from_record(dict(obj, projectors=projectors), {})
     except (ArithmeticError, LookupError, TypeError, ValueError) as e:
         raise ParseError(f"malformed decomposition JSON: {e!r}") from e
+
+
+def _coefficient_from_json(c):
+    """(value, precision) of a JSON coefficient; precision None when exact."""
+    if "numeric" not in c:
+        return field_element_from_json(c), None
+    nv = c["numeric"]
+    prec = _checked_precision(nv.get("precision", DEFAULT_PRECISION))
+    return _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
 
 
 def _unique_keys(pairs):

@@ -841,12 +841,9 @@ SORT_BITS = 53
 
 def rounded_parts(x):
     """(Re x, Im x), each rounded to 53 bits with ties to even, as Fractions:
-    the parts of a FieldElement's value, found in integers, and those of a
-    ComplexBall's midpoint."""
-    if isinstance(x, ComplexBall):
-        libmp = mpmath.libmp
-        parts = (libmp.mpf_pos(part, SORT_BITS, "n") for part in x.mid._mpc_)
-        return tuple(Fraction(*libmp.to_rational(part)) for part in parts)
+    the parts of a FieldElement's value, or of a ComplexBall's exact
+    midpoint, found in integers."""
+    x = _midpoint(x)
     real = {r: c for r, c in x._num.items() if r > 0}
     imag = {-r: c for r, c in x._num.items() if r < 0}
     return _rounded(real, x._den), _rounded(imag, x._den)

@@ -975,6 +975,53 @@ def _projector_without_end(lines):
     return len(lines)
 
 
+def _projector_before_rank(lines):
+    lines.remove("Rank: 2")
+    return lines.index("projector 1") + 1
+
+
+def _end_without_projector(lines):
+    at = lines.index("end") + 1
+    lines.insert(at, "end")
+    return at + 1
+
+
+def _unknown_field(lines):
+    at = lines.index("dimension 1") + 1
+    lines.insert(at, "colour red")
+    return at + 1
+
+
+def _unexpected_line(lines):
+    at = lines.index("end") + 1
+    lines.insert(at, "hello")
+    return at + 1
+
+
+def _missing_coeff(lines):
+    lines.remove("coeff 2 1/3")
+    return lines.index("end") + 1
+
+
+def _missing_dimension(lines):
+    lines.remove("dimension 1")
+    return lines.index("end") + 1
+
+
+# Each required header and projector field of a report, by its record (JSON)
+# key, with the line of the S3 text report that holds it (a field's first line)
+REPORT_LINES = [
+    ("degree", "Degree: 3"),
+    ("rank", "Rank: 2"),
+    ("suborbit_lengths", "Suborbit lengths: 1, 2"),
+    ("dimension", "dimension 1"),
+    ("exact", "exact true"),
+    ("provenance", "provenance uniqueSolution"),
+    ("block", "block -"),
+    ("conjugate_of", "conjugate-of -"),
+]
+
+
 class TestMalformedDecompositionFile:
     """``verify`` reports a malformed reference as a parse error, exit 1."""
 
@@ -1168,6 +1215,74 @@ class TestMalformedDecompositionFile:
         code, err = self.verify_against(tmp_path, capsys, json.dumps(obj))
         assert code == 1
         assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (_projector_before_rank, "projector before the Rank header"),
+        (_end_without_projector, "end without projector"),
+        (_unknown_field, "unknown projector field 'colour'"),
+        (_unexpected_line, "unexpected line 'hello'"),
+        (_missing_coeff, "missing coeff 2"),
+        (_missing_dimension, "missing dimension"),
+    ], ids=["projector-before-rank", "end-without-projector", "unknown-field",
+            "unexpected-line", "missing-coeff", "missing-dimension"])
+    def test_text_refusal_names_its_line(self, edit, message):
+        lines = render_decomposition_text(split(symmetric(3))).splitlines()
+        lineno = edit(lines)
+        with pytest.raises(ParseError) as err:
+            parse_decomposition_text("\n".join(lines) + "\n")
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+    @pytest.mark.parametrize("encoding", ["text", "json"])
+    @pytest.mark.parametrize("key, line", REPORT_LINES, ids=[key for key, _ in REPORT_LINES])
+    def test_missing_header_or_field_is_refused(self, key, line, encoding):
+        """Every header but the Decomposition line and every projector field
+        is required: a report without one is refused, not read with a
+        default, and the refusal names it."""
+        deco = split(symmetric(3))
+        text_key = line.split(":")[0] if ":" in line else line.split()[0]
+        if encoding == "text":
+            lines = render_decomposition_text(deco).splitlines()
+            lines.remove(line)  # a field goes from the first block
+            with pytest.raises(ParseError) as err:
+                parse_decomposition_text("\n".join(lines) + "\n")
+            if ":" not in line:
+                assert err.value.line == lines.index("end") + 1
+        else:
+            obj = decomposition_to_json(deco)
+            del (obj if key in obj else obj["projectors"][0])[key]
+            with pytest.raises(ParseError) as err:
+                decomposition_from_json(obj)
+        assert re.search(rf"\b({key}|{text_key})\b", str(err.value)), str(err.value)
+
+    def test_decomposition_line_is_optional(self):
+        deco = split(symmetric(3))
+        lines = render_decomposition_text(deco).splitlines()
+        lines.remove("Decomposition: 3 ≅ 1 ⊕ 2")
+        obj = decomposition_to_json(deco)
+        del obj["decomposition"], obj["notes"]
+        for back in parse_decomposition_text("\n".join(lines)), decomposition_from_json(obj):
+            assert [(p.coefficients, p.dimension) for p in back.projectors] == [
+                (p.coefficients, p.dimension) for p in deco.projectors
+            ]
+
+    @pytest.mark.parametrize("flag", [1, "yes"])
+    def test_json_exact_must_be_a_boolean(self, flag):
+        """``"exact": 1`` is not read as true, and ``"exact": "yes"`` is
+        refused by its type, not as disagreeing with the coefficients."""
+        obj = decomposition_to_json(split(symmetric(3)))
+        obj["projectors"][0]["exact"] = flag
+        with pytest.raises(ParseError) as err:
+            decomposition_from_json(obj)
+        assert str(err.value) == f"exact {flag!r} is not a boolean"
+
+    def test_json_syntax_error_names_its_line(self, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text('{\n  "format": "permsplit.decomposition.v1",\n  "degree": \n}\n')
+        with pytest.raises(ParseError) as err:
+            cli.load_decomposition(path)
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: Expecting value"
 
 
     def verify_c5_against(self, tmp_path, capsys, reference):

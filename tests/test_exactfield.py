@@ -20,6 +20,7 @@ from permsplit import (
 )
 from permsplit.exactfield import (
     RHO_STEPS,
+    ComplexBall,
     _combination,
     _contract_exact,
     _decoded,
@@ -716,3 +717,29 @@ class TestRoundedParts:
         x = fe(p) - FE.term(q, 2)
         assert rounded_parts(x) == _mpmath_key(x)
         assert rounded_parts(x)[0] < 0
+
+
+def _midpoint_parts(draw):
+    """A dyadic number of up to 120 bits, half of the draws a tie at 53 bits
+    (an odd mantissa of 54 bits), with its binary exponent."""
+    man = draw(st.one_of(
+        st.integers(-(2**120), 2**120),
+        st.integers(2**52, 2**53 - 1).map(lambda k: 2 * k + 1),
+        st.integers(2**52, 2**53 - 1).map(lambda k: -(2 * k + 1)),
+    ))
+    return mpmath.ldexp(man, draw(st.integers(-300, 300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ball_midpoint_rounding_is_mpf_pos(data):
+    """The key of a ComplexBall is its exact midpoint rounded like an exact
+    element's, and equals mpmath's rounding of each midpoint part to 53 bits
+    (to nearest, ties to even)."""
+    with mpmath.workprec(256):
+        ball = ComplexBall(mpmath.mpc(_midpoint_parts(data.draw), _midpoint_parts(data.draw)))
+    want = tuple(
+        Fraction(*mpmath.libmp.to_rational(mpmath.libmp.mpf_pos(part, 53, "n")))
+        for part in ball.mid._mpc_
+    )
+    assert rounded_parts(ball) == want

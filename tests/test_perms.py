@@ -78,6 +78,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_generator_text("# nothing\n")
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("degree 3\ndegree 3\ngen (1,2)", 2, "duplicate degree line"),
+        ("degree three\ngen (1,2)", 1, "malformed degree 'three'"),
+        ("degree 0\ngen (1,2)", 1, "degree must be positive"),
+        ("degree 3\ngenerator (1,2)", 2, "unknown keyword 'generator'"),
+        ("degree 3\ngen (1,2)x", 2, "malformed token 'x' in cycle notation"),
+        ("degree 3\ngen (1,a)", 2, "malformed cycle (1,a)"),
+        ("degree 3\ngen 1 x 3", 2, "malformed token in image list: '1 x 3'"),
+    ], ids=["second-degree", "degree-word", "degree-zero", "unknown-keyword",
+            "text-after-cycles", "word-in-cycle", "word-in-image-list"])
+    def test_refusal_names_its_line(self, text, lineno, message):
+        with pytest.raises(ParseError) as err:
+            parse_generator_text(text)
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+    def test_empty_cycle_is_the_identity(self):
+        g = parse_generator_text("degree 3\ngen ()")
+        assert g.generators[0] == Permutation.identity(3)
+
 
 class TestPermutation:
     def test_compose_inverse_identity(self):
@@ -111,6 +131,11 @@ class TestOrbits:
         assert set(np.flatnonzero(tree.depth >= 0) + 1) == {2}
         with pytest.raises(ValueError, match="not in orbit"):
             tree.transport_to_base0(0, 0)
+
+    @pytest.mark.parametrize("base", [0, 4])
+    def test_base_outside_the_points_is_refused(self, base):
+        with pytest.raises(ValueError, match=f"base {base} out of range 1..3"):
+            orbit_with_tree(symmetric(3), base)
 
     def test_c4_tree_depths(self):
         tree = orbit_with_tree(cyclic(4), 1)

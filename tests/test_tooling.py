@@ -445,6 +445,35 @@ def test_readme_synopsis_lists_the_cli_options():
     assert listed == defined
 
 
+def test_report_table_holds_every_projector_field():
+    """Every field of a Projector but its coefficients and their precision
+    is a field of the report's table, so a new one cannot be left out of
+    the text and JSON reports."""
+    from permsplit.cli import _FIELDS
+    from permsplit.splitter import Projector
+
+    fields = {f.name for f in dataclasses.fields(Projector)} - {"coefficients", "precision"}
+    assert fields <= {f.record for f in _FIELDS}
+
+
+def test_readme_report_skeleton_names_the_table_keys():
+    """The skeleton of the README's "Decomposition report format" section
+    names exactly the text keys of the report's headers and projector
+    fields, in their order, besides ``projector``, ``coeff`` and ``end``."""
+    from permsplit.cli import _FIELDS, _HEADERS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    skeleton = readme.split("### Decomposition report format", 1)[1].split("```", 2)[1]
+    keys = [
+        line.split(":")[0] if ":" in line else line.split()[0]
+        for line in skeleton.strip().splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert [k for k in keys if k not in ("projector", "coeff", "end")] == [
+        f.text for f in _HEADERS + _FIELDS
+    ]
+
+
 def _load_benchmark_module(name):
     """A module of ``perfbench/`` loaded by its path, without putting the
     directory on ``sys.path``."""
