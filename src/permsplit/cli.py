@@ -120,11 +120,15 @@ def _decomposition_line(deco):
 
 
 def _appendix_line(p, index):
-    """Human-facing factored form: ``B[2] = 2/5*(A1 - 2/3*A2 + 1/6*A3)``."""
+    """Human-facing factored form: ``B[2] = 2/5*(A1 - 2/3*A2 + 1/6*A3)``;
+    unfactored when b_1 is 0, which only a report read can hold (b_1 = d/N)."""
     if not p.exact:
         return f"# B[{index}] d={p.dimension} has numeric coordinates"
+    terms = [(c, f"A{r}") for r, c in enumerate(p.coefficients, start=1)]
     b1 = p.coefficients[0]
-    ratios = signed_sum((c / b1, f"A{r}") for r, c in enumerate(p.coefficients, start=1))
+    if not b1:
+        return f"# B[{index}] = {signed_sum(terms)}"
+    ratios = signed_sum((c / b1, a) for c, a in terms)
     return f"# B[{index}] = {render_field_element(b1)}*({ratios})"
 
 
@@ -269,10 +273,11 @@ def parse_decomposition_text(text):
     """The inverse of ``render_decomposition_text``: the lines fill the
     report's record, which ``_decomposition_from_record`` checks.  ParseError,
     with the line number, on a header line, or a field line of one block,
-    that appears twice, a ``projector`` line inside an open block or before
-    the Rank header, an ``end`` outside a block or with a coefficient
-    missing, a ``coeff r`` outside ``1..rank`` or repeated, an unknown field,
-    any other line, or a value that does not read."""
+    that appears twice, a ``projector`` line inside an open block, before
+    the Rank header or other than ``projector n`` for the next number n, an
+    ``end`` outside a block or with a coefficient missing, a ``coeff r``
+    outside ``1..rank`` or repeated, an unknown field, any other line, or a
+    value that does not read."""
     rec, lines = {"projectors": []}, {}
     block = lineno = None
     try:
@@ -293,6 +298,9 @@ def parse_decomposition_text(text):
                     raise ParseError("projector before the open block's end", lineno)
                 if "rank" not in rec:
                     raise ParseError("projector before the Rank header", lineno)
+                number = len(rec["projectors"]) + 1
+                if line != f"projector {number}":
+                    raise ParseError(f"{line!r} is not 'projector {number}'", lineno)
                 block, coeffs = {}, {}
             elif line == "end":
                 if block is None:
@@ -363,12 +371,13 @@ def _decomposition_from_record(rec, lines):
     """The Decomposition of a report's record, for both readers; ParseError
     when a header but the Decomposition line, or a field, is missing or not
     of its kind, a projector has not ``rank`` coefficients or its exact flag
-    disagrees with their types, a conjugate is not a projector that names it
-    back, or the Decomposition line, when present, is not the one the
-    projectors give.  ``lines`` holds the text reader's line numbers, of a
-    header by its record key and of a field or a block's ``end`` by
-    (projector index, key): a refusal names the conjugate-of line, the
-    Decomposition line, or else the block's end, when it is known."""
+    disagrees with their types, a conjugate is the projector itself or not a
+    projector that names it back, or the Decomposition line, when present,
+    is not the one the projectors give.  ``lines`` holds the text reader's
+    line numbers, of a header by its record key and of a field or a block's
+    ``end`` by (projector index, key): a refusal names the conjugate-of
+    line, the Decomposition line, or else the block's end, when it is
+    known."""
     degree, rank, lengths = _values(rec, _HEADERS[:3], None)
     projectors = []
     for i, q in enumerate(rec["projectors"]):
@@ -391,6 +400,8 @@ def _decomposition_from_record(rec, lines):
         where = f"projector {i + 1}: conjugate {j + 1}"
         if not 0 <= j < len(projectors):
             raise ParseError(f"{where} outside 1..{len(projectors)}", line)
+        if j == i:
+            raise ParseError(f"{where} is the projector itself", line)
         if projectors[j].conjugate_of != i:
             raise ParseError(f"{where} does not name {i + 1} back", line)
     deco = Decomposition(
@@ -435,11 +446,12 @@ def decomposition_from_json(obj):
 
 
 def _coefficient_from_json(c):
-    """(value, precision) of a JSON coefficient; precision None when exact."""
+    """(value, precision) of a JSON coefficient; precision None when exact.
+    A numeric one must carry its precision, as its text line must."""
     if "numeric" not in c:
         return field_element_from_json(c), None
     nv = c["numeric"]
-    prec = _checked_precision(nv.get("precision", DEFAULT_PRECISION))
+    prec = _checked_precision(nv["precision"])
     return _ball_from_strings(nv["re"], nv["im"], nv["rad"], prec), prec
 
 

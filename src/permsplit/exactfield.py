@@ -834,15 +834,13 @@ def as_ball(x, precision=None):
     return x.to_complex(mpmath.mp.prec if precision is None else precision)
 
 
-# -- values rounded to 53 bits, for ordering -------------------------------------------
-
-SORT_BITS = 53
+# -- values rounded to floats, for ordering -------------------------------------------
 
 
 def rounded_parts(x):
-    """(Re x, Im x), each rounded to 53 bits with ties to even, as Fractions:
-    the parts of a FieldElement's value, or of a ComplexBall's exact
-    midpoint, found in integers."""
+    """(Re x, Im x), each as its nearest float (ties to even): the parts of a
+    FieldElement's value, or of a ComplexBall's exact midpoint, found in
+    integers."""
     x = _midpoint(x)
     real = {r: c for r, c in x._num.items() if r > 0}
     imag = {-r: c for r, c in x._num.items() if r < 0}
@@ -850,11 +848,12 @@ def rounded_parts(x):
 
 
 def _rounded(terms, den):
-    """sum_m terms[m] sqrt(m) / den, for square-free m > 0, rounded to 53 bits
-    with ties to even.  The sum times 2^s lies between integers that
-    ``math.isqrt`` bounds term by term, and s doubles until both ends round
-    alike; they do once the enclosure is narrow enough, as a sum with an
-    irrational term is irrational and so no tie."""
+    """sum_m terms[m] sqrt(m) / den, for square-free m > 0, as its nearest
+    float.  The sum times 2^s lies between integers that ``math.isqrt``
+    bounds term by term; Python's ``int / int`` rounds each end correctly,
+    and s doubles until both ends round alike.  They do once the enclosure
+    is narrow enough, as a sum with an irrational term is irrational and so
+    no tie.  OverflowError on a part past the float range."""
     s = 64
     while True:
         lo = hi = 0
@@ -864,27 +863,10 @@ def _rounded(terms, den):
                 continue
             a = math.isqrt(c * c * m << 2 * s)  # a <= |c| sqrt(m) 2^s < a + 1
             lo, hi = (lo + a, hi + a + 1) if c > 0 else (lo - a - 1, hi - a)
-        low, high = _nearest(lo, den << s), _nearest(hi, den << s)
+        low, high = lo / (den << s), hi / (den << s)
         if low == high:
             return low
         s *= 2
-
-
-def _nearest(p, q):
-    """The number of at most 53 significant bits nearest to p/q, for ints p
-    and q > 0, ties to even, as a Fraction."""
-    if not p:
-        return Fraction(0)
-    n = abs(p)
-    e = n.bit_length() - q.bit_length() - SORT_BITS  # 2^52 < n / (q 2^e) < 2^54
-    num, den = (n, q << e) if e >= 0 else (n << -e, q)
-    if num >= den << SORT_BITS:
-        den, e = den << 1, e + 1
-    m, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
-    m = m if p > 0 else -m
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 # -- balls as exact midpoints over the radicands 1 and -1 (an mpf is dyadic) --------

@@ -110,9 +110,9 @@ class SolutionPoint:
 
 
 class _SortCoordinate:
-    """A coordinate ordered by (Re, Im), each rounded to 53 bits
+    """A coordinate ordered by (Re, Im), each as its nearest float
     (``exactfield.rounded_parts``): of the value for an exact coordinate,
-    in integers, so sorting exact points loads no mpmath, and of the
+    found in integers, so sorting exact points loads no mpmath, and of the
     midpoint for a ball.  The key is made at the first comparison that needs
     it; equal exact values need none."""
 
@@ -351,8 +351,9 @@ def solve_zero_dimensional(system, precision=DEFAULT_PRECISION):
 
     ``system`` is a list of Poly sharing one ring.  Returns
     SolutionPoints in deterministic order (lexicographic over the real and
-    imaginary parts of the coordinates, rounded to 53 bits).  Raises ResourceLimit when some candidate
-    root is neither verified nor rejected at MAX_PRECISION.
+    imaginary parts of the coordinates, each as its nearest float).  Raises
+    ResourceLimit when some candidate root is neither verified nor rejected
+    at MAX_PRECISION.
     """
     gens = [g for g in system if not g.is_zero()]
     if not gens:

@@ -166,11 +166,6 @@ class Projector:
     def exact(self):
         return all(isinstance(c, FieldElement) for c in self.coefficients)
 
-    def conjugate_coefficients(self):
-        if not self.exact:
-            raise ValueError("conjugate of a numeric projector is not tracked")
-        return tuple(c.conjugate() for c in self.coefficients)
-
 
 @dataclass
 class Decomposition:
@@ -713,7 +708,7 @@ def _pair_conjugates(deco: Decomposition):
     for i, p in enumerate(deco.projectors):
         if not p.exact or p.conjugate_of is not None:
             continue
-        j = exact_index.get(p.conjugate_coefficients())
+        j = exact_index.get(tuple(c.conjugate() for c in p.coefficients))
         if j is not None and j != i:
             deco.projectors[i].conjugate_of = j
             deco.projectors[j].conjugate_of = i

@@ -52,7 +52,7 @@ from .exactfield import (
     ComplexBall, FieldElement, _ball, _contract_exact, _decoded, _differing, _encode,
     _magnitude, _midpoint, _radius, _summed, render_field_element,
 )
-from .perms import GeneratorSet, orbit_with_tree
+from .perms import GeneratorSet, is_transitive
 from .solver import DEFAULT_PRECISION
 
 if TYPE_CHECKING:
@@ -422,7 +422,7 @@ def verify_matrix_level(
     rank = basis.rank
     report = VerificationReport()
     labels = orbital_label_matrix(basis)
-    invariant = bool((orbit_with_tree(gens, basis.base).depth >= 0).all()) and all(
+    invariant = is_transitive(gens) and all(
         np.array_equal(labels[np.ix_(s.images0, s.images0)], labels)
         for s in gens.generators
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -704,6 +705,23 @@ class TestStructureConstants:
         basis = compute_orbitals(gens)
         consts = compute_structure_constants(gens, basis)
         assert consts.is_commutative() == dense_algebra_commutes(gens)
+
+
+@pytest.mark.parametrize("altered, message", [
+    (dict(suborbit_representative=np.array([2, 1, 5])), "diagonal orbital is not first"),
+    (dict(degree=11), "suborbit lengths do not sum to the degree"),
+    (dict(transpose_of=np.array([0, 0, 2])), "transpose map is not an involution"),
+    (dict(transpose_of=np.array([0, 2, 1])), "transpose-paired suborbits differ in length"),
+], ids=["base-not-first", "lengths-past-the-degree", "transpose-not-involution",
+        "transpose-pairs-unequal"])
+def test_altered_basis_is_refused(altered, message):
+    """Each check of ``_check_basis`` refuses Petersen's basis (suborbits of
+    1, 3 and 6 points, every orbital symmetric) altered in one field."""
+    basis = compute_orbitals(petersen())
+    assert basis.suborbit_lengths.tolist() == [1, 3, 6]
+    with pytest.raises(InvariantViolation) as err:
+        centralizer._check_basis(dataclasses.replace(basis, **altered))
+    assert str(err.value) == message
 
 
 class TestCheckConstants:

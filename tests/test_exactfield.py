@@ -87,6 +87,19 @@ class TestInvert:
             FE.zero().invert()
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FE({0: 1}), ValueError, "radicand 0 is not allowed"),
+    (lambda: FE.sqrt_int(2) / 0, ZeroDivisionError, "division by zero field element"),
+    # plain ints read as the writer's decimal strings do, so the zero is met
+    (lambda: field_element_from_json({"terms": [{"rad": 1, "num": 1, "den": 0}]}),
+     ZeroDivisionError, "Fraction(1, 0)"),
+], ids=["radicand-zero", "division-by-zero", "json-int-denominator-zero"])
+def test_elements_that_do_not_exist_are_refused(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
 class TestSqrtIfNice:
     def test_rational_square(self):
         assert sqrt_if_nice(fe(12)) == FE.term(2, 3)

@@ -295,3 +295,16 @@ class TestStabilizer:
     )
     def test_partition_matches_brute_force(self, gens):
         assert _suborbits(gens) == set(brute_force_stabilizer_orbits(gens, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation.from_images([]), "empty permutation"),
+    (lambda: Permutation.from_images([1, 3]), "image out of range"),
+    (lambda: GeneratorSet(3, ()), "empty generator list"),
+    (lambda: GeneratorSet(3, (Permutation.from_images([2, 3, 1]),
+                              Permutation.from_images([2, 1]))), "generators of mixed degree"),
+], ids=["empty-images", "image-past-the-degree", "no-generators", "mixed-degree"])
+def test_malformed_permutations_are_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

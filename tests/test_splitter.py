@@ -24,8 +24,8 @@ from permsplit import (
     split,
 )
 from permsplit import exactfield, splitter, verify
-from permsplit.cli import render_decomposition_text
-from permsplit.errors import SliceExhausted
+from permsplit.cli import main, render_decomposition_text
+from permsplit.errors import IncompleteDecomposition, SliceExhausted
 from permsplit.exactfield import ComplexBall, _decoded, as_ball
 from permsplit.polynomial import Ring, groebner_basis
 from permsplit.solver import SolutionPoint
@@ -267,6 +267,32 @@ class TestProcessSingleSolution:
         r = basis[0].ring
         x1, x2 = Poly.variable(r, 0), Poly.variable(r, 1)
         assert basis == [x1 - Fraction(2, 3), x2 + Fraction(1, 3)]
+
+
+def _split_library(tmp_path, capsys):
+    """The message of the IncompleteDecomposition that ``split`` raises."""
+    with pytest.raises(IncompleteDecomposition) as err:
+        split(cyclic(5))
+    return str(err.value)
+
+
+def _split_command(tmp_path, capsys):
+    """The message of ``permsplit split``'s exit 4, which it prints for an
+    IncompleteDecomposition as for any error of the package not named."""
+    path = tmp_path / "c5.gens"
+    path.write_text("degree 5\ngen (1,2,3,4,5)\n")
+    assert main(["split", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.removeprefix("internal invariant violation: ").rstrip("\n")
+
+
+@pytest.mark.parametrize("run", [_split_library, _split_command], ids=["split", "permsplit-split"])
+def test_a_dimension_loop_that_finds_nothing_is_incomplete(run, tmp_path, capsys, monkeypatch):
+    """C5 natural leaves its four numeric projectors to the dimension loop;
+    with the loop doing nothing the split ends in IncompleteDecomposition."""
+    monkeypatch.setattr(splitter, "_run_dimension", lambda state, d: None)
+    assert run(tmp_path, capsys) == "dimensions exhausted with 1/5 found"
 
 
 class TestDimensionLoopExits:

@@ -258,6 +258,32 @@ def test_every_private_function_has_a_caller():
     assert not uncalled, f"private functions that nothing loads: {uncalled}"
 
 
+def test_every_module_level_name_is_used():
+    """Each name a module of the package assigns at top level (dunders
+    aside) is loaded by name somewhere in the package, or is listed in an
+    ``__all__``, so a constant cannot outlive the code that read it."""
+    assigned, loaded, exported = {}, set(), set()
+    for path in sorted((SRC / "permsplit").glob("*.py")):
+        module = "permsplit" if path.stem == "__init__" else f"permsplit.{path.stem}"
+        exported.update(getattr(importlib.import_module(module), "__all__", ()))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                for target in getattr(top, "targets", [getattr(top, "target", None)]):
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                            assigned.setdefault(node.id, f"{path.name}:{top.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unused = [
+        where for name, where in assigned.items() if name not in loaded | exported
+    ]
+    assert not unused, f"module-level names that nothing loads: {unused}"
+
+
 def test_field_element_integers_stay_in_exactfield():
     """A FieldElement's integer fields ``_num`` and ``_den`` are read only in
     exactfield.py, which also owns the integer-array element that exact

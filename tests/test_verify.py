@@ -592,6 +592,14 @@ class TestMatrixLevel:
         with pytest.raises(MatrixCapExceeded):
             verify_matrix_level(gens, basis, deco, matrix_cap=5)
 
+    @pytest.mark.parametrize("mode", ["dense", "EXACT", None])
+    def test_unknown_mode_is_refused(self, mode):
+        gens = symmetric(3)
+        basis, consts, deco = split_with_constants(gens)
+        with pytest.raises(ValueError) as err:
+            verify_matrix_level(gens, basis, deco, mode=mode)
+        assert str(err.value) == "mode must be 'exact' or 'numeric'"
+
     def test_agreement_with_algebraic(self, corpus_member):
         """On the corpus, numeric decompositions included, the matrix lines
         are the three basis lines, passed, then the splitter's certificate
